@@ -98,6 +98,7 @@ let run input engine stats opt fuel cache_dir peephole doctor purge diff
             st.Interp.stats.Interp.steps;
           Printf.sprintf "calls: %d" st.Interp.stats.Interp.calls;
           Printf.sprintf "max call depth: %d" st.Interp.stats.Interp.max_depth;
+          Printf.sprintf "functions lowered: %d" st.Interp.stats.Interp.lowered;
         ]
   | "x86" ->
       let cm = X86lite.Compile.compile_module m in

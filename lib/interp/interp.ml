@@ -7,7 +7,11 @@
    exceptions are delivered either to a registered trap handler or to the
    caller as [Trap] — the §3.4 self-modification rule (replacement affects
    only future invocations), and the §3.5 OS-support mechanisms (intrinsic
-   functions and the privileged bit). *)
+   functions and the privileged bit).
+
+   Each function is lowered once per state, on its first call, to a
+   slot-indexed form (see "the lowered form" below) and only that form is
+   executed. *)
 
 open Llva
 
@@ -41,7 +45,93 @@ type stats = {
   by_opcode : int array; (* indexed by Ir.opcode_code *)
   mutable calls : int;
   mutable max_depth : int;
+  mutable lowered : int; (* functions lowered to the slot form *)
 }
+
+(* ---------- the lowered form ----------
+
+   Every argument and instruction result of a function has a dense slot in
+   one [Eval.scalar array] per frame, copied on entry from a template of
+   per-slot [Undef ty] values. Operands are resolved once: to a slot, to a
+   constant scalar (constants, global and function addresses), or to the
+   exception the value would raise. Types and layout facts are computed
+   ahead, branch targets are block indices carrying their phi moves, and
+   getelementptr is folded to a constant offset plus scaled terms.
+   Anything that cannot be resolved is kept as a deferred exception and
+   raised only when its instruction executes, never at lowering. *)
+
+type operand = Slot of int | Imm of Eval.scalar | Fail of exn
+type 'a deferred = ('a, exn) result
+
+type edge =
+  | Edge of {
+      dst : int; (* block index *)
+      target : Ir.block; (* reported to [on_edge] *)
+      phi_slots : int array;
+      phi_srcs : operand array; (* a missing incoming value is a Fail *)
+      phi_tmp : Eval.scalar array; (* the values, read before any is set *)
+    }
+  | Bad_edge of exn
+
+type kind =
+  | Arith of { op : Ir.binop; a : operand; b : operand; dst : int }
+  | Divide of {
+      op : Ir.binop;
+      a : operand;
+      b : operand;
+      dst : int;
+      ee : bool;
+      undef : Eval.scalar;
+    }
+  | Setcc of { cmp : Ir.cmp; ty : Types.t; a : operand; b : operand; dst : int }
+  | Ret of operand option
+  | Jump of edge
+  | Cond of { cond : operand; t : edge; f : edge }
+  | Mbr of { sel : operand; cases : (int64 * edge) array; default : edge }
+  | Unwind
+  | Invoke of {
+      callee : operand;
+      args : operand array;
+      dst : int;
+      normal : edge;
+      except : edge;
+    }
+  | Call of { callee : operand; args : operand array; dst : int (* -1: no result *) }
+  | Load of {
+      ptr : operand;
+      ty : Types.t deferred;
+      dst : int;
+      ee : bool;
+      undef : Eval.scalar;
+    }
+  | Store of { v : operand; ptr : operand; ty : Types.t deferred; ee : bool }
+  (* ptr + const + sum of (index * scale) *)
+  | Gep of { ptr : operand; const : int; terms : (operand * int) array; dst : int }
+  (* geps the lowering could not fold go through Layout.gep_offset *)
+  | Gep_generic of {
+      ptr : operand;
+      ptr_ty : Types.t;
+      indexes : (Types.t * operand) array;
+      dst : int;
+    }
+  | Alloca of { count : operand option; elem : (int * int) deferred; dst : int }
+  | Cast of { v : operand; tys : (Types.t * Types.t) deferred; dst : int }
+  | Raise of exn (* an instruction whose shape could not be lowered *)
+
+type lblock = {
+  block : Ir.block;
+  codes : int array; (* Ir.opcode_code of each non-phi instruction *)
+  kinds : kind array; (* up to and including the first terminator *)
+}
+
+type lfunc = {
+  template : Eval.scalar array; (* arguments first *)
+  nargs : int;
+  blocks : lblock array; (* entry first *)
+  entry_phis : bool;
+}
+
+module Itbl = Hashtbl.Make (Int)
 
 type state = {
   m : Ir.modl;
@@ -64,6 +154,7 @@ type state = {
   mutable on_smc : (Ir.func -> unit) list;
   (* profiling hook: called on every taken CFG edge (src, dst) *)
   mutable on_edge : (Ir.block -> Ir.block -> unit) option;
+  forms : lfunc Itbl.t; (* lowered functions, by fid *)
   stats : stats;
 }
 
@@ -86,18 +177,17 @@ let create ?(fuel = -1) (m : Ir.modl) : state =
     redirects = Hashtbl.create 8;
     on_smc = [];
     on_edge = None;
-    stats = { steps = 0; by_opcode = Array.make 29 0; calls = 0; max_depth = 0 };
+    forms = Itbl.create 16;
+    stats =
+      { steps = 0; by_opcode = Array.make 29 0; calls = 0; max_depth = 0; lowered = 0 };
   }
 
 let output st = Vmem.Runtime.output st.rt
 
-(* ---------- frames ---------- *)
+(* ---------- lowering ---------- *)
 
-type frame = {
-  regs : (int, Eval.scalar) Hashtbl.t;
-  fargs : (int, Eval.scalar) Hashtbl.t;
-  saved_stack : int64;
-}
+let defer f = match f () with v -> Ok v | exception e -> Error e
+let force = function Ok v -> v | Error e -> raise e
 
 let scalar_of_const st (c : Ir.const) : Eval.scalar =
   match c.Ir.ckind with
@@ -119,17 +209,12 @@ let scalar_of_const st (c : Ir.const) : Eval.scalar =
   | Ir.Carray _ | Ir.Cstruct _ | Ir.Cstring _ ->
       invalid_arg "Interp: aggregate constant in register context"
 
-let value st frame (v : Ir.value) : Eval.scalar =
+(* The value of anything that is not a register of the function. *)
+let constant_value st (v : Ir.value) : Eval.scalar =
   match v with
   | Ir.Const c -> scalar_of_const st c
-  | Ir.Vreg i -> (
-      match Hashtbl.find_opt frame.regs i.Ir.iid with
-      | Some s -> s
-      | None -> Eval.Undef i.Ir.ity)
-  | Ir.Varg a -> (
-      match Hashtbl.find_opt frame.fargs a.Ir.aid with
-      | Some s -> s
-      | None -> Eval.Undef a.Ir.aty)
+  | Ir.Vreg i -> Eval.Undef i.Ir.ity (* never set in this frame *)
+  | Ir.Varg a -> Eval.Undef a.Ir.aty
   | Ir.Vglobal g -> (
       match Vmem.Image.symbol_address st.img g.Ir.gname with
       | Some a -> Eval.P a
@@ -141,7 +226,232 @@ let value st frame (v : Ir.value) : Eval.scalar =
   | Ir.Vblock _ -> invalid_arg "Interp: label used as a value"
   | Ir.Vundef ty -> Eval.Undef ty
 
-(* ---------- trap delivery ---------- *)
+(* Instructions that leave no value in a register need no slot: reading
+   them yields [Undef ty], as reading a never-set register does. *)
+let has_slot (i : Ir.instr) =
+  match i.Ir.op with
+  | Ir.Store | Ir.Ret | Ir.Br | Ir.Mbr | Ir.Unwind -> false
+  | Ir.Call -> not (Types.equal i.Ir.ity Types.Void)
+  | _ -> true
+
+let lower st (f : Ir.func) : lfunc =
+  let slots = Itbl.create 64 in
+  let template = ref [] and next = ref 0 in
+  let add_slot id undef =
+    Itbl.replace slots id !next;
+    template := undef :: !template;
+    incr next
+  in
+  List.iter (fun (a : Ir.arg) -> add_slot a.Ir.aid (Eval.Undef a.Ir.aty)) f.Ir.fargs;
+  let nargs = !next in
+  Ir.iter_instrs
+    (fun i -> if has_slot i then add_slot i.Ir.iid (Eval.Undef i.Ir.ity))
+    f;
+  let slot id = Itbl.find_opt slots id in
+  let operand (v : Ir.value) =
+    let id = match v with Ir.Vreg i -> i.Ir.iid | Ir.Varg a -> a.Ir.aid | _ -> -1 in
+    match slot id with
+    | Some k -> Slot k
+    | None -> ( match constant_value st v with s -> Imm s | exception e -> Fail e)
+  in
+  let index = Itbl.create 16 in
+  List.iteri (fun k (b : Ir.block) -> Itbl.replace index b.Ir.blid k) f.Ir.fblocks;
+  let dst (i : Ir.instr) = Option.value ~default:(-1) (slot i.Ir.iid) in
+  (* the edge from [src] to the block named by [target ()] *)
+  let edge (src : Ir.block) target =
+    match target () with
+    | exception e -> Bad_edge e
+    | (b : Ir.block) -> (
+        match Itbl.find_opt index b.Ir.blid with
+        | None -> Bad_edge (Invalid_argument "Interp: branch out of the function")
+        | Some k ->
+            let phis = Array.of_list (Ir.block_phis b) in
+            let src_of (phi : Ir.instr) =
+              match Ir.phi_value_for_block phi src with
+              | Some v -> operand v
+              | None ->
+                  Fail
+                    (Invalid_argument
+                       (Printf.sprintf "Interp: phi %%%s missing edge from %%%s"
+                          phi.Ir.iname src.Ir.bname))
+            in
+            Edge
+              {
+                dst = k;
+                target = b;
+                phi_slots = Array.map dst phis;
+                phi_srcs = Array.map src_of phis;
+                phi_tmp = Array.make (Array.length phis) (Eval.Undef Types.Void);
+              })
+  in
+  let label (i : Ir.instr) k () = Ir.block_of_value i.Ir.operands.(k) in
+  let gep (i : Ir.instr) ptr =
+    let ptr_ty = Ir.type_of_value i.Ir.operands.(0) in
+    let idx = Array.sub i.Ir.operands 1 (Array.length i.Ir.operands - 1) in
+    let ops = Array.map operand idx in
+    let fold () =
+      let lt = st.layout in
+      let const = ref 0 and terms = ref [] in
+      let add op scale =
+        match op with
+        | Imm s -> const := !const + (Int64.to_int (Eval.to_int64 s) * scale)
+        | Slot _ -> terms := (op, scale) :: !terms
+        | Fail _ -> raise Exit
+      in
+      let elem = Types.pointee lt.Vmem.Layout.env ptr_ty in
+      let ty = ref elem in
+      Array.iteri
+        (fun k op ->
+          if k = 0 then add op (Vmem.Layout.size_of lt elem)
+          else
+            match (Types.resolve lt.Vmem.Layout.env !ty, op) with
+            | Types.Array (_, e), _ ->
+                add op (Vmem.Layout.size_of lt e);
+                ty := e
+            | Types.Struct fields, Imm s ->
+                let n = Int64.to_int (Eval.to_int64 s) in
+                let fty = Option.get (List.nth_opt fields n) in
+                const := !const + Vmem.Layout.field_offset lt fields n;
+                ty := fty
+            | _ -> raise Exit)
+        ops;
+      Gep { ptr; const = !const; terms = Array.of_list (List.rev !terms); dst = dst i }
+    in
+    match fold () with
+    | g -> g
+    | exception _ ->
+        Gep_generic
+          {
+            ptr;
+            ptr_ty;
+            indexes = Array.map2 (fun v op -> (Ir.type_of_value v, op)) idx ops;
+            dst = dst i;
+          }
+  in
+  let lower_instr (b : Ir.block) (i : Ir.instr) =
+    let ops = i.Ir.operands in
+    let op k = operand ops.(k) in
+    let nops = Array.length ops in
+    match i.Ir.op with
+    | Ir.Binop ((Ir.Div | Ir.Rem) as o) ->
+        Divide
+          {
+            op = o;
+            a = op 0;
+            b = op 1;
+            dst = dst i;
+            ee = i.Ir.exceptions_enabled;
+            undef = Eval.Undef i.Ir.ity;
+          }
+    | Ir.Binop o -> Arith { op = o; a = op 0; b = op 1; dst = dst i }
+    | Ir.Setcc c ->
+        Setcc { cmp = c; ty = Ir.type_of_value ops.(0); a = op 0; b = op 1; dst = dst i }
+    | Ir.Ret -> Ret (if nops = 0 then None else Some (op 0))
+    | Ir.Br ->
+        if nops = 1 then Jump (edge b (label i 0))
+        else Cond { cond = op 0; t = edge b (label i 1); f = edge b (label i 2) }
+    | Ir.Mbr ->
+        let rec cases k acc =
+          if k + 1 >= nops then Array.of_list (List.rev acc)
+          else
+            match ops.(k) with
+            | Ir.Const { ckind = Ir.Cint c; _ } -> cases (k + 2) ((c, edge b (label i (k + 1))) :: acc)
+            | _ -> cases (k + 2) acc
+        in
+        Mbr { sel = op 0; cases = cases 2 []; default = edge b (label i 1) }
+    | Ir.Unwind -> Unwind
+    | Ir.Invoke ->
+        Invoke
+          {
+            callee = op 0;
+            args = Array.init (nops - 3) (fun k -> op (k + 3));
+            dst = dst i;
+            normal = edge b (label i 1);
+            except = edge b (label i 2);
+          }
+    | Ir.Call ->
+        Call
+          {
+            callee = op 0;
+            args = Array.init (nops - 1) (fun k -> op (k + 1));
+            dst = dst i;
+          }
+    | Ir.Load ->
+        Load
+          {
+            ptr = op 0;
+            ty = defer (fun () -> Types.resolve st.env i.Ir.ity);
+            dst = dst i;
+            ee = i.Ir.exceptions_enabled;
+            undef = Eval.Undef i.Ir.ity;
+          }
+    | Ir.Store ->
+        Store
+          {
+            v = op 0;
+            ptr = op 1;
+            ty = defer (fun () -> Types.resolve st.env (Ir.type_of_value ops.(0)));
+            ee = i.Ir.exceptions_enabled;
+          }
+    | Ir.Getelementptr -> gep i (op 0)
+    | Ir.Alloca ->
+        Alloca
+          {
+            count = (if nops = 0 then None else Some (op 0));
+            elem =
+              defer (fun () ->
+                  let elem = Types.pointee st.env i.Ir.ity in
+                  let size = Vmem.Layout.size_of st.layout elem in
+                  (size, Vmem.Layout.align_of st.layout elem));
+            dst = dst i;
+          }
+    | Ir.Cast ->
+        Cast
+          {
+            v = op 0;
+            tys =
+              defer (fun () ->
+                  let src = Types.resolve st.env (Ir.type_of_value ops.(0)) in
+                  (src, Types.resolve st.env i.Ir.ity));
+            dst = dst i;
+          }
+    | Ir.Phi -> assert false
+  in
+  let lower_block (b : Ir.block) =
+    let rec body = function
+      | [] -> []
+      | (i : Ir.instr) :: rest ->
+          if i.Ir.op = Ir.Phi then body rest
+          else if Ir.is_terminator i then [ i ]
+          else i :: body rest
+    in
+    let body = Array.of_list (body b.Ir.instrs) in
+    {
+      block = b;
+      codes = Array.map (fun (i : Ir.instr) -> Ir.opcode_code i.Ir.op) body;
+      kinds = Array.map (fun i -> try lower_instr b i with e -> Raise e) body;
+    }
+  in
+  {
+    template = Array.of_list (List.rev !template);
+    nargs;
+    blocks = Array.of_list (List.map lower_block f.Ir.fblocks);
+    entry_phis = Ir.block_phis (Ir.entry_block f) <> [];
+  }
+
+(* [f]'s lowered form, lowering it on its first call in this state. *)
+let form_of st (f : Ir.func) =
+  match Itbl.find_opt st.forms f.Ir.fid with
+  | Some lf -> lf
+  | None ->
+      let lf = lower st f in
+      Itbl.replace st.forms f.Ir.fid lf;
+      st.stats.lowered <- st.stats.lowered + 1;
+      lf
+
+(* ---------- execution ---------- *)
+
+let[@inline] get regs = function Slot k -> regs.(k) | Imm s -> s | Fail e -> raise e
 
 (* Always raises; declared as returning unit so call sites follow it with
    their own (unreachable) result expression. *)
@@ -154,12 +464,19 @@ let rec deliver_trap st kind : unit =
       (try
          ignore
            (call_function st handler
-              [ Eval.I (Types.Uint, Int64.of_int (trap_number kind)); Eval.P 0L ])
+              [| Eval.I (Types.Uint, Int64.of_int (trap_number kind)); Eval.P 0L |])
        with Vmem.Runtime.Exit_called _ as e -> raise e);
       raise (Trap kind)
   | None -> raise (Trap kind)
 
-(* ---------- instruction execution ---------- *)
+(* An exception condition: trap if ExceptionsEnabled, else [ignored]. *)
+and guard : 'a. state -> bool -> trap_kind -> 'a -> 'a =
+ fun st ee kind ignored ->
+  if ee then begin
+    deliver_trap st kind;
+    assert false
+  end
+  else ignored
 
 and exec_call st callee_addr args =
   match Vmem.Image.func_at st.img callee_addr with
@@ -204,211 +521,165 @@ and call_intrinsic st name args =
       else Eval.Undef Types.Void
   | _ -> invalid_arg ("Interp: unknown intrinsic " ^ name)
 
-and call_function st (f : Ir.func) args : Eval.scalar =
+and call_function st (f : Ir.func) (args : Eval.scalar array) : Eval.scalar =
   let f =
-    match Hashtbl.find_opt st.redirects f.Ir.fname with
-    | Some replacement -> replacement
-    | None -> f
+    if Hashtbl.length st.redirects = 0 then f
+    else
+      match Hashtbl.find_opt st.redirects f.Ir.fname with
+      | Some replacement -> replacement
+      | None -> f
   in
-  if Ir.is_declaration f then call_external st f args
+  if Ir.is_declaration f then call_external st f (Array.to_list args)
   else begin
     st.stats.calls <- st.stats.calls + 1;
     st.depth <- st.depth + 1;
     if st.depth > st.stats.max_depth then st.stats.max_depth <- st.depth;
     if st.depth > 100_000 then invalid_arg "Interp: call depth exceeded";
-    let frame =
-      { regs = Hashtbl.create 64; fargs = Hashtbl.create 8; saved_stack = st.stack }
-    in
-    (try
-       List.iteri
-         (fun k (a : Ir.arg) ->
-           match List.nth_opt args k with
-           | Some v -> Hashtbl.replace frame.fargs a.Ir.aid v
-           | None -> ())
-         f.Ir.fargs
-     with Invalid_argument _ -> ());
+    let lf = form_of st f in
+    let regs = Array.copy lf.template in
+    Array.blit args 0 regs 0 (min (Array.length args) lf.nargs);
+    let saved_stack = st.stack in
     let prev = st.current in
     st.current <- f.Ir.fname;
-    let finish result =
-      st.stack <- frame.saved_stack;
-      st.depth <- st.depth - 1;
-      st.current <- prev;
-      result
-    in
-    try finish (exec_block st frame (Ir.entry_block f) None)
-    with e ->
-      (* deliberately do not restore [current]: a propagating trap keeps
-         the name of the innermost function it fired in *)
-      st.stack <- frame.saved_stack;
-      st.depth <- st.depth - 1;
-      raise e
-
+    match
+      if lf.entry_phis then invalid_arg "Interp: phi in entry block";
+      exec st regs lf lf.blocks.(0) 0
+    with
+    | result ->
+        st.stack <- saved_stack;
+        st.depth <- st.depth - 1;
+        st.current <- prev;
+        result
+    | exception e ->
+        (* deliberately do not restore [current]: a propagating trap keeps
+           the name of the innermost function it fired in *)
+        st.stack <- saved_stack;
+        st.depth <- st.depth - 1;
+        raise e
   end
 
-(* Execute from [block] (having arrived from [pred]) until a return. *)
-and exec_block st frame (block : Ir.block) (pred : Ir.block option) : Eval.scalar =
-  (* phis first, evaluated simultaneously *)
-  let phis = Ir.block_phis block in
-  (match (phis, pred) with
-  | [], _ -> ()
-  | _, None -> invalid_arg "Interp: phi in entry block"
-  | _, Some p ->
-      let values =
-        List.map
-          (fun phi ->
-            match Ir.phi_value_for_block phi p with
-            | Some v -> (phi, value st frame v)
-            | None ->
-                invalid_arg
-                  (Printf.sprintf "Interp: phi %%%s missing edge from %%%s"
-                     phi.Ir.iname p.Ir.bname))
-          phis
-      in
-      List.iter (fun (phi, v) -> Hashtbl.replace frame.regs phi.Ir.iid v) values);
-  let rec run = function
-    | [] -> invalid_arg "Interp: block fell through without terminator"
-    | (i : Ir.instr) :: rest -> (
-        if i.Ir.op = Ir.Phi then run rest
-        else begin
-          st.stats.steps <- st.stats.steps + 1;
-          st.stats.by_opcode.(Ir.opcode_code i.Ir.op) <-
-            st.stats.by_opcode.(Ir.opcode_code i.Ir.op) + 1;
-          if st.fuel >= 0 && st.stats.steps > st.fuel then raise Out_of_fuel;
-          match exec_instr st frame i with
-          | `Continue -> run rest
-          | `Branch next ->
-              (match st.on_edge with
-              | Some hook -> hook block next
-              | None -> ());
-              exec_block st frame next (Some block)
-          | `Return v -> v
-        end)
-  in
-  run block.Ir.instrs
+(* Take [e] out of block [b]: report it, run the target's phis
+   simultaneously, and continue at the target's first instruction. *)
+and take_edge st regs lf (b : lblock) e =
+  match e with
+  | Bad_edge x -> raise x
+  | Edge { dst; target; phi_slots; phi_srcs; phi_tmp } ->
+      (match st.on_edge with Some hook -> hook b.block target | None -> ());
+      let n = Array.length phi_slots in
+      if n = 1 then regs.(phi_slots.(0)) <- get regs phi_srcs.(0)
+      else if n > 1 then begin
+        for j = 0 to n - 1 do
+          phi_tmp.(j) <- get regs phi_srcs.(j)
+        done;
+        for j = 0 to n - 1 do
+          regs.(phi_slots.(j)) <- phi_tmp.(j)
+        done
+      end;
+      exec st regs lf lf.blocks.(dst) 0
 
-and exec_instr st frame (i : Ir.instr) =
-  let v k = value st frame i.Ir.operands.(k) in
-  let set s =
-    Hashtbl.replace frame.regs i.Ir.iid s;
-    `Continue
-  in
-  (* run [f]; on an exception condition, honour ExceptionsEnabled *)
-  let guarded f ~(ignored : unit -> [ `Continue | `Branch of Ir.block | `Return of Eval.scalar ]) =
-    try f () with
-    | Eval.Division_by_zero ->
-        if i.Ir.exceptions_enabled then begin
-          deliver_trap st Division_by_zero;
-          assert false
-        end
-        else ignored ()
-    | Eval.Overflow ->
-        if i.Ir.exceptions_enabled then begin
-          deliver_trap st Overflow;
-          assert false
-        end
-        else ignored ()
-    | Vmem.Memory.Fault addr ->
-        if i.Ir.exceptions_enabled then begin
-          deliver_trap st (Memory_fault addr);
-          assert false
-        end
-        else ignored ()
-  in
-  match i.Ir.op with
-  | Ir.Binop op ->
-      guarded
-        (fun () -> set (Eval.binop op (v 0) (v 1)))
-        ~ignored:(fun () -> set (Eval.Undef i.Ir.ity))
-  | Ir.Setcc c ->
-      set (Eval.compare_scalars (Ir.type_of_value i.Ir.operands.(0)) c (v 0) (v 1))
-  | Ir.Ret ->
-      if Array.length i.Ir.operands = 0 then `Return (Eval.Undef Types.Void)
-      else `Return (v 0)
-  | Ir.Br ->
-      if Array.length i.Ir.operands = 1 then
-        `Branch (Ir.block_of_value i.Ir.operands.(0))
-      else if Eval.to_bool (v 0) then `Branch (Ir.block_of_value i.Ir.operands.(1))
-      else `Branch (Ir.block_of_value i.Ir.operands.(2))
-  | Ir.Mbr ->
-      let sel = Eval.to_int64 (v 0) in
-      let rec find k =
-        if k + 1 >= Array.length i.Ir.operands then
-          Ir.block_of_value i.Ir.operands.(1)
+(* Execute block [b] from instruction [k] until a return. *)
+and exec st regs lf (b : lblock) k =
+  if k = Array.length b.kinds then
+    invalid_arg "Interp: block fell through without terminator";
+  let s = st.stats in
+  s.steps <- s.steps + 1;
+  let code = b.codes.(k) in
+  s.by_opcode.(code) <- s.by_opcode.(code) + 1;
+  if st.fuel >= 0 && s.steps > st.fuel then raise Out_of_fuel;
+  match b.kinds.(k) with
+  | Arith { op; a; b = b'; dst } ->
+      let y = get regs b' in
+      regs.(dst) <- Eval.binop op (get regs a) y;
+      exec st regs lf b (k + 1)
+  | Divide { op; a; b = b'; dst; ee; undef } ->
+      let r =
+        try
+          let y = get regs b' in
+          Eval.binop op (get regs a) y
+        with
+        | Eval.Division_by_zero -> guard st ee Division_by_zero undef
+        | Eval.Overflow -> guard st ee Overflow undef
+      in
+      regs.(dst) <- r;
+      exec st regs lf b (k + 1)
+  | Setcc { cmp; ty; a; b = b'; dst } ->
+      let y = get regs b' in
+      regs.(dst) <- Eval.compare_scalars ty cmp (get regs a) y;
+      exec st regs lf b (k + 1)
+  | Ret None -> Eval.Undef Types.Void
+  | Ret (Some v) -> get regs v
+  | Jump e -> take_edge st regs lf b e
+  | Cond { cond; t; f } ->
+      take_edge st regs lf b (if Eval.to_bool (get regs cond) then t else f)
+  | Mbr { sel; cases; default } ->
+      let sel = Eval.to_int64 (get regs sel) in
+      let rec find j =
+        if j = Array.length cases then default
         else
-          match i.Ir.operands.(k) with
-          | Ir.Const { ckind = Ir.Cint c; _ } when Int64.equal c sel ->
-              Ir.block_of_value i.Ir.operands.(k + 1)
-          | _ -> find (k + 2)
+          let c, e = cases.(j) in
+          if Int64.equal c sel then e else find (j + 1)
       in
-      `Branch (find 2)
-  | Ir.Unwind -> raise Unwinding
-  | Ir.Invoke -> (
-      let callee = Eval.to_int64 (v 0) in
-      let args =
-        List.init
-          (Array.length i.Ir.operands - 3)
-          (fun k -> value st frame i.Ir.operands.(k + 3))
-      in
+      take_edge st regs lf b (find 0)
+  | Unwind -> raise Unwinding
+  | Invoke { callee; args; dst; normal; except } -> (
+      let callee = Eval.to_int64 (get regs callee) in
+      let args = Array.map (get regs) args in
       match exec_call st callee args with
       | result ->
-          Hashtbl.replace frame.regs i.Ir.iid result;
-          `Branch (Ir.block_of_value i.Ir.operands.(1))
-      | exception Unwinding -> `Branch (Ir.block_of_value i.Ir.operands.(2)))
-  | Ir.Call ->
-      let callee = Eval.to_int64 (v 0) in
-      let args =
-        List.init
-          (Array.length i.Ir.operands - 1)
-          (fun k -> value st frame i.Ir.operands.(k + 1))
-      in
+          regs.(dst) <- result;
+          take_edge st regs lf b normal
+      | exception Unwinding -> take_edge st regs lf b except)
+  | Call { callee; args; dst } ->
+      let callee = Eval.to_int64 (get regs callee) in
+      let args = Array.map (get regs) args in
       let result = exec_call st callee args in
-      if Types.equal i.Ir.ity Types.Void then `Continue else set result
-  | Ir.Load ->
-      guarded
-        (fun () ->
-          let addr = Eval.to_int64 (v 0) in
+      if dst >= 0 then regs.(dst) <- result;
+      exec st regs lf b (k + 1)
+  | Load { ptr; ty; dst; ee; undef } ->
+      let r =
+        try
+          let addr = Eval.to_int64 (get regs ptr) in
           if Int64.equal addr 0L then raise (Vmem.Memory.Fault 0L);
-          set
-            (Vmem.Memory.read_scalar st.mem
-               (Types.resolve st.env i.Ir.ity)
-               addr))
-        ~ignored:(fun () -> set (Eval.Undef i.Ir.ity))
-  | Ir.Store ->
-      guarded
-        (fun () ->
-          let addr = Eval.to_int64 (v 1) in
-          if Int64.equal addr 0L then raise (Vmem.Memory.Fault 0L);
-          let ty =
-            Types.resolve st.env (Ir.type_of_value i.Ir.operands.(0))
-          in
-          Vmem.Memory.write_scalar st.mem ty addr (v 0);
-          `Continue)
-        ~ignored:(fun () -> `Continue)
-  | Ir.Getelementptr ->
-      let ptr = Eval.to_int64 (v 0) in
+          Vmem.Memory.read_scalar st.mem (force ty) addr
+        with Vmem.Memory.Fault a -> guard st ee (Memory_fault a) undef
+      in
+      regs.(dst) <- r;
+      exec st regs lf b (k + 1)
+  | Store { v; ptr; ty; ee } ->
+      (try
+         let addr = Eval.to_int64 (get regs ptr) in
+         if Int64.equal addr 0L then raise (Vmem.Memory.Fault 0L);
+         let ty = force ty in
+         Vmem.Memory.write_scalar st.mem ty addr (get regs v)
+       with Vmem.Memory.Fault a -> guard st ee (Memory_fault a) ());
+      exec st regs lf b (k + 1)
+  | Gep { ptr; const; terms; dst } ->
+      let p = Eval.to_int64 (get regs ptr) in
+      let off = ref const in
+      for j = 0 to Array.length terms - 1 do
+        let idx, scale = terms.(j) in
+        off := !off + (Int64.to_int (Eval.to_int64 (get regs idx)) * scale)
+      done;
+      regs.(dst) <-
+        Eval.P (Eval.mask_pointer st.m.Ir.target (Int64.add p (Int64.of_int !off)));
+      exec st regs lf b (k + 1)
+  | Gep_generic { ptr; ptr_ty; indexes; dst } ->
+      let p = Eval.to_int64 (get regs ptr) in
       let indexes =
-        List.init
-          (Array.length i.Ir.operands - 1)
-          (fun k ->
-            let op = i.Ir.operands.(k + 1) in
-            (Ir.type_of_value op, Eval.to_int64 (value st frame op)))
+        Array.to_list (Array.map (fun (ty, v) -> (ty, Eval.to_int64 (get regs v))) indexes)
       in
-      let off, _ =
-        Vmem.Layout.gep_offset st.layout
-          (Ir.type_of_value i.Ir.operands.(0))
-          indexes
-      in
-      set
-        (Eval.P
-           (Eval.mask_pointer st.m.Ir.target (Int64.add ptr (Int64.of_int off))))
-  | Ir.Alloca ->
+      let off, _ = Vmem.Layout.gep_offset st.layout ptr_ty indexes in
+      regs.(dst) <-
+        Eval.P (Eval.mask_pointer st.m.Ir.target (Int64.add p (Int64.of_int off)));
+      exec st regs lf b (k + 1)
+  | Alloca { count; elem; dst } ->
       let count =
-        if Array.length i.Ir.operands = 0 then 1
-        else Int64.to_int (Eval.to_int64 (v 0))
+        match count with
+        | None -> 1
+        | Some c -> Int64.to_int (Eval.to_int64 (get regs c))
       in
-      let elem = Types.pointee st.env i.Ir.ity in
-      let size = max 1 (count * Vmem.Layout.size_of st.layout elem) in
-      let align = Vmem.Layout.align_of st.layout elem in
+      let size, align = force elem in
+      let size = max 1 (count * size) in
       let sp = Int64.sub st.stack (Int64.of_int size) in
       let sp = Int64.mul (Int64.div sp (Int64.of_int align)) (Int64.of_int align) in
       if Int64.compare sp Vmem.Memory.heap_base < 0 then begin
@@ -417,25 +688,25 @@ and exec_instr st frame (i : Ir.instr) =
       end
       else begin
         st.stack <- sp;
-        set (Eval.P sp)
+        regs.(dst) <- Eval.P sp;
+        exec st regs lf b (k + 1)
       end
-  | Ir.Cast ->
-      let src_ty = Types.resolve st.env (Ir.type_of_value i.Ir.operands.(0)) in
-      let dst_ty = Types.resolve st.env i.Ir.ity in
-      let result = Eval.cast ~src_ty ~dst_ty (v 0) in
+  | Cast { v; tys; dst } ->
+      let src_ty, dst_ty = force tys in
       let result =
-        match result with
+        match Eval.cast ~src_ty ~dst_ty (get regs v) with
         | Eval.P a -> Eval.P (Eval.mask_pointer st.m.Ir.target a)
         | r -> r
       in
-      set result
-  | Ir.Phi -> `Continue (* handled on block entry *)
+      regs.(dst) <- result;
+      exec st regs lf b (k + 1)
+  | Raise e -> raise e
 
 (* ---------- entry points ---------- *)
 
 let run_function st name args =
   match Ir.find_func st.m name with
-  | Some f -> call_function st f args
+  | Some f -> call_function st f (Array.of_list args)
   | None -> invalid_arg ("Interp: no such function: " ^ name)
 
 (* Run %main; returns the program's exit code. *)

@@ -151,10 +151,8 @@ exit:
 }
 |})
 
-let test_calls_and_recursion () =
-  check_int "fib 10" 55
-    (exit_code
-       {|
+let fib_src =
+  {|
 int %fib(int %n) {
 entry:
   %small = setlt int %n, 2
@@ -170,12 +168,19 @@ rec:
   ret int %s
 }
 
+int %unused() {
+entry:
+  ret int 0
+}
+
 int %main() {
 entry:
   %r = call int %fib(int 10)
   ret int %r
 }
-|})
+|}
+
+let test_calls_and_recursion () = check_int "fib 10" 55 (exit_code fib_src)
 
 let test_function_pointers () =
   check_int "indirect call" 12
@@ -433,6 +438,283 @@ entry:
     (fun t -> check_int ("portable on " ^ Target.to_string t) 771 (exit_code (src t)))
     Target.all
 
+(* ---------- semantics the lowered form must preserve ---------- *)
+
+let parse_unverified src =
+  let m = Resolve.parse_module src in
+  (m, Interp.create m)
+
+let invalid_arg_of f =
+  match f () with
+  | _ -> "no error"
+  | exception Invalid_argument msg -> msg
+
+let test_phi_swap () =
+  (* both phis read the values from before the edge: a sequential
+     evaluation would give 22 *)
+  check_int "simultaneous phi swap" 21
+    (exit_code
+       {|
+int %main() {
+entry:
+  br label %loop
+loop:
+  %a = phi int [ 1, %entry ], [ %b, %loop ]
+  %b = phi int [ 2, %entry ], [ %a, %loop ]
+  %i = phi int [ 0, %entry ], [ %inext, %loop ]
+  %inext = add int %i, 1
+  %done = seteq int %inext, 2
+  br bool %done, label %exit, label %loop
+exit:
+  %t = mul int %a, 10
+  %r = add int %t, %b
+  ret int %r
+}
+|})
+
+let test_smc_self_replace () =
+  (* %self replaces itself while active: its own frame finishes the old
+     body (the add 1000), its nested call and main's next call run the
+     new one *)
+  let code, _, st =
+    run_src
+      {|
+declare void %llva.smc.replace(int (int)*, int (int)*)
+
+int %patched(int %x) {
+entry:
+  %r = add int %x, 100
+  ret int %r
+}
+
+int %self(int %x) {
+entry:
+  call void %llva.smc.replace(int (int)* %self, int (int)* %patched)
+  %y = call int %self(int %x)
+  %r = add int %y, 1000
+  ret int %r
+}
+
+int %main() {
+entry:
+  %a = call int %self(int 0)
+  %b = call int %self(int 0)
+  %t = mul int %a, 10
+  %r = add int %t, %b
+  ret int %r
+}
+|}
+  in
+  check_int "old body finishes, new body runs next" 11100 code;
+  check_int "calls" 4 st.Interp.stats.Interp.calls
+
+let test_disabled_exceptions_undef () =
+  let src =
+    {|
+int %div0() {
+entry:
+  %x = div int 1, 0 @ee(false)
+  %y = add int %x, 1
+  ret int %y
+}
+
+int %nullload() {
+entry:
+  %p = cast long 0 to int*
+  %x = load int* %p @ee(false)
+  ret int %x
+}
+
+int %main() {
+entry:
+  ret int 0
+}
+|}
+  in
+  let m = Resolve.parse_module src in
+  List.iter
+    (fun f ->
+      let st = Interp.create m in
+      let r = Interp.run_function st f [] in
+      check_bool (f ^ " yields undef") true (Eval.equal r (Eval.Undef Types.Int)))
+    [ "div0"; "nullload" ]
+
+let test_phi_errors () =
+  let _, st =
+    parse_unverified
+      "int %main() {\nentry:\n  %p = phi int [ 1, %entry ]\n  ret int %p\n}"
+  in
+  check_string "phi in entry block" "Interp: phi in entry block"
+    (invalid_arg_of (fun () -> Interp.run_main st));
+  let _, st =
+    parse_unverified
+      {|
+int %main() {
+entry:
+  br label %next
+next:
+  %p = phi int [ 1, %other ]
+  ret int %p
+other:
+  br label %next
+}
+|}
+  in
+  check_string "phi missing edge" "Interp: phi %p missing edge from %entry"
+    (invalid_arg_of (fun () -> Interp.run_main st))
+
+let test_lazy_resolution_errors () =
+  (* an unresolvable symbol or type is an error only when its
+     instruction executes *)
+  let src =
+    {|
+int %main() {
+entry:
+  br label %exit
+dead:
+  br label %exit
+exit:
+  ret int 7
+}
+|}
+  in
+  let m, st = parse_unverified src in
+  let main = Option.get (Ir.find_func m "main") in
+  let dead = List.nth main.Ir.fblocks 1 in
+  let bad_sym = Ir.Const { Ir.cty = Types.Pointer Types.Int; ckind = Ir.Cglobal_ref "nosuch" } in
+  Ir.prepend_instr dead (Ir.mk_instr Ir.Load [| bad_sym |] Types.Int);
+  Ir.prepend_instr dead
+    (Ir.mk_instr Ir.Cast [| Ir.const_int Types.Int 1L |] (Types.Named "nosuch_t"));
+  check_int "dead block never fails" 7 (Interp.run_main st);
+  let entry = Ir.entry_block main in
+  Ir.prepend_instr entry (Ir.mk_instr Ir.Load [| bad_sym |] Types.Int);
+  let st = Interp.create m in
+  check_string "live block fails when it runs" "Interp: unresolved symbol nosuch"
+    (invalid_arg_of (fun () -> Interp.run_main st))
+
+let test_gep_pointer_mask () =
+  let m =
+    Resolve.parse_module
+      {|
+target pointersize = 32
+
+int* %fixed() {
+entry:
+  %p = cast ulong 4294967292 to int*
+  %q = getelementptr int* %p, long 2
+  ret int* %q
+}
+
+int* %scaled(long %k) {
+entry:
+  %p = cast ulong 4294967292 to int*
+  %q = getelementptr int* %p, long %k
+  ret int* %q
+}
+
+int %main() {
+entry:
+  ret int 0
+}
+|}
+  in
+  let run f args = Interp.run_function (Interp.create m) f args in
+  check_bool "constant index wraps at 32 bits" true
+    (Eval.equal (run "fixed" []) (Eval.P 4L));
+  check_bool "variable index wraps at 32 bits" true
+    (Eval.equal (run "scaled" [ Eval.I (Types.Long, 3L) ]) (Eval.P 8L));
+  check_bool "negative index wraps at 32 bits" true
+    (Eval.equal
+       (run "scaled" [ Eval.I (Types.Long, -1073741824L) ])
+       (Eval.P 0xFFFFFFFCL))
+
+let test_lowered_once () =
+  let m = Resolve.parse_module fib_src in
+  List.iter
+    (fun run ->
+      let st = Interp.create m in
+      check_int (run ^ ": fib 10") 55 (Interp.run_main st);
+      check_int (run ^ ": calls") 178 st.Interp.stats.Interp.calls;
+      check_int (run ^ ": main and fib lowered once each") 2
+        st.Interp.stats.Interp.lowered)
+    [ "first state"; "fresh state" ];
+  (* a recursive workload: every function is lowered at most once, however
+     many times it is called *)
+  let w = Option.get (Workloads.find "ptrdist-bc") in
+  let m = Workloads.compile_optimized ~level:1 w in
+  let st = Interp.create m in
+  ignore (Interp.run_main st);
+  let defined = List.length (List.filter (fun f -> not (Ir.is_declaration f)) m.Ir.funcs) in
+  let s = st.Interp.stats in
+  check_bool "recursion reused the lowered forms" true
+    (s.Interp.lowered > 1 && s.Interp.lowered <= defined
+   && s.Interp.calls > 10 * s.Interp.lowered)
+
+(* ---------- exact counts, pinned before the lowered form ---------- *)
+
+(* One line per workload at -O1: steps, calls, max depth and the
+   nonzero entries of the per-opcode histogram. *)
+let counts_line name (s : Interp.stats) =
+  let ops =
+    List.filter_map
+      (fun op ->
+        let n = s.Interp.by_opcode.(Ir.opcode_code op) in
+        if n = 0 then None else Some (Printf.sprintf "%s=%d" (Ir.opcode_name op) n))
+      Ir.all_opcodes
+  in
+  String.concat " "
+    (name
+    :: Printf.sprintf "steps=%d" s.Interp.steps
+    :: Printf.sprintf "calls=%d" s.Interp.calls
+    :: Printf.sprintf "max_depth=%d" s.Interp.max_depth
+    :: ops)
+
+let counts_report () =
+  List.map
+    (fun w ->
+      let st = Interp.create (Workloads.compile_optimized ~level:1 w) in
+      ignore (Interp.run_main st);
+      counts_line w.Workloads.name st.Interp.stats)
+    Workloads.all
+
+(* Edge and block counts of [Profile.collect], with blocks named
+   function:index so the report does not depend on global ids. *)
+let profile_workload = "181.mcf"
+
+let profile_report () =
+  let m = Workloads.compile_optimized ~level:1 (Option.get (Workloads.find profile_workload)) in
+  let names = Hashtbl.create 256 in
+  List.iter
+    (fun f ->
+      List.iteri
+        (fun k b -> Hashtbl.replace names b.Ir.blid (Printf.sprintf "%s:%d" f.Ir.fname k))
+        f.Ir.fblocks)
+    m.Ir.funcs;
+  let p, _, _ = Llee.Profile.collect m in
+  let name = Hashtbl.find names in
+  let edges =
+    Hashtbl.fold
+      (fun (s, d) c acc -> Printf.sprintf "e %s %s %d" (name s) (name d) c :: acc)
+      p.Llee.Profile.edges []
+  in
+  let blocks =
+    Hashtbl.fold (fun b c acc -> Printf.sprintf "b %s %d" (name b) c :: acc) p.Llee.Profile.blocks []
+  in
+  List.sort compare edges @ List.sort compare blocks
+
+let expected_lines file =
+  In_channel.with_open_text file In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+
+let check_report file actual =
+  let expected = expected_lines file in
+  check_int (file ^ ": line count") (List.length expected) (List.length actual);
+  List.iter2 (fun e a -> check_string file e a) expected actual
+
+let test_exact_counts () = check_report "interp_counts.expected" (counts_report ())
+let test_profile_counts () = check_report "interp_profile.expected" (profile_report ())
+
 let suite =
   [
     Alcotest.test_case "arithmetic" `Quick test_arith;
@@ -451,4 +733,14 @@ let suite =
     Alcotest.test_case "fuel" `Quick test_fuel;
     Alcotest.test_case "endianness portability" `Quick
       test_endianness_portability;
+    Alcotest.test_case "phi swap" `Quick test_phi_swap;
+    Alcotest.test_case "smc self replace" `Quick test_smc_self_replace;
+    Alcotest.test_case "disabled exceptions yield undef" `Quick
+      test_disabled_exceptions_undef;
+    Alcotest.test_case "phi errors" `Quick test_phi_errors;
+    Alcotest.test_case "lazy resolution errors" `Quick test_lazy_resolution_errors;
+    Alcotest.test_case "gep pointer mask" `Quick test_gep_pointer_mask;
+    Alcotest.test_case "lowered once per state" `Quick test_lowered_once;
+    Alcotest.test_case "exact workload counts" `Quick test_exact_counts;
+    Alcotest.test_case "profile counts" `Quick test_profile_counts;
   ]
