@@ -88,7 +88,7 @@ let table2_row (w : Workloads.workload) : row =
       (Workloads.compile_optimized ~level:2 w)
   in
   let _, st = X86lite.Sim.run_main best_x86 in
-  let run = Int64.to_float st.X86lite.Sim.cycles /. 1e9 in
+  let run = float_of_int st.X86lite.Sim.cycles /. 1e9 in
   {
     r_name = w.Workloads.name;
     r_loc = Workloads.loc w;
@@ -575,7 +575,7 @@ let run_ablation () =
           ignore (Interp.run_main st);
           let sparc = Sparclite.Compile.compile_module m in
           let _, sst = Sparclite.Sim.run_main sparc in
-          Printf.printf "%-17s %6d %9d %9d %12Ld\n" name level static
+          Printf.printf "%-17s %6d %9d %9d %12d\n" name level static
             st.Interp.stats.Interp.steps sst.Sparclite.Sim.cycles)
         [ 0; 1; 2 ])
     subset;
@@ -607,10 +607,10 @@ let run_ablation () =
           (Workloads.compile_optimized ~level:2 w)
       in
       let _, lst = X86lite.Sim.run_main ls in
-      Printf.printf "%-17s %14Ld %14Ld %7.2fx\n" name nst.X86lite.Sim.cycles
+      Printf.printf "%-17s %14d %14d %7.2fx\n" name nst.X86lite.Sim.cycles
         lst.X86lite.Sim.cycles
-        (Int64.to_float nst.X86lite.Sim.cycles
-        /. Int64.to_float lst.X86lite.Sim.cycles))
+        (float_of_int nst.X86lite.Sim.cycles
+        /. float_of_int lst.X86lite.Sim.cycles))
     subset
 
 (* ------------------------------------------------------------------ *)

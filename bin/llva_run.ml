@@ -105,8 +105,8 @@ let run input engine stats opt fuel cache_dir peephole doctor purge diff
       let outcome, st = Llee.Outcome.run_main_x86 ?fuel cm in
       finish outcome (X86lite.Sim.output st)
         [
-          Printf.sprintf "native instructions: %Ld" st.X86lite.Sim.icount;
-          Printf.sprintf "cycles: %Ld" st.X86lite.Sim.cycles;
+          Printf.sprintf "native instructions: %d" st.X86lite.Sim.icount;
+          Printf.sprintf "cycles: %d" st.X86lite.Sim.cycles;
           Printf.sprintf "static native instructions: %d"
             (X86lite.Compile.module_instr_count cm);
           Printf.sprintf "native code bytes: %d"
@@ -117,8 +117,8 @@ let run input engine stats opt fuel cache_dir peephole doctor purge diff
       let outcome, st = Llee.Outcome.run_main_sparc ?fuel cm in
       finish outcome (Sparclite.Sim.output st)
         [
-          Printf.sprintf "native instructions: %Ld" st.Sparclite.Sim.icount;
-          Printf.sprintf "cycles: %Ld" st.Sparclite.Sim.cycles;
+          Printf.sprintf "native instructions: %d" st.Sparclite.Sim.icount;
+          Printf.sprintf "cycles: %d" st.Sparclite.Sim.cycles;
           Printf.sprintf "static native instructions: %d"
             (Sparclite.Compile.module_instr_count cm);
         ]

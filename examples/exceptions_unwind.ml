@@ -91,8 +91,7 @@ let () =
   print_endline "--- x86-lite native ---";
   let cm = X86lite.Compile.compile_module (Resolve.parse_module program) in
   let sim = X86lite.Sim.create cm in
-  sim.X86lite.Sim.regs.(X86lite.X86.sp) <- Vmem.Memory.stack_top;
-  sim.X86lite.Sim.regs.(X86lite.X86.bp) <- Vmem.Memory.stack_top;
+  X86lite.Sim.init_stack sim;
   (try ignore (X86lite.Sim.call_function sim "main" []) with
   | X86lite.Sim.Trap X86lite.Sim.Division_by_zero ->
       print_endline "[program terminated by trap: division by zero]"

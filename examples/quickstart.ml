@@ -76,13 +76,13 @@ let () =
 
   let x86 = X86lite.Compile.compile_module m in
   let xcode, xst = X86lite.Sim.run_main x86 in
-  Printf.printf "x86-lite    : exit=%d output=%s (%Ld instrs, %Ld cycles)\n"
+  Printf.printf "x86-lite    : exit=%d output=%s (%d instrs, %d cycles)\n"
     xcode (X86lite.Sim.output xst) xst.X86lite.Sim.icount
     xst.X86lite.Sim.cycles;
 
   let sparc = Sparclite.Compile.compile_module m in
   let scode, sst = Sparclite.Sim.run_main sparc in
-  Printf.printf "sparc-lite  : exit=%d output=%s (%Ld instrs, %Ld cycles)\n"
+  Printf.printf "sparc-lite  : exit=%d output=%s (%d instrs, %d cycles)\n"
     scode (Sparclite.Sim.output sst) sst.Sparclite.Sim.icount
     sst.Sparclite.Sim.cycles;
 

@@ -592,8 +592,7 @@ let run_x86 ?blocked t ?fuel () =
   in
   let st = X86lite.Sim.create ?fuel cmod in
   st.X86lite.Sim.lookup <- (fun _st name -> resolve name);
-  st.X86lite.Sim.regs.(X86lite.X86.sp) <- Vmem.Memory.stack_top;
-  st.X86lite.Sim.regs.(X86lite.X86.bp) <- Vmem.Memory.stack_top;
+  X86lite.Sim.init_stack st;
   let outcome =
     Outcome.protect
       ~engine:("llee-" ^ target_name t.target)
@@ -602,8 +601,8 @@ let run_x86 ?blocked t ?fuel () =
         Int64.to_int
           (Ir.normalize_int Types.Int (X86lite.Sim.call_function st "main" [])))
   in
-  t.stats.cycles <- st.X86lite.Sim.cycles;
-  t.stats.native_instrs <- st.X86lite.Sim.icount;
+  t.stats.cycles <- Int64.of_int st.X86lite.Sim.cycles;
+  t.stats.native_instrs <- Int64.of_int st.X86lite.Sim.icount;
   t.stats.invalidations <- Hashtbl.length st.X86lite.Sim.redirects;
   t.stats.peep_rewrites <- t.stats.peep_rewrites + ps.X86lite.Compile.rewrites;
   t.stats.peep_cycles_saved <-
@@ -629,8 +628,7 @@ let run_sparc ?blocked t ?fuel () =
   in
   let st = Sparclite.Sim.create ?fuel cmod in
   st.Sparclite.Sim.lookup <- (fun _st name -> resolve name);
-  st.Sparclite.Sim.regs.(Sparclite.Sparc.sp) <- Vmem.Memory.stack_top;
-  st.Sparclite.Sim.regs.(Sparclite.Sparc.fp) <- Vmem.Memory.stack_top;
+  Sparclite.Sim.init_stack st;
   let outcome =
     Outcome.protect
       ~engine:("llee-" ^ target_name t.target)
@@ -640,8 +638,8 @@ let run_sparc ?blocked t ?fuel () =
           (Ir.normalize_int Types.Int
              (Sparclite.Sim.call_function st "main" [])))
   in
-  t.stats.cycles <- st.Sparclite.Sim.cycles;
-  t.stats.native_instrs <- st.Sparclite.Sim.icount;
+  t.stats.cycles <- Int64.of_int st.Sparclite.Sim.cycles;
+  t.stats.native_instrs <- Int64.of_int st.Sparclite.Sim.icount;
   t.stats.invalidations <- Hashtbl.length st.Sparclite.Sim.redirects;
   t.stats.peep_rewrites <-
     t.stats.peep_rewrites + ps.Sparclite.Compile.rewrites;

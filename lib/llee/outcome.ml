@@ -115,8 +115,7 @@ let run_main_interp ?fuel m =
 
 let run_main_x86 ?fuel cmod =
   let st = X86lite.Sim.create ?fuel cmod in
-  st.X86lite.Sim.regs.(X86lite.X86.sp) <- Vmem.Memory.stack_top;
-  st.X86lite.Sim.regs.(X86lite.X86.bp) <- Vmem.Memory.stack_top;
+  X86lite.Sim.init_stack st;
   let o =
     protect ~engine:"x86lite"
       ~current:(fun () -> st.X86lite.Sim.cur.X86lite.Compile.cf_name)
@@ -128,8 +127,7 @@ let run_main_x86 ?fuel cmod =
 
 let run_main_sparc ?fuel cmod =
   let st = Sparclite.Sim.create ?fuel cmod in
-  st.Sparclite.Sim.regs.(Sparclite.Sparc.sp) <- Vmem.Memory.stack_top;
-  st.Sparclite.Sim.regs.(Sparclite.Sparc.fp) <- Vmem.Memory.stack_top;
+  Sparclite.Sim.init_stack st;
   let o =
     protect ~engine:"sparclite"
       ~current:(fun () -> st.Sparclite.Sim.cur.Sparclite.Compile.cf_name)

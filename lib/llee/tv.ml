@@ -381,8 +381,7 @@ let run_x86 (cmod : X86lite.Compile.cmodule) env fname args rty extent ~fuel :
   let img = Vmem.Image.load cmod.X86lite.Compile.cm in
   let cmod = { cmod with X86lite.Compile.image = img } in
   let st = X86lite.Sim.create ~fuel cmod in
-  st.X86lite.Sim.regs.(X86lite.X86.sp) <- Vmem.Memory.stack_top;
-  st.X86lite.Sim.regs.(X86lite.X86.bp) <- Vmem.Memory.stack_top;
+  X86lite.Sim.init_stack st;
   let ret = ref "" and normal = ref false in
   let o =
     Outcome.protect ~engine:"x86lite"
@@ -401,8 +400,7 @@ let run_sparc (cmod : Sparclite.Compile.cmodule) env fname args rty extent
   let img = Vmem.Image.load cmod.Sparclite.Compile.cm in
   let cmod = { cmod with Sparclite.Compile.image = img } in
   let st = Sparclite.Sim.create ~fuel cmod in
-  st.Sparclite.Sim.regs.(Sparclite.Sparc.sp) <- Vmem.Memory.stack_top;
-  st.Sparclite.Sim.regs.(Sparclite.Sparc.fp) <- Vmem.Memory.stack_top;
+  Sparclite.Sim.init_stack st;
   let ret = ref "" and normal = ref false in
   let o =
     Outcome.protect ~engine:"sparclite"

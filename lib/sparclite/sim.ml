@@ -1,6 +1,9 @@
 (* Cycle-counting simulator for SPARC-lite native code; the RISC
    counterpart of [X86lite.Sim], sharing the memory, runtime, exception
-   and SMC model. *)
+   and SMC model, and the same allocation-free step loop. The inline
+   helpers below mirror X86lite.Sim's: they must stay inside this module
+   to be inlined (libraries are compiled without cross-module inlining),
+   and the two ISAs' width and condition-code types differ. *)
 
 open Llva
 open Sparc
@@ -15,28 +18,52 @@ exception Trap of trap_kind
 exception Unwound
 exception Out_of_fuel
 
+(* The condition flags as a value, for the superoptimizer oracle and the
+   tests ([flags] / [set_flags]); the simulator keeps them unboxed. *)
 type flags = Fnone | Fint of int64 * int64 | Ffloat of float * float
 
+(* A suspended caller. An invoke also snapshots the caller's registers:
+   unwinding to its handler restores them, as restoring the caller's
+   register window would. *)
 type frame = {
   fr_cf : Compile.cfunc;
   fr_ret_pc : int;
-  fr_except : int option;
-  fr_fp : int64;
-  fr_sp : int64;
+  fr_except : int; (* invoke handler pc, or -1 *)
+  fr_regs : Bytes.t; (* integer registers at the invoke; empty otherwise *)
+  fr_fregs : float array;
 }
+
+(* Register file layout: integer register r at byte 8*r (r0 reads as
+   zero), then the two flag operands (for a float compare, their IEEE
+   bits). *)
+let nregs = 32
+let flag_a = 8 * nregs
+let flag_b = flag_a + 8
+
+(* [flag_kind]: what the flag operands hold *)
+let kind_none = 0
+let kind_int = 1
+let kind_float = 2
+
+(* Deeper native call chains are an error, not a host stack overflow. *)
+let max_depth = 50_000
 
 type state = {
   cmod : Compile.cmodule;
   mem : Vmem.Memory.t;
+  big_endian : bool;
   rt : Vmem.Runtime.t;
-  regs : int64 array; (* 32; r0 reads as zero *)
+  regs : Bytes.t;
   fregs : float array; (* 16 *)
-  mutable flags : flags;
+  mutable flag_kind : int;
   mutable frames : frame list;
+  (* native frames below the current one, counting those suspended under
+     a trap-handler subcall; llva.stack.depth reads [depth + 1] *)
+  mutable depth : int;
   mutable cur : Compile.cfunc;
   mutable pc : int;
-  mutable cycles : int64;
-  mutable icount : int64;
+  mutable cycles : int;
+  mutable icount : int;
   mutable fuel : int;
   mutable trap_handler : string option;
   mutable privileged : bool;
@@ -54,15 +81,17 @@ let create ?(fuel = -1) (cmod : Compile.cmodule) : state =
   {
     cmod;
     mem;
+    big_endian = mem.Vmem.Memory.target.Target.endian = Target.Big;
     rt = Vmem.Runtime.create mem;
-    regs = Array.make 32 0L;
+    regs = Bytes.make (flag_b + 8) '\000';
     fregs = Array.make 16 0.0;
-    flags = Fnone;
+    flag_kind = kind_none;
     frames = [];
+    depth = 0;
     cur = dummy;
     pc = 0;
-    cycles = 0L;
-    icount = 0L;
+    cycles = 0;
+    icount = 0;
     fuel;
     trap_handler = None;
     privileged = false;
@@ -72,24 +101,206 @@ let create ?(fuel = -1) (cmod : Compile.cmodule) : state =
 
 let output st = Vmem.Runtime.output st.rt
 
-let ty_of_width w s =
-  match (w, s) with
-  | W8, true -> Types.Sbyte
-  | W8, false -> Types.Ubyte
-  | W16, true -> Types.Short
-  | W16, false -> Types.Ushort
-  | W32, true -> Types.Int
-  | W32, false -> Types.Uint
-  | W64, true -> Types.Long
-  | W64, false -> Types.Ulong
+(* ---------- registers and flags ---------- *)
 
-let norm w s v = Ir.normalize_int (ty_of_width w s) v
+let[@inline] reg st r = Bytes.get_int64_ne st.regs (r lsl 3)
+let[@inline] set_reg st r v = Bytes.set_int64_ne st.regs (r lsl 3) v
+let[@inline] rreg st r = if r = 0 then 0L else reg st r
+let[@inline] wreg st r v = if r <> 0 then set_reg st r v
 
-let rreg st r = if r = 0 then 0L else st.regs.(r)
+let[@inline] set_flag_words st a b =
+  Bytes.set_int64_ne st.regs flag_a a;
+  Bytes.set_int64_ne st.regs flag_b b
 
-let wreg st r v = if r <> 0 then st.regs.(r) <- v
+(* Both stack registers at the top of the stack: the launch state. *)
+let init_stack st =
+  set_reg st sp Vmem.Memory.stack_top;
+  set_reg st fp Vmem.Memory.stack_top
 
-let read_operand st = function Rs r -> rreg st r | Imm v -> Int64.of_int v
+let flags st =
+  let a = Bytes.get_int64_ne st.regs flag_a
+  and b = Bytes.get_int64_ne st.regs flag_b in
+  match st.flag_kind with
+  | 1 -> Fint (a, b)
+  | 2 -> Ffloat (Int64.float_of_bits a, Int64.float_of_bits b)
+  | _ -> Fnone
+
+let set_flags st = function
+  | Fnone ->
+      st.flag_kind <- kind_none;
+      set_flag_words st 0L 0L
+  | Fint (a, b) ->
+      st.flag_kind <- kind_int;
+      set_flag_words st a b
+  | Ffloat (a, b) ->
+      st.flag_kind <- kind_float;
+      set_flag_words st (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* ---------- width/sign helpers ----------
+
+   Exactly [Ir.normalize_int] and the integer cases of [Eval.int_binop]
+   at the type a (width, signedness) pair denotes, inlined. *)
+
+let[@inline] norm w s v =
+  match w with
+  | W64 -> v
+  | W32 ->
+      if s then Int64.shift_right (Int64.shift_left v 32) 32
+      else Int64.logand v 0xFFFF_FFFFL
+  | W16 ->
+      if s then Int64.shift_right (Int64.shift_left v 48) 48
+      else Int64.logand v 0xFFFFL
+  | W8 ->
+      if s then Int64.shift_right (Int64.shift_left v 56) 56
+      else Int64.logand v 0xFFL
+
+let[@inline] bits = function W8 -> 8 | W16 -> 16 | W32 -> 32 | W64 -> 64
+
+(* the unsigned bits of [v] within the width *)
+let[@inline] zext w v = norm w false v
+
+(* shift counts are unsigned and reduced modulo the width, which is a
+   power of two: the low bits of the count *)
+let[@inline] shift left w s a b =
+  let sh = Int64.to_int b land (bits w - 1) in
+  if left then norm w s (Int64.shift_left a sh)
+  else if s then norm w s (Int64.shift_right a sh)
+  else norm w s (Int64.shift_right_logical (zext w a) sh)
+
+(* the one signed quotient that overflows *)
+let[@inline] div_overflows w a b =
+  Int64.equal b (-1L)
+  && Int64.equal a (Int64.neg (Int64.shift_left 1L (bits w - 1)))
+
+(* division and remainder once the divisor is known to be nonzero and
+   the signed case known not to overflow *)
+let divrem is_div w s a b =
+  if s then norm w s (if is_div then Int64.div a b else Int64.rem a b)
+  else
+    let a = zext w a and b = zext w b in
+    norm w s
+      (if is_div then Int64.unsigned_div a b else Int64.unsigned_rem a b)
+
+let[@inline] round_single x = Int32.float_of_bits (Int32.bits_of_float x)
+
+(* [fresh v] is [v], rebuilt. ocamlopt keeps an int64 [let] unboxed only
+   if every arm of its defining match computes a new value; one arm that
+   passes on an existing box (an immediate operand, a slow-path result)
+   would box all the others. *)
+let[@inline] fresh v = Int64.add v 0L
+
+(* ---------- memory ----------
+
+   In-page accesses read or write the backing page directly; accesses
+   that straddle a page go through [Vmem.Memory]'s byte loops. [page]
+   is [Vmem.Memory.page_of] with the fault check and the page-cache hit
+   inline, so the address is never boxed. *)
+
+let page_bits = Vmem.Memory.page_bits
+let page_mask = Vmem.Memory.page_size - 1
+
+let[@inline] page st addr =
+  if addr < 0x1000L then raise (Vmem.Memory.Fault addr);
+  let idx = Int64.to_int addr lsr page_bits in
+  let c = st.mem.Vmem.Memory.last in
+  if c.Vmem.Memory.idx = idx then c.Vmem.Memory.page
+  else Vmem.Memory.page_at st.mem idx
+
+let[@inline] load st addr w =
+  let off = Int64.to_int addr land page_mask in
+  match w with
+  | W64 ->
+      if off <= page_mask - 7 then
+        let p = page st addr in
+        if st.big_endian then Bytes.get_int64_be p off
+        else Bytes.get_int64_le p off
+      else fresh (Vmem.Memory.read_uint st.mem addr 8)
+  | W32 ->
+      if off <= page_mask - 3 then
+        let p = page st addr in
+        Int64.logand
+          (Int64.of_int32
+             (if st.big_endian then Bytes.get_int32_be p off
+              else Bytes.get_int32_le p off))
+          0xFFFF_FFFFL
+      else fresh (Vmem.Memory.read_uint st.mem addr 4)
+  | W16 ->
+      if off <= page_mask - 1 then
+        let p = page st addr in
+        Int64.of_int
+          (if st.big_endian then Bytes.get_uint16_be p off
+           else Bytes.get_uint16_le p off)
+      else fresh (Vmem.Memory.read_uint st.mem addr 2)
+  | W8 -> Int64.of_int (Bytes.get_uint8 (page st addr) off)
+
+let[@inline] store st addr w v =
+  let off = Int64.to_int addr land page_mask in
+  match w with
+  | W64 ->
+      if off <= page_mask - 7 then
+        let p = page st addr in
+        if st.big_endian then Bytes.set_int64_be p off v
+        else Bytes.set_int64_le p off v
+      else Vmem.Memory.write_uint st.mem addr 8 v
+  | W32 ->
+      if off <= page_mask - 3 then
+        let p = page st addr in
+        if st.big_endian then Bytes.set_int32_be p off (Int64.to_int32 v)
+        else Bytes.set_int32_le p off (Int64.to_int32 v)
+      else Vmem.Memory.write_uint st.mem addr 4 v
+  | W16 ->
+      if off <= page_mask - 1 then
+        let p = page st addr in
+        let v = Int64.to_int v land 0xFFFF in
+        if st.big_endian then Bytes.set_uint16_be p off v
+        else Bytes.set_uint16_le p off v
+      else Vmem.Memory.write_uint st.mem addr 2 v
+  | W8 ->
+      Bytes.set_uint8 (page st addr) off
+        (Int64.to_int v land 0xFF)
+
+(* ---------- operand access ---------- *)
+
+let[@inline] read_operand st = function
+  | Rs r -> rreg st r
+  | Imm v -> Int64.of_int v
+
+let cc_holds st cc =
+  let a = Bytes.get_int64_ne st.regs flag_a
+  and b = Bytes.get_int64_ne st.regs flag_b in
+  let k = st.flag_kind in
+  if k = kind_int then
+    (* unsigned order: flip the sign bits, then compare signed *)
+    let ua = Int64.sub a Int64.min_int and ub = Int64.sub b Int64.min_int in
+    match cc with
+    | Eq -> Int64.equal a b
+    | Ne -> not (Int64.equal a b)
+    | Lt -> a < b
+    | Gt -> a > b
+    | Le -> a <= b
+    | Ge -> a >= b
+    | Ltu -> ua < ub
+    | Gtu -> ua > ub
+    | Leu -> ua <= ub
+    | Geu -> ua >= ub
+  else if k = kind_float then
+    let x = Int64.float_of_bits a and y = Int64.float_of_bits b in
+    (* IEEE-754 unordered: NaN makes every relation except Ne false *)
+    if Float.is_nan x || Float.is_nan y then cc = Ne
+    else
+      match cc with
+      | Eq -> x = y
+      | Ne -> x <> y
+      | Lt | Ltu -> x < y
+      | Gt | Gtu -> x > y
+      | Le | Leu -> x <= y
+      | Ge | Geu -> x >= y
+  else invalid_arg "sparclite sim: branch without flags"
+
+(* the function a call to [name] reaches after SMC redirection *)
+let redirected st name =
+  if Hashtbl.length st.redirects = 0 then name
+  else match Hashtbl.find_opt st.redirects name with Some r -> r | None -> name
 
 exception Toplevel_return
 
@@ -111,28 +322,23 @@ let rec deliver_trap st kind : unit =
   | None -> ());
   raise (Trap kind)
 
+(* The interrupted function counts as one more frame below the handler;
+   the integer registers (not the flags) are restored afterwards. *)
 and run_subcall st (cf : Compile.cfunc) (args : int64 list) =
-  let saved =
-    (Array.copy st.regs, st.frames, st.cur, st.pc)
-  in
+  let saved_regs = Bytes.sub st.regs 0 flag_a in
+  let saved_frames = st.frames and saved_depth = st.depth in
+  let saved_cur = st.cur and saved_pc = st.pc in
   List.iteri (fun k v -> wreg st (arg_reg k) v) args;
   st.frames <- [];
+  st.depth <- saved_depth + 1;
   st.cur <- cf;
   st.pc <- 0;
   (try run_until_empty st with Unwound -> ());
-  let regs, frames, cur, pc = saved in
-  Array.blit regs 0 st.regs 0 32;
-  st.frames <- frames;
-  st.cur <- cur;
-  st.pc <- pc
-
-and resolve_callee st name =
-  let name =
-    match Hashtbl.find_opt st.redirects name with Some r -> r | None -> name
-  in
-  match st.lookup st name with
-  | Some cf -> `Native cf
-  | None -> `External name
+  Bytes.blit saved_regs 0 st.regs 0 flag_a;
+  st.frames <- saved_frames;
+  st.depth <- saved_depth;
+  st.cur <- saved_cur;
+  st.pc <- saved_pc
 
 and addr_to_name st addr =
   match Vmem.Image.func_at st.cmod.Compile.image addr with
@@ -172,7 +378,7 @@ and intrinsic_call st name =
       let from_n = addr_to_name st (rreg st (arg_reg 0)) in
       let to_n = addr_to_name st (rreg st (arg_reg 1)) in
       Hashtbl.replace st.redirects from_n to_n
-  | "llva.stack.depth" -> wreg st ret (Int64.of_int (List.length st.frames))
+  | "llva.stack.depth" -> wreg st ret (Int64.of_int (st.depth + 1))
   | "llva.priv.set" ->
       st.privileged <- not (Int64.equal (rreg st (arg_reg 0)) 0L)
   | other when Llva.Intrinsics.is_privileged other ->
@@ -182,148 +388,107 @@ and intrinsic_call st name =
       end
   | _ -> invalid_arg ("sparclite sim: unknown intrinsic " ^ name)
 
-and cc_holds st cc =
-  match st.flags with
-  | Fnone -> invalid_arg "sparclite sim: branch without flags"
-  | Fint (a, b) -> (
-      let sc = Int64.compare a b in
-      let uc = Int64.unsigned_compare a b in
-      match cc with
-      | Eq -> sc = 0
-      | Ne -> sc <> 0
-      | Lt -> sc < 0
-      | Gt -> sc > 0
-      | Le -> sc <= 0
-      | Ge -> sc >= 0
-      | Ltu -> uc < 0
-      | Gtu -> uc > 0
-      | Leu -> uc <= 0
-      | Geu -> uc >= 0)
-  | Ffloat (a, b) ->
-      (* IEEE-754 unordered: NaN makes every relation except Ne false *)
-      if Float.is_nan a || Float.is_nan b then cc = Ne
-      else (
-        let c = Float.compare a b in
-        match cc with
-        | Eq -> c = 0
-        | Ne -> c <> 0
-        | Lt | Ltu -> c < 0
-        | Gt | Gtu -> c > 0
-        | Le | Leu -> c <= 0
-        | Ge | Geu -> c >= 0)
-
-and do_call st ~target ~except ~ret_pc =
-  match target with
-  | `Native cf ->
+and do_call st name ~except ~ret_pc =
+  let name = redirected st name in
+  match st.lookup st name with
+  | Some cf ->
       st.frames <-
         {
           fr_cf = st.cur;
           fr_ret_pc = ret_pc;
           fr_except = except;
-          fr_fp = rreg st fp;
-          fr_sp = rreg st sp;
+          fr_regs = (if except >= 0 then Bytes.sub st.regs 0 flag_a else Bytes.empty);
+          fr_fregs = (if except >= 0 then Array.copy st.fregs else [||]);
         }
         :: st.frames;
-      if List.length st.frames > 50_000 then
+      st.depth <- st.depth + 1;
+      if st.depth > max_depth then
         invalid_arg "sparclite sim: call stack overflow";
       wreg st lr 0L (* the link register value is symbolic here *);
       st.cur <- cf;
       st.pc <- 0
-  | `External name ->
+  | None ->
       external_call st name;
       st.pc <- ret_pc
 
 and step st =
   let i = st.cur.Compile.code.(st.pc) in
-  st.icount <- Int64.add st.icount 1L;
-  st.cycles <- Int64.add st.cycles (Int64.of_int (cycles_of i));
-  if st.fuel >= 0 && Int64.to_int st.icount > st.fuel then raise Out_of_fuel;
+  st.icount <- st.icount + 1;
+  st.cycles <- st.cycles + cycles_of i;
+  if st.fuel >= 0 && st.icount > st.fuel then raise Out_of_fuel;
   let next = st.pc + 1 in
   st.pc <- next;
   match i with
   | Alu3 (op, w, s, rd, rs1, o) -> (
-      let ty = ty_of_width w s in
       let a = rreg st rs1 and b = read_operand st o in
       match op with
-      | Add -> wreg st rd (Ir.normalize_int ty (Int64.add a b))
-      | Sub -> wreg st rd (Ir.normalize_int ty (Int64.sub a b))
-      | Mul -> wreg st rd (Ir.normalize_int ty (Int64.mul a b))
-      | And -> wreg st rd (Ir.normalize_int ty (Int64.logand a b))
-      | Or -> wreg st rd (Ir.normalize_int ty (Int64.logor a b))
-      | Xor -> wreg st rd (Ir.normalize_int ty (Int64.logxor a b))
-      | Div | Rem -> (
-          let iop = if op = Div then Ir.Div else Ir.Rem in
-          match Eval.int_binop iop ty a b with
-          | Eval.I (_, v) -> wreg st rd v
-          | _ -> ()
-          | exception Eval.Division_by_zero ->
-              deliver_trap st Division_by_zero
-          | exception Eval.Overflow -> deliver_trap st Overflow)
-      | Sll | Srl | Sra -> (
-          let iop = if op = Sll then Ir.Shl else Ir.Shr in
-          let ty = if op = Srl then ty_of_width w false else ty in
-          match Eval.int_binop iop ty a b with
-          | Eval.I (_, v) -> wreg st rd v
-          | _ -> ()))
+      | Add -> wreg st rd (norm w s (Int64.add a b))
+      | Sub -> wreg st rd (norm w s (Int64.sub a b))
+      | Mul -> wreg st rd (norm w s (Int64.mul a b))
+      | And -> wreg st rd (norm w s (Int64.logand a b))
+      | Or -> wreg st rd (norm w s (Int64.logor a b))
+      | Xor -> wreg st rd (norm w s (Int64.logxor a b))
+      | Div | Rem ->
+          if Int64.equal b 0L then deliver_trap st Division_by_zero
+          else if s && div_overflows w a b then deliver_trap st Overflow
+          else wreg st rd (divrem (op = Div) w s a b)
+      | Sll -> wreg st rd (shift true w s a b)
+      | Srl -> wreg st rd (shift false w false a b)
+      | Sra -> wreg st rd (shift false w s a b))
   | Sethi (rd, v) -> wreg st rd v
   | Ld (w, s, rd, rs, d) -> (
       let addr = Int64.add (rreg st rs) (Int64.of_int d) in
       if Int64.equal addr 0L then deliver_trap st (Memory_fault 0L);
-      match
-        (* full-word loads (spills, stack slots) take the u64 fast path *)
-        match w with
-        | W64 -> Vmem.Memory.read_u64 st.mem addr
-        | _ -> Vmem.Memory.read_uint st.mem addr (width_bytes w)
-      with
-      | raw -> wreg st rd (norm w s raw)
-      | exception Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a))
+      try wreg st rd (norm w s (load st addr w))
+      with Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a))
   | St (w, rsrc, rs, d) -> (
       let addr = Int64.add (rreg st rs) (Int64.of_int d) in
       if Int64.equal addr 0L then deliver_trap st (Memory_fault 0L);
-      match
-        match w with
-        | W64 -> Vmem.Memory.write_u64 st.mem addr (rreg st rsrc)
-        | _ -> Vmem.Memory.write_uint st.mem addr (width_bytes w) (rreg st rsrc)
-      with
-      | () -> ()
-      | exception Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a))
+      try store st addr w (rreg st rsrc)
+      with Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a))
   | Cmp (w, s, r, o) ->
-      st.flags <- Fint (norm w s (rreg st r), norm w s (read_operand st o))
+      let y = norm w s (read_operand st o) in
+      let x = norm w s (rreg st r) in
+      set_flag_words st x y;
+      st.flag_kind <- kind_int
   | Movcc (cc, rd) -> wreg st rd (if cc_holds st cc then 1L else 0L)
   | Bcc (cc, l) -> if cc_holds st cc then st.pc <- l
   | Ba l -> st.pc <- l
   | CallSym name ->
-      do_call st ~target:(resolve_callee st name) ~except:None ~ret_pc:next
+      do_call st name ~except:(-1) ~ret_pc:next
   | CallSymI (name, l) ->
-      do_call st ~target:(resolve_callee st name) ~except:(Some l) ~ret_pc:next
+      do_call st name ~except:l ~ret_pc:next
   | CallInd r ->
       let name = addr_to_name st (rreg st r) in
-      do_call st ~target:(resolve_callee st name) ~except:None ~ret_pc:next
+      do_call st name ~except:(-1) ~ret_pc:next
   | CallIndI (r, l) ->
       let name = addr_to_name st (rreg st r) in
-      do_call st ~target:(resolve_callee st name) ~except:(Some l) ~ret_pc:next
+      do_call st name ~except:l ~ret_pc:next
   | RetS -> (
       match st.frames with
       | [] -> raise Toplevel_return
       | f :: rest ->
           st.frames <- rest;
+          st.depth <- st.depth - 1;
           st.cur <- f.fr_cf;
           st.pc <- f.fr_ret_pc)
   | UnwindS ->
-      let rec unwind frames =
+      let rec unwind frames popped =
         match frames with
         | [] -> raise Unwound
         | f :: rest -> (
-            match f.fr_except with
-            | Some handler ->
+            let handler = f.fr_except in
+            if handler >= 0 then begin
                 st.frames <- rest;
+                st.depth <- st.depth - popped;
                 st.cur <- f.fr_cf;
                 st.pc <- handler;
-                wreg st fp f.fr_fp;
-                wreg st sp f.fr_sp
-            | None -> unwind rest)
+                Bytes.blit f.fr_regs 0 st.regs 0 flag_a;
+                Array.blit f.fr_fregs 0 st.fregs 0 (Array.length f.fr_fregs)
+            end
+            else unwind rest (popped + 1))
       in
-      unwind st.frames
+      unwind st.frames 1
   | AddSp n -> wreg st sp (Int64.add (rreg st sp) (Int64.of_int n))
   | SubSpDyn (rd, rs) ->
       wreg st sp (Int64.sub (rreg st sp) (rreg st rs));
@@ -338,34 +503,31 @@ and step st =
         | Fdiv -> x /. y
         | Frem -> Float.rem x y
       in
-      st.fregs.(fd) <- (if single then Eval.round_float Types.Float r else r)
+      st.fregs.(fd) <- (if single then round_single r else r)
   | Fmovs (fd, fs) -> st.fregs.(fd) <- st.fregs.(fs)
   | Fconst (fd, v) -> st.fregs.(fd) <- v
   | Fld (single, fd, rs, d) -> (
       let addr = Int64.add (rreg st rs) (Int64.of_int d) in
       if Int64.equal addr 0L then deliver_trap st (Memory_fault 0L);
-      match
-        if single then Vmem.Memory.read_uint st.mem addr 4
-        else Vmem.Memory.read_u64 st.mem addr
-      with
-      | raw ->
-          st.fregs.(fd) <-
-            (if single then Int32.float_of_bits (Int64.to_int32 raw)
-             else Int64.float_of_bits raw)
-      | exception Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a))
+      try
+        st.fregs.(fd) <-
+          (if single then Int32.float_of_bits (Int64.to_int32 (load st addr W32))
+           else Int64.float_of_bits (load st addr W64))
+      with Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a))
   | Fst (single, fs, rs, d) -> (
       let addr = Int64.add (rreg st rs) (Int64.of_int d) in
       if Int64.equal addr 0L then deliver_trap st (Memory_fault 0L);
       let v = st.fregs.(fs) in
-      match
+      try
         if single then
-          Vmem.Memory.write_uint st.mem addr 4
-            (Int64.of_int32 (Int32.bits_of_float v))
-        else Vmem.Memory.write_u64 st.mem addr (Int64.bits_of_float v)
-      with
-      | () -> ()
-      | exception Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a))
-  | Fcmp (a, b) -> st.flags <- Ffloat (st.fregs.(a), st.fregs.(b))
+          store st addr W32 (Int64.of_int32 (Int32.bits_of_float v))
+        else store st addr W64 (Int64.bits_of_float v)
+      with Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a))
+  | Fcmp (a, b) ->
+      set_flag_words st
+        (Int64.bits_of_float st.fregs.(a))
+        (Int64.bits_of_float st.fregs.(b));
+      st.flag_kind <- kind_float
   | Cvtif (fd, r, signed) ->
       let v = rreg st r in
       st.fregs.(fd) <-
@@ -376,7 +538,7 @@ and step st =
       let x = st.fregs.(f) in
       let x = if Float.is_nan x then 0.0 else x in
       wreg st rd (norm w s (Int64.of_float x))
-  | Fround f -> st.fregs.(f) <- Eval.round_float Types.Float st.fregs.(f)
+  | Fround f -> st.fregs.(f) <- round_single st.fregs.(f)
   | Mvfi (rd, f) -> wreg st rd (Int64.bits_of_float st.fregs.(f))
   | Mvif (fd, r) -> st.fregs.(fd) <- Int64.float_of_bits (rreg st r)
   | TrapS msg -> invalid_arg ("sparclite sim: trap " ^ msg)
@@ -389,12 +551,12 @@ and run_until_empty st =
   with Toplevel_return -> ()
 
 let call_function st name (int_args : int64 list) : int64 =
-  match resolve_callee st name with
-  | `External _ ->
-      invalid_arg ("sparclite sim: cannot start in external " ^ name)
-  | `Native cf ->
+  match st.lookup st (redirected st name) with
+  | None -> invalid_arg ("sparclite sim: cannot start in external " ^ name)
+  | Some cf ->
       List.iteri (fun k v -> wreg st (arg_reg k) v) int_args;
       st.frames <- [];
+      st.depth <- 0;
       st.cur <- cf;
       st.pc <- 0;
       run_until_empty st;
@@ -402,8 +564,7 @@ let call_function st name (int_args : int64 list) : int64 =
 
 let run_main ?fuel (cmod : Compile.cmodule) =
   let st = create ?fuel cmod in
-  st.regs.(sp) <- Vmem.Memory.stack_top;
-  st.regs.(fp) <- Vmem.Memory.stack_top;
+  init_stack st;
   let code =
     match call_function st "main" [] with
     | v -> Int64.to_int (Ir.normalize_int Types.Int v)

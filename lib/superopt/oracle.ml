@@ -67,7 +67,13 @@ let vectors ~n : int64 array list * int64 array list =
 
 (* The two harnesses are structurally identical; they differ in the
    simulator, the flags type and the register file shape, which OCaml's
-   lack of backend polymorphism makes simplest to just write twice. *)
+   lack of backend polymorphism makes simplest to just write twice.
+
+   A window is prepared once (code array built, straight-line checked)
+   and then run once per test vector on a single reused simulator state.
+   An observation is the whole register file — integer registers and
+   flag operands — plus the flag kind and the slot contents; a candidate
+   is compared against it in place. *)
 
 module X86 = struct
   open X86lite
@@ -89,6 +95,12 @@ module X86 = struct
   let straightline = function
     | Mov _ | Alu _ | Shift _ | Ext _ | Cmp _ | Setcc _ -> true
     | _ -> false
+
+  let prepare (w : instr list) : Compile.cfunc =
+    List.iter
+      (fun i -> if not (straightline i) then invalid_arg "not straight-line")
+      w;
+    { Compile.cf_name = "#window#"; code = Array.of_list w; nargs = 0; frame_slots = 0 }
 
   (* Data inputs of a window: every named register (BP excluded — it is
      the frame base the harness owns) and every distinct slot
@@ -114,69 +126,68 @@ module X86 = struct
     (!regs, !slots)
 
   let flag_variants =
-    [
+    [|
       Sim.Fnone;
       Sim.Fint (0L, 0L, true);
       Sim.Fint (1L, 0L, true);
       Sim.Fint (0L, 1L, false);
       Sim.Fint (-1L, 1L, true);
       Sim.Fint (5L, 5L, false);
-    ]
+    |]
 
-  type obs = { oregs : int64 array; oflags : Sim.flags; oslots : int64 array }
+  type obs = { oregs : Bytes.t; okind : int; oslots : int64 array }
 
-  let exec h ~regs ~slots (w : instr list) (vec : int64 array)
-      (fl : Sim.flags) : obs =
-    List.iter
-      (fun i -> if not (straightline i) then invalid_arg "not straight-line")
-      w;
+  let slot_addr h d = Int64.add h.base (Int64.of_int d)
+
+  (* Load one vector into the harness and run the prepared window. *)
+  let exec h ~regs ~slots (cf : Compile.cfunc) (vec : int64 array)
+      (fl : Sim.flags) : unit =
     let st = h.st in
-    Array.fill st.Sim.regs 0 (Array.length st.Sim.regs) 0L;
-    st.Sim.regs.(sp) <- Int64.sub h.base 8192L;
-    st.Sim.regs.(bp) <- h.base;
-    List.iteri (fun k r -> st.Sim.regs.(r) <- vec.(k)) regs;
+    Bytes.fill st.Sim.regs 0 (Bytes.length st.Sim.regs) '\000';
+    Sim.set_reg st sp (Int64.sub h.base 8192L);
+    Sim.set_reg st bp h.base;
+    List.iteri (fun k r -> Sim.set_reg st r vec.(k)) regs;
     let nr = List.length regs in
     List.iteri
-      (fun k d ->
-        Vmem.Memory.write_u64 st.Sim.mem
-          (Int64.add h.base (Int64.of_int d))
-          vec.(nr + k))
+      (fun k d -> Vmem.Memory.write_u64 st.Sim.mem (slot_addr h d) vec.(nr + k))
       slots;
-    st.Sim.flags <- fl;
-    st.Sim.cur <-
-      {
-        Compile.cf_name = "#window#";
-        code = Array.of_list w;
-        nargs = 0;
-        frame_slots = 0;
-      };
+    Sim.set_flags st fl;
+    st.Sim.cur <- cf;
     st.Sim.pc <- 0;
-    let len = List.length w in
+    let len = Array.length cf.Compile.code in
     let steps = ref 0 in
     while st.Sim.pc >= 0 && st.Sim.pc < len do
       if !steps > 256 then invalid_arg "window ran away";
       incr steps;
       Sim.step st
-    done;
+    done
+
+  let observe h ~slots : obs =
+    let st = h.st in
     {
-      oregs = Array.copy st.Sim.regs;
-      oflags = st.Sim.flags;
+      oregs = Bytes.copy st.Sim.regs;
+      okind = st.Sim.flag_kind;
       oslots =
         Array.of_list
-          (List.map
-             (fun d ->
-               Vmem.Memory.read_u64 st.Sim.mem
-                 (Int64.add h.base (Int64.of_int d)))
-             slots);
+          (List.map (fun d -> Vmem.Memory.read_u64 st.Sim.mem (slot_addr h d)) slots);
     }
 
-  let equal_obs a b =
-    a.oregs = b.oregs && a.oflags = b.oflags && a.oslots = b.oslots
+  (* does the harness state after a run match [o]? *)
+  let matches h ~slots (o : obs) =
+    let st = h.st in
+    let rec slots_match k = function
+      | [] -> true
+      | d :: rest ->
+          Int64.equal (Vmem.Memory.read_u64 st.Sim.mem (slot_addr h d)) o.oslots.(k)
+          && slots_match (k + 1) rest
+    in
+    Bytes.equal st.Sim.regs o.oregs
+    && st.Sim.flag_kind = o.okind
+    && slots_match 0 slots
 
   let with_flags vecs =
-    List.mapi
-      (fun k v -> (v, List.nth flag_variants (k mod List.length flag_variants)))
-      vecs
+    let n = Array.length flag_variants in
+    List.mapi (fun k v -> (v, flag_variants.(k mod n))) vecs
 
   type session = {
     h : h;
@@ -195,21 +206,36 @@ module X86 = struct
     let regs, slots = inputs_of inputs in
     let n = List.length regs + List.length slots in
     let screen_v, full_v = vectors ~n in
-    let run vecs =
-      List.map (fun (v, fl) -> (v, fl, exec h ~regs ~slots lhs v fl)) vecs
+    let run cf vecs =
+      List.map
+        (fun (v, fl) ->
+          exec h ~regs ~slots cf v fl;
+          (v, fl, observe h ~slots))
+        vecs
     in
-    match run (with_flags screen_v) with
-    | screen -> Some { h; regs; slots; screen; full = lazy (run (with_flags full_v)) }
-    | exception _ -> None
+    match prepare lhs with
+    | exception Invalid_argument _ -> None
+    | cf -> (
+        match run cf (with_flags screen_v) with
+        | screen ->
+            Some { h; regs; slots; screen; full = lazy (run cf (with_flags full_v)) }
+        | exception _ -> None)
 
   let candidate_ok (s : session) (rhs : instr list) : bool =
-    let check (v, fl, expect) =
-      match exec s.h ~regs:s.regs ~slots:s.slots rhs v fl with
-      | o -> equal_obs o expect
-      | exception _ -> false
-    in
-    List.for_all check s.screen
-    && (match Lazy.force s.full with
+    match prepare rhs with
+    | exception Invalid_argument _ -> false
+    | cf -> (
+        let check (v, fl, expect) =
+          match
+            exec s.h ~regs:s.regs ~slots:s.slots cf v fl;
+            matches s.h ~slots:s.slots expect
+          with
+          | ok -> ok
+          | exception _ -> false
+        in
+        List.for_all check s.screen
+        &&
+        match Lazy.force s.full with
         | cases -> List.for_all check cases
         | exception _ -> false)
 
@@ -237,6 +263,12 @@ module Sparc = struct
     | Alu3 ((Div | Rem), _, _, _, _, _) -> false
     | Alu3 _ | Sethi _ | Ld _ | St _ | Cmp _ | Movcc _ -> true
     | _ -> false
+
+  let prepare (w : instr list) : Compile.cfunc =
+    List.iter
+      (fun i -> if not (straightline i) then invalid_arg "not straight-line")
+      w;
+    { Compile.cf_name = "#window#"; code = Array.of_list w; nargs = 0; frame_slots = 0 }
 
   (* r0 is architecturally zero: never a data input. *)
   let inputs_of (w : instr list) : int list * int list =
@@ -269,69 +301,66 @@ module Sparc = struct
     (!regs, !slots)
 
   let flag_variants =
-    [
+    [|
       Sim.Fnone;
       Sim.Fint (0L, 0L);
       Sim.Fint (1L, 0L);
       Sim.Fint (0L, 1L);
       Sim.Fint (-1L, 1L);
       Sim.Fint (5L, 5L);
-    ]
+    |]
 
-  type obs = { oregs : int64 array; oflags : Sim.flags; oslots : int64 array }
+  type obs = { oregs : Bytes.t; okind : int; oslots : int64 array }
 
-  let exec h ~regs ~slots (w : instr list) (vec : int64 array)
-      (fl : Sim.flags) : obs =
-    List.iter
-      (fun i -> if not (straightline i) then invalid_arg "not straight-line")
-      w;
+  let slot_addr h d = Int64.add h.base (Int64.of_int d)
+
+  let exec h ~regs ~slots (cf : Compile.cfunc) (vec : int64 array)
+      (fl : Sim.flags) : unit =
     let st = h.st in
-    Array.fill st.Sim.regs 0 (Array.length st.Sim.regs) 0L;
-    st.Sim.regs.(sp) <- Int64.sub h.base 8192L;
-    st.Sim.regs.(fp) <- h.base;
-    List.iteri (fun k r -> st.Sim.regs.(r) <- vec.(k)) regs;
+    Bytes.fill st.Sim.regs 0 (Bytes.length st.Sim.regs) '\000';
+    Sim.set_reg st sp (Int64.sub h.base 8192L);
+    Sim.set_reg st fp h.base;
+    List.iteri (fun k r -> Sim.set_reg st r vec.(k)) regs;
     let nr = List.length regs in
     List.iteri
-      (fun k d ->
-        Vmem.Memory.write_u64 st.Sim.mem
-          (Int64.add h.base (Int64.of_int d))
-          vec.(nr + k))
+      (fun k d -> Vmem.Memory.write_u64 st.Sim.mem (slot_addr h d) vec.(nr + k))
       slots;
-    st.Sim.flags <- fl;
-    st.Sim.cur <-
-      {
-        Compile.cf_name = "#window#";
-        code = Array.of_list w;
-        nargs = 0;
-        frame_slots = 0;
-      };
+    Sim.set_flags st fl;
+    st.Sim.cur <- cf;
     st.Sim.pc <- 0;
-    let len = List.length w in
+    let len = Array.length cf.Compile.code in
     let steps = ref 0 in
     while st.Sim.pc >= 0 && st.Sim.pc < len do
       if !steps > 256 then invalid_arg "window ran away";
       incr steps;
       Sim.step st
-    done;
+    done
+
+  let observe h ~slots : obs =
+    let st = h.st in
     {
-      oregs = Array.copy st.Sim.regs;
-      oflags = st.Sim.flags;
+      oregs = Bytes.copy st.Sim.regs;
+      okind = st.Sim.flag_kind;
       oslots =
         Array.of_list
-          (List.map
-             (fun d ->
-               Vmem.Memory.read_u64 st.Sim.mem
-                 (Int64.add h.base (Int64.of_int d)))
-             slots);
+          (List.map (fun d -> Vmem.Memory.read_u64 st.Sim.mem (slot_addr h d)) slots);
     }
 
-  let equal_obs a b =
-    a.oregs = b.oregs && a.oflags = b.oflags && a.oslots = b.oslots
+  let matches h ~slots (o : obs) =
+    let st = h.st in
+    let rec slots_match k = function
+      | [] -> true
+      | d :: rest ->
+          Int64.equal (Vmem.Memory.read_u64 st.Sim.mem (slot_addr h d)) o.oslots.(k)
+          && slots_match (k + 1) rest
+    in
+    Bytes.equal st.Sim.regs o.oregs
+    && st.Sim.flag_kind = o.okind
+    && slots_match 0 slots
 
   let with_flags vecs =
-    List.mapi
-      (fun k v -> (v, List.nth flag_variants (k mod List.length flag_variants)))
-      vecs
+    let n = Array.length flag_variants in
+    List.mapi (fun k v -> (v, flag_variants.(k mod n))) vecs
 
   type session = {
     h : h;
@@ -345,21 +374,36 @@ module Sparc = struct
     let regs, slots = inputs_of inputs in
     let n = List.length regs + List.length slots in
     let screen_v, full_v = vectors ~n in
-    let run vecs =
-      List.map (fun (v, fl) -> (v, fl, exec h ~regs ~slots lhs v fl)) vecs
+    let run cf vecs =
+      List.map
+        (fun (v, fl) ->
+          exec h ~regs ~slots cf v fl;
+          (v, fl, observe h ~slots))
+        vecs
     in
-    match run (with_flags screen_v) with
-    | screen -> Some { h; regs; slots; screen; full = lazy (run (with_flags full_v)) }
-    | exception _ -> None
+    match prepare lhs with
+    | exception Invalid_argument _ -> None
+    | cf -> (
+        match run cf (with_flags screen_v) with
+        | screen ->
+            Some { h; regs; slots; screen; full = lazy (run cf (with_flags full_v)) }
+        | exception _ -> None)
 
   let candidate_ok (s : session) (rhs : instr list) : bool =
-    let check (v, fl, expect) =
-      match exec s.h ~regs:s.regs ~slots:s.slots rhs v fl with
-      | o -> equal_obs o expect
-      | exception _ -> false
-    in
-    List.for_all check s.screen
-    && (match Lazy.force s.full with
+    match prepare rhs with
+    | exception Invalid_argument _ -> false
+    | cf -> (
+        let check (v, fl, expect) =
+          match
+            exec s.h ~regs:s.regs ~slots:s.slots cf v fl;
+            matches s.h ~slots:s.slots expect
+          with
+          | ok -> ok
+          | exception _ -> false
+        in
+        List.for_all check s.screen
+        &&
+        match Lazy.force s.full with
         | cases -> List.for_all check cases
         | exception _ -> false)
 

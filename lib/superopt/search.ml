@@ -275,14 +275,14 @@ module X86s = struct
                fs)
            w)
     in
-    let all =
-      List.filter (fun c -> c <> w && wcycles c < before) (subs @ singles @ substs)
-    in
-    List.sort_uniq
-      (fun a b ->
-        let ca = wcycles a and cb = wcycles b in
-        if ca <> cb then compare ca cb else compare a b)
-      all
+    (* decorate with the cost once; pairs sort by cost, then structure *)
+    List.filter_map
+      (fun c ->
+        let cost = wcycles c in
+        if cost < before && c <> w then Some (cost, c) else None)
+      (subs @ singles @ substs)
+    |> List.sort_uniq compare
+    |> List.map snd
 
   let nvars_of (cw : instr list) =
     let n = ref 0 in
@@ -509,14 +509,14 @@ module Sparcs = struct
                fs)
            w)
     in
-    let all =
-      List.filter (fun c -> c <> w && wcycles c < before) (subs @ singles @ substs)
-    in
-    List.sort_uniq
-      (fun a b ->
-        let ca = wcycles a and cb = wcycles b in
-        if ca <> cb then compare ca cb else compare a b)
-      all
+    (* decorate with the cost once; pairs sort by cost, then structure *)
+    List.filter_map
+      (fun c ->
+        let cost = wcycles c in
+        if cost < before && c <> w then Some (cost, c) else None)
+      (subs @ singles @ substs)
+    |> List.sort_uniq compare
+    |> List.map snd
 
   let nvars_of (cw : instr list) =
     let n = ref 0 in

@@ -10,8 +10,13 @@ exception Fault of int64 (* faulting address *)
 let page_bits = 12
 let page_size = 1 lsl page_bits
 
+(* the most recently used page; immutable, so a reader never sees an
+   index paired with another page's bytes *)
+type cached_page = { idx : int; page : Bytes.t }
+
 type t = {
   pages : (int, Bytes.t) Hashtbl.t;
+  mutable last : cached_page; (* one-entry cache in front of [pages] *)
   target : Target.config;
   mutable brk : int64; (* first unused heap address *)
   mutable free_lists : (int * int64 list) list; (* size-class allocator *)
@@ -31,23 +36,35 @@ let stack_top = 0x0F00_0000L
 let create target =
   {
     pages = Hashtbl.create 256;
+    last = { idx = -1; page = Bytes.empty };
     target;
     brk = heap_base;
     free_lists = [];
     allocated = Hashtbl.create 64;
   }
 
+(* The backing page with index [idx], created zeroed on first touch. *)
+let page_at mem idx =
+  let c = mem.last in
+  if c.idx = idx then c.page
+  else begin
+    let p =
+      match Hashtbl.find_opt mem.pages idx with
+      | Some p -> p
+      | None ->
+          let p = Bytes.make page_size '\000' in
+          Hashtbl.replace mem.pages idx p;
+          p
+    in
+    mem.last <- { idx; page = p };
+    p
+  end
+
+(* The backing page of [addr]. Addresses below 0x1000 (the null page)
+   and negative ones fault. *)
 let page_of mem addr =
-  let a = Int64.to_int addr in
-  if Int64.compare addr 0x1000L < 0 || Int64.compare addr 0L < 0 then
-    raise (Fault addr);
-  let idx = a lsr page_bits in
-  match Hashtbl.find_opt mem.pages idx with
-  | Some p -> p
-  | None ->
-      let p = Bytes.make page_size '\000' in
-      Hashtbl.replace mem.pages idx p;
-      p
+  if Int64.compare addr 0x1000L < 0 then raise (Fault addr);
+  page_at mem (Int64.to_int addr lsr page_bits)
 
 let read_u8 mem addr =
   let p = page_of mem addr in

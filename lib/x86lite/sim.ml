@@ -2,7 +2,13 @@
    instruction arrays against the same simulated memory, runtime and
    exception model as the LLVA interpreter, so the two can be compared
    byte-for-byte. Supports translate-on-demand through a pluggable code
-   lookup, which is how the LLEE execution manager drives it. *)
+   lookup, which is how the LLEE execution manager drives it.
+
+   The step loop allocates nothing: integer registers and the two flag
+   operands live unboxed in one [Bytes.t], the counters are native ints,
+   width normalization is inline shifts and masks, and in-page memory
+   accesses go straight to the backing page. Only calls, traps and
+   page-straddling accesses leave that path. *)
 
 open Llva
 open X86
@@ -17,31 +23,55 @@ exception Trap of trap_kind
 exception Unwound
 exception Out_of_fuel
 
+(* The condition flags as a value, for the superoptimizer oracle and the
+   tests ([flags] / [set_flags]); the simulator keeps them unboxed. *)
 type flags =
   | Fnone
   | Fint of int64 * int64 * bool (* a, b (normalized), signed compare *)
   | Ffloat of float * float
 
+(* A suspended caller. An invoke also snapshots the caller's registers:
+   unwinding to its handler restores them, as an unwinder restoring each
+   discarded frame's callee-saved registers would. *)
 type frame = {
   fr_cf : Compile.cfunc;
   fr_ret_pc : int;
-  fr_except : int option;
-  fr_bp : int64;
-  fr_sp : int64;
+  fr_except : int; (* invoke handler pc, or -1 *)
+  fr_regs : Bytes.t; (* integer registers at the invoke; empty otherwise *)
+  fr_fregs : float array;
 }
+
+(* Register file layout: integer register r at byte 8*r, then the two
+   flag operands (for a float compare, their IEEE bits). *)
+let nregs = 8
+let flag_a = 8 * nregs
+let flag_b = flag_a + 8
+
+(* [flag_kind]: what the flag operands hold *)
+let kind_none = 0
+let kind_signed = 1
+let kind_unsigned = 2
+let kind_float = 3
+
+(* Deeper native call chains are an error, not a host stack overflow. *)
+let max_depth = 50_000
 
 type state = {
   cmod : Compile.cmodule;
   mem : Vmem.Memory.t;
+  big_endian : bool;
   rt : Vmem.Runtime.t;
-  regs : int64 array;
+  regs : Bytes.t;
   fregs : float array;
-  mutable flags : flags;
+  mutable flag_kind : int;
   mutable frames : frame list;
+  (* native frames below the current one, counting those suspended under
+     a trap-handler subcall; llva.stack.depth reads [depth + 1] *)
+  mutable depth : int;
   mutable cur : Compile.cfunc;
   mutable pc : int;
-  mutable cycles : int64;
-  mutable icount : int64;
+  mutable cycles : int;
+  mutable icount : int;
   mutable fuel : int; (* instruction budget; < 0 = unlimited *)
   mutable trap_handler : string option;
   mutable privileged : bool;
@@ -49,7 +79,6 @@ type state = {
   (* pluggable translate-on-demand (LLEE): returns native code for a
      function name; default looks in the compiled module *)
   mutable lookup : state -> string -> Compile.cfunc option;
-  mutable translations : int; (* how many lookups missed the module cache *)
 }
 
 let default_lookup st name = Hashtbl.find_opt st.cmod.Compile.funcs name
@@ -62,58 +91,236 @@ let create ?(fuel = -1) (cmod : Compile.cmodule) : state =
   {
     cmod;
     mem;
+    big_endian = mem.Vmem.Memory.target.Target.endian = Target.Big;
     rt = Vmem.Runtime.create mem;
-    regs = Array.make 8 0L;
+    regs = Bytes.make (flag_b + 8) '\000';
     fregs = Array.make 8 0.0;
-    flags = Fnone;
+    flag_kind = kind_none;
     frames = [];
+    depth = 0;
     cur = dummy;
     pc = 0;
-    cycles = 0L;
-    icount = 0L;
+    cycles = 0;
+    icount = 0;
     fuel;
     trap_handler = None;
     privileged = false;
     redirects = Hashtbl.create 4;
     lookup = default_lookup;
-    translations = 0;
   }
 
 let output st = Vmem.Runtime.output st.rt
 
-(* ---------- width/sign helpers ---------- *)
+(* ---------- registers and flags ---------- *)
 
-let ty_of_width w s =
-  match (w, s) with
-  | W8, true -> Types.Sbyte
-  | W8, false -> Types.Ubyte
-  | W16, true -> Types.Short
-  | W16, false -> Types.Ushort
-  | W32, true -> Types.Int
-  | W32, false -> Types.Uint
-  | W64, true -> Types.Long
-  | W64, false -> Types.Ulong
+let[@inline] reg st r = Bytes.get_int64_ne st.regs (r lsl 3)
+let[@inline] set_reg st r v = Bytes.set_int64_ne st.regs (r lsl 3) v
 
-let norm w s v = Ir.normalize_int (ty_of_width w s) v
+let[@inline] set_flag_words st a b =
+  Bytes.set_int64_ne st.regs flag_a a;
+  Bytes.set_int64_ne st.regs flag_b b
+
+(* Both stack registers at the top of the stack: the launch state. *)
+let init_stack st =
+  set_reg st sp Vmem.Memory.stack_top;
+  set_reg st bp Vmem.Memory.stack_top
+
+let flags st =
+  let a = Bytes.get_int64_ne st.regs flag_a
+  and b = Bytes.get_int64_ne st.regs flag_b in
+  match st.flag_kind with
+  | 1 -> Fint (a, b, true)
+  | 2 -> Fint (a, b, false)
+  | 3 -> Ffloat (Int64.float_of_bits a, Int64.float_of_bits b)
+  | _ -> Fnone
+
+let set_flags st = function
+  | Fnone ->
+      st.flag_kind <- kind_none;
+      set_flag_words st 0L 0L
+  | Fint (a, b, s) ->
+      st.flag_kind <- (if s then kind_signed else kind_unsigned);
+      set_flag_words st a b
+  | Ffloat (a, b) ->
+      st.flag_kind <- kind_float;
+      set_flag_words st (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* ---------- width/sign helpers ----------
+
+   Exactly [Ir.normalize_int] and the integer cases of [Eval.int_binop]
+   at the type a (width, signedness) pair denotes, inlined. *)
+
+let[@inline] norm w s v =
+  match w with
+  | W64 -> v
+  | W32 ->
+      if s then Int64.shift_right (Int64.shift_left v 32) 32
+      else Int64.logand v 0xFFFF_FFFFL
+  | W16 ->
+      if s then Int64.shift_right (Int64.shift_left v 48) 48
+      else Int64.logand v 0xFFFFL
+  | W8 ->
+      if s then Int64.shift_right (Int64.shift_left v 56) 56
+      else Int64.logand v 0xFFL
+
+let[@inline] bits = function W8 -> 8 | W16 -> 16 | W32 -> 32 | W64 -> 64
+
+(* the unsigned bits of [v] within the width *)
+let[@inline] zext w v = norm w false v
+
+(* shift counts are unsigned and reduced modulo the width, which is a
+   power of two: the low bits of the count *)
+let[@inline] shift left w s a b =
+  let sh = Int64.to_int b land (bits w - 1) in
+  if left then norm w s (Int64.shift_left a sh)
+  else if s then norm w s (Int64.shift_right a sh)
+  else norm w s (Int64.shift_right_logical (zext w a) sh)
+
+(* the one signed quotient that overflows *)
+let[@inline] div_overflows w a b =
+  Int64.equal b (-1L)
+  && Int64.equal a (Int64.neg (Int64.shift_left 1L (bits w - 1)))
+
+(* division and remainder once the divisor is known to be nonzero and
+   the signed case known not to overflow *)
+let divrem is_div w s a b =
+  if s then norm w s (if is_div then Int64.div a b else Int64.rem a b)
+  else
+    let a = zext w a and b = zext w b in
+    norm w s
+      (if is_div then Int64.unsigned_div a b else Int64.unsigned_rem a b)
+
+let[@inline] round_single x = Int32.float_of_bits (Int32.bits_of_float x)
+
+(* [fresh v] is [v], rebuilt. ocamlopt keeps an int64 [let] unboxed only
+   if every arm of its defining match computes a new value; one arm that
+   passes on an existing box (an immediate operand, a slow-path result)
+   would box all the others. *)
+let[@inline] fresh v = Int64.add v 0L
+
+(* ---------- memory ----------
+
+   In-page accesses read or write the backing page directly; accesses
+   that straddle a page go through [Vmem.Memory]'s byte loops. [page]
+   is [Vmem.Memory.page_of] with the fault check and the page-cache hit
+   inline, so the address is never boxed. *)
+
+let page_bits = Vmem.Memory.page_bits
+let page_mask = Vmem.Memory.page_size - 1
+
+let[@inline] page st addr =
+  if addr < 0x1000L then raise (Vmem.Memory.Fault addr);
+  let idx = Int64.to_int addr lsr page_bits in
+  let c = st.mem.Vmem.Memory.last in
+  if c.Vmem.Memory.idx = idx then c.Vmem.Memory.page
+  else Vmem.Memory.page_at st.mem idx
+
+let[@inline] load st addr w =
+  let off = Int64.to_int addr land page_mask in
+  match w with
+  | W64 ->
+      if off <= page_mask - 7 then
+        let p = page st addr in
+        if st.big_endian then Bytes.get_int64_be p off
+        else Bytes.get_int64_le p off
+      else fresh (Vmem.Memory.read_uint st.mem addr 8)
+  | W32 ->
+      if off <= page_mask - 3 then
+        let p = page st addr in
+        Int64.logand
+          (Int64.of_int32
+             (if st.big_endian then Bytes.get_int32_be p off
+              else Bytes.get_int32_le p off))
+          0xFFFF_FFFFL
+      else fresh (Vmem.Memory.read_uint st.mem addr 4)
+  | W16 ->
+      if off <= page_mask - 1 then
+        let p = page st addr in
+        Int64.of_int
+          (if st.big_endian then Bytes.get_uint16_be p off
+           else Bytes.get_uint16_le p off)
+      else fresh (Vmem.Memory.read_uint st.mem addr 2)
+  | W8 -> Int64.of_int (Bytes.get_uint8 (page st addr) off)
+
+let[@inline] store st addr w v =
+  let off = Int64.to_int addr land page_mask in
+  match w with
+  | W64 ->
+      if off <= page_mask - 7 then
+        let p = page st addr in
+        if st.big_endian then Bytes.set_int64_be p off v
+        else Bytes.set_int64_le p off v
+      else Vmem.Memory.write_uint st.mem addr 8 v
+  | W32 ->
+      if off <= page_mask - 3 then
+        let p = page st addr in
+        if st.big_endian then Bytes.set_int32_be p off (Int64.to_int32 v)
+        else Bytes.set_int32_le p off (Int64.to_int32 v)
+      else Vmem.Memory.write_uint st.mem addr 4 v
+  | W16 ->
+      if off <= page_mask - 1 then
+        let p = page st addr in
+        let v = Int64.to_int v land 0xFFFF in
+        if st.big_endian then Bytes.set_uint16_be p off v
+        else Bytes.set_uint16_le p off v
+      else Vmem.Memory.write_uint st.mem addr 2 v
+  | W8 ->
+      Bytes.set_uint8 (page st addr) off
+        (Int64.to_int v land 0xFF)
 
 (* ---------- operand access ---------- *)
 
-let mem_addr st (m : mem) = Int64.add st.regs.(m.base) (Int64.of_int m.disp)
+let[@inline] mem_addr st (m : mem) = Int64.add (reg st m.base) (Int64.of_int m.disp)
 
-let read_op st = function
-  | R r -> st.regs.(r)
-  | I v -> v
-  | M m -> Vmem.Memory.read_u64 st.mem (mem_addr st m)
+let[@inline] read_op st = function
+  | R r -> reg st r
+  | I v -> fresh v
+  | M m -> load st (mem_addr st m) W64
 
-let write_op st op v =
+let[@inline] write_op st op v =
   match op with
-  | R r -> st.regs.(r) <- v
-  | M m -> Vmem.Memory.write_u64 st.mem (mem_addr st m) v
+  | R r -> set_reg st r v
+  | M m -> store st (mem_addr st m) W64 v
   | I _ -> invalid_arg "x86lite sim: write to immediate"
+
+let cc_holds st cc =
+  let a = Bytes.get_int64_ne st.regs flag_a
+  and b = Bytes.get_int64_ne st.regs flag_b in
+  let k = st.flag_kind in
+  if k = kind_signed || k = kind_unsigned then
+    (* unsigned order: flip the sign bits, then compare signed *)
+    let ua = Int64.sub a Int64.min_int and ub = Int64.sub b Int64.min_int in
+    match cc with
+    | Eq -> Int64.equal a b
+    | Ne -> not (Int64.equal a b)
+    | Lt -> a < b
+    | Gt -> a > b
+    | Le -> a <= b
+    | Ge -> a >= b
+    | Ltu -> ua < ub
+    | Gtu -> ua > ub
+    | Leu -> ua <= ub
+    | Geu -> ua >= ub
+  else if k = kind_float then
+    let x = Int64.float_of_bits a and y = Int64.float_of_bits b in
+    (* IEEE-754 unordered: NaN makes every relation except Ne false *)
+    if Float.is_nan x || Float.is_nan y then cc = Ne
+    else
+      match cc with
+      | Eq -> x = y
+      | Ne -> x <> y
+      | Lt | Ltu -> x < y
+      | Gt | Gtu -> x > y
+      | Le | Leu -> x <= y
+      | Ge | Geu -> x >= y
+  else invalid_arg "x86lite sim: branch without flags"
 
 (* ---------- traps ---------- *)
 
-exception Unwinding_internal
+(* the function a call to [name] reaches after SMC redirection *)
+let redirected st name =
+  if Hashtbl.length st.redirects = 0 then name
+  else match Hashtbl.find_opt st.redirects name with Some r -> r | None -> name
 
 let rec deliver_trap st kind : unit =
   (match st.trap_handler with
@@ -128,45 +335,38 @@ let rec deliver_trap st kind : unit =
             | Memory_fault _ -> 1L
             | Privilege_violation -> 2L
           in
-          (try run_subcall st hcf [ num; 0L ] with Unwinding_internal -> ())
+          run_subcall st hcf [ num; 0L ]
       | None -> ())
   | None -> ());
   raise (Trap kind)
 
 (* Run a nested native call with integer arguments (used for the trap
-   handler). Arguments are pushed per the calling convention. *)
+   handler). Arguments are pushed per the calling convention; the
+   interrupted function counts as one more frame below the handler. *)
 and run_subcall st (cf : Compile.cfunc) (args : int64 list) =
   let n = List.length args in
-  let saved_sp = st.regs.(sp) and saved_bp = st.regs.(bp) in
-  let saved_frames = st.frames and saved_cur = st.cur and saved_pc = st.pc in
-  st.regs.(sp) <- Int64.sub st.regs.(sp) (Int64.of_int (8 * n));
+  let saved_sp = reg st sp and saved_bp = reg st bp in
+  let saved_frames = st.frames and saved_depth = st.depth in
+  let saved_cur = st.cur and saved_pc = st.pc in
+  set_reg st sp (Int64.sub (reg st sp) (Int64.of_int (8 * n)));
   List.iteri
-    (fun k v ->
-      Vmem.Memory.write_u64 st.mem
-        (Int64.add st.regs.(sp) (Int64.of_int (8 * k)))
-        v)
+    (fun k v -> store st (Int64.add (reg st sp) (Int64.of_int (8 * k))) W64 v)
     args;
   (* simulated return-address push *)
-  st.regs.(sp) <- Int64.sub st.regs.(sp) 8L;
+  set_reg st sp (Int64.sub (reg st sp) 8L);
   st.frames <- [];
+  st.depth <- saved_depth + 1;
   st.cur <- cf;
   st.pc <- 0;
   run_until_empty st;
-  st.regs.(sp) <- saved_sp;
-  st.regs.(bp) <- saved_bp;
+  set_reg st sp saved_sp;
+  set_reg st bp saved_bp;
   st.frames <- saved_frames;
+  st.depth <- saved_depth;
   st.cur <- saved_cur;
   st.pc <- saved_pc
 
 (* ---------- calls ---------- *)
-
-and resolve_callee st (name : string) =
-  let name =
-    match Hashtbl.find_opt st.redirects name with Some r -> r | None -> name
-  in
-  match st.lookup st name with
-  | Some cf -> `Native cf
-  | None -> `External name
 
 and addr_to_name st (addr : int64) =
   match Vmem.Image.func_at st.cmod.Compile.image addr with
@@ -176,9 +376,7 @@ and addr_to_name st (addr : int64) =
 
 (* read the k'th argument from the caller's argument area; at this point
    SP points at the simulated return address slot *)
-and read_arg st k =
-  Vmem.Memory.read_u64 st.mem
-    (Int64.add st.regs.(sp) (Int64.of_int (8 + (8 * k))))
+and read_arg st k = load st (Int64.add (reg st sp) (Int64.of_int (8 + (8 * k)))) W64
 
 and external_call st name =
   (* runtime and intrinsic functions; args are on the stack *)
@@ -201,9 +399,9 @@ and external_call st name =
           else Eval.I (Types.Long, raw))
     in
     match Vmem.Runtime.call st.rt name args with
-    | Eval.I (_, v) -> st.regs.(ax) <- v
-    | Eval.P a -> st.regs.(ax) <- a
-    | Eval.B b -> st.regs.(ax) <- (if b then 1L else 0L)
+    | Eval.I (_, v) -> set_reg st ax v
+    | Eval.P a -> set_reg st ax a
+    | Eval.B b -> set_reg st ax (if b then 1L else 0L)
     | Eval.F (_, f) -> st.fregs.(0) <- f
     | Eval.Undef _ -> ()
   end
@@ -218,8 +416,7 @@ and intrinsic_call st name =
       let from_n = addr_to_name st (read_arg st 0) in
       let to_n = addr_to_name st (read_arg st 1) in
       Hashtbl.replace st.redirects from_n to_n
-  | "llva.stack.depth" ->
-      st.regs.(ax) <- Int64.of_int (List.length st.frames)
+  | "llva.stack.depth" -> set_reg st ax (Int64.of_int (st.depth + 1))
   | "llva.priv.set" -> st.privileged <- not (Int64.equal (read_arg st 0) 0L)
   | other when Llva.Intrinsics.is_privileged other ->
       if not st.privileged then begin
@@ -230,73 +427,44 @@ and intrinsic_call st name =
 
 (* ---------- the main step loop ---------- *)
 
-and cc_holds st cc =
-  match st.flags with
-  | Fnone -> invalid_arg "x86lite sim: branch without flags"
-  | Fint (a, b, _) -> (
-      let sc = Int64.compare a b in
-      let uc = Int64.unsigned_compare a b in
-      match cc with
-      | Eq -> sc = 0
-      | Ne -> sc <> 0
-      | Lt -> sc < 0
-      | Gt -> sc > 0
-      | Le -> sc <= 0
-      | Ge -> sc >= 0
-      | Ltu -> uc < 0
-      | Gtu -> uc > 0
-      | Leu -> uc <= 0
-      | Geu -> uc >= 0)
-  | Ffloat (a, b) ->
-      (* IEEE-754 unordered: NaN makes every relation except Ne false *)
-      if Float.is_nan a || Float.is_nan b then cc = Ne
-      else (
-        let c = Float.compare a b in
-        match cc with
-        | Eq -> c = 0
-        | Ne -> c <> 0
-        | Lt | Ltu -> c < 0
-        | Gt | Gtu -> c > 0
-        | Le | Leu -> c <= 0
-        | Ge | Geu -> c >= 0)
-
-and do_call st ~target ~except ~ret_pc =
-  match target with
-  | `Native cf ->
+and do_call st name ~except ~ret_pc =
+  let name = redirected st name in
+  match st.lookup st name with
+  | Some cf ->
       st.frames <-
         {
           fr_cf = st.cur;
           fr_ret_pc = ret_pc;
           fr_except = except;
-          fr_bp = st.regs.(bp);
-          fr_sp = st.regs.(sp);
+          fr_regs = (if except >= 0 then Bytes.sub st.regs 0 flag_a else Bytes.empty);
+          fr_fregs = (if except >= 0 then Array.copy st.fregs else [||]);
         }
         :: st.frames;
-      if List.length st.frames > 50_000 then
+      st.depth <- st.depth + 1;
+      if st.depth > max_depth then
         invalid_arg "x86lite sim: call stack overflow";
       (* simulated return-address push *)
-      st.regs.(sp) <- Int64.sub st.regs.(sp) 8L;
+      set_reg st sp (Int64.sub (reg st sp) 8L);
       st.cur <- cf;
       st.pc <- 0
-  | `External name ->
+  | None ->
       (* externals execute "inline": SP unchanged around them except the
          simulated return-address push/pop *)
-      st.regs.(sp) <- Int64.sub st.regs.(sp) 8L;
+      set_reg st sp (Int64.sub (reg st sp) 8L);
       external_call st name;
-      st.regs.(sp) <- Int64.add st.regs.(sp) 8L;
+      set_reg st sp (Int64.add (reg st sp) 8L);
       st.pc <- ret_pc
 
 and step st =
   let i = st.cur.Compile.code.(st.pc) in
-  st.icount <- Int64.add st.icount 1L;
-  st.cycles <- Int64.add st.cycles (Int64.of_int (cycles_of i));
-  if st.fuel >= 0 && Int64.to_int st.icount > st.fuel then raise Out_of_fuel;
+  st.icount <- st.icount + 1;
+  st.cycles <- st.cycles + cycles_of i;
+  if st.fuel >= 0 && st.icount > st.fuel then raise Out_of_fuel;
   let next = st.pc + 1 in
   st.pc <- next;
   match i with
   | Mov (dst, src) -> write_op st dst (read_op st src)
   | Alu (op, w, s, dst, src) ->
-      let ty = ty_of_width w s in
       let a = read_op st dst and b = read_op st src in
       let r =
         match op with
@@ -307,87 +475,85 @@ and step st =
         | Or -> Int64.logor a b
         | Xor -> Int64.logxor a b
       in
-      write_op st dst (Ir.normalize_int ty r)
-  | Div (w, s, dst, src) | Rem (w, s, dst, src) -> (
-      let ty = ty_of_width w s in
+      write_op st dst (norm w s r)
+  | Div (w, s, dst, src) | Rem (w, s, dst, src) ->
       let a = read_op st dst and b = read_op st src in
-      let op = match i with Div _ -> Ir.Div | _ -> Ir.Rem in
-      match Eval.int_binop op ty a b with
-      | Eval.I (_, v) -> write_op st dst v
-      | _ -> ()
-      | exception Eval.Division_by_zero ->
-          deliver_trap st Division_by_zero
-      | exception Eval.Overflow -> deliver_trap st Overflow)
+      if Int64.equal b 0L then deliver_trap st Division_by_zero
+      else if s && div_overflows w a b then deliver_trap st Overflow
+      else
+        write_op st dst
+          (divrem (match i with Div _ -> true | _ -> false) w s a b)
   | Shift (left, w, s, dst, src) ->
-      let ty = ty_of_width w s in
       let a = read_op st dst and b = read_op st src in
-      let op = if left then Ir.Shl else Ir.Shr in
-      (match Eval.int_binop op ty a b with
-      | Eval.I (_, v) -> write_op st dst v
-      | _ -> ())
-  | Ext (r, w, s) -> st.regs.(r) <- norm w s st.regs.(r)
+      write_op st dst (shift left w s a b)
+  | Ext (r, w, s) -> set_reg st r (norm w s (reg st r))
   | Mload (r, m, w, s) -> (
       let addr = mem_addr st m in
       if Int64.equal addr 0L then deliver_trap st (Memory_fault 0L);
-      match Vmem.Memory.read_uint st.mem addr (width_bytes w) with
-      | raw -> st.regs.(r) <- norm w s raw
-      | exception Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a))
+      try set_reg st r (norm w s (load st addr w))
+      with Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a))
   | Mstore (m, r, w) -> (
       let addr = mem_addr st m in
       if Int64.equal addr 0L then deliver_trap st (Memory_fault 0L);
-      match Vmem.Memory.write_uint st.mem addr (width_bytes w) st.regs.(r) with
-      | () -> ()
-      | exception Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a))
+      try store st addr w (reg st r)
+      with Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a))
   | Cmp (w, s, a, b) ->
-      st.flags <- Fint (norm w s (read_op st a), norm w s (read_op st b), s)
-  | Setcc (cc, r) -> st.regs.(r) <- (if cc_holds st cc then 1L else 0L)
+      let y = norm w s (read_op st b) in
+      let x = norm w s (read_op st a) in
+      set_flag_words st x y;
+      st.flag_kind <- (if s then kind_signed else kind_unsigned)
+  | Setcc (cc, r) -> set_reg st r (if cc_holds st cc then 1L else 0L)
   | Jcc (cc, l) -> if cc_holds st cc then st.pc <- l
   | Jmp l -> st.pc <- l
-  | Lea (r, m) -> st.regs.(r) <- mem_addr st m
+  | Lea (r, m) -> set_reg st r (mem_addr st m)
   | Push op ->
-      st.regs.(sp) <- Int64.sub st.regs.(sp) 8L;
-      Vmem.Memory.write_u64 st.mem st.regs.(sp) (read_op st op)
+      set_reg st sp (Int64.sub (reg st sp) 8L);
+      let v = read_op st op in
+      store st (reg st sp) W64 v
   | Pop r ->
-      st.regs.(r) <- Vmem.Memory.read_u64 st.mem st.regs.(sp);
-      st.regs.(sp) <- Int64.add st.regs.(sp) 8L
-  | CallSym name -> do_call st ~target:(resolve_callee st name) ~except:None ~ret_pc:next
+      set_reg st r (load st (reg st sp) W64);
+      set_reg st sp (Int64.add (reg st sp) 8L)
+  | CallSym name -> do_call st name ~except:(-1) ~ret_pc:next
   | CallSymI (name, l) ->
-      do_call st ~target:(resolve_callee st name) ~except:(Some l) ~ret_pc:next
+      do_call st name ~except:l ~ret_pc:next
   | CallInd op ->
       let name = addr_to_name st (read_op st op) in
-      do_call st ~target:(resolve_callee st name) ~except:None ~ret_pc:next
+      do_call st name ~except:(-1) ~ret_pc:next
   | CallIndI (op, l) ->
       let name = addr_to_name st (read_op st op) in
-      do_call st ~target:(resolve_callee st name) ~except:(Some l) ~ret_pc:next
+      do_call st name ~except:l ~ret_pc:next
   | Ret -> (
       (* pop the simulated return address *)
-      st.regs.(sp) <- Int64.add st.regs.(sp) 8L;
+      set_reg st sp (Int64.add (reg st sp) 8L);
       match st.frames with
       | [] -> raise Exit (* top-level return: caught by run_until_empty *)
       | f :: rest ->
           st.frames <- rest;
+          st.depth <- st.depth - 1;
           st.cur <- f.fr_cf;
           st.pc <- f.fr_ret_pc)
   | Unwind ->
       (* walk the frame stack to the nearest invoke handler *)
-      let rec unwind frames =
+      let rec unwind frames popped =
         match frames with
         | [] -> raise Unwound
         | f :: rest -> (
-            match f.fr_except with
-            | Some handler ->
+            let handler = f.fr_except in
+            if handler >= 0 then begin
                 st.frames <- rest;
+                st.depth <- st.depth - popped;
                 st.cur <- f.fr_cf;
                 st.pc <- handler;
-                st.regs.(bp) <- f.fr_bp;
-                st.regs.(sp) <- f.fr_sp
-            | None -> unwind rest)
+                Bytes.blit f.fr_regs 0 st.regs 0 flag_a;
+                Array.blit f.fr_fregs 0 st.fregs 0 (Array.length f.fr_fregs)
+            end
+            else unwind rest (popped + 1))
       in
-      unwind st.frames
-  | AddSp n -> st.regs.(sp) <- Int64.add st.regs.(sp) (Int64.of_int n)
+      unwind st.frames 1
+  | AddSp n -> set_reg st sp (Int64.add (reg st sp) (Int64.of_int n))
   | SubSpDyn (d, s) ->
-      st.regs.(sp) <- Int64.sub st.regs.(sp) st.regs.(s);
-      st.regs.(d) <- st.regs.(sp)
+      set_reg st sp (Int64.sub (reg st sp) (reg st s));
+      set_reg st d (reg st sp)
   | Fmov (a, b) -> st.fregs.(a) <- st.fregs.(b)
   | Fconst (f, v) -> st.fregs.(f) <- v
   | Falu (op, single, a, b) ->
@@ -400,35 +566,31 @@ and step st =
         | Fdiv -> x /. y
         | Frem -> Float.rem x y
       in
-      st.fregs.(a) <-
-        (if single then Eval.round_float Types.Float r else r)
+      st.fregs.(a) <- (if single then round_single r else r)
   | Fload (f, m, single) -> (
       let addr = mem_addr st m in
       if Int64.equal addr 0L then deliver_trap st (Memory_fault 0L);
-      match
-        if single then Vmem.Memory.read_uint st.mem addr 4
-        else Vmem.Memory.read_u64 st.mem addr
-      with
-      | raw ->
-          st.fregs.(f) <-
-            (if single then Int32.float_of_bits (Int64.to_int32 raw)
-             else Int64.float_of_bits raw)
-      | exception Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a))
+      try
+        st.fregs.(f) <-
+          (if single then Int32.float_of_bits (Int64.to_int32 (load st addr W32))
+           else Int64.float_of_bits (load st addr W64))
+      with Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a))
   | Fstore (m, f, single) -> (
       let addr = mem_addr st m in
       if Int64.equal addr 0L then deliver_trap st (Memory_fault 0L);
       let v = st.fregs.(f) in
-      match
+      try
         if single then
-          Vmem.Memory.write_uint st.mem addr 4
-            (Int64.of_int32 (Int32.bits_of_float v))
-        else Vmem.Memory.write_u64 st.mem addr (Int64.bits_of_float v)
-      with
-      | () -> ()
-      | exception Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a))
-  | Fcmp (a, b) -> st.flags <- Ffloat (st.fregs.(a), st.fregs.(b))
+          store st addr W32 (Int64.of_int32 (Int32.bits_of_float v))
+        else store st addr W64 (Int64.bits_of_float v)
+      with Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a))
+  | Fcmp (a, b) ->
+      set_flag_words st
+        (Int64.bits_of_float st.fregs.(a))
+        (Int64.bits_of_float st.fregs.(b));
+      st.flag_kind <- kind_float
   | Cvtif (f, r, signed) ->
-      let v = st.regs.(r) in
+      let v = reg st r in
       st.fregs.(f) <-
         (if signed then Int64.to_float v
          else if Int64.compare v 0L >= 0 then Int64.to_float v
@@ -436,8 +598,8 @@ and step st =
   | Cvtfi (r, f, w, s) ->
       let x = st.fregs.(f) in
       let x = if Float.is_nan x then 0.0 else x in
-      st.regs.(r) <- norm w s (Int64.of_float x)
-  | Fround f -> st.fregs.(f) <- Eval.round_float Types.Float st.fregs.(f)
+      set_reg st r (norm w s (Int64.of_float x))
+  | Fround f -> st.fregs.(f) <- round_single st.fregs.(f)
   | Fpushret f -> st.fregs.(0) <- st.fregs.(f)
   | Trap msg -> invalid_arg ("x86lite sim: trap " ^ msg)
 
@@ -451,28 +613,25 @@ and run_until_empty st =
 (* ---------- entry points ---------- *)
 
 let call_function st name (int_args : int64 list) : int64 =
-  match resolve_callee st name with
-  | `External _ -> invalid_arg ("x86lite sim: cannot start in external " ^ name)
-  | `Native cf ->
+  match st.lookup st (redirected st name) with
+  | None -> invalid_arg ("x86lite sim: cannot start in external " ^ name)
+  | Some cf ->
       let n = List.length int_args in
-      st.regs.(sp) <- Int64.sub st.regs.(sp) (Int64.of_int (8 * n));
+      set_reg st sp (Int64.sub (reg st sp) (Int64.of_int (8 * n)));
       List.iteri
-        (fun k v ->
-          Vmem.Memory.write_u64 st.mem
-            (Int64.add st.regs.(sp) (Int64.of_int (8 * k)))
-            v)
+        (fun k v -> store st (Int64.add (reg st sp) (Int64.of_int (8 * k))) W64 v)
         int_args;
-      st.regs.(sp) <- Int64.sub st.regs.(sp) 8L;
+      set_reg st sp (Int64.sub (reg st sp) 8L);
       st.frames <- [];
+      st.depth <- 0;
       st.cur <- cf;
       st.pc <- 0;
       run_until_empty st;
-      st.regs.(ax)
+      reg st ax
 
 let run_main ?fuel (cmod : Compile.cmodule) =
-  let st = create ?fuel:(Option.map (fun f -> f) fuel) cmod in
-  st.regs.(sp) <- Vmem.Memory.stack_top;
-  st.regs.(bp) <- Vmem.Memory.stack_top;
+  let st = create ?fuel cmod in
+  init_stack st;
   let code =
     match call_function st "main" [] with
     | v -> Int64.to_int (Ir.normalize_int Types.Int v)

@@ -11,15 +11,22 @@
       must produce byte-identical tables (the cache-identity story
       depends on it: same program, same table, same fingerprint).
 
-   3. Behavior identity: every workload, compiled with the committed
+   3. Table drift: a fresh search must reproduce the committed bytes.
+      A difference means the selectors, the suite or the oracle changed
+      under the tables; regenerate them with
+      llva_superopt --target all --out test/tables.
+
+   4. Behavior identity: every workload, compiled with the committed
       table applied, must produce exactly the interpreter's exit code
       and output on both back-ends — and never more cycles than the
       pass-off build.
 
-   A fresh search that differs from the committed bytes is reported as
-   a note (the selectors or the suite changed; regenerate with
-   llva_superopt --out), not a failure: the committed rules remain
-   sound as long as the oracle certifies them. *)
+   5. Exact counts: the exit code, native instruction count and cycle
+      count of each of those executions (17 workloads x 2 targets x
+      table off/on), one line each, must equal the file named by the
+      third argument (sim_counts.expected) line for line. A simulator
+      change must leave every count as it was. Without a third argument
+      the lines are printed instead, which is how that file is made. *)
 
 let failures = ref 0
 
@@ -44,10 +51,11 @@ let load_table ~target path =
       exit 1
 
 let () =
-  let x86_path, sparc_path =
+  let x86_path, sparc_path, counts_path =
     match Sys.argv with
-    | [| _; a; b |] -> (a, b)
-    | _ -> ("tables/x86lite.peep", "tables/sparclite.peep")
+    | [| _; a; b; c |] -> (a, b, Some c)
+    | [| _; a; b |] -> (a, b, None)
+    | _ -> ("tables/x86lite.peep", "tables/sparclite.peep", None)
   in
   let tx = load_table ~target:"x86lite" x86_path in
   let ts = load_table ~target:"sparclite" sparc_path in
@@ -87,17 +95,28 @@ let () =
   let ls1 = learn "sparclite" in
   let ls2 = learn "sparclite" in
   check "sparclite search deterministic" (ls1 = ls2);
-  if lx1 <> Superopt.Table.to_string tx then
-    Printf.printf
-      "note: committed x86lite table differs from a fresh search — selectors \
-       or suite changed; regenerate with llva_superopt --out test/tables\n";
-  if ls1 <> Superopt.Table.to_string ts then
-    Printf.printf
-      "note: committed sparclite table differs from a fresh search — \
-       regenerate with llva_superopt --out test/tables\n";
   Printf.printf "determinism: two searches per target, identical bytes\n%!";
 
-  (* 3. behavior identity on all 17 workloads with the pass enabled *)
+  (* 3. a fresh search reproduces the committed tables *)
+  let drift target fresh committed =
+    check
+      (Printf.sprintf
+         "committed %s table differs from a fresh search; regenerate with \
+          llva_superopt --target all --out test/tables"
+         target)
+      (fresh = Superopt.Table.to_string committed)
+  in
+  drift "x86lite" lx1 tx;
+  drift "sparclite" ls1 ts;
+
+  (* 4. behavior identity on all 17 workloads with the pass enabled *)
+  let counts = Buffer.create 4096 in
+  let count name target peep code icount cycles =
+    Printf.bprintf counts "%-17s %-9s %-8s exit %3d  instrs %10d  cycles %10d\n"
+      name target
+      (if peep then "table" else "no-table")
+      code icount cycles
+  in
   let px = Superopt.Table.x86_pairs tx in
   let ps = Superopt.Table.sparc_pairs ts in
   List.iter
@@ -121,7 +140,7 @@ let () =
         (xcode = x0code && X86lite.Sim.output xst = X86lite.Sim.output x0st);
       check
         (name ^ ": x86 cycles no worse")
-        (Int64.compare xst.X86lite.Sim.cycles x0st.X86lite.Sim.cycles <= 0);
+        (xst.X86lite.Sim.cycles <= x0st.X86lite.Sim.cycles);
       let scode, sst =
         Sparclite.Sim.run_main
           (Sparclite.Compile.compile_module ~peep:ps (m ()))
@@ -137,11 +156,42 @@ let () =
         (scode = s0code && Sparclite.Sim.output sst = Sparclite.Sim.output s0st);
       check
         (name ^ ": sparc cycles no worse")
-        (Int64.compare sst.Sparclite.Sim.cycles s0st.Sparclite.Sim.cycles <= 0);
-      Printf.printf "%-17s ok (x86 %Ld -> %Ld, sparc %Ld -> %Ld cycles)\n%!"
+        (sst.Sparclite.Sim.cycles <= s0st.Sparclite.Sim.cycles);
+      let xcount peep code (st : X86lite.Sim.state) =
+        count name "x86lite" peep code st.X86lite.Sim.icount
+          st.X86lite.Sim.cycles
+      and scount peep code (st : Sparclite.Sim.state) =
+        count name "sparclite" peep code st.Sparclite.Sim.icount
+          st.Sparclite.Sim.cycles
+      in
+      xcount false x0code x0st;
+      xcount true xcode xst;
+      scount false s0code s0st;
+      scount true scode sst;
+      Printf.printf "%-17s ok (x86 %d -> %d, sparc %d -> %d cycles)\n%!"
         name x0st.X86lite.Sim.cycles xst.X86lite.Sim.cycles
         s0st.Sparclite.Sim.cycles sst.Sparclite.Sim.cycles)
     Workloads.all;
+
+  (* 5. exact counts *)
+  (match counts_path with
+  | None -> Buffer.output_buffer stdout counts
+  | Some path ->
+      let expected = read_file path and got = Buffer.contents counts in
+      let lines s = String.split_on_char '\n' s in
+      List.iter
+        (fun l -> if not (List.mem l (lines got)) then Printf.printf "  expected: %s\n" l)
+        (lines expected);
+      List.iter
+        (fun l -> if not (List.mem l (lines expected)) then Printf.printf "  got:      %s\n" l)
+        (lines got);
+      check
+        (Printf.sprintf
+           "counts differ from %s (to record new ones, run this gate with \
+            only the two table arguments)"
+           path)
+        (expected = got);
+      if expected = got then Printf.printf "exact counts: %s matches\n" path);
 
   if !failures > 0 then begin
     Printf.printf "superopt gate FAILED: %d assertion(s)\n" !failures;

@@ -444,10 +444,10 @@ let test_cycle_counting () =
   in
   let cm = X86lite.Compile.compile_module m in
   let _, st = X86lite.Sim.run_main cm in
-  check_bool "cycles counted" true (Int64.compare st.X86lite.Sim.cycles 0L > 0);
-  check_bool "icount counted" true (Int64.compare st.X86lite.Sim.icount 0L > 0);
+  check_bool "cycles counted" true (st.X86lite.Sim.cycles > 0);
+  check_bool "icount counted" true (st.X86lite.Sim.icount > 0);
   check_bool "cycles >= icount" true
-    (Int64.compare st.X86lite.Sim.cycles st.X86lite.Sim.icount >= 0)
+    (st.X86lite.Sim.cycles >= st.X86lite.Sim.icount)
 
 let test_code_size_nonzero () =
   let m = Gen.random_program (Random.State.make [| 7 |]) in
@@ -773,6 +773,278 @@ let test_canon_window_roundtrip () =
   let cw2, vars2 = X86lite.Compile.canon_window w2 in
   check_bool "sp window left concrete" true (cw2 = w2 && vars2 = [||])
 
+(* ---------- call depth ---------- *)
+
+let outcome_str (o : Llee.Outcome.t) = Llee.Outcome.to_string o
+
+(* every engine's outcome and output for one module *)
+let five_engines src = Gen.engine_results (Gen.parse src)
+
+(* llva.stack.depth counts active frames with main as 1, on all five
+   engines: 1 in main, 2 and 3 in nested callees, and 1 again once an
+   unwind has come back to main's invoke handler *)
+let test_stack_depth_all_engines () =
+  let src =
+    {|
+declare uint %llva.stack.depth()
+
+uint %inner() {
+entry:
+  %d = call uint %llva.stack.depth()
+  ret uint %d
+}
+
+uint %middle() {
+entry:
+  %d = call uint %inner()
+  ret uint %d
+}
+
+void %thrower(int %n) {
+entry:
+  %done = setle int %n, 0
+  br bool %done, label %throw, label %recurse
+throw:
+  unwind
+recurse:
+  %m = sub int %n, 1
+  call void %thrower(int %m)
+  ret void
+}
+
+int %wrap() {
+entry:
+  call void %thrower(int 4)
+  ret int 0
+}
+
+int %main() {
+entry:
+  %d0 = call uint %llva.stack.depth()
+  %d1 = call uint %inner()
+  %d2 = call uint %middle()
+  %r = invoke int %wrap() to label %ok except label %caught
+ok:
+  ret int 99
+caught:
+  %d3 = call uint %llva.stack.depth()
+  %a = mul uint %d0, 1000
+  %b = mul uint %d1, 100
+  %c = mul uint %d2, 10
+  %s1 = add uint %a, %b
+  %s2 = add uint %s1, %c
+  %s3 = add uint %s2, %d3
+  %res = cast uint %s3 to int
+  ret int %res
+}
+|}
+  in
+  List.iter
+    (fun (engine, o, _) ->
+      check_string (engine ^ ": depths 1, 2, 3, then 1 after unwind") "exit 1231"
+        (outcome_str o))
+    (five_engines src)
+
+(* Recursion past the native engines' 50,000-frame guard is a contained
+   trap, not an escaping exception or a host stack overflow. *)
+let test_depth_guard_contained () =
+  let src =
+    {|
+int %rec(int %n) {
+entry:
+  %z = setle int %n, 0
+  br bool %z, label %base, label %go
+base:
+  ret int 0
+go:
+  %m = sub int %n, 1
+  %r = call int %rec(int %m)
+  %s = add int %r, 1
+  ret int %s
+}
+
+int %main() {
+entry:
+  %r = call int %rec(int 60000)
+  ret int %r
+}
+|}
+  in
+  List.iter
+    (fun (engine, o, _) ->
+      if engine <> "interp" then
+        check_bool
+          (engine ^ ": call stack overflow is Invalid_operation, got "
+         ^ outcome_str o)
+          true
+          (match o with
+          | Llee.Outcome.Trapped { kind = Llee.Outcome.Invalid_operation _; _ } ->
+              true
+          | _ -> false))
+    (five_engines src)
+
+(* Unwinding gives the counter back: two 30,000-deep dives that each
+   unwind to main stay under the 50,000 guard, and main reads depth 1
+   afterwards. *)
+let test_depth_after_unwind () =
+  let src =
+    {|
+declare uint %llva.stack.depth()
+
+void %dive(int %n) {
+entry:
+  %z = setle int %n, 0
+  br bool %z, label %throw, label %go
+throw:
+  unwind
+go:
+  %m = sub int %n, 1
+  call void %dive(int %m)
+  ret void
+}
+
+int %attempt() {
+entry:
+  call void %dive(int 30000)
+  ret int 0
+}
+
+int %main() {
+entry:
+  %a = invoke int %attempt() to label %bad except label %first
+first:
+  %b = invoke int %attempt() to label %bad except label %second
+second:
+  %d = call uint %llva.stack.depth()
+  %r = cast uint %d to int
+  %s = add int %r, 20
+  ret int %s
+bad:
+  ret int 99
+}
+|}
+  in
+  List.iter
+    (fun (engine, o, _) ->
+      check_string (engine ^ ": both dives caught, depth 1") "exit 21"
+        (outcome_str o))
+    (five_engines src)
+
+(* A value held in a callee-saved register across an invoke survives an
+   unwind to the handler. SPARC-lite's linear-scan code used to read back
+   whatever the unwound callees had left in the register. *)
+let test_registers_survive_unwind () =
+  check_agreement
+    {|
+declare void %print_int(int)
+
+int %seven() {
+entry:
+  ret int 7
+}
+
+void %thrower(int %n) {
+entry:
+  %done = setle int %n, 0
+  br bool %done, label %throw, label %recurse
+throw:
+  unwind
+recurse:
+  %m = sub int %n, 1
+  %x = mul int %n, 3
+  %y = add int %x, %m
+  call void %print_int(int %y)
+  call void %thrower(int %m)
+  ret void
+}
+
+int %wrap() {
+entry:
+  call void %thrower(int 4)
+  ret int 0
+}
+
+int %main() {
+entry:
+  %v = call int %seven()
+  %f = cast int %v to double
+  %r = invoke int %wrap() to label %ok except label %caught
+ok:
+  ret int 99
+caught:
+  %g = mul double %f, 2.0
+  %w = cast double %g to int
+  %s = add int %w, %v
+  ret int %s
+}
+|}
+
+(* The flags round-trip through their unboxed form. *)
+let test_flags_roundtrip () =
+  let cm = X86lite.Compile.compile_module (Gen.parse "int %main() {\nentry:\n  ret int 0\n}") in
+  let st = X86lite.Sim.create cm in
+  List.iter
+    (fun fl ->
+      X86lite.Sim.set_flags st fl;
+      check_bool "x86 flags round-trip" true (X86lite.Sim.flags st = fl))
+    X86lite.Sim.[ Fnone; Fint (-1L, Int64.min_int, true); Fint (5L, 7L, false); Ffloat (1.5, -0.0) ];
+  let sm = Sparclite.Compile.compile_module (Gen.parse "int %main() {\nentry:\n  ret int 0\n}") in
+  let ss = Sparclite.Sim.create sm in
+  List.iter
+    (fun fl ->
+      Sparclite.Sim.set_flags ss fl;
+      check_bool "sparc flags round-trip" true (Sparclite.Sim.flags ss = fl))
+    Sparclite.Sim.[ Fnone; Fint (Int64.max_int, 0L); Ffloat (infinity, 2.0) ]
+
+(* The step loop allocates nothing: a call-free loop over loads, stores,
+   arithmetic, shifts and compares costs no minor-heap words per guest
+   instruction beyond the fixed set-up. Native code only: bytecode boxes
+   every int64. *)
+let test_step_allocation_free () =
+  if Sys.backend_type = Sys.Native then begin
+    let src =
+      {|
+int %main() {
+entry:
+  %buf = alloca [16 x int]
+  br label %loop
+loop:
+  %i = phi int [ 0, %entry ], [ %n, %loop ]
+  %acc = phi int [ 7, %entry ], [ %a4, %loop ]
+  %k = and int %i, 15
+  %p = getelementptr [16 x int]* %buf, long 0, int %k
+  store int %acc, int* %p
+  %v = load int* %p
+  %a1 = mul int %v, 31
+  %a2 = shl int %a1, ubyte 3
+  %a3 = xor int %a2, %i
+  %a4 = shr int %a3, ubyte 1
+  %n = add int %i, 1
+  %d = setge int %n, 20000
+  br bool %d, label %out, label %loop
+out:
+  ret int %a4
+}
+|}
+    in
+    let words_per_instr run =
+      let w0 = Gc.minor_words () in
+      let instrs = run () in
+      (Gc.minor_words () -. w0) /. float_of_int instrs
+    in
+    let x86 =
+      let cm = X86lite.Compile.compile_module (Gen.parse src) in
+      words_per_instr (fun () -> (snd (X86lite.Sim.run_main cm)).X86lite.Sim.icount)
+    in
+    let sparc =
+      let cm = Sparclite.Compile.compile_module (Gen.parse src) in
+      words_per_instr (fun () ->
+          (snd (Sparclite.Sim.run_main cm)).Sparclite.Sim.icount)
+    in
+    check_bool (Printf.sprintf "x86 %.4f words/instr" x86) true (x86 < 0.02);
+    check_bool (Printf.sprintf "sparc %.4f words/instr" sparc) true (sparc < 0.02)
+  end
+
 let suite =
   [
     Alcotest.test_case "basic programs" `Quick test_basic_programs;
@@ -798,6 +1070,15 @@ let suite =
     Alcotest.test_case "apply rules sparc" `Quick test_apply_rules_sparc;
     Alcotest.test_case "canon window roundtrip" `Quick
       test_canon_window_roundtrip;
+    Alcotest.test_case "stack depth on all engines" `Quick
+      test_stack_depth_all_engines;
+    Alcotest.test_case "depth guard contained" `Quick test_depth_guard_contained;
+    Alcotest.test_case "depth after unwind" `Quick test_depth_after_unwind;
+    Alcotest.test_case "registers survive unwind" `Quick
+      test_registers_survive_unwind;
+    Alcotest.test_case "flags roundtrip" `Quick test_flags_roundtrip;
+    Alcotest.test_case "step loop allocation-free" `Quick
+      test_step_allocation_free;
     QCheck_alcotest.to_alcotest prop_backends_agree;
     QCheck_alcotest.to_alcotest prop_backends_agree_memory;
     QCheck_alcotest.to_alcotest prop_optimized_backends_agree;
