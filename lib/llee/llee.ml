@@ -101,9 +101,10 @@ type t = {
      name counts as a repair *)
   quarantined : (string, unit) Hashtbl.t;
   peephole : bool; (* apply the superoptimized rewrite table *)
-  (* the table for this launch, acquired lazily by [ensure_peep_table]:
-     loaded from the [#peep#] cache entry or learned by a fresh search *)
-  mutable peep_table : Superopt.Table.t option;
+  (* the table for this launch and its fingerprint, acquired lazily by
+     [ensure_peep_table]: loaded from the [#peep#] cache entry or learned
+     by a fresh search *)
+  mutable peep_table : (Superopt.Table.t * string) option;
 }
 
 (* "Load the executable": decode virtual object code, remember its content
@@ -143,7 +144,7 @@ let of_module ?(storage = Storage.none) ?(timestamp = 0.0) ?(peephole = false)
 let cache_name t fname =
   let base = Printf.sprintf "%s.%s.%s" t.key fname (target_name t.target) in
   match t.peep_table with
-  | Some tb -> base ^ ".p" ^ Superopt.Table.fingerprint tb
+  | Some (_, fingerprint) -> base ^ ".p" ^ fingerprint
   | None -> base
 
 (* Reserved (non-function) cache entries are framed with '#', a character
@@ -301,13 +302,15 @@ let learn_table t =
    search exactly once ([peep_searches]) and writes the winning table
    back through the storage API — so the search cost is paid once per
    program version and amortized across every later launch. Without
-   storage the table is re-learned every launch. Either way the time
-   spent here lands in [peep_time], never in [translate_time]. *)
+   storage the table is re-learned every launch. The table's
+   fingerprint, which every native entry name carries, is computed here
+   once. Either way the time spent here lands in [peep_time], never in
+   [translate_time]. *)
 let ensure_peep_table t : Superopt.Table.t option =
   if not t.peephole then None
   else
     match t.peep_table with
-    | Some _ as some -> some
+    | Some (tb, _) -> Some tb
     | None ->
         let t0 = Unix.gettimeofday () in
         let name = peep_entry_name t in
@@ -347,8 +350,8 @@ let ensure_peep_table t : Superopt.Table.t option =
               storage_write t name (frame_entry (Superopt.Table.to_string tb));
               tb
         in
+        t.peep_table <- Some (tb, Superopt.Table.fingerprint tb);
         t.stats.peep_time <- t.stats.peep_time +. (Unix.gettimeofday () -. t0);
-        t.peep_table <- Some tb;
         Some tb
 
 (* ---------- lint-before-cache ---------- *)

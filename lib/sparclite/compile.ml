@@ -686,30 +686,16 @@ let invert_branches (code : instr array) =
 (* Remove jumps to the immediately following instruction (fall-through),
    remapping all label targets; block layout thus affects both code size
    and cycle counts, which the LLEE trace optimizer exploits. *)
-let rec relax (code : instr array) =
-  let n = Array.length code in
-  let rec find k =
-    if k >= n then None
-    else
-      match code.(k) with
-      | Ba l when l = k + 1 -> Some k
-      | _ -> find (k + 1)
-  in
-  match find 0 with
-  | None -> code
-  | Some k ->
-      let adjust l = if l > k then l - 1 else l in
-      let out =
-        Array.init (n - 1) (fun j ->
-            let i = if j < k then code.(j) else code.(j + 1) in
-            match i with
-            | Ba l -> Ba (adjust l)
-            | Bcc (cc, l) -> Bcc (cc, adjust l)
-            | CallSymI (s, l) -> CallSymI (s, adjust l)
-            | CallIndI (r, l) -> CallIndI (r, adjust l)
-            | other -> other)
-      in
-      relax out
+let relax (code : instr array) =
+  Codegen.Relax.relax
+    ~fallthrough:(fun k -> function Ba l -> l = k + 1 | _ -> false)
+    ~retarget:(fun f -> function
+      | Ba l -> Ba (f l)
+      | Bcc (cc, l) -> Bcc (cc, f l)
+      | CallSymI (s, l) -> CallSymI (s, f l)
+      | CallIndI (o, l) -> CallIndI (o, f l)
+      | other -> other)
+    code
 
 (* ---------- learned peephole rewriting ----------
 

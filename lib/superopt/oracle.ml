@@ -40,13 +40,36 @@ let boundaries =
     Int64.max_int; Int64.min_int; -1L; -2L; -256L; -65536L;
   |]
 
+(* A vector set for windows with [n] data inputs, packed as native
+   64-bit words: vector [k] is words [k*n .. k*n+n-1] of [data]. Vector
+   [k] runs with flag variant [k mod 6]. *)
+type vectors = { n : int; count : int; data : Bytes.t }
+
+(* vector [k] of [vs], unpacked *)
+let vector vs k =
+  Array.init vs.n (fun j -> Bytes.get_int64_ne vs.data (8 * ((k * vs.n) + j)))
+
+let pack ~n (vecs : int64 array list) =
+  let count = List.length vecs in
+  let data = Bytes.create (8 * n * count) in
+  List.iteri
+    (fun k v ->
+      Array.iteri (fun j x -> Bytes.set_int64_ne data (8 * ((k * n) + j)) x) v)
+    vecs;
+  { n; count; data }
+
+let rnd ~n tag = Array.init n (fun j -> mix ((tag * 97) + j))
+
 (* [screen] is a cheap prefix used to discard most candidates before the
    [full] set runs: 6 random vectors (which also cycle through every
-   flag variant once). [full] adds the boundary cross-product on the
-   first two inputs plus more random tails. *)
-let vectors ~n : int64 array list * int64 array list =
-  let rnd tag = Array.init n (fun j -> mix ((tag * 97) + j)) in
-  let screen = List.init 6 (fun k -> rnd k) in
+   flag variant once). *)
+let screen_count = 6
+let screen_vectors ~n = pack ~n (List.init screen_count (rnd ~n))
+
+(* [full] is the screen plus the boundary cross-product on the first two
+   inputs plus more random tails: 871 vectors for n >= 2, 59 for n = 1,
+   31 for n = 0. *)
+let full_vectors ~n =
   let nb = Array.length boundaries in
   let cross =
     if n = 0 then [ [||] ]
@@ -60,51 +83,269 @@ let vectors ~n : int64 array list * int64 array list =
                      else if t = 1 then boundaries.(j)
                      else mix ((((i * nb) + j) * 13) + t)))))
   in
-  let extra = List.init 24 (fun k -> rnd (1000 + k)) in
-  (screen, screen @ cross @ extra)
+  let extra = List.init 24 (fun k -> rnd ~n (1000 + k)) in
+  pack ~n (List.init screen_count (rnd ~n) @ cross @ extra)
 
-(* ---------- per-target harnesses ---------- *)
+(* ---------- the shared harness ---------- *)
 
-(* The two harnesses are structurally identical; they differ in the
-   simulator, the flags type and the register file shape, which OCaml's
-   lack of backend polymorphism makes simplest to just write twice.
+(* What the harness needs from a back-end. [exec] is the hot path and
+   stays target-specific: zero the register file, point SP and the frame
+   register at the scratch frame below [base], load vector [k] of [vs]
+   into the input registers and slot addresses, set flag variant
+   [k mod 6], and run the code until it falls off either end (a window
+   that runs more than 256 steps raises). *)
+module type TARGET = sig
+  type instr
+  type state
+  type code
 
-   A window is prepared once (code array built, straight-line checked)
+  val create : unit -> state
+  val straightline : instr -> bool
+  val code : instr array -> code
+
+  (* data inputs: every named register the harness does not own and
+     every distinct slot displacement, in first-occurrence order *)
+  val inputs_of : instr list -> int list * int list
+
+  val regs : state -> Bytes.t
+  val flag_kind : state -> int
+  val mem : state -> Vmem.Memory.t
+
+  val exec :
+    state -> base:int64 -> regs:int array -> slots:int64 array -> code ->
+    vectors -> int -> unit
+end
+
+(* A window is prepared once (code array built, straight-line checked)
    and then run once per test vector on a single reused simulator state.
    An observation is the whole register file — integer registers and
    flag operands — plus the flag kind and the slot contents; a candidate
    is compared against it in place. *)
+module Make (T : TARGET) = struct
+  (* Observations of one window over one vector set: for vector [k],
+     the register file [oregs.(k)], the flag kind [okinds.(k)] and the
+     slot contents, packed at [8 * nslots * k] of [oslots]. The arrays
+     may be longer than the set. *)
+  type obs = { oregs : Bytes.t array; okinds : int array; oslots : Bytes.t }
 
-module X86 = struct
-  open X86lite
-  open X86lite.X86
-
-  type h = { st : Sim.state; base : int64 }
+  (* The handle owns the simulator, the vector sets built so far (keyed
+     by input count, so a search builds each at most once) and one
+     buffer for full-set observations, which is reused by every session
+     and holds those of session [full_of]. All of it dies with the
+     handle. *)
+  type h = {
+    st : T.state;
+    base : int64;
+    screens : (int, vectors) Hashtbl.t;
+    fulls : (int, vectors) Hashtbl.t;
+    mutable opened : int;
+    mutable full_of : int;
+    mutable full_obs : obs;
+  }
 
   let make () =
-    let m = Llva.Ir.mk_module ~name:"superopt-oracle" () in
-    let image = Vmem.Image.load m in
-    let cmod = { Compile.cm = m; image; funcs = Hashtbl.create 1 } in
     (* scratch frame area: far enough below the stack top that negative
        slot displacements and the probe SP never leave mapped,
        non-null address space *)
-    { st = Sim.create cmod; base = Int64.sub Vmem.Memory.stack_top 65536L }
+    {
+      st = T.create ();
+      base = Int64.sub Vmem.Memory.stack_top 65536L;
+      screens = Hashtbl.create 16;
+      fulls = Hashtbl.create 16;
+      opened = 0;
+      full_of = -1;
+      full_obs = { oregs = [||]; okinds = [||]; oslots = Bytes.empty };
+    }
+
+  let memo tbl build n =
+    match Hashtbl.find_opt tbl n with
+    | Some vs -> vs
+    | None ->
+        let vs = build ~n in
+        Hashtbl.add tbl n vs;
+        vs
+
+  (* the vector sets for [n] inputs, as a session sees them *)
+  let screen_set h n = memo h.screens screen_vectors n
+  let full_set h n = memo h.fulls full_vectors n
 
   (* Only straight-line, trap-free instructions are executable as
      windows; anything else makes the window unverifiable. *)
+  let prepare (w : T.instr array) : T.code =
+    for k = 0 to Array.length w - 1 do
+      if not (T.straightline w.(k)) then invalid_arg "not straight-line"
+    done;
+    T.code w
+
+  type session = {
+    h : h;
+    id : int;
+    regs : int array;
+    slots : int64 array; (* slot addresses *)
+    lhs : T.code;
+    screen : vectors * obs;
+    mutable full_faults : bool; (* the lhs faults on some full vector *)
+  }
+
+  let slot_addr h d = Int64.add h.base (Int64.of_int d)
+
+  (* Run [cf] over every vector of [vs] and record what it leaves, in
+     [into]'s buffers when they are big enough. *)
+  let observe ?into h ~regs ~slots cf vs =
+    let st = h.st in
+    let rlen = Bytes.length (T.regs st) and nslots = Array.length slots in
+    let o =
+      match into with
+      | Some o
+        when Array.length o.oregs >= vs.count
+             && Bytes.length o.oslots >= 8 * nslots * vs.count ->
+          o
+      | _ ->
+          {
+            oregs = Array.init vs.count (fun _ -> Bytes.create rlen);
+            okinds = Array.make vs.count 0;
+            oslots = Bytes.create (8 * nslots * vs.count);
+          }
+    in
+    for k = 0 to vs.count - 1 do
+      T.exec st ~base:h.base ~regs ~slots cf vs k;
+      Bytes.blit (T.regs st) 0 o.oregs.(k) 0 rlen;
+      o.okinds.(k) <- T.flag_kind st;
+      for j = 0 to nslots - 1 do
+        Bytes.set_int64_ne o.oslots
+          (8 * ((nslots * k) + j))
+          (Vmem.Memory.read_u64 (T.mem st) slots.(j))
+      done
+    done;
+    o
+
+  (* does the harness state after a run match observation [k]? *)
+  let matches st ~slots o k =
+    T.flag_kind st = o.okinds.(k)
+    && Bytes.equal (T.regs st) o.oregs.(k)
+    &&
+    let mem = T.mem st and nslots = Array.length slots in
+    let j = ref 0 in
+    while
+      !j < nslots
+      && (Vmem.Memory.read_u64 mem slots.(!j) : int64)
+         = Bytes.get_int64_ne o.oslots (8 * ((nslots * k) + !j))
+    do
+      incr j
+    done;
+    !j >= nslots
+
+  (* [None] when the left-hand side itself faults or traps on some
+     screen vector: such windows are not oracle-checkable and are
+     skipped. [inputs] normally equals [lhs]; rule re-verification passes
+     lhs @ rhs so a right-hand side touching state the left never
+     names is still observed (and therefore rejected). *)
+  let session h ~(inputs : T.instr list) (lhs : T.instr list) :
+      session option =
+    let regs, slots = T.inputs_of inputs in
+    let regs = Array.of_list regs in
+    let slots = Array.of_list (List.map (slot_addr h) slots) in
+    match prepare (Array.of_list lhs) with
+    | exception Invalid_argument _ -> None
+    | cf -> (
+        let vs = screen_set h (Array.length regs + Array.length slots) in
+        match observe h ~regs ~slots cf vs with
+        | o ->
+            h.opened <- h.opened + 1;
+            Some
+              {
+                h;
+                id = h.opened;
+                regs;
+                slots;
+                lhs = cf;
+                screen = (vs, o);
+                full_faults = false;
+              }
+        | exception _ -> None)
+
+  (* The full set and the left-hand side's observations on it, built
+     the first time a candidate of [s] reaches it. Sessions are used one
+     at a time; one whose observations were overwritten by another
+     session's observes again. *)
+  let full s =
+    let h = s.h in
+    let vs = full_set h (Array.length s.regs + Array.length s.slots) in
+    if h.full_of <> s.id then begin
+      h.full_of <- -1;
+      (match
+         observe ~into:h.full_obs h ~regs:s.regs ~slots:s.slots s.lhs vs
+       with
+      | o -> h.full_obs <- o
+      | exception e ->
+          s.full_faults <- true;
+          raise e);
+      h.full_of <- s.id
+    end;
+    (vs, h.full_obs)
+
+  (* does [cf] reproduce every observation of [vs]? *)
+  let passes s cf (vs, o) =
+    let st = s.h.st and base = s.h.base in
+    let rec go k =
+      k >= vs.count
+      || begin
+           T.exec st ~base ~regs:s.regs ~slots:s.slots cf vs k;
+           matches st ~slots:s.slots o k
+         end
+         && go (k + 1)
+    in
+    match go 0 with ok -> ok | exception _ -> false
+
+  (* The two stages of [candidate_ok]: the 6 screen vectors, then the
+     full set (which repeats them). *)
+  let screen_ok (s : session) (rhs : T.instr array) : bool =
+    match prepare rhs with
+    | exception Invalid_argument _ -> false
+    | cf -> passes s cf s.screen
+
+  let full_ok (s : session) (rhs : T.instr array) : bool =
+    match prepare rhs with
+    | exception Invalid_argument _ -> false
+    | _ when s.full_faults -> false
+    | cf -> ( match full s with f -> passes s cf f | exception _ -> false)
+
+  let candidate_ok s rhs = screen_ok s rhs && full_ok s rhs
+
+  (* Re-verify one concrete rule instantiation end to end (CI uses this
+     on the shipped tables). *)
+  let verify_rule h (lhs : T.instr list) (rhs : T.instr list) : bool =
+    match session h ~inputs:(lhs @ rhs) lhs with
+    | Some s -> candidate_ok s (Array.of_list rhs)
+    | None -> false
+end
+
+(* ---------- per-target harnesses ---------- *)
+
+(* The two targets differ in the simulator, the frame register, the
+   flags type and which registers are data; everything else is [Make]. *)
+
+module X86 = Make (struct
+  open X86lite
+  open X86lite.X86
+
+  type nonrec instr = instr
+  type state = Sim.state
+  type code = Compile.cfunc
+
+  let create () =
+    let m = Llva.Ir.mk_module ~name:"superopt-oracle" () in
+    let image = Vmem.Image.load m in
+    Sim.create { Compile.cm = m; image; funcs = Hashtbl.create 1 }
+
   let straightline = function
     | Mov _ | Alu _ | Shift _ | Ext _ | Cmp _ | Setcc _ -> true
     | _ -> false
 
-  let prepare (w : instr list) : Compile.cfunc =
-    List.iter
-      (fun i -> if not (straightline i) then invalid_arg "not straight-line")
-      w;
-    { Compile.cf_name = "#window#"; code = Array.of_list w; nargs = 0; frame_slots = 0 }
+  let code w =
+    { Compile.cf_name = "#window#"; code = w; nargs = 0; frame_slots = 0 }
 
-  (* Data inputs of a window: every named register (BP excluded — it is
-     the frame base the harness owns) and every distinct slot
-     displacement, in first-occurrence order. *)
+  (* BP is excluded: it is the frame base the harness owns *)
   let inputs_of (w : instr list) : int list * int list =
     let regs = ref [] and slots = ref [] in
     let add_reg r = if not (List.mem r !regs) then regs := !regs @ [ r ] in
@@ -125,6 +366,10 @@ module X86 = struct
       w;
     (!regs, !slots)
 
+  let regs (st : state) = st.Sim.regs
+  let flag_kind (st : state) = st.Sim.flag_kind
+  let mem (st : state) = st.Sim.mem
+
   let flag_variants =
     [|
       Sim.Fnone;
@@ -135,23 +380,19 @@ module X86 = struct
       Sim.Fint (5L, 5L, false);
     |]
 
-  type obs = { oregs : Bytes.t; okind : int; oslots : int64 array }
-
-  let slot_addr h d = Int64.add h.base (Int64.of_int d)
-
-  (* Load one vector into the harness and run the prepared window. *)
-  let exec h ~regs ~slots (cf : Compile.cfunc) (vec : int64 array)
-      (fl : Sim.flags) : unit =
-    let st = h.st in
+  let exec st ~base ~regs ~slots (cf : code) vs k =
     Bytes.fill st.Sim.regs 0 (Bytes.length st.Sim.regs) '\000';
-    Sim.set_reg st sp (Int64.sub h.base 8192L);
-    Sim.set_reg st bp h.base;
-    List.iteri (fun k r -> Sim.set_reg st r vec.(k)) regs;
-    let nr = List.length regs in
-    List.iteri
-      (fun k d -> Vmem.Memory.write_u64 st.Sim.mem (slot_addr h d) vec.(nr + k))
-      slots;
-    Sim.set_flags st fl;
+    Sim.set_reg st sp (Int64.sub base 8192L);
+    Sim.set_reg st bp base;
+    let v = 8 * k * vs.n and nr = Array.length regs in
+    for j = 0 to nr - 1 do
+      Sim.set_reg st regs.(j) (Bytes.get_int64_ne vs.data (v + (8 * j)))
+    done;
+    for j = 0 to Array.length slots - 1 do
+      Vmem.Memory.write_u64 st.Sim.mem slots.(j)
+        (Bytes.get_int64_ne vs.data (v + (8 * (nr + j))))
+    done;
+    Sim.set_flags st flag_variants.(k mod 6);
     st.Sim.cur <- cf;
     st.Sim.pc <- 0;
     let len = Array.length cf.Compile.code in
@@ -161,114 +402,28 @@ module X86 = struct
       incr steps;
       Sim.step st
     done
+end)
 
-  let observe h ~slots : obs =
-    let st = h.st in
-    {
-      oregs = Bytes.copy st.Sim.regs;
-      okind = st.Sim.flag_kind;
-      oslots =
-        Array.of_list
-          (List.map (fun d -> Vmem.Memory.read_u64 st.Sim.mem (slot_addr h d)) slots);
-    }
-
-  (* does the harness state after a run match [o]? *)
-  let matches h ~slots (o : obs) =
-    let st = h.st in
-    let rec slots_match k = function
-      | [] -> true
-      | d :: rest ->
-          Int64.equal (Vmem.Memory.read_u64 st.Sim.mem (slot_addr h d)) o.oslots.(k)
-          && slots_match (k + 1) rest
-    in
-    Bytes.equal st.Sim.regs o.oregs
-    && st.Sim.flag_kind = o.okind
-    && slots_match 0 slots
-
-  let with_flags vecs =
-    let n = Array.length flag_variants in
-    List.mapi (fun k v -> (v, flag_variants.(k mod n))) vecs
-
-  type session = {
-    h : h;
-    regs : int list;
-    slots : int list;
-    screen : (int64 array * Sim.flags * obs) list;
-    full : (int64 array * Sim.flags * obs) list Lazy.t;
-  }
-
-  (* [None] when the left-hand side itself faults or traps on some
-     vector: such windows are not oracle-checkable and are skipped.
-     [inputs] normally equals [lhs]; rule re-verification passes
-     lhs @ rhs so a right-hand side touching state the left never
-     names is still observed (and therefore rejected). *)
-  let session h ~(inputs : instr list) (lhs : instr list) : session option =
-    let regs, slots = inputs_of inputs in
-    let n = List.length regs + List.length slots in
-    let screen_v, full_v = vectors ~n in
-    let run cf vecs =
-      List.map
-        (fun (v, fl) ->
-          exec h ~regs ~slots cf v fl;
-          (v, fl, observe h ~slots))
-        vecs
-    in
-    match prepare lhs with
-    | exception Invalid_argument _ -> None
-    | cf -> (
-        match run cf (with_flags screen_v) with
-        | screen ->
-            Some { h; regs; slots; screen; full = lazy (run cf (with_flags full_v)) }
-        | exception _ -> None)
-
-  let candidate_ok (s : session) (rhs : instr list) : bool =
-    match prepare rhs with
-    | exception Invalid_argument _ -> false
-    | cf -> (
-        let check (v, fl, expect) =
-          match
-            exec s.h ~regs:s.regs ~slots:s.slots cf v fl;
-            matches s.h ~slots:s.slots expect
-          with
-          | ok -> ok
-          | exception _ -> false
-        in
-        List.for_all check s.screen
-        &&
-        match Lazy.force s.full with
-        | cases -> List.for_all check cases
-        | exception _ -> false)
-
-  (* Re-verify one concrete rule instantiation end to end (CI uses this
-     on the shipped tables). *)
-  let verify_rule h (lhs : instr list) (rhs : instr list) : bool =
-    match session h ~inputs:(lhs @ rhs) lhs with
-    | Some s -> candidate_ok s rhs
-    | None -> false
-end
-
-module Sparc = struct
+module Sparc = Make (struct
   open Sparclite
   open Sparclite.Sparc
 
-  type h = { st : Sim.state; base : int64 }
+  type nonrec instr = instr
+  type state = Sim.state
+  type code = Compile.cfunc
 
-  let make () =
+  let create () =
     let m = Llva.Ir.mk_module ~name:"superopt-oracle" () in
     let image = Vmem.Image.load m in
-    let cmod = { Compile.cm = m; image; funcs = Hashtbl.create 1 } in
-    { st = Sim.create cmod; base = Int64.sub Vmem.Memory.stack_top 65536L }
+    Sim.create { Compile.cm = m; image; funcs = Hashtbl.create 1 }
 
   let straightline = function
     | Alu3 ((Div | Rem), _, _, _, _, _) -> false
     | Alu3 _ | Sethi _ | Ld _ | St _ | Cmp _ | Movcc _ -> true
     | _ -> false
 
-  let prepare (w : instr list) : Compile.cfunc =
-    List.iter
-      (fun i -> if not (straightline i) then invalid_arg "not straight-line")
-      w;
-    { Compile.cf_name = "#window#"; code = Array.of_list w; nargs = 0; frame_slots = 0 }
+  let code w =
+    { Compile.cf_name = "#window#"; code = w; nargs = 0; frame_slots = 0 }
 
   (* r0 is architecturally zero: never a data input. *)
   let inputs_of (w : instr list) : int list * int list =
@@ -300,6 +455,10 @@ module Sparc = struct
       w;
     (!regs, !slots)
 
+  let regs (st : state) = st.Sim.regs
+  let flag_kind (st : state) = st.Sim.flag_kind
+  let mem (st : state) = st.Sim.mem
+
   let flag_variants =
     [|
       Sim.Fnone;
@@ -310,22 +469,19 @@ module Sparc = struct
       Sim.Fint (5L, 5L);
     |]
 
-  type obs = { oregs : Bytes.t; okind : int; oslots : int64 array }
-
-  let slot_addr h d = Int64.add h.base (Int64.of_int d)
-
-  let exec h ~regs ~slots (cf : Compile.cfunc) (vec : int64 array)
-      (fl : Sim.flags) : unit =
-    let st = h.st in
+  let exec st ~base ~regs ~slots (cf : code) vs k =
     Bytes.fill st.Sim.regs 0 (Bytes.length st.Sim.regs) '\000';
-    Sim.set_reg st sp (Int64.sub h.base 8192L);
-    Sim.set_reg st fp h.base;
-    List.iteri (fun k r -> Sim.set_reg st r vec.(k)) regs;
-    let nr = List.length regs in
-    List.iteri
-      (fun k d -> Vmem.Memory.write_u64 st.Sim.mem (slot_addr h d) vec.(nr + k))
-      slots;
-    Sim.set_flags st fl;
+    Sim.set_reg st sp (Int64.sub base 8192L);
+    Sim.set_reg st fp base;
+    let v = 8 * k * vs.n and nr = Array.length regs in
+    for j = 0 to nr - 1 do
+      Sim.set_reg st regs.(j) (Bytes.get_int64_ne vs.data (v + (8 * j)))
+    done;
+    for j = 0 to Array.length slots - 1 do
+      Vmem.Memory.write_u64 st.Sim.mem slots.(j)
+        (Bytes.get_int64_ne vs.data (v + (8 * (nr + j))))
+    done;
+    Sim.set_flags st flag_variants.(k mod 6);
     st.Sim.cur <- cf;
     st.Sim.pc <- 0;
     let len = Array.length cf.Compile.code in
@@ -335,80 +491,4 @@ module Sparc = struct
       incr steps;
       Sim.step st
     done
-
-  let observe h ~slots : obs =
-    let st = h.st in
-    {
-      oregs = Bytes.copy st.Sim.regs;
-      okind = st.Sim.flag_kind;
-      oslots =
-        Array.of_list
-          (List.map (fun d -> Vmem.Memory.read_u64 st.Sim.mem (slot_addr h d)) slots);
-    }
-
-  let matches h ~slots (o : obs) =
-    let st = h.st in
-    let rec slots_match k = function
-      | [] -> true
-      | d :: rest ->
-          Int64.equal (Vmem.Memory.read_u64 st.Sim.mem (slot_addr h d)) o.oslots.(k)
-          && slots_match (k + 1) rest
-    in
-    Bytes.equal st.Sim.regs o.oregs
-    && st.Sim.flag_kind = o.okind
-    && slots_match 0 slots
-
-  let with_flags vecs =
-    let n = Array.length flag_variants in
-    List.mapi (fun k v -> (v, flag_variants.(k mod n))) vecs
-
-  type session = {
-    h : h;
-    regs : int list;
-    slots : int list;
-    screen : (int64 array * Sim.flags * obs) list;
-    full : (int64 array * Sim.flags * obs) list Lazy.t;
-  }
-
-  let session h ~(inputs : instr list) (lhs : instr list) : session option =
-    let regs, slots = inputs_of inputs in
-    let n = List.length regs + List.length slots in
-    let screen_v, full_v = vectors ~n in
-    let run cf vecs =
-      List.map
-        (fun (v, fl) ->
-          exec h ~regs ~slots cf v fl;
-          (v, fl, observe h ~slots))
-        vecs
-    in
-    match prepare lhs with
-    | exception Invalid_argument _ -> None
-    | cf -> (
-        match run cf (with_flags screen_v) with
-        | screen ->
-            Some { h; regs; slots; screen; full = lazy (run cf (with_flags full_v)) }
-        | exception _ -> None)
-
-  let candidate_ok (s : session) (rhs : instr list) : bool =
-    match prepare rhs with
-    | exception Invalid_argument _ -> false
-    | cf -> (
-        let check (v, fl, expect) =
-          match
-            exec s.h ~regs:s.regs ~slots:s.slots cf v fl;
-            matches s.h ~slots:s.slots expect
-          with
-          | ok -> ok
-          | exception _ -> false
-        in
-        List.for_all check s.screen
-        &&
-        match Lazy.force s.full with
-        | cases -> List.for_all check cases
-        | exception _ -> false)
-
-  let verify_rule h (lhs : instr list) (rhs : instr list) : bool =
-    match session h ~inputs:(lhs @ rhs) lhs with
-    | Some s -> candidate_ok s rhs
-    | None -> false
-end
+end)

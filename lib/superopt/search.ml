@@ -8,13 +8,15 @@
         function (skipping windows that a branch targets mid-window or
         that contain non-rewritable instructions), canonicalize frame
         slots, and keep the most frequent canonical windows;
-     2. candidates — for each window, enumerate cheaper replacements
-        from the window's own vocabulary: every proper subsequence
-        (deletions), every single instruction form, and every
-        one-position substitution by a cheaper form;
-     3. verify — screen each candidate on a handful of vectors, then
-        run the full boundary-cross + random oracle set ([Oracle]);
-        the first verified candidate in (cost, structural) order wins,
+     2. generate + screen — for each window, enumerate cheaper
+        replacements from the window's own vocabulary (every proper
+        subsequence, every single instruction form, and every
+        one-position substitution by a cheaper form) and run each on
+        the oracle's 6 screen vectors as it is generated; almost none
+        survive;
+     3. sort survivors, then full — order the survivors by (cost,
+        structure) and run the full boundary-cross + random oracle set
+        ([Oracle]) on them in that order; the first that passes wins,
         so the chosen right-hand side is minimal and deterministic.
 
    Everything is deterministic: sorted traversal orders, seeded
@@ -33,18 +35,6 @@ let log2_64 v =
   end
   else None
 
-(* all proper subsequences (order-preserving), including the empty one *)
-let proper_subsequences w =
-  let rec go = function
-    | [] -> [ [] ]
-    | x :: rest ->
-        let subs = go rest in
-        List.map (fun s -> x :: s) subs @ subs
-  in
-  List.filter (fun s -> s <> w) (go w)
-
-let dedup_sorted l = List.sort_uniq compare l
-
 (* immediates derivable from a window's own constants: the constants
    themselves, their pairwise folds, and log2 of powers of two (for
    strength reduction) *)
@@ -58,8 +48,144 @@ let derive_imms imms =
       imms
   in
   let logs = List.filter_map (fun v -> Option.map Int64.of_int (log2_64 v)) imms in
-  let all = dedup_sorted (imms @ folds @ logs) in
+  let all = List.sort_uniq compare (imms @ folds @ logs) in
   if List.length all > 24 then List.filteri (fun k _ -> k < 24) all else all
+
+(* ---------- shared by both targets ---------- *)
+
+(* Canonical window -> occurrence count over [codes] (the functions'
+   code arrays, in a fixed order), most frequent first, then in
+   structural order. A window qualifies when all its instructions are
+   [admissible] and no branch targets it mid-window. [Hashtbl.replace]
+   keeps each window's last occurrence as the key, and that value is
+   what a rule's left-hand side marshals. *)
+let harvest ~admissible ~jump_targets ~canon (codes : 'i array list)
+    ~max_len ~max_windows =
+  let tbl = Hashtbl.create 256 in
+  List.iter
+    (fun code ->
+      let targets = jump_targets code in
+      let n = Array.length code in
+      for i = 0 to n - 1 do
+        for len = 1 to max_len do
+          if i + len <= n then begin
+            let ok = ref true in
+            for j = i to i + len - 1 do
+              if not (admissible code.(j)) then ok := false
+            done;
+            for j = i + 1 to i + len - 1 do
+              if targets.(j) then ok := false
+            done;
+            if !ok then begin
+              let cw = canon (Array.to_list (Array.sub code i len)) in
+              let cur = try Hashtbl.find tbl cw with Not_found -> 0 in
+              Hashtbl.replace tbl cw (cur + 1)
+            end
+          end
+        done
+      done)
+    codes;
+  let items = Hashtbl.fold (fun w c acc -> (w, c) :: acc) tbl [] in
+  let items =
+    List.sort
+      (fun (w1, c1) (w2, c2) ->
+        if c1 <> c2 then compare c2 c1 else compare w1 w2)
+      items
+  in
+  List.filteri (fun k _ -> k < max_windows) (List.map fst items)
+
+(* the code arrays of a compiled module's functions, in name order *)
+let codes_by_name funcs code =
+  List.sort compare (Hashtbl.fold (fun n _ acc -> n :: acc) funcs [])
+  |> List.map (fun name -> code (Hashtbl.find funcs name))
+
+(* Is position [p] the first of a three-element run that
+   [List.sort_uniq] sorts directly, in a list of [len] elements? It
+   halves a list (the first half holding [len asr 1] elements) down to
+   runs of two or three. *)
+let rec first_of_triple len p =
+  if len <= 2 then false
+  else if len = 3 then p = 0
+  else
+    let h = len asr 1 in
+    if p < h then first_of_triple h p else first_of_triple (len - h) (p - h)
+
+(* The cheapest replacement for window [w] that the oracle certifies.
+
+   Candidates are every proper subsequence of [w], every single form,
+   and every substitution of one instruction by a cheaper form, kept if
+   cheaper than [w]. Each is run on the [screen] as it is generated;
+   only the few survivors are sorted by (cost, structure), and the
+   first of them to pass [full] wins. Since the oracle accepts exactly
+   the candidates passing both, this is the first accepted candidate of
+   the whole sorted list, without building or sorting the rest.
+   [forms] must not repeat a form.
+
+   Table bytes come from [Marshal], which records physical sharing, so
+   the winner must also be the same value, not just an equal one. Two
+   equal candidates are physically different only when one is a
+   subsequence (built from the window's own instructions, which may
+   repeat). Sorting the whole candidate list with [List.sort_uniq], as
+   this search used to, kept the first subsequence equal to the winner —
+   or the next one, when both open one of its three-element runs. The
+   winner is mapped back the same way: [generated] is that list's
+   length, [subs] its subsequence prefix. *)
+let best_rewrite ~cycles_of ~forms ~screen ~full (w : 'i list) :
+    'i list option =
+  let wa = Array.of_list w in
+  let n = Array.length wa in
+  let cyc = Array.map cycles_of wa in
+  let before = Array.fold_left ( + ) 0 cyc in
+  let generated = ref 0 and survivors = ref [] in
+  let consider cost code =
+    incr generated;
+    if screen code then survivors := (cost, Array.to_list code) :: !survivors
+  in
+  (* subsequences, those keeping [wa.(0)] first, recursively: bit
+     [n - 1 - j] of [mask] keeps [wa.(j)] *)
+  let subs = ref [] in
+  for mask = (1 lsl n) - 2 downto 0 do
+    let sub = List.filteri (fun j _ -> mask land (1 lsl (n - 1 - j)) <> 0) w in
+    let cost = List.fold_left (fun a i -> a + cycles_of i) 0 sub in
+    if cost < before then begin
+      subs := sub :: !subs;
+      consider cost (Array.of_list sub)
+    end
+  done;
+  let subs = Array.of_list (List.rev !subs) in
+  (* a list, not an array: a few hundred forms would make an array
+     too big for the minor heap, and a search allocates thousands *)
+  let forms = List.map (fun f -> (f, cycles_of f)) forms in
+  List.iter (fun (f, cf) -> if cf < before then consider cf [| f |]) forms;
+  let code = Array.copy wa in
+  for i = 0 to n - 1 do
+    List.iter
+      (fun (f, cf) ->
+        if cf < cyc.(i) then begin
+          code.(i) <- f;
+          consider (before - cyc.(i) + cf) code
+        end)
+      forms;
+    code.(i) <- wa.(i)
+  done;
+  let ranked = List.sort_uniq compare (List.rev !survivors) in
+  match List.find_opt (fun (_, c) -> full (Array.of_list c)) ranked with
+  | None -> None
+  | Some (_, c) -> (
+      let rec first p =
+        if p >= Array.length subs then None
+        else if subs.(p) = c then Some p
+        else first (p + 1)
+      in
+      match first 0 with
+      | None -> Some c
+      | Some p ->
+          if
+            p + 1 < Array.length subs
+            && subs.(p + 1) = c
+            && first_of_triple !generated p
+          then Some subs.(p + 1)
+          else Some subs.(p))
 
 (* ---------- X86-lite ---------- *)
 
@@ -98,54 +224,6 @@ module X86s = struct
         | _ -> ())
       code;
     t
-
-  (* canonical window -> occurrence count, most frequent first *)
-  let harvest (cms : Compile.cmodule list) ~max_len ~max_windows =
-    let tbl = Hashtbl.create 256 in
-    List.iter
-      (fun (cm : Compile.cmodule) ->
-        let names =
-          List.sort compare
-            (Hashtbl.fold (fun n _ acc -> n :: acc) cm.Compile.funcs [])
-        in
-        List.iter
-          (fun name ->
-            let cf = Hashtbl.find cm.Compile.funcs name in
-            let code = cf.Compile.code in
-            let targets = jump_targets code in
-            let n = Array.length code in
-            for i = 0 to n - 1 do
-              for len = 1 to max_len do
-                if i + len <= n then begin
-                  let ok = ref true in
-                  for j = i to i + len - 1 do
-                    if not (admissible code.(j)) then ok := false
-                  done;
-                  for j = i + 1 to i + len - 1 do
-                    if targets.(j) then ok := false
-                  done;
-                  if !ok then begin
-                    let w = Array.to_list (Array.sub code i len) in
-                    match Compile.canon_window w with
-                    | cw, _ ->
-                        let cur =
-                          try Hashtbl.find tbl cw with Not_found -> 0
-                        in
-                        Hashtbl.replace tbl cw (cur + 1)
-                  end
-                end
-              done
-            done)
-          names)
-      cms;
-    let items = Hashtbl.fold (fun w c acc -> (w, c) :: acc) tbl [] in
-    let items =
-      List.sort
-        (fun (w1, c1) (w2, c2) ->
-          if c1 <> c2 then compare c2 c1 else compare w1 w2)
-        items
-    in
-    List.filteri (fun k _ -> k < max_windows) (List.map fst items)
 
   (* vocabulary of one concrete window *)
   let vocab (w : instr list) =
@@ -188,7 +266,7 @@ module X86s = struct
     (!regs, !mems, !imms, !wss, !aluops, !ccs)
 
   (* every single-instruction form expressible in the window's own
-     vocabulary (sorted, deduplicated) *)
+     vocabulary, each once *)
   let forms (w : instr list) : instr list =
     let regs, mems, imms, wss, aluops, ccs = vocab w in
     let imms_all = derive_imms imms in
@@ -252,37 +330,7 @@ module X86s = struct
     List.iter
       (fun cc -> List.iter (fun r -> push (Setcc (cc, r))) regs)
       ccs;
-    dedup_sorted !out
-
-  let wcycles = Compile.window_cycles
-
-  (* cheaper candidates in (cost, structural) order *)
-  let candidates (w : instr list) : instr list list =
-    let before = wcycles w in
-    let fs = forms w in
-    let subs = proper_subsequences w in
-    let singles = List.map (fun f -> [ f ]) fs in
-    let substs =
-      List.concat
-        (List.mapi
-           (fun i elem ->
-             let c = cycles_of elem in
-             List.filter_map
-               (fun f ->
-                 if f <> elem && cycles_of f < c then
-                   Some (List.mapi (fun j e -> if j = i then f else e) w)
-                 else None)
-               fs)
-           w)
-    in
-    (* decorate with the cost once; pairs sort by cost, then structure *)
-    List.filter_map
-      (fun c ->
-        let cost = wcycles c in
-        if cost < before && c <> w then Some (cost, c) else None)
-      (subs @ singles @ substs)
-    |> List.sort_uniq compare
-    |> List.map snd
+    !out
 
   let nvars_of (cw : instr list) =
     let n = ref 0 in
@@ -359,53 +407,6 @@ module Sparcs = struct
       code;
     t
 
-  let harvest (cms : Compile.cmodule list) ~max_len ~max_windows =
-    let tbl = Hashtbl.create 256 in
-    List.iter
-      (fun (cm : Compile.cmodule) ->
-        let names =
-          List.sort compare
-            (Hashtbl.fold (fun n _ acc -> n :: acc) cm.Compile.funcs [])
-        in
-        List.iter
-          (fun name ->
-            let cf = Hashtbl.find cm.Compile.funcs name in
-            let code = cf.Compile.code in
-            let targets = jump_targets code in
-            let n = Array.length code in
-            for i = 0 to n - 1 do
-              for len = 1 to max_len do
-                if i + len <= n then begin
-                  let ok = ref true in
-                  for j = i to i + len - 1 do
-                    if not (admissible code.(j)) then ok := false
-                  done;
-                  for j = i + 1 to i + len - 1 do
-                    if targets.(j) then ok := false
-                  done;
-                  if !ok then begin
-                    let w = Array.to_list (Array.sub code i len) in
-                    match Compile.canon_window w with
-                    | cw, _ ->
-                        let cur =
-                          try Hashtbl.find tbl cw with Not_found -> 0
-                        in
-                        Hashtbl.replace tbl cw (cur + 1)
-                  end
-                end
-              done
-            done)
-          names)
-      cms;
-    let items = Hashtbl.fold (fun w c acc -> (w, c) :: acc) tbl [] in
-    let items =
-      List.sort
-        (fun (w1, c1) (w2, c2) ->
-          if c1 <> c2 then compare c2 c1 else compare w1 w2)
-        items
-    in
-    List.filteri (fun k _ -> k < max_windows) (List.map fst items)
-
   let vocab (w : instr list) =
     let regs = ref [] and disps = ref [] and imms = ref [] in
     let wss = ref [] and aluops = ref [] and ccs = ref [] in
@@ -467,7 +468,7 @@ module Sparcs = struct
                 List.iter
                   (fun rs1 ->
                     List.iter (fun o -> push (Alu3 (op, w_, s_, rd, rs1, o))) opnds)
-                  (0 :: regs))
+                  (0 :: List.filter (fun r -> r <> 0) regs))
               regs)
           wss)
       (List.sort_uniq compare aluops)
@@ -487,36 +488,7 @@ module Sparcs = struct
     List.iter
       (fun cc -> List.iter (fun rd -> push (Movcc (cc, rd))) regs)
       ccs;
-    dedup_sorted !out
-
-  let wcycles = Compile.window_cycles
-
-  let candidates (w : instr list) : instr list list =
-    let before = wcycles w in
-    let fs = forms w in
-    let subs = proper_subsequences w in
-    let singles = List.map (fun f -> [ f ]) fs in
-    let substs =
-      List.concat
-        (List.mapi
-           (fun i elem ->
-             let c = cycles_of elem in
-             List.filter_map
-               (fun f ->
-                 if f <> elem && cycles_of f < c then
-                   Some (List.mapi (fun j e -> if j = i then f else e) w)
-                 else None)
-               fs)
-           w)
-    in
-    (* decorate with the cost once; pairs sort by cost, then structure *)
-    List.filter_map
-      (fun c ->
-        let cost = wcycles c in
-        if cost < before && c <> w then Some (cost, c) else None)
-      (subs @ singles @ substs)
-    |> List.sort_uniq compare
-    |> List.map snd
+    !out
 
   let nvars_of (cw : instr list) =
     let n = ref 0 in
@@ -552,69 +524,82 @@ end
 
 let default_max_windows = 512
 
+(* One target's rules for canonical [windows]: each window is
+   instantiated on the frame slots [frame_vars] gives it, [session]
+   opens the oracle on it (the screen and full checks, or [None] when
+   the window itself is not checkable), and a winner is mapped back to
+   slot variables. *)
+let learn_rules ~frame_vars ~nvars_of ~concretize ~session ~forms ~cycles_of
+    ~recanon windows =
+  let cost = List.fold_left (fun a i -> a + cycles_of i) 0 in
+  List.filter_map
+    (fun cw ->
+      let vars = frame_vars (nvars_of cw) in
+      let lhs_c = concretize vars cw in
+      match session lhs_c with
+      | None -> None
+      | Some (screen, full) ->
+          best_rewrite ~cycles_of ~forms:(forms lhs_c) ~screen ~full lhs_c
+          |> Option.map (fun rhs_c ->
+                 {
+                   Table.lhs = cw;
+                   rhs = recanon vars rhs_c;
+                   saved = cost lhs_c - cost rhs_c;
+                 }))
+    windows
+
+let x86_vars nvars = Array.init nvars (fun k -> -8 * (k + 1))
+let sparc_vars nvars = Array.init nvars (fun k -> -24 - (8 * k))
+
 let learn_x86 ?(max_windows = default_max_windows) (mods : Ir.modl list) :
     Table.t =
   let open X86lite in
-  let cms = List.map (fun m -> Compile.compile_module m) mods in
-  let windows = X86s.harvest cms ~max_len:4 ~max_windows in
-  let h = Oracle.X86.make () in
-  let rules =
-    List.filter_map
-      (fun cw ->
-        let nvars = X86s.nvars_of cw in
-        let vars = Array.init nvars (fun k -> -8 * (k + 1)) in
-        let lhs_c = Compile.concretize vars cw in
-        match Oracle.X86.session h ~inputs:lhs_c lhs_c with
-        | None -> None
-        | Some s -> (
-            let cands = X86s.candidates lhs_c in
-            match List.find_opt (fun c -> Oracle.X86.candidate_ok s c) cands with
-            | Some rhs_c ->
-                Some
-                  {
-                    Table.lhs = cw;
-                    rhs = X86s.recanon vars rhs_c;
-                    saved =
-                      Compile.window_cycles lhs_c
-                      - Compile.window_cycles rhs_c;
-                  }
-            | None -> None))
-      windows
+  let codes =
+    List.concat_map
+      (fun m ->
+        codes_by_name (Compile.compile_module m).Compile.funcs (fun cf ->
+            cf.Compile.code))
+      mods
   in
-  Table.x86 rules
+  let windows =
+    harvest ~admissible:X86s.admissible ~jump_targets:X86s.jump_targets
+      ~canon:(fun w -> fst (Compile.canon_window w))
+      codes ~max_len:4 ~max_windows
+  in
+  let h = Oracle.X86.make () in
+  let session lhs =
+    Oracle.X86.session h ~inputs:lhs lhs
+    |> Option.map (fun s -> (Oracle.X86.screen_ok s, Oracle.X86.full_ok s))
+  in
+  Table.x86
+    (learn_rules ~frame_vars:x86_vars ~nvars_of:X86s.nvars_of
+       ~concretize:Compile.concretize ~session ~forms:X86s.forms
+       ~cycles_of:X86.cycles_of ~recanon:X86s.recanon windows)
 
 let learn_sparc ?(max_windows = default_max_windows) (mods : Ir.modl list) :
     Table.t =
   let open Sparclite in
-  let cms = List.map (fun m -> Compile.compile_module m) mods in
-  let windows = Sparcs.harvest cms ~max_len:4 ~max_windows in
-  let h = Oracle.Sparc.make () in
-  let rules =
-    List.filter_map
-      (fun cw ->
-        let nvars = Sparcs.nvars_of cw in
-        let vars = Array.init nvars (fun k -> -24 - (8 * k)) in
-        let lhs_c = Compile.concretize vars cw in
-        match Oracle.Sparc.session h ~inputs:lhs_c lhs_c with
-        | None -> None
-        | Some s -> (
-            let cands = Sparcs.candidates lhs_c in
-            match
-              List.find_opt (fun c -> Oracle.Sparc.candidate_ok s c) cands
-            with
-            | Some rhs_c ->
-                Some
-                  {
-                    Table.lhs = cw;
-                    rhs = Sparcs.recanon vars rhs_c;
-                    saved =
-                      Compile.window_cycles lhs_c
-                      - Compile.window_cycles rhs_c;
-                  }
-            | None -> None))
-      windows
+  let codes =
+    List.concat_map
+      (fun m ->
+        codes_by_name (Compile.compile_module m).Compile.funcs (fun cf ->
+            cf.Compile.code))
+      mods
   in
-  Table.sparc rules
+  let windows =
+    harvest ~admissible:Sparcs.admissible ~jump_targets:Sparcs.jump_targets
+      ~canon:(fun w -> fst (Compile.canon_window w))
+      codes ~max_len:4 ~max_windows
+  in
+  let h = Oracle.Sparc.make () in
+  let session lhs =
+    Oracle.Sparc.session h ~inputs:lhs lhs
+    |> Option.map (fun s -> (Oracle.Sparc.screen_ok s, Oracle.Sparc.full_ok s))
+  in
+  Table.sparc
+    (learn_rules ~frame_vars:sparc_vars ~nvars_of:Sparcs.nvars_of
+       ~concretize:Compile.concretize ~session ~forms:Sparcs.forms
+       ~cycles_of:Sparc.cycles_of ~recanon:Sparcs.recanon windows)
 
 let learn ~(target : string) ?max_windows (mods : Ir.modl list) : Table.t =
   match target with
@@ -626,38 +611,26 @@ let learn ~(target : string) ?max_windows (mods : Ir.modl list) : Table.t =
    that no longer verifies under the current simulators must not ship).
    Returns the indices of failing rules. *)
 let reverify (t : Table.t) : int list =
-  let bad = ref [] in
-  (match t.Table.rules with
+  let failing ~frame_vars ~nvars_of ~concretize ~verify rs =
+    List.concat
+      (List.mapi
+         (fun k (r : _ Table.rule) ->
+           let vars = frame_vars (nvars_of r.Table.lhs) in
+           match
+             verify (concretize vars r.Table.lhs) (concretize vars r.Table.rhs)
+           with
+           | true -> []
+           | false | (exception _) -> [ k ])
+         rs)
+  in
+  match t.Table.rules with
   | Table.X86_rules rs ->
-      let h = Oracle.X86.make () in
-      List.iteri
-        (fun k (r : _ Table.rule) ->
-          let nvars = X86s.nvars_of r.Table.lhs in
-          let vars = Array.init nvars (fun i -> -8 * (i + 1)) in
-          let ok =
-            match
-              ( X86lite.Compile.concretize vars r.Table.lhs,
-                X86lite.Compile.concretize vars r.Table.rhs )
-            with
-            | lhs_c, rhs_c -> Oracle.X86.verify_rule h lhs_c rhs_c
-            | exception _ -> false
-          in
-          if not ok then bad := k :: !bad)
+      failing ~frame_vars:x86_vars ~nvars_of:X86s.nvars_of
+        ~concretize:X86lite.Compile.concretize
+        ~verify:(Oracle.X86.verify_rule (Oracle.X86.make ()))
         rs
   | Table.Sparc_rules rs ->
-      let h = Oracle.Sparc.make () in
-      List.iteri
-        (fun k (r : _ Table.rule) ->
-          let nvars = Sparcs.nvars_of r.Table.lhs in
-          let vars = Array.init nvars (fun i -> -24 - (8 * i)) in
-          let ok =
-            match
-              ( Sparclite.Compile.concretize vars r.Table.lhs,
-                Sparclite.Compile.concretize vars r.Table.rhs )
-            with
-            | lhs_c, rhs_c -> Oracle.Sparc.verify_rule h lhs_c rhs_c
-            | exception _ -> false
-          in
-          if not ok then bad := k :: !bad)
-        rs);
-  List.rev !bad
+      failing ~frame_vars:sparc_vars ~nvars_of:Sparcs.nvars_of
+        ~concretize:Sparclite.Compile.concretize
+        ~verify:(Oracle.Sparc.verify_rule (Oracle.Sparc.make ()))
+        rs

@@ -75,6 +75,11 @@ let validate t =
   | X86_rules rs -> check "x86lite" X86lite.X86.cycles_of rs
   | Sparc_rules rs -> check "sparclite" Sparclite.Sparc.cycles_of rs
 
+(* The payload is [Marshal]'s, which records physical sharing: equal
+   tables whose values are shared differently serialize to different
+   bytes. These bytes feed [fingerprint], the native cache entry names
+   and the [#peep#] cache entry, so a search must reproduce how its
+   rules share values, not only the rules (see [Search.best_rewrite]). *)
 let to_string (t : t) : string =
   validate t;
   magic ^ Marshal.to_string t []

@@ -563,30 +563,16 @@ let invert_branches (code : instr array) =
 (* Remove jumps to the immediately following instruction (fall-through),
    remapping all label targets; block layout thus affects both code size
    and cycle counts, which the LLEE trace optimizer exploits. *)
-let rec relax (code : instr array) =
-  let n = Array.length code in
-  let rec find k =
-    if k >= n then None
-    else
-      match code.(k) with
-      | Jmp l when l = k + 1 -> Some k
-      | _ -> find (k + 1)
-  in
-  match find 0 with
-  | None -> code
-  | Some k ->
-      let adjust l = if l > k then l - 1 else l in
-      let out =
-        Array.init (n - 1) (fun j ->
-            let i = if j < k then code.(j) else code.(j + 1) in
-            match i with
-            | Jmp l -> Jmp (adjust l)
-            | Jcc (cc, l) -> Jcc (cc, adjust l)
-            | CallSymI (s, l) -> CallSymI (s, adjust l)
-            | CallIndI (o, l) -> CallIndI (o, adjust l)
-            | other -> other)
-      in
-      relax out
+let relax (code : instr array) =
+  Codegen.Relax.relax
+    ~fallthrough:(fun k -> function Jmp l -> l = k + 1 | _ -> false)
+    ~retarget:(fun f -> function
+      | Jmp l -> Jmp (f l)
+      | Jcc (cc, l) -> Jcc (cc, f l)
+      | CallSymI (s, l) -> CallSymI (s, f l)
+      | CallIndI (o, l) -> CallIndI (o, f l)
+      | other -> other)
+    code
 
 (* ---------- learned peephole rewriting ----------
 

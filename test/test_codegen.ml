@@ -199,6 +199,52 @@ out:
   let scode, _ = Sparclite.Sim.run_main sparc in
   check_int "sparc swap" (fst reference) scode
 
+(* [Relax.relax] against the one-jump-per-rescan removal it replaced,
+   on random code: [J l] jumps to [l], [B l] branches, [O] is anything
+   else. Results must be equal, and share values the same way. *)
+type rinstr = J of int | B of int | O of int
+
+let rec relax_one_at_a_time code =
+  let n = Array.length code in
+  let rec find k =
+    if k >= n then None
+    else match code.(k) with J l when l = k + 1 -> Some k | _ -> find (k + 1)
+  in
+  match find 0 with
+  | None -> code
+  | Some k ->
+      let adjust l = if l > k then l - 1 else l in
+      relax_one_at_a_time
+        (Array.init (n - 1) (fun j ->
+             match if j < k then code.(j) else code.(j + 1) with
+             | J l -> J (adjust l)
+             | B l -> B (adjust l)
+             | other -> other))
+
+let prop_relax_matches_rescan =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 40 >>= fun n ->
+      array_repeat n
+        (frequency
+           [
+             (3, map (fun d -> J d) (int_range 0 (n + 1)));
+             (2, map (fun d -> B d) (int_range 0 (n + 1)));
+             (2, map (fun v -> O v) small_nat);
+           ]))
+  in
+  QCheck.Test.make ~name:"relax matches one removal per rescan" ~count:500
+    (QCheck.make gen) (fun code ->
+      let linear =
+        Codegen.Relax.relax
+          ~fallthrough:(fun k -> function J l -> l = k + 1 | _ -> false)
+          ~retarget:(fun f -> function
+            | J l -> J (f l) | B l -> B (f l) | other -> other)
+          (Array.copy code)
+      in
+      let old = relax_one_at_a_time (Array.copy code) in
+      Marshal.to_string linear [] = Marshal.to_string old [])
+
 let suite =
   [
     Alcotest.test_case "intervals" `Quick test_intervals;
@@ -208,4 +254,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_linear_scan_sound;
     Alcotest.test_case "phi plan" `Quick test_phi_plan;
     Alcotest.test_case "phi swap problem" `Quick test_phi_swap_problem;
+    QCheck_alcotest.to_alcotest prop_relax_matches_rescan;
   ]

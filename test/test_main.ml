@@ -19,4 +19,5 @@ let () =
       ("lint", Test_lint.suite);
       ("ranges", Test_ranges.suite);
       ("tv", Test_tv.suite);
+      ("superopt", Test_superopt.suite);
     ]
