@@ -649,6 +649,44 @@ let run_portability () =
 (* Bechamel micro-benchmarks                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Simulator throughput: all 17 workloads at -O1, compiled once per
+   target without a peephole table, then run twice with [Sim.run_main],
+   each run on a freshly loaded memory image. Guest instructions per
+   second of wall-clock time, image load included. *)
+let run_sims () =
+  section "Native simulator throughput (17 workloads, -O1, no table)";
+  let mods = List.map (Workloads.compile_optimized ~level:1) Workloads.all in
+  let measure name (runs : (unit -> int) list) =
+    let instrs = ref 0 and secs = ref 0.0 in
+    for pass = 1 to 2 do
+      let t0 = Unix.gettimeofday () in
+      let n = List.fold_left (fun acc run -> acc + run ()) 0 runs in
+      let dt = Unix.gettimeofday () -. t0 in
+      Printf.printf "%-9s pass %d: %11d guest instrs, %6.2f s, %5.1f MIPS\n%!"
+        name pass n dt (float_of_int n /. dt /. 1e6);
+      instrs := !instrs + n;
+      secs := !secs +. dt
+    done;
+    Printf.printf "%-9s both:   %11d guest instrs, %6.2f s, %5.1f MIPS\n%!"
+      name !instrs !secs (float_of_int !instrs /. !secs /. 1e6)
+  in
+  measure "x86lite"
+    (List.map
+       (fun m ->
+         let c = X86lite.Compile.compile_module m in
+         fun () ->
+           let c = { c with X86lite.Compile.image = Vmem.Image.load m } in
+           (snd (X86lite.Sim.run_main c)).X86lite.Sim.icount)
+       mods);
+  measure "sparclite"
+    (List.map
+       (fun m ->
+         let c = Sparclite.Compile.compile_module m in
+         fun () ->
+           let c = { c with Sparclite.Compile.image = Vmem.Image.load m } in
+           (snd (Sparclite.Sim.run_main c)).Sparclite.Sim.icount)
+       mods)
+
 let run_micro () =
   section "Micro-benchmarks: translator pipeline stages (bechamel, OLS)";
   let open Bechamel in
@@ -723,6 +761,7 @@ let () =
   | "ablation" -> run_ablation ()
   | "portability" -> run_portability ()
   | "micro" -> run_micro ()
+  | "sims" -> run_sims ()
   | "all" ->
       ignore (run_table2 ());
       run_fig2 ();
@@ -730,11 +769,12 @@ let () =
       run_trace ();
       run_ablation ();
       run_portability ();
+      run_sims ();
       run_micro ()
   | other ->
       Printf.eprintf
         "unknown benchmark %S (try: table2 fig2 llee memtp trace ablation \
-         portability micro all; add --json for BENCH_llee.json)\n"
+         portability sims micro all; add --json for BENCH_llee.json)\n"
         other;
       exit 1);
   print_newline ()

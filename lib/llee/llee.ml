@@ -599,7 +599,7 @@ let run_x86 ?blocked t ?fuel () =
   let outcome =
     Outcome.protect
       ~engine:("llee-" ^ target_name t.target)
-      ~current:(fun () -> st.X86lite.Sim.cur.X86lite.Compile.cf_name)
+      ~current:(fun () -> X86lite.Sim.current st)
       (fun () ->
         Int64.to_int
           (Ir.normalize_int Types.Int (X86lite.Sim.call_function st "main" [])))
@@ -635,7 +635,7 @@ let run_sparc ?blocked t ?fuel () =
   let outcome =
     Outcome.protect
       ~engine:("llee-" ^ target_name t.target)
-      ~current:(fun () -> st.Sparclite.Sim.cur.Sparclite.Compile.cf_name)
+      ~current:(fun () -> Sparclite.Sim.current st)
       (fun () ->
         Int64.to_int
           (Ir.normalize_int Types.Int

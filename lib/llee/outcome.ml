@@ -118,7 +118,7 @@ let run_main_x86 ?fuel cmod =
   X86lite.Sim.init_stack st;
   let o =
     protect ~engine:"x86lite"
-      ~current:(fun () -> st.X86lite.Sim.cur.X86lite.Compile.cf_name)
+      ~current:(fun () -> X86lite.Sim.current st)
       (fun () ->
         Int64.to_int
           (Ir.normalize_int Types.Int (X86lite.Sim.call_function st "main" [])))
@@ -130,7 +130,7 @@ let run_main_sparc ?fuel cmod =
   Sparclite.Sim.init_stack st;
   let o =
     protect ~engine:"sparclite"
-      ~current:(fun () -> st.Sparclite.Sim.cur.Sparclite.Compile.cf_name)
+      ~current:(fun () -> Sparclite.Sim.current st)
       (fun () ->
         Int64.to_int
           (Ir.normalize_int Types.Int

@@ -374,18 +374,19 @@ let encode_arg = function
   | Eval.P a -> a
   | Eval.Undef _ -> 0L
 
-let run_x86 (cmod : X86lite.Compile.cmodule) env fname args rty extent ~fuel :
-    obs =
-  (* fresh image: compiled code embeds only deterministic addresses, so
-     the code array is shared while memory starts from scratch *)
+(* Fresh image per vector: compiled code embeds only deterministic
+   addresses, so the code and its decoded form ([cache], one per
+   certification) are shared while memory starts from scratch. *)
+let run_x86 ~cache (cmod : X86lite.Compile.cmodule) env fname args rty extent
+    ~fuel : obs =
   let img = Vmem.Image.load cmod.X86lite.Compile.cm in
   let cmod = { cmod with X86lite.Compile.image = img } in
-  let st = X86lite.Sim.create ~fuel cmod in
+  let st = X86lite.Sim.create ~fuel ~cache cmod in
   X86lite.Sim.init_stack st;
   let ret = ref "" and normal = ref false in
   let o =
     Outcome.protect ~engine:"x86lite"
-      ~current:(fun () -> st.X86lite.Sim.cur.X86lite.Compile.cf_name)
+      ~current:(fun () -> X86lite.Sim.current st)
       (fun () ->
         let r = X86lite.Sim.call_function st fname (List.map encode_arg args) in
         ret := render_ret env rty ~raw:r ~f0:st.X86lite.Sim.fregs.(0);
@@ -395,16 +396,16 @@ let run_x86 (cmod : X86lite.Compile.cmodule) env fname args rty extent ~fuel :
   obs_of ~normal:!normal ~ret:!ret o (X86lite.Sim.output st)
     (snapshot_globals st.X86lite.Sim.mem extent)
 
-let run_sparc (cmod : Sparclite.Compile.cmodule) env fname args rty extent
-    ~fuel : obs =
+let run_sparc ~cache (cmod : Sparclite.Compile.cmodule) env fname args rty
+    extent ~fuel : obs =
   let img = Vmem.Image.load cmod.Sparclite.Compile.cm in
   let cmod = { cmod with Sparclite.Compile.image = img } in
-  let st = Sparclite.Sim.create ~fuel cmod in
+  let st = Sparclite.Sim.create ~fuel ~cache cmod in
   Sparclite.Sim.init_stack st;
   let ret = ref "" and normal = ref false in
   let o =
     Outcome.protect ~engine:"sparclite"
-      ~current:(fun () -> st.Sparclite.Sim.cur.Sparclite.Compile.cf_name)
+      ~current:(fun () -> Sparclite.Sim.current st)
       (fun () ->
         let r =
           Sparclite.Sim.call_function st fname (List.map encode_arg args)
@@ -465,9 +466,10 @@ let describe_diff (a : observation) (b : observation) : string =
       (String.length a.out) (String.length b.out)
   else "globals region differs after the run"
 
+(* a translation and the decoded form its vectors share *)
 type compiled =
-  | Cx86 of X86lite.Compile.cmodule
-  | Csparc of Sparclite.Compile.cmodule
+  | Cx86 of X86lite.Compile.cmodule * X86lite.Sim.cache
+  | Csparc of Sparclite.Compile.cmodule * Sparclite.Sim.cache
 
 (* Certify every defined function of [m] against its translation for
    [target] ("x86lite" | "sparclite"). [native] substitutes a different
@@ -480,8 +482,10 @@ let certify_module ?(seed = default_seed) ?(vectors = default_vectors)
   let nm = match native with Some n -> n | None -> m in
   let compiled =
     match target with
-    | "x86lite" -> Cx86 (X86lite.Compile.compile_module nm)
-    | "sparclite" -> Csparc (Sparclite.Compile.compile_module nm)
+    | "x86lite" ->
+        Cx86 (X86lite.Compile.compile_module nm, X86lite.Sim.new_cache ())
+    | "sparclite" ->
+        Csparc (Sparclite.Compile.compile_module nm, Sparclite.Sim.new_cache ())
     | t -> invalid_arg ("Tv.certify_module: unknown target " ^ t)
   in
   let env = Ir.type_env m in
@@ -519,11 +523,11 @@ let certify_module ?(seed = default_seed) ?(vectors = default_vectors)
                       in
                       let nat_obs =
                         match compiled with
-                        | Cx86 c ->
-                            run_x86 c env fname vec rty extent
+                        | Cx86 (c, cache) ->
+                            run_x86 ~cache c env fname vec rty extent
                               ~fuel:native_fuel
-                        | Csparc c ->
-                            run_sparc c env fname vec rty extent
+                        | Csparc (c, cache) ->
+                            run_sparc ~cache c env fname vec rty extent
                               ~fuel:native_fuel
                       in
                       match (ref_obs, nat_obs) with

@@ -21,7 +21,11 @@ let rec resolve_const ty (v : Parser.aval) : Ir.const =
       | Parser.Abool b -> { Ir.cty = ty; ckind = Ir.Cbool b }
       | Parser.Aint x ->
           if Types.is_fp ty then { Ir.cty = ty; ckind = Ir.Cfloat (Int64.to_float x) }
-          else { Ir.cty = ty; ckind = Ir.Cint (Ir.normalize_int ty x) }
+          else (
+            match Ir.normalize_int ty x with
+            | v -> { Ir.cty = ty; ckind = Ir.Cint v }
+            | exception Invalid_argument _ ->
+                fail "integer constant of type %s" (Types.to_string ty))
       | Parser.Afloat x -> { Ir.cty = ty; ckind = Ir.Cfloat x }
       | Parser.Anull -> { Ir.cty = ty; ckind = Ir.Cnull }
       | Parser.Azero -> { Ir.cty = ty; ckind = Ir.Czero }
@@ -65,13 +69,20 @@ let resolve_value ctx ty (v : Parser.aval) : Ir.value =
   | Parser.Vundef -> Ir.Vundef ty
   | Parser.Vconst _ -> Ir.Const (resolve_const ty v)
 
+(* What a pointer-typed operand points to; any other type is a
+   resolution error. *)
+let pointee ctx ty =
+  match Types.resolve ctx.env ty with
+  | Types.Pointer t -> t
+  | t -> fail "expected a pointer, got %s" (Types.to_string t)
+
 (* Result type of a GEP from the AST: struct indexes must be integer
    literals. *)
 let gep_type ctx parts =
   match parts with
   | [] -> fail "getelementptr needs a pointer operand"
   | (pty, _) :: indexes ->
-      let elem = Types.pointee ctx.env pty in
+      let elem = pointee ctx pty in
       let rec walk ty = function
         | [] -> Types.Pointer ty
         | (_, idx) :: rest -> (
@@ -104,7 +115,7 @@ let body_result_type ctx (body : Parser.abody) =
   match body with
   | Parser.Ibinop (_, ty, _, _) -> ty
   | Parser.Isetcc _ -> Types.Bool
-  | Parser.Iload (pty, _) -> Types.pointee ctx.env pty
+  | Parser.Iload (pty, _) -> pointee ctx pty
   | Parser.Igep parts -> gep_type ctx parts
   | Parser.Ialloca (elem, _) -> Types.Pointer elem
   | Parser.Icast (_, dst) -> dst

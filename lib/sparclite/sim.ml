@@ -1,9 +1,18 @@
 (* Cycle-counting simulator for SPARC-lite native code; the RISC
    counterpart of [X86lite.Sim], sharing the memory, runtime, exception
-   and SMC model, and the same allocation-free step loop. The inline
-   helpers below mirror X86lite.Sim's: they must stay inside this module
-   to be inlined (libraries are compiled without cross-module inlining),
-   and the two ISAs' width and condition-code types differ. *)
+   and SMC model, the same decoded form and the same allocation-free run
+   loop. Each function is decoded once, on first entry, into one closure
+   per instruction (operands, ALU op, width and displacement resolved)
+   and its constant cycle costs; [exec] is the one semantic definition
+   the closures specialize. Decoded functions are cached per state (or
+   per shared [cache]) by name and checked by physical equality on the
+   [Compile.cfunc]; they capture no state and never reach storage. See
+   X86lite.Sim for the full description.
+
+   The inline helpers below mirror X86lite.Sim's: they must stay inside
+   this module to be inlined (libraries are compiled without
+   cross-module inlining), and the two ISAs' width and condition-code
+   types differ. *)
 
 open Llva
 open Sparc
@@ -22,16 +31,54 @@ exception Out_of_fuel
    tests ([flags] / [set_flags]); the simulator keeps them unboxed. *)
 type flags = Fnone | Fint of int64 * int64 | Ffloat of float * float
 
+(* What a state executes: a function, one closure per instruction, and
+   each instruction's cycle cost. *)
+type decoded = { cf : Compile.cfunc; ops : op array; cyc : int array }
+
 (* A suspended caller. An invoke also snapshots the caller's registers:
    unwinding to its handler restores them, as restoring the caller's
    register window would. *)
-type frame = {
-  fr_cf : Compile.cfunc;
+and frame = {
+  fr_code : decoded;
   fr_ret_pc : int;
   fr_except : int; (* invoke handler pc, or -1 *)
   fr_regs : Bytes.t; (* integer registers at the invoke; empty otherwise *)
   fr_fregs : float array;
 }
+
+and state = {
+  cmod : Compile.cmodule;
+  mem : Vmem.Memory.t;
+  big_endian : bool;
+  rt : Vmem.Runtime.t;
+  regs : Bytes.t;
+  fregs : float array; (* 16 *)
+  mutable flag_kind : int;
+  mutable frames : frame list;
+  (* native frames below the current one, counting those suspended under
+     a trap-handler subcall; llva.stack.depth reads [depth + 1] *)
+  mutable depth : int;
+  mutable code : decoded;
+  mutable pc : int;
+  mutable cycles : int;
+  mutable icount : int;
+  limit : int; (* the instruction budget; max_int = unlimited *)
+  mutable trap_handler : string option;
+  mutable privileged : bool;
+  redirects : (string, string) Hashtbl.t;
+  mutable lookup : state -> string -> Compile.cfunc option;
+  cache : cache; (* decoded functions, see [enter] *)
+}
+
+(* an instruction, decoded; the run loop has already counted it and
+   advanced [pc] past it *)
+and op = state -> unit
+
+(* decoded functions by name, valid while [cf] is physically the code
+   a lookup returns *)
+and cache = (string, decoded) Hashtbl.t
+
+let new_cache () : cache = Hashtbl.create 64
 
 (* Register file layout: integer register r at byte 8*r (r0 reads as
    zero), then the two flag operands (for a float compare, their IEEE
@@ -48,34 +95,12 @@ let kind_float = 2
 (* Deeper native call chains are an error, not a host stack overflow. *)
 let max_depth = 50_000
 
-type state = {
-  cmod : Compile.cmodule;
-  mem : Vmem.Memory.t;
-  big_endian : bool;
-  rt : Vmem.Runtime.t;
-  regs : Bytes.t;
-  fregs : float array; (* 16 *)
-  mutable flag_kind : int;
-  mutable frames : frame list;
-  (* native frames below the current one, counting those suspended under
-     a trap-handler subcall; llva.stack.depth reads [depth + 1] *)
-  mutable depth : int;
-  mutable cur : Compile.cfunc;
-  mutable pc : int;
-  mutable cycles : int;
-  mutable icount : int;
-  mutable fuel : int;
-  mutable trap_handler : string option;
-  mutable privileged : bool;
-  redirects : (string, string) Hashtbl.t;
-  mutable lookup : state -> string -> Compile.cfunc option;
-}
-
 let default_lookup st name = Hashtbl.find_opt st.cmod.Compile.funcs name
 
-let create ?(fuel = -1) (cmod : Compile.cmodule) : state =
+let create ?(fuel = -1) ?(cache = new_cache ()) (cmod : Compile.cmodule) :
+    state =
   let mem = cmod.Compile.image.Vmem.Image.mem in
-  let dummy =
+  let none =
     { Compile.cf_name = "<none>"; code = [||]; nargs = 0; frame_slots = 0 }
   in
   {
@@ -88,16 +113,20 @@ let create ?(fuel = -1) (cmod : Compile.cmodule) : state =
     flag_kind = kind_none;
     frames = [];
     depth = 0;
-    cur = dummy;
+    code = { cf = none; ops = [||]; cyc = [||] };
     pc = 0;
     cycles = 0;
     icount = 0;
-    fuel;
+    limit = (if fuel < 0 then max_int else fuel);
     trap_handler = None;
     privileged = false;
     redirects = Hashtbl.create 4;
     lookup = default_lookup;
+    cache;
   }
+
+(* the function executing (or that was executing when a trap fired) *)
+let current st = st.code.cf.Compile.cf_name
 
 let output st = Vmem.Runtime.output st.rt
 
@@ -297,6 +326,27 @@ let cc_holds st cc =
       | Ge | Geu -> x >= y
   else invalid_arg "sparclite sim: branch without flags"
 
+(* A condition code over integer flags, resolved at decode time: the
+   sign-bit flip that turns an unsigned order into a signed one, and
+   whether it holds when a < b, a = b, a > b. [int_cc] is [cc_holds] on
+   integer flags. *)
+let cc_parts = function
+  | Eq -> (0L, false, true, false)
+  | Ne -> (0L, true, false, true)
+  | Lt -> (0L, true, false, false)
+  | Gt -> (0L, false, false, true)
+  | Le -> (0L, true, true, false)
+  | Ge -> (0L, false, true, true)
+  | Ltu -> (Int64.min_int, true, false, false)
+  | Gtu -> (Int64.min_int, false, false, true)
+  | Leu -> (Int64.min_int, true, true, false)
+  | Geu -> (Int64.min_int, false, true, true)
+
+let[@inline] int_cc st flip lt eq gt =
+  let a = Int64.logxor (Bytes.get_int64_ne st.regs flag_a) flip
+  and b = Int64.logxor (Bytes.get_int64_ne st.regs flag_b) flip in
+  if a < b then lt else if Int64.equal a b then eq else gt
+
 (* the function a call to [name] reaches after SMC redirection *)
 let redirected st name =
   if Hashtbl.length st.redirects = 0 then name
@@ -327,17 +377,16 @@ let rec deliver_trap st kind : unit =
 and run_subcall st (cf : Compile.cfunc) (args : int64 list) =
   let saved_regs = Bytes.sub st.regs 0 flag_a in
   let saved_frames = st.frames and saved_depth = st.depth in
-  let saved_cur = st.cur and saved_pc = st.pc in
+  let saved_code = st.code and saved_pc = st.pc in
   List.iteri (fun k v -> wreg st (arg_reg k) v) args;
   st.frames <- [];
   st.depth <- saved_depth + 1;
-  st.cur <- cf;
-  st.pc <- 0;
+  enter st cf;
   (try run_until_empty st with Unwound -> ());
   Bytes.blit saved_regs 0 st.regs 0 flag_a;
   st.frames <- saved_frames;
   st.depth <- saved_depth;
-  st.cur <- saved_cur;
+  st.code <- saved_code;
   st.pc <- saved_pc
 
 and addr_to_name st addr =
@@ -347,27 +396,15 @@ and addr_to_name st addr =
 
 and external_call st name =
   if Llva.Intrinsics.is_intrinsic name then intrinsic_call st name
-  else if Vmem.Runtime.is_known name then begin
-    let nargs =
-      match name with
-      | "memcpy" | "memset" -> 3
-      | "print_nl" | "abort" -> 0
-      | _ -> 1
-    in
-    let args =
-      List.init nargs (fun k ->
-          let raw = rreg st (arg_reg k) in
-          if name = "print_float" then
-            Eval.F (Types.Double, Int64.float_of_bits raw)
-          else Eval.I (Types.Long, raw))
-    in
-    match Vmem.Runtime.call st.rt name args with
+  else if Vmem.Runtime.is_known name then
+    match
+      Vmem.Runtime.call_words st.rt name (fun k -> rreg st (arg_reg k))
+    with
     | Eval.I (_, v) -> wreg st ret v
     | Eval.P a -> wreg st ret a
     | Eval.B b -> wreg st ret (if b then 1L else 0L)
     | Eval.F (_, f) -> st.fregs.(0) <- f
     | Eval.Undef _ -> ()
-  end
   else invalid_arg ("sparclite sim: undefined external " ^ name)
 
 and intrinsic_call st name =
@@ -394,7 +431,7 @@ and do_call st name ~except ~ret_pc =
   | Some cf ->
       st.frames <-
         {
-          fr_cf = st.cur;
+          fr_code = st.code;
           fr_ret_pc = ret_pc;
           fr_except = except;
           fr_regs = (if except >= 0 then Bytes.sub st.regs 0 flag_a else Bytes.empty);
@@ -405,19 +442,30 @@ and do_call st name ~except ~ret_pc =
       if st.depth > max_depth then
         invalid_arg "sparclite sim: call stack overflow";
       wreg st lr 0L (* the link register value is symbolic here *);
-      st.cur <- cf;
-      st.pc <- 0
+      enter st cf
   | None ->
       external_call st name;
       st.pc <- ret_pc
 
-and step st =
-  let i = st.cur.Compile.code.(st.pc) in
-  st.icount <- st.icount + 1;
-  st.cycles <- st.cycles + cycles_of i;
-  if st.fuel >= 0 && st.icount > st.fuel then raise Out_of_fuel;
-  let next = st.pc + 1 in
-  st.pc <- next;
+(* start executing [cf] at its first instruction, decoding it first if
+   this state's cache has no current decoded form of it *)
+and enter st cf =
+  let code =
+    match Hashtbl.find_opt st.cache cf.Compile.cf_name with
+    | Some d when d.cf == cf -> d
+    | _ ->
+        let d = decode cf in
+        Hashtbl.replace st.cache cf.Compile.cf_name d;
+        d
+  in
+  st.code <- code;
+  st.pc <- 0
+
+(* One instruction, with [pc] already past it: the semantics of every
+   SPARC-lite instruction, which the closures of [decode_instr]
+   specialize. *)
+and exec st i =
+  let next = st.pc in
   match i with
   | Alu3 (op, w, s, rd, rs1, o) -> (
       let a = rreg st rs1 and b = read_operand st o in
@@ -470,7 +518,7 @@ and step st =
       | f :: rest ->
           st.frames <- rest;
           st.depth <- st.depth - 1;
-          st.cur <- f.fr_cf;
+          st.code <- f.fr_code;
           st.pc <- f.fr_ret_pc)
   | UnwindS ->
       let rec unwind frames popped =
@@ -481,7 +529,7 @@ and step st =
             if handler >= 0 then begin
                 st.frames <- rest;
                 st.depth <- st.depth - popped;
-                st.cur <- f.fr_cf;
+                st.code <- f.fr_code;
                 st.pc <- handler;
                 Bytes.blit f.fr_regs 0 st.regs 0 flag_a;
                 Array.blit f.fr_fregs 0 st.fregs 0 (Array.length f.fr_fregs)
@@ -543,10 +591,107 @@ and step st =
   | Mvif (fd, r) -> st.fregs.(fd) <- Int64.float_of_bits (rreg st r)
   | TrapS msg -> invalid_arg ("sparclite sim: trap " ^ msg)
 
+(* The closure that executes [i]: [exec st i] with everything that does
+   not depend on the state resolved now. Each arm must agree with [exec]
+   on registers, flags, memory, [pc] and raised exceptions (a QCheck
+   property in the test suite holds them to it). *)
+and decode_instr (i : instr) : op =
+  match i with
+  | Alu3 (op, w, s, rd, rs1, Rs r) -> (
+      match op with
+      | Add -> fun st -> wreg st rd (norm w s (Int64.add (rreg st rs1) (rreg st r)))
+      | Sub -> fun st -> wreg st rd (norm w s (Int64.sub (rreg st rs1) (rreg st r)))
+      | Mul -> fun st -> wreg st rd (norm w s (Int64.mul (rreg st rs1) (rreg st r)))
+      | And -> fun st -> wreg st rd (norm w s (Int64.logand (rreg st rs1) (rreg st r)))
+      | Or -> fun st -> wreg st rd (norm w s (Int64.logor (rreg st rs1) (rreg st r)))
+      | Xor -> fun st -> wreg st rd (norm w s (Int64.logxor (rreg st rs1) (rreg st r)))
+      | Sll -> fun st -> wreg st rd (shift true w s (rreg st rs1) (rreg st r))
+      | Srl -> fun st -> wreg st rd (shift false w false (rreg st rs1) (rreg st r))
+      | Sra -> fun st -> wreg st rd (shift false w s (rreg st rs1) (rreg st r))
+      | Div | Rem -> fun st -> exec st i)
+  | Alu3 (op, w, s, rd, rs1, Imm v) -> (
+      match op with
+      | Add ->
+          fun st -> wreg st rd (norm w s (Int64.add (rreg st rs1) (Int64.of_int v)))
+      | Sub ->
+          fun st -> wreg st rd (norm w s (Int64.sub (rreg st rs1) (Int64.of_int v)))
+      | Mul ->
+          fun st -> wreg st rd (norm w s (Int64.mul (rreg st rs1) (Int64.of_int v)))
+      | And ->
+          fun st -> wreg st rd (norm w s (Int64.logand (rreg st rs1) (Int64.of_int v)))
+      | Or ->
+          fun st -> wreg st rd (norm w s (Int64.logor (rreg st rs1) (Int64.of_int v)))
+      | Xor ->
+          fun st -> wreg st rd (norm w s (Int64.logxor (rreg st rs1) (Int64.of_int v)))
+      | Sll ->
+          fun st -> wreg st rd (shift true w s (rreg st rs1) (Int64.of_int v))
+      | Srl ->
+          fun st -> wreg st rd (shift false w false (rreg st rs1) (Int64.of_int v))
+      | Sra ->
+          fun st -> wreg st rd (shift false w s (rreg st rs1) (Int64.of_int v))
+      | Div | Rem -> fun st -> exec st i)
+  | Sethi (rd, v) -> fun st -> wreg st rd v
+  | Ld (w, s, rd, rs, d) ->
+      fun st ->
+        let addr = Int64.add (rreg st rs) (Int64.of_int d) in
+        if Int64.equal addr 0L then deliver_trap st (Memory_fault 0L);
+        (try wreg st rd (norm w s (load st addr w))
+         with Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a))
+  | St (w, rsrc, rs, d) ->
+      fun st ->
+        let addr = Int64.add (rreg st rs) (Int64.of_int d) in
+        if Int64.equal addr 0L then deliver_trap st (Memory_fault 0L);
+        (try store st addr w (rreg st rsrc)
+         with Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a))
+  | Cmp (w, s, r, Imm v) ->
+      let y = norm w s (Int64.of_int v) in
+      fun st ->
+        set_flag_words st (norm w s (rreg st r)) y;
+        st.flag_kind <- kind_int
+  | Cmp (w, s, r, Rs b) ->
+      fun st ->
+        set_flag_words st (norm w s (rreg st r)) (norm w s (rreg st b));
+        st.flag_kind <- kind_int
+  | Movcc (cc, rd) ->
+      let flip, lt, eq, gt = cc_parts cc in
+      fun st ->
+        let holds =
+          if st.flag_kind = kind_int then int_cc st flip lt eq gt
+          else cc_holds st cc
+        in
+        wreg st rd (if holds then 1L else 0L)
+  | Bcc (cc, l) ->
+      let flip, lt, eq, gt = cc_parts cc in
+      fun st ->
+        if st.flag_kind = kind_int then (if int_cc st flip lt eq gt then st.pc <- l)
+        else if cc_holds st cc then st.pc <- l
+  | Ba l -> fun st -> st.pc <- l
+  | AddSp n ->
+      fun st -> wreg st sp (Int64.add (rreg st sp) (Int64.of_int n))
+  | CallSym name -> fun st -> do_call st name ~except:(-1) ~ret_pc:st.pc
+  | _ -> fun st -> exec st i
+
+and decode (cf : Compile.cfunc) : decoded =
+  {
+    cf;
+    ops = Array.map decode_instr cf.Compile.code;
+    cyc = Array.map cycles_of cf.Compile.code;
+  }
+
+(* Run until the function entered last returns. Counting and charging
+   an instruction precede the budget check, so the instruction that
+   exhausts the fuel is counted but not executed. *)
 and run_until_empty st =
   try
     while true do
-      step st
+      let code = st.code and pc = st.pc in
+      let op = code.ops.(pc) in
+      let n = st.icount + 1 in
+      st.icount <- n;
+      st.cycles <- st.cycles + Array.unsafe_get code.cyc pc;
+      if n > st.limit then raise Out_of_fuel;
+      st.pc <- pc + 1;
+      op st
     done
   with Toplevel_return -> ()
 
@@ -557,8 +702,7 @@ let call_function st name (int_args : int64 list) : int64 =
       List.iteri (fun k v -> wreg st (arg_reg k) v) int_args;
       st.frames <- [];
       st.depth <- 0;
-      st.cur <- cf;
-      st.pc <- 0;
+      enter st cf;
       run_until_empty st;
       rreg st ret
 

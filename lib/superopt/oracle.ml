@@ -12,7 +12,7 @@
    canonical slot variables to real, distinct, 8-aligned BP/FP-relative
    displacements first (lib/{x86lite,sparclite}/compile.ml [concretize]).
    Execution happens against a scratch stack region well below
-   [Vmem.Memory.stack_top]; any fault, trap, runaway or non-straight-line
+   [Vmem.Memory.stack_top]; any fault, trap or non-straight-line
    instruction makes the window unverifiable (the window is skipped when
    it is the left-hand side, the candidate rejected otherwise). *)
 
@@ -92,8 +92,8 @@ let full_vectors ~n =
    stays target-specific: zero the register file, point SP and the frame
    register at the scratch frame below [base], load vector [k] of [vs]
    into the input registers and slot addresses, set flag variant
-   [k mod 6], and run the code until it falls off either end (a window
-   that runs more than 256 steps raises). *)
+   [k mod 6], and run each instruction once, in order (a window is
+   straight-line code). [code] decodes a window once for all vectors. *)
 module type TARGET = sig
   type instr
   type state
@@ -116,7 +116,7 @@ module type TARGET = sig
     vectors -> int -> unit
 end
 
-(* A window is prepared once (code array built, straight-line checked)
+(* A window is prepared once (straight-line checked, then decoded)
    and then run once per test vector on a single reused simulator state.
    An observation is the whole register file — integer registers and
    flag operands — plus the flag kind and the slot contents; a candidate
@@ -331,7 +331,7 @@ module X86 = Make (struct
 
   type nonrec instr = instr
   type state = Sim.state
-  type code = Compile.cfunc
+  type code = Sim.op array
 
   let create () =
     let m = Llva.Ir.mk_module ~name:"superopt-oracle" () in
@@ -342,8 +342,7 @@ module X86 = Make (struct
     | Mov _ | Alu _ | Shift _ | Ext _ | Cmp _ | Setcc _ -> true
     | _ -> false
 
-  let code w =
-    { Compile.cf_name = "#window#"; code = w; nargs = 0; frame_slots = 0 }
+  let code w = Array.map Sim.decode_instr w
 
   (* BP is excluded: it is the frame base the harness owns *)
   let inputs_of (w : instr list) : int list * int list =
@@ -380,7 +379,7 @@ module X86 = Make (struct
       Sim.Fint (5L, 5L, false);
     |]
 
-  let exec st ~base ~regs ~slots (cf : code) vs k =
+  let exec st ~base ~regs ~slots (ops : code) vs k =
     Bytes.fill st.Sim.regs 0 (Bytes.length st.Sim.regs) '\000';
     Sim.set_reg st sp (Int64.sub base 8192L);
     Sim.set_reg st bp base;
@@ -393,14 +392,9 @@ module X86 = Make (struct
         (Bytes.get_int64_ne vs.data (v + (8 * (nr + j))))
     done;
     Sim.set_flags st flag_variants.(k mod 6);
-    st.Sim.cur <- cf;
-    st.Sim.pc <- 0;
-    let len = Array.length cf.Compile.code in
-    let steps = ref 0 in
-    while st.Sim.pc >= 0 && st.Sim.pc < len do
-      if !steps > 256 then invalid_arg "window ran away";
-      incr steps;
-      Sim.step st
+    for pc = 0 to Array.length ops - 1 do
+      st.Sim.pc <- pc + 1;
+      ops.(pc) st
     done
 end)
 
@@ -410,7 +404,7 @@ module Sparc = Make (struct
 
   type nonrec instr = instr
   type state = Sim.state
-  type code = Compile.cfunc
+  type code = Sim.op array
 
   let create () =
     let m = Llva.Ir.mk_module ~name:"superopt-oracle" () in
@@ -422,8 +416,7 @@ module Sparc = Make (struct
     | Alu3 _ | Sethi _ | Ld _ | St _ | Cmp _ | Movcc _ -> true
     | _ -> false
 
-  let code w =
-    { Compile.cf_name = "#window#"; code = w; nargs = 0; frame_slots = 0 }
+  let code w = Array.map Sim.decode_instr w
 
   (* r0 is architecturally zero: never a data input. *)
   let inputs_of (w : instr list) : int list * int list =
@@ -469,7 +462,7 @@ module Sparc = Make (struct
       Sim.Fint (5L, 5L);
     |]
 
-  let exec st ~base ~regs ~slots (cf : code) vs k =
+  let exec st ~base ~regs ~slots (ops : code) vs k =
     Bytes.fill st.Sim.regs 0 (Bytes.length st.Sim.regs) '\000';
     Sim.set_reg st sp (Int64.sub base 8192L);
     Sim.set_reg st fp base;
@@ -482,13 +475,8 @@ module Sparc = Make (struct
         (Bytes.get_int64_ne vs.data (v + (8 * (nr + j))))
     done;
     Sim.set_flags st flag_variants.(k mod 6);
-    st.Sim.cur <- cf;
-    st.Sim.pc <- 0;
-    let len = Array.length cf.Compile.code in
-    let steps = ref 0 in
-    while st.Sim.pc >= 0 && st.Sim.pc < len do
-      if !steps > 256 then invalid_arg "window ran away";
-      incr steps;
-      Sim.step st
+    for pc = 0 to Array.length ops - 1 do
+      st.Sim.pc <- pc + 1;
+      ops.(pc) st
     done
 end)

@@ -24,14 +24,19 @@ let read_cstring rt addr =
   go addr;
   Buffer.contents buf
 
-(* External function names the runtime implements. *)
+(* External functions the runtime implements, with their arity. Native
+   code passes every argument as one 64-bit word; [float_arg] says the
+   word holds the bits of a double. *)
 let known =
   [
-    "malloc"; "free"; "print_int"; "print_long"; "print_char"; "print_float";
-    "print_str"; "print_nl"; "exit"; "abort"; "memcpy"; "memset"; "strlen";
+    ("malloc", 1); ("free", 1); ("print_int", 1); ("print_long", 1);
+    ("print_char", 1); ("print_float", 1); ("print_str", 1); ("print_nl", 0);
+    ("exit", 1); ("abort", 0); ("memcpy", 3); ("memset", 3); ("strlen", 1);
   ]
 
-let is_known name = List.mem name known
+let is_known name = List.mem_assoc name known
+let arity name = List.assoc name known
+let float_arg name = name = "print_float"
 
 (* Dispatch an external call. Arguments and result use [Eval.scalar]. *)
 let call rt name (args : Eval.scalar list) : Eval.scalar =
@@ -79,3 +84,12 @@ let call rt name (args : Eval.scalar list) : Eval.scalar =
       invalid_arg
         (Printf.sprintf "Runtime.call: unknown external %s/%d" name
            (List.length args))
+
+(* [call] from native code: argument [k] is the 64-bit word [word k]. *)
+let call_words rt name (word : int -> int64) : Eval.scalar =
+  let float = float_arg name in
+  call rt name
+    (List.init (arity name) (fun k ->
+         let w = word k in
+         if float then Eval.F (Types.Double, Int64.float_of_bits w)
+         else Eval.I (Types.Long, w)))

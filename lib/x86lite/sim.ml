@@ -4,7 +4,22 @@
    byte-for-byte. Supports translate-on-demand through a pluggable code
    lookup, which is how the LLEE execution manager drives it.
 
-   The step loop allocates nothing: integer registers and the two flag
+   Each function is decoded once, on its first entry, into a [decoded]
+   form: one closure per instruction with its operand kinds, ALU op,
+   width, base register and displacement already resolved, and each
+   instruction's constant [cycles_of]. The run loop indexes the closure,
+   charges the instruction from the cycle array, makes one compare
+   against the fuel limit, and calls it. Hot shapes get their own
+   closure; every other instruction runs through [exec], the one
+   semantic definition of the ISA, which the specialized closures are
+   tested against. Decoded functions live in a [cache] keyed by name and
+   checked by physical equality on the [Compile.cfunc], so SMC redirects
+   and translate-on-demand see new code. Closures capture no state: one
+   cache can serve many states over the same code (the certifier shares
+   one across its vectors). They never reach storage: cache entries
+   marshal the [Compile.cfunc], never its decoded form.
+
+   The loop allocates nothing: integer registers and the two flag
    operands live unboxed in one [Bytes.t], the counters are native ints,
    width normalization is inline shifts and masks, and in-page memory
    accesses go straight to the backing page. Only calls, traps and
@@ -30,16 +45,56 @@ type flags =
   | Fint of int64 * int64 * bool (* a, b (normalized), signed compare *)
   | Ffloat of float * float
 
+(* What a state executes: a function, one closure per instruction, and
+   each instruction's cycle cost. *)
+type decoded = { cf : Compile.cfunc; ops : op array; cyc : int array }
+
 (* A suspended caller. An invoke also snapshots the caller's registers:
    unwinding to its handler restores them, as an unwinder restoring each
    discarded frame's callee-saved registers would. *)
-type frame = {
-  fr_cf : Compile.cfunc;
+and frame = {
+  fr_code : decoded;
   fr_ret_pc : int;
   fr_except : int; (* invoke handler pc, or -1 *)
   fr_regs : Bytes.t; (* integer registers at the invoke; empty otherwise *)
   fr_fregs : float array;
 }
+
+and state = {
+  cmod : Compile.cmodule;
+  mem : Vmem.Memory.t;
+  big_endian : bool;
+  rt : Vmem.Runtime.t;
+  regs : Bytes.t;
+  fregs : float array;
+  mutable flag_kind : int;
+  mutable frames : frame list;
+  (* native frames below the current one, counting those suspended under
+     a trap-handler subcall; llva.stack.depth reads [depth + 1] *)
+  mutable depth : int;
+  mutable code : decoded;
+  mutable pc : int;
+  mutable cycles : int;
+  mutable icount : int;
+  limit : int; (* the instruction budget; max_int = unlimited *)
+  mutable trap_handler : string option;
+  mutable privileged : bool;
+  redirects : (string, string) Hashtbl.t; (* SMC redirections *)
+  (* pluggable translate-on-demand (LLEE): returns native code for a
+     function name; default looks in the compiled module *)
+  mutable lookup : state -> string -> Compile.cfunc option;
+  cache : cache; (* decoded functions, see [enter] *)
+}
+
+(* an instruction, decoded; the run loop has already counted it and
+   advanced [pc] past it *)
+and op = state -> unit
+
+(* decoded functions by name, valid while [cf] is physically the code
+   a lookup returns *)
+and cache = (string, decoded) Hashtbl.t
+
+let new_cache () : cache = Hashtbl.create 64
 
 (* Register file layout: integer register r at byte 8*r, then the two
    flag operands (for a float compare, their IEEE bits). *)
@@ -56,36 +111,12 @@ let kind_float = 3
 (* Deeper native call chains are an error, not a host stack overflow. *)
 let max_depth = 50_000
 
-type state = {
-  cmod : Compile.cmodule;
-  mem : Vmem.Memory.t;
-  big_endian : bool;
-  rt : Vmem.Runtime.t;
-  regs : Bytes.t;
-  fregs : float array;
-  mutable flag_kind : int;
-  mutable frames : frame list;
-  (* native frames below the current one, counting those suspended under
-     a trap-handler subcall; llva.stack.depth reads [depth + 1] *)
-  mutable depth : int;
-  mutable cur : Compile.cfunc;
-  mutable pc : int;
-  mutable cycles : int;
-  mutable icount : int;
-  mutable fuel : int; (* instruction budget; < 0 = unlimited *)
-  mutable trap_handler : string option;
-  mutable privileged : bool;
-  redirects : (string, string) Hashtbl.t; (* SMC redirections *)
-  (* pluggable translate-on-demand (LLEE): returns native code for a
-     function name; default looks in the compiled module *)
-  mutable lookup : state -> string -> Compile.cfunc option;
-}
-
 let default_lookup st name = Hashtbl.find_opt st.cmod.Compile.funcs name
 
-let create ?(fuel = -1) (cmod : Compile.cmodule) : state =
+let create ?(fuel = -1) ?(cache = new_cache ()) (cmod : Compile.cmodule) :
+    state =
   let mem = cmod.Compile.image.Vmem.Image.mem in
-  let dummy =
+  let none =
     { Compile.cf_name = "<none>"; code = [||]; nargs = 0; frame_slots = 0 }
   in
   {
@@ -98,16 +129,20 @@ let create ?(fuel = -1) (cmod : Compile.cmodule) : state =
     flag_kind = kind_none;
     frames = [];
     depth = 0;
-    cur = dummy;
+    code = { cf = none; ops = [||]; cyc = [||] };
     pc = 0;
     cycles = 0;
     icount = 0;
-    fuel;
+    limit = (if fuel < 0 then max_int else fuel);
     trap_handler = None;
     privileged = false;
     redirects = Hashtbl.create 4;
     lookup = default_lookup;
+    cache;
   }
+
+(* the function executing (or that was executing when a trap fired) *)
+let current st = st.code.cf.Compile.cf_name
 
 let output st = Vmem.Runtime.output st.rt
 
@@ -315,6 +350,31 @@ let cc_holds st cc =
       | Ge | Geu -> x >= y
   else invalid_arg "x86lite sim: branch without flags"
 
+(* A condition code over integer flags, resolved at decode time: the
+   sign-bit flip that turns an unsigned order into a signed one, and
+   whether it holds when a < b, a = b, a > b. [int_cc] is [cc_holds] on
+   integer flags. *)
+let cc_parts = function
+  | Eq -> (0L, false, true, false)
+  | Ne -> (0L, true, false, true)
+  | Lt -> (0L, true, false, false)
+  | Gt -> (0L, false, false, true)
+  | Le -> (0L, true, true, false)
+  | Ge -> (0L, false, true, true)
+  | Ltu -> (Int64.min_int, true, false, false)
+  | Gtu -> (Int64.min_int, false, false, true)
+  | Leu -> (Int64.min_int, true, true, false)
+  | Geu -> (Int64.min_int, false, true, true)
+
+let[@inline] int_cc st flip lt eq gt =
+  let a = Int64.logxor (Bytes.get_int64_ne st.regs flag_a) flip
+  and b = Int64.logxor (Bytes.get_int64_ne st.regs flag_b) flip in
+  if a < b then lt else if Int64.equal a b then eq else gt
+
+let[@inline] int_flags st =
+  let k = st.flag_kind in
+  k = kind_signed || k = kind_unsigned
+
 (* ---------- traps ---------- *)
 
 (* the function a call to [name] reaches after SMC redirection *)
@@ -347,7 +407,7 @@ and run_subcall st (cf : Compile.cfunc) (args : int64 list) =
   let n = List.length args in
   let saved_sp = reg st sp and saved_bp = reg st bp in
   let saved_frames = st.frames and saved_depth = st.depth in
-  let saved_cur = st.cur and saved_pc = st.pc in
+  let saved_code = st.code and saved_pc = st.pc in
   set_reg st sp (Int64.sub (reg st sp) (Int64.of_int (8 * n)));
   List.iteri
     (fun k v -> store st (Int64.add (reg st sp) (Int64.of_int (8 * k))) W64 v)
@@ -356,14 +416,13 @@ and run_subcall st (cf : Compile.cfunc) (args : int64 list) =
   set_reg st sp (Int64.sub (reg st sp) 8L);
   st.frames <- [];
   st.depth <- saved_depth + 1;
-  st.cur <- cf;
-  st.pc <- 0;
+  enter st cf;
   run_until_empty st;
   set_reg st sp saved_sp;
   set_reg st bp saved_bp;
   st.frames <- saved_frames;
   st.depth <- saved_depth;
-  st.cur <- saved_cur;
+  st.code <- saved_code;
   st.pc <- saved_pc
 
 (* ---------- calls ---------- *)
@@ -381,30 +440,13 @@ and read_arg st k = load st (Int64.add (reg st sp) (Int64.of_int (8 + (8 * k))))
 and external_call st name =
   (* runtime and intrinsic functions; args are on the stack *)
   if Llva.Intrinsics.is_intrinsic name then intrinsic_call st name
-  else if Vmem.Runtime.is_known name then begin
-    let sig_args =
-      match name with
-      | "malloc" | "print_int" | "print_long" | "print_char" | "print_str"
-      | "free" | "exit" | "strlen" ->
-          1
-      | "print_float" -> 1
-      | "print_nl" | "abort" -> 0
-      | "memcpy" | "memset" -> 3
-      | _ -> 0
-    in
-    let args =
-      List.init sig_args (fun k ->
-          let raw = read_arg st k in
-          if name = "print_float" then Eval.F (Types.Double, Int64.float_of_bits raw)
-          else Eval.I (Types.Long, raw))
-    in
-    match Vmem.Runtime.call st.rt name args with
+  else if Vmem.Runtime.is_known name then
+    match Vmem.Runtime.call_words st.rt name (read_arg st) with
     | Eval.I (_, v) -> set_reg st ax v
     | Eval.P a -> set_reg st ax a
     | Eval.B b -> set_reg st ax (if b then 1L else 0L)
     | Eval.F (_, f) -> st.fregs.(0) <- f
     | Eval.Undef _ -> ()
-  end
   else invalid_arg ("x86lite sim: undefined external " ^ name)
 
 and intrinsic_call st name =
@@ -425,15 +467,13 @@ and intrinsic_call st name =
       end
   | _ -> invalid_arg ("x86lite sim: unknown intrinsic " ^ name)
 
-(* ---------- the main step loop ---------- *)
-
 and do_call st name ~except ~ret_pc =
   let name = redirected st name in
   match st.lookup st name with
   | Some cf ->
       st.frames <-
         {
-          fr_cf = st.cur;
+          fr_code = st.code;
           fr_ret_pc = ret_pc;
           fr_except = except;
           fr_regs = (if except >= 0 then Bytes.sub st.regs 0 flag_a else Bytes.empty);
@@ -445,8 +485,7 @@ and do_call st name ~except ~ret_pc =
         invalid_arg "x86lite sim: call stack overflow";
       (* simulated return-address push *)
       set_reg st sp (Int64.sub (reg st sp) 8L);
-      st.cur <- cf;
-      st.pc <- 0
+      enter st cf
   | None ->
       (* externals execute "inline": SP unchanged around them except the
          simulated return-address push/pop *)
@@ -455,13 +494,26 @@ and do_call st name ~except ~ret_pc =
       set_reg st sp (Int64.add (reg st sp) 8L);
       st.pc <- ret_pc
 
-and step st =
-  let i = st.cur.Compile.code.(st.pc) in
-  st.icount <- st.icount + 1;
-  st.cycles <- st.cycles + cycles_of i;
-  if st.fuel >= 0 && st.icount > st.fuel then raise Out_of_fuel;
-  let next = st.pc + 1 in
-  st.pc <- next;
+(* start executing [cf] at its first instruction, decoding it first if
+   this state's cache has no current decoded form of it *)
+and enter st cf =
+  let code =
+    match Hashtbl.find_opt st.cache cf.Compile.cf_name with
+    | Some d when d.cf == cf -> d
+    | _ ->
+        let d = decode cf in
+        Hashtbl.replace st.cache cf.Compile.cf_name d;
+        d
+  in
+  st.code <- code;
+  st.pc <- 0
+
+(* ---------- execution ---------- *)
+
+(* One instruction, with [pc] already past it: the semantics of every
+   X86-lite instruction, which the closures of [decode_instr] specialize. *)
+and exec st i =
+  let next = st.pc in
   match i with
   | Mov (dst, src) -> write_op st dst (read_op st src)
   | Alu (op, w, s, dst, src) ->
@@ -530,7 +582,7 @@ and step st =
       | f :: rest ->
           st.frames <- rest;
           st.depth <- st.depth - 1;
-          st.cur <- f.fr_cf;
+          st.code <- f.fr_code;
           st.pc <- f.fr_ret_pc)
   | Unwind ->
       (* walk the frame stack to the nearest invoke handler *)
@@ -542,7 +594,7 @@ and step st =
             if handler >= 0 then begin
                 st.frames <- rest;
                 st.depth <- st.depth - popped;
-                st.cur <- f.fr_cf;
+                st.code <- f.fr_code;
                 st.pc <- handler;
                 Bytes.blit f.fr_regs 0 st.regs 0 flag_a;
                 Array.blit f.fr_fregs 0 st.fregs 0 (Array.length f.fr_fregs)
@@ -603,10 +655,127 @@ and step st =
   | Fpushret f -> st.fregs.(0) <- st.fregs.(f)
   | Trap msg -> invalid_arg ("x86lite sim: trap " ^ msg)
 
+(* The closure that executes [i]: [exec st i] with everything that does
+   not depend on the state resolved now. Each arm must agree with [exec]
+   on registers, flags, memory, [pc] and raised exceptions (a QCheck
+   property in the test suite holds them to it). *)
+and decode_instr (i : instr) : op =
+  match i with
+  | Mov (R d, R s) -> fun st -> set_reg st d (reg st s)
+  | Mov (R d, I v) -> fun st -> set_reg st d v
+  | Mov (R d, M m) -> fun st -> set_reg st d (load st (mem_addr st m) W64)
+  | Mov (M m, R s) -> fun st -> store st (mem_addr st m) W64 (reg st s)
+  | Mov (M m, I v) -> fun st -> store st (mem_addr st m) W64 v
+  | Alu (op, w, s, R d, R r) -> (
+      match op with
+      | Add -> fun st -> set_reg st d (norm w s (Int64.add (reg st d) (reg st r)))
+      | Sub -> fun st -> set_reg st d (norm w s (Int64.sub (reg st d) (reg st r)))
+      | Imul -> fun st -> set_reg st d (norm w s (Int64.mul (reg st d) (reg st r)))
+      | And -> fun st -> set_reg st d (norm w s (Int64.logand (reg st d) (reg st r)))
+      | Or -> fun st -> set_reg st d (norm w s (Int64.logor (reg st d) (reg st r)))
+      | Xor -> fun st -> set_reg st d (norm w s (Int64.logxor (reg st d) (reg st r))))
+  | Alu (op, w, s, R d, I v) -> (
+      match op with
+      | Add -> fun st -> set_reg st d (norm w s (Int64.add (reg st d) v))
+      | Sub -> fun st -> set_reg st d (norm w s (Int64.sub (reg st d) v))
+      | Imul -> fun st -> set_reg st d (norm w s (Int64.mul (reg st d) v))
+      | And -> fun st -> set_reg st d (norm w s (Int64.logand (reg st d) v))
+      | Or -> fun st -> set_reg st d (norm w s (Int64.logor (reg st d) v))
+      | Xor -> fun st -> set_reg st d (norm w s (Int64.logxor (reg st d) v)))
+  | Alu (op, w, s, R d, M m) -> (
+      match op with
+      | Add ->
+          fun st ->
+            let b = load st (mem_addr st m) W64 in
+            set_reg st d (norm w s (Int64.add (reg st d) b))
+      | Sub ->
+          fun st ->
+            let b = load st (mem_addr st m) W64 in
+            set_reg st d (norm w s (Int64.sub (reg st d) b))
+      | Imul ->
+          fun st ->
+            let b = load st (mem_addr st m) W64 in
+            set_reg st d (norm w s (Int64.mul (reg st d) b))
+      | And ->
+          fun st ->
+            let b = load st (mem_addr st m) W64 in
+            set_reg st d (norm w s (Int64.logand (reg st d) b))
+      | Or ->
+          fun st ->
+            let b = load st (mem_addr st m) W64 in
+            set_reg st d (norm w s (Int64.logor (reg st d) b))
+      | Xor ->
+          fun st ->
+            let b = load st (mem_addr st m) W64 in
+            set_reg st d (norm w s (Int64.logxor (reg st d) b)))
+  | Ext (r, w, s) -> fun st -> set_reg st r (norm w s (reg st r))
+  | Mload (r, m, w, s) ->
+      fun st ->
+        let addr = mem_addr st m in
+        if Int64.equal addr 0L then deliver_trap st (Memory_fault 0L);
+        (try set_reg st r (norm w s (load st addr w))
+         with Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a))
+  | Mstore (m, r, w) ->
+      fun st ->
+        let addr = mem_addr st m in
+        if Int64.equal addr 0L then deliver_trap st (Memory_fault 0L);
+        (try store st addr w (reg st r)
+         with Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a))
+  | Cmp (w, s, R a, I v) ->
+      let y = norm w s v and kind = if s then kind_signed else kind_unsigned in
+      fun st ->
+        set_flag_words st (norm w s (reg st a)) y;
+        st.flag_kind <- kind
+  | Cmp (w, s, M m, I v) ->
+      let y = norm w s v and kind = if s then kind_signed else kind_unsigned in
+      fun st ->
+        set_flag_words st (norm w s (load st (mem_addr st m) W64)) y;
+        st.flag_kind <- kind
+  | Cmp (w, s, R a, R b) ->
+      let kind = if s then kind_signed else kind_unsigned in
+      fun st ->
+        set_flag_words st (norm w s (reg st a)) (norm w s (reg st b));
+        st.flag_kind <- kind
+  | Setcc (cc, r) ->
+      let flip, lt, eq, gt = cc_parts cc in
+      fun st ->
+        let holds =
+          if int_flags st then int_cc st flip lt eq gt else cc_holds st cc
+        in
+        set_reg st r (if holds then 1L else 0L)
+  | Jcc (cc, l) ->
+      let flip, lt, eq, gt = cc_parts cc in
+      fun st ->
+        if int_flags st then (if int_cc st flip lt eq gt then st.pc <- l)
+        else if cc_holds st cc then st.pc <- l
+  | Jmp l -> fun st -> st.pc <- l
+  | Lea (r, m) -> fun st -> set_reg st r (mem_addr st m)
+  | AddSp n ->
+      fun st -> set_reg st sp (Int64.add (reg st sp) (Int64.of_int n))
+  | CallSym name -> fun st -> do_call st name ~except:(-1) ~ret_pc:st.pc
+  | _ -> fun st -> exec st i
+
+and decode (cf : Compile.cfunc) : decoded =
+  {
+    cf;
+    ops = Array.map decode_instr cf.Compile.code;
+    cyc = Array.map cycles_of cf.Compile.code;
+  }
+
+(* Run until the function entered last returns. Counting and charging
+   an instruction precede the budget check, so the instruction that
+   exhausts the fuel is counted but not executed. *)
 and run_until_empty st =
   try
     while true do
-      step st
+      let code = st.code and pc = st.pc in
+      let op = code.ops.(pc) in
+      let n = st.icount + 1 in
+      st.icount <- n;
+      st.cycles <- st.cycles + Array.unsafe_get code.cyc pc;
+      if n > st.limit then raise Out_of_fuel;
+      st.pc <- pc + 1;
+      op st
     done
   with Exit -> ()
 
@@ -624,8 +793,7 @@ let call_function st name (int_args : int64 list) : int64 =
       set_reg st sp (Int64.sub (reg st sp) 8L);
       st.frames <- [];
       st.depth <- 0;
-      st.cur <- cf;
-      st.pc <- 0;
+      enter st cf;
       run_until_empty st;
       reg st ax
 

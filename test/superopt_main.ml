@@ -35,7 +35,16 @@
       and each target, the rule count and the MD5 of the serialized
       per-module table must equal the file named by the fourth argument
       (peep_digests.expected) line for line; without a fourth argument
-      the lines are printed. *)
+      the lines are printed.
+
+   7. Counts at fuel exhaustion and at traps: for the 9 short
+      workloads and two trapping programs with a registered trap
+      handler, on both targets, under fuel budgets 0, 1, 10 000 and
+      1 000 000, the outcome, native instruction count and cycle count
+      must equal the file named by the fifth argument (sim_fuel.expected)
+      line for line; without a fifth argument the lines are printed. An
+      instruction that runs out of fuel is counted and charged before
+      the budget check stops it. *)
 
 let failures = ref 0
 
@@ -79,13 +88,82 @@ let expect_lines ~what path_opt got =
         (expected = got);
       if expected = got then Printf.printf "exact %s: %s matches\n%!" what path
 
+(* the benchmark's short programs: under 10M x86lite instructions at -O1 *)
+let short_workloads =
+  [
+    "ptrdist-anagram"; "183.equake"; "181.mcf"; "256.bzip2"; "164.gzip";
+    "197.parser"; "188.ammp"; "186.crafty"; "255.vortex";
+  ]
+
+(* Guest traps under a registered handler: the handler runs as a native
+   subcall (and prints), then the trap ends the program. *)
+let trap_programs =
+  let prelude =
+    {|
+declare void %print_int(int)
+declare void %llva.trap.register(void (uint, sbyte*)*)
+
+%zero = global int 0
+%nowhere = global int* null
+
+void %handler(uint %num, sbyte* %info) {
+entry:
+  %n = cast uint %num to int
+  call void %print_int(int %n)
+  ret void
+}
+
+int %spin(int %n) {
+entry:
+  br label %loop
+loop:
+  %i = phi int [ 0, %entry ], [ %j, %loop ]
+  %acc = phi int [ 1, %entry ], [ %a, %loop ]
+  %a = mul int %acc, 3
+  %j = add int %i, 1
+  %d = setge int %j, %n
+  br bool %d, label %out, label %loop
+out:
+  ret int %a
+}
+|}
+  in
+  [
+    ( "trap-divide",
+      prelude
+      ^ {|
+int %main() {
+entry:
+  %s = call int %spin(int 300)
+  call void %llva.trap.register(void (uint, sbyte*)* %handler)
+  %z = load int* %zero
+  %q = div int %s, %z
+  ret int %q
+}
+|} );
+    ( "trap-fault",
+      prelude
+      ^ {|
+int %main() {
+entry:
+  %s = call int %spin(int 300)
+  call void %llva.trap.register(void (uint, sbyte*)* %handler)
+  %p = load int** %nowhere
+  %v = load int* %p
+  %r = add int %v, %s
+  ret int %r
+}
+|} );
+  ]
+
 let () =
-  let x86_path, sparc_path, counts_path, digests_path =
+  let x86_path, sparc_path, counts_path, digests_path, fuel_path =
     match Sys.argv with
-    | [| _; a; b; c; d |] -> (a, b, Some c, Some d)
-    | [| _; a; b; c |] -> (a, b, Some c, None)
-    | [| _; a; b |] -> (a, b, None, None)
-    | _ -> ("tables/x86lite.peep", "tables/sparclite.peep", None, None)
+    | [| _; a; b; c; d; e |] -> (a, b, Some c, Some d, Some e)
+    | [| _; a; b; c; d |] -> (a, b, Some c, Some d, None)
+    | [| _; a; b; c |] -> (a, b, Some c, None, None)
+    | [| _; a; b |] -> (a, b, None, None, None)
+    | _ -> ("tables/x86lite.peep", "tables/sparclite.peep", None, None, None)
   in
   let tx = load_table ~target:"x86lite" x86_path in
   let ts = load_table ~target:"sparclite" sparc_path in
@@ -224,6 +302,49 @@ let () =
     Workloads.all;
   expect_lines ~what:"per-module table digests" digests_path
     (Buffer.contents digests);
+
+  (* 7. counts at fuel exhaustion and at traps *)
+  let fuel_lines = Buffer.create 4096 in
+  let programs =
+    List.map
+      (fun name ->
+        match Workloads.find name with
+        | Some w ->
+            (name, [], fun () -> Workloads.compile_optimized ~level:1 w)
+        | None -> failwith ("no workload " ^ name))
+      short_workloads
+    @ List.map
+        (fun (name, src) ->
+          (* 3060 and 5445 stop inside the handler on sparclite and
+             x86lite respectively *)
+          (name, [ 3060; 5445 ], fun () -> Llva.Resolve.parse_module ~name src))
+        trap_programs
+  in
+  List.iter
+    (fun (name, extra, m) ->
+      List.iter
+        (fun fuel ->
+          let line target o icount cycles out =
+            Printf.bprintf fuel_lines
+              "%-17s %-9s fuel %7d  instrs %7d  cycles %8d  out %s  %s\n" name
+              target fuel icount cycles
+              (String.sub (Digest.to_hex (Digest.string out)) 0 8)
+              (Llee.Outcome.to_string o)
+          in
+          let o, st =
+            Llee.Outcome.run_main_x86 ~fuel (X86lite.Compile.compile_module (m ()))
+          in
+          line "x86lite" o st.X86lite.Sim.icount st.X86lite.Sim.cycles
+            (X86lite.Sim.output st);
+          let o, st =
+            Llee.Outcome.run_main_sparc ~fuel
+              (Sparclite.Compile.compile_module (m ()))
+          in
+          line "sparclite" o st.Sparclite.Sim.icount st.Sparclite.Sim.cycles
+            (Sparclite.Sim.output st))
+        ([ 0; 1; 10_000; 1_000_000 ] @ extra))
+    programs;
+  expect_lines ~what:"fuel and trap counts" fuel_path (Buffer.contents fuel_lines);
 
   if !failures > 0 then begin
     Printf.printf "superopt gate FAILED: %d assertion(s)\n" !failures;

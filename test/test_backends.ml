@@ -996,7 +996,7 @@ let test_flags_roundtrip () =
       check_bool "sparc flags round-trip" true (Sparclite.Sim.flags ss = fl))
     Sparclite.Sim.[ Fnone; Fint (Int64.max_int, 0L); Ffloat (infinity, 2.0) ]
 
-(* The step loop allocates nothing: a call-free loop over loads, stores,
+(* The run loop allocates nothing: a call-free loop over loads, stores,
    arithmetic, shifts and compares costs no minor-heap words per guest
    instruction beyond the fixed set-up. Native code only: bytecode boxes
    every int64. *)

@@ -20,4 +20,5 @@ let () =
       ("ranges", Test_ranges.suite);
       ("tv", Test_tv.suite);
       ("superopt", Test_superopt.suite);
+      ("sims", Test_sims.suite);
     ]

@@ -172,7 +172,11 @@ let test_parse_errors () =
        "void %f() {\nentry:\n  %x = add int 1, 1\n  %x = add int 2, 2\n  ret void\n}");
   check_bool "unterminated string" true (bad "%s = constant [2 x sbyte] c\"a");
   check_bool "unknown block" true
-    (bad "void %f() {\nentry:\n  br label %nowhere\n}")
+    (bad "void %f() {\nentry:\n  br label %nowhere\n}");
+  check_bool "load through a non-pointer" true
+    (bad "int %f() {\nentry:\n  %x = load int 5\n  ret int %x\n}");
+  check_bool "integer constant of pointer type" true
+    (bad "int* %f() {\nentry:\n  %x = add int* 1, 2\n  ret int* %x\n}")
 
 let test_default_exception_attrs () =
   let src =
