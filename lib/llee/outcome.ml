@@ -93,6 +93,9 @@ let protect ~engine ?(current = fun () -> "main") (f : unit -> int) : t =
   | exception Vmem.Memory.Fault a -> trapped (Memory_fault a)
   | exception Eval.Division_by_zero -> trapped Division_by_zero
   | exception Eval.Overflow -> trapped Overflow
+  | exception Types.Unresolved n ->
+      (* a reference to a named type the module never defines *)
+      trapped (Invalid_operation ("unresolved type %" ^ n))
   | exception Invalid_argument msg ->
       (* e.g. Eval.cast float → pointer on an ill-typed module; must be
          contained as an outcome, never escape as an OCaml exception *)

@@ -1,13 +1,16 @@
 (* Cycle-counting simulator for SPARC-lite native code; the RISC
    counterpart of [X86lite.Sim], sharing the memory, runtime, exception
-   and SMC model, the same decoded form and the same allocation-free run
-   loop. Each function is decoded once, on first entry, into one closure
-   per instruction (operands, ALU op, width and displacement resolved)
-   and its constant cycle costs; [exec] is the one semantic definition
-   the closures specialize. Decoded functions are cached per state (or
-   per shared [cache]) by name and checked by physical equality on the
-   [Compile.cfunc]; they capture no state and never reach storage. See
-   X86lite.Sim for the full description.
+   and SMC model, the same threaded form and the same allocation-free
+   run loop. Each function is decoded once, on first entry, into
+   threaded straight-line runs: one closure per instruction (operands,
+   ALU op, width and displacement resolved) that tail-calls its
+   successor, plus per-pc instruction counts and cycle sums to the end
+   of the run, which the loop charges and fuel-checks once. A raise
+   inside a run refunds its unexecuted suffix before a trap handler
+   runs. [exec] is the one semantic definition the closures specialize;
+   the closures access registers unchecked, so only instructions whose
+   registers all exist get one. See X86lite.Sim for the full
+   description.
 
    The inline helpers below mirror X86lite.Sim's: they must stay inside
    this module to be inlined (libraries are compiled without
@@ -27,13 +30,22 @@ exception Trap of trap_kind
 exception Unwound
 exception Out_of_fuel
 
+(* a trap for the registered handler; only the run loop catches it *)
+exception Deliver of trap_kind
+
 (* The condition flags as a value, for the superoptimizer oracle and the
    tests ([flags] / [set_flags]); the simulator keeps them unboxed. *)
 type flags = Fnone | Fint of int64 * int64 | Ffloat of float * float
 
-(* What a state executes: a function, one closure per instruction, and
-   each instruction's cycle cost. *)
-type decoded = { cf : Compile.cfunc; ops : op array; cyc : int array }
+(* What a state executes: a function as threaded runs. [run.(pc)]
+   executes from [pc] to the end of its run; [count.(pc)] and
+   [cost.(pc)] are the instructions and cycles that takes. *)
+type decoded = {
+  cf : Compile.cfunc;
+  run : op array;
+  count : int array;
+  cost : int array;
+}
 
 (* A suspended caller. An invoke also snapshots the caller's registers:
    unwinding to its handler restores them, as restoring the caller's
@@ -70,8 +82,8 @@ and state = {
   cache : cache; (* decoded functions, see [enter] *)
 }
 
-(* an instruction, decoded; the run loop has already counted it and
-   advanced [pc] past it *)
+(* an instruction, decoded and threaded to its successor; the run loop
+   has already counted and charged it *)
 and op = state -> unit
 
 (* decoded functions by name, valid while [cf] is physically the code
@@ -113,7 +125,7 @@ let create ?(fuel = -1) ?(cache = new_cache ()) (cmod : Compile.cmodule) :
     flag_kind = kind_none;
     frames = [];
     depth = 0;
-    code = { cf = none; ops = [||]; cyc = [||] };
+    code = { cf = none; run = [||]; count = [||]; cost = [||] };
     pc = 0;
     cycles = 0;
     icount = 0;
@@ -137,9 +149,25 @@ let[@inline] set_reg st r v = Bytes.set_int64_ne st.regs (r lsl 3) v
 let[@inline] rreg st r = if r = 0 then 0L else reg st r
 let[@inline] wreg st r v = if r <> 0 then set_reg st r v
 
+(* Unchecked access to bytes, for offsets known to be in range. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+external bswap16 : int -> int = "%bswap16"
+
+(* Unchecked register access, for the decoded closures only: they are
+   built only for instructions whose registers all exist ([regs_ok]). *)
+let[@inline] urreg st r = if r = 0 then 0L else get64u st.regs (r lsl 3)
+let[@inline] uwreg st r v = if r <> 0 then set64u st.regs (r lsl 3) v
+
 let[@inline] set_flag_words st a b =
-  Bytes.set_int64_ne st.regs flag_a a;
-  Bytes.set_int64_ne st.regs flag_b b
+  set64u st.regs flag_a a;
+  set64u st.regs flag_b b
 
 (* Both stack registers at the top of the stack: the launch state. *)
 let init_stack st =
@@ -220,18 +248,29 @@ let[@inline] fresh v = Int64.add v 0L
 
 (* ---------- memory ----------
 
-   In-page accesses read or write the backing page directly; accesses
-   that straddle a page go through [Vmem.Memory]'s byte loops. [page]
-   is [Vmem.Memory.page_of] with the fault check and the page-cache hit
-   inline, so the address is never boxed. *)
+   As in X86lite.Sim: in-page accesses go to the backing page directly,
+   unchecked (the offset test keeps them inside the page), straddling
+   ones through [Vmem.Memory]'s byte loops, and [page] inlines the
+   fault check and the TLB hit. *)
 
-let page_bits = Vmem.Memory.page_bits
-let page_mask = Vmem.Memory.page_size - 1
+let page_bits = 12
+let page_mask = 4095
+let tlb_mask = 63
+
+let () =
+  if
+    Vmem.Memory.page_bits <> page_bits
+    || Vmem.Memory.page_size <> page_mask + 1
+    || Vmem.Memory.tlb_size <> tlb_mask + 1
+  then failwith "sparclite sim: page geometry differs from Vmem.Memory"
+
+(* native order is the target's order *)
+let[@inline] same_order st = st.big_endian = Sys.big_endian
 
 let[@inline] page st addr =
   if addr < 0x1000L then raise (Vmem.Memory.Fault addr);
   let idx = Int64.to_int addr lsr page_bits in
-  let c = st.mem.Vmem.Memory.last in
+  let c = Array.unsafe_get st.mem.Vmem.Memory.tlb (idx land tlb_mask) in
   if c.Vmem.Memory.idx = idx then c.Vmem.Memory.page
   else Vmem.Memory.page_at st.mem idx
 
@@ -240,53 +279,43 @@ let[@inline] load st addr w =
   match w with
   | W64 ->
       if off <= page_mask - 7 then
-        let p = page st addr in
-        if st.big_endian then Bytes.get_int64_be p off
-        else Bytes.get_int64_le p off
+        let v = get64u (page st addr) off in
+        if same_order st then v else bswap64 v
       else fresh (Vmem.Memory.read_uint st.mem addr 8)
   | W32 ->
       if off <= page_mask - 3 then
-        let p = page st addr in
+        let v = get32u (page st addr) off in
         Int64.logand
-          (Int64.of_int32
-             (if st.big_endian then Bytes.get_int32_be p off
-              else Bytes.get_int32_le p off))
+          (Int64.of_int32 (if same_order st then v else bswap32 v))
           0xFFFF_FFFFL
       else fresh (Vmem.Memory.read_uint st.mem addr 4)
   | W16 ->
       if off <= page_mask - 1 then
-        let p = page st addr in
-        Int64.of_int
-          (if st.big_endian then Bytes.get_uint16_be p off
-           else Bytes.get_uint16_le p off)
+        let v = get16u (page st addr) off in
+        Int64.of_int (if same_order st then v else bswap16 v)
       else fresh (Vmem.Memory.read_uint st.mem addr 2)
-  | W8 -> Int64.of_int (Bytes.get_uint8 (page st addr) off)
+  | W8 -> Int64.of_int (Char.code (Bytes.unsafe_get (page st addr) off))
 
 let[@inline] store st addr w v =
   let off = Int64.to_int addr land page_mask in
   match w with
   | W64 ->
       if off <= page_mask - 7 then
-        let p = page st addr in
-        if st.big_endian then Bytes.set_int64_be p off v
-        else Bytes.set_int64_le p off v
+        set64u (page st addr) off (if same_order st then v else bswap64 v)
       else Vmem.Memory.write_uint st.mem addr 8 v
   | W32 ->
       if off <= page_mask - 3 then
-        let p = page st addr in
-        if st.big_endian then Bytes.set_int32_be p off (Int64.to_int32 v)
-        else Bytes.set_int32_le p off (Int64.to_int32 v)
+        let v = Int64.to_int32 v in
+        set32u (page st addr) off (if same_order st then v else bswap32 v)
       else Vmem.Memory.write_uint st.mem addr 4 v
   | W16 ->
       if off <= page_mask - 1 then
-        let p = page st addr in
         let v = Int64.to_int v land 0xFFFF in
-        if st.big_endian then Bytes.set_uint16_be p off v
-        else Bytes.set_uint16_le p off v
+        set16u (page st addr) off (if same_order st then v else bswap16 v)
       else Vmem.Memory.write_uint st.mem addr 2 v
   | W8 ->
-      Bytes.set_uint8 (page st addr) off
-        (Int64.to_int v land 0xFF)
+      Bytes.unsafe_set (page st addr) off
+        (Char.unsafe_chr (Int64.to_int v land 0xFF))
 
 (* ---------- operand access ---------- *)
 
@@ -343,8 +372,8 @@ let cc_parts = function
   | Geu -> (Int64.min_int, false, true, true)
 
 let[@inline] int_cc st flip lt eq gt =
-  let a = Int64.logxor (Bytes.get_int64_ne st.regs flag_a) flip
-  and b = Int64.logxor (Bytes.get_int64_ne st.regs flag_b) flip in
+  let a = Int64.logxor (get64u st.regs flag_a) flip
+  and b = Int64.logxor (get64u st.regs flag_b) flip in
   if a < b then lt else if Int64.equal a b then eq else gt
 
 (* the function a call to [name] reaches after SMC redirection *)
@@ -354,7 +383,35 @@ let redirected st name =
 
 exception Toplevel_return
 
-let rec deliver_trap st kind : unit =
+(* Does [i] end a run? Branches, calls, returns, unwinds and traps set
+   [pc] themselves; every other instruction falls through. *)
+let ends_run = function
+  | Bcc _ | Ba _ | CallSym _ | CallSymI _ | CallInd _ | CallIndI _ | RetS
+  | UnwindS | TrapS _ ->
+      true
+  | _ -> false
+
+(* Do all of [i]'s integer registers exist? [decode_instr] specializes
+   only such instructions; the rest run through [exec], which checks. *)
+let regs_ok i =
+  let ok r = r >= 0 && r < nregs in
+  let opnd_ok = function Rs r -> ok r | Imm _ -> true in
+  match i with
+  | Alu3 (_, _, _, rd, rs1, o) -> ok rd && ok rs1 && opnd_ok o
+  | Cmp (_, _, r, o) -> ok r && opnd_ok o
+  | Sethi (r, _) | Movcc (_, r) -> ok r
+  | Ld (_, _, a, b, _) | St (_, a, b, _) -> ok a && ok b
+  | _ -> true
+
+(* Raise a guest trap. With a handler registered, the run loop delivers
+   it (see [deliver]) once the run's counts are exact. *)
+let deliver_trap st kind : unit =
+  if Option.is_some st.trap_handler then raise (Deliver kind)
+  else raise (Trap kind)
+
+(* Run the registered handler for [kind], once, then end the program
+   with the trap. *)
+let rec deliver st kind =
   (match st.trap_handler with
   | Some hname -> (
       st.trap_handler <- None;
@@ -591,107 +648,224 @@ and exec st i =
   | Mvif (fd, r) -> st.fregs.(fd) <- Int64.float_of_bits (rreg st r)
   | TrapS msg -> invalid_arg ("sparclite sim: trap " ^ msg)
 
-(* The closure that executes [i]: [exec st i] with everything that does
-   not depend on the state resolved now. Each arm must agree with [exec]
-   on registers, flags, memory, [pc] and raised exceptions (a QCheck
-   property in the test suite holds them to it). *)
-and decode_instr (i : instr) : op =
+(* The closure that executes [i], the instruction at [pc], and then
+   continues with [next] unless [i] ends a run: [exec st i] with
+   everything that does not depend on the state resolved now. A closure
+   that can raise stores [pc + 1] first, as [exec] expects, so the loop
+   knows where its run stopped. Each arm must agree with [exec] on
+   registers, flags, memory, [pc] and raised exceptions (QCheck
+   properties in the test suite hold them to it, one instruction at a
+   time and over whole runs). *)
+and decode_instr pc (i : instr) (next : op) : op =
+  let succ = pc + 1 in
   match i with
+  | _ when not (regs_ok i) -> via_exec succ i next
   | Alu3 (op, w, s, rd, rs1, Rs r) -> (
       match op with
-      | Add -> fun st -> wreg st rd (norm w s (Int64.add (rreg st rs1) (rreg st r)))
-      | Sub -> fun st -> wreg st rd (norm w s (Int64.sub (rreg st rs1) (rreg st r)))
-      | Mul -> fun st -> wreg st rd (norm w s (Int64.mul (rreg st rs1) (rreg st r)))
-      | And -> fun st -> wreg st rd (norm w s (Int64.logand (rreg st rs1) (rreg st r)))
-      | Or -> fun st -> wreg st rd (norm w s (Int64.logor (rreg st rs1) (rreg st r)))
-      | Xor -> fun st -> wreg st rd (norm w s (Int64.logxor (rreg st rs1) (rreg st r)))
-      | Sll -> fun st -> wreg st rd (shift true w s (rreg st rs1) (rreg st r))
-      | Srl -> fun st -> wreg st rd (shift false w false (rreg st rs1) (rreg st r))
-      | Sra -> fun st -> wreg st rd (shift false w s (rreg st rs1) (rreg st r))
-      | Div | Rem -> fun st -> exec st i)
+      | Add ->
+          fun st ->
+            uwreg st rd (norm w s (Int64.add (urreg st rs1) (urreg st r)));
+            next st
+      | Sub ->
+          fun st ->
+            uwreg st rd (norm w s (Int64.sub (urreg st rs1) (urreg st r)));
+            next st
+      | Mul ->
+          fun st ->
+            uwreg st rd (norm w s (Int64.mul (urreg st rs1) (urreg st r)));
+            next st
+      | And ->
+          fun st ->
+            uwreg st rd (norm w s (Int64.logand (urreg st rs1) (urreg st r)));
+            next st
+      | Or ->
+          fun st ->
+            uwreg st rd (norm w s (Int64.logor (urreg st rs1) (urreg st r)));
+            next st
+      | Xor ->
+          fun st ->
+            uwreg st rd (norm w s (Int64.logxor (urreg st rs1) (urreg st r)));
+            next st
+      | Sll ->
+          fun st ->
+            uwreg st rd (shift true w s (urreg st rs1) (urreg st r));
+            next st
+      | Srl ->
+          fun st ->
+            uwreg st rd (shift false w false (urreg st rs1) (urreg st r));
+            next st
+      | Sra ->
+          fun st ->
+            uwreg st rd (shift false w s (urreg st rs1) (urreg st r));
+            next st
+      | Div | Rem -> via_exec succ i next)
   | Alu3 (op, w, s, rd, rs1, Imm v) -> (
+      let v = Int64.of_int v in
       match op with
       | Add ->
-          fun st -> wreg st rd (norm w s (Int64.add (rreg st rs1) (Int64.of_int v)))
+          fun st ->
+            uwreg st rd (norm w s (Int64.add (urreg st rs1) v));
+            next st
       | Sub ->
-          fun st -> wreg st rd (norm w s (Int64.sub (rreg st rs1) (Int64.of_int v)))
+          fun st ->
+            uwreg st rd (norm w s (Int64.sub (urreg st rs1) v));
+            next st
       | Mul ->
-          fun st -> wreg st rd (norm w s (Int64.mul (rreg st rs1) (Int64.of_int v)))
+          fun st ->
+            uwreg st rd (norm w s (Int64.mul (urreg st rs1) v));
+            next st
       | And ->
-          fun st -> wreg st rd (norm w s (Int64.logand (rreg st rs1) (Int64.of_int v)))
+          fun st ->
+            uwreg st rd (norm w s (Int64.logand (urreg st rs1) v));
+            next st
       | Or ->
-          fun st -> wreg st rd (norm w s (Int64.logor (rreg st rs1) (Int64.of_int v)))
+          fun st ->
+            uwreg st rd (norm w s (Int64.logor (urreg st rs1) v));
+            next st
       | Xor ->
-          fun st -> wreg st rd (norm w s (Int64.logxor (rreg st rs1) (Int64.of_int v)))
+          fun st ->
+            uwreg st rd (norm w s (Int64.logxor (urreg st rs1) v));
+            next st
       | Sll ->
-          fun st -> wreg st rd (shift true w s (rreg st rs1) (Int64.of_int v))
+          fun st ->
+            uwreg st rd (shift true w s (urreg st rs1) v);
+            next st
       | Srl ->
-          fun st -> wreg st rd (shift false w false (rreg st rs1) (Int64.of_int v))
+          fun st ->
+            uwreg st rd (shift false w false (urreg st rs1) v);
+            next st
       | Sra ->
-          fun st -> wreg st rd (shift false w s (rreg st rs1) (Int64.of_int v))
-      | Div | Rem -> fun st -> exec st i)
-  | Sethi (rd, v) -> fun st -> wreg st rd v
+          fun st ->
+            uwreg st rd (shift false w s (urreg st rs1) v);
+            next st
+      | Div | Rem -> via_exec succ i next)
+  | Sethi (rd, v) -> fun st -> uwreg st rd v; next st
   | Ld (w, s, rd, rs, d) ->
       fun st ->
-        let addr = Int64.add (rreg st rs) (Int64.of_int d) in
+        st.pc <- succ;
+        let addr = Int64.add (urreg st rs) (Int64.of_int d) in
         if Int64.equal addr 0L then deliver_trap st (Memory_fault 0L);
-        (try wreg st rd (norm w s (load st addr w))
-         with Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a))
+        (try uwreg st rd (norm w s (load st addr w))
+         with Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a));
+        next st
   | St (w, rsrc, rs, d) ->
       fun st ->
-        let addr = Int64.add (rreg st rs) (Int64.of_int d) in
+        st.pc <- succ;
+        let addr = Int64.add (urreg st rs) (Int64.of_int d) in
         if Int64.equal addr 0L then deliver_trap st (Memory_fault 0L);
-        (try store st addr w (rreg st rsrc)
-         with Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a))
+        (try store st addr w (urreg st rsrc)
+         with Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a));
+        next st
   | Cmp (w, s, r, Imm v) ->
       let y = norm w s (Int64.of_int v) in
       fun st ->
-        set_flag_words st (norm w s (rreg st r)) y;
-        st.flag_kind <- kind_int
+        set_flag_words st (norm w s (urreg st r)) y;
+        st.flag_kind <- kind_int;
+        next st
   | Cmp (w, s, r, Rs b) ->
       fun st ->
-        set_flag_words st (norm w s (rreg st r)) (norm w s (rreg st b));
-        st.flag_kind <- kind_int
+        set_flag_words st (norm w s (urreg st r)) (norm w s (urreg st b));
+        st.flag_kind <- kind_int;
+        next st
   | Movcc (cc, rd) ->
       let flip, lt, eq, gt = cc_parts cc in
       fun st ->
-        let holds =
-          if st.flag_kind = kind_int then int_cc st flip lt eq gt
-          else cc_holds st cc
-        in
-        wreg st rd (if holds then 1L else 0L)
+        if st.flag_kind = kind_int then
+          uwreg st rd (if int_cc st flip lt eq gt then 1L else 0L)
+        else begin
+          st.pc <- succ;
+          uwreg st rd (if cc_holds st cc then 1L else 0L)
+        end;
+        next st
   | Bcc (cc, l) ->
       let flip, lt, eq, gt = cc_parts cc in
       fun st ->
-        if st.flag_kind = kind_int then (if int_cc st flip lt eq gt then st.pc <- l)
-        else if cc_holds st cc then st.pc <- l
+        if st.flag_kind = kind_int then
+          st.pc <- (if int_cc st flip lt eq gt then l else succ)
+        else begin
+          st.pc <- succ;
+          if cc_holds st cc then st.pc <- l
+        end
   | Ba l -> fun st -> st.pc <- l
   | AddSp n ->
-      fun st -> wreg st sp (Int64.add (rreg st sp) (Int64.of_int n))
-  | CallSym name -> fun st -> do_call st name ~except:(-1) ~ret_pc:st.pc
-  | _ -> fun st -> exec st i
+      fun st ->
+        uwreg st sp (Int64.add (urreg st sp) (Int64.of_int n));
+        next st
+  | CallSym name ->
+      fun st ->
+        st.pc <- succ;
+        do_call st name ~except:(-1) ~ret_pc:succ
+  | _ -> via_exec succ i next
 
+(* [i] through [exec], as the closure of [decode_instr] *)
+and via_exec succ i next =
+  if ends_run i then fun st ->
+    st.pc <- succ;
+    exec st i
+  else fun st ->
+    st.pc <- succ;
+    exec st i;
+    next st
+
+(* Thread [cf]'s code into runs, from the last instruction back. A run
+   that reaches the end of the code without a terminator leaves [pc]
+   past it, where the loop's next bounds check fails. *)
 and decode (cf : Compile.cfunc) : decoded =
-  {
-    cf;
-    ops = Array.map decode_instr cf.Compile.code;
-    cyc = Array.map cycles_of cf.Compile.code;
-  }
+  let code = cf.Compile.code in
+  let n = Array.length code in
+  let fall_off st = st.pc <- n in
+  let run = Array.make n fall_off in
+  let count = Array.make n 0 and cost = Array.make n 0 in
+  for k = n - 1 downto 0 do
+    let i = code.(k) in
+    let last = k = n - 1 || ends_run i in
+    run.(k) <- decode_instr k i (if k = n - 1 then fall_off else run.(k + 1));
+    count.(k) <- (if last then 1 else 1 + count.(k + 1));
+    cost.(k) <- (cycles_of i + if last then 0 else cost.(k + 1))
+  done;
+  { cf; run; count; cost }
 
-(* Run until the function entered last returns. Counting and charging
-   an instruction precede the budget check, so the instruction that
-   exhausts the fuel is counted but not executed. *)
+(* The loop's one step: the whole run at [pc] when the fuel covers it,
+   charged up front, else one instruction through [step]. *)
+and dispatch st =
+  let code = st.code and pc = st.pc in
+  let icount = st.icount + code.count.(pc) in
+  if icount <= st.limit then begin
+    st.icount <- icount;
+    st.cycles <- st.cycles + Array.unsafe_get code.cost pc;
+    try (Array.unsafe_get code.run pc) st with e -> abort_run st code pc e
+  end
+  else step st
+
+(* A run entered at [pc] stopped early: the instruction before [st.pc]
+   raised [e]. Refund the instructions after it, which were charged but
+   never ran, then deliver a trap to the handler or pass [e] on. *)
+and abort_run st code pc e =
+  let k = st.pc in
+  if st.code == code && k > pc && k < pc + code.count.(pc) then begin
+    st.icount <- st.icount - code.count.(k);
+    st.cycles <- st.cycles - code.cost.(k)
+  end;
+  match e with Deliver kind -> deliver st kind | e -> raise e
+
+(* One instruction through [exec]. Counting and charging it precede the
+   budget check, so the instruction that exhausts the fuel is counted
+   but not executed. *)
+and step st =
+  let pc = st.pc in
+  let i = st.code.cf.Compile.code.(pc) in
+  let n = st.icount + 1 in
+  st.icount <- n;
+  st.cycles <- st.cycles + cycles_of i;
+  if n > st.limit then raise Out_of_fuel;
+  st.pc <- pc + 1;
+  try exec st i with Deliver kind -> deliver st kind
+
+(* Run until the function entered last returns. *)
 and run_until_empty st =
   try
     while true do
-      let code = st.code and pc = st.pc in
-      let op = code.ops.(pc) in
-      let n = st.icount + 1 in
-      st.icount <- n;
-      st.cycles <- st.cycles + Array.unsafe_get code.cyc pc;
-      if n > st.limit then raise Out_of_fuel;
-      st.pc <- pc + 1;
-      op st
+      dispatch st
     done
   with Toplevel_return -> ()
 

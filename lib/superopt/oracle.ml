@@ -91,9 +91,10 @@ let full_vectors ~n =
 (* What the harness needs from a back-end. [exec] is the hot path and
    stays target-specific: zero the register file, point SP and the frame
    register at the scratch frame below [base], load vector [k] of [vs]
-   into the input registers and slot addresses, set flag variant
-   [k mod 6], and run each instruction once, in order (a window is
-   straight-line code). [code] decodes a window once for all vectors. *)
+   into the input registers (the harness has already written the slot
+   inputs), set flag variant [k mod 6], and run the window
+   (straight-line code) once. [code] decodes a window once for all
+   vectors, into one threaded chain. *)
 module type TARGET = sig
   type instr
   type state
@@ -112,8 +113,7 @@ module type TARGET = sig
   val mem : state -> Vmem.Memory.t
 
   val exec :
-    state -> base:int64 -> regs:int array -> slots:int64 array -> code ->
-    vectors -> int -> unit
+    state -> base:int64 -> regs:int array -> code -> vectors -> int -> unit
 end
 
 (* A window is prepared once (straight-line checked, then decoded)
@@ -136,6 +136,7 @@ module Make (T : TARGET) = struct
   type h = {
     st : T.state;
     base : int64;
+    big : bool; (* the target's byte order, for slot words *)
     screens : (int, vectors) Hashtbl.t;
     fulls : (int, vectors) Hashtbl.t;
     mutable opened : int;
@@ -144,12 +145,14 @@ module Make (T : TARGET) = struct
   }
 
   let make () =
+    let st = T.create () in
     (* scratch frame area: far enough below the stack top that negative
        slot displacements and the probe SP never leave mapped,
        non-null address space *)
     {
-      st = T.create ();
+      st;
       base = Int64.sub Vmem.Memory.stack_top 65536L;
+      big = (T.mem st).Vmem.Memory.target.Llva.Target.endian = Llva.Target.Big;
       screens = Hashtbl.create 16;
       fulls = Hashtbl.create 16;
       opened = 0;
@@ -177,17 +180,44 @@ module Make (T : TARGET) = struct
     done;
     T.code w
 
+  (* A frame slot: its backing page and the offset in it, found once per
+     session. Concretized slots are 8-aligned below a page-aligned base,
+     so none straddles a page, and the harness writes and reads slot
+     words on the page directly, without boxing them. *)
+  type slot = { page : Bytes.t; off : int }
+
+  let slot h d =
+    let a = Int64.add h.base (Int64.of_int d) in
+    {
+      page = Vmem.Memory.page_of (T.mem h.st) a;
+      off = Int64.to_int a land (Vmem.Memory.page_size - 1);
+    }
+
+  let[@inline] get_slot h s =
+    if h.big then Bytes.get_int64_be s.page s.off
+    else Bytes.get_int64_le s.page s.off
+
+  let[@inline] set_slot h s v =
+    if h.big then Bytes.set_int64_be s.page s.off v
+    else Bytes.set_int64_le s.page s.off v
+
   type session = {
     h : h;
     id : int;
     regs : int array;
-    slots : int64 array; (* slot addresses *)
+    slots : slot array;
     lhs : T.code;
     screen : vectors * obs;
     mutable full_faults : bool; (* the lhs faults on some full vector *)
   }
 
-  let slot_addr h d = Int64.add h.base (Int64.of_int d)
+  (* Run [cf] on vector [k] of [vs]: its slot inputs, then the rest. *)
+  let run h ~regs ~slots cf vs k =
+    let v = 8 * ((k * vs.n) + Array.length regs) in
+    for j = 0 to Array.length slots - 1 do
+      set_slot h slots.(j) (Bytes.get_int64_ne vs.data (v + (8 * j)))
+    done;
+    T.exec h.st ~base:h.base ~regs cf vs k
 
   (* Run [cf] over every vector of [vs] and record what it leaves, in
      [into]'s buffers when they are big enough. *)
@@ -208,28 +238,28 @@ module Make (T : TARGET) = struct
           }
     in
     for k = 0 to vs.count - 1 do
-      T.exec st ~base:h.base ~regs ~slots cf vs k;
+      run h ~regs ~slots cf vs k;
       Bytes.blit (T.regs st) 0 o.oregs.(k) 0 rlen;
       o.okinds.(k) <- T.flag_kind st;
       for j = 0 to nslots - 1 do
         Bytes.set_int64_ne o.oslots
           (8 * ((nslots * k) + j))
-          (Vmem.Memory.read_u64 (T.mem st) slots.(j))
+          (get_slot h slots.(j))
       done
     done;
     o
 
   (* does the harness state after a run match observation [k]? *)
-  let matches st ~slots o k =
-    T.flag_kind st = o.okinds.(k)
-    && Bytes.equal (T.regs st) o.oregs.(k)
+  let matches h ~slots o k =
+    T.flag_kind h.st = o.okinds.(k)
+    && Bytes.equal (T.regs h.st) o.oregs.(k)
     &&
-    let mem = T.mem st and nslots = Array.length slots in
+    let nslots = Array.length slots in
     let j = ref 0 in
     while
       !j < nslots
-      && (Vmem.Memory.read_u64 mem slots.(!j) : int64)
-         = Bytes.get_int64_ne o.oslots (8 * ((nslots * k) + !j))
+      && Int64.equal (get_slot h slots.(!j))
+           (Bytes.get_int64_ne o.oslots (8 * ((nslots * k) + !j)))
     do
       incr j
     done;
@@ -244,7 +274,7 @@ module Make (T : TARGET) = struct
       session option =
     let regs, slots = T.inputs_of inputs in
     let regs = Array.of_list regs in
-    let slots = Array.of_list (List.map (slot_addr h) slots) in
+    let slots = Array.of_list (List.map (slot h) slots) in
     match prepare (Array.of_list lhs) with
     | exception Invalid_argument _ -> None
     | cf -> (
@@ -286,12 +316,11 @@ module Make (T : TARGET) = struct
 
   (* does [cf] reproduce every observation of [vs]? *)
   let passes s cf (vs, o) =
-    let st = s.h.st and base = s.h.base in
     let rec go k =
       k >= vs.count
       || begin
-           T.exec st ~base ~regs:s.regs ~slots:s.slots cf vs k;
-           matches st ~slots:s.slots o k
+           run s.h ~regs:s.regs ~slots:s.slots cf vs k;
+           matches s.h ~slots:s.slots o k
          end
          && go (k + 1)
     in
@@ -325,13 +354,22 @@ end
 (* The two targets differ in the simulator, the frame register, the
    flags type and which registers are data; everything else is [Make]. *)
 
+(* A straight-line window threaded into one closure: each instruction's
+   [decode_instr] continues with the next, the last with a halt. *)
+let chain decode_instr w =
+  let next = ref (fun _ -> ()) in
+  for pc = Array.length w - 1 downto 0 do
+    next := decode_instr pc w.(pc) !next
+  done;
+  !next
+
 module X86 = Make (struct
   open X86lite
   open X86lite.X86
 
   type nonrec instr = instr
   type state = Sim.state
-  type code = Sim.op array
+  type code = Sim.op
 
   let create () =
     let m = Llva.Ir.mk_module ~name:"superopt-oracle" () in
@@ -342,7 +380,7 @@ module X86 = Make (struct
     | Mov _ | Alu _ | Shift _ | Ext _ | Cmp _ | Setcc _ -> true
     | _ -> false
 
-  let code w = Array.map Sim.decode_instr w
+  let code w = chain Sim.decode_instr w
 
   (* BP is excluded: it is the frame base the harness owns *)
   let inputs_of (w : instr list) : int list * int list =
@@ -379,23 +417,16 @@ module X86 = Make (struct
       Sim.Fint (5L, 5L, false);
     |]
 
-  let exec st ~base ~regs ~slots (ops : code) vs k =
+  let exec st ~base ~regs (run : code) vs k =
     Bytes.fill st.Sim.regs 0 (Bytes.length st.Sim.regs) '\000';
     Sim.set_reg st sp (Int64.sub base 8192L);
     Sim.set_reg st bp base;
-    let v = 8 * k * vs.n and nr = Array.length regs in
-    for j = 0 to nr - 1 do
+    let v = 8 * k * vs.n in
+    for j = 0 to Array.length regs - 1 do
       Sim.set_reg st regs.(j) (Bytes.get_int64_ne vs.data (v + (8 * j)))
     done;
-    for j = 0 to Array.length slots - 1 do
-      Vmem.Memory.write_u64 st.Sim.mem slots.(j)
-        (Bytes.get_int64_ne vs.data (v + (8 * (nr + j))))
-    done;
     Sim.set_flags st flag_variants.(k mod 6);
-    for pc = 0 to Array.length ops - 1 do
-      st.Sim.pc <- pc + 1;
-      ops.(pc) st
-    done
+    run st
 end)
 
 module Sparc = Make (struct
@@ -404,7 +435,7 @@ module Sparc = Make (struct
 
   type nonrec instr = instr
   type state = Sim.state
-  type code = Sim.op array
+  type code = Sim.op
 
   let create () =
     let m = Llva.Ir.mk_module ~name:"superopt-oracle" () in
@@ -416,7 +447,7 @@ module Sparc = Make (struct
     | Alu3 _ | Sethi _ | Ld _ | St _ | Cmp _ | Movcc _ -> true
     | _ -> false
 
-  let code w = Array.map Sim.decode_instr w
+  let code w = chain Sim.decode_instr w
 
   (* r0 is architecturally zero: never a data input. *)
   let inputs_of (w : instr list) : int list * int list =
@@ -462,21 +493,14 @@ module Sparc = Make (struct
       Sim.Fint (5L, 5L);
     |]
 
-  let exec st ~base ~regs ~slots (ops : code) vs k =
+  let exec st ~base ~regs (run : code) vs k =
     Bytes.fill st.Sim.regs 0 (Bytes.length st.Sim.regs) '\000';
     Sim.set_reg st sp (Int64.sub base 8192L);
     Sim.set_reg st fp base;
-    let v = 8 * k * vs.n and nr = Array.length regs in
-    for j = 0 to nr - 1 do
+    let v = 8 * k * vs.n in
+    for j = 0 to Array.length regs - 1 do
       Sim.set_reg st regs.(j) (Bytes.get_int64_ne vs.data (v + (8 * j)))
     done;
-    for j = 0 to Array.length slots - 1 do
-      Vmem.Memory.write_u64 st.Sim.mem slots.(j)
-        (Bytes.get_int64_ne vs.data (v + (8 * (nr + j))))
-    done;
     Sim.set_flags st flag_variants.(k mod 6);
-    for pc = 0 to Array.length ops - 1 do
-      st.Sim.pc <- pc + 1;
-      ops.(pc) st
-    done
+    run st
 end)

@@ -1,7 +1,15 @@
 (* Paged, byte-addressable virtual memory for the LLVA interpreter and the
    hardware simulators. Accesses to unmapped addresses (including the null
    page) raise [Fault], which the execution engines turn into the precise
-   memory exceptions of paper §3.3. *)
+   memory exceptions of paper §3.3.
+
+   Pages live in a hash table keyed by page number. In front of it sits
+   a 64-entry direct-mapped page TLB: page [idx] can only occupy entry
+   [idx land 63], so a lookup is one array load and one compare, and a
+   guest that interleaves stack, heap and global accesses keeps all of
+   them resident. Entries are immutable [{idx; page}] records that are
+   only ever replaced whole, so a reader never pairs one page's index
+   with another page's bytes. *)
 
 open Llva
 
@@ -10,13 +18,17 @@ exception Fault of int64 (* faulting address *)
 let page_bits = 12
 let page_size = 1 lsl page_bits
 
-(* the most recently used page; immutable, so a reader never sees an
-   index paired with another page's bytes *)
+(* A page TLB entry. Entries are immutable and replaced whole, so a
+   reader never pairs one page's index with another page's bytes. *)
 type cached_page = { idx : int; page : Bytes.t }
+
+(* The TLB is direct-mapped: page [idx] can only live in entry
+   [idx land (tlb_size - 1)]. *)
+let tlb_size = 64
 
 type t = {
   pages : (int, Bytes.t) Hashtbl.t;
-  mutable last : cached_page; (* one-entry cache in front of [pages] *)
+  tlb : cached_page array; (* in front of [pages] *)
   target : Target.config;
   mutable brk : int64; (* first unused heap address *)
   mutable free_lists : (int * int64 list) list; (* size-class allocator *)
@@ -36,7 +48,7 @@ let stack_top = 0x0F00_0000L
 let create target =
   {
     pages = Hashtbl.create 256;
-    last = { idx = -1; page = Bytes.empty };
+    tlb = Array.make tlb_size { idx = -1; page = Bytes.empty };
     target;
     brk = heap_base;
     free_lists = [];
@@ -45,7 +57,8 @@ let create target =
 
 (* The backing page with index [idx], created zeroed on first touch. *)
 let page_at mem idx =
-  let c = mem.last in
+  let slot = idx land (tlb_size - 1) in
+  let c = Array.unsafe_get mem.tlb slot in
   if c.idx = idx then c.page
   else begin
     let p =
@@ -56,7 +69,7 @@ let page_at mem idx =
           Hashtbl.replace mem.pages idx p;
           p
     in
-    mem.last <- { idx; page = p };
+    Array.unsafe_set mem.tlb slot { idx; page = p };
     p
   end
 
@@ -249,28 +262,41 @@ let write_scalar mem ty addr (v : Eval.scalar) =
 
 (* ---------- heap allocator (runtime malloc/free for workloads) ---------- *)
 
+(* the smallest power of two, at least 16, that holds [n] bytes; None
+   when there is none below [max_int] *)
 let size_class n =
-  let rec go c = if c >= n then c else go (c * 2) in
+  let rec go c =
+    if c >= n then Some c else if c > max_int / 2 then None else go (c * 2)
+  in
   go 16
 
-let malloc mem n =
-  if n < 0 then invalid_arg "Memory.malloc: negative size";
-  let cls = size_class (max n 1) in
-  let addr =
-    match List.assoc_opt cls mem.free_lists with
-    | Some (a :: rest) ->
-        mem.free_lists <-
-          (cls, rest) :: List.remove_assoc cls mem.free_lists;
-        a
-    | Some [] | None ->
-        let a = mem.brk in
-        mem.brk <- Int64.add mem.brk (Int64.of_int cls);
-        a
-  in
+(* the block at [addr] of size class [cls], zeroed so workloads see
+   deterministic contents *)
+let claim mem addr cls =
   Hashtbl.replace mem.allocated addr cls;
-  (* zero the block so workloads see deterministic contents *)
   fill mem addr cls 0;
   addr
+
+(* A zeroed block of at least [n] bytes, or null (0) when no heap block
+   that large fits below the stack. *)
+let malloc mem n =
+  if n < 0 then invalid_arg "Memory.malloc: negative size";
+  match size_class (max n 1) with
+  | None -> 0L
+  | Some cls -> (
+      match List.assoc_opt cls mem.free_lists with
+      | Some (a :: rest) ->
+          mem.free_lists <-
+            (cls, rest) :: List.remove_assoc cls mem.free_lists;
+          claim mem a cls
+      | Some [] | None ->
+          let a = mem.brk in
+          if Int64.compare (Int64.sub stack_top a) (Int64.of_int cls) <= 0
+          then 0L
+          else begin
+            mem.brk <- Int64.add a (Int64.of_int cls);
+            claim mem a cls
+          end)
 
 let free mem addr =
   if Int64.equal addr 0L then ()

@@ -42,7 +42,11 @@ let float_arg name = name = "print_float"
 let call rt name (args : Eval.scalar list) : Eval.scalar =
   match (name, args) with
   | "malloc", [ n ] ->
-      Eval.P (Memory.malloc rt.mem (Int64.to_int (Eval.to_int64 n)))
+      let n = Eval.to_int64 n in
+      (* past max_int no size class exists: null, like any size too big *)
+      Eval.P
+        (if Int64.compare n (Int64.of_int max_int) > 0 then 0L
+         else Memory.malloc rt.mem (Int64.to_int n))
   | "free", [ p ] ->
       Memory.free rt.mem (Eval.to_int64 p);
       Eval.Undef Types.Void

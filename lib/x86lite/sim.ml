@@ -4,26 +4,47 @@
    byte-for-byte. Supports translate-on-demand through a pluggable code
    lookup, which is how the LLEE execution manager drives it.
 
-   Each function is decoded once, on its first entry, into a [decoded]
-   form: one closure per instruction with its operand kinds, ALU op,
-   width, base register and displacement already resolved, and each
-   instruction's constant [cycles_of]. The run loop indexes the closure,
-   charges the instruction from the cycle array, makes one compare
-   against the fuel limit, and calls it. Hot shapes get their own
-   closure; every other instruction runs through [exec], the one
-   semantic definition of the ISA, which the specialized closures are
-   tested against. Decoded functions live in a [cache] keyed by name and
-   checked by physical equality on the [Compile.cfunc], so SMC redirects
-   and translate-on-demand see new code. Closures capture no state: one
-   cache can serve many states over the same code (the certifier shares
-   one across its vectors). They never reach storage: cache entries
-   marshal the [Compile.cfunc], never its decoded form.
+   Each function is decoded once, on its first entry, into threaded
+   straight-line runs. A run ends at a branch, call, return, unwind or
+   trap instruction. Each instruction becomes one closure, with its
+   operand kinds, ALU op, width, base register and displacement already
+   resolved, that does its work and tail-calls its successor's closure;
+   [run.(pc)] therefore executes everything from [pc] to the end of its
+   run. Per pc, [count] and [cost] hold the instruction count and cycle
+   sum from there to the end of the run, so the loop charges a run once
+   and compares it against the fuel limit once, wherever it is entered.
+   When less fuel is left than the run needs, the loop steps one
+   instruction at a time through [exec] instead, counting and charging
+   each before the budget check, so a budget stops at the instruction
+   that exhausts it, wherever that falls in a run.
 
-   The loop allocates nothing: integer registers and the two flag
-   operands live unboxed in one [Bytes.t], the counters are native ints,
-   width normalization is inline shifts and masks, and in-page memory
-   accesses go straight to the backing page. Only calls, traps and
-   page-straddling accesses leave that path. *)
+   Suffix refunds: a closure that can raise stores its successor pc
+   first. The loop's one handler per run then takes back the count and
+   cycles of the instructions after it, which were charged but never
+   ran, and re-raises. A trap with a registered handler raises the
+   private [Deliver] instead of [Trap]; the loop runs the handler
+   subcall only after the refund, so the handler sees exact counts.
+
+   Hot shapes get their own closure; every other instruction runs
+   through [exec], the one semantic definition of the ISA, which the
+   specialized closures are tested against. Decoded functions live in a
+   [cache] keyed by name and checked by physical equality on the
+   [Compile.cfunc], so SMC redirects and translate-on-demand see new
+   code. Closures capture no state: one cache can serve many states over
+   the same code (the certifier shares one across its vectors). They
+   never reach storage: cache entries marshal the [Compile.cfunc], never
+   its decoded form.
+
+   Runs allocate nothing: integer registers and the two flag operands
+   live unboxed in one [Bytes.t], the counters are native ints, width
+   normalization is inline shifts and masks, and in-page memory accesses
+   go straight to the backing page through [Vmem.Memory]'s page TLB.
+   Only calls, traps and page-straddling accesses leave that path. The
+   specialized closures read and write the register file unchecked: an
+   instruction gets one only if every register it names exists
+   ([regs_ok]), and anything else runs through [exec], whose accesses
+   are checked. In-page accesses are unchecked too; the offset test
+   keeps them inside the page. *)
 
 open Llva
 open X86
@@ -38,6 +59,9 @@ exception Trap of trap_kind
 exception Unwound
 exception Out_of_fuel
 
+(* a trap for the registered handler; only the run loop catches it *)
+exception Deliver of trap_kind
+
 (* The condition flags as a value, for the superoptimizer oracle and the
    tests ([flags] / [set_flags]); the simulator keeps them unboxed. *)
 type flags =
@@ -45,9 +69,15 @@ type flags =
   | Fint of int64 * int64 * bool (* a, b (normalized), signed compare *)
   | Ffloat of float * float
 
-(* What a state executes: a function, one closure per instruction, and
-   each instruction's cycle cost. *)
-type decoded = { cf : Compile.cfunc; ops : op array; cyc : int array }
+(* What a state executes: a function as threaded runs. [run.(pc)]
+   executes from [pc] to the end of its run; [count.(pc)] and
+   [cost.(pc)] are the instructions and cycles that takes. *)
+type decoded = {
+  cf : Compile.cfunc;
+  run : op array;
+  count : int array;
+  cost : int array;
+}
 
 (* A suspended caller. An invoke also snapshots the caller's registers:
    unwinding to its handler restores them, as an unwinder restoring each
@@ -86,8 +116,8 @@ and state = {
   cache : cache; (* decoded functions, see [enter] *)
 }
 
-(* an instruction, decoded; the run loop has already counted it and
-   advanced [pc] past it *)
+(* an instruction, decoded and threaded to its successor; the run loop
+   has already counted and charged it *)
 and op = state -> unit
 
 (* decoded functions by name, valid while [cf] is physically the code
@@ -129,7 +159,7 @@ let create ?(fuel = -1) ?(cache = new_cache ()) (cmod : Compile.cmodule) :
     flag_kind = kind_none;
     frames = [];
     depth = 0;
-    code = { cf = none; ops = [||]; cyc = [||] };
+    code = { cf = none; run = [||]; count = [||]; cost = [||] };
     pc = 0;
     cycles = 0;
     icount = 0;
@@ -151,9 +181,25 @@ let output st = Vmem.Runtime.output st.rt
 let[@inline] reg st r = Bytes.get_int64_ne st.regs (r lsl 3)
 let[@inline] set_reg st r v = Bytes.set_int64_ne st.regs (r lsl 3) v
 
+(* Unchecked access to bytes, for offsets known to be in range. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+external bswap16 : int -> int = "%bswap16"
+
+(* Unchecked register access, for the decoded closures only: they are
+   built only for instructions whose registers all exist ([regs_ok]). *)
+let[@inline] ureg st r = get64u st.regs (r lsl 3)
+let[@inline] set_ureg st r v = set64u st.regs (r lsl 3) v
+
 let[@inline] set_flag_words st a b =
-  Bytes.set_int64_ne st.regs flag_a a;
-  Bytes.set_int64_ne st.regs flag_b b
+  set64u st.regs flag_a a;
+  set64u st.regs flag_b b
 
 (* Both stack registers at the top of the stack: the launch state. *)
 let init_stack st =
@@ -235,18 +281,31 @@ let[@inline] fresh v = Int64.add v 0L
 
 (* ---------- memory ----------
 
-   In-page accesses read or write the backing page directly; accesses
-   that straddle a page go through [Vmem.Memory]'s byte loops. [page]
-   is [Vmem.Memory.page_of] with the fault check and the page-cache hit
-   inline, so the address is never boxed. *)
+   In-page accesses read or write the backing page directly, unchecked:
+   the offset test keeps them inside the page. Accesses that straddle a
+   page go through [Vmem.Memory]'s byte loops. [page] is
+   [Vmem.Memory.page_of] with the fault check and the TLB hit inline, so
+   the address is never boxed. The geometry is spelled out as constants
+   so that it folds into the code. *)
 
-let page_bits = Vmem.Memory.page_bits
-let page_mask = Vmem.Memory.page_size - 1
+let page_bits = 12
+let page_mask = 4095
+let tlb_mask = 63
+
+let () =
+  if
+    Vmem.Memory.page_bits <> page_bits
+    || Vmem.Memory.page_size <> page_mask + 1
+    || Vmem.Memory.tlb_size <> tlb_mask + 1
+  then failwith "x86lite sim: page geometry differs from Vmem.Memory"
+
+(* native order is the target's order *)
+let[@inline] same_order st = st.big_endian = Sys.big_endian
 
 let[@inline] page st addr =
   if addr < 0x1000L then raise (Vmem.Memory.Fault addr);
   let idx = Int64.to_int addr lsr page_bits in
-  let c = st.mem.Vmem.Memory.last in
+  let c = Array.unsafe_get st.mem.Vmem.Memory.tlb (idx land tlb_mask) in
   if c.Vmem.Memory.idx = idx then c.Vmem.Memory.page
   else Vmem.Memory.page_at st.mem idx
 
@@ -255,57 +314,51 @@ let[@inline] load st addr w =
   match w with
   | W64 ->
       if off <= page_mask - 7 then
-        let p = page st addr in
-        if st.big_endian then Bytes.get_int64_be p off
-        else Bytes.get_int64_le p off
+        let v = get64u (page st addr) off in
+        if same_order st then v else bswap64 v
       else fresh (Vmem.Memory.read_uint st.mem addr 8)
   | W32 ->
       if off <= page_mask - 3 then
-        let p = page st addr in
+        let v = get32u (page st addr) off in
         Int64.logand
-          (Int64.of_int32
-             (if st.big_endian then Bytes.get_int32_be p off
-              else Bytes.get_int32_le p off))
+          (Int64.of_int32 (if same_order st then v else bswap32 v))
           0xFFFF_FFFFL
       else fresh (Vmem.Memory.read_uint st.mem addr 4)
   | W16 ->
       if off <= page_mask - 1 then
-        let p = page st addr in
-        Int64.of_int
-          (if st.big_endian then Bytes.get_uint16_be p off
-           else Bytes.get_uint16_le p off)
+        let v = get16u (page st addr) off in
+        Int64.of_int (if same_order st then v else bswap16 v)
       else fresh (Vmem.Memory.read_uint st.mem addr 2)
-  | W8 -> Int64.of_int (Bytes.get_uint8 (page st addr) off)
+  | W8 -> Int64.of_int (Char.code (Bytes.unsafe_get (page st addr) off))
 
 let[@inline] store st addr w v =
   let off = Int64.to_int addr land page_mask in
   match w with
   | W64 ->
       if off <= page_mask - 7 then
-        let p = page st addr in
-        if st.big_endian then Bytes.set_int64_be p off v
-        else Bytes.set_int64_le p off v
+        set64u (page st addr) off (if same_order st then v else bswap64 v)
       else Vmem.Memory.write_uint st.mem addr 8 v
   | W32 ->
       if off <= page_mask - 3 then
-        let p = page st addr in
-        if st.big_endian then Bytes.set_int32_be p off (Int64.to_int32 v)
-        else Bytes.set_int32_le p off (Int64.to_int32 v)
+        let v = Int64.to_int32 v in
+        set32u (page st addr) off (if same_order st then v else bswap32 v)
       else Vmem.Memory.write_uint st.mem addr 4 v
   | W16 ->
       if off <= page_mask - 1 then
-        let p = page st addr in
         let v = Int64.to_int v land 0xFFFF in
-        if st.big_endian then Bytes.set_uint16_be p off v
-        else Bytes.set_uint16_le p off v
+        set16u (page st addr) off (if same_order st then v else bswap16 v)
       else Vmem.Memory.write_uint st.mem addr 2 v
   | W8 ->
-      Bytes.set_uint8 (page st addr) off
-        (Int64.to_int v land 0xFF)
+      Bytes.unsafe_set (page st addr) off
+        (Char.unsafe_chr (Int64.to_int v land 0xFF))
 
 (* ---------- operand access ---------- *)
 
-let[@inline] mem_addr st (m : mem) = Int64.add (reg st m.base) (Int64.of_int m.disp)
+let[@inline] mem_addr st (m : mem) =
+  Int64.add (reg st m.base) (Int64.of_int m.disp)
+
+let[@inline] umem_addr st (m : mem) =
+  Int64.add (ureg st m.base) (Int64.of_int m.disp)
 
 let[@inline] read_op st = function
   | R r -> reg st r
@@ -367,8 +420,8 @@ let cc_parts = function
   | Geu -> (Int64.min_int, false, true, true)
 
 let[@inline] int_cc st flip lt eq gt =
-  let a = Int64.logxor (Bytes.get_int64_ne st.regs flag_a) flip
-  and b = Int64.logxor (Bytes.get_int64_ne st.regs flag_b) flip in
+  let a = Int64.logxor (get64u st.regs flag_a) flip
+  and b = Int64.logxor (get64u st.regs flag_b) flip in
   if a < b then lt else if Int64.equal a b then eq else gt
 
 let[@inline] int_flags st =
@@ -382,7 +435,35 @@ let redirected st name =
   if Hashtbl.length st.redirects = 0 then name
   else match Hashtbl.find_opt st.redirects name with Some r -> r | None -> name
 
-let rec deliver_trap st kind : unit =
+(* Does [i] end a run? Branches, calls, returns, unwinds and traps set
+   [pc] themselves; every other instruction falls through. *)
+let ends_run = function
+  | Jcc _ | Jmp _ | CallSym _ | CallSymI _ | CallInd _ | CallIndI _ | Ret
+  | Unwind | Trap _ ->
+      true
+  | _ -> false
+
+(* Do all of [i]'s integer registers exist? [decode_instr] specializes
+   only such instructions; the rest run through [exec], which checks. *)
+let regs_ok i =
+  let ok r = r >= 0 && r < nregs in
+  let opnd_ok = function R r -> ok r | M m -> ok m.base | I _ -> true in
+  match i with
+  | Mov (a, b) | Alu (_, _, _, a, b) | Cmp (_, _, a, b) ->
+      opnd_ok a && opnd_ok b
+  | Ext (r, _, _) | Setcc (_, r) -> ok r
+  | Mload (r, m, _, _) | Mstore (m, r, _) | Lea (r, m) -> ok r && ok m.base
+  | _ -> true
+
+(* Raise a guest trap. With a handler registered, the run loop delivers
+   it (see [deliver]) once the run's counts are exact. *)
+let deliver_trap st kind : unit =
+  if Option.is_some st.trap_handler then raise (Deliver kind)
+  else raise (Trap kind)
+
+(* Run the registered handler for [kind], once, then end the program
+   with the trap. *)
+let rec deliver st kind =
   (match st.trap_handler with
   | Some hname -> (
       st.trap_handler <- None;
@@ -655,127 +736,261 @@ and exec st i =
   | Fpushret f -> st.fregs.(0) <- st.fregs.(f)
   | Trap msg -> invalid_arg ("x86lite sim: trap " ^ msg)
 
-(* The closure that executes [i]: [exec st i] with everything that does
-   not depend on the state resolved now. Each arm must agree with [exec]
-   on registers, flags, memory, [pc] and raised exceptions (a QCheck
-   property in the test suite holds them to it). *)
-and decode_instr (i : instr) : op =
+(* The closure that executes [i], the instruction at [pc], and then
+   continues with [next] unless [i] ends a run: [exec st i] with
+   everything that does not depend on the state resolved now. A closure
+   that can raise stores [pc + 1] first, as [exec] expects, so the loop
+   knows where its run stopped. Each arm must agree with [exec] on
+   registers, flags, memory, [pc] and raised exceptions (QCheck
+   properties in the test suite hold them to it, one instruction at a
+   time and over whole runs). *)
+and decode_instr pc (i : instr) (next : op) : op =
+  let succ = pc + 1 in
   match i with
-  | Mov (R d, R s) -> fun st -> set_reg st d (reg st s)
-  | Mov (R d, I v) -> fun st -> set_reg st d v
-  | Mov (R d, M m) -> fun st -> set_reg st d (load st (mem_addr st m) W64)
-  | Mov (M m, R s) -> fun st -> store st (mem_addr st m) W64 (reg st s)
-  | Mov (M m, I v) -> fun st -> store st (mem_addr st m) W64 v
+  | _ when not (regs_ok i) -> via_exec succ i next
+  | Mov (R d, R s) -> fun st -> set_ureg st d (ureg st s); next st
+  | Mov (R d, I v) -> fun st -> set_ureg st d v; next st
+  | Mov (R d, M m) ->
+      fun st ->
+        st.pc <- succ;
+        set_ureg st d (load st (umem_addr st m) W64);
+        next st
+  | Mov (M m, R s) ->
+      fun st ->
+        st.pc <- succ;
+        store st (umem_addr st m) W64 (ureg st s);
+        next st
+  | Mov (M m, I v) ->
+      fun st ->
+        st.pc <- succ;
+        store st (umem_addr st m) W64 v;
+        next st
   | Alu (op, w, s, R d, R r) -> (
       match op with
-      | Add -> fun st -> set_reg st d (norm w s (Int64.add (reg st d) (reg st r)))
-      | Sub -> fun st -> set_reg st d (norm w s (Int64.sub (reg st d) (reg st r)))
-      | Imul -> fun st -> set_reg st d (norm w s (Int64.mul (reg st d) (reg st r)))
-      | And -> fun st -> set_reg st d (norm w s (Int64.logand (reg st d) (reg st r)))
-      | Or -> fun st -> set_reg st d (norm w s (Int64.logor (reg st d) (reg st r)))
-      | Xor -> fun st -> set_reg st d (norm w s (Int64.logxor (reg st d) (reg st r))))
+      | Add ->
+          fun st ->
+            set_ureg st d (norm w s (Int64.add (ureg st d) (ureg st r)));
+            next st
+      | Sub ->
+          fun st ->
+            set_ureg st d (norm w s (Int64.sub (ureg st d) (ureg st r)));
+            next st
+      | Imul ->
+          fun st ->
+            set_ureg st d (norm w s (Int64.mul (ureg st d) (ureg st r)));
+            next st
+      | And ->
+          fun st ->
+            set_ureg st d (norm w s (Int64.logand (ureg st d) (ureg st r)));
+            next st
+      | Or ->
+          fun st ->
+            set_ureg st d (norm w s (Int64.logor (ureg st d) (ureg st r)));
+            next st
+      | Xor ->
+          fun st ->
+            set_ureg st d (norm w s (Int64.logxor (ureg st d) (ureg st r)));
+            next st)
   | Alu (op, w, s, R d, I v) -> (
       match op with
-      | Add -> fun st -> set_reg st d (norm w s (Int64.add (reg st d) v))
-      | Sub -> fun st -> set_reg st d (norm w s (Int64.sub (reg st d) v))
-      | Imul -> fun st -> set_reg st d (norm w s (Int64.mul (reg st d) v))
-      | And -> fun st -> set_reg st d (norm w s (Int64.logand (reg st d) v))
-      | Or -> fun st -> set_reg st d (norm w s (Int64.logor (reg st d) v))
-      | Xor -> fun st -> set_reg st d (norm w s (Int64.logxor (reg st d) v)))
+      | Add ->
+          fun st ->
+            set_ureg st d (norm w s (Int64.add (ureg st d) v));
+            next st
+      | Sub ->
+          fun st ->
+            set_ureg st d (norm w s (Int64.sub (ureg st d) v));
+            next st
+      | Imul ->
+          fun st ->
+            set_ureg st d (norm w s (Int64.mul (ureg st d) v));
+            next st
+      | And ->
+          fun st ->
+            set_ureg st d (norm w s (Int64.logand (ureg st d) v));
+            next st
+      | Or ->
+          fun st ->
+            set_ureg st d (norm w s (Int64.logor (ureg st d) v));
+            next st
+      | Xor ->
+          fun st ->
+            set_ureg st d (norm w s (Int64.logxor (ureg st d) v));
+            next st)
   | Alu (op, w, s, R d, M m) -> (
       match op with
       | Add ->
           fun st ->
-            let b = load st (mem_addr st m) W64 in
-            set_reg st d (norm w s (Int64.add (reg st d) b))
+            st.pc <- succ;
+            let b = load st (umem_addr st m) W64 in
+            set_ureg st d (norm w s (Int64.add (ureg st d) b));
+            next st
       | Sub ->
           fun st ->
-            let b = load st (mem_addr st m) W64 in
-            set_reg st d (norm w s (Int64.sub (reg st d) b))
+            st.pc <- succ;
+            let b = load st (umem_addr st m) W64 in
+            set_ureg st d (norm w s (Int64.sub (ureg st d) b));
+            next st
       | Imul ->
           fun st ->
-            let b = load st (mem_addr st m) W64 in
-            set_reg st d (norm w s (Int64.mul (reg st d) b))
+            st.pc <- succ;
+            let b = load st (umem_addr st m) W64 in
+            set_ureg st d (norm w s (Int64.mul (ureg st d) b));
+            next st
       | And ->
           fun st ->
-            let b = load st (mem_addr st m) W64 in
-            set_reg st d (norm w s (Int64.logand (reg st d) b))
+            st.pc <- succ;
+            let b = load st (umem_addr st m) W64 in
+            set_ureg st d (norm w s (Int64.logand (ureg st d) b));
+            next st
       | Or ->
           fun st ->
-            let b = load st (mem_addr st m) W64 in
-            set_reg st d (norm w s (Int64.logor (reg st d) b))
+            st.pc <- succ;
+            let b = load st (umem_addr st m) W64 in
+            set_ureg st d (norm w s (Int64.logor (ureg st d) b));
+            next st
       | Xor ->
           fun st ->
-            let b = load st (mem_addr st m) W64 in
-            set_reg st d (norm w s (Int64.logxor (reg st d) b)))
-  | Ext (r, w, s) -> fun st -> set_reg st r (norm w s (reg st r))
+            st.pc <- succ;
+            let b = load st (umem_addr st m) W64 in
+            set_ureg st d (norm w s (Int64.logxor (ureg st d) b));
+            next st)
+  | Ext (r, w, s) -> fun st -> set_ureg st r (norm w s (ureg st r)); next st
   | Mload (r, m, w, s) ->
       fun st ->
-        let addr = mem_addr st m in
+        st.pc <- succ;
+        let addr = umem_addr st m in
         if Int64.equal addr 0L then deliver_trap st (Memory_fault 0L);
-        (try set_reg st r (norm w s (load st addr w))
-         with Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a))
+        (try set_ureg st r (norm w s (load st addr w))
+         with Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a));
+        next st
   | Mstore (m, r, w) ->
       fun st ->
-        let addr = mem_addr st m in
+        st.pc <- succ;
+        let addr = umem_addr st m in
         if Int64.equal addr 0L then deliver_trap st (Memory_fault 0L);
-        (try store st addr w (reg st r)
-         with Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a))
+        (try store st addr w (ureg st r)
+         with Vmem.Memory.Fault a -> deliver_trap st (Memory_fault a));
+        next st
   | Cmp (w, s, R a, I v) ->
       let y = norm w s v and kind = if s then kind_signed else kind_unsigned in
       fun st ->
-        set_flag_words st (norm w s (reg st a)) y;
-        st.flag_kind <- kind
+        set_flag_words st (norm w s (ureg st a)) y;
+        st.flag_kind <- kind;
+        next st
   | Cmp (w, s, M m, I v) ->
       let y = norm w s v and kind = if s then kind_signed else kind_unsigned in
       fun st ->
-        set_flag_words st (norm w s (load st (mem_addr st m) W64)) y;
-        st.flag_kind <- kind
+        st.pc <- succ;
+        set_flag_words st (norm w s (load st (umem_addr st m) W64)) y;
+        st.flag_kind <- kind;
+        next st
   | Cmp (w, s, R a, R b) ->
       let kind = if s then kind_signed else kind_unsigned in
       fun st ->
-        set_flag_words st (norm w s (reg st a)) (norm w s (reg st b));
-        st.flag_kind <- kind
+        set_flag_words st (norm w s (ureg st a)) (norm w s (ureg st b));
+        st.flag_kind <- kind;
+        next st
   | Setcc (cc, r) ->
       let flip, lt, eq, gt = cc_parts cc in
       fun st ->
-        let holds =
-          if int_flags st then int_cc st flip lt eq gt else cc_holds st cc
-        in
-        set_reg st r (if holds then 1L else 0L)
+        if int_flags st then
+          set_ureg st r (if int_cc st flip lt eq gt then 1L else 0L)
+        else begin
+          st.pc <- succ;
+          set_ureg st r (if cc_holds st cc then 1L else 0L)
+        end;
+        next st
   | Jcc (cc, l) ->
       let flip, lt, eq, gt = cc_parts cc in
       fun st ->
-        if int_flags st then (if int_cc st flip lt eq gt then st.pc <- l)
-        else if cc_holds st cc then st.pc <- l
+        if int_flags st then
+          st.pc <- (if int_cc st flip lt eq gt then l else succ)
+        else begin
+          st.pc <- succ;
+          if cc_holds st cc then st.pc <- l
+        end
   | Jmp l -> fun st -> st.pc <- l
-  | Lea (r, m) -> fun st -> set_reg st r (mem_addr st m)
+  | Lea (r, m) -> fun st -> set_ureg st r (umem_addr st m); next st
   | AddSp n ->
-      fun st -> set_reg st sp (Int64.add (reg st sp) (Int64.of_int n))
-  | CallSym name -> fun st -> do_call st name ~except:(-1) ~ret_pc:st.pc
-  | _ -> fun st -> exec st i
+      fun st ->
+        set_ureg st sp (Int64.add (ureg st sp) (Int64.of_int n));
+        next st
+  | CallSym name ->
+      fun st ->
+        st.pc <- succ;
+        do_call st name ~except:(-1) ~ret_pc:succ
+  | _ -> via_exec succ i next
 
+(* [i] through [exec], as the closure of [decode_instr] *)
+and via_exec succ i next =
+  if ends_run i then fun st ->
+    st.pc <- succ;
+    exec st i
+  else fun st ->
+    st.pc <- succ;
+    exec st i;
+    next st
+
+(* Thread [cf]'s code into runs, from the last instruction back. A run
+   that reaches the end of the code without a terminator leaves [pc]
+   past it, where the loop's next bounds check fails. *)
 and decode (cf : Compile.cfunc) : decoded =
-  {
-    cf;
-    ops = Array.map decode_instr cf.Compile.code;
-    cyc = Array.map cycles_of cf.Compile.code;
-  }
+  let code = cf.Compile.code in
+  let n = Array.length code in
+  let fall_off st = st.pc <- n in
+  let run = Array.make n fall_off in
+  let count = Array.make n 0 and cost = Array.make n 0 in
+  for k = n - 1 downto 0 do
+    let i = code.(k) in
+    let last = k = n - 1 || ends_run i in
+    run.(k) <- decode_instr k i (if k = n - 1 then fall_off else run.(k + 1));
+    count.(k) <- (if last then 1 else 1 + count.(k + 1));
+    cost.(k) <- (cycles_of i + if last then 0 else cost.(k + 1))
+  done;
+  { cf; run; count; cost }
 
-(* Run until the function entered last returns. Counting and charging
-   an instruction precede the budget check, so the instruction that
-   exhausts the fuel is counted but not executed. *)
+(* The loop's one step: the whole run at [pc] when the fuel covers it,
+   charged up front, else one instruction through [step]. *)
+and dispatch st =
+  let code = st.code and pc = st.pc in
+  let icount = st.icount + code.count.(pc) in
+  if icount <= st.limit then begin
+    st.icount <- icount;
+    st.cycles <- st.cycles + Array.unsafe_get code.cost pc;
+    try (Array.unsafe_get code.run pc) st with e -> abort_run st code pc e
+  end
+  else step st
+
+(* A run entered at [pc] stopped early: the instruction before [st.pc]
+   raised [e]. Refund the instructions after it, which were charged but
+   never ran, then deliver a trap to the handler or pass [e] on. *)
+and abort_run st code pc e =
+  let k = st.pc in
+  if st.code == code && k > pc && k < pc + code.count.(pc) then begin
+    st.icount <- st.icount - code.count.(k);
+    st.cycles <- st.cycles - code.cost.(k)
+  end;
+  match e with Deliver kind -> deliver st kind | e -> raise e
+
+(* One instruction through [exec]. Counting and charging it precede the
+   budget check, so the instruction that exhausts the fuel is counted
+   but not executed. *)
+and step st =
+  let pc = st.pc in
+  let i = st.code.cf.Compile.code.(pc) in
+  let n = st.icount + 1 in
+  st.icount <- n;
+  st.cycles <- st.cycles + cycles_of i;
+  if n > st.limit then raise Out_of_fuel;
+  st.pc <- pc + 1;
+  try exec st i with Deliver kind -> deliver st kind
+
+(* Run until the function entered last returns. *)
 and run_until_empty st =
   try
     while true do
-      let code = st.code and pc = st.pc in
-      let op = code.ops.(pc) in
-      let n = st.icount + 1 in
-      st.icount <- n;
-      st.cycles <- st.cycles + Array.unsafe_get code.cyc pc;
-      if n > st.limit then raise Out_of_fuel;
-      st.pc <- pc + 1;
-      op st
+      dispatch st
     done
   with Exit -> ()
 

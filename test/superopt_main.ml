@@ -38,11 +38,12 @@
       the lines are printed.
 
    7. Counts at fuel exhaustion and at traps: for the 9 short
-      workloads and two trapping programs with a registered trap
+      workloads and three trapping programs with a registered trap
       handler, on both targets, under fuel budgets 0, 1, 10 000 and
-      1 000 000, the outcome, native instruction count and cycle count
-      must equal the file named by the fifth argument (sim_fuel.expected)
-      line for line; without a fifth argument the lines are printed. An
+      1 000 000 (and, for the trapping programs, budgets that stop
+      around the fault and inside the handler), the outcome, native
+      instruction count and cycle count must equal the file named by
+      the fifth argument (sim_fuel.expected) line for line; without a fifth argument the lines are printed. An
       instruction that runs out of fuel is counted and charged before
       the budget check stops it. *)
 
@@ -96,7 +97,9 @@ let short_workloads =
   ]
 
 (* Guest traps under a registered handler: the handler runs as a native
-   subcall (and prints), then the trap ends the program. *)
+   subcall (and prints), then the trap ends the program. Each comes with
+   its own extra fuel budgets; for the first two, 3060 and 5445 stop
+   inside the handler on sparclite and x86lite respectively. *)
 let trap_programs =
   let prelude =
     {|
@@ -130,6 +133,7 @@ out:
   in
   [
     ( "trap-divide",
+      [ 3060; 5445 ],
       prelude
       ^ {|
 int %main() {
@@ -142,6 +146,7 @@ entry:
 }
 |} );
     ( "trap-fault",
+      [ 3060; 5445 ],
       prelude
       ^ {|
 int %main() {
@@ -152,6 +157,30 @@ entry:
   %v = load int* %p
   %r = add int %v, %s
   ret int %r
+}
+|} );
+    (* The faulting load sits mid-way through a straight-line run on
+       both targets, with at least 3 instructions before and after it.
+       The budgets stop just before the fault, on it, just after it (at
+       the handler's first instruction) and inside the handler: x86lite
+       first, then sparclite. *)
+    ( "trap-midrun",
+      [ 5437; 5438; 5439; 5445; 3050; 3051; 3052; 3058 ],
+      prelude
+      ^ {|
+int %main() {
+entry:
+  %s = call int %spin(int 300)
+  call void %llva.trap.register(void (uint, sbyte*)* %handler)
+  %p = load int** %nowhere
+  %a = add int %s, 7
+  %b = mul int %a, %s
+  %c = xor int %b, 5
+  %v = load int* %p
+  %d = add int %v, %c
+  %e = mul int %d, %a
+  %f = sub int %e, %b
+  ret int %f
 }
 |} );
   ]
@@ -314,10 +343,8 @@ let () =
         | None -> failwith ("no workload " ^ name))
       short_workloads
     @ List.map
-        (fun (name, src) ->
-          (* 3060 and 5445 stop inside the handler on sparclite and
-             x86lite respectively *)
-          (name, [ 3060; 5445 ], fun () -> Llva.Resolve.parse_module ~name src))
+        (fun (name, extra, src) ->
+          (name, extra, fun () -> Llva.Resolve.parse_module ~name src))
         trap_programs
   in
   List.iter

@@ -102,6 +102,59 @@ entry:
             (Llee.Outcome.to_string o))
     (engines src)
 
+(* Wild malloc sizes: 2^62 has no power-of-two size class below
+   max_int, and 2^40 would run the heap into the stack. The interpreter
+   and both simulators must return null at once instead of looping or
+   zero-filling. *)
+let test_wild_malloc_is_null () =
+  let src =
+    {|
+declare sbyte* %malloc(ulong)
+
+int %main() {
+entry:
+  %p = call sbyte* %malloc(ulong 4611686018427387904)
+  %q = call sbyte* %malloc(ulong 1099511627776)
+  %a = seteq sbyte* %p, null
+  %b = seteq sbyte* %q, null
+  %c = and bool %a, %b
+  %r = cast bool %c to int
+  ret int %r
+}
+|}
+  in
+  List.iter
+    (fun (tag, launch) ->
+      match launch () with
+      | Llee.Outcome.Exit 1 -> ()
+      | o ->
+          Alcotest.failf "%s: expected both mallocs to be null, got %s" tag
+            (Llee.Outcome.to_string o))
+    (List.filter
+       (fun (tag, _) -> List.mem tag [ "interp"; "x86"; "sparc" ])
+       (engines src))
+
+(* A module that verifies yet names a struct it never defines: the
+   interpreter's [Types.Unresolved] is an outcome, not an escape. *)
+let test_unresolved_type () =
+  let m =
+    Gen.parse
+      {|
+int %main() {
+entry:
+  %p = alloca %struct.missing
+  ret int 0
+}
+|}
+  in
+  check_bool "the verifier accepts it" true (Llva.Verify.verify_module m = []);
+  match Llee.Outcome.run_main_interp m with
+  | Llee.Outcome.Trapped
+      { kind = Llee.Outcome.Invalid_operation msg; engine = "interp"; _ }, _ ->
+      check_string "names the type" "unresolved type %struct.missing" msg
+  | o, _ -> Alcotest.failf "expected an invalid operation, got %s"
+              (Llee.Outcome.to_string o)
+
 let test_exit_codes () =
   check_int "exit passthrough" 3 (Llee.Outcome.exit_code (Llee.Outcome.Exit 3));
   check_int "trap is 134" 134
@@ -178,6 +231,10 @@ let suite =
     Alcotest.test_case "normal exit on all five engines" `Quick
       test_normal_exit_all_engines;
     Alcotest.test_case "outcome exit codes" `Quick test_exit_codes;
+    Alcotest.test_case "wild malloc returns null" `Quick
+      test_wild_malloc_is_null;
+    Alcotest.test_case "unresolved type is an outcome" `Quick
+      test_unresolved_type;
     Alcotest.test_case "pool mixed exceptions" `Quick test_pool_mixed_exceptions;
     Alcotest.test_case "pool both exceptions" `Quick test_pool_both_exceptions;
   ]

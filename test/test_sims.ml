@@ -1,11 +1,19 @@
-(* The decoded simulators. [Sim.decode_instr] specializes each
-   instruction into a closure; [Sim.exec] is the one semantic definition
-   of the ISA. For random instructions of every constructor and operand
-   shape, run on random register files, flags and memory (null,
-   unmapped and page-straddling addresses, zero and overflowing
-   divisors, with and without a caller frame and a trap handler), the
-   closure and [exec] must leave the same registers, flags, memory, pc,
-   frames, output and raised exception. *)
+(* The threaded simulators. [Sim.decode_instr] specializes each
+   instruction into a closure that continues with its successor;
+   [Sim.exec] is the one semantic definition of the ISA. For random
+   instructions of every constructor and operand shape, run on random
+   register files, flags and memory (null, unmapped and page-straddling
+   addresses, zero and overflowing divisors, with and without a caller
+   frame and a trap handler), the closure and [exec] must leave the same
+   registers, flags, memory, pc, frames, output and raised exception.
+
+   The block properties do the same for whole runs: 2-8 straight-line
+   instructions, optionally ending in a terminator and optionally with a
+   load or store that faults part-way through, under a fuel budget that
+   may stop inside the run. Run once through the loop's [dispatch]
+   (charged up front, refunded on a raise, the trap handler delivered
+   after the refund) and once by [step]ping each instruction through
+   [exec], they must also agree on the instruction and cycle counts. *)
 
 (* A callee with an invoke frame to return or unwind to, a trap handler
    that prints, and a main to start in. *)
@@ -128,9 +136,39 @@ let outcome f = match f () with () -> "returned" | exception e -> Printexc.to_st
 
 let names =
   [
-    "f"; "handler"; "print_int"; "print_float"; "free"; "strlen"; "nosuch";
+    "f"; "handler"; "print_int"; "print_float"; "malloc"; "free"; "strlen";
+    "nosuch";
     "llva.stack.depth"; "llva.priv.set"; "llva.trap.register"; "llva.io.in";
   ]
+
+let halt _ = ()
+
+(* A random run: 2-8 instructions that do not end a run, then maybe
+   one that does, with the two-instruction faulting access [fault]
+   spliced into the middle one time in three; and no fuel budget, or
+   one that runs out somewhere inside the run. *)
+let gen_block ~gen_instr ~ends_run ~fault =
+  let open QCheck.Gen in
+  let rec pick terminator st =
+    let i = gen_instr st in
+    if ends_run i = terminator then i else pick terminator st
+  in
+  let* n = int_range 2 8 in
+  let* body = list_repeat n (pick false) in
+  let* last = opt (pick true) in
+  let* fault = opt ~ratio:0.33 fault in
+  let* at = int_range 1 (n - 1) in
+  let body =
+    match fault with
+    | None -> body
+    | Some (a, b) ->
+        List.filteri (fun k _ -> k < at) body
+        @ [ a; b ]
+        @ List.filteri (fun k _ -> k >= at) body
+  in
+  let code = body @ Option.to_list last in
+  let* fuel = opt (int_bound (List.length code + 1)) in
+  return (code, fuel)
 
 let scene_str s =
   Printf.sprintf "regs [%s] fregs [%s] kind %d flags %Ld %Ld words [%s]%s%s%s"
@@ -142,6 +180,11 @@ let scene_str s =
     (if s.in_callee then " in-callee" else "")
     (if s.handler then " handler" else "")
     (if s.privileged then " privileged" else "")
+
+let block_str to_string ((code, fuel), s) =
+  String.concat "; " (List.map to_string code)
+  ^ (match fuel with Some f -> Printf.sprintf " fuel %d" f | None -> "")
+  ^ " on " ^ scene_str s
 
 (* ---------- x86lite ---------- *)
 
@@ -218,8 +261,8 @@ module X = struct
       ]
 
   (* a state in [s], about to run the instruction at pc 1 of main or f *)
-  let setup s =
-    let st = Sim.create { cm with Compile.image = image () } in
+  let setup ?fuel s =
+    let st = Sim.create ?fuel { cm with Compile.image = image () } in
     Sim.enter st (Hashtbl.find cm.Compile.funcs "main");
     if s.in_callee then Sim.do_call st "f" ~except:3 ~ret_pc:2;
     Array.iteri (fun r v -> Sim.set_reg st r v) s.ints;
@@ -256,10 +299,56 @@ module X = struct
          QCheck.Gen.(pair gen_instr (gen_scene ~nregs:8 ~nfregs:8 ~kinds:4)))
       (fun (i, s) ->
         let a = setup s and b = setup s in
-        let op = Sim.decode_instr i in
+        let op = Sim.decode_instr 1 i halt in
         let ra = outcome (fun () -> op a) in
         let rb = outcome (fun () -> Sim.exec b i) in
         observe a ra = observe b rb)
+
+  (* point a register into the null page or below it, then load or
+     store through it *)
+  let fault =
+    QCheck.Gen.(
+      let* r = int_bound 7 and* d = int_bound 7 in
+      let* a = oneofl [ 0L; 8L; -8L ] in
+      let* load = bool and* w = oneofl [ W8; W32; W64 ] in
+      let m = { base = r; disp = 0 } in
+      return
+        ( Mov (R r, I a),
+          if load then Mload (d, m, w, true) else Mstore (m, d, w) ))
+
+  (* [code] as one threaded run through [dispatch], or stepped through
+     [exec], from pc 0 until all of it has run or something raised *)
+  let run_block ~threaded ?fuel s code =
+    let st = setup ?fuel s in
+    st.Sim.code <-
+      Sim.decode { Compile.cf_name = "block"; code; nargs = 0; frame_slots = 0 };
+    st.Sim.pc <- 0;
+    let len = Array.length code in
+    let result =
+      outcome (fun () ->
+          if threaded then
+            while st.Sim.icount < len do
+              Sim.dispatch st
+            done
+          else
+            for _ = 1 to len do
+              Sim.step st
+            done)
+    in
+    observe st result
+
+  let block_prop =
+    QCheck.Test.make ~name:"x86lite threaded runs agree with stepping exec"
+      ~count:4000
+      (QCheck.make ~print:(block_str to_string)
+         QCheck.Gen.(
+           pair
+             (gen_block ~gen_instr ~ends_run:Sim.ends_run ~fault)
+             (gen_scene ~nregs:8 ~nfregs:8 ~kinds:4)))
+      (fun ((code, fuel), s) ->
+        let code = Array.of_list code in
+        run_block ~threaded:true ?fuel s code
+        = run_block ~threaded:false ?fuel s code)
 end
 
 (* ---------- sparclite ---------- *)
@@ -333,8 +422,8 @@ module S = struct
       ]
 
   (* r0 stays zero, as every writer of the register file keeps it *)
-  let setup s =
-    let st = Sim.create { cm with Compile.image = image () } in
+  let setup ?fuel s =
+    let st = Sim.create ?fuel { cm with Compile.image = image () } in
     Sim.enter st (Hashtbl.find cm.Compile.funcs "main");
     if s.in_callee then Sim.do_call st "f" ~except:3 ~ret_pc:2;
     Array.iteri (fun r v -> Sim.wreg st r v) s.ints;
@@ -371,14 +460,157 @@ module S = struct
          QCheck.Gen.(pair gen_instr (gen_scene ~nregs:32 ~nfregs:16 ~kinds:3)))
       (fun (i, s) ->
         let a = setup s and b = setup s in
-        let op = Sim.decode_instr i in
+        let op = Sim.decode_instr 1 i halt in
         let ra = outcome (fun () -> op a) in
         let rb = outcome (fun () -> Sim.exec b i) in
         observe a ra = observe b rb)
+
+  (* point a register into the null page or below it, then load or
+     store through it *)
+  let fault =
+    QCheck.Gen.(
+      let* r = oneofl [ 1; 8; 16 ] and* d = oneofl [ 2; 9; 17 ] in
+      let* a = oneofl [ 0L; 8L; -8L ] in
+      let* load = bool and* w = oneofl [ W8; W32; W64 ] in
+      return
+        (Sethi (r, a), if load then Ld (w, true, d, r, 0) else St (w, d, r, 0)))
+
+  (* [code] as one threaded run through [dispatch], or stepped through
+     [exec], from pc 0 until all of it has run or something raised *)
+  let run_block ~threaded ?fuel s code =
+    let st = setup ?fuel s in
+    st.Sim.code <-
+      Sim.decode { Compile.cf_name = "block"; code; nargs = 0; frame_slots = 0 };
+    st.Sim.pc <- 0;
+    let len = Array.length code in
+    let result =
+      outcome (fun () ->
+          if threaded then
+            while st.Sim.icount < len do
+              Sim.dispatch st
+            done
+          else
+            for _ = 1 to len do
+              Sim.step st
+            done)
+    in
+    observe st result
+
+  let block_prop =
+    QCheck.Test.make ~name:"sparclite threaded runs agree with stepping exec"
+      ~count:4000
+      (QCheck.make ~print:(block_str to_string)
+         QCheck.Gen.(
+           pair
+             (gen_block ~gen_instr ~ends_run:Sim.ends_run ~fault)
+             (gen_scene ~nregs:32 ~nfregs:16 ~kinds:3)))
+      (fun ((code, fuel), s) ->
+        let code = Array.of_list code in
+        run_block ~threaded:true ?fuel s code
+        = run_block ~threaded:false ?fuel s code)
 end
+
+(* The specialized closures access the register file unchecked, so an
+   instruction naming a register that does not exist must not get one:
+   it runs through [exec] and fails the same checked way. *)
+let plain =
+  {
+    ints = [||]; floats = [||]; kind = 0; fa = 0L; fb = 0L; words = [];
+    in_callee = false; handler = false; privileged = false;
+  }
+
+let test_bad_registers () =
+  let check name closure reference =
+    let r = outcome reference in
+    Alcotest.(check string) name r (outcome closure);
+    Alcotest.(check bool) (name ^ " rejected") true
+      (String.starts_with ~prefix:"Invalid_argument" r)
+  in
+  List.iter
+    (fun i ->
+      let open X86lite in
+      check (X86.to_string i)
+        (fun () -> Sim.decode_instr 1 i halt (X.setup plain))
+        (fun () -> Sim.exec (X.setup plain) i))
+    X86lite.X86.
+      [
+        Mov (R 10, I 1L);
+        Mov (R 0, M { base = 12; disp = 0 });
+        Mload (0, { base = -1; disp = 0 }, W64, true);
+        Lea (40, { base = 0; disp = 8 });
+      ];
+  List.iter
+    (fun i ->
+      let open Sparclite in
+      check (Sparc.to_string i)
+        (fun () -> Sim.decode_instr 1 i halt (S.setup plain))
+        (fun () -> Sim.exec (S.setup plain) i))
+    Sparclite.Sparc.
+      [
+        Alu3 (Add, W64, true, 40, 1, Imm 1);
+        Sethi (34, 5L);
+        Ld (W64, true, 1, 99, 0);
+        Cmp (W64, true, 2, Rs 40);
+      ]
+
+(* In-page accesses read and write the page unchecked and swap bytes
+   themselves: on every target configuration, each width must store
+   what [Vmem.Memory] reads back and load what it wrote. *)
+let test_byte_order () =
+  let v = 0x0102_0304_0506_0708L and addr = 0x2000_0010L in
+  List.iter
+    (fun target ->
+      let m = Llva.Ir.mk_module ~name:"order" ~target () in
+      let image () = Vmem.Image.load m in
+      let check sim n (mem : Vmem.Memory.t) loaded =
+        let reference = (image ()).Vmem.Image.mem in
+        Vmem.Memory.write_uint reference addr n v;
+        let expect = Vmem.Memory.read_uint reference addr n in
+        let name =
+          Printf.sprintf "%s on %s, %d bytes" sim
+            (Llva.Target.to_string target) n
+        in
+        Alcotest.(check int64) (name ^ ": store") expect
+          (Vmem.Memory.read_uint mem addr n);
+        Alcotest.(check int64) (name ^ ": load") expect loaded
+      in
+      List.iter
+        (fun (n, w) ->
+          let open X86lite in
+          let st =
+            Sim.create
+              { Compile.cm = m; image = image (); funcs = Hashtbl.create 1 }
+          in
+          let at = { X86.base = 0; disp = 0 } in
+          Sim.set_reg st 0 addr;
+          Sim.set_reg st 1 v;
+          Sim.exec st (X86.Mstore (at, 1, w));
+          Sim.exec st (X86.Mload (2, at, w, false));
+          check "x86lite" n st.Sim.mem (Sim.reg st 2))
+        X86lite.X86.[ (1, W8); (2, W16); (4, W32); (8, W64) ];
+      List.iter
+        (fun (n, w) ->
+          let open Sparclite in
+          let st =
+            Sim.create
+              { Compile.cm = m; image = image (); funcs = Hashtbl.create 1 }
+          in
+          Sim.set_reg st 1 addr;
+          Sim.set_reg st 2 v;
+          Sim.exec st (Sparc.St (w, 2, 1, 0));
+          Sim.exec st (Sparc.Ld (w, false, 3, 1, 0));
+          check "sparclite" n st.Sim.mem (Sim.reg st 3))
+        Sparclite.Sparc.[ (1, W8); (2, W16); (4, W32); (8, W64) ])
+    Llva.Target.all
 
 let suite =
   [
     QCheck_alcotest.to_alcotest X.prop;
     QCheck_alcotest.to_alcotest S.prop;
+    QCheck_alcotest.to_alcotest X.block_prop;
+    QCheck_alcotest.to_alcotest S.block_prop;
+    Alcotest.test_case "closures exist only for real registers" `Quick
+      test_bad_registers;
+    Alcotest.test_case "in-page accesses honour the byte order" `Quick
+      test_byte_order;
   ]

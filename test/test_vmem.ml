@@ -191,7 +191,34 @@ let test_malloc_free () =
      with Vmem.Memory.Fault _ -> true);
   (* free of null is a no-op *)
   Vmem.Memory.free mem 0L;
-  check_int "live bytes accounted" 32 (Vmem.Memory.live_bytes mem)
+  check_int "live bytes accounted" 32 (Vmem.Memory.live_bytes mem);
+  (* sizes with no size class, or whose block would reach the stack,
+     are null at once and leave the heap alone *)
+  let brk = mem.Vmem.Memory.brk in
+  List.iter
+    (fun n ->
+      check_bool (Printf.sprintf "malloc %d is null" n) true
+        (Int64.equal (Vmem.Memory.malloc mem n) 0L))
+    [ max_int; (1 lsl 61) + 1; 1 lsl 40;
+      Int64.to_int (Int64.sub Vmem.Memory.stack_top brk) ];
+  check_bool "brk unchanged" true (Int64.equal brk mem.Vmem.Memory.brk);
+  check_int "live bytes unchanged" 32 (Vmem.Memory.live_bytes mem)
+
+(* Pages [idx] and [idx + 64] share a TLB entry: interleaved accesses
+   must each reach their own page. *)
+let test_tlb_conflicts () =
+  let mem = Vmem.Memory.create Target.little64 in
+  let page = Int64.of_int Vmem.Memory.page_size in
+  let addr k = Int64.add 0x10_0000L (Int64.mul page (Int64.of_int (64 * k))) in
+  for round = 0 to 2 do
+    for k = 0 to 4 do
+      Vmem.Memory.write_u64 mem (addr k) (Int64.of_int ((10 * round) + k))
+    done;
+    for k = 0 to 4 do
+      check_int "own page" ((10 * round) + k)
+        (Int64.to_int (Vmem.Memory.read_u64 mem (addr k)))
+    done
+  done
 
 let test_image_loading () =
   let src =
@@ -309,6 +336,7 @@ let suite =
     Alcotest.test_case "null page faults" `Quick test_null_page_faults;
     Alcotest.test_case "typed scalar access" `Quick test_typed_scalar_access;
     Alcotest.test_case "malloc/free" `Quick test_malloc_free;
+    Alcotest.test_case "page TLB conflicts" `Quick test_tlb_conflicts;
     Alcotest.test_case "image loading" `Quick test_image_loading;
     Alcotest.test_case "runtime" `Quick test_runtime;
     QCheck_alcotest.to_alcotest prop_layout_sane;
