@@ -675,7 +675,7 @@ let run_sims () =
        (fun m ->
          let c = X86lite.Compile.compile_module m in
          fun () ->
-           let c = { c with X86lite.Compile.image = Vmem.Image.load m } in
+           let c = { c with Codegen.Native.image = Vmem.Image.load m } in
            (snd (X86lite.Sim.run_main c)).X86lite.Sim.icount)
        mods);
   measure "sparclite"
@@ -683,7 +683,7 @@ let run_sims () =
        (fun m ->
          let c = Sparclite.Compile.compile_module m in
          fun () ->
-           let c = { c with Sparclite.Compile.image = Vmem.Image.load m } in
+           let c = { c with Codegen.Native.image = Vmem.Image.load m } in
            (snd (Sparclite.Sim.run_main c)).Sparclite.Sim.icount)
        mods)
 

@@ -15,16 +15,13 @@ let run input output target =
           Tool_common.write_file o text;
           Printf.printf "wrote %s\n" o
       | None -> print_string text)
-  | Some "x86" ->
-      let cm = X86lite.Compile.compile_module m in
+  | Some (("x86" | "sparc") as t) ->
+      let (module B) =
+        Llee.backend (if t = "x86" then Llee.X86 else Llee.Sparc)
+      in
       Hashtbl.iter
-        (fun _ cf -> print_string (X86lite.Compile.disassemble cf))
-        cm.X86lite.Compile.funcs
-  | Some "sparc" ->
-      let cm = Sparclite.Compile.compile_module m in
-      Hashtbl.iter
-        (fun _ cf -> print_string (Sparclite.Compile.disassemble cf))
-        cm.Sparclite.Compile.funcs
+        (fun _ cf -> print_string (B.disassemble cf))
+        (B.compile_module m).Codegen.Native.funcs
   | Some t ->
       Printf.eprintf "unknown target %s (x86 or sparc)\n" t;
       exit 1

@@ -100,27 +100,19 @@ let run input engine stats opt fuel cache_dir peephole doctor purge diff
           Printf.sprintf "max call depth: %d" st.Interp.stats.Interp.max_depth;
           Printf.sprintf "functions lowered: %d" st.Interp.stats.Interp.lowered;
         ]
-  | "x86" ->
-      let cm = X86lite.Compile.compile_module m in
-      let outcome, st = Llee.Outcome.run_main_x86 ?fuel cm in
-      finish outcome (X86lite.Sim.output st)
+  | ("x86" | "sparc") as e ->
+      let (module B) =
+        Llee.backend (if e = "x86" then Llee.X86 else Llee.Sparc)
+      in
+      let cm = B.compile_module m in
+      let outcome, st = Llee.Outcome.run_main (module B) ?fuel cm in
+      finish outcome (B.output st)
         [
-          Printf.sprintf "native instructions: %d" st.X86lite.Sim.icount;
-          Printf.sprintf "cycles: %d" st.X86lite.Sim.cycles;
+          Printf.sprintf "native instructions: %d" (B.icount st);
+          Printf.sprintf "cycles: %d" (B.cycles st);
           Printf.sprintf "static native instructions: %d"
-            (X86lite.Compile.module_instr_count cm);
-          Printf.sprintf "native code bytes: %d"
-            (X86lite.Compile.module_code_size cm);
-        ]
-  | "sparc" ->
-      let cm = Sparclite.Compile.compile_module m in
-      let outcome, st = Llee.Outcome.run_main_sparc ?fuel cm in
-      finish outcome (Sparclite.Sim.output st)
-        [
-          Printf.sprintf "native instructions: %d" st.Sparclite.Sim.icount;
-          Printf.sprintf "cycles: %d" st.Sparclite.Sim.cycles;
-          Printf.sprintf "static native instructions: %d"
-            (Sparclite.Compile.module_instr_count cm);
+            (B.module_instr_count cm);
+          Printf.sprintf "native code bytes: %d" (B.module_code_size cm);
         ]
   | "llee-x86" | "llee-sparc" ->
       let target = if engine = "llee-x86" then Llee.X86 else Llee.Sparc in

@@ -24,14 +24,17 @@ let suite () =
   List.map (fun w -> Workloads.compile_optimized ~level:1 w) Workloads.all
 
 let targets_of = function
-  | "all" -> [ "x86lite"; "sparclite" ]
+  | "all" ->
+      List.map
+        (fun (module B : Superopt.Backend.S) -> B.name)
+        Superopt.Backend.all
   | t -> [ t ]
 
 let table_path dir target = Filename.concat dir (target ^ ".peep")
 
 let learn_one mods target =
   let t0 = Unix.gettimeofday () in
-  let tb = Superopt.Search.learn ~target mods in
+  let tb = Superopt.Search.learn (Superopt.Backend.of_name target) mods in
   Printf.printf "%-10s %d rules, %d static cycles saved (%.2fs search)\n"
     target (Superopt.Table.count tb)
     (Superopt.Table.total_saved tb)
@@ -86,8 +89,12 @@ let do_determinism targets =
   let code = ref 0 in
   List.iter
     (fun target ->
-      let a = Superopt.Table.to_string (Superopt.Search.learn ~target mods) in
-      let b = Superopt.Table.to_string (Superopt.Search.learn ~target mods) in
+      let learn () =
+        Superopt.Table.to_string
+          (Superopt.Search.learn (Superopt.Backend.of_name target) mods)
+      in
+      let a = learn () in
+      let b = learn () in
       if a = b then
         Printf.printf "%-10s deterministic: two searches, identical bytes\n"
           target
@@ -106,7 +113,7 @@ let run target out check determinism show =
   let targets = targets_of target in
   List.iter
     (fun t ->
-      if t <> "x86lite" && t <> "sparclite" then begin
+      if Superopt.Backend.find t = None then begin
         Printf.eprintf "unknown target %s (x86lite, sparclite, all)\n" t;
         exit 2
       end)

@@ -99,7 +99,7 @@ let () =
     (Sparclite.Compile.module_code_size sparc);
 
   (* a peek at the generated code *)
-  (match Hashtbl.find_opt x86.X86lite.Compile.funcs "find_or_add" with
+  (match Hashtbl.find_opt x86.Codegen.Native.funcs "find_or_add" with
   | Some cf ->
       print_endline "\nfind_or_add, x86-lite (first 12 instructions):";
       let dis = X86lite.Compile.disassemble cf in

@@ -15,27 +15,7 @@
 
 open Llva
 
-type trap_kind =
-  | Division_by_zero
-  | Overflow (* signed INT_MIN / -1 division or remainder *)
-  | Memory_fault of int64
-  | Privilege_violation
-
-exception Trap of trap_kind
-exception Unwound (* an unwind with no enclosing invoke *)
-exception Out_of_fuel
-
-let trap_number = function
-  | Division_by_zero -> 0
-  | Overflow -> 0 (* x86 #DE covers both divide faults *)
-  | Memory_fault _ -> 1
-  | Privilege_violation -> 2
-
-let trap_to_string = function
-  | Division_by_zero -> "division by zero"
-  | Overflow -> "division overflow"
-  | Memory_fault a -> Printf.sprintf "memory fault at 0x%Lx" a
-  | Privilege_violation -> "privilege violation"
+include Vmem.Guest
 
 (* Raised internally by the unwind instruction; caught by invoke. *)
 exception Unwinding

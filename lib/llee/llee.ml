@@ -29,7 +29,13 @@ module Tv = Tv
 
 type target = X86 | Sparc
 
-let target_name = function X86 -> "x86lite" | Sparc -> "sparclite"
+let backend : target -> (module Superopt.Backend.S) = function
+  | X86 -> (module Superopt.Backend.X86)
+  | Sparc -> (module Superopt.Backend.Sparc)
+
+let target_name target =
+  let (module B) = backend target in
+  B.name
 
 type stats = {
   mutable translations : int; (* functions JIT-compiled this run *)
@@ -290,10 +296,7 @@ let timed t f =
 
 (* ---------- superoptimized peephole tables ---------- *)
 
-let learn_table t =
-  match t.target with
-  | X86 -> Superopt.Search.learn_x86 [ t.m ]
-  | Sparc -> Superopt.Search.learn_sparc [ t.m ]
+let learn_table t = Superopt.Search.learn (backend t.target) [ t.m ]
 
 (* Acquire this launch's rewrite table, reusing a recorded one when the
    storage cache holds a fresh, well-formed [#peep#] entry for this
@@ -518,7 +521,7 @@ let lint_rejected_report t v =
     Check.Lint.version
     (Check.Diag.render_text (Check.Lint.verdict_diags v))
 
-(* ---------- per-target drivers ---------- *)
+(* ---------- launching on a back-end ---------- *)
 
 let find_function t name = Hashtbl.find_opt t.funcs_by_name name
 
@@ -575,80 +578,36 @@ let make_resolver (type cf) ?(blocked = no_blocked) t
                 Hashtbl.replace installed name cf;
                 Some cf))
 
-let run_x86 ?blocked t ?fuel () =
-  (* table first: cache identities include its fingerprint *)
-  let peep =
-    match ensure_peep_table t with
-    | Some tb -> Superopt.Table.x86_pairs tb
-    | None -> []
-  in
-  let ps = X86lite.Compile.fresh_peep_stats () in
-  let image = Vmem.Image.load t.m in
-  let cmod =
-    { X86lite.Compile.cm = t.m; image; funcs = Hashtbl.create 32 }
-  in
-  let resolve =
-    make_resolver ?blocked t
-      ~compile:(fun f ->
-        X86lite.Compile.compile_function t.m image ~peep ~peep_stats:ps f)
-      ~installed:cmod.X86lite.Compile.funcs
-  in
-  let st = X86lite.Sim.create ?fuel cmod in
-  st.X86lite.Sim.lookup <- (fun _st name -> resolve name);
-  X86lite.Sim.init_stack st;
-  let outcome =
-    Outcome.protect
-      ~engine:("llee-" ^ target_name t.target)
-      ~current:(fun () -> X86lite.Sim.current st)
-      (fun () ->
-        Int64.to_int
-          (Ir.normalize_int Types.Int (X86lite.Sim.call_function st "main" [])))
-  in
-  t.stats.cycles <- Int64.of_int st.X86lite.Sim.cycles;
-  t.stats.native_instrs <- Int64.of_int st.X86lite.Sim.icount;
-  t.stats.invalidations <- Hashtbl.length st.X86lite.Sim.redirects;
-  t.stats.peep_rewrites <- t.stats.peep_rewrites + ps.X86lite.Compile.rewrites;
-  t.stats.peep_cycles_saved <-
-    t.stats.peep_cycles_saved + ps.X86lite.Compile.cycles_saved;
-  (outcome, X86lite.Sim.output st)
+(* This launch's rewrite rules for back-end [B], none with the pass off.
+   Acquire them first: cache identities include the table's
+   fingerprint. *)
+let peep_rules (type i) (module B : Superopt.Backend.S with type instr = i) t
+    =
+  match ensure_peep_table t with
+  | Some tb -> Superopt.Table.pairs (module B) tb
+  | None -> []
 
-let run_sparc ?blocked t ?fuel () =
-  let peep =
-    match ensure_peep_table t with
-    | Some tb -> Superopt.Table.sparc_pairs tb
-    | None -> []
-  in
-  let ps = Sparclite.Compile.fresh_peep_stats () in
+let run_native ?blocked t ?fuel () =
+  let (module B) = backend t.target in
+  let peep = peep_rules (module B) t in
+  let ps = Codegen.Peephole.fresh_stats () in
   let image = Vmem.Image.load t.m in
-  let cmod =
-    { Sparclite.Compile.cm = t.m; image; funcs = Hashtbl.create 32 }
-  in
+  let cmod = { Codegen.Native.cm = t.m; image; funcs = Hashtbl.create 32 } in
   let resolve =
     make_resolver ?blocked t
-      ~compile:(fun f ->
-        Sparclite.Compile.compile_function t.m image ~peep ~peep_stats:ps f)
-      ~installed:cmod.Sparclite.Compile.funcs
+      ~compile:(fun f -> B.compile_function t.m image ~peep ~peep_stats:ps f)
+      ~installed:cmod.Codegen.Native.funcs
   in
-  let st = Sparclite.Sim.create ?fuel cmod in
-  st.Sparclite.Sim.lookup <- (fun _st name -> resolve name);
-  Sparclite.Sim.init_stack st;
-  let outcome =
-    Outcome.protect
-      ~engine:("llee-" ^ target_name t.target)
-      ~current:(fun () -> Sparclite.Sim.current st)
-      (fun () ->
-        Int64.to_int
-          (Ir.normalize_int Types.Int
-             (Sparclite.Sim.call_function st "main" [])))
-  in
-  t.stats.cycles <- Int64.of_int st.Sparclite.Sim.cycles;
-  t.stats.native_instrs <- Int64.of_int st.Sparclite.Sim.icount;
-  t.stats.invalidations <- Hashtbl.length st.Sparclite.Sim.redirects;
-  t.stats.peep_rewrites <-
-    t.stats.peep_rewrites + ps.Sparclite.Compile.rewrites;
+  let st = B.create ?fuel cmod in
+  B.set_lookup st resolve;
+  let outcome = Outcome.run_native (module B) ~engine:("llee-" ^ B.name) st in
+  t.stats.cycles <- Int64.of_int (B.cycles st);
+  t.stats.native_instrs <- Int64.of_int (B.icount st);
+  t.stats.invalidations <- B.redirects st;
+  t.stats.peep_rewrites <- t.stats.peep_rewrites + ps.Codegen.Peephole.rewrites;
   t.stats.peep_cycles_saved <-
-    t.stats.peep_cycles_saved + ps.Sparclite.Compile.cycles_saved;
-  (outcome, Sparclite.Sim.output st)
+    t.stats.peep_cycles_saved + ps.Codegen.Peephole.cycles_saved;
+  (outcome, B.output st)
 
 (* Launch the program: JIT with transparent offline caching. When a
    storage cache is attached, the module is linted first (once — warm
@@ -673,9 +632,7 @@ let run ?fuel t : Outcome.t * string =
       let blocked =
         match g with Gate_partial (_, b) -> Some b | _ -> None
       in
-      match t.target with
-      | X86 -> run_x86 ?blocked t ?fuel ()
-      | Sparc -> run_sparc ?blocked t ?fuel ())
+      run_native ?blocked t ?fuel ())
 
 (* Idle-time offline translation: translate every function and populate
    the cache without executing (paper: "flagging it for translation and
@@ -687,62 +644,40 @@ let run ?fuel t : Outcome.t * string =
    per function: the redirect mechanism resolves the replacement function
    by name, whichever entry it was loaded from. *)
 let translate_offline_unchecked ?domains ?(blocked = no_blocked) t =
-  let tb = ensure_peep_table t in
+  let (module B) = backend t.target in
+  let peep = peep_rules (module B) t in
   let fns =
     List.filter
       (fun (f : Ir.func) ->
         (not (Ir.is_declaration f)) && not (Hashtbl.mem blocked f.Ir.fname))
       t.m.Ir.funcs
   in
+  let image = Vmem.Image.load t.m in
   (* workers return peephole counts as plain data: the shared stats
      record must only be mutated on the calling domain *)
-  let go : 'cf. (Vmem.Image.t -> Ir.func -> 'cf * int * int) -> unit =
-   fun compile ->
-    let image = Vmem.Image.load t.m in
-    let compiled =
-      Pool.map ?domains
-        (fun (f : Ir.func) ->
-          let t0 = Unix.gettimeofday () in
-          let cf, rewrites, saved = compile image f in
-          (f.Ir.fname, cf, rewrites, saved, Unix.gettimeofday () -. t0))
-        fns
-    in
-    List.iter
-      (fun (name, cf, rewrites, saved, dt) ->
-        t.stats.translations <- t.stats.translations + 1;
-        t.stats.translate_time <- t.stats.translate_time +. dt;
-        t.stats.peep_rewrites <- t.stats.peep_rewrites + rewrites;
-        t.stats.peep_cycles_saved <- t.stats.peep_cycles_saved + saved;
-        storage_write t (cache_name t name)
-          (frame_entry (Marshal.to_string cf [])))
-      compiled;
-    storage_write t (module_entry_name t)
-      (frame_entry
-         (Marshal.to_string
-            (List.map (fun (name, cf, _, _, _) -> (name, cf)) compiled)
-            []))
+  let compiled =
+    Pool.map ?domains
+      (fun (f : Ir.func) ->
+        let t0 = Unix.gettimeofday () in
+        let ps = Codegen.Peephole.fresh_stats () in
+        let cf = B.compile_function t.m image ~peep ~peep_stats:ps f in
+        (f.Ir.fname, cf, ps, Unix.gettimeofday () -. t0))
+      fns
   in
-  match t.target with
-  | X86 ->
-      let peep =
-        match tb with Some tb -> Superopt.Table.x86_pairs tb | None -> []
-      in
-      go (fun image f ->
-          let ps = X86lite.Compile.fresh_peep_stats () in
-          let cf =
-            X86lite.Compile.compile_function t.m image ~peep ~peep_stats:ps f
-          in
-          (cf, ps.X86lite.Compile.rewrites, ps.X86lite.Compile.cycles_saved))
-  | Sparc ->
-      let peep =
-        match tb with Some tb -> Superopt.Table.sparc_pairs tb | None -> []
-      in
-      go (fun image f ->
-          let ps = Sparclite.Compile.fresh_peep_stats () in
-          let cf =
-            Sparclite.Compile.compile_function t.m image ~peep ~peep_stats:ps f
-          in
-          (cf, ps.Sparclite.Compile.rewrites, ps.Sparclite.Compile.cycles_saved))
+  List.iter
+    (fun (name, cf, (ps : Codegen.Peephole.stats), dt) ->
+      t.stats.translations <- t.stats.translations + 1;
+      t.stats.translate_time <- t.stats.translate_time +. dt;
+      t.stats.peep_rewrites <- t.stats.peep_rewrites + ps.rewrites;
+      t.stats.peep_cycles_saved <- t.stats.peep_cycles_saved + ps.cycles_saved;
+      storage_write t (cache_name t name)
+        (frame_entry (Marshal.to_string cf [])))
+    compiled;
+  storage_write t (module_entry_name t)
+    (frame_entry
+       (Marshal.to_string
+          (List.map (fun (name, cf, _, _) -> (name, cf)) compiled)
+          []))
 
 let translate_offline ?domains t =
   if not t.storage.Storage.available then
@@ -866,31 +801,14 @@ let diff_quarantined t fname : string list =
       match find_function t fname with
       | None -> [ header; "function is not defined in this module" ]
       | Some f ->
-          let image = Vmem.Image.load t.m in
+          let (module B) = backend t.target in
+          let peep = peep_rules (module B) t in
           let payload =
-            match t.target with
-            | X86 ->
-                let peep =
-                  match ensure_peep_table t with
-                  | Some tb -> Superopt.Table.x86_pairs tb
-                  | None -> []
-                in
-                let ps = X86lite.Compile.fresh_peep_stats () in
-                Marshal.to_string
-                  (X86lite.Compile.compile_function t.m image ~peep
-                     ~peep_stats:ps f)
-                  []
-            | Sparc ->
-                let peep =
-                  match ensure_peep_table t with
-                  | Some tb -> Superopt.Table.sparc_pairs tb
-                  | None -> []
-                in
-                let ps = Sparclite.Compile.fresh_peep_stats () in
-                Marshal.to_string
-                  (Sparclite.Compile.compile_function t.m image ~peep
-                     ~peep_stats:ps f)
-                  []
+            Marshal.to_string
+              (B.compile_function t.m (Vmem.Image.load t.m) ~peep
+                 ~peep_stats:(Codegen.Peephole.fresh_stats ())
+                 f)
+              []
           in
           let fresh = frame_entry payload in
           let diff_line =

@@ -8,15 +8,13 @@
 
 open Llva
 
-type trap_kind =
+type trap_kind = Vmem.Guest.trap_kind =
   | Division_by_zero
-  | Overflow (* signed INT_MIN / -1 division or remainder *)
+  | Overflow
   | Memory_fault of int64
   | Privilege_violation
   | Uncaught_unwind
-  | Invalid_operation of string (* an ill-typed operation the verifier
-                                   should have refused (e.g. a float →
-                                   pointer cast); contained, not crashed *)
+  | Invalid_operation of string
 
 type t =
   | Exit of int (* the guest program returned / called exit *)
@@ -24,14 +22,6 @@ type t =
   | Fuel_exhausted (* the instruction budget ran out *)
   | Cache_degraded of { reason : string } (* launch refused on recorded
                                              cache state (lint verdict) *)
-
-let trap_to_string = function
-  | Division_by_zero -> "division by zero"
-  | Overflow -> "division overflow"
-  | Memory_fault a -> Printf.sprintf "memory fault at 0x%Lx" a
-  | Privilege_violation -> "privilege violation"
-  | Uncaught_unwind -> "uncaught unwind"
-  | Invalid_operation msg -> "invalid operation: " ^ msg
 
 (* The process exit codes the CLI maps outcomes to. 134 is the
    SIGABRT-style convention for guest traps, 124 the timeout convention
@@ -45,30 +35,11 @@ let exit_code = function
 let to_string = function
   | Exit c -> Printf.sprintf "exit %d" c
   | Trapped { kind; engine; func } ->
-      Printf.sprintf "trap: %s (in %%%s, engine %s)" (trap_to_string kind)
+      Printf.sprintf "trap: %s (in %%%s, engine %s)"
+        (Vmem.Guest.trap_to_string kind)
         func engine
   | Fuel_exhausted -> "fuel exhausted: instruction budget ran out"
   | Cache_degraded { reason } -> "cache degraded: " ^ reason
-
-(* Each engine library declares its own structurally-identical trap
-   type; map them all into the shared one. *)
-let of_interp_trap = function
-  | Interp.Division_by_zero -> Division_by_zero
-  | Interp.Overflow -> Overflow
-  | Interp.Memory_fault a -> Memory_fault a
-  | Interp.Privilege_violation -> Privilege_violation
-
-let of_x86_trap = function
-  | X86lite.Sim.Division_by_zero -> Division_by_zero
-  | X86lite.Sim.Overflow -> Overflow
-  | X86lite.Sim.Memory_fault a -> Memory_fault a
-  | X86lite.Sim.Privilege_violation -> Privilege_violation
-
-let of_sparc_trap = function
-  | Sparclite.Sim.Division_by_zero -> Division_by_zero
-  | Sparclite.Sim.Overflow -> Overflow
-  | Sparclite.Sim.Memory_fault a -> Memory_fault a
-  | Sparclite.Sim.Privilege_violation -> Privilege_violation
 
 (* [protect ~engine ~current f] runs the guest program [f] and maps every
    way a guest can stop — normal return, exit(), a trap from any engine,
@@ -81,15 +52,9 @@ let protect ~engine ?(current = fun () -> "main") (f : unit -> int) : t =
   match f () with
   | c -> Exit c
   | exception Vmem.Runtime.Exit_called c -> Exit c
-  | exception Interp.Trap k -> trapped (of_interp_trap k)
-  | exception Interp.Unwound -> trapped Uncaught_unwind
-  | exception Interp.Out_of_fuel -> Fuel_exhausted
-  | exception X86lite.Sim.Trap k -> trapped (of_x86_trap k)
-  | exception X86lite.Sim.Unwound -> trapped Uncaught_unwind
-  | exception X86lite.Sim.Out_of_fuel -> Fuel_exhausted
-  | exception Sparclite.Sim.Trap k -> trapped (of_sparc_trap k)
-  | exception Sparclite.Sim.Unwound -> trapped Uncaught_unwind
-  | exception Sparclite.Sim.Out_of_fuel -> Fuel_exhausted
+  | exception Vmem.Guest.Trap k -> trapped k
+  | exception Vmem.Guest.Unwound -> trapped Uncaught_unwind
+  | exception Vmem.Guest.Out_of_fuel -> Fuel_exhausted
   | exception Vmem.Memory.Fault a -> trapped (Memory_fault a)
   | exception Eval.Division_by_zero -> trapped Division_by_zero
   | exception Eval.Overflow -> trapped Overflow
@@ -116,27 +81,18 @@ let run_main_interp ?fuel m =
   in
   (o, st)
 
-let run_main_x86 ?fuel cmod =
-  let st = X86lite.Sim.create ?fuel cmod in
-  X86lite.Sim.init_stack st;
-  let o =
-    protect ~engine:"x86lite"
-      ~current:(fun () -> X86lite.Sim.current st)
-      (fun () ->
-        Int64.to_int
-          (Ir.normalize_int Types.Int (X86lite.Sim.call_function st "main" [])))
-  in
-  (o, st)
+(* Run [main] on a native state [B.create] made, as the engine named
+   [engine]. *)
+let run_native (type s) (module B : Superopt.Backend.S with type state = s)
+    ~engine (st : s) =
+  B.init_stack st;
+  protect ~engine
+    ~current:(fun () -> B.current st)
+    (fun () ->
+      Int64.to_int (Ir.normalize_int Types.Int (B.call_function st "main" [])))
 
-let run_main_sparc ?fuel cmod =
-  let st = Sparclite.Sim.create ?fuel cmod in
-  Sparclite.Sim.init_stack st;
-  let o =
-    protect ~engine:"sparclite"
-      ~current:(fun () -> Sparclite.Sim.current st)
-      (fun () ->
-        Int64.to_int
-          (Ir.normalize_int Types.Int
-             (Sparclite.Sim.call_function st "main" [])))
-  in
-  (o, st)
+let run_main (type i s)
+    (module B : Superopt.Backend.S with type instr = i and type state = s)
+    ?fuel (cmod : i Codegen.Native.cmodule) =
+  let st = B.create ?fuel cmod in
+  (run_native (module B) ~engine:B.name st, st)

@@ -377,45 +377,27 @@ let encode_arg = function
 (* Fresh image per vector: compiled code embeds only deterministic
    addresses, so the code and its decoded form ([cache], one per
    certification) are shared while memory starts from scratch. *)
-let run_x86 ~cache (cmod : X86lite.Compile.cmodule) env fname args rty extent
+let run_native (type i c)
+    (module B : Superopt.Backend.S with type instr = i and type cache = c)
+    ~(cache : c) (cmod : i Codegen.Native.cmodule) env fname args rty extent
     ~fuel : obs =
-  let img = Vmem.Image.load cmod.X86lite.Compile.cm in
-  let cmod = { cmod with X86lite.Compile.image = img } in
-  let st = X86lite.Sim.create ~fuel ~cache cmod in
-  X86lite.Sim.init_stack st;
+  let cmod =
+    { cmod with Codegen.Native.image = Vmem.Image.load cmod.Codegen.Native.cm }
+  in
+  let st = B.create ~fuel ~cache cmod in
+  B.init_stack st;
   let ret = ref "" and normal = ref false in
   let o =
-    Outcome.protect ~engine:"x86lite"
-      ~current:(fun () -> X86lite.Sim.current st)
+    Outcome.protect ~engine:B.name
+      ~current:(fun () -> B.current st)
       (fun () ->
-        let r = X86lite.Sim.call_function st fname (List.map encode_arg args) in
-        ret := render_ret env rty ~raw:r ~f0:st.X86lite.Sim.fregs.(0);
+        let r = B.call_function st fname (List.map encode_arg args) in
+        ret := render_ret env rty ~raw:r ~f0:(B.f0 st);
         normal := true;
         0)
   in
-  obs_of ~normal:!normal ~ret:!ret o (X86lite.Sim.output st)
-    (snapshot_globals st.X86lite.Sim.mem extent)
-
-let run_sparc ~cache (cmod : Sparclite.Compile.cmodule) env fname args rty
-    extent ~fuel : obs =
-  let img = Vmem.Image.load cmod.Sparclite.Compile.cm in
-  let cmod = { cmod with Sparclite.Compile.image = img } in
-  let st = Sparclite.Sim.create ~fuel ~cache cmod in
-  Sparclite.Sim.init_stack st;
-  let ret = ref "" and normal = ref false in
-  let o =
-    Outcome.protect ~engine:"sparclite"
-      ~current:(fun () -> Sparclite.Sim.current st)
-      (fun () ->
-        let r =
-          Sparclite.Sim.call_function st fname (List.map encode_arg args)
-        in
-        ret := render_ret env rty ~raw:r ~f0:st.Sparclite.Sim.fregs.(0);
-        normal := true;
-        0)
-  in
-  obs_of ~normal:!normal ~ret:!ret o (Sparclite.Sim.output st)
-    (snapshot_globals st.Sparclite.Sim.mem extent)
+  obs_of ~normal:!normal ~ret:!ret o (B.output st)
+    (snapshot_globals (B.mem st) extent)
 
 (* ---------- per-function certification ---------- *)
 
@@ -466,11 +448,6 @@ let describe_diff (a : observation) (b : observation) : string =
       (String.length a.out) (String.length b.out)
   else "globals region differs after the run"
 
-(* a translation and the decoded form its vectors share *)
-type compiled =
-  | Cx86 of X86lite.Compile.cmodule * X86lite.Sim.cache
-  | Csparc of Sparclite.Compile.cmodule * Sparclite.Sim.cache
-
 (* Certify every defined function of [m] against its translation for
    [target] ("x86lite" | "sparclite"). [native] substitutes a different
    module for the native side — the translation being validated — which
@@ -480,13 +457,10 @@ let certify_module ?(seed = default_seed) ?(vectors = default_vectors)
     ?(native_fuel = default_native_fuel) ?native ~target (m : Ir.modl) :
     verdict =
   let nm = match native with Some n -> n | None -> m in
-  let compiled =
-    match target with
-    | "x86lite" ->
-        Cx86 (X86lite.Compile.compile_module nm, X86lite.Sim.new_cache ())
-    | "sparclite" ->
-        Csparc (Sparclite.Compile.compile_module nm, Sparclite.Sim.new_cache ())
-    | t -> invalid_arg ("Tv.certify_module: unknown target " ^ t)
+  (* the translation, and the decoded form its vectors share *)
+  let (module B) = Superopt.Backend.of_name target in
+  let run_native =
+    run_native (module B) ~cache:(B.new_cache ()) (B.compile_module nm)
   in
   let env = Ir.type_env m in
   let extent = globals_extent m (Vmem.Image.load m) in
@@ -522,13 +496,7 @@ let certify_module ?(seed = default_seed) ?(vectors = default_vectors)
                           ~fuel:interp_fuel
                       in
                       let nat_obs =
-                        match compiled with
-                        | Cx86 (c, cache) ->
-                            run_x86 ~cache c env fname vec rty extent
-                              ~fuel:native_fuel
-                        | Csparc (c, cache) ->
-                            run_sparc ~cache c env fname vec rty extent
-                              ~fuel:native_fuel
+                        run_native env fname vec rty extent ~fuel:native_fuel
                       in
                       match (ref_obs, nat_obs) with
                       | Inconclusive r, _ | _, Inconclusive r ->

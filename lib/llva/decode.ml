@@ -130,11 +130,18 @@ type raw_instr = {
   ree : bool;
 }
 
+(* the 6-bit opcode field of both forms; only codes 1-28 exist *)
+let n_opcodes = List.length Ir.all_opcodes
+
+let opcode code =
+  if code >= 1 && code <= n_opcodes then Ir.opcode_of_code code
+  else fail (Printf.sprintf "unknown opcode %d" code)
+
 let read_instr tyat r : raw_instr =
   let byte0 = u8 r in
   if byte0 land 0x80 <> 0 then begin
     (* compact 32-bit form *)
-    let rop = Ir.opcode_of_code (byte0 land 0x3F) in
+    let rop = opcode (byte0 land 0x3F) in
     let rty = tyat (u8 r) in
     let o0 = u8 r in
     let o1 = u8 r in
@@ -147,7 +154,7 @@ let read_instr tyat r : raw_instr =
   end
   else begin
     let has_ee = byte0 land 0x40 <> 0 in
-    let rop = Ir.opcode_of_code (byte0 land 0x3F) in
+    let rop = opcode (byte0 land 0x3F) in
     let ree =
       if has_ee then u8 r = 1 else Ir.default_exceptions_enabled rop
     in

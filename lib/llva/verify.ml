@@ -10,6 +10,7 @@ type ctx = {
   env : Types.env;
   mutable errors : string list;
   mutable where : string;
+  named : (string, unit) Hashtbl.t; (* names [check_names] has visited *)
 }
 
 let err ctx fmt =
@@ -20,6 +21,23 @@ let resolve ctx ty =
   with Types.Unresolved n ->
     err ctx "unresolved type name %%%s" n;
     Types.Void
+
+(* Every name a type mentions, at any depth, must be defined. [resolve]
+   looks through the outermost name only; the engines resolve the rest,
+   such as the type an [alloca] or [malloc] allocates, when they run.
+   Each name is visited once per context, which also ends recursive
+   types. *)
+let rec check_names ctx (ty : Types.t) =
+  match ty with
+  | Named n when not (Hashtbl.mem ctx.named n) -> (
+      Hashtbl.replace ctx.named n ();
+      match Hashtbl.find_opt ctx.env n with
+      | Some ty' -> check_names ctx ty'
+      | None -> err ctx "unresolved type name %%%s" n)
+  | Pointer t | Array (_, t) -> check_names ctx t
+  | Struct ts -> List.iter (check_names ctx) ts
+  | Func (r, ps, _) -> List.iter (check_names ctx) (r :: ps)
+  | _ -> ()
 
 (* ---------- per-instruction type rules ---------- *)
 
@@ -243,6 +261,8 @@ let check_function ctx f =
   ctx.where <- Printf.sprintf "function %%%s" f.fname;
   if is_declaration f then ()
   else begin
+    check_names ctx f.freturn;
+    List.iter (fun a -> check_names ctx a.aty) f.fargs;
     (* structure: nonempty blocks, single trailing terminator, leading phis *)
     List.iter
       (fun b ->
@@ -273,6 +293,7 @@ let check_function ctx f =
             (match i.iparent with
             | Some p when p == b -> ()
             | _ -> err ctx "instruction with wrong parent");
+            check_names ctx i.ity;
             check_instr ctx i;
             (* ret must match the signature *)
             if i.op = Ret then begin
@@ -371,13 +392,21 @@ let check_function ctx f =
   end
 
 let verify_module (m : modl) : string list =
-  let ctx = { env = Ir.type_env m; errors = []; where = "module" } in
+  let ctx =
+    {
+      env = Ir.type_env m;
+      errors = [];
+      where = "module";
+      named = Hashtbl.create 16;
+    }
+  in
   (* symbol uniqueness *)
   let seen = Hashtbl.create 64 in
   List.iter
     (fun g ->
       if Hashtbl.mem seen g.gname then err ctx "duplicate global %%%s" g.gname;
-      Hashtbl.replace seen g.gname ())
+      Hashtbl.replace seen g.gname ();
+      check_names ctx g.gty)
     m.globals;
   List.iter
     (fun f ->
@@ -396,6 +425,7 @@ let verify_function f =
         | None -> Types.empty_env ());
       errors = [];
       where = "function";
+      named = Hashtbl.create 16;
     }
   in
   check_function ctx f;

@@ -10,23 +10,19 @@
      [FP - 8]       saved FP
      [FP - 16]      saved LR
      [FP - 24 - 8k] spill slot k (value slots, then phi transfer slots)
-     below          static allocas, callee-saved register save area *)
+     below          static allocas, callee-saved register save area
+
+   This module is the instruction selection and frame layout. The
+   branch clean-up after selection, the learned peephole pass and the
+   code metrics are [Codegen.Peephole.Make], applied to SPARC-lite's
+   branch and frame-slot hooks below; [Superopt.Backend.Sparc] is this
+   back-end as the rest of the system sees it. *)
 
 open Llva
 open Sparc
 
-type cfunc = {
-  cf_name : string;
-  code : instr array;
-  nargs : int;
-  frame_slots : int;
-}
-
-type cmodule = {
-  cm : Ir.modl;
-  image : Vmem.Image.t;
-  funcs : (string, cfunc) Hashtbl.t;
-}
+type cfunc = instr Codegen.Native.cfunc
+type cmodule = instr Codegen.Native.cmodule
 
 type ctx = {
   m : Ir.modl;
@@ -236,19 +232,6 @@ let ffinish ctx (fd, spill) =
   | Some s -> emit ctx (Fst (false, fd, fp, slot_disp s))
   | None -> ()
 
-let cc_of_cmp signed (c : Ir.cmp) =
-  match (c, signed) with
-  | Ir.Eq, _ -> Eq
-  | Ir.Ne, _ -> Ne
-  | Ir.Lt, true -> Lt
-  | Ir.Gt, true -> Gt
-  | Ir.Le, true -> Le
-  | Ir.Ge, true -> Ge
-  | Ir.Lt, false -> Ltu
-  | Ir.Gt, false -> Gtu
-  | Ir.Le, false -> Leu
-  | Ir.Ge, false -> Geu
-
 (* phi transfer slots live after the value slots *)
 let transfer_disp ctx t = slot_disp (ctx.n_value_slots + t)
 
@@ -400,7 +383,7 @@ let lower_instr ctx (i : Ir.instr) =
         let fb = freg_of ctx i.Ir.operands.(1) ~scratch:1 in
         emit ctx (Fcmp (fa, fb));
         let rd, spill = dst_of ctx i.Ir.iid ~scratch:t1 in
-        emit ctx (Movcc (cc_of_cmp true c, rd));
+        emit ctx (Movcc (Codegen.Native.cc_of_cmp true c, rd));
         finish ctx (rd, spill)
       end
       else begin
@@ -409,7 +392,7 @@ let lower_instr ctx (i : Ir.instr) =
         let o2 = operand_of ctx i.Ir.operands.(1) ~scratch:t2 in
         emit ctx (Cmp (w, s, rs1, o2));
         let rd, spill = dst_of ctx i.Ir.iid ~scratch:t1 in
-        emit ctx (Movcc (cc_of_cmp s c, rd));
+        emit ctx (Movcc (Codegen.Native.cc_of_cmp s c, rd));
         finish ctx (rd, spill)
       end
   | Ir.Load ->
@@ -654,207 +637,56 @@ let lower_instr ctx (i : Ir.instr) =
       cases 2;
       emit ctx (Ba (label_of ctx (Ir.block_of_value i.Ir.operands.(1))))
 
+(* ---------- branch clean-up and the learned peephole pass ---------- *)
 
+include Codegen.Peephole.Make (struct
+  type nonrec instr = instr
 
-let negate_cc = function
-  | Eq -> Ne
-  | Ne -> Eq
-  | Lt -> Ge
-  | Ge -> Lt
-  | Gt -> Le
-  | Le -> Gt
-  | Ltu -> Geu
-  | Geu -> Ltu
-  | Gtu -> Leu
-  | Leu -> Gtu
+  let cycles_of = cycles_of
+  let size_of = size_of
+  let to_string = to_string
+  let jump_target = function Ba l -> Some l | _ -> None
 
-(* "bcc a; ba b" where a is the fall-through: invert the condition so the
-   unconditional jump becomes removable by [relax] *)
-let invert_branches (code : instr array) =
-  let n = Array.length code in
-  Array.iteri
-    (fun k i ->
-      if k + 2 <= n - 1 || k + 1 <= n - 1 then
-        match (i, if k + 1 < n then Some code.(k + 1) else None) with
-        | Bcc (cc, a), Some (Ba b) when a = k + 2 ->
-            code.(k) <- Bcc (negate_cc cc, b);
-            code.(k + 1) <- Ba a
-        | _ -> ())
-    code;
-  code
+  let branch_target = function
+    | Ba l | Bcc (_, l) | CallSymI (_, l) | CallIndI (_, l) -> Some l
+    | _ -> None
 
-(* Remove jumps to the immediately following instruction (fall-through),
-   remapping all label targets; block layout thus affects both code size
-   and cycle counts, which the LLEE trace optimizer exploits. *)
-let relax (code : instr array) =
-  Codegen.Relax.relax
-    ~fallthrough:(fun k -> function Ba l -> l = k + 1 | _ -> false)
-    ~retarget:(fun f -> function
-      | Ba l -> Ba (f l)
-      | Bcc (cc, l) -> Bcc (cc, f l)
-      | CallSymI (s, l) -> CallSymI (s, f l)
-      | CallIndI (o, l) -> CallIndI (o, f l)
-      | other -> other)
-    code
+  let retarget f = function
+    | Ba l -> Ba (f l)
+    | Bcc (cc, l) -> Bcc (cc, f l)
+    | CallSymI (s, l) -> CallSymI (s, f l)
+    | CallIndI (r, l) -> CallIndI (r, f l)
+    | other -> other
 
-(* ---------- learned peephole rewriting ----------
+  let invert ~fallthrough i next =
+    match (i, next) with
+    | Bcc (cc, a), Ba b when a = fallthrough ->
+        Some (Bcc (Codegen.Native.negate_cc cc, b), Ba a)
+    | _ -> None
 
-   Mirror of the X86-lite machinery (see lib/x86lite/compile.ml for the
-   soundness argument): FP-relative 8-byte-aligned full-word frame slots
-   are renamed to sentinel displacements [slot_var_base + 8k] so one
-   oracle-verified rule covers every concrete frame offset. Windows
-   touching SP, FP or LR as data, non-FP or unaligned memory, traps, or
-   control flow stay concrete and match no rule. *)
-
-let slot_var_base = 1_000_000
-
-exception Not_canon
-
-let canon_disp vars d =
-  if d mod 8 = 0 && abs d < slot_var_base then begin
-    let k =
-      match List.assoc_opt d !vars with
-      | Some k -> k
-      | None ->
-          let k = List.length !vars in
-          vars := !vars @ [ (d, k) ];
-          k
+  (* FP-based full-word slots only; SP, FP and LR never appear as data,
+     and traps and control flow stay concrete *)
+  let canon_instr ~slot i =
+    let rok r =
+      if r = sp || r = fp || r = lr then raise Codegen.Peephole.Not_canon
+      else r
     in
-    slot_var_base + (8 * k)
-  end
-  else raise Not_canon
+    let ook = function Rs r -> Rs (rok r) | Imm v -> Imm v in
+    match i with
+    | Alu3 ((Div | Rem), _, _, _, _, _) -> raise Codegen.Peephole.Not_canon
+    | Alu3 (op, w, s, rd, rs1, o) -> Alu3 (op, w, s, rok rd, rok rs1, ook o)
+    | Sethi (rd, v) -> Sethi (rok rd, v)
+    | Ld (W64, s, rd, b, d) when b = fp -> Ld (W64, s, rok rd, fp, slot d)
+    | St (W64, rs, b, d) when b = fp -> St (W64, rok rs, fp, slot d)
+    | Cmp (w, s, r, o) -> Cmp (w, s, rok r, ook o)
+    | Movcc (cc, rd) -> Movcc (cc, rok rd)
+    | _ -> raise Codegen.Peephole.Not_canon
 
-let canon_instr vars i =
-  let rok r = if r = sp || r = fp || r = lr then raise Not_canon else r in
-  let ook = function Rs r -> Rs (rok r) | Imm v -> Imm v in
-  match i with
-  | Alu3 ((Div | Rem), _, _, _, _, _) -> raise Not_canon
-  | Alu3 (op, w, s, rd, rs1, o) -> Alu3 (op, w, s, rok rd, rok rs1, ook o)
-  | Sethi (rd, v) -> Sethi (rok rd, v)
-  | Ld (W64, s, rd, b, d) when b = fp ->
-      Ld (W64, s, rok rd, fp, canon_disp vars d)
-  | St (W64, rs, b, d) when b = fp -> St (W64, rok rs, fp, canon_disp vars d)
-  | Cmp (w, s, r, o) -> Cmp (w, s, rok r, ook o)
-  | Movcc (cc, rd) -> Movcc (cc, rok rd)
-  | _ -> raise Not_canon
-
-let canon_window (w : instr list) : instr list * int array =
-  let vars = ref [] in
-  match List.map (canon_instr vars) w with
-  | cw -> (cw, Array.of_list (List.map fst !vars))
-  | exception Not_canon -> (w, [||])
-
-let concretize (vars : int array) (w : instr list) : instr list =
-  let disp d =
-    if d >= slot_var_base then begin
-      let k = (d - slot_var_base) / 8 in
-      if k >= Array.length vars then raise Not_canon;
-      vars.(k)
-    end
-    else d
-  in
-  List.map
-    (fun i ->
-      match i with
-      | Ld (w_, s, rd, b, d) -> Ld (w_, s, rd, b, disp d)
-      | St (w_, rs, b, d) -> St (w_, rs, b, disp d)
-      | i -> i)
-    w
-
-type peep_stats = { mutable rewrites : int; mutable cycles_saved : int }
-
-let fresh_peep_stats () = { rewrites = 0; cycles_saved = 0 }
-
-let window_cycles w = List.fold_left (fun acc i -> acc + cycles_of i) 0 w
-
-let apply_rules_pass ~index ~max_len (code : instr array) =
-  let n = Array.length code in
-  let is_target = Array.make (n + 2) false in
-  Array.iter
-    (function
-      | Ba l | Bcc (_, l) | CallSymI (_, l) | CallIndI (_, l) ->
-          if l >= 0 && l < n + 2 then is_target.(l) <- true
-      | _ -> ())
-    code;
-  let out = ref [] and out_len = ref 0 in
-  let new_index = Array.make (n + 1) 0 in
-  let rewrites = ref 0 and saved = ref 0 in
-  let i = ref 0 in
-  while !i < n do
-    new_index.(!i) <- !out_len;
-    let applied = ref false in
-    let k = ref (min max_len (n - !i)) in
-    while (not !applied) && !k >= 1 do
-      let interior = ref false in
-      for j = !i + 1 to !i + !k - 1 do
-        if is_target.(j) then interior := true
-      done;
-      (if not !interior then
-         let window = Array.to_list (Array.sub code !i !k) in
-         let cw, vars = canon_window window in
-         match Hashtbl.find_opt index cw with
-         | Some rhs -> (
-             match concretize vars rhs with
-             | rhs_c ->
-                 let before = window_cycles window
-                 and after = window_cycles rhs_c in
-                 if after < before then begin
-                   List.iter
-                     (fun ins ->
-                       out := ins :: !out;
-                       incr out_len)
-                     rhs_c;
-                   incr rewrites;
-                   saved := !saved + (before - after);
-                   i := !i + !k;
-                   applied := true
-                 end
-             | exception Not_canon -> ())
-         | None -> ());
-      if not !applied then decr k
-    done;
-    if not !applied then begin
-      out := code.(!i) :: !out;
-      incr out_len;
-      incr i
-    end
-  done;
-  new_index.(n) <- !out_len;
-  let remap l = if l >= 0 && l <= n then new_index.(min l n) else l in
-  let arr =
-    Array.map
-      (function
-        | Ba l -> Ba (remap l)
-        | Bcc (cc, l) -> Bcc (cc, remap l)
-        | CallSymI (s, l) -> CallSymI (s, remap l)
-        | CallIndI (r, l) -> CallIndI (r, remap l)
-        | other -> other)
-      (Array.of_list (List.rev !out))
-  in
-  (arr, !rewrites, !saved)
-
-let apply_rules ~(rules : (instr list * instr list) list)
-    (code : instr array) : instr array * int * int =
-  if rules = [] then (code, 0, 0)
-  else begin
-    let index = Hashtbl.create 64 in
-    let max_len = ref 1 in
-    List.iter
-      (fun (lhs, rhs) ->
-        if lhs <> [] && not (Hashtbl.mem index lhs) then begin
-          Hashtbl.replace index lhs rhs;
-          max_len := max !max_len (List.length lhs)
-        end)
-      rules;
-    let rec go code total_r total_s passes =
-      if passes = 0 then (code, total_r, total_s)
-      else
-        let code', r, s = apply_rules_pass ~index ~max_len:!max_len code in
-        if r = 0 then (code', total_r, total_s)
-        else go code' (total_r + r) (total_s + s) (passes - 1)
-    in
-    go code 0 0 4
-  end
+  let map_slots f = function
+    | Ld (w, s, rd, b, d) -> Ld (w, s, rd, b, f d)
+    | St (w, rs, b, d) -> St (w, rs, b, f d)
+    | i -> i
+end)
 
 (* ---------- function compilation ---------- *)
 
@@ -975,33 +807,9 @@ let compile_function (m : Ir.modl) (img : Vmem.Image.t)
         | Some p -> p
         | None -> invalid_arg "sparclite: unresolved label")
   in
-  let code =
-    Array.map
-      (fun ins ->
-        match ins with
-        | Ba l -> Ba (resolve l)
-        | Bcc (cc, l) -> Bcc (cc, resolve l)
-        | CallSymI (s, l) -> CallSymI (s, resolve l)
-        | CallIndI (r, l) -> CallIndI (r, resolve l)
-        | other -> other)
-      code
-  in
-  let code = relax (invert_branches code) in
-  let code =
-    match peep with
-    | [] -> code
-    | rules ->
-        let code, r, s = apply_rules ~rules code in
-        (match peep_stats with
-        | Some ps ->
-            ps.rewrites <- ps.rewrites + r;
-            ps.cycles_saved <- ps.cycles_saved + s
-        | None -> ());
-        relax code
-  in
   {
-    cf_name = f.Ir.fname;
-    code;
+    Codegen.Native.cf_name = f.Ir.fname;
+    code = finish_code ~peep ?peep_stats (Array.map (retarget resolve) code);
     nargs = List.length f.Ir.fargs;
     frame_slots = total_frame / 8;
   }
@@ -1016,21 +824,4 @@ let compile_module ?(spill_everything = false) ?(peep = []) ?peep_stats
         Hashtbl.replace funcs f.Ir.fname
           (compile_function m image ~spill_everything ~peep ?peep_stats f))
     m.Ir.funcs;
-  { cm = m; image; funcs }
-
-let func_instr_count cf = Array.length cf.code
-let func_code_size cf = Array.fold_left (fun acc i -> acc + size_of i) 0 cf.code
-
-let module_instr_count cm =
-  Hashtbl.fold (fun _ cf acc -> acc + func_instr_count cf) cm.funcs 0
-
-let module_code_size cm =
-  Hashtbl.fold (fun _ cf acc -> acc + func_code_size cf) cm.funcs 0
-
-let disassemble cf =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (cf.cf_name ^ ":\n");
-  Array.iteri
-    (fun k i -> Buffer.add_string buf (Printf.sprintf "  %3d: %s\n" k (to_string i)))
-    cf.code;
-  Buffer.contents buf
+  { Codegen.Native.cm = m; image; funcs }

@@ -45,7 +45,8 @@ let fits_imm13 (v : int64) =
 
 type alu = Add | Sub | Mul | Div | Rem | And | Or | Xor | Sll | Srl | Sra
 
-type cc = Eq | Ne | Lt | Gt | Le | Ge | Ltu | Gtu | Leu | Geu
+type cc = Codegen.Native.cc =
+  | Eq | Ne | Lt | Gt | Le | Ge | Ltu | Gtu | Leu | Geu
 
 type fop = Fadd | Fsub | Fmul | Fdiv | Frem
 

@@ -10,7 +10,7 @@
 
    Windows are executed in *concrete* form: the caller instantiates
    canonical slot variables to real, distinct, 8-aligned BP/FP-relative
-   displacements first (lib/{x86lite,sparclite}/compile.ml [concretize]).
+   displacements first ([Codegen.Peephole]'s [concretize]).
    Execution happens against a scratch stack region well below
    [Vmem.Memory.stack_top]; any fault, trap or non-straight-line
    instruction makes the window unverifiable (the window is skipped when
@@ -374,7 +374,7 @@ module X86 = Make (struct
   let create () =
     let m = Llva.Ir.mk_module ~name:"superopt-oracle" () in
     let image = Vmem.Image.load m in
-    Sim.create { Compile.cm = m; image; funcs = Hashtbl.create 1 }
+    Sim.create { Codegen.Native.cm = m; image; funcs = Hashtbl.create 1 }
 
   let straightline = function
     | Mov _ | Alu _ | Shift _ | Ext _ | Cmp _ | Setcc _ -> true
@@ -440,7 +440,7 @@ module Sparc = Make (struct
   let create () =
     let m = Llva.Ir.mk_module ~name:"superopt-oracle" () in
     let image = Vmem.Image.load m in
-    Sim.create { Compile.cm = m; image; funcs = Hashtbl.create 1 }
+    Sim.create { Codegen.Native.cm = m; image; funcs = Hashtbl.create 1 }
 
   let straightline = function
     | Alu3 ((Div | Rem), _, _, _, _, _) -> false

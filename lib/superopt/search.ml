@@ -2,8 +2,12 @@
    this repo: test-cases first, then the full oracle vector set, ship
    only certified rewrites).
 
-   Pipeline per backend:
-     1. harvest — compile the training modules with the backend's
+   The search is written once over [Backend.S]; what differs per
+   back-end is its candidate vocabulary ([Vocab]), its oracle
+   ([Oracle]) and its slot hooks ([Codegen.Peephole]).
+
+   Pipeline per back-end:
+     1. harvest — compile the training modules with the back-end's
         default selector, slide 1-4 instruction windows over every
         function (skipping windows that a branch targets mid-window or
         that contain non-rewritable instructions), canonicalize frame
@@ -24,34 +28,6 @@
    yield byte-identical tables. *)
 
 open Llva
-
-let log2_64 v =
-  if Int64.compare v 0L > 0 && Int64.equal (Int64.logand v (Int64.sub v 1L)) 0L
-  then begin
-    let rec go k x =
-      if Int64.equal x 1L then k else go (k + 1) (Int64.shift_right_logical x 1)
-    in
-    Some (go 0 v)
-  end
-  else None
-
-(* immediates derivable from a window's own constants: the constants
-   themselves, their pairwise folds, and log2 of powers of two (for
-   strength reduction) *)
-let derive_imms imms =
-  let folds =
-    List.concat_map
-      (fun a ->
-        List.concat_map
-          (fun b -> [ Int64.add a b; Int64.sub a b; Int64.mul a b ])
-          imms)
-      imms
-  in
-  let logs = List.filter_map (fun v -> Option.map Int64.of_int (log2_64 v)) imms in
-  let all = List.sort_uniq compare (imms @ folds @ logs) in
-  if List.length all > 24 then List.filteri (fun k _ -> k < 24) all else all
-
-(* ---------- shared by both targets ---------- *)
 
 (* Canonical window -> occurrence count over [codes] (the functions'
    code arrays, in a fixed order), most frequent first, then in
@@ -187,450 +163,98 @@ let best_rewrite ~cycles_of ~forms ~screen ~full (w : 'i list) :
           then Some subs.(p + 1)
           else Some subs.(p))
 
-(* ---------- X86-lite ---------- *)
-
-module X86s = struct
-  open X86lite
-  open X86lite.X86
-
-  let is_mem = function M _ -> true | _ -> false
-
-  let reg_ok r = r <> sp && r <> bp
-
-  let admissible_op = function
-    | R r -> reg_ok r
-    | I _ -> true
-    | M { base; disp } ->
-        base = bp && disp mod 8 = 0 && abs disp < Compile.slot_var_base
-
-  (* the rewritable subset: straight-line, trap-free, frame-slot-only
-     memory, SP/BP untouched *)
-  let admissible = function
-    | Mov (a, b) | Cmp (_, _, a, b) ->
-        admissible_op a && admissible_op b && not (is_mem a && is_mem b)
-    | Alu (_, _, _, a, b) ->
-        admissible_op a && admissible_op b && not (is_mem a && is_mem b)
-    | Shift (_, _, _, a, b) ->
-        admissible_op a && admissible_op b && not (is_mem a && is_mem b)
-    | Ext (r, _, _) | Setcc (_, r) -> reg_ok r
-    | _ -> false
-
-  let jump_targets (code : instr array) =
-    let t = Array.make (Array.length code + 2) false in
-    Array.iter
-      (function
-        | Jmp l | Jcc (_, l) | CallSymI (_, l) | CallIndI (_, l) ->
-            if l >= 0 && l < Array.length t then t.(l) <- true
-        | _ -> ())
-      code;
-    t
-
-  (* vocabulary of one concrete window *)
-  let vocab (w : instr list) =
-    let regs = ref [] and mems = ref [] and imms = ref [] in
-    let wss = ref [] and aluops = ref [] and ccs = ref [] in
-    let add l v = if not (List.mem v !l) then l := !l @ [ v ] in
-    let add_op = function
-      | R r -> add regs r
-      | I v -> add imms v
-      | M m -> add mems m
-    in
-    List.iter
-      (fun i ->
-        match i with
-        | Mov (a, b) ->
-            add_op a;
-            add_op b
-        | Alu (op, w_, s, a, b) ->
-            add aluops op;
-            add wss (w_, s);
-            add_op a;
-            add_op b
-        | Shift (_, w_, s, a, b) ->
-            add wss (w_, s);
-            add_op a;
-            add_op b
-        | Cmp (w_, s, a, b) ->
-            add wss (w_, s);
-            add_op a;
-            add_op b
-        | Ext (r, w_, s) ->
-            add regs r;
-            add wss (w_, s)
-        | Setcc (cc, r) ->
-            add ccs cc;
-            add regs r
-        | _ -> ())
-      w;
-    if !wss = [] then wss := [ (W64, true) ];
-    (!regs, !mems, !imms, !wss, !aluops, !ccs)
-
-  (* every single-instruction form expressible in the window's own
-     vocabulary, each once *)
-  let forms (w : instr list) : instr list =
-    let regs, mems, imms, wss, aluops, ccs = vocab w in
-    let imms_all = derive_imms imms in
-    let dsts = List.map (fun r -> R r) regs @ List.map (fun m -> M m) mems in
-    let srcs = dsts @ List.map (fun v -> I v) imms_all in
-    let has_shift = List.exists (function Shift _ -> true | _ -> false) w in
-    let has_imul = List.mem Imul aluops in
-    let has_cmp = List.exists (function Cmp _ -> true | _ -> false) w in
-    let out = ref [] in
-    let push i = out := i :: !out in
-    List.iter
-      (fun d ->
-        List.iter
-          (fun s -> if s <> d && not (is_mem d && is_mem s) then push (Mov (d, s)))
-          srcs)
-      dsts;
-    List.iter
-      (fun op ->
-        List.iter
-          (fun (w_, s_) ->
-            List.iter
-              (fun d ->
-                List.iter
-                  (fun s ->
-                    if not (is_mem d && is_mem s) then push (Alu (op, w_, s_, d, s)))
-                  srcs)
-              dsts)
-          wss)
-      aluops;
-    if has_shift || has_imul then begin
-      let counts =
-        List.filter
-          (fun v -> Int64.compare v 0L >= 0 && Int64.compare v 63L <= 0)
-          imms_all
-      in
-      List.iter
-        (fun left ->
-          List.iter
-            (fun (w_, s_) ->
-              List.iter
-                (fun d ->
-                  List.iter (fun c -> push (Shift (left, w_, s_, d, I c))) counts)
-                dsts)
-            wss)
-        [ true; false ]
-    end;
-    List.iter
-      (fun r -> List.iter (fun (w_, s_) -> push (Ext (r, w_, s_))) wss)
-      regs;
-    if has_cmp then
-      List.iter
-        (fun (w_, s_) ->
-          List.iter
-            (fun a ->
-              List.iter
-                (fun b ->
-                  if not (is_mem a && is_mem b) then push (Cmp (w_, s_, a, b)))
-                srcs)
-            dsts)
-        wss;
-    List.iter
-      (fun cc -> List.iter (fun r -> push (Setcc (cc, r))) regs)
-      ccs;
-    !out
-
-  let nvars_of (cw : instr list) =
-    let n = ref 0 in
-    let chk = function
-      | M { disp; _ } when disp >= Compile.slot_var_base ->
-          n := max !n (((disp - Compile.slot_var_base) / 8) + 1)
-      | _ -> ()
-    in
-    List.iter
-      (fun i ->
-        match i with
-        | Mov (a, b) | Alu (_, _, _, a, b) | Shift (_, _, _, a, b)
-        | Cmp (_, _, a, b) ->
-            chk a;
-            chk b
-        | _ -> ())
-      cw;
-    !n
-
-  (* invert [Compile.concretize]: map the test displacements back to
-     slot variables *)
-  let recanon (vars : int array) (w : instr list) : instr list =
-    let disp d =
-      let rec find k =
-        if k >= Array.length vars then d
-        else if vars.(k) = d then Compile.slot_var_base + (8 * k)
-        else find (k + 1)
-      in
-      find 0
-    in
-    let op = function M m -> M { m with disp = disp m.disp } | o -> o in
-    List.map
-      (fun i ->
-        match i with
-        | Mov (a, b) -> Mov (op a, op b)
-        | Alu (o2, w_, s, a, b) -> Alu (o2, w_, s, op a, op b)
-        | Shift (l, w_, s, a, b) -> Shift (l, w_, s, op a, op b)
-        | Cmp (w_, s, a, b) -> Cmp (w_, s, op a, op b)
-        | i -> i)
-      w
-
-end
-
-(* ---------- SPARC-lite ---------- *)
-
-module Sparcs = struct
-  open Sparclite
-  open Sparclite.Sparc
-
-  let reg_ok r = r <> sp && r <> fp && r <> lr
-
-  let admissible = function
-    | Alu3 ((Div | Rem), _, _, _, _, _) -> false
-    | Alu3 (_, _, _, rd, rs1, o) -> (
-        reg_ok rd && reg_ok rs1
-        && match o with Rs r -> reg_ok r | Imm _ -> true)
-    | Sethi (rd, _) -> reg_ok rd
-    | Ld (W64, _, rd, b, d) ->
-        reg_ok rd && b = fp && d mod 8 = 0 && abs d < Compile.slot_var_base
-    | St (W64, rs, b, d) ->
-        reg_ok rs && b = fp && d mod 8 = 0 && abs d < Compile.slot_var_base
-    | Cmp (_, _, r, o) -> (
-        reg_ok r && match o with Rs r2 -> reg_ok r2 | Imm _ -> true)
-    | Movcc (_, rd) -> reg_ok rd
-    | _ -> false
-
-  let jump_targets (code : instr array) =
-    let t = Array.make (Array.length code + 2) false in
-    Array.iter
-      (function
-        | Ba l | Bcc (_, l) | CallSymI (_, l) | CallIndI (_, l) ->
-            if l >= 0 && l < Array.length t then t.(l) <- true
-        | _ -> ())
-      code;
-    t
-
-  let vocab (w : instr list) =
-    let regs = ref [] and disps = ref [] and imms = ref [] in
-    let wss = ref [] and aluops = ref [] and ccs = ref [] in
-    let add l v = if not (List.mem v !l) then l := !l @ [ v ] in
-    let add_opnd = function Rs r -> add regs r | Imm v -> add imms v in
-    List.iter
-      (fun i ->
-        match i with
-        | Alu3 (op, w_, s, rd, rs1, o) ->
-            add aluops op;
-            add wss (w_, s);
-            add regs rd;
-            add regs rs1;
-            add_opnd o
-        | Sethi (rd, _) -> add regs rd
-        | Ld (_, _, rd, _, d) ->
-            add regs rd;
-            add disps d
-        | St (_, rs, _, d) ->
-            add regs rs;
-            add disps d
-        | Cmp (w_, s, r, o) ->
-            add wss (w_, s);
-            add regs r;
-            add_opnd o
-        | Movcc (cc, rd) ->
-            add ccs cc;
-            add regs rd
-        | _ -> ())
-      w;
-    if !wss = [] then wss := [ (W64, true) ];
-    (* Or is the move/identity idiom; always available *)
-    if not (List.mem Or !aluops) then aluops := !aluops @ [ Or ];
-    if not (List.mem 0 !imms) then imms := !imms @ [ 0 ];
-    (!regs, !disps, !imms, !wss, !aluops, !ccs)
-
-  let forms (w : instr list) : instr list =
-    let regs, disps, imms, wss, aluops, ccs = vocab w in
-    let imms64 = derive_imms (List.map Int64.of_int imms) in
-    let imms_all =
-      List.filter_map
-        (fun v ->
-          if fits_imm13 v then Some (Int64.to_int v) else None)
-        imms64
-    in
-    let has_mul = List.mem Mul aluops in
-    let aluops = if has_mul then aluops @ [ Sll ] else aluops in
-    let opnds =
-      List.map (fun r -> Rs r) regs @ List.map (fun v -> Imm v) imms_all
-    in
-    let out = ref [] in
-    let push i = out := i :: !out in
-    List.iter
-      (fun op ->
-        List.iter
-          (fun (w_, s_) ->
-            List.iter
-              (fun rd ->
-                List.iter
-                  (fun rs1 ->
-                    List.iter (fun o -> push (Alu3 (op, w_, s_, rd, rs1, o))) opnds)
-                  (0 :: List.filter (fun r -> r <> 0) regs))
-              regs)
-          wss)
-      (List.sort_uniq compare aluops)
-    ;
-    List.iter
-      (fun rd ->
-        List.iter (fun d -> push (Ld (W64, false, rd, fp, d))) disps;
-        List.iter (fun d -> push (St (W64, rd, fp, d))) disps)
-      regs;
-    if List.exists (function Cmp _ -> true | _ -> false) w then
-      List.iter
-        (fun (w_, s_) ->
-          List.iter
-            (fun r -> List.iter (fun o -> push (Cmp (w_, s_, r, o))) opnds)
-            regs)
-        wss;
-    List.iter
-      (fun cc -> List.iter (fun rd -> push (Movcc (cc, rd))) regs)
-      ccs;
-    !out
-
-  let nvars_of (cw : instr list) =
-    let n = ref 0 in
-    List.iter
-      (fun i ->
-        match i with
-        | Ld (_, _, _, _, d) | St (_, _, _, d) ->
-            if d >= Compile.slot_var_base then
-              n := max !n (((d - Compile.slot_var_base) / 8) + 1)
-        | _ -> ())
-      cw;
-    !n
-
-  let recanon (vars : int array) (w : instr list) : instr list =
-    let disp d =
-      let rec find k =
-        if k >= Array.length vars then d
-        else if vars.(k) = d then Compile.slot_var_base + (8 * k)
-        else find (k + 1)
-      in
-      find 0
-    in
-    List.map
-      (fun i ->
-        match i with
-        | Ld (w_, s, rd, b, d) -> Ld (w_, s, rd, b, disp d)
-        | St (w_, rs, b, d) -> St (w_, rs, b, disp d)
-        | i -> i)
-      w
-end
-
 (* ---------- top-level search ---------- *)
 
 let default_max_windows = 512
 
-(* One target's rules for canonical [windows]: each window is
-   instantiated on the frame slots [frame_vars] gives it, [session]
-   opens the oracle on it (the screen and full checks, or [None] when
-   the window itself is not checkable), and a winner is mapped back to
-   slot variables. *)
-let learn_rules ~frame_vars ~nvars_of ~concretize ~session ~forms ~cycles_of
-    ~recanon windows =
-  let cost = List.fold_left (fun a i -> a + cycles_of i) 0 in
-  List.filter_map
-    (fun cw ->
-      let vars = frame_vars (nvars_of cw) in
-      let lhs_c = concretize vars cw in
-      match session lhs_c with
-      | None -> None
-      | Some (screen, full) ->
-          best_rewrite ~cycles_of ~forms:(forms lhs_c) ~screen ~full lhs_c
-          |> Option.map (fun rhs_c ->
-                 {
-                   Table.lhs = cw;
-                   rhs = recanon vars rhs_c;
-                   saved = cost lhs_c - cost rhs_c;
-                 }))
-    windows
+(* The first spill slots of back-end [B], one per slot variable of the
+   canonical window [cw]. *)
+let frame_vars (type i) (module B : Backend.S with type instr = i)
+    (cw : i list) =
+  let n = ref 0 in
+  List.iter
+    (fun i ->
+      ignore
+        (B.map_slots
+           (fun d ->
+             if d >= Codegen.Peephole.slot_var_base then
+               n := max !n (((d - Codegen.Peephole.slot_var_base) / 8) + 1);
+             d)
+           i))
+    cw;
+  Array.init !n B.slot_disp
 
-let x86_vars nvars = Array.init nvars (fun k -> -8 * (k + 1))
-let sparc_vars nvars = Array.init nvars (fun k -> -24 - (8 * k))
+(* Invert [B.concretize]: map the concrete displacements back to slot
+   variables. *)
+let recanon (type i) (module B : Backend.S with type instr = i)
+    (vars : int array) (w : i list) =
+  let disp d =
+    let rec find k =
+      if k >= Array.length vars then d
+      else if vars.(k) = d then Codegen.Peephole.slot_var_base + (8 * k)
+      else find (k + 1)
+    in
+    find 0
+  in
+  List.map (B.map_slots disp) w
 
-let learn_x86 ?(max_windows = default_max_windows) (mods : Ir.modl list) :
-    Table.t =
-  let open X86lite in
+(* Learn a table for a back-end from the windows its default selector
+   emits for [mods]: each canonical window is instantiated on the first
+   spill slots, the oracle opens a session on it (none when the window
+   itself is not checkable), and the winner is mapped back to slot
+   variables. *)
+let learn (module B : Backend.S) ?(max_windows = default_max_windows)
+    (mods : Ir.modl list) : Table.t =
+  let b = (module B : Backend.S with type instr = B.instr) in
   let codes =
     List.concat_map
       (fun m ->
-        codes_by_name (Compile.compile_module m).Compile.funcs (fun cf ->
-            cf.Compile.code))
+        codes_by_name (B.compile_module m).Codegen.Native.funcs (fun cf ->
+            cf.Codegen.Native.code))
       mods
   in
   let windows =
-    harvest ~admissible:X86s.admissible ~jump_targets:X86s.jump_targets
-      ~canon:(fun w -> fst (Compile.canon_window w))
+    harvest ~admissible:B.admissible ~jump_targets:B.jump_targets
+      ~canon:(fun w -> fst (B.canon_window w))
       codes ~max_len:4 ~max_windows
   in
-  let h = Oracle.X86.make () in
-  let session lhs =
-    Oracle.X86.session h ~inputs:lhs lhs
-    |> Option.map (fun s -> (Oracle.X86.screen_ok s, Oracle.X86.full_ok s))
-  in
-  Table.x86
-    (learn_rules ~frame_vars:x86_vars ~nvars_of:X86s.nvars_of
-       ~concretize:Compile.concretize ~session ~forms:X86s.forms
-       ~cycles_of:X86.cycles_of ~recanon:X86s.recanon windows)
-
-let learn_sparc ?(max_windows = default_max_windows) (mods : Ir.modl list) :
-    Table.t =
-  let open Sparclite in
-  let codes =
-    List.concat_map
-      (fun m ->
-        codes_by_name (Compile.compile_module m).Compile.funcs (fun cf ->
-            cf.Compile.code))
-      mods
-  in
-  let windows =
-    harvest ~admissible:Sparcs.admissible ~jump_targets:Sparcs.jump_targets
-      ~canon:(fun w -> fst (Compile.canon_window w))
-      codes ~max_len:4 ~max_windows
-  in
-  let h = Oracle.Sparc.make () in
-  let session lhs =
-    Oracle.Sparc.session h ~inputs:lhs lhs
-    |> Option.map (fun s -> (Oracle.Sparc.screen_ok s, Oracle.Sparc.full_ok s))
-  in
-  Table.sparc
-    (learn_rules ~frame_vars:sparc_vars ~nvars_of:Sparcs.nvars_of
-       ~concretize:Compile.concretize ~session ~forms:Sparcs.forms
-       ~cycles_of:Sparc.cycles_of ~recanon:Sparcs.recanon windows)
-
-let learn ~(target : string) ?max_windows (mods : Ir.modl list) : Table.t =
-  match target with
-  | "x86lite" -> learn_x86 ?max_windows mods
-  | "sparclite" -> learn_sparc ?max_windows mods
-  | t -> invalid_arg ("Superopt.Search.learn: unknown target " ^ t)
+  let h = B.Oracle.make () in
+  let cost = List.fold_left (fun a i -> a + B.cycles_of i) 0 in
+  Table.make b
+    (List.filter_map
+       (fun cw ->
+         let vars = frame_vars b cw in
+         let lhs_c = B.concretize vars cw in
+         match B.Oracle.session h ~inputs:lhs_c lhs_c with
+         | None -> None
+         | Some s ->
+             best_rewrite ~cycles_of:B.cycles_of ~forms:(B.forms lhs_c)
+               ~screen:(B.Oracle.screen_ok s) ~full:(B.Oracle.full_ok s) lhs_c
+             |> Option.map (fun rhs_c ->
+                    {
+                      Table.lhs = cw;
+                      rhs = recanon b vars rhs_c;
+                      saved = cost lhs_c - cost rhs_c;
+                    }))
+       windows)
 
 (* Re-verify every rule of a table against the oracle (CI gate: a table
    that no longer verifies under the current simulators must not ship).
    Returns the indices of failing rules. *)
 let reverify (t : Table.t) : int list =
-  let failing ~frame_vars ~nvars_of ~concretize ~verify rs =
+  let failing (type i) (module B : Backend.S with type instr = i)
+      (rs : i Table.rule list) =
+    let h = B.Oracle.make () in
     List.concat
       (List.mapi
-         (fun k (r : _ Table.rule) ->
-           let vars = frame_vars (nvars_of r.Table.lhs) in
+         (fun k (r : i Table.rule) ->
+           let vars = frame_vars (module B) r.Table.lhs in
            match
-             verify (concretize vars r.Table.lhs) (concretize vars r.Table.rhs)
+             B.Oracle.verify_rule h (B.concretize vars r.Table.lhs)
+               (B.concretize vars r.Table.rhs)
            with
            | true -> []
            | false | (exception _) -> [ k ])
          rs)
   in
-  match t.Table.rules with
-  | Table.X86_rules rs ->
-      failing ~frame_vars:x86_vars ~nvars_of:X86s.nvars_of
-        ~concretize:X86lite.Compile.concretize
-        ~verify:(Oracle.X86.verify_rule (Oracle.X86.make ()))
-        rs
-  | Table.Sparc_rules rs ->
-      failing ~frame_vars:sparc_vars ~nvars_of:Sparcs.nvars_of
-        ~concretize:Sparclite.Compile.concretize
-        ~verify:(Oracle.Sparc.verify_rule (Oracle.Sparc.make ()))
-        rs
+  match Table.unpack t with Table.Rules (b, rs) -> failing b rs

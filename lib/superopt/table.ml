@@ -14,13 +14,8 @@
    serialized under an older cycle model instead of letting them apply
    with stale savings accounting. *)
 
-type 'i rule = { lhs : 'i list; rhs : 'i list; saved : int }
-
-type rules =
-  | X86_rules of X86lite.X86.instr rule list
-  | Sparc_rules of Sparclite.Sparc.instr rule list
-
-type t = { target : string; rules : rules }
+type 'i rule = 'i Backend.rule = { lhs : 'i list; rhs : 'i list; saved : int }
+type t = { target : string; rules : Backend.rules }
 
 (* Bump on any change to the rule representation or the canonical form;
    the version is baked into both the serialized magic and the cache
@@ -30,50 +25,57 @@ let magic = Printf.sprintf "LLVAPEEP%d\x00" version
 
 exception Invalid_table of string
 
-let x86 rules = { target = "x86lite"; rules = X86_rules rules }
-let sparc rules = { target = "sparclite"; rules = Sparc_rules rules }
+let make (type i) (module B : Backend.S with type instr = i) (rs : i rule list)
+    =
+  { target = B.name; rules = B.rules rs }
 
-let count t =
-  match t.rules with
-  | X86_rules rs -> List.length rs
-  | Sparc_rules rs -> List.length rs
+(* A table's rules together with their back-end. *)
+type unpacked =
+  | Rules : (module Backend.S with type instr = 'i) * 'i rule list -> unpacked
+
+let unpack t =
+  match Backend.find t.target with
+  | None ->
+      raise (Invalid_table (Printf.sprintf "unknown table target %S" t.target))
+  | Some (module B) -> (
+      match B.rules_of t.rules with
+      | Some rs -> Rules ((module B : Backend.S with type instr = B.instr), rs)
+      | None ->
+          raise
+            (Invalid_table
+               (Printf.sprintf
+                  "table target %S carries another back-end's rules" t.target)))
+
+let count t = match unpack t with Rules (_, rs) -> List.length rs
 
 let total_saved t =
-  match t.rules with
-  | X86_rules rs -> List.fold_left (fun a r -> a + r.saved) 0 rs
-  | Sparc_rules rs -> List.fold_left (fun a r -> a + r.saved) 0 rs
+  match unpack t with
+  | Rules (_, rs) -> List.fold_left (fun a r -> a + r.saved) 0 rs
 
-(* Rule pairs in the shape [Compile.apply_rules] consumes. *)
-let x86_pairs t =
-  match t.rules with
-  | X86_rules rs -> List.map (fun r -> (r.lhs, r.rhs)) rs
-  | Sparc_rules _ ->
-      raise (Invalid_table "x86lite rules requested from a sparclite table")
-
-let sparc_pairs t =
-  match t.rules with
-  | Sparc_rules rs -> List.map (fun r -> (r.lhs, r.rhs)) rs
-  | X86_rules _ ->
-      raise (Invalid_table "sparclite rules requested from an x86lite table")
-
-let validate t =
-  let check name cost rs =
-    if t.target <> name then
+(* Rule pairs in the shape [Codegen.Peephole.apply_rules] consumes. *)
+let pairs (type i) (module B : Backend.S with type instr = i) t :
+    (i list * i list) list =
+  match B.rules_of t.rules with
+  | Some rs -> List.map (fun r -> (r.lhs, r.rhs)) rs
+  | None ->
       raise
         (Invalid_table
-           (Printf.sprintf "table target %S carries %s rules" t.target name));
+           (Printf.sprintf "%s rules requested from a %s table" B.name
+              t.target))
+
+let validate t =
+  let check (type i) (module B : Backend.S with type instr = i)
+      (rs : i rule list) =
     List.iter
       (fun r ->
         if r.lhs = [] then raise (Invalid_table "empty rule left-hand side");
-        let sum = List.fold_left (fun a i -> a + cost i) 0 in
+        let sum = List.fold_left (fun a i -> a + B.cycles_of i) 0 in
         if sum r.lhs - sum r.rhs <> r.saved || r.saved <= 0 then
           raise
             (Invalid_table "rule saving disagrees with the current cycle model"))
       rs
   in
-  match t.rules with
-  | X86_rules rs -> check "x86lite" X86lite.X86.cycles_of rs
-  | Sparc_rules rs -> check "sparclite" Sparclite.Sparc.cycles_of rs
+  match unpack t with Rules (b, rs) -> check b rs
 
 (* The payload is [Marshal]'s, which records physical sharing: equal
    tables whose values are shared differently serialize to different
@@ -110,19 +112,18 @@ let render t =
   Buffer.add_string buf
     (Printf.sprintf "peephole table: target=%s version=%d rules=%d saved=%d\n"
        t.target version (count t) (total_saved t));
-  let dump ito rs =
+  let dump (type i) (module B : Backend.S with type instr = i)
+      (rs : i rule list) =
     List.iteri
       (fun k r ->
         Buffer.add_string buf (Printf.sprintf "rule %d (saves %d):\n" k r.saved);
         List.iter
-          (fun i -> Buffer.add_string buf ("  - " ^ ito i ^ "\n"))
+          (fun i -> Buffer.add_string buf ("  - " ^ B.to_string i ^ "\n"))
           r.lhs;
         List.iter
-          (fun i -> Buffer.add_string buf ("  + " ^ ito i ^ "\n"))
+          (fun i -> Buffer.add_string buf ("  + " ^ B.to_string i ^ "\n"))
           r.rhs)
       rs
   in
-  (match t.rules with
-  | X86_rules rs -> dump X86lite.X86.to_string rs
-  | Sparc_rules rs -> dump Sparclite.Sparc.to_string rs);
+  (match unpack t with Rules (b, rs) -> dump b rs);
   Buffer.contents buf

@@ -12,23 +12,19 @@
      [BP+8]      return address
      [BP]        saved BP
      [BP-8(k+1)] spill slot k (value slots, then phi transfer slots)
-     below       static alloca area, then dynamic allocas (SP) *)
+     below       static alloca area, then dynamic allocas (SP)
+
+   This module is the instruction selection and frame layout. The
+   branch clean-up after selection, the learned peephole pass and the
+   code metrics are [Codegen.Peephole.Make], applied to X86-lite's
+   branch and frame-slot hooks below; [Superopt.Backend.X86] is this
+   back-end as the rest of the system sees it. *)
 
 open Llva
 open X86
 
-type cfunc = {
-  cf_name : string;
-  code : instr array;
-  nargs : int;
-  frame_slots : int; (* total 8-byte slots *)
-}
-
-type cmodule = {
-  cm : Ir.modl;
-  image : Vmem.Image.t;
-  funcs : (string, cfunc) Hashtbl.t;
-}
+type cfunc = instr Codegen.Native.cfunc
+type cmodule = instr Codegen.Native.cmodule
 
 type ctx = {
   m : Ir.modl;
@@ -76,7 +72,8 @@ let emit ctx i =
       ctx.buf := Mov (R r, R r') :: !(ctx.buf)
   | _ -> ctx.buf := i :: !(ctx.buf)
 
-let slot_mem _ctx k = { base = bp; disp = -8 * (k + 1) }
+let slot_disp k = -8 * (k + 1)
+let slot_mem _ctx k = { base = bp; disp = slot_disp k }
 let transfer_mem ctx t = slot_mem ctx (ctx.n_value_slots + t)
 
 let label_of ctx (b : Ir.block) = Hashtbl.find ctx.block_ids b.Ir.blid
@@ -177,19 +174,6 @@ let store_float ctx vid (f : freg) =
   | Some (Codegen.Regalloc.Slot s) ->
       emit ctx (Fstore (slot_mem ctx s, f, false))
   | None -> ()
-
-let cc_of_cmp signed (c : Ir.cmp) =
-  match (c, signed) with
-  | Ir.Eq, _ -> Eq
-  | Ir.Ne, _ -> Ne
-  | Ir.Lt, true -> Lt
-  | Ir.Gt, true -> Gt
-  | Ir.Le, true -> Le
-  | Ir.Ge, true -> Ge
-  | Ir.Lt, false -> Ltu
-  | Ir.Gt, false -> Gtu
-  | Ir.Le, false -> Leu
-  | Ir.Ge, false -> Geu
 
 (* move a value (either class) into a phi transfer slot *)
 let copy_to_transfer ctx (c : Codegen.Phiplan.edge_copy) =
@@ -322,7 +306,7 @@ let lower_instr ctx (i : Ir.instr) =
         load_float ctx i.Ir.operands.(0) 0;
         load_float ctx i.Ir.operands.(1) 1;
         emit ctx (Fcmp (0, 1));
-        emit ctx (Setcc (cc_of_cmp true c, ax));
+        emit ctx (Setcc (Codegen.Native.cc_of_cmp true c, ax));
         store_int ctx i.Ir.iid ax
       end
       else begin
@@ -330,7 +314,7 @@ let lower_instr ctx (i : Ir.instr) =
         let s = signed_of ctx opty in
         load_int ctx i.Ir.operands.(0) ax;
         emit ctx (Cmp (w, s, R ax, src_operand ctx i.Ir.operands.(1)));
-        emit ctx (Setcc (cc_of_cmp s c, ax));
+        emit ctx (Setcc (Codegen.Native.cc_of_cmp s c, ax));
         store_int ctx i.Ir.iid ax
       end
   | Ir.Load ->
@@ -531,230 +515,60 @@ let lower_instr ctx (i : Ir.instr) =
       cases 2;
       emit ctx (Jmp (label_of ctx (Ir.block_of_value i.Ir.operands.(1))))
 
+(* ---------- branch clean-up and the learned peephole pass ---------- *)
 
+include Codegen.Peephole.Make (struct
+  type nonrec instr = instr
 
-let negate_cc = function
-  | Eq -> Ne
-  | Ne -> Eq
-  | Lt -> Ge
-  | Ge -> Lt
-  | Gt -> Le
-  | Le -> Gt
-  | Ltu -> Geu
-  | Geu -> Ltu
-  | Gtu -> Leu
-  | Leu -> Gtu
+  let cycles_of = cycles_of
+  let size_of = size_of
+  let to_string = to_string
+  let jump_target = function Jmp l -> Some l | _ -> None
 
-(* "jcc a; jmp b" where a is the fall-through: invert the condition so the
-   unconditional jump becomes removable by [relax] *)
-let invert_branches (code : instr array) =
-  let n = Array.length code in
-  Array.iteri
-    (fun k i ->
-      if k + 2 <= n - 1 || k + 1 <= n - 1 then
-        match (i, if k + 1 < n then Some code.(k + 1) else None) with
-        | Jcc (cc, a), Some (Jmp b) when a = k + 2 ->
-            code.(k) <- Jcc (negate_cc cc, b);
-            code.(k + 1) <- Jmp a
-        | _ -> ())
-    code;
-  code
+  let branch_target = function
+    | Jmp l | Jcc (_, l) | CallSymI (_, l) | CallIndI (_, l) -> Some l
+    | _ -> None
 
-(* Remove jumps to the immediately following instruction (fall-through),
-   remapping all label targets; block layout thus affects both code size
-   and cycle counts, which the LLEE trace optimizer exploits. *)
-let relax (code : instr array) =
-  Codegen.Relax.relax
-    ~fallthrough:(fun k -> function Jmp l -> l = k + 1 | _ -> false)
-    ~retarget:(fun f -> function
-      | Jmp l -> Jmp (f l)
-      | Jcc (cc, l) -> Jcc (cc, f l)
-      | CallSymI (s, l) -> CallSymI (s, f l)
-      | CallIndI (o, l) -> CallIndI (o, f l)
-      | other -> other)
-    code
+  let retarget f = function
+    | Jmp l -> Jmp (f l)
+    | Jcc (cc, l) -> Jcc (cc, f l)
+    | CallSymI (s, l) -> CallSymI (s, f l)
+    | CallIndI (o, l) -> CallIndI (o, f l)
+    | other -> other
 
-(* ---------- learned peephole rewriting ----------
+  let invert ~fallthrough i next =
+    match (i, next) with
+    | Jcc (cc, a), Jmp b when a = fallthrough ->
+        Some (Jcc (Codegen.Native.negate_cc cc, b), Jmp a)
+    | _ -> None
 
-   [apply_rules] rewrites straight-line windows of the finished code
-   array against an oracle-verified rewrite table built offline by the
-   superoptimizer (lib/superopt). Rules are stored in *canonical* form:
-   BP-relative frame-slot displacements are renamed to sentinel values
-   [slot_var_base + 8k] in first-occurrence order, so a single rule
-   covers every concrete frame offset. A window is canonicalized only
-   when every memory operand is a BP-based 8-byte-aligned full-word slot
-   and no operand names SP or BP directly — distinct aligned slots can
-   never overlap, so execution is isomorphic under slot renaming and a
-   rule verified on one instantiation holds for all of them. Any other
-   window (Lea, SP-relative or unaligned memory, stack adjustment,
-   calls, ...) is left concrete, where it can never match a canonical
-   rule. *)
-
-let slot_var_base = 1_000_000
-
-exception Not_canon
-
-let canon_operand vars = function
-  | M { base; disp }
-    when base = bp && disp mod 8 = 0 && abs disp < slot_var_base ->
-      let k =
-        match List.assoc_opt disp !vars with
-        | Some k -> k
-        | None ->
-            let k = List.length !vars in
-            vars := !vars @ [ (disp, k) ];
-            k
-      in
-      M { base = bp; disp = slot_var_base + (8 * k) }
-  | M _ -> raise Not_canon
-  | R r when r = sp || r = bp -> raise Not_canon
-  | o -> o
-
-let canon_instr vars i =
-  match i with
-  | Mov (a, b) -> Mov (canon_operand vars a, canon_operand vars b)
-  | Alu (op, w, s, a, b) ->
-      Alu (op, w, s, canon_operand vars a, canon_operand vars b)
-  | Shift (l, w, s, a, b) ->
-      Shift (l, w, s, canon_operand vars a, canon_operand vars b)
-  | Cmp (w, s, a, b) -> Cmp (w, s, canon_operand vars a, canon_operand vars b)
-  | (Ext (r, _, _) | Setcc (_, r)) when r = sp || r = bp -> raise Not_canon
-  | Ext _ | Setcc _ -> i
-  | _ -> raise Not_canon
-
-(* Canonicalize a window. Returns the canonical form plus the concrete
-   displacement behind each slot variable; windows outside the
-   rewritable subset come back unchanged with no variables, so they
-   match no rule. *)
-let canon_window (w : instr list) : instr list * int array =
-  let vars = ref [] in
-  match List.map (canon_instr vars) w with
-  | cw -> (cw, Array.of_list (List.map fst !vars))
-  | exception Not_canon -> (w, [||])
-
-(* Substitute concrete slot displacements back into a canonical
-   instruction sequence (a rule's right-hand side). *)
-let concretize (vars : int array) (w : instr list) : instr list =
-  let op = function
-    | M { base; disp } when disp >= slot_var_base ->
-        let k = (disp - slot_var_base) / 8 in
-        if k >= Array.length vars then raise Not_canon;
-        M { base; disp = vars.(k) }
-    | o -> o
-  in
-  List.map
-    (fun i ->
-      match i with
-      | Mov (a, b) -> Mov (op a, op b)
-      | Alu (o2, w_, s, a, b) -> Alu (o2, w_, s, op a, op b)
-      | Shift (l, w_, s, a, b) -> Shift (l, w_, s, op a, op b)
-      | Cmp (w_, s, a, b) -> Cmp (w_, s, op a, op b)
-      | i -> i)
-    w
-
-type peep_stats = { mutable rewrites : int; mutable cycles_saved : int }
-
-let fresh_peep_stats () = { rewrites = 0; cycles_saved = 0 }
-
-let window_cycles w = List.fold_left (fun acc i -> acc + cycles_of i) 0 w
-
-(* One left-to-right rewriting pass. Windows that contain a branch
-   target strictly inside them are never rewritten (jumping into the
-   middle of a replacement would be meaningless); targets at a window's
-   first instruction are fine, since replacements are dropped in at
-   exactly that position. All branch targets are remapped afterwards. *)
-let apply_rules_pass ~index ~max_len (code : instr array) =
-  let n = Array.length code in
-  let is_target = Array.make (n + 2) false in
-  Array.iter
-    (function
-      | Jmp l | Jcc (_, l) | CallSymI (_, l) | CallIndI (_, l) ->
-          if l >= 0 && l < n + 2 then is_target.(l) <- true
-      | _ -> ())
-    code;
-  let out = ref [] and out_len = ref 0 in
-  let new_index = Array.make (n + 1) 0 in
-  let rewrites = ref 0 and saved = ref 0 in
-  let i = ref 0 in
-  while !i < n do
-    new_index.(!i) <- !out_len;
-    let applied = ref false in
-    let k = ref (min max_len (n - !i)) in
-    while (not !applied) && !k >= 1 do
-      let interior = ref false in
-      for j = !i + 1 to !i + !k - 1 do
-        if is_target.(j) then interior := true
-      done;
-      (if not !interior then
-         let window = Array.to_list (Array.sub code !i !k) in
-         let cw, vars = canon_window window in
-         match Hashtbl.find_opt index cw with
-         | Some rhs -> (
-             match concretize vars rhs with
-             | rhs_c ->
-                 let before = window_cycles window
-                 and after = window_cycles rhs_c in
-                 if after < before then begin
-                   List.iter
-                     (fun ins ->
-                       out := ins :: !out;
-                       incr out_len)
-                     rhs_c;
-                   incr rewrites;
-                   saved := !saved + (before - after);
-                   i := !i + !k;
-                   applied := true
-                 end
-             | exception Not_canon -> ())
-         | None -> ());
-      if not !applied then decr k
-    done;
-    if not !applied then begin
-      out := code.(!i) :: !out;
-      incr out_len;
-      incr i
-    end
-  done;
-  new_index.(n) <- !out_len;
-  let remap l = if l >= 0 && l <= n then new_index.(min l n) else l in
-  let arr =
-    Array.map
-      (function
-        | Jmp l -> Jmp (remap l)
-        | Jcc (cc, l) -> Jcc (cc, remap l)
-        | CallSymI (s, l) -> CallSymI (s, remap l)
-        | CallIndI (o, l) -> CallIndI (o, remap l)
-        | other -> other)
-      (Array.of_list (List.rev !out))
-  in
-  (arr, !rewrites, !saved)
-
-(* Apply a rewrite table (canonical lhs/rhs pairs) to fixpoint, bounded
-   at four passes. Purely deterministic: same table in, same code out.
-   Returns the rewritten code plus (rewrite count, static cycles
-   saved). *)
-let apply_rules ~(rules : (instr list * instr list) list)
-    (code : instr array) : instr array * int * int =
-  if rules = [] then (code, 0, 0)
-  else begin
-    let index = Hashtbl.create 64 in
-    let max_len = ref 1 in
-    List.iter
-      (fun (lhs, rhs) ->
-        if lhs <> [] && not (Hashtbl.mem index lhs) then begin
-          Hashtbl.replace index lhs rhs;
-          max_len := max !max_len (List.length lhs)
-        end)
-      rules;
-    let rec go code total_r total_s passes =
-      if passes = 0 then (code, total_r, total_s)
-      else
-        let code', r, s = apply_rules_pass ~index ~max_len:!max_len code in
-        if r = 0 then (code', total_r, total_s)
-        else go code' (total_r + r) (total_s + s) (passes - 1)
+  (* BP-based slots only; SP and BP never appear as data *)
+  let canon_instr ~slot i =
+    let op = function
+      | M { base; disp } when base = bp -> M { base = bp; disp = slot disp }
+      | M _ -> raise Codegen.Peephole.Not_canon
+      | R r when r = sp || r = bp -> raise Codegen.Peephole.Not_canon
+      | o -> o
     in
-    go code 0 0 4
-  end
+    match i with
+    | Mov (a, b) -> Mov (op a, op b)
+    | Alu (o, w, s, a, b) -> Alu (o, w, s, op a, op b)
+    | Shift (l, w, s, a, b) -> Shift (l, w, s, op a, op b)
+    | Cmp (w, s, a, b) -> Cmp (w, s, op a, op b)
+    | (Ext (r, _, _) | Setcc (_, r)) when r = sp || r = bp ->
+        raise Codegen.Peephole.Not_canon
+    | Ext _ | Setcc _ -> i
+    | _ -> raise Codegen.Peephole.Not_canon
+
+  let map_slots f i =
+    let op = function M m -> M { m with disp = f m.disp } | o -> o in
+    match i with
+    | Mov (a, b) -> Mov (op a, op b)
+    | Alu (o, w, s, a, b) -> Alu (o, w, s, op a, op b)
+    | Shift (l, w, s, a, b) -> Shift (l, w, s, op a, op b)
+    | Cmp (w, s, a, b) -> Cmp (w, s, op a, op b)
+    | i -> i
+end)
 
 (* ---------- per-function ---------- *)
 
@@ -871,33 +685,9 @@ let compile_function (m : Ir.modl) (img : Vmem.Image.t)
         | Some p -> p
         | None -> invalid_arg "x86lite: unresolved label")
   in
-  let code =
-    Array.map
-      (fun ins ->
-        match ins with
-        | Jmp l -> Jmp (resolve l)
-        | Jcc (cc, l) -> Jcc (cc, resolve l)
-        | CallSymI (s, l) -> CallSymI (s, resolve l)
-        | CallIndI (o, l) -> CallIndI (o, resolve l)
-        | other -> other)
-      code
-  in
-  let code = relax (invert_branches code) in
-  let code =
-    match peep with
-    | [] -> code
-    | rules ->
-        let code, r, s = apply_rules ~rules code in
-        (match peep_stats with
-        | Some ps ->
-            ps.rewrites <- ps.rewrites + r;
-            ps.cycles_saved <- ps.cycles_saved + s
-        | None -> ());
-        relax code
-  in
   {
-    cf_name = f.Ir.fname;
-    code;
+    Codegen.Native.cf_name = f.Ir.fname;
+    code = finish_code ~peep ?peep_stats (Array.map (retarget resolve) code);
     nargs = List.length f.Ir.fargs;
     frame_slots = total_frame / 8;
   }
@@ -912,26 +702,4 @@ let compile_module ?(linear_scan = false) ?(peep = []) ?peep_stats
         Hashtbl.replace funcs f.Ir.fname
           (compile_function m image ~linear_scan ~peep ?peep_stats f))
     m.Ir.funcs;
-  { cm = m; image; funcs }
-
-(* ---------- metrics ---------- *)
-
-let func_instr_count cf = Array.length cf.code
-
-let func_code_size cf =
-  Array.fold_left (fun acc i -> acc + size_of i) 0 cf.code
-
-let module_instr_count cm =
-  Hashtbl.fold (fun _ cf acc -> acc + func_instr_count cf) cm.funcs 0
-
-(* native code bytes + global data, comparable to Table 2's native size *)
-let module_code_size cm =
-  Hashtbl.fold (fun _ cf acc -> acc + func_code_size cf) cm.funcs 0
-
-let disassemble cf =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (cf.cf_name ^ ":\n");
-  Array.iteri
-    (fun k i -> Buffer.add_string buf (Printf.sprintf "  %3d: %s\n" k (to_string i)))
-    cf.code;
-  Buffer.contents buf
+  { Codegen.Native.cm = m; image; funcs }

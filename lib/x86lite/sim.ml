@@ -49,15 +49,7 @@
 open Llva
 open X86
 
-type trap_kind =
-  | Division_by_zero
-  | Overflow (* signed INT_MIN / -1 division or remainder (#DE class) *)
-  | Memory_fault of int64
-  | Privilege_violation
-
-exception Trap of trap_kind
-exception Unwound
-exception Out_of_fuel
+include Vmem.Guest
 
 (* a trap for the registered handler; only the run loop catches it *)
 exception Deliver of trap_kind
@@ -141,13 +133,18 @@ let kind_float = 3
 (* Deeper native call chains are an error, not a host stack overflow. *)
 let max_depth = 50_000
 
-let default_lookup st name = Hashtbl.find_opt st.cmod.Compile.funcs name
+let default_lookup st name = Hashtbl.find_opt st.cmod.Codegen.Native.funcs name
 
 let create ?(fuel = -1) ?(cache = new_cache ()) (cmod : Compile.cmodule) :
     state =
-  let mem = cmod.Compile.image.Vmem.Image.mem in
+  let mem = cmod.Codegen.Native.image.Vmem.Image.mem in
   let none =
-    { Compile.cf_name = "<none>"; code = [||]; nargs = 0; frame_slots = 0 }
+    {
+      Codegen.Native.cf_name = "<none>";
+      code = [||];
+      nargs = 0;
+      frame_slots = 0;
+    }
   in
   {
     cmod;
@@ -172,7 +169,7 @@ let create ?(fuel = -1) ?(cache = new_cache ()) (cmod : Compile.cmodule) :
   }
 
 (* the function executing (or that was executing when a trap fired) *)
-let current st = st.code.cf.Compile.cf_name
+let current st = st.code.cf.Codegen.Native.cf_name
 
 let output st = Vmem.Runtime.output st.rt
 
@@ -469,14 +466,7 @@ let rec deliver st kind =
       st.trap_handler <- None;
       match st.lookup st hname with
       | Some hcf ->
-          let num =
-            match kind with
-            | Division_by_zero -> 0L
-            | Overflow -> 0L (* x86 #DE covers both divide faults *)
-            | Memory_fault _ -> 1L
-            | Privilege_violation -> 2L
-          in
-          run_subcall st hcf [ num; 0L ]
+          run_subcall st hcf [ Int64.of_int (trap_number kind); 0L ]
       | None -> ())
   | None -> ());
   raise (Trap kind)
@@ -509,7 +499,7 @@ and run_subcall st (cf : Compile.cfunc) (args : int64 list) =
 (* ---------- calls ---------- *)
 
 and addr_to_name st (addr : int64) =
-  match Vmem.Image.func_at st.cmod.Compile.image addr with
+  match Vmem.Image.func_at st.cmod.Codegen.Native.image addr with
   | Some f -> f.Ir.fname
   | None ->
       raise (Trap (Memory_fault addr))
@@ -579,11 +569,11 @@ and do_call st name ~except ~ret_pc =
    this state's cache has no current decoded form of it *)
 and enter st cf =
   let code =
-    match Hashtbl.find_opt st.cache cf.Compile.cf_name with
+    match Hashtbl.find_opt st.cache cf.Codegen.Native.cf_name with
     | Some d when d.cf == cf -> d
     | _ ->
         let d = decode cf in
-        Hashtbl.replace st.cache cf.Compile.cf_name d;
+        Hashtbl.replace st.cache cf.Codegen.Native.cf_name d;
         d
   in
   st.code <- code;
@@ -936,7 +926,7 @@ and via_exec succ i next =
    that reaches the end of the code without a terminator leaves [pc]
    past it, where the loop's next bounds check fails. *)
 and decode (cf : Compile.cfunc) : decoded =
-  let code = cf.Compile.code in
+  let code = cf.Codegen.Native.code in
   let n = Array.length code in
   let fall_off st = st.pc <- n in
   let run = Array.make n fall_off in
@@ -978,7 +968,7 @@ and abort_run st code pc e =
    but not executed. *)
 and step st =
   let pc = st.pc in
-  let i = st.code.cf.Compile.code.(pc) in
+  let i = st.code.cf.Codegen.Native.code.(pc) in
   let n = st.icount + 1 in
   st.icount <- n;
   st.cycles <- st.cycles + cycles_of i;

@@ -47,7 +47,8 @@ type operand = R of reg | I of int64 | M of mem
 
 type alu = Add | Sub | Imul | And | Or | Xor
 
-type cc = Eq | Ne | Lt | Gt | Le | Ge | Ltu | Gtu | Leu | Geu
+type cc = Codegen.Native.cc =
+  | Eq | Ne | Lt | Gt | Le | Ge | Ltu | Gtu | Leu | Geu
 
 type fop = Fadd | Fsub | Fmul | Fdiv | Frem
 

@@ -442,18 +442,12 @@ let engine_results ?(fuel = 4_000_000) (m : Ir.modl) :
     let o, st = Llee.Outcome.run_main_interp ~fuel (clone m) in
     (o, Interp.output st)
   in
-  let x86 () =
+  let native target () =
+    let (module B) = Llee.backend target in
     let o, st =
-      Llee.Outcome.run_main_x86 ~fuel (X86lite.Compile.compile_module (clone m))
+      Llee.Outcome.run_main (module B) ~fuel (B.compile_module (clone m))
     in
-    (o, X86lite.Sim.output st)
-  in
-  let sparc () =
-    let o, st =
-      Llee.Outcome.run_main_sparc ~fuel
-        (Sparclite.Compile.compile_module (clone m))
-    in
-    (o, Sparclite.Sim.output st)
+    (o, B.output st)
   in
   let llee target () = Llee.run ~fuel (Llee.of_module ~target (clone m)) in
   List.map2
@@ -461,7 +455,9 @@ let engine_results ?(fuel = 4_000_000) (m : Ir.modl) :
       let o, out = launch () in
       (name, o, out))
     engine_names
-    [ interp; x86; sparc; llee Llee.X86; llee Llee.Sparc ]
+    [
+      interp; native Llee.X86; native Llee.Sparc; llee Llee.X86; llee Llee.Sparc;
+    ]
 
 (* the engine-independent summary of one run: outcome class (trap
    addresses are engine-specific, so traps compare by class) plus the

@@ -45,7 +45,15 @@
       instruction count and cycle count must equal the file named by
       the fifth argument (sim_fuel.expected) line for line; without a fifth argument the lines are printed. An
       instruction that runs out of fuel is counted and charged before
-      the budget check stops it. *)
+      the budget check stops it.
+
+   8. Native code bytes: for each workload at -O1, after an
+      encode/decode round trip, on both targets, without a table and
+      with the per-module table of section 6, the static instruction
+      count, the native code size and the MD5 of the marshaled compiled
+      functions in source order (the bytes LLEE caches) must equal the
+      file named by the sixth argument (code_digests.expected) line for
+      line; without a sixth argument the lines are printed. *)
 
 let failures = ref 0
 
@@ -186,76 +194,66 @@ entry:
   ]
 
 let () =
-  let x86_path, sparc_path, counts_path, digests_path, fuel_path =
+  let x86_path, sparc_path, counts_path, digests_path, fuel_path, code_path =
     match Sys.argv with
-    | [| _; a; b; c; d; e |] -> (a, b, Some c, Some d, Some e)
-    | [| _; a; b; c; d |] -> (a, b, Some c, Some d, None)
-    | [| _; a; b; c |] -> (a, b, Some c, None, None)
-    | [| _; a; b |] -> (a, b, None, None, None)
-    | _ -> ("tables/x86lite.peep", "tables/sparclite.peep", None, None, None)
+    | [| _; a; b; c; d; e; f |] -> (a, b, Some c, Some d, Some e, Some f)
+    | [| _; a; b; c; d; e |] -> (a, b, Some c, Some d, Some e, None)
+    | [| _; a; b; c; d |] -> (a, b, Some c, Some d, None, None)
+    | [| _; a; b; c |] -> (a, b, Some c, None, None, None)
+    | [| _; a; b |] -> (a, b, None, None, None, None)
+    | _ ->
+        ("tables/x86lite.peep", "tables/sparclite.peep", None, None, None, None)
   in
-  let tx = load_table ~target:"x86lite" x86_path in
-  let ts = load_table ~target:"sparclite" sparc_path in
-  Printf.printf
-    "committed tables: x86lite %d rules (fingerprint %s), sparclite %d rules \
-     (fingerprint %s)\n\
-     %!"
-    (Superopt.Table.count tx)
-    (Superopt.Table.fingerprint tx)
-    (Superopt.Table.count ts)
-    (Superopt.Table.fingerprint ts);
+  let backends = Superopt.Backend.all in
+  let committed =
+    List.map2
+      (fun (module B : Superopt.Backend.S) path -> load_table ~target:B.name path)
+      backends [ x86_path; sparc_path ]
+  in
+  Printf.printf "committed tables: %s\n%!"
+    (String.concat ", "
+       (List.map
+          (fun tb ->
+            Printf.sprintf "%s %d rules (fingerprint %s)"
+              tb.Superopt.Table.target (Superopt.Table.count tb)
+              (Superopt.Table.fingerprint tb))
+          committed));
 
   (* 1. oracle re-verification of every committed rewrite *)
-  (match Superopt.Search.reverify tx with
-  | [] -> Printf.printf "x86lite: all rules re-verified\n%!"
-  | bad ->
-      check
-        (Printf.sprintf "x86lite rules refuted by the oracle: %s"
-           (String.concat "," (List.map string_of_int bad)))
-        false);
-  (match Superopt.Search.reverify ts with
-  | [] -> Printf.printf "sparclite: all rules re-verified\n%!"
-  | bad ->
-      check
-        (Printf.sprintf "sparclite rules refuted by the oracle: %s"
-           (String.concat "," (List.map string_of_int bad)))
-        false);
+  List.iter
+    (fun tb ->
+      let target = tb.Superopt.Table.target in
+      match Superopt.Search.reverify tb with
+      | [] -> Printf.printf "%s: all rules re-verified\n%!" target
+      | bad ->
+          check
+            (Printf.sprintf "%s rules refuted by the oracle: %s" target
+               (String.concat "," (List.map string_of_int bad)))
+            false)
+    committed;
 
-  (* 2. search determinism over the training suite *)
+  (* 2. search determinism over the training suite, and 3. a fresh
+     search reproduces the committed tables *)
   let mods =
     List.map (fun w -> Workloads.compile_optimized ~level:1 w) Workloads.all
   in
-  let learn target = Superopt.Table.to_string (Superopt.Search.learn ~target mods) in
-  let lx1 = learn "x86lite" in
-  let lx2 = learn "x86lite" in
-  check "x86lite search deterministic" (lx1 = lx2);
-  let ls1 = learn "sparclite" in
-  let ls2 = learn "sparclite" in
-  check "sparclite search deterministic" (ls1 = ls2);
+  List.iter2
+    (fun b tb ->
+      let (module B : Superopt.Backend.S) = b in
+      let learn () = Superopt.Table.to_string (Superopt.Search.learn b mods) in
+      let fresh = learn () in
+      check (B.name ^ " search deterministic") (fresh = learn ());
+      check
+        (Printf.sprintf
+           "committed %s table differs from a fresh search; regenerate with \
+            llva_superopt --target all --out test/tables"
+           B.name)
+        (fresh = Superopt.Table.to_string tb))
+    backends committed;
   Printf.printf "determinism: two searches per target, identical bytes\n%!";
-
-  (* 3. a fresh search reproduces the committed tables *)
-  let drift target fresh committed =
-    check
-      (Printf.sprintf
-         "committed %s table differs from a fresh search; regenerate with \
-          llva_superopt --target all --out test/tables"
-         target)
-      (fresh = Superopt.Table.to_string committed)
-  in
-  drift "x86lite" lx1 tx;
-  drift "sparclite" ls1 ts;
 
   (* 4. behavior identity on all 17 workloads with the pass enabled *)
   let counts = Buffer.create 4096 in
-  let count name target peep code icount cycles =
-    Printf.bprintf counts "%-17s %-9s %-8s exit %3d  instrs %10d  cycles %10d\n"
-      name target
-      (if peep then "table" else "no-table")
-      code icount cycles
-  in
-  let px = Superopt.Table.x86_pairs tx in
-  let ps = Superopt.Table.sparc_pairs ts in
   List.iter
     (fun (w : Workloads.workload) ->
       let name = w.Workloads.name in
@@ -263,51 +261,41 @@ let () =
       let ist = Interp.create ~fuel:100_000_000 (m ()) in
       let icode = Interp.run_main ist in
       let iout = Interp.output ist in
-      let xcode, xst =
-        X86lite.Sim.run_main (X86lite.Compile.compile_module ~peep:px (m ()))
+      let cycles =
+        List.map2
+          (fun (module B : Superopt.Backend.S) tb ->
+            let run peep =
+              let o, st =
+                Llee.Outcome.run_main (module B) (B.compile_module ~peep (m ()))
+              in
+              (Llee.Outcome.exit_code o, B.output st, B.icount st, B.cycles st)
+            in
+            let ((code0, out0, _, cycles0) as off) = run [] in
+            let ((code, out, _, cycles) as on) =
+              run (Superopt.Table.pairs (module B) tb)
+            in
+            check
+              (Printf.sprintf "%s: %s behavior identical to interp with pass on"
+                 name B.name)
+              (code = icode && out = iout);
+            check
+              (Printf.sprintf "%s: %s pass-on matches pass-off" name B.name)
+              (code = code0 && out = out0);
+            check
+              (Printf.sprintf "%s: %s cycles no worse" name B.name)
+              (cycles <= cycles0);
+            List.iter
+              (fun (peep, (code, _, icount, cycles)) ->
+                Printf.bprintf counts
+                  "%-17s %-9s %-8s exit %3d  instrs %10d  cycles %10d\n" name
+                  B.name
+                  (if peep then "table" else "no-table")
+                  code icount cycles)
+              [ (false, off); (true, on) ];
+            Printf.sprintf "%s %d -> %d" B.name cycles0 cycles)
+          backends committed
       in
-      check
-        (name ^ ": x86 behavior identical to interp with pass on")
-        (xcode = icode && X86lite.Sim.output xst = iout);
-      let x0code, x0st =
-        X86lite.Sim.run_main (X86lite.Compile.compile_module (m ()))
-      in
-      check
-        (name ^ ": x86 pass-on matches pass-off")
-        (xcode = x0code && X86lite.Sim.output xst = X86lite.Sim.output x0st);
-      check
-        (name ^ ": x86 cycles no worse")
-        (xst.X86lite.Sim.cycles <= x0st.X86lite.Sim.cycles);
-      let scode, sst =
-        Sparclite.Sim.run_main
-          (Sparclite.Compile.compile_module ~peep:ps (m ()))
-      in
-      check
-        (name ^ ": sparc behavior identical to interp with pass on")
-        (scode = icode && Sparclite.Sim.output sst = iout);
-      let s0code, s0st =
-        Sparclite.Sim.run_main (Sparclite.Compile.compile_module (m ()))
-      in
-      check
-        (name ^ ": sparc pass-on matches pass-off")
-        (scode = s0code && Sparclite.Sim.output sst = Sparclite.Sim.output s0st);
-      check
-        (name ^ ": sparc cycles no worse")
-        (sst.Sparclite.Sim.cycles <= s0st.Sparclite.Sim.cycles);
-      let xcount peep code (st : X86lite.Sim.state) =
-        count name "x86lite" peep code st.X86lite.Sim.icount
-          st.X86lite.Sim.cycles
-      and scount peep code (st : Sparclite.Sim.state) =
-        count name "sparclite" peep code st.Sparclite.Sim.icount
-          st.Sparclite.Sim.cycles
-      in
-      xcount false x0code x0st;
-      xcount true xcode xst;
-      scount false s0code s0st;
-      scount true scode sst;
-      Printf.printf "%-17s ok (x86 %d -> %d, sparc %d -> %d cycles)\n%!"
-        name x0st.X86lite.Sim.cycles xst.X86lite.Sim.cycles
-        s0st.Sparclite.Sim.cycles sst.Sparclite.Sim.cycles)
+      Printf.printf "%-17s ok (%s cycles)\n%!" name (String.concat ", " cycles))
     Workloads.all;
 
   (* 5. exact counts *)
@@ -315,20 +303,27 @@ let () =
 
   (* 6. per-module table bytes *)
   let digests = Buffer.create 4096 in
-  List.iter
-    (fun (w : Workloads.workload) ->
-      let m =
-        Llva.Decode.decode
-          (Llva.Encode.encode (Workloads.compile_optimized ~level:1 w))
-      in
-      List.iter
-        (fun target ->
-          let tb = Superopt.Search.learn ~target [ m ] in
-          Printf.bprintf digests "%-17s %-9s rules %3d  md5 %s\n"
-            w.Workloads.name target (Superopt.Table.count tb)
-            (Digest.to_hex (Digest.string (Superopt.Table.to_string tb))))
-        [ "x86lite"; "sparclite" ])
-    Workloads.all;
+  let per_module =
+    List.map
+      (fun (w : Workloads.workload) ->
+        let m =
+          Llva.Decode.decode
+            (Llva.Encode.encode (Workloads.compile_optimized ~level:1 w))
+        in
+        let tables =
+          List.map
+            (fun b ->
+              let tb = Superopt.Search.learn b [ m ] in
+              Printf.bprintf digests "%-17s %-9s rules %3d  md5 %s\n"
+                w.Workloads.name tb.Superopt.Table.target
+                (Superopt.Table.count tb)
+                (Digest.to_hex (Digest.string (Superopt.Table.to_string tb)));
+              tb)
+            backends
+        in
+        (w.Workloads.name, m, tables))
+      Workloads.all
+  in
   expect_lines ~what:"per-module table digests" digests_path
     (Buffer.contents digests);
 
@@ -351,27 +346,55 @@ let () =
     (fun (name, extra, m) ->
       List.iter
         (fun fuel ->
-          let line target o icount cycles out =
-            Printf.bprintf fuel_lines
-              "%-17s %-9s fuel %7d  instrs %7d  cycles %8d  out %s  %s\n" name
-              target fuel icount cycles
-              (String.sub (Digest.to_hex (Digest.string out)) 0 8)
-              (Llee.Outcome.to_string o)
-          in
-          let o, st =
-            Llee.Outcome.run_main_x86 ~fuel (X86lite.Compile.compile_module (m ()))
-          in
-          line "x86lite" o st.X86lite.Sim.icount st.X86lite.Sim.cycles
-            (X86lite.Sim.output st);
-          let o, st =
-            Llee.Outcome.run_main_sparc ~fuel
-              (Sparclite.Compile.compile_module (m ()))
-          in
-          line "sparclite" o st.Sparclite.Sim.icount st.Sparclite.Sim.cycles
-            (Sparclite.Sim.output st))
+          List.iter
+            (fun (module B : Superopt.Backend.S) ->
+              let o, st =
+                Llee.Outcome.run_main (module B) ~fuel (B.compile_module (m ()))
+              in
+              Printf.bprintf fuel_lines
+                "%-17s %-9s fuel %7d  instrs %7d  cycles %8d  out %s  %s\n"
+                name B.name fuel (B.icount st) (B.cycles st)
+                (String.sub (Digest.to_hex (Digest.string (B.output st))) 0 8)
+                (Llee.Outcome.to_string o))
+            backends)
         ([ 0; 1; 10_000; 1_000_000 ] @ extra))
     programs;
   expect_lines ~what:"fuel and trap counts" fuel_path (Buffer.contents fuel_lines);
+
+  (* 8. native code bytes *)
+  let code_lines = Buffer.create 4096 in
+  List.iter
+    (fun (name, m, tables) ->
+      let defined =
+        List.filter (fun f -> not (Llva.Ir.is_declaration f)) m.Llva.Ir.funcs
+      in
+      List.iter
+        (fun peep ->
+          List.iter2
+            (fun (module B : Superopt.Backend.S) tb ->
+              let cm =
+                B.compile_module
+                  ~peep:(if peep then Superopt.Table.pairs (module B) tb else [])
+                  m
+              in
+              let marshaled =
+                List.map
+                  (fun (f : Llva.Ir.func) ->
+                    Marshal.to_string
+                      (Hashtbl.find cm.Codegen.Native.funcs f.Llva.Ir.fname)
+                      [])
+                  defined
+              in
+              Printf.bprintf code_lines
+                "%-17s %-9s %-8s instrs %6d  bytes %7d  md5 %s\n" name B.name
+                (if peep then "table" else "no-table")
+                (B.module_instr_count cm) (B.module_code_size cm)
+                (Digest.to_hex (Digest.string (String.concat "" marshaled))))
+            backends tables)
+        [ false; true ])
+    per_module;
+  expect_lines ~what:"native code digests" code_path
+    (Buffer.contents code_lines);
 
   if !failures > 0 then begin
     Printf.printf "superopt gate FAILED: %d assertion(s)\n" !failures;

@@ -8,23 +8,25 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-let run_x86 ?(linear_scan = false) ?(fuel = 50_000_000) m =
+(* exit code and output of [m] on each simulator, under either of its
+   back-end's register allocators *)
+let on_x86 ?(linear_scan = false) m =
   let cm = X86lite.Compile.compile_module ~linear_scan m in
-  let code, st = X86lite.Sim.run_main ~fuel cm in
+  let code, st = X86lite.Sim.run_main ~fuel:50_000_000 cm in
   (code, X86lite.Sim.output st)
 
-let run_sparc ?(spill_everything = false) ?(fuel = 50_000_000) m =
+let on_sparc ?(spill_everything = false) m =
   let cm = Sparclite.Compile.compile_module ~spill_everything m in
-  let code, st = Sparclite.Sim.run_main ~fuel cm in
+  let code, st = Sparclite.Sim.run_main ~fuel:50_000_000 cm in
   (code, Sparclite.Sim.output st)
 
 let all_ways m =
   [
     ("interp", Gen.run_interp (Gen.clone m));
-    ("x86 naive", run_x86 (Gen.clone m));
-    ("x86 linear-scan", run_x86 ~linear_scan:true (Gen.clone m));
-    ("sparc linear-scan", run_sparc (Gen.clone m));
-    ("sparc naive", run_sparc ~spill_everything:true (Gen.clone m));
+    ("x86 naive", on_x86 (Gen.clone m));
+    ("x86 linear-scan", on_x86 ~linear_scan:true (Gen.clone m));
+    ("sparc linear-scan", on_sparc (Gen.clone m));
+    ("sparc naive", on_sparc ~spill_everything:true (Gen.clone m));
   ]
 
 let check_agreement src =
@@ -468,9 +470,9 @@ let prop_backends_agree =
       List.for_all
         (fun (_, r) -> r = reference)
         [
-          ("x86", run_x86 (Gen.clone m));
-          ("x86ls", run_x86 ~linear_scan:true (Gen.clone m));
-          ("sparc", run_sparc (Gen.clone m));
+          ("x86", on_x86 (Gen.clone m));
+          ("x86ls", on_x86 ~linear_scan:true (Gen.clone m));
+          ("sparc", on_sparc (Gen.clone m));
         ])
 
 let prop_backends_agree_memory =
@@ -480,9 +482,9 @@ let prop_backends_agree_memory =
       List.for_all
         (fun (_, r) -> r = reference)
         [
-          ("x86", run_x86 (Gen.clone m));
-          ("sparc", run_sparc (Gen.clone m));
-          ("sparc naive", run_sparc ~spill_everything:true (Gen.clone m));
+          ("x86", on_x86 (Gen.clone m));
+          ("sparc", on_sparc (Gen.clone m));
+          ("sparc naive", on_sparc ~spill_everything:true (Gen.clone m));
         ])
 
 let prop_optimized_backends_agree =
@@ -491,7 +493,7 @@ let prop_optimized_backends_agree =
       let reference = Gen.run_interp (Gen.clone m) in
       let opt = Gen.clone m in
       let _ = Transform.Passmgr.optimize ~level:2 opt in
-      run_x86 (Gen.clone opt) = reference && run_sparc (Gen.clone opt) = reference)
+      on_x86 (Gen.clone opt) = reference && on_sparc (Gen.clone opt) = reference)
 
 let test_portability_native () =
   (* the same virtual object code runs on 32- and 64-bit pointer configs
@@ -525,11 +527,11 @@ entry:
   List.iter
     (fun t ->
       let m = Gen.parse (src t) in
-      let code, out = run_x86 m in
+      let code, out = on_x86 m in
       check_int ("x86 on " ^ Target.to_string t) 777 code;
       check_string ("x86 out on " ^ Target.to_string t) "777" out;
       let m2 = Gen.parse (src t) in
-      let code2, _ = run_sparc m2 in
+      let code2, _ = on_sparc m2 in
       check_int ("sparc on " ^ Target.to_string t) 777 code2)
     Target.all
 
@@ -658,15 +660,15 @@ let each_compiled_x86 m f =
   let cm = X86lite.Compile.compile_module m in
   Hashtbl.iter
     (fun _ (cf : X86lite.Compile.cfunc) ->
-      Array.iter f cf.X86lite.Compile.code)
-    cm.X86lite.Compile.funcs
+      Array.iter f cf.Codegen.Native.code)
+    cm.Codegen.Native.funcs
 
 let each_compiled_sparc m f =
   let cm = Sparclite.Compile.compile_module ~spill_everything:true m in
   Hashtbl.iter
     (fun _ (cf : Sparclite.Compile.cfunc) ->
-      Array.iter f cf.Sparclite.Compile.code)
-    cm.Sparclite.Compile.funcs
+      Array.iter f cf.Codegen.Native.code)
+    cm.Codegen.Native.funcs
 
 let test_no_redundant_moves () =
   (* the naive selectors elide self-moves and same-slot store+reload
@@ -721,10 +723,12 @@ let test_apply_rules_x86 () =
   let code2 =
     [| Jmp 2; Alu (Imul, W64, true, R ax, I 8L); Ext (cx, W64, true); Ret |]
   in
-  let _, rw2, _ = X86lite.Compile.apply_rules ~rules code2 in
+  let out2, rw2, _ = X86lite.Compile.apply_rules ~rules code2 in
   (* the imul rewrites (no target inside); position 2 is a jump target,
      and single-instruction windows starting there are still legal *)
-  check_bool "rewrites bounded" true (rw2 >= 1);
+  check_int "both windows rewritten" 2 rw2;
+  check_bool "exact output" true
+    (out2 = [| Jmp 2; Shift (true, W64, true, R ax, I 3L); Ret |]);
   (* empty rule set: code unchanged, nothing counted *)
   let out3, rw3, sv3 = X86lite.Compile.apply_rules ~rules:[] code in
   check_bool "no rules, no change" true (out3 = code && rw3 = 0 && sv3 = 0)
@@ -744,7 +748,71 @@ let test_apply_rules_sparc () =
   check_int "one rewrite" 1 rewrites;
   check_int "two cycles saved" 2 saved;
   check_bool "strength-reduced" true
-    (out = [| Alu3 (Sll, W64, true, 1, 1, Imm 3); Bcc (Eq, 0); RetS |])
+    (out = [| Alu3 (Sll, W64, true, 1, 1, Imm 3); Bcc (Eq, 0); RetS |]);
+  (* a branch target is remapped across a deleted instruction *)
+  let rules = ([ Alu3 (Add, W64, true, 2, 2, Imm 0) ], []) :: rules in
+  let code =
+    [|
+      Bcc (Eq, 3); Alu3 (Mul, W64, true, 1, 1, Imm 8);
+      Alu3 (Add, W64, true, 2, 2, Imm 0); RetS;
+    |]
+  in
+  let out, rewrites, saved = Sparclite.Compile.apply_rules ~rules code in
+  check_int "two rewrites" 2 rewrites;
+  check_int "three cycles saved" 3 saved;
+  check_bool "branch target remapped" true
+    (out = [| Bcc (Eq, 2); Alu3 (Sll, W64, true, 1, 1, Imm 3); RetS |])
+
+(* A 2-instruction rule never rewrites a window with a branch target
+   strictly inside it, and does once nothing branches there. *)
+let test_rule_window_straddles_target () =
+  (let open X86lite.X86 in
+   let rules =
+     [
+       ( [ Mov (R ax, I 1L); Alu (Add, W64, true, R ax, I 2L) ],
+         [ Mov (R ax, I 3L) ] );
+     ]
+   in
+   let body = [ Mov (R ax, I 1L); Alu (Add, W64, true, R ax, I 2L); Ret ] in
+   let code = Array.of_list (Jcc (Eq, 2) :: body) in
+   let out, rw, _ = X86lite.Compile.apply_rules ~rules code in
+   check_bool "x86: straddled window kept" true (rw = 0 && out = code);
+   let code = Array.of_list (Jcc (Eq, 3) :: body) in
+   let out, rw, saved = X86lite.Compile.apply_rules ~rules code in
+   check_bool "x86: window rewritten once untargeted" true
+     (rw = 1 && saved = 1 && out = [| Jcc (Eq, 2); Mov (R ax, I 3L); Ret |]));
+  let open Sparclite.Sparc in
+  let rules =
+    [
+      ( [ Alu3 (Or, W64, true, 1, 0, Imm 1); Alu3 (Add, W64, true, 1, 1, Imm 2) ],
+        [ Alu3 (Or, W64, true, 1, 0, Imm 3) ] );
+    ]
+  in
+  let body =
+    [ Alu3 (Or, W64, true, 1, 0, Imm 1); Alu3 (Add, W64, true, 1, 1, Imm 2); RetS ]
+  in
+  let code = Array.of_list (Bcc (Eq, 2) :: body) in
+  let out, rw, _ = Sparclite.Compile.apply_rules ~rules code in
+  check_bool "sparc: straddled window kept" true (rw = 0 && out = code);
+  let code = Array.of_list (Bcc (Eq, 3) :: body) in
+  let out, rw, saved = Sparclite.Compile.apply_rules ~rules code in
+  check_bool "sparc: window rewritten once untargeted" true
+    (rw = 1 && saved = 1
+    && out = [| Bcc (Eq, 2); Alu3 (Or, W64, true, 1, 0, Imm 3); RetS |])
+
+(* "jcc a; jmp b" with a the fall-through: the condition is inverted and
+   the jump, now to the next instruction, is relaxed away. *)
+let test_invert_then_relax () =
+  (let open X86lite.X86 in
+   let code = [| Jcc (Lt, 2); Jmp 3; Mov (R ax, I 1L); Ret |] in
+   check_bool "x86: inverted and relaxed" true
+     (X86lite.Compile.relax (X86lite.Compile.invert_branches code)
+     = [| Jcc (Ge, 2); Mov (R ax, I 1L); Ret |]));
+  let open Sparclite.Sparc in
+  let code = [| Bcc (Ltu, 2); Ba 3; Alu3 (Or, W64, true, 1, 0, Imm 1); RetS |] in
+  check_bool "sparc: inverted and relaxed" true
+    (Sparclite.Compile.relax (Sparclite.Compile.invert_branches code)
+    = [| Bcc (Geu, 2); Alu3 (Or, W64, true, 1, 0, Imm 1); RetS |])
 
 let test_canon_window_roundtrip () =
   let open X86lite.X86 in
@@ -1068,6 +1136,9 @@ let suite =
     Alcotest.test_case "no redundant moves" `Quick test_no_redundant_moves;
     Alcotest.test_case "apply rules x86" `Quick test_apply_rules_x86;
     Alcotest.test_case "apply rules sparc" `Quick test_apply_rules_sparc;
+    Alcotest.test_case "rule window straddles target" `Quick
+      test_rule_window_straddles_target;
+    Alcotest.test_case "invert then relax" `Quick test_invert_then_relax;
     Alcotest.test_case "canon window roundtrip" `Quick
       test_canon_window_roundtrip;
     Alcotest.test_case "stack depth on all engines" `Quick

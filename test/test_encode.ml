@@ -205,3 +205,36 @@ let test_non_compact_roundtrip () =
 let suite =
   suite
   @ [ Alcotest.test_case "non-compact roundtrip" `Quick test_non_compact_roundtrip ]
+
+(* An opcode field naming no opcode (0, or 29-63) is malformed object
+   code, in the compact and in the extended form alike. The one byte
+   where an [add] and a [sub] module differ is the opcode byte. *)
+let test_unknown_opcode () =
+  let src op =
+    Printf.sprintf "int %%main(int %%a) {\nentry:\n  %%x = %s int %%a, 1\n  ret int %%x\n}\n" op
+  in
+  List.iter
+    (fun compact ->
+      let enc op = Encode.encode ~compact (Resolve.parse_module (src op)) in
+      let a = enc "add" and s = enc "sub" in
+      let diffs =
+        List.filter (fun k -> a.[k] <> s.[k]) (List.init (String.length a) Fun.id)
+      in
+      check_int "one opcode byte differs" 1 (List.length diffs);
+      let p = List.hd diffs in
+      List.iter
+        (fun code ->
+          let b = Bytes.of_string a in
+          Bytes.set_uint8 b p ((Bytes.get_uint8 b p land 0xC0) lor code);
+          match Decode.decode (Bytes.to_string b) with
+          | _ -> Alcotest.failf "opcode %d decoded" code
+          | exception Decode.Error msg ->
+              Alcotest.(check string)
+                "error names the opcode"
+                (Printf.sprintf "unknown opcode %d" code)
+                msg)
+        [ 0; 29; 63 ])
+    [ true; false ]
+
+let suite =
+  suite @ [ Alcotest.test_case "unknown opcode" `Quick test_unknown_opcode ]

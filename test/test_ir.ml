@@ -172,6 +172,27 @@ let test_verifier_rejects () =
     (Ir.mk_instr Ir.Ret [| Ir.Vreg def_in_b2 |] Types.Void);
   check_bool "dominance violation caught" true (Verify.verify_module m2 <> [])
 
+(* a named type is resolved wherever it appears: the type an alloca
+   allocates, and one nested in a defined struct *)
+let test_verifier_unresolved_names () =
+  let errors body =
+    Verify.verify_module
+      (Resolve.parse_module ~name:"t"
+         (body ^ "\nint %main() {\nentry:\n  %p = alloca %struct.missing\n  ret int 0\n}\n"))
+  in
+  check_bool "alloca of an undefined type rejected" true
+    (List.exists
+       (fun e -> e = "function %main block %entry: unresolved type name %struct.missing")
+       (errors ""));
+  let m =
+    Resolve.parse_module ~name:"t"
+      "%pair = type { int, %gone* }\nint %main() {\nentry:\n  %p = alloca %pair\n  ret int 0\n}\n"
+  in
+  check_bool "alloca of a struct naming an undefined type rejected" true
+    (List.exists
+       (fun e -> e = "function %main block %entry: unresolved type name %gone")
+       (Verify.verify_module m))
+
 let suite =
   [
     Alcotest.test_case "diamond structure" `Quick test_diamond_structure;
@@ -181,6 +202,8 @@ let suite =
     Alcotest.test_case "terminators" `Quick test_terminators;
     Alcotest.test_case "builder type errors" `Quick test_builder_type_errors;
     Alcotest.test_case "verifier rejects" `Quick test_verifier_rejects;
+    Alcotest.test_case "verifier unresolved names" `Quick
+      test_verifier_unresolved_names;
   ]
 
 (* each §3.1 type rule rejects ill-typed IR built directly (bypassing the

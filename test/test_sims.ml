@@ -262,8 +262,8 @@ module X = struct
 
   (* a state in [s], about to run the instruction at pc 1 of main or f *)
   let setup ?fuel s =
-    let st = Sim.create ?fuel { cm with Compile.image = image () } in
-    Sim.enter st (Hashtbl.find cm.Compile.funcs "main");
+    let st = Sim.create ?fuel { cm with Codegen.Native.image = image () } in
+    Sim.enter st (Hashtbl.find cm.Codegen.Native.funcs "main");
     if s.in_callee then Sim.do_call st "f" ~except:3 ~ret_pc:2;
     Array.iteri (fun r v -> Sim.set_reg st r v) s.ints;
     Array.blit s.floats 0 st.Sim.fregs 0 (Array.length s.floats);
@@ -321,7 +321,7 @@ module X = struct
   let run_block ~threaded ?fuel s code =
     let st = setup ?fuel s in
     st.Sim.code <-
-      Sim.decode { Compile.cf_name = "block"; code; nargs = 0; frame_slots = 0 };
+      Sim.decode { Codegen.Native.cf_name = "block"; code; nargs = 0; frame_slots = 0 };
     st.Sim.pc <- 0;
     let len = Array.length code in
     let result =
@@ -423,8 +423,8 @@ module S = struct
 
   (* r0 stays zero, as every writer of the register file keeps it *)
   let setup ?fuel s =
-    let st = Sim.create ?fuel { cm with Compile.image = image () } in
-    Sim.enter st (Hashtbl.find cm.Compile.funcs "main");
+    let st = Sim.create ?fuel { cm with Codegen.Native.image = image () } in
+    Sim.enter st (Hashtbl.find cm.Codegen.Native.funcs "main");
     if s.in_callee then Sim.do_call st "f" ~except:3 ~ret_pc:2;
     Array.iteri (fun r v -> Sim.wreg st r v) s.ints;
     Array.blit s.floats 0 st.Sim.fregs 0 (Array.length s.floats);
@@ -480,7 +480,7 @@ module S = struct
   let run_block ~threaded ?fuel s code =
     let st = setup ?fuel s in
     st.Sim.code <-
-      Sim.decode { Compile.cf_name = "block"; code; nargs = 0; frame_slots = 0 };
+      Sim.decode { Codegen.Native.cf_name = "block"; code; nargs = 0; frame_slots = 0 };
     st.Sim.pc <- 0;
     let len = Array.length code in
     let result =
@@ -579,7 +579,7 @@ let test_byte_order () =
           let open X86lite in
           let st =
             Sim.create
-              { Compile.cm = m; image = image (); funcs = Hashtbl.create 1 }
+              { Codegen.Native.cm = m; image = image (); funcs = Hashtbl.create 1 }
           in
           let at = { X86.base = 0; disp = 0 } in
           Sim.set_reg st 0 addr;
@@ -593,7 +593,7 @@ let test_byte_order () =
           let open Sparclite in
           let st =
             Sim.create
-              { Compile.cm = m; image = image (); funcs = Hashtbl.create 1 }
+              { Codegen.Native.cm = m; image = image (); funcs = Hashtbl.create 1 }
           in
           Sim.set_reg st 1 addr;
           Sim.set_reg st 2 v;

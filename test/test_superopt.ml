@@ -93,35 +93,20 @@ let sample_candidates forms (w : 'i list) : 'i array list =
   in
   subs @ singles @ substs
 
-let x86_cases () =
-  let open X86lite in
-  let cm = Compile.compile_module (workload "181.mcf") in
-  Search.harvest ~admissible:Search.X86s.admissible
-    ~jump_targets:Search.X86s.jump_targets
-    ~canon:(fun w -> fst (Compile.canon_window w))
-    (Search.codes_by_name cm.Compile.funcs (fun cf -> cf.Compile.code))
+(* the harvested windows of one workload, concretized on the first
+   spill slots, each with a sample of its candidates *)
+let cases (type i) (module B : Backend.S with type instr = i) =
+  let cm = B.compile_module (workload "181.mcf") in
+  Search.harvest ~admissible:B.admissible ~jump_targets:B.jump_targets
+    ~canon:(fun w -> fst (B.canon_window w))
+    (Search.codes_by_name cm.Codegen.Native.funcs (fun cf -> cf.Codegen.Native.code))
     ~max_len:4 ~max_windows:48
   |> List.map (fun cw ->
-         let lhs =
-           Compile.concretize (Search.x86_vars (Search.X86s.nvars_of cw)) cw
-         in
-         (lhs, sample_candidates (Search.X86s.forms lhs) lhs))
+         let lhs = B.concretize (Search.frame_vars (module B) cw) cw in
+         (lhs, sample_candidates (B.forms lhs) lhs))
 
-let sparc_cases () =
-  let open Sparclite in
-  let cm = Compile.compile_module (workload "181.mcf") in
-  Search.harvest ~admissible:Search.Sparcs.admissible
-    ~jump_targets:Search.Sparcs.jump_targets
-    ~canon:(fun w -> fst (Compile.canon_window w))
-    (Search.codes_by_name cm.Compile.funcs (fun cf -> cf.Compile.code))
-    ~max_len:4 ~max_windows:48
-  |> List.map (fun cw ->
-         let lhs =
-           Compile.concretize
-             (Search.sparc_vars (Search.Sparcs.nvars_of cw))
-             cw
-         in
-         (lhs, sample_candidates (Search.Sparcs.forms lhs) lhs))
+let x86_cases () = cases (module Backend.X86)
+let sparc_cases () = cases (module Backend.Sparc)
 
 (* [candidate_ok] is the screen followed by the full set, on every
    candidate of every harvested window; returns how many candidates
