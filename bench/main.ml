@@ -87,8 +87,8 @@ let table2_row (w : Workloads.workload) : row =
     X86lite.Compile.compile_module ~linear_scan:true
       (Workloads.compile_optimized ~level:2 w)
   in
-  let _, st = X86lite.Sim.run_main best_x86 in
-  let run = float_of_int st.X86lite.Sim.cycles /. 1e9 in
+  let _, st = Codegen.Machine.run_main X86lite.Sim.machine best_x86 in
+  let run = float_of_int st.Codegen.Machine.cycles /. 1e9 in
   {
     r_name = w.Workloads.name;
     r_loc = Workloads.loc w;
@@ -574,9 +574,9 @@ let run_ablation () =
           let st = Interp.create ~fuel:100_000_000 m in
           ignore (Interp.run_main st);
           let sparc = Sparclite.Compile.compile_module m in
-          let _, sst = Sparclite.Sim.run_main sparc in
+          let _, sst = Codegen.Machine.run_main Sparclite.Sim.machine sparc in
           Printf.printf "%-17s %6d %9d %9d %12d\n" name level static
-            st.Interp.stats.Interp.steps sst.Sparclite.Sim.cycles)
+            st.Interp.stats.Interp.steps sst.Codegen.Machine.cycles)
         [ 0; 1; 2 ])
     subset;
   section "Ablation: the compact 32-bit instruction form (object-code bytes)";
@@ -601,16 +601,16 @@ let run_ablation () =
         X86lite.Compile.compile_module ~linear_scan:false
           (Workloads.compile_optimized ~level:2 w)
       in
-      let _, nst = X86lite.Sim.run_main naive in
+      let _, nst = Codegen.Machine.run_main X86lite.Sim.machine naive in
       let ls =
         X86lite.Compile.compile_module ~linear_scan:true
           (Workloads.compile_optimized ~level:2 w)
       in
-      let _, lst = X86lite.Sim.run_main ls in
-      Printf.printf "%-17s %14d %14d %7.2fx\n" name nst.X86lite.Sim.cycles
-        lst.X86lite.Sim.cycles
-        (float_of_int nst.X86lite.Sim.cycles
-        /. float_of_int lst.X86lite.Sim.cycles))
+      let _, lst = Codegen.Machine.run_main X86lite.Sim.machine ls in
+      Printf.printf "%-17s %14d %14d %7.2fx\n" name nst.Codegen.Machine.cycles
+        lst.Codegen.Machine.cycles
+        (float_of_int nst.Codegen.Machine.cycles
+        /. float_of_int lst.Codegen.Machine.cycles))
     subset
 
 (* ------------------------------------------------------------------ *)
@@ -650,9 +650,10 @@ let run_portability () =
 (* ------------------------------------------------------------------ *)
 
 (* Simulator throughput: all 17 workloads at -O1, compiled once per
-   target without a peephole table, then run twice with [Sim.run_main],
-   each run on a freshly loaded memory image. Guest instructions per
-   second of wall-clock time, image load included. *)
+   target without a peephole table, then run twice with
+   [Codegen.Machine.run_main], each run on a freshly loaded memory
+   image. Guest instructions per second of wall-clock time, image load
+   included. *)
 let run_sims () =
   section "Native simulator throughput (17 workloads, -O1, no table)";
   let mods = List.map (Workloads.compile_optimized ~level:1) Workloads.all in
@@ -676,7 +677,8 @@ let run_sims () =
          let c = X86lite.Compile.compile_module m in
          fun () ->
            let c = { c with Codegen.Native.image = Vmem.Image.load m } in
-           (snd (X86lite.Sim.run_main c)).X86lite.Sim.icount)
+           let _, st = Codegen.Machine.run_main X86lite.Sim.machine c in
+           st.Codegen.Machine.icount)
        mods);
   measure "sparclite"
     (List.map
@@ -684,7 +686,8 @@ let run_sims () =
          let c = Sparclite.Compile.compile_module m in
          fun () ->
            let c = { c with Codegen.Native.image = Vmem.Image.load m } in
-           (snd (Sparclite.Sim.run_main c)).Sparclite.Sim.icount)
+           let _, st = Codegen.Machine.run_main Sparclite.Sim.machine c in
+           st.Codegen.Machine.icount)
        mods)
 
 let run_micro () =

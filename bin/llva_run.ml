@@ -105,11 +105,11 @@ let run input engine stats opt fuel cache_dir peephole doctor purge diff
         Llee.backend (if e = "x86" then Llee.X86 else Llee.Sparc)
       in
       let cm = B.compile_module m in
-      let outcome, st = Llee.Outcome.run_main (module B) ?fuel cm in
-      finish outcome (B.output st)
+      let outcome, st = Llee.Outcome.run_main ?fuel B.machine cm in
+      finish outcome (Codegen.Machine.output st)
         [
-          Printf.sprintf "native instructions: %d" (B.icount st);
-          Printf.sprintf "cycles: %d" (B.cycles st);
+          Printf.sprintf "native instructions: %d" st.Codegen.Machine.icount;
+          Printf.sprintf "cycles: %d" st.Codegen.Machine.cycles;
           Printf.sprintf "static native instructions: %d"
             (B.module_instr_count cm);
           Printf.sprintf "native code bytes: %d" (B.module_code_size cm);

@@ -90,11 +90,11 @@ let () =
 
   print_endline "--- x86-lite native ---";
   let cm = X86lite.Compile.compile_module (Resolve.parse_module program) in
-  let sim = X86lite.Sim.create cm in
-  X86lite.Sim.init_stack sim;
-  (try ignore (X86lite.Sim.call_function sim "main" []) with
-  | X86lite.Sim.Trap X86lite.Sim.Division_by_zero ->
+  let sim = Codegen.Machine.create X86lite.Sim.machine cm in
+  Codegen.Machine.init_stack sim;
+  (try ignore (Codegen.Machine.call_function sim "main" []) with
+  | Vmem.Guest.Trap Vmem.Guest.Division_by_zero ->
       print_endline "[program terminated by trap: division by zero]"
-  | X86lite.Sim.Trap _ -> print_endline "[program terminated by trap]");
-  print_string (X86lite.Sim.output sim);
+  | Vmem.Guest.Trap _ -> print_endline "[program terminated by trap]");
+  print_string (Codegen.Machine.output sim);
   print_endline "(the handler output above was produced by *native* code)"

@@ -112,9 +112,9 @@ let () =
   let st = Interp.create shipped in
   let icode = Interp.run_main st in
   Printf.printf "interpreter: exit=%d %s" icode (Interp.output st);
-  let xcode, xst = X86lite.Sim.run_main x86 in
-  Printf.printf "x86-lite   : exit=%d %s" xcode (X86lite.Sim.output xst);
-  let scode, sst = Sparclite.Sim.run_main sparc in
-  Printf.printf "sparc-lite : exit=%d %s" scode (Sparclite.Sim.output sst);
+  let xcode, xst = Codegen.Machine.run_main X86lite.Sim.machine x86 in
+  Printf.printf "x86-lite   : exit=%d %s" xcode (Codegen.Machine.output xst);
+  let scode, sst = Codegen.Machine.run_main Sparclite.Sim.machine sparc in
+  Printf.printf "sparc-lite : exit=%d %s" scode (Codegen.Machine.output sst);
   assert (icode = xcode && xcode = scode);
   print_endline "all three engines agree."

@@ -75,16 +75,16 @@ let () =
     (Interp.output st) st.Interp.stats.Interp.steps;
 
   let x86 = X86lite.Compile.compile_module m in
-  let xcode, xst = X86lite.Sim.run_main x86 in
+  let xcode, xst = Codegen.Machine.run_main X86lite.Sim.machine x86 in
   Printf.printf "x86-lite    : exit=%d output=%s (%d instrs, %d cycles)\n"
-    xcode (X86lite.Sim.output xst) xst.X86lite.Sim.icount
-    xst.X86lite.Sim.cycles;
+    xcode (Codegen.Machine.output xst) xst.Codegen.Machine.icount
+    xst.Codegen.Machine.cycles;
 
   let sparc = Sparclite.Compile.compile_module m in
-  let scode, sst = Sparclite.Sim.run_main sparc in
+  let scode, sst = Codegen.Machine.run_main Sparclite.Sim.machine sparc in
   Printf.printf "sparc-lite  : exit=%d output=%s (%d instrs, %d cycles)\n"
-    scode (Sparclite.Sim.output sst) sst.Sparclite.Sim.icount
-    sst.Sparclite.Sim.cycles;
+    scode (Codegen.Machine.output sst) sst.Codegen.Machine.icount
+    sst.Codegen.Machine.cycles;
 
   (* 5. Ship as virtual object code and run through LLEE *)
   let bytes = Encode.encode m in

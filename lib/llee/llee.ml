@@ -268,24 +268,32 @@ let unframe_entry data : framed =
            or in the checksum field itself *)
         Bad_checksum
 
-(* Decode one framed cache entry. A failed checksum quarantines the entry
-   (it was valid once and rotted); a bad magic or an unmarshalable
-   payload that still passed its checksum counts as plain corruption — a
-   foreign or garbage file that was never a valid entry. Either way the
-   read is a miss and the caller retranslates. *)
-let unmarshal_entry t name data =
-  match unframe_entry data with
-  | Bad_magic ->
-      t.stats.cache_corrupt <- t.stats.cache_corrupt + 1;
-      None
-  | Bad_checksum ->
-      quarantine_entry t name;
-      None
-  | Payload payload -> (
-      try Some (Marshal.from_string payload 0)
-      with Failure _ | Invalid_argument _ ->
-        t.stats.cache_corrupt <- t.stats.cache_corrupt + 1;
-        None)
+(* Read the recorded artifact [name] and decode its payload. A failed
+   checksum quarantines the entry (it was valid once and rotted); a bad
+   magic, or a payload that passed its checksum but that [decode]
+   refuses ([None]), counts as plain corruption — a foreign or garbage
+   file that was never a valid entry. Either way the read is a miss and
+   the caller recomputes and writes the artifact back. *)
+let read_artifact t name ~decode =
+  let corrupt () =
+    t.stats.cache_corrupt <- t.stats.cache_corrupt + 1;
+    None
+  in
+  match read_cached t name with
+  | None -> None
+  | Some data -> (
+      match unframe_entry data with
+      | Bad_magic -> corrupt ()
+      | Bad_checksum ->
+          quarantine_entry t name;
+          None
+      | Payload payload -> (
+          match decode payload with Some _ as v -> v | None -> corrupt ()))
+
+(* a marshaled payload, or [None] if it does not unmarshal *)
+let unmarshal payload =
+  try Some (Marshal.from_string payload 0)
+  with Failure _ | Invalid_argument _ -> None
 
 let timed t f =
   let start = Unix.gettimeofday () in
@@ -318,29 +326,17 @@ let ensure_peep_table t : Superopt.Table.t option =
         let t0 = Unix.gettimeofday () in
         let name = peep_entry_name t in
         let recorded =
-          match read_cached t name with
-          | None -> None
-          | Some data -> (
-              match unframe_entry data with
-              | Bad_magic ->
-                  t.stats.cache_corrupt <- t.stats.cache_corrupt + 1;
-                  None
-              | Bad_checksum ->
-                  quarantine_entry t name;
-                  None
-              | Payload payload -> (
-                  (* strict decode: wrong magic/version, undecodable
-                     payload, target mismatch or a rule that disagrees
-                     with the current cycle model all count as plain
-                     corruption — re-search rather than apply *)
-                  match
-                    Superopt.Table.of_string
-                      ~expect_target:(target_name t.target) payload
-                  with
-                  | tb -> Some tb
-                  | exception Superopt.Table.Invalid_table _ ->
-                      t.stats.cache_corrupt <- t.stats.cache_corrupt + 1;
-                      None))
+          (* strict decode: wrong magic/version, undecodable payload,
+             target mismatch or a rule that disagrees with the current
+             cycle model all count as plain corruption — re-search rather
+             than apply *)
+          read_artifact t name ~decode:(fun payload ->
+              match
+                Superopt.Table.of_string
+                  ~expect_target:(target_name t.target) payload
+              with
+              | tb -> Some tb
+              | exception Superopt.Table.Invalid_table _ -> None)
         in
         let tb =
           match recorded with
@@ -368,22 +364,10 @@ let ensure_peep_table t : Superopt.Table.t option =
 let verdict t : Check.Lint.verdict =
   let name = lint_entry_name t in
   let recorded =
-    match read_cached t name with
-    | None -> None
-    | Some data -> (
-        match unframe_entry data with
-        | Bad_magic ->
-            t.stats.cache_corrupt <- t.stats.cache_corrupt + 1;
-            None
-        | Bad_checksum ->
-            quarantine_entry t name;
-            None
-        | Payload payload -> (
-            match Check.Lint.verdict_of_json (Check.Json.parse payload) with
-            | v -> Some v
-            | exception Check.Json.Parse_error _ ->
-                t.stats.cache_corrupt <- t.stats.cache_corrupt + 1;
-                None))
+    read_artifact t name ~decode:(fun payload ->
+        match Check.Lint.verdict_of_json (Check.Json.parse payload) with
+        | v -> Some v
+        | exception Check.Json.Parse_error _ -> None)
   in
   match recorded with
   | Some v ->
@@ -415,27 +399,12 @@ let verdict t : Check.Lint.verdict =
 let certify ?seed ?vectors t : Tv.verdict =
   let name = tv_entry_name t in
   let recorded =
-    match read_cached t name with
-    | None -> None
-    | Some data -> (
-        match unframe_entry data with
-        | Bad_magic ->
-            t.stats.cache_corrupt <- t.stats.cache_corrupt + 1;
-            None
-        | Bad_checksum ->
-            quarantine_entry t name;
-            None
-        | Payload payload -> (
-            match Tv.verdict_of_json (Check.Json.parse payload) with
-            | v when v.Tv.v_target = target_name t.target -> Some v
-            | _ ->
-                (* a verdict for the other target under this target's
-                   name was never valid *)
-                t.stats.cache_corrupt <- t.stats.cache_corrupt + 1;
-                None
-            | exception Check.Json.Parse_error _ ->
-                t.stats.cache_corrupt <- t.stats.cache_corrupt + 1;
-                None))
+    read_artifact t name ~decode:(fun payload ->
+        match Tv.verdict_of_json (Check.Json.parse payload) with
+        (* a verdict for the other target under this target's name was
+           never valid *)
+        | v when v.Tv.v_target = target_name t.target -> Some v
+        | _ | (exception Check.Json.Parse_error _) -> None)
   in
   match recorded with
   | Some v ->
@@ -540,7 +509,7 @@ let make_resolver (type cf) ?(blocked = no_blocked) t
     string -> cf option =
   let preloaded : (string, cf) Hashtbl.t = Hashtbl.create 16 in
   (let mname = module_entry_name t in
-   match Option.bind (read_cached t mname) (unmarshal_entry t mname) with
+   match read_artifact t mname ~decode:unmarshal with
    | Some (pairs : (string * cf) list) ->
        List.iter (fun (n, cf) -> Hashtbl.replace preloaded n cf) pairs
    | None -> ());
@@ -558,8 +527,7 @@ let make_resolver (type cf) ?(blocked = no_blocked) t
                 | Some cf -> Some cf
                 | None ->
                     let cname = cache_name t name in
-                    Option.bind (read_cached t cname)
-                      (unmarshal_entry t cname)
+                    read_artifact t cname ~decode:unmarshal
             in
             match cached with
             | Some cf ->
@@ -598,16 +566,17 @@ let run_native ?blocked t ?fuel () =
       ~compile:(fun f -> B.compile_function t.m image ~peep ~peep_stats:ps f)
       ~installed:cmod.Codegen.Native.funcs
   in
-  let st = B.create ?fuel cmod in
-  B.set_lookup st resolve;
-  let outcome = Outcome.run_native (module B) ~engine:("llee-" ^ B.name) st in
-  t.stats.cycles <- Int64.of_int (B.cycles st);
-  t.stats.native_instrs <- Int64.of_int (B.icount st);
-  t.stats.invalidations <- B.redirects st;
+  let module M = Codegen.Machine in
+  let st = M.create ?fuel B.machine cmod in
+  st.M.lookup <- (fun _ name -> resolve name);
+  let outcome = Outcome.run_native ~engine:("llee-" ^ B.name) st in
+  t.stats.cycles <- Int64.of_int st.M.cycles;
+  t.stats.native_instrs <- Int64.of_int st.M.icount;
+  t.stats.invalidations <- Hashtbl.length st.M.redirects;
   t.stats.peep_rewrites <- t.stats.peep_rewrites + ps.Codegen.Peephole.rewrites;
   t.stats.peep_cycles_saved <-
     t.stats.peep_cycles_saved + ps.Codegen.Peephole.cycles_saved;
-  (outcome, B.output st)
+  (outcome, M.output st)
 
 (* Launch the program: JIT with transparent offline caching. When a
    storage cache is attached, the module is linted first (once — warm

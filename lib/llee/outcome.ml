@@ -81,18 +81,17 @@ let run_main_interp ?fuel m =
   in
   (o, st)
 
-(* Run [main] on a native state [B.create] made, as the engine named
-   [engine]. *)
-let run_native (type s) (module B : Superopt.Backend.S with type state = s)
-    ~engine (st : s) =
-  B.init_stack st;
+(* Run [main] on a native state [Codegen.Machine.create] made, as the
+   engine named [engine]. *)
+let run_native ~engine (st : _ Codegen.Machine.state) =
+  Codegen.Machine.init_stack st;
   protect ~engine
-    ~current:(fun () -> B.current st)
+    ~current:(fun () -> Codegen.Machine.current st)
     (fun () ->
-      Int64.to_int (Ir.normalize_int Types.Int (B.call_function st "main" [])))
+      let r = Codegen.Machine.call_function st "main" [] in
+      Int64.to_int (Ir.normalize_int Types.Int r))
 
-let run_main (type i s)
-    (module B : Superopt.Backend.S with type instr = i and type state = s)
-    ?fuel (cmod : i Codegen.Native.cmodule) =
-  let st = B.create ?fuel cmod in
-  (run_native (module B) ~engine:B.name st, st)
+let run_main ?fuel (isa : 'i Codegen.Machine.isa)
+    (cmod : 'i Codegen.Native.cmodule) =
+  let st = Codegen.Machine.create ?fuel isa cmod in
+  (run_native ~engine:isa.Codegen.Machine.name st, st)

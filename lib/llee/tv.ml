@@ -377,27 +377,26 @@ let encode_arg = function
 (* Fresh image per vector: compiled code embeds only deterministic
    addresses, so the code and its decoded form ([cache], one per
    certification) are shared while memory starts from scratch. *)
-let run_native (type i c)
-    (module B : Superopt.Backend.S with type instr = i and type cache = c)
-    ~(cache : c) (cmod : i Codegen.Native.cmodule) env fname args rty extent
-    ~fuel : obs =
+let run_native ~cache (isa : 'i Codegen.Machine.isa)
+    (cmod : 'i Codegen.Native.cmodule) env fname args rty extent ~fuel : obs =
+  let module M = Codegen.Machine in
   let cmod =
     { cmod with Codegen.Native.image = Vmem.Image.load cmod.Codegen.Native.cm }
   in
-  let st = B.create ~fuel ~cache cmod in
-  B.init_stack st;
+  let st = M.create ~fuel ~cache isa cmod in
+  M.init_stack st;
   let ret = ref "" and normal = ref false in
   let o =
-    Outcome.protect ~engine:B.name
-      ~current:(fun () -> B.current st)
+    Outcome.protect ~engine:isa.M.name
+      ~current:(fun () -> M.current st)
       (fun () ->
-        let r = B.call_function st fname (List.map encode_arg args) in
-        ret := render_ret env rty ~raw:r ~f0:(B.f0 st);
+        let r = M.call_function st fname (List.map encode_arg args) in
+        ret := render_ret env rty ~raw:r ~f0:st.M.fregs.(0);
         normal := true;
         0)
   in
-  obs_of ~normal:!normal ~ret:!ret o (B.output st)
-    (snapshot_globals (B.mem st) extent)
+  obs_of ~normal:!normal ~ret:!ret o (M.output st)
+    (snapshot_globals st.M.mem extent)
 
 (* ---------- per-function certification ---------- *)
 
@@ -460,7 +459,8 @@ let certify_module ?(seed = default_seed) ?(vectors = default_vectors)
   (* the translation, and the decoded form its vectors share *)
   let (module B) = Superopt.Backend.of_name target in
   let run_native =
-    run_native (module B) ~cache:(B.new_cache ()) (B.compile_module nm)
+    run_native ~cache:(Codegen.Machine.new_cache ()) B.machine
+      (B.compile_module nm)
   in
   let env = Ir.type_env m in
   let extent = globals_extent m (Vmem.Image.load m) in

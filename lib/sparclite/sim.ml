@@ -1,88 +1,37 @@
-(* Cycle-counting simulator for SPARC-lite native code; the RISC
-   counterpart of [X86lite.Sim], sharing the memory, runtime, exception
-   and SMC model, the same threaded form and the same allocation-free
-   run loop. Each function is decoded once, on first entry, into
-   threaded straight-line runs: one closure per instruction (operands,
-   ALU op, width and displacement resolved) that tail-calls its
-   successor, plus per-pc instruction counts and cycle sums to the end
-   of the run, which the loop charges and fuel-checks once. A raise
-   inside a run refunds its unexecuted suffix before a trap handler
-   runs. [exec] is the one semantic definition the closures specialize;
-   the closures access registers unchecked, so only instructions whose
-   registers all exist get one. See X86lite.Sim for the full
-   description.
+(* Cycle-counting simulator for SPARC-lite native code: the I-ISA's
+   half of [Codegen.Machine]. The machine runs it (state, calls, traps,
+   the run loop; see there for the threaded form and its fuel
+   accounting); this module supplies what runs per guest instruction,
+   which must be inlined into the closures and so cannot live in
+   another module.
 
-   The inline helpers below mirror X86lite.Sim's: they must stay inside
-   this module to be inlined (libraries are compiled without
-   cross-module inlining), and the two ISAs' width and condition-code
-   types differ. *)
+   [exec] is the semantics of every SPARC-lite instruction.
+   [decode_instr] turns the hot shapes into closures with their
+   operands, ALU op, width and displacement already resolved, each doing
+   its work and tail-calling its successor's closure; every other
+   instruction (division among them, which can trap) runs through
+   [exec], and the closures are tested against it. A closure that can
+   raise stores its successor pc first, so the loop can refund the rest
+   of its run.
 
-open Llva
+   Runs allocate nothing: the 32 integer registers (r0 reads as zero and
+   ignores writes) and the two flag operands live unboxed in the
+   machine's [Bytes.t], width normalization is inline shifts and masks,
+   and in-page memory accesses go straight to the backing page through
+   [Vmem.Memory]'s page TLB. The specialized closures access registers
+   unchecked, so only instructions whose registers all exist
+   ([regs_ok]) get one.
+
+   [machine] is the I-ISA record: these two functions, the register
+   counts, and the calling convention (arguments in r8..r13, the result
+   in r8, a symbolic link register, no stack traffic for a call). *)
+
 open Sparc
-
-include Vmem.Guest
-
-(* a trap for the registered handler; only the run loop catches it *)
-exception Deliver of trap_kind
+open Codegen.Machine
 
 (* The condition flags as a value, for the superoptimizer oracle and the
    tests ([flags] / [set_flags]); the simulator keeps them unboxed. *)
 type flags = Fnone | Fint of int64 * int64 | Ffloat of float * float
-
-(* What a state executes: a function as threaded runs. [run.(pc)]
-   executes from [pc] to the end of its run; [count.(pc)] and
-   [cost.(pc)] are the instructions and cycles that takes. *)
-type decoded = {
-  cf : Compile.cfunc;
-  run : op array;
-  count : int array;
-  cost : int array;
-}
-
-(* A suspended caller. An invoke also snapshots the caller's registers:
-   unwinding to its handler restores them, as restoring the caller's
-   register window would. *)
-and frame = {
-  fr_code : decoded;
-  fr_ret_pc : int;
-  fr_except : int; (* invoke handler pc, or -1 *)
-  fr_regs : Bytes.t; (* integer registers at the invoke; empty otherwise *)
-  fr_fregs : float array;
-}
-
-and state = {
-  cmod : Compile.cmodule;
-  mem : Vmem.Memory.t;
-  big_endian : bool;
-  rt : Vmem.Runtime.t;
-  regs : Bytes.t;
-  fregs : float array; (* 16 *)
-  mutable flag_kind : int;
-  mutable frames : frame list;
-  (* native frames below the current one, counting those suspended under
-     a trap-handler subcall; llva.stack.depth reads [depth + 1] *)
-  mutable depth : int;
-  mutable code : decoded;
-  mutable pc : int;
-  mutable cycles : int;
-  mutable icount : int;
-  limit : int; (* the instruction budget; max_int = unlimited *)
-  mutable trap_handler : string option;
-  mutable privileged : bool;
-  redirects : (string, string) Hashtbl.t;
-  mutable lookup : state -> string -> Compile.cfunc option;
-  cache : cache; (* decoded functions, see [enter] *)
-}
-
-(* an instruction, decoded and threaded to its successor; the run loop
-   has already counted and charged it *)
-and op = state -> unit
-
-(* decoded functions by name, valid while [cf] is physically the code
-   a lookup returns *)
-and cache = (string, decoded) Hashtbl.t
-
-let new_cache () : cache = Hashtbl.create 64
 
 (* Register file layout: integer register r at byte 8*r (r0 reads as
    zero), then the two flag operands (for a float compare, their IEEE
@@ -95,49 +44,6 @@ let flag_b = flag_a + 8
 let kind_none = 0
 let kind_int = 1
 let kind_float = 2
-
-(* Deeper native call chains are an error, not a host stack overflow. *)
-let max_depth = 50_000
-
-let default_lookup st name = Hashtbl.find_opt st.cmod.Codegen.Native.funcs name
-
-let create ?(fuel = -1) ?(cache = new_cache ()) (cmod : Compile.cmodule) :
-    state =
-  let mem = cmod.Codegen.Native.image.Vmem.Image.mem in
-  let none =
-    {
-      Codegen.Native.cf_name = "<none>";
-      code = [||];
-      nargs = 0;
-      frame_slots = 0;
-    }
-  in
-  {
-    cmod;
-    mem;
-    big_endian = mem.Vmem.Memory.target.Target.endian = Target.Big;
-    rt = Vmem.Runtime.create mem;
-    regs = Bytes.make (flag_b + 8) '\000';
-    fregs = Array.make 16 0.0;
-    flag_kind = kind_none;
-    frames = [];
-    depth = 0;
-    code = { cf = none; run = [||]; count = [||]; cost = [||] };
-    pc = 0;
-    cycles = 0;
-    icount = 0;
-    limit = (if fuel < 0 then max_int else fuel);
-    trap_handler = None;
-    privileged = false;
-    redirects = Hashtbl.create 4;
-    lookup = default_lookup;
-    cache;
-  }
-
-(* the function executing (or that was executing when a trap fired) *)
-let current st = st.code.cf.Codegen.Native.cf_name
-
-let output st = Vmem.Runtime.output st.rt
 
 (* ---------- registers and flags ---------- *)
 
@@ -165,11 +71,6 @@ let[@inline] uwreg st r v = if r <> 0 then set64u st.regs (r lsl 3) v
 let[@inline] set_flag_words st a b =
   set64u st.regs flag_a a;
   set64u st.regs flag_b b
-
-(* Both stack registers at the top of the stack: the launch state. *)
-let init_stack st =
-  set_reg st sp Vmem.Memory.stack_top;
-  set_reg st fp Vmem.Memory.stack_top
 
 let flags st =
   let a = Bytes.get_int64_ne st.regs flag_a
@@ -245,10 +146,12 @@ let[@inline] fresh v = Int64.add v 0L
 
 (* ---------- memory ----------
 
-   As in X86lite.Sim: in-page accesses go to the backing page directly,
-   unchecked (the offset test keeps them inside the page), straddling
-   ones through [Vmem.Memory]'s byte loops, and [page] inlines the
-   fault check and the TLB hit. *)
+   In-page accesses read or write the backing page directly, unchecked:
+   the offset test keeps them inside the page. Accesses that straddle a
+   page go through [Vmem.Memory]'s byte loops. [page] is
+   [Vmem.Memory.page_of] with the fault check and the TLB hit inline, so
+   the address is never boxed. The geometry is spelled out as constants
+   so that it folds into the code. *)
 
 let page_bits = 12
 let page_mask = 4095
@@ -352,33 +255,13 @@ let cc_holds st cc =
       | Ge | Geu -> x >= y
   else invalid_arg "sparclite sim: branch without flags"
 
-(* A condition code over integer flags, resolved at decode time: the
-   sign-bit flip that turns an unsigned order into a signed one, and
-   whether it holds when a < b, a = b, a > b. [int_cc] is [cc_holds] on
-   integer flags. *)
-let cc_parts = function
-  | Eq -> (0L, false, true, false)
-  | Ne -> (0L, true, false, true)
-  | Lt -> (0L, true, false, false)
-  | Gt -> (0L, false, false, true)
-  | Le -> (0L, true, true, false)
-  | Ge -> (0L, false, true, true)
-  | Ltu -> (Int64.min_int, true, false, false)
-  | Gtu -> (Int64.min_int, false, false, true)
-  | Leu -> (Int64.min_int, true, true, false)
-  | Geu -> (Int64.min_int, false, true, true)
-
+(* [cc_holds] on integer flags, with [cc] resolved by [cc_parts] *)
 let[@inline] int_cc st flip lt eq gt =
   let a = Int64.logxor (get64u st.regs flag_a) flip
   and b = Int64.logxor (get64u st.regs flag_b) flip in
   if a < b then lt else if Int64.equal a b then eq else gt
 
-(* the function a call to [name] reaches after SMC redirection *)
-let redirected st name =
-  if Hashtbl.length st.redirects = 0 then name
-  else match Hashtbl.find_opt st.redirects name with Some r -> r | None -> name
-
-exception Toplevel_return
+(* ---------- the instruction set ---------- *)
 
 (* Does [i] end a run? Branches, calls, returns, unwinds and traps set
    [pc] themselves; every other instruction falls through. *)
@@ -400,118 +283,17 @@ let regs_ok i =
   | Ld (_, _, a, b, _) | St (_, a, b, _) -> ok a && ok b
   | _ -> true
 
-(* Raise a guest trap. With a handler registered, the run loop delivers
-   it (see [deliver]) once the run's counts are exact. *)
-let deliver_trap st kind : unit =
-  if Option.is_some st.trap_handler then raise (Deliver kind)
-  else raise (Trap kind)
-
-(* Run the registered handler for [kind], once, then end the program
-   with the trap. *)
-let rec deliver st kind =
-  (match st.trap_handler with
-  | Some hname -> (
-      st.trap_handler <- None;
-      match st.lookup st hname with
-      | Some hcf ->
-          run_subcall st hcf [ Int64.of_int (trap_number kind); 0L ]
-      | None -> ())
-  | None -> ());
-  raise (Trap kind)
-
-(* The interrupted function counts as one more frame below the handler;
-   the integer registers (not the flags) are restored afterwards. *)
-and run_subcall st (cf : Compile.cfunc) (args : int64 list) =
-  let saved_regs = Bytes.sub st.regs 0 flag_a in
-  let saved_frames = st.frames and saved_depth = st.depth in
-  let saved_code = st.code and saved_pc = st.pc in
-  List.iteri (fun k v -> wreg st (arg_reg k) v) args;
-  st.frames <- [];
-  st.depth <- saved_depth + 1;
-  enter st cf;
-  (try run_until_empty st with Unwound -> ());
-  Bytes.blit saved_regs 0 st.regs 0 flag_a;
-  st.frames <- saved_frames;
-  st.depth <- saved_depth;
-  st.code <- saved_code;
-  st.pc <- saved_pc
-
-and addr_to_name st addr =
-  match Vmem.Image.func_at st.cmod.Codegen.Native.image addr with
-  | Some f -> f.Ir.fname
-  | None -> raise (Trap (Memory_fault addr))
-
-and external_call st name =
-  if Llva.Intrinsics.is_intrinsic name then intrinsic_call st name
-  else if Vmem.Runtime.is_known name then
-    match
-      Vmem.Runtime.call_words st.rt name (fun k -> rreg st (arg_reg k))
-    with
-    | Eval.I (_, v) -> wreg st ret v
-    | Eval.P a -> wreg st ret a
-    | Eval.B b -> wreg st ret (if b then 1L else 0L)
-    | Eval.F (_, f) -> st.fregs.(0) <- f
-    | Eval.Undef _ -> ()
-  else invalid_arg ("sparclite sim: undefined external " ^ name)
-
-and intrinsic_call st name =
-  match name with
-  | "llva.trap.register" ->
-      st.trap_handler <- Some (addr_to_name st (rreg st (arg_reg 0)))
-  | "llva.smc.replace" ->
-      let from_n = addr_to_name st (rreg st (arg_reg 0)) in
-      let to_n = addr_to_name st (rreg st (arg_reg 1)) in
-      Hashtbl.replace st.redirects from_n to_n
-  | "llva.stack.depth" -> wreg st ret (Int64.of_int (st.depth + 1))
-  | "llva.priv.set" ->
-      st.privileged <- not (Int64.equal (rreg st (arg_reg 0)) 0L)
-  | other when Llva.Intrinsics.is_privileged other ->
-      if not st.privileged then begin
-        deliver_trap st Privilege_violation;
-        assert false
-      end
-  | _ -> invalid_arg ("sparclite sim: unknown intrinsic " ^ name)
-
-and do_call st name ~except ~ret_pc =
-  let name = redirected st name in
-  match st.lookup st name with
-  | Some cf ->
-      st.frames <-
-        {
-          fr_code = st.code;
-          fr_ret_pc = ret_pc;
-          fr_except = except;
-          fr_regs = (if except >= 0 then Bytes.sub st.regs 0 flag_a else Bytes.empty);
-          fr_fregs = (if except >= 0 then Array.copy st.fregs else [||]);
-        }
-        :: st.frames;
-      st.depth <- st.depth + 1;
-      if st.depth > max_depth then
-        invalid_arg "sparclite sim: call stack overflow";
-      wreg st lr 0L (* the link register value is symbolic here *);
-      enter st cf
-  | None ->
-      external_call st name;
-      st.pc <- ret_pc
-
-(* start executing [cf] at its first instruction, decoding it first if
-   this state's cache has no current decoded form of it *)
-and enter st cf =
-  let code =
-    match Hashtbl.find_opt st.cache cf.Codegen.Native.cf_name with
-    | Some d when d.cf == cf -> d
-    | _ ->
-        let d = decode cf in
-        Hashtbl.replace st.cache cf.Codegen.Native.cf_name d;
-        d
-  in
-  st.code <- code;
-  st.pc <- 0
+(* The calling convention: arguments and the integer result in
+   registers; a call writes the link register, whose value is symbolic
+   here, and a return reads nothing back. *)
+let set_args st args = List.iteri (fun k v -> wreg st (arg_reg k) v) args
+let push_ret st = wreg st lr 0L
+let pop_ret (_ : instr state) = ()
 
 (* One instruction, with [pc] already past it: the semantics of every
    SPARC-lite instruction, which the closures of [decode_instr]
    specialize. *)
-and exec st i =
+let exec st i =
   let next = st.pc in
   match i with
   | Alu3 (op, w, s, rd, rs1, o) -> (
@@ -559,31 +341,8 @@ and exec st i =
   | CallIndI (r, l) ->
       let name = addr_to_name st (rreg st r) in
       do_call st name ~except:l ~ret_pc:next
-  | RetS -> (
-      match st.frames with
-      | [] -> raise Toplevel_return
-      | f :: rest ->
-          st.frames <- rest;
-          st.depth <- st.depth - 1;
-          st.code <- f.fr_code;
-          st.pc <- f.fr_ret_pc)
-  | UnwindS ->
-      let rec unwind frames popped =
-        match frames with
-        | [] -> raise Unwound
-        | f :: rest -> (
-            let handler = f.fr_except in
-            if handler >= 0 then begin
-                st.frames <- rest;
-                st.depth <- st.depth - popped;
-                st.code <- f.fr_code;
-                st.pc <- handler;
-                Bytes.blit f.fr_regs 0 st.regs 0 flag_a;
-                Array.blit f.fr_fregs 0 st.fregs 0 (Array.length f.fr_fregs)
-            end
-            else unwind rest (popped + 1))
-      in
-      unwind st.frames 1
+  | RetS -> return_to_caller st
+  | UnwindS -> unwind st
   | AddSp n -> wreg st sp (Int64.add (rreg st sp) (Int64.of_int n))
   | SubSpDyn (rd, rs) ->
       wreg st sp (Int64.sub (rreg st sp) (rreg st rs));
@@ -638,6 +397,16 @@ and exec st i =
   | Mvif (fd, r) -> st.fregs.(fd) <- Int64.float_of_bits (rreg st r)
   | TrapS msg -> invalid_arg ("sparclite sim: trap " ^ msg)
 
+(* [i] through [exec], as the closure of [decode_instr] *)
+let via_exec succ i next =
+  if ends_run i then fun st ->
+    st.pc <- succ;
+    exec st i
+  else fun st ->
+    st.pc <- succ;
+    exec st i;
+    next st
+
 (* The closure that executes [i], the instruction at [pc], and then
    continues with [next] unless [i] ends a run: [exec st i] with
    everything that does not depend on the state resolved now. A closure
@@ -646,7 +415,7 @@ and exec st i =
    registers, flags, memory, [pc] and raised exceptions (QCheck
    properties in the test suite hold them to it, one instruction at a
    time and over whole runs). *)
-and decode_instr pc (i : instr) (next : op) : op =
+let decode_instr pc (i : instr) (next : instr op) : instr op =
   let succ = pc + 1 in
   match i with
   | _ when not (regs_ok i) -> via_exec succ i next
@@ -787,95 +556,20 @@ and decode_instr pc (i : instr) (next : op) : op =
         do_call st name ~except:(-1) ~ret_pc:succ
   | _ -> via_exec succ i next
 
-(* [i] through [exec], as the closure of [decode_instr] *)
-and via_exec succ i next =
-  if ends_run i then fun st ->
-    st.pc <- succ;
-    exec st i
-  else fun st ->
-    st.pc <- succ;
-    exec st i;
-    next st
-
-(* Thread [cf]'s code into runs, from the last instruction back. A run
-   that reaches the end of the code without a terminator leaves [pc]
-   past it, where the loop's next bounds check fails. *)
-and decode (cf : Compile.cfunc) : decoded =
-  let code = cf.Codegen.Native.code in
-  let n = Array.length code in
-  let fall_off st = st.pc <- n in
-  let run = Array.make n fall_off in
-  let count = Array.make n 0 and cost = Array.make n 0 in
-  for k = n - 1 downto 0 do
-    let i = code.(k) in
-    let last = k = n - 1 || ends_run i in
-    run.(k) <- decode_instr k i (if k = n - 1 then fall_off else run.(k + 1));
-    count.(k) <- (if last then 1 else 1 + count.(k + 1));
-    cost.(k) <- (cycles_of i + if last then 0 else cost.(k + 1))
-  done;
-  { cf; run; count; cost }
-
-(* The loop's one step: the whole run at [pc] when the fuel covers it,
-   charged up front, else one instruction through [step]. *)
-and dispatch st =
-  let code = st.code and pc = st.pc in
-  let icount = st.icount + code.count.(pc) in
-  if icount <= st.limit then begin
-    st.icount <- icount;
-    st.cycles <- st.cycles + Array.unsafe_get code.cost pc;
-    try (Array.unsafe_get code.run pc) st with e -> abort_run st code pc e
-  end
-  else step st
-
-(* A run entered at [pc] stopped early: the instruction before [st.pc]
-   raised [e]. Refund the instructions after it, which were charged but
-   never ran, then deliver a trap to the handler or pass [e] on. *)
-and abort_run st code pc e =
-  let k = st.pc in
-  if st.code == code && k > pc && k < pc + code.count.(pc) then begin
-    st.icount <- st.icount - code.count.(k);
-    st.cycles <- st.cycles - code.cost.(k)
-  end;
-  match e with Deliver kind -> deliver st kind | e -> raise e
-
-(* One instruction through [exec]. Counting and charging it precede the
-   budget check, so the instruction that exhausts the fuel is counted
-   but not executed. *)
-and step st =
-  let pc = st.pc in
-  let i = st.code.cf.Codegen.Native.code.(pc) in
-  let n = st.icount + 1 in
-  st.icount <- n;
-  st.cycles <- st.cycles + cycles_of i;
-  if n > st.limit then raise Out_of_fuel;
-  st.pc <- pc + 1;
-  try exec st i with Deliver kind -> deliver st kind
-
-(* Run until the function entered last returns. *)
-and run_until_empty st =
-  try
-    while true do
-      dispatch st
-    done
-  with Toplevel_return -> ()
-
-let call_function st name (int_args : int64 list) : int64 =
-  match st.lookup st (redirected st name) with
-  | None -> invalid_arg ("sparclite sim: cannot start in external " ^ name)
-  | Some cf ->
-      List.iteri (fun k v -> wreg st (arg_reg k) v) int_args;
-      st.frames <- [];
-      st.depth <- 0;
-      enter st cf;
-      run_until_empty st;
-      rreg st ret
-
-let run_main ?fuel (cmod : Compile.cmodule) =
-  let st = create ?fuel cmod in
-  init_stack st;
-  let code =
-    match call_function st "main" [] with
-    | v -> Int64.to_int (Ir.normalize_int Types.Int v)
-    | exception Vmem.Runtime.Exit_called c -> c
-  in
-  (code, st)
+let machine : instr isa =
+  {
+    name = "sparclite";
+    nregs;
+    nfregs = 16;
+    stack_regs = (sp, fp);
+    cycles_of;
+    ends_run;
+    decode_instr;
+    exec;
+    set_args;
+    result = (fun st -> rreg st ret);
+    read_arg = (fun st k -> rreg st (arg_reg k));
+    set_ret = (fun st v -> wreg st ret v);
+    push_ret;
+    pop_ret;
+  }

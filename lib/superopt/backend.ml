@@ -50,28 +50,8 @@ module type S = sig
   (* the frame displacement of spill slot [k] *)
   val slot_disp : int -> int
 
-  (* the simulator *)
-  type state
-  type cache
-
-  val new_cache : unit -> cache
-  val create : ?fuel:int -> ?cache:cache -> instr cmodule -> state
-  val init_stack : state -> unit
-
-  (* resolve functions by name through [f] (LLEE's cache and JIT) *)
-  val set_lookup : state -> (string -> instr cfunc option) -> unit
-  val call_function : state -> string -> int64 list -> int64
-  val current : state -> string
-  val output : state -> string
-  val icount : state -> int
-  val cycles : state -> int
-
-  (* functions redirected by self-modifying code *)
-  val redirects : state -> int
-
-  (* the floating-point return register *)
-  val f0 : state -> float
-  val mem : state -> Vmem.Memory.t
+  (* the simulator's half of [Codegen.Machine] *)
+  val machine : instr Codegen.Machine.isa
 
   module Oracle : sig
     type h
@@ -108,21 +88,7 @@ module X86 = struct
 
   let slot_disp = Compile.slot_disp
 
-  type state = Sim.state
-  type cache = Sim.cache
-
-  let new_cache = Sim.new_cache
-  let create = Sim.create
-  let init_stack = Sim.init_stack
-  let set_lookup (st : state) f = st.lookup <- (fun _ name -> f name)
-  let call_function = Sim.call_function
-  let current = Sim.current
-  let output = Sim.output
-  let icount (st : state) = st.icount
-  let cycles (st : state) = st.cycles
-  let redirects (st : state) = Hashtbl.length st.redirects
-  let f0 (st : state) = st.fregs.(0)
-  let mem (st : state) = st.mem
+  let machine = Sim.machine
 
   module Oracle = Oracle.X86
 
@@ -147,21 +113,7 @@ module Sparc = struct
 
   let slot_disp = Compile.slot_disp
 
-  type state = Sim.state
-  type cache = Sim.cache
-
-  let new_cache = Sim.new_cache
-  let create = Sim.create
-  let init_stack = Sim.init_stack
-  let set_lookup (st : state) f = st.lookup <- (fun _ name -> f name)
-  let call_function = Sim.call_function
-  let current = Sim.current
-  let output = Sim.output
-  let icount (st : state) = st.icount
-  let cycles (st : state) = st.cycles
-  let redirects (st : state) = Hashtbl.length st.redirects
-  let f0 (st : state) = st.fregs.(0)
-  let mem (st : state) = st.mem
+  let machine = Sim.machine
 
   module Oracle = Oracle.Sparc
 

@@ -88,33 +88,31 @@ let full_vectors ~n =
 
 (* ---------- the shared harness ---------- *)
 
-(* What the harness needs from a back-end. [exec] is the hot path and
-   stays target-specific: zero the register file, point SP and the frame
-   register at the scratch frame below [base], load vector [k] of [vs]
-   into the input registers (the harness has already written the slot
-   inputs), set flag variant [k mod 6], and run the window
-   (straight-line code) once. [code] decodes a window once for all
-   vectors, into one threaded chain. *)
+(* What the harness needs from a back-end: its simulator, which
+   instructions a window may hold, a window's data inputs, and the six
+   flag variants the vectors cycle through. *)
 module type TARGET = sig
   type instr
-  type state
-  type code
 
-  val create : unit -> state
+  val machine : instr Codegen.Machine.isa
   val straightline : instr -> bool
-  val code : instr array -> code
 
   (* data inputs: every named register the harness does not own and
      every distinct slot displacement, in first-occurrence order *)
   val inputs_of : instr list -> int list * int list
 
-  val regs : state -> Bytes.t
-  val flag_kind : state -> int
-  val mem : state -> Vmem.Memory.t
-
-  val exec :
-    state -> base:int64 -> regs:int array -> code -> vectors -> int -> unit
+  (* flag variant [k mod 6] runs with vector [k] *)
+  val flag_variants : (instr Codegen.Machine.state -> unit) array
 end
+
+(* A straight-line window threaded into one closure: each instruction's
+   [decode_instr] continues with the next, the last with a halt. *)
+let chain decode_instr w =
+  let next = ref (fun _ -> ()) in
+  for pc = Array.length w - 1 downto 0 do
+    next := decode_instr pc w.(pc) !next
+  done;
+  !next
 
 (* A window is prepared once (straight-line checked, then decoded)
    and then run once per test vector on a single reused simulator state.
@@ -122,6 +120,8 @@ end
    flag operands — plus the flag kind and the slot contents; a candidate
    is compared against it in place. *)
 module Make (T : TARGET) = struct
+  module M = Codegen.Machine
+
   (* Observations of one window over one vector set: for vector [k],
      the register file [oregs.(k)], the flag kind [okinds.(k)] and the
      slot contents, packed at [8 * nslots * k] of [oslots]. The arrays
@@ -134,7 +134,7 @@ module Make (T : TARGET) = struct
      and holds those of session [full_of]. All of it dies with the
      handle. *)
   type h = {
-    st : T.state;
+    st : T.instr M.state;
     base : int64;
     big : bool; (* the target's byte order, for slot words *)
     screens : (int, vectors) Hashtbl.t;
@@ -145,14 +145,19 @@ module Make (T : TARGET) = struct
   }
 
   let make () =
-    let st = T.create () in
+    let m = Llva.Ir.mk_module ~name:"superopt-oracle" () in
+    let image = Vmem.Image.load m in
+    let st =
+      M.create T.machine
+        { Codegen.Native.cm = m; image; funcs = Hashtbl.create 1 }
+    in
     (* scratch frame area: far enough below the stack top that negative
        slot displacements and the probe SP never leave mapped,
        non-null address space *)
     {
       st;
       base = Int64.sub Vmem.Memory.stack_top 65536L;
-      big = (T.mem st).Vmem.Memory.target.Llva.Target.endian = Llva.Target.Big;
+      big = st.M.mem.Vmem.Memory.target.Llva.Target.endian = Llva.Target.Big;
       screens = Hashtbl.create 16;
       fulls = Hashtbl.create 16;
       opened = 0;
@@ -174,11 +179,11 @@ module Make (T : TARGET) = struct
 
   (* Only straight-line, trap-free instructions are executable as
      windows; anything else makes the window unverifiable. *)
-  let prepare (w : T.instr array) : T.code =
+  let prepare (w : T.instr array) : T.instr M.op =
     for k = 0 to Array.length w - 1 do
       if not (T.straightline w.(k)) then invalid_arg "not straight-line"
     done;
-    T.code w
+    chain T.machine.M.decode_instr w
 
   (* A frame slot: its backing page and the offset in it, found once per
      session. Concretized slots are 8-aligned below a page-aligned base,
@@ -189,7 +194,7 @@ module Make (T : TARGET) = struct
   let slot h d =
     let a = Int64.add h.base (Int64.of_int d) in
     {
-      page = Vmem.Memory.page_of (T.mem h.st) a;
+      page = Vmem.Memory.page_of h.st.M.mem a;
       off = Int64.to_int a land (Vmem.Memory.page_size - 1);
     }
 
@@ -206,24 +211,38 @@ module Make (T : TARGET) = struct
     id : int;
     regs : int array;
     slots : slot array;
-    lhs : T.code;
+    lhs : T.instr M.op;
     screen : vectors * obs;
     mutable full_faults : bool; (* the lhs faults on some full vector *)
   }
 
-  (* Run [cf] on vector [k] of [vs]: its slot inputs, then the rest. *)
+  (* Run [cf] on vector [k] of [vs]: zero the register file, point the
+     stack and frame registers at the scratch frame below [base], load
+     the vector's slot and register inputs, set its flag variant, and run
+     the window (straight-line code) once. *)
   let run h ~regs ~slots cf vs k =
-    let v = 8 * ((k * vs.n) + Array.length regs) in
+    let st = h.st in
+    let v = 8 * k * vs.n in
     for j = 0 to Array.length slots - 1 do
-      set_slot h slots.(j) (Bytes.get_int64_ne vs.data (v + (8 * j)))
+      set_slot h slots.(j)
+        (Bytes.get_int64_ne vs.data (v + (8 * (Array.length regs + j))))
     done;
-    T.exec h.st ~base:h.base ~regs cf vs k
+    Bytes.fill st.M.regs 0 (Bytes.length st.M.regs) '\000';
+    let sp, fp = T.machine.M.stack_regs in
+    Bytes.set_int64_ne st.M.regs (sp lsl 3) (Int64.sub h.base 8192L);
+    Bytes.set_int64_ne st.M.regs (fp lsl 3) h.base;
+    for j = 0 to Array.length regs - 1 do
+      Bytes.set_int64_ne st.M.regs (regs.(j) lsl 3)
+        (Bytes.get_int64_ne vs.data (v + (8 * j)))
+    done;
+    T.flag_variants.(k mod 6) st;
+    cf st
 
   (* Run [cf] over every vector of [vs] and record what it leaves, in
      [into]'s buffers when they are big enough. *)
   let observe ?into h ~regs ~slots cf vs =
     let st = h.st in
-    let rlen = Bytes.length (T.regs st) and nslots = Array.length slots in
+    let rlen = Bytes.length st.M.regs and nslots = Array.length slots in
     let o =
       match into with
       | Some o
@@ -239,8 +258,8 @@ module Make (T : TARGET) = struct
     in
     for k = 0 to vs.count - 1 do
       run h ~regs ~slots cf vs k;
-      Bytes.blit (T.regs st) 0 o.oregs.(k) 0 rlen;
-      o.okinds.(k) <- T.flag_kind st;
+      Bytes.blit st.M.regs 0 o.oregs.(k) 0 rlen;
+      o.okinds.(k) <- st.M.flag_kind;
       for j = 0 to nslots - 1 do
         Bytes.set_int64_ne o.oslots
           (8 * ((nslots * k) + j))
@@ -251,8 +270,8 @@ module Make (T : TARGET) = struct
 
   (* does the harness state after a run match observation [k]? *)
   let matches h ~slots o k =
-    T.flag_kind h.st = o.okinds.(k)
-    && Bytes.equal (T.regs h.st) o.oregs.(k)
+    h.st.M.flag_kind = o.okinds.(k)
+    && Bytes.equal h.st.M.regs o.oregs.(k)
     &&
     let nslots = Array.length slots in
     let j = ref 0 in
@@ -351,36 +370,20 @@ end
 
 (* ---------- per-target harnesses ---------- *)
 
-(* The two targets differ in the simulator, the frame register, the
-   flags type and which registers are data; everything else is [Make]. *)
-
-(* A straight-line window threaded into one closure: each instruction's
-   [decode_instr] continues with the next, the last with a halt. *)
-let chain decode_instr w =
-  let next = ref (fun _ -> ()) in
-  for pc = Array.length w - 1 downto 0 do
-    next := decode_instr pc w.(pc) !next
-  done;
-  !next
+(* The two targets differ in the simulator, the flags type and which
+   registers are data; everything else is [Make]. *)
 
 module X86 = Make (struct
   open X86lite
   open X86lite.X86
 
   type nonrec instr = instr
-  type state = Sim.state
-  type code = Sim.op
 
-  let create () =
-    let m = Llva.Ir.mk_module ~name:"superopt-oracle" () in
-    let image = Vmem.Image.load m in
-    Sim.create { Codegen.Native.cm = m; image; funcs = Hashtbl.create 1 }
+  let machine = Sim.machine
 
   let straightline = function
     | Mov _ | Alu _ | Shift _ | Ext _ | Cmp _ | Setcc _ -> true
     | _ -> false
-
-  let code w = chain Sim.decode_instr w
 
   (* BP is excluded: it is the frame base the harness owns *)
   let inputs_of (w : instr list) : int list * int list =
@@ -403,30 +406,17 @@ module X86 = Make (struct
       w;
     (!regs, !slots)
 
-  let regs (st : state) = st.Sim.regs
-  let flag_kind (st : state) = st.Sim.flag_kind
-  let mem (st : state) = st.Sim.mem
-
   let flag_variants =
-    [|
-      Sim.Fnone;
-      Sim.Fint (0L, 0L, true);
-      Sim.Fint (1L, 0L, true);
-      Sim.Fint (0L, 1L, false);
-      Sim.Fint (-1L, 1L, true);
-      Sim.Fint (5L, 5L, false);
-    |]
-
-  let exec st ~base ~regs (run : code) vs k =
-    Bytes.fill st.Sim.regs 0 (Bytes.length st.Sim.regs) '\000';
-    Sim.set_reg st sp (Int64.sub base 8192L);
-    Sim.set_reg st bp base;
-    let v = 8 * k * vs.n in
-    for j = 0 to Array.length regs - 1 do
-      Sim.set_reg st regs.(j) (Bytes.get_int64_ne vs.data (v + (8 * j)))
-    done;
-    Sim.set_flags st flag_variants.(k mod 6);
-    run st
+    Array.map
+      (fun f st -> Sim.set_flags st f)
+      [|
+        Sim.Fnone;
+        Sim.Fint (0L, 0L, true);
+        Sim.Fint (1L, 0L, true);
+        Sim.Fint (0L, 1L, false);
+        Sim.Fint (-1L, 1L, true);
+        Sim.Fint (5L, 5L, false);
+      |]
 end)
 
 module Sparc = Make (struct
@@ -434,20 +424,13 @@ module Sparc = Make (struct
   open Sparclite.Sparc
 
   type nonrec instr = instr
-  type state = Sim.state
-  type code = Sim.op
 
-  let create () =
-    let m = Llva.Ir.mk_module ~name:"superopt-oracle" () in
-    let image = Vmem.Image.load m in
-    Sim.create { Codegen.Native.cm = m; image; funcs = Hashtbl.create 1 }
+  let machine = Sim.machine
 
   let straightline = function
     | Alu3 ((Div | Rem), _, _, _, _, _) -> false
     | Alu3 _ | Sethi _ | Ld _ | St _ | Cmp _ | Movcc _ -> true
     | _ -> false
-
-  let code w = chain Sim.decode_instr w
 
   (* r0 is architecturally zero: never a data input. *)
   let inputs_of (w : instr list) : int list * int list =
@@ -479,28 +462,15 @@ module Sparc = Make (struct
       w;
     (!regs, !slots)
 
-  let regs (st : state) = st.Sim.regs
-  let flag_kind (st : state) = st.Sim.flag_kind
-  let mem (st : state) = st.Sim.mem
-
   let flag_variants =
-    [|
-      Sim.Fnone;
-      Sim.Fint (0L, 0L);
-      Sim.Fint (1L, 0L);
-      Sim.Fint (0L, 1L);
-      Sim.Fint (-1L, 1L);
-      Sim.Fint (5L, 5L);
-    |]
-
-  let exec st ~base ~regs (run : code) vs k =
-    Bytes.fill st.Sim.regs 0 (Bytes.length st.Sim.regs) '\000';
-    Sim.set_reg st sp (Int64.sub base 8192L);
-    Sim.set_reg st fp base;
-    let v = 8 * k * vs.n in
-    for j = 0 to Array.length regs - 1 do
-      Sim.set_reg st regs.(j) (Bytes.get_int64_ne vs.data (v + (8 * j)))
-    done;
-    Sim.set_flags st flag_variants.(k mod 6);
-    run st
+    Array.map
+      (fun f st -> Sim.set_flags st f)
+      [|
+        Sim.Fnone;
+        Sim.Fint (0L, 0L);
+        Sim.Fint (1L, 0L);
+        Sim.Fint (0L, 1L);
+        Sim.Fint (-1L, 1L);
+        Sim.Fint (5L, 5L);
+      |]
 end)

@@ -445,9 +445,9 @@ let engine_results ?(fuel = 4_000_000) (m : Ir.modl) :
   let native target () =
     let (module B) = Llee.backend target in
     let o, st =
-      Llee.Outcome.run_main (module B) ~fuel (B.compile_module (clone m))
+      Llee.Outcome.run_main ~fuel B.machine (B.compile_module (clone m))
     in
-    (o, B.output st)
+    (o, Codegen.Machine.output st)
   in
   let llee target () = Llee.run ~fuel (Llee.of_module ~target (clone m)) in
   List.map2

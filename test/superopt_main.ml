@@ -266,9 +266,10 @@ let () =
           (fun (module B : Superopt.Backend.S) tb ->
             let run peep =
               let o, st =
-                Llee.Outcome.run_main (module B) (B.compile_module ~peep (m ()))
+                Llee.Outcome.run_main B.machine (B.compile_module ~peep (m ()))
               in
-              (Llee.Outcome.exit_code o, B.output st, B.icount st, B.cycles st)
+              Codegen.Machine.
+                (Llee.Outcome.exit_code o, output st, st.icount, st.cycles)
             in
             let ((code0, out0, _, cycles0) as off) = run [] in
             let ((code, out, _, cycles) as on) =
@@ -349,12 +350,15 @@ let () =
           List.iter
             (fun (module B : Superopt.Backend.S) ->
               let o, st =
-                Llee.Outcome.run_main (module B) ~fuel (B.compile_module (m ()))
+                Llee.Outcome.run_main ~fuel B.machine (B.compile_module (m ()))
               in
               Printf.bprintf fuel_lines
                 "%-17s %-9s fuel %7d  instrs %7d  cycles %8d  out %s  %s\n"
-                name B.name fuel (B.icount st) (B.cycles st)
-                (String.sub (Digest.to_hex (Digest.string (B.output st))) 0 8)
+                name B.name fuel st.Codegen.Machine.icount
+                st.Codegen.Machine.cycles
+                (String.sub
+                   (Digest.to_hex (Digest.string (Codegen.Machine.output st)))
+                   0 8)
                 (Llee.Outcome.to_string o))
             backends)
         ([ 0; 1; 10_000; 1_000_000 ] @ extra))

@@ -12,13 +12,17 @@ let check_string = Alcotest.(check string)
    back-end's register allocators *)
 let on_x86 ?(linear_scan = false) m =
   let cm = X86lite.Compile.compile_module ~linear_scan m in
-  let code, st = X86lite.Sim.run_main ~fuel:50_000_000 cm in
-  (code, X86lite.Sim.output st)
+  let code, st =
+    Codegen.Machine.run_main ~fuel:50_000_000 X86lite.Sim.machine cm
+  in
+  (code, Codegen.Machine.output st)
 
 let on_sparc ?(spill_everything = false) m =
   let cm = Sparclite.Compile.compile_module ~spill_everything m in
-  let code, st = Sparclite.Sim.run_main ~fuel:50_000_000 cm in
-  (code, Sparclite.Sim.output st)
+  let code, st =
+    Codegen.Machine.run_main ~fuel:50_000_000 Sparclite.Sim.machine cm
+  in
+  (code, Codegen.Machine.output st)
 
 let all_ways m =
   [
@@ -380,16 +384,16 @@ let test_native_traps () =
   let cm = X86lite.Compile.compile_module m in
   check_bool "x86 div-by-zero traps" true
     (try
-       ignore (X86lite.Sim.run_main cm);
+       ignore (Codegen.Machine.run_main X86lite.Sim.machine cm);
        false
-     with X86lite.Sim.Trap X86lite.Sim.Division_by_zero -> true);
+     with Vmem.Guest.Trap Vmem.Guest.Division_by_zero -> true);
   let m2 = Gen.parse src in
   let cm2 = Sparclite.Compile.compile_module m2 in
   check_bool "sparc div-by-zero traps" true
     (try
-       ignore (Sparclite.Sim.run_main cm2);
+       ignore (Codegen.Machine.run_main Sparclite.Sim.machine cm2);
        false
-     with Sparclite.Sim.Trap Sparclite.Sim.Division_by_zero -> true);
+     with Vmem.Guest.Trap Vmem.Guest.Division_by_zero -> true);
   (* disabled exceptions execute through *)
   check_agreement
     {|
@@ -445,11 +449,11 @@ let test_cycle_counting () =
       "int %main() {\nentry:\n  %x = add int 1, 2\n  ret int %x\n}"
   in
   let cm = X86lite.Compile.compile_module m in
-  let _, st = X86lite.Sim.run_main cm in
-  check_bool "cycles counted" true (st.X86lite.Sim.cycles > 0);
-  check_bool "icount counted" true (st.X86lite.Sim.icount > 0);
+  let _, st = Codegen.Machine.run_main X86lite.Sim.machine cm in
+  check_bool "cycles counted" true (st.Codegen.Machine.cycles > 0);
+  check_bool "icount counted" true (st.Codegen.Machine.icount > 0);
   check_bool "cycles >= icount" true
-    (st.X86lite.Sim.cycles >= st.X86lite.Sim.icount)
+    (st.Codegen.Machine.cycles >= st.Codegen.Machine.icount)
 
 let test_code_size_nonzero () =
   let m = Gen.random_program (Random.State.make [| 7 |]) in
@@ -1047,17 +1051,152 @@ caught:
 }
 |}
 
+(* [src] ends the same way on all five engines as on the interpreter:
+   exit code, output and, for a trap, its kind and the function it names.
+   Unlike [check_agreement], this sees programs that end in a trap. *)
+let check_like_interp ?(expect = "") src =
+  let summary (o : Llee.Outcome.t) out =
+    let trap =
+      match o with
+      | Llee.Outcome.Trapped { kind; func; _ } ->
+          Printf.sprintf " %s in %%%s" (Vmem.Guest.trap_to_string kind) func
+      | _ -> ""
+    in
+    Printf.sprintf "%d%s, output %S" (Llee.Outcome.exit_code o) trap out
+  in
+  match five_engines src with
+  | [] -> ()
+  | (_, o, out) :: rest ->
+      let reference = summary o out in
+      check_string "interp" expect reference;
+      List.iter
+        (fun (engine, o, out) ->
+          check_string (engine ^ " agrees with interp") reference
+            (summary o out))
+        rest
+
+(* the handler programs below trap in %f, on a zero divisor loaded from
+   a global so that nothing folds it *)
+let trap_in_f =
+  {|
+declare void %llva.trap.register(void (uint, sbyte*)*)
+declare uint %llva.stack.depth()
+declare void %print_int(int)
+
+%zero = global int 0
+
+int %f(int %n) {
+entry:
+  %z = load int* %zero
+  %q = div int %n, %z
+  ret int %q
+}
+|}
+
+(* A handler runs one frame below the function that trapped: inside %f
+   called from main it reads depth 3. *)
+let test_handler_stack_depth () =
+  check_like_interp ~expect:"134 division by zero in %f, output \"3\""
+    (trap_in_f
+   ^ {|
+void %handler(uint %num, sbyte* %info) {
+entry:
+  %d = call uint %llva.stack.depth()
+  %n = cast uint %d to int
+  call void %print_int(int %n)
+  ret void
+}
+
+int %main() {
+entry:
+  call void %llva.trap.register(void (uint, sbyte*)* %handler)
+  %r = call int %f(int 50)
+  ret int %r
+}
+|})
+
+(* A handler that registers a second handler and traps itself runs the
+   second, then ends the program with its own trap. *)
+let test_handler_traps_again () =
+  check_like_interp ~expect:"134 division by zero in %first, output \"12\""
+    (trap_in_f
+   ^ {|
+void %second(uint %num, sbyte* %info) {
+entry:
+  call void %print_int(int 2)
+  ret void
+}
+
+void %first(uint %num, sbyte* %info) {
+entry:
+  call void %print_int(int 1)
+  call void %llva.trap.register(void (uint, sbyte*)* %second)
+  %z = load int* %zero
+  %q = div int 7, %z
+  ret void
+}
+
+int %main() {
+entry:
+  call void %llva.trap.register(void (uint, sbyte*)* %first)
+  %r = call int %f(int 50)
+  ret int %r
+}
+|})
+
+let unwinding_handler =
+  {|
+void %handler(uint %num, sbyte* %info) {
+entry:
+  %n = cast uint %num to int
+  call void %print_int(int %n)
+  unwind
+}
+|}
+
+(* A handler's unwind leaves the trapping function as an unwind in it
+   would: main's invoke catches it and no trap is reported. *)
+let test_handler_unwind_to_invoke () =
+  check_like_interp ~expect:"42, output \"099\""
+    (trap_in_f ^ unwinding_handler
+   ^ {|
+int %main() {
+entry:
+  call void %llva.trap.register(void (uint, sbyte*)* %handler)
+  %r = invoke int %f(int 50) to label %ok except label %caught
+ok:
+  ret int %r
+caught:
+  call void %print_int(int 99)
+  ret int 42
+}
+|})
+
+(* With no invoke to catch it, a handler's unwind is an uncaught unwind
+   in the handler, not the trap that ran it. *)
+let test_handler_unwind_uncaught () =
+  check_like_interp ~expect:"134 uncaught unwind in %handler, output \"0\""
+    (trap_in_f ^ unwinding_handler
+   ^ {|
+int %main() {
+entry:
+  call void %llva.trap.register(void (uint, sbyte*)* %handler)
+  %r = call int %f(int 50)
+  ret int %r
+}
+|})
+
 (* The flags round-trip through their unboxed form. *)
 let test_flags_roundtrip () =
   let cm = X86lite.Compile.compile_module (Gen.parse "int %main() {\nentry:\n  ret int 0\n}") in
-  let st = X86lite.Sim.create cm in
+  let st = Codegen.Machine.create X86lite.Sim.machine cm in
   List.iter
     (fun fl ->
       X86lite.Sim.set_flags st fl;
       check_bool "x86 flags round-trip" true (X86lite.Sim.flags st = fl))
     X86lite.Sim.[ Fnone; Fint (-1L, Int64.min_int, true); Fint (5L, 7L, false); Ffloat (1.5, -0.0) ];
   let sm = Sparclite.Compile.compile_module (Gen.parse "int %main() {\nentry:\n  ret int 0\n}") in
-  let ss = Sparclite.Sim.create sm in
+  let ss = Codegen.Machine.create Sparclite.Sim.machine sm in
   List.iter
     (fun fl ->
       Sparclite.Sim.set_flags ss fl;
@@ -1102,12 +1241,15 @@ out:
     in
     let x86 =
       let cm = X86lite.Compile.compile_module (Gen.parse src) in
-      words_per_instr (fun () -> (snd (X86lite.Sim.run_main cm)).X86lite.Sim.icount)
+      words_per_instr (fun () ->
+          let _, st = Codegen.Machine.run_main X86lite.Sim.machine cm in
+          st.Codegen.Machine.icount)
     in
     let sparc =
       let cm = Sparclite.Compile.compile_module (Gen.parse src) in
       words_per_instr (fun () ->
-          (snd (Sparclite.Sim.run_main cm)).Sparclite.Sim.icount)
+          let _, st = Codegen.Machine.run_main Sparclite.Sim.machine cm in
+          st.Codegen.Machine.icount)
     in
     check_bool (Printf.sprintf "x86 %.4f words/instr" x86) true (x86 < 0.02);
     check_bool (Printf.sprintf "sparc %.4f words/instr" sparc) true (sparc < 0.02)
@@ -1147,6 +1289,12 @@ let suite =
     Alcotest.test_case "depth after unwind" `Quick test_depth_after_unwind;
     Alcotest.test_case "registers survive unwind" `Quick
       test_registers_survive_unwind;
+    Alcotest.test_case "handler stack depth" `Quick test_handler_stack_depth;
+    Alcotest.test_case "handler traps again" `Quick test_handler_traps_again;
+    Alcotest.test_case "handler unwind to invoke" `Quick
+      test_handler_unwind_to_invoke;
+    Alcotest.test_case "handler unwind uncaught" `Quick
+      test_handler_unwind_uncaught;
     Alcotest.test_case "flags roundtrip" `Quick test_flags_roundtrip;
     Alcotest.test_case "step loop allocation-free" `Quick
       test_step_allocation_free;

@@ -193,10 +193,10 @@ out:
   (* after 5 iterations: a,b swapped 4 times from (1,2) -> (1,2) at i=4?
      check against the interpreter, then the back-ends *)
   let x86 = X86lite.Compile.compile_module (Gen.clone m) in
-  let xcode, _ = X86lite.Sim.run_main x86 in
+  let xcode, _ = Codegen.Machine.run_main X86lite.Sim.machine x86 in
   check_int "x86 swap" (fst reference) xcode;
   let sparc = Sparclite.Compile.compile_module (Gen.clone m) in
-  let scode, _ = Sparclite.Sim.run_main sparc in
+  let scode, _ = Codegen.Machine.run_main Sparclite.Sim.machine sparc in
   check_int "sparc swap" (fst reference) scode
 
 (* [Relax.relax] against the one-jump-per-rescan removal it replaced,

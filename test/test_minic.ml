@@ -20,16 +20,20 @@ let run_everywhere ?(fuel = 10_000_000) src =
   let reference = run_c ~fuel src in
   let m1 = compile src in
   let x86 = X86lite.Compile.compile_module m1 in
-  let xcode, xst = X86lite.Sim.run_main ~fuel:(fuel * 8) x86 in
-  if (xcode, X86lite.Sim.output xst) <> reference then
+  let xcode, xst =
+    Codegen.Machine.run_main ~fuel:(fuel * 8) X86lite.Sim.machine x86
+  in
+  if (xcode, Codegen.Machine.output xst) <> reference then
     Alcotest.failf "x86 disagrees: (%d,%S) vs (%d,%S)" xcode
-      (X86lite.Sim.output xst) (fst reference) (snd reference);
+      (Codegen.Machine.output xst) (fst reference) (snd reference);
   let m2 = compile src in
   let sparc = Sparclite.Compile.compile_module m2 in
-  let scode, sst = Sparclite.Sim.run_main ~fuel:(fuel * 8) sparc in
-  if (scode, Sparclite.Sim.output sst) <> reference then
+  let scode, sst =
+    Codegen.Machine.run_main ~fuel:(fuel * 8) Sparclite.Sim.machine sparc
+  in
+  if (scode, Codegen.Machine.output sst) <> reference then
     Alcotest.failf "sparc disagrees: (%d,%S) vs (%d,%S)" scode
-      (Sparclite.Sim.output sst) (fst reference) (snd reference);
+      (Codegen.Machine.output sst) (fst reference) (snd reference);
   (* optimized also agrees *)
   let m3 = Minic.Mcodegen.compile_and_verify ~optimize:2 src in
   let st = Interp.create ~fuel m3 in

@@ -44,7 +44,7 @@ let engines ?fuel src =
   let m () = Gen.parse src in
   let native target =
     let (module B) = Llee.backend target in
-    fst (Llee.Outcome.run_main (module B) ?fuel (B.compile_module (m ())))
+    fst (Llee.Outcome.run_main ?fuel B.machine (B.compile_module (m ())))
   in
   [
     ("interp", fun () -> fst (Llee.Outcome.run_main_interp ?fuel (m ())));

@@ -1,6 +1,6 @@
-(* The threaded simulators. [Sim.decode_instr] specializes each
-   instruction into a closure that continues with its successor;
-   [Sim.exec] is the one semantic definition of the ISA. For random
+(* The threaded simulators. Each I-ISA's [Sim.decode_instr] specializes
+   each instruction into a closure that continues with its successor;
+   its [Sim.exec] is the one semantic definition of the ISA. For random
    instructions of every constructor and operand shape, run on random
    register files, flags and memory (null, unmapped and page-straddling
    addresses, zero and overflowing divisors, with and without a caller
@@ -10,10 +10,12 @@
    The block properties do the same for whole runs: 2-8 straight-line
    instructions, optionally ending in a terminator and optionally with a
    load or store that faults part-way through, under a fuel budget that
-   may stop inside the run. Run once through the loop's [dispatch]
+   may stop inside the run. Run once through [Codegen.Machine.dispatch]
    (charged up front, refunded on a raise, the trap handler delivered
    after the refund) and once by [step]ping each instruction through
    [exec], they must also agree on the instruction and cycle counts. *)
+
+module M = Codegen.Machine
 
 (* A callee with an invoke frame to return or unwind to, a trap handler
    that prints, and a main to start in. *)
@@ -262,35 +264,37 @@ module X = struct
 
   (* a state in [s], about to run the instruction at pc 1 of main or f *)
   let setup ?fuel s =
-    let st = Sim.create ?fuel { cm with Codegen.Native.image = image () } in
-    Sim.enter st (Hashtbl.find cm.Codegen.Native.funcs "main");
-    if s.in_callee then Sim.do_call st "f" ~except:3 ~ret_pc:2;
+    let st =
+      M.create ?fuel Sim.machine { cm with Codegen.Native.image = image () }
+    in
+    M.enter st (Hashtbl.find cm.Codegen.Native.funcs "main");
+    if s.in_callee then M.do_call st "f" ~except:3 ~ret_pc:2;
     Array.iteri (fun r v -> Sim.set_reg st r v) s.ints;
-    Array.blit s.floats 0 st.Sim.fregs 0 (Array.length s.floats);
-    st.Sim.flag_kind <- s.kind;
+    Array.blit s.floats 0 st.M.fregs 0 (Array.length s.floats);
+    st.M.flag_kind <- s.kind;
     Sim.set_flag_words st s.fa s.fb;
-    write_words st.Sim.mem s.words;
-    if s.handler then st.Sim.trap_handler <- Some "handler";
-    st.Sim.privileged <- s.privileged;
-    st.Sim.pc <- 2;
+    write_words st.M.mem s.words;
+    if s.handler then st.M.trap_handler <- Some "handler";
+    st.M.privileged <- s.privileged;
+    st.M.pc <- 2;
     st
 
   let observe st result =
     ( result,
-      Bytes.to_string st.Sim.regs,
-      Array.map Int64.bits_of_float st.Sim.fregs,
-      st.Sim.flag_kind,
-      ( st.Sim.pc,
-        Sim.current st,
-        List.length st.Sim.frames,
-        st.Sim.depth,
-        st.Sim.icount,
-        st.Sim.cycles ),
-      ( Sim.output st,
-        st.Sim.trap_handler,
-        st.Sim.privileged,
-        st.Sim.mem.Vmem.Memory.brk,
-        pages st.Sim.mem ) )
+      Bytes.to_string st.M.regs,
+      Array.map Int64.bits_of_float st.M.fregs,
+      st.M.flag_kind,
+      ( st.M.pc,
+        M.current st,
+        List.length st.M.frames,
+        st.M.depth,
+        st.M.icount,
+        st.M.cycles ),
+      ( M.output st,
+        st.M.trap_handler,
+        st.M.privileged,
+        st.M.mem.Vmem.Memory.brk,
+        pages st.M.mem ) )
 
   let prop =
     QCheck.Test.make ~name:"x86lite decoded closures agree with exec" ~count:10_000
@@ -320,19 +324,20 @@ module X = struct
      [exec], from pc 0 until all of it has run or something raised *)
   let run_block ~threaded ?fuel s code =
     let st = setup ?fuel s in
-    st.Sim.code <-
-      Sim.decode { Codegen.Native.cf_name = "block"; code; nargs = 0; frame_slots = 0 };
-    st.Sim.pc <- 0;
+    st.M.code <-
+      M.decode Sim.machine
+        { Codegen.Native.cf_name = "block"; code; nargs = 0; frame_slots = 0 };
+    st.M.pc <- 0;
     let len = Array.length code in
     let result =
       outcome (fun () ->
           if threaded then
-            while st.Sim.icount < len do
-              Sim.dispatch st
+            while st.M.icount < len do
+              M.dispatch st
             done
           else
             for _ = 1 to len do
-              Sim.step st
+              M.step st
             done)
     in
     observe st result
@@ -423,35 +428,37 @@ module S = struct
 
   (* r0 stays zero, as every writer of the register file keeps it *)
   let setup ?fuel s =
-    let st = Sim.create ?fuel { cm with Codegen.Native.image = image () } in
-    Sim.enter st (Hashtbl.find cm.Codegen.Native.funcs "main");
-    if s.in_callee then Sim.do_call st "f" ~except:3 ~ret_pc:2;
+    let st =
+      M.create ?fuel Sim.machine { cm with Codegen.Native.image = image () }
+    in
+    M.enter st (Hashtbl.find cm.Codegen.Native.funcs "main");
+    if s.in_callee then M.do_call st "f" ~except:3 ~ret_pc:2;
     Array.iteri (fun r v -> Sim.wreg st r v) s.ints;
-    Array.blit s.floats 0 st.Sim.fregs 0 (Array.length s.floats);
-    st.Sim.flag_kind <- s.kind;
+    Array.blit s.floats 0 st.M.fregs 0 (Array.length s.floats);
+    st.M.flag_kind <- s.kind;
     Sim.set_flag_words st s.fa s.fb;
-    write_words st.Sim.mem s.words;
-    if s.handler then st.Sim.trap_handler <- Some "handler";
-    st.Sim.privileged <- s.privileged;
-    st.Sim.pc <- 2;
+    write_words st.M.mem s.words;
+    if s.handler then st.M.trap_handler <- Some "handler";
+    st.M.privileged <- s.privileged;
+    st.M.pc <- 2;
     st
 
   let observe st result =
     ( result,
-      Bytes.to_string st.Sim.regs,
-      Array.map Int64.bits_of_float st.Sim.fregs,
-      st.Sim.flag_kind,
-      ( st.Sim.pc,
-        Sim.current st,
-        List.length st.Sim.frames,
-        st.Sim.depth,
-        st.Sim.icount,
-        st.Sim.cycles ),
-      ( Sim.output st,
-        st.Sim.trap_handler,
-        st.Sim.privileged,
-        st.Sim.mem.Vmem.Memory.brk,
-        pages st.Sim.mem ) )
+      Bytes.to_string st.M.regs,
+      Array.map Int64.bits_of_float st.M.fregs,
+      st.M.flag_kind,
+      ( st.M.pc,
+        M.current st,
+        List.length st.M.frames,
+        st.M.depth,
+        st.M.icount,
+        st.M.cycles ),
+      ( M.output st,
+        st.M.trap_handler,
+        st.M.privileged,
+        st.M.mem.Vmem.Memory.brk,
+        pages st.M.mem ) )
 
   let prop =
     QCheck.Test.make ~name:"sparclite decoded closures agree with exec" ~count:10_000
@@ -479,19 +486,20 @@ module S = struct
      [exec], from pc 0 until all of it has run or something raised *)
   let run_block ~threaded ?fuel s code =
     let st = setup ?fuel s in
-    st.Sim.code <-
-      Sim.decode { Codegen.Native.cf_name = "block"; code; nargs = 0; frame_slots = 0 };
-    st.Sim.pc <- 0;
+    st.M.code <-
+      M.decode Sim.machine
+        { Codegen.Native.cf_name = "block"; code; nargs = 0; frame_slots = 0 };
+    st.M.pc <- 0;
     let len = Array.length code in
     let result =
       outcome (fun () ->
           if threaded then
-            while st.Sim.icount < len do
-              Sim.dispatch st
+            while st.M.icount < len do
+              M.dispatch st
             done
           else
             for _ = 1 to len do
-              Sim.step st
+              M.step st
             done)
     in
     observe st result
@@ -578,7 +586,7 @@ let test_byte_order () =
         (fun (n, w) ->
           let open X86lite in
           let st =
-            Sim.create
+            M.create Sim.machine
               { Codegen.Native.cm = m; image = image (); funcs = Hashtbl.create 1 }
           in
           let at = { X86.base = 0; disp = 0 } in
@@ -586,20 +594,20 @@ let test_byte_order () =
           Sim.set_reg st 1 v;
           Sim.exec st (X86.Mstore (at, 1, w));
           Sim.exec st (X86.Mload (2, at, w, false));
-          check "x86lite" n st.Sim.mem (Sim.reg st 2))
+          check "x86lite" n st.M.mem (Sim.reg st 2))
         X86lite.X86.[ (1, W8); (2, W16); (4, W32); (8, W64) ];
       List.iter
         (fun (n, w) ->
           let open Sparclite in
           let st =
-            Sim.create
+            M.create Sim.machine
               { Codegen.Native.cm = m; image = image (); funcs = Hashtbl.create 1 }
           in
           Sim.set_reg st 1 addr;
           Sim.set_reg st 2 v;
           Sim.exec st (Sparc.St (w, 2, 1, 0));
           Sim.exec st (Sparc.Ld (w, false, 3, 1, 0));
-          check "sparclite" n st.Sim.mem (Sim.reg st 3))
+          check "sparclite" n st.M.mem (Sim.reg st 3))
         Sparclite.Sparc.[ (1, W8); (2, W16); (4, W32); (8, W64) ])
     Llva.Target.all
 

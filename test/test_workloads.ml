@@ -74,20 +74,20 @@ let test_native_subset () =
       let w = Option.get (Workloads.find name) in
       let reference = interp_run (Workloads.compile w) in
       let x86 = X86lite.Compile.compile_module (Workloads.compile w) in
-      let xc, xst = X86lite.Sim.run_main x86 in
-      if (xc, X86lite.Sim.output xst) <> reference then
+      let xc, xst = Codegen.Machine.run_main X86lite.Sim.machine x86 in
+      if (xc, Codegen.Machine.output xst) <> reference then
         Alcotest.failf "%s x86 disagrees" name;
       let sparc = Sparclite.Compile.compile_module (Workloads.compile w) in
-      let sc, sst = Sparclite.Sim.run_main sparc in
-      if (sc, Sparclite.Sim.output sst) <> reference then
+      let sc, sst = Codegen.Machine.run_main Sparclite.Sim.machine sparc in
+      if (sc, Codegen.Machine.output sst) <> reference then
         Alcotest.failf "%s sparc disagrees" name;
       (* optimized native *)
       let xo =
         X86lite.Compile.compile_module ~linear_scan:true
           (Workloads.compile_optimized w)
       in
-      let oc, ost = X86lite.Sim.run_main xo in
-      if (oc, X86lite.Sim.output ost) <> reference then
+      let oc, ost = Codegen.Machine.run_main X86lite.Sim.machine xo in
+      if (oc, Codegen.Machine.output ost) <> reference then
         Alcotest.failf "%s optimized x86 disagrees" name)
     native_subset
 
