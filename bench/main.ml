@@ -649,27 +649,30 @@ let run_portability () =
 (* Bechamel micro-benchmarks                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Simulator throughput: all 17 workloads at -O1, compiled once per
-   target without a peephole table, then run twice with
-   [Codegen.Machine.run_main], each run on a freshly loaded memory
+(* Simulator and interpreter throughput: all 17 workloads at -O1,
+   compiled once per target without a peephole table, then run twice
+   with [Codegen.Machine.run_main], each run on a freshly loaded memory
    image. Guest instructions per second of wall-clock time, image load
-   included. *)
+   included. The interpreter row runs the same modules with
+   [Interp.run_main] on a fresh [Interp.create] state and counts LLVA
+   instructions (steps). *)
 let run_sims () =
-  section "Native simulator throughput (17 workloads, -O1, no table)";
+  section "Native simulator and interpreter throughput (17 workloads, -O1, no table)";
   let mods = List.map (Workloads.compile_optimized ~level:1) Workloads.all in
-  let measure name (runs : (unit -> int) list) =
+  let measure ?(what = "guest instrs") ?(rate = "MIPS") name
+      (runs : (unit -> int) list) =
     let instrs = ref 0 and secs = ref 0.0 in
     for pass = 1 to 2 do
       let t0 = Unix.gettimeofday () in
       let n = List.fold_left (fun acc run -> acc + run ()) 0 runs in
       let dt = Unix.gettimeofday () -. t0 in
-      Printf.printf "%-9s pass %d: %11d guest instrs, %6.2f s, %5.1f MIPS\n%!"
-        name pass n dt (float_of_int n /. dt /. 1e6);
+      Printf.printf "%-9s pass %d: %11d %s, %6.2f s, %5.1f %s\n%!" name pass n
+        what dt (float_of_int n /. dt /. 1e6) rate;
       instrs := !instrs + n;
       secs := !secs +. dt
     done;
-    Printf.printf "%-9s both:   %11d guest instrs, %6.2f s, %5.1f MIPS\n%!"
-      name !instrs !secs (float_of_int !instrs /. !secs /. 1e6)
+    Printf.printf "%-9s both:   %11d %s, %6.2f s, %5.1f %s\n%!" name !instrs
+      what !secs (float_of_int !instrs /. !secs /. 1e6) rate
   in
   measure "x86lite"
     (List.map
@@ -688,6 +691,13 @@ let run_sims () =
            let c = { c with Codegen.Native.image = Vmem.Image.load m } in
            let _, st = Codegen.Machine.run_main Sparclite.Sim.machine c in
            st.Codegen.Machine.icount)
+       mods);
+  measure "interp" ~what:"LLVA steps" ~rate:"Msteps/s"
+    (List.map
+       (fun m () ->
+         let st = Interp.create m in
+         ignore (Interp.run_main st);
+         st.Interp.stats.Interp.steps)
        mods)
 
 let run_micro () =

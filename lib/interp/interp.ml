@@ -38,7 +38,16 @@ type stats = {
    ahead, branch targets are block indices carrying their phi moves, and
    getelementptr is folded to a constant offset plus scaled terms.
    Anything that cannot be resolved is kept as a deferred exception and
-   raised only when its instruction executes, never at lowering. *)
+   raised only when its instruction executes, never at lowering.
+
+   The V-ISA is typed, so lowering also picks, from each instruction's
+   static types, a kind specialized to them: integer [setcc], integer
+   and pointer casts, loads and stores, geps with at most one scaled
+   term. A specialized kind runs the runtime shape its static types
+   predict ([I], [P] or [B]) by calling the [Eval] function that shape
+   reaches, chosen at lowering; any other shape (undef, a mismatched
+   kind) goes to the same generic [Eval] call as the kind it replaces.
+   The formulas stay in [Eval]. *)
 
 type operand = Slot of int | Imm of Eval.scalar | Fail of exn
 type 'a deferred = ('a, exn) result
@@ -64,6 +73,20 @@ type kind =
       undef : Eval.scalar;
     }
   | Setcc of { cmp : Ir.cmp; ty : Types.t; a : operand; b : operand; dst : int }
+  (* integer setcc: [compare] is [Eval.int_compare rty], and [lt], [eq]
+     and [gt] are the results when it is negative, zero and positive *)
+  | Setcc_int of {
+      cmp : Ir.cmp;
+      ty : Types.t;
+      rty : Types.t; (* [ty] resolved *)
+      compare : int64 -> int64 -> int;
+      lt : Eval.scalar;
+      eq : Eval.scalar;
+      gt : Eval.scalar;
+      a : operand;
+      b : operand;
+      dst : int;
+    }
   | Ret of operand option
   | Jump of edge
   | Cond of { cond : operand; t : edge; f : edge }
@@ -85,8 +108,35 @@ type kind =
       undef : Eval.scalar;
     }
   | Store of { v : operand; ptr : operand; ty : Types.t deferred; ee : bool }
+  (* loads and stores of an integer or pointer [width] bytes wide *)
+  | Load_int of {
+      ptr : operand;
+      ty : Types.t;
+      width : int;
+      dst : int;
+      ee : bool;
+      undef : Eval.scalar;
+    }
+  | Load_ptr of {
+      ptr : operand;
+      width : int;
+      dst : int;
+      ee : bool;
+      undef : Eval.scalar;
+    }
+  | Store_word of { v : operand; ptr : operand; width : int; ee : bool }
   (* ptr + const + sum of (index * scale) *)
   | Gep of { ptr : operand; const : int; terms : (operand * int) array; dst : int }
+  (* ptr + const + idx * scale, masked by [Eval.pointer_mask]; a gep
+     with no scaled term has scale 0 *)
+  | Gep_scaled of {
+      ptr : operand;
+      const : int;
+      idx : operand;
+      scale : int;
+      mask : int64;
+      dst : int;
+    }
   (* geps the lowering could not fold go through Layout.gep_offset *)
   | Gep_generic of {
       ptr : operand;
@@ -96,6 +146,17 @@ type kind =
     }
   | Alloca of { count : operand option; elem : (int * int) deferred; dst : int }
   | Cast of { v : operand; tys : (Types.t * Types.t) deferred; dst : int }
+  (* a cast to integer type [ty] from an integer, bool or pointer;
+     [zero] and [one] are the casts of [false] and [true] *)
+  | Cast_int of {
+      v : operand;
+      ty : Types.t;
+      zero : Eval.scalar;
+      one : Eval.scalar;
+      dst : int;
+    }
+  (* a cast to pointer type [ty] from an integer, bool or pointer *)
+  | Cast_ptr of { v : operand; ty : Types.t; mask : int64; dst : int }
   | Raise of exn (* an instruction whose shape could not be lowered *)
 
 type lblock = {
@@ -171,13 +232,13 @@ let force = function Ok v -> v | Error e -> raise e
 
 let scalar_of_const st (c : Ir.const) : Eval.scalar =
   match c.Ir.ckind with
-  | Ir.Cbool b -> Eval.B b
+  | Ir.Cbool b -> Eval.of_bool b
   | Ir.Cint v -> Eval.I (c.Ir.cty, v)
   | Ir.Cfloat v -> Eval.F (c.Ir.cty, Eval.round_float c.Ir.cty v)
   | Ir.Cnull -> Eval.P 0L
   | Ir.Czero -> (
       match Types.resolve st.env c.Ir.cty with
-      | Types.Bool -> Eval.B false
+      | Types.Bool -> Eval.b_false
       | t when Types.is_integer t -> Eval.I (t, 0L)
       | t when Types.is_fp t -> Eval.F (t, 0.0)
       | Types.Pointer _ -> Eval.P 0L
@@ -265,6 +326,11 @@ let lower st (f : Ir.func) : lfunc =
               })
   in
   let label (i : Ir.instr) k () = Ir.block_of_value i.Ir.operands.(k) in
+  (* a static type resolved, or [Void] (never specialized) when it
+     cannot be *)
+  let resolved ty = try Types.resolve st.env ty with _ -> Types.Void in
+  let width = Types.scalar_bytes st.mem.Vmem.Memory.target in
+  let mask = Eval.pointer_mask st.m.Ir.target in
   let gep (i : Ir.instr) ptr =
     let ptr_ty = Ir.type_of_value i.Ir.operands.(0) in
     let idx = Array.sub i.Ir.operands 1 (Array.length i.Ir.operands - 1) in
@@ -295,7 +361,11 @@ let lower st (f : Ir.func) : lfunc =
                 ty := fty
             | _ -> raise Exit)
         ops;
-      Gep { ptr; const = !const; terms = Array.of_list (List.rev !terms); dst = dst i }
+      let const = !const and dst = dst i in
+      match !terms with
+      | [] -> Gep_scaled { ptr; const; idx = Imm (Eval.I (Types.Long, 0L)); scale = 0; mask; dst }
+      | [ (idx, scale) ] -> Gep_scaled { ptr; const; idx; scale; mask; dst }
+      | terms -> Gep { ptr; const; terms = Array.of_list (List.rev terms); dst }
     in
     match fold () with
     | g -> g
@@ -325,7 +395,24 @@ let lower st (f : Ir.func) : lfunc =
           }
     | Ir.Binop o -> Arith { op = o; a = op 0; b = op 1; dst = dst i }
     | Ir.Setcc c ->
-        Setcc { cmp = c; ty = Ir.type_of_value ops.(0); a = op 0; b = op 1; dst = dst i }
+        let ty = Ir.type_of_value ops.(0) in
+        let rty = resolved ty in
+        if Types.is_integer rty then
+          let result sign = Eval.of_bool (Eval.holds c sign) in
+          Setcc_int
+            {
+              cmp = c;
+              ty;
+              rty;
+              compare = Eval.int_compare rty;
+              lt = result (-1);
+              eq = result 0;
+              gt = result 1;
+              a = op 0;
+              b = op 1;
+              dst = dst i;
+            }
+        else Setcc { cmp = c; ty; a = op 0; b = op 1; dst = dst i }
     | Ir.Ret -> Ret (if nops = 0 then None else Some (op 0))
     | Ir.Br ->
         if nops = 1 then Jump (edge b (label i 0))
@@ -356,23 +443,29 @@ let lower st (f : Ir.func) : lfunc =
             args = Array.init (nops - 1) (fun k -> op (k + 1));
             dst = dst i;
           }
-    | Ir.Load ->
-        Load
-          {
-            ptr = op 0;
-            ty = defer (fun () -> Types.resolve st.env i.Ir.ity);
-            dst = dst i;
-            ee = i.Ir.exceptions_enabled;
-            undef = Eval.Undef i.Ir.ity;
-          }
-    | Ir.Store ->
-        Store
-          {
-            v = op 0;
-            ptr = op 1;
-            ty = defer (fun () -> Types.resolve st.env (Ir.type_of_value ops.(0)));
-            ee = i.Ir.exceptions_enabled;
-          }
+    | Ir.Load -> (
+        let ptr = op 0 and dst = dst i and ee = i.Ir.exceptions_enabled in
+        let undef = Eval.Undef i.Ir.ity in
+        match resolved i.Ir.ity with
+        | ty when Types.is_integer ty ->
+            Load_int { ptr; ty; width = width ty; dst; ee; undef }
+        | Types.Pointer _ as ty -> Load_ptr { ptr; width = width ty; dst; ee; undef }
+        | _ ->
+            let ty = defer (fun () -> Types.resolve st.env i.Ir.ity) in
+            Load { ptr; ty; dst; ee; undef })
+    | Ir.Store -> (
+        let v = op 0 and ptr = op 1 and ee = i.Ir.exceptions_enabled in
+        match resolved (Ir.type_of_value ops.(0)) with
+        | ty when Types.is_integer ty || Types.is_pointer ty ->
+            Store_word { v; ptr; width = width ty; ee }
+        | _ ->
+            Store
+              {
+                v;
+                ptr;
+                ty = defer (fun () -> Types.resolve st.env (Ir.type_of_value ops.(0)));
+                ee;
+              })
     | Ir.Getelementptr -> gep i (op 0)
     | Ir.Alloca ->
         Alloca
@@ -385,16 +478,23 @@ let lower st (f : Ir.func) : lfunc =
                   (size, Vmem.Layout.align_of st.layout elem));
             dst = dst i;
           }
-    | Ir.Cast ->
-        Cast
-          {
-            v = op 0;
-            tys =
-              defer (fun () ->
-                  let src = Types.resolve st.env (Ir.type_of_value ops.(0)) in
-                  (src, Types.resolve st.env i.Ir.ity));
-            dst = dst i;
-          }
+    | Ir.Cast -> (
+        let v = op 0 and dst = dst i in
+        let tys =
+          defer (fun () ->
+              let src = Types.resolve st.env (Ir.type_of_value ops.(0)) in
+              (src, Types.resolve st.env i.Ir.ity))
+        in
+        let word = function
+          | Types.Bool | Types.Pointer _ -> true
+          | t -> Types.is_integer t
+        in
+        match tys with
+        | Ok (src, ty) when word src && Types.is_integer ty ->
+            let zero = Eval.cast_to_int ty Eval.b_false in
+            Cast_int { v; ty; zero; one = Eval.cast_to_int ty Eval.b_true; dst }
+        | Ok (src, (Types.Pointer _ as ty)) when word src -> Cast_ptr { v; ty; mask; dst }
+        | _ -> Cast { v; tys; dst })
     | Ir.Phi -> assert false
   in
   let lower_block (b : Ir.block) =
@@ -431,7 +531,43 @@ let form_of st (f : Ir.func) =
 
 (* ---------- execution ---------- *)
 
-let[@inline] get regs = function Slot k -> regs.(k) | Imm s -> s | Fail e -> raise e
+(* Registers are read and written unchecked: every [Slot k] and every
+   [dst] of a value-producing kind is a slot of the function, and the
+   frame is a copy of the template, which has one entry per slot. (A
+   void [invoke] has no slot, so [Invoke] writes checked.) *)
+let[@inline] get (regs : Eval.scalar array) = function
+  | Slot k -> Array.unsafe_get regs k
+  | Imm s -> s
+  | Fail e -> raise e
+
+let[@inline] set (regs : Eval.scalar array) dst v = Array.unsafe_set regs dst v
+
+(* [Eval.to_int64] of a pointer or an integer operand, without the call
+   on the shape its static type predicts *)
+let[@inline] pointer regs op =
+  match get regs op with Eval.P a -> a | s -> Eval.to_int64 s
+
+let[@inline] integer regs op =
+  match get regs op with Eval.I (_, i) -> i | s -> Eval.to_int64 s
+
+(* Take [e] out of block [b]: report it and run the target's phis
+   simultaneously. Returns the target's block index. *)
+let[@inline] cross st regs (b : lblock) e =
+  match e with
+  | Bad_edge x -> raise x
+  | Edge { dst; target; phi_slots; phi_srcs; phi_tmp } ->
+      (match st.on_edge with Some hook -> hook b.block target | None -> ());
+      let n = Array.length phi_slots in
+      if n = 1 then set regs phi_slots.(0) (get regs phi_srcs.(0))
+      else if n > 1 then begin
+        for j = 0 to n - 1 do
+          phi_tmp.(j) <- get regs phi_srcs.(j)
+        done;
+        for j = 0 to n - 1 do
+          set regs phi_slots.(j) phi_tmp.(j)
+        done
+      end;
+      dst
 
 (* Always raises; declared as returning unit so call sites follow it with
    their own (unreachable) result expression. *)
@@ -538,24 +674,9 @@ and call_function st (f : Ir.func) (args : Eval.scalar array) : Eval.scalar =
         raise e
   end
 
-(* Take [e] out of block [b]: report it, run the target's phis
-   simultaneously, and continue at the target's first instruction. *)
+(* Continue at the target of [e], taken out of block [b]. *)
 and take_edge st regs lf (b : lblock) e =
-  match e with
-  | Bad_edge x -> raise x
-  | Edge { dst; target; phi_slots; phi_srcs; phi_tmp } ->
-      (match st.on_edge with Some hook -> hook b.block target | None -> ());
-      let n = Array.length phi_slots in
-      if n = 1 then regs.(phi_slots.(0)) <- get regs phi_srcs.(0)
-      else if n > 1 then begin
-        for j = 0 to n - 1 do
-          phi_tmp.(j) <- get regs phi_srcs.(j)
-        done;
-        for j = 0 to n - 1 do
-          regs.(phi_slots.(j)) <- phi_tmp.(j)
-        done
-      end;
-      exec st regs lf lf.blocks.(dst) 0
+  exec st regs lf (Array.unsafe_get lf.blocks (cross st regs b e)) 0
 
 (* Execute block [b] from instruction [k] until a return. *)
 and exec st regs lf (b : lblock) k =
@@ -563,13 +684,17 @@ and exec st regs lf (b : lblock) k =
     invalid_arg "Interp: block fell through without terminator";
   let s = st.stats in
   s.steps <- s.steps + 1;
-  let code = b.codes.(k) in
-  s.by_opcode.(code) <- s.by_opcode.(code) + 1;
+  let code = Array.unsafe_get b.codes k in
+  (* opcode codes are 1..28, [by_opcode] has 29 entries *)
+  Array.unsafe_set s.by_opcode code (Array.unsafe_get s.by_opcode code + 1);
   if st.fuel >= 0 && s.steps > st.fuel then raise Out_of_fuel;
-  match b.kinds.(k) with
+  match Array.unsafe_get b.kinds k with
   | Arith { op; a; b = b'; dst } ->
       let y = get regs b' in
-      regs.(dst) <- Eval.binop op (get regs a) y;
+      set regs dst
+        (match (get regs a, y) with
+        | Eval.I (ty, x), Eval.I (_, y) -> Eval.int_binop op ty x y
+        | x, y -> Eval.binop op x y);
       exec st regs lf b (k + 1)
   | Divide { op; a; b = b'; dst; ee; undef } ->
       let r =
@@ -580,17 +705,29 @@ and exec st regs lf (b : lblock) k =
         | Eval.Division_by_zero -> guard st ee Division_by_zero undef
         | Eval.Overflow -> guard st ee Overflow undef
       in
-      regs.(dst) <- r;
+      set regs dst r;
       exec st regs lf b (k + 1)
   | Setcc { cmp; ty; a; b = b'; dst } ->
       let y = get regs b' in
-      regs.(dst) <- Eval.compare_scalars ty cmp (get regs a) y;
+      set regs dst (Eval.compare_scalars ty cmp (get regs a) y);
+      exec st regs lf b (k + 1)
+  | Setcc_int { cmp; ty; rty; compare; lt; eq; gt; a; b = b'; dst } ->
+      let y = get regs b' in
+      set regs dst
+        (match (get regs a, y) with
+        | Eval.I (t, x), Eval.I (_, y) when t == rty ->
+            let c = compare x y in
+            if c < 0 then lt else if c = 0 then eq else gt
+        | x, y -> Eval.compare_scalars ty cmp x y);
       exec st regs lf b (k + 1)
   | Ret None -> Eval.Undef Types.Void
   | Ret (Some v) -> get regs v
-  | Jump e -> take_edge st regs lf b e
+  (* [take_edge], written out: a self tail call reuses this frame *)
+  | Jump e -> exec st regs lf (Array.unsafe_get lf.blocks (cross st regs b e)) 0
   | Cond { cond; t; f } ->
-      take_edge st regs lf b (if Eval.to_bool (get regs cond) then t else f)
+      let taken = match get regs cond with Eval.B c -> c | c -> Eval.to_bool c in
+      let e = if taken then t else f in
+      exec st regs lf (Array.unsafe_get lf.blocks (cross st regs b e)) 0
   | Mbr { sel; cases; default } ->
       let sel = Eval.to_int64 (get regs sel) in
       let rec find j =
@@ -613,7 +750,7 @@ and exec st regs lf (b : lblock) k =
       let callee = Eval.to_int64 (get regs callee) in
       let args = Array.map (get regs) args in
       let result = exec_call st callee args in
-      if dst >= 0 then regs.(dst) <- result;
+      if dst >= 0 then set regs dst result;
       exec st regs lf b (k + 1)
   | Load { ptr; ty; dst; ee; undef } ->
       let r =
@@ -623,7 +760,7 @@ and exec st regs lf (b : lblock) k =
           Vmem.Memory.read_scalar st.mem (force ty) addr
         with Vmem.Memory.Fault a -> guard st ee (Memory_fault a) undef
       in
-      regs.(dst) <- r;
+      set regs dst r;
       exec st regs lf b (k + 1)
   | Store { v; ptr; ty; ee } ->
       (try
@@ -633,6 +770,38 @@ and exec st regs lf (b : lblock) k =
          Vmem.Memory.write_scalar st.mem ty addr (get regs v)
        with Vmem.Memory.Fault a -> guard st ee (Memory_fault a) ());
       exec st regs lf b (k + 1)
+  | Load_int { ptr; ty; width; dst; ee; undef } ->
+      let r =
+        try
+          let addr = pointer regs ptr in
+          if Int64.equal addr 0L then raise (Vmem.Memory.Fault 0L);
+          Eval.norm ty (Vmem.Memory.read_uint st.mem addr width)
+        with Vmem.Memory.Fault a -> guard st ee (Memory_fault a) undef
+      in
+      set regs dst r;
+      exec st regs lf b (k + 1)
+  | Load_ptr { ptr; width; dst; ee; undef } ->
+      let r =
+        try
+          let addr = pointer regs ptr in
+          if Int64.equal addr 0L then raise (Vmem.Memory.Fault 0L);
+          Eval.P (Vmem.Memory.read_uint st.mem addr width)
+        with Vmem.Memory.Fault a -> guard st ee (Memory_fault a) undef
+      in
+      set regs dst r;
+      exec st regs lf b (k + 1)
+  | Store_word { v; ptr; width; ee } ->
+      (try
+         let addr = pointer regs ptr in
+         if Int64.equal addr 0L then raise (Vmem.Memory.Fault 0L);
+         Vmem.Memory.write_uint st.mem addr width (integer regs v)
+       with Vmem.Memory.Fault a -> guard st ee (Memory_fault a) ());
+      exec st regs lf b (k + 1)
+  | Gep_scaled { ptr; const; idx; scale; mask; dst } ->
+      let p = pointer regs ptr in
+      let off = const + (Int64.to_int (integer regs idx) * scale) in
+      set regs dst (Eval.P (Int64.logand (Int64.add p (Int64.of_int off)) mask));
+      exec st regs lf b (k + 1)
   | Gep { ptr; const; terms; dst } ->
       let p = Eval.to_int64 (get regs ptr) in
       let off = ref const in
@@ -640,8 +809,8 @@ and exec st regs lf (b : lblock) k =
         let idx, scale = terms.(j) in
         off := !off + (Int64.to_int (Eval.to_int64 (get regs idx)) * scale)
       done;
-      regs.(dst) <-
-        Eval.P (Eval.mask_pointer st.m.Ir.target (Int64.add p (Int64.of_int !off)));
+      set regs dst
+        (Eval.P (Eval.mask_pointer st.m.Ir.target (Int64.add p (Int64.of_int !off))));
       exec st regs lf b (k + 1)
   | Gep_generic { ptr; ptr_ty; indexes; dst } ->
       let p = Eval.to_int64 (get regs ptr) in
@@ -649,8 +818,8 @@ and exec st regs lf (b : lblock) k =
         Array.to_list (Array.map (fun (ty, v) -> (ty, Eval.to_int64 (get regs v))) indexes)
       in
       let off, _ = Vmem.Layout.gep_offset st.layout ptr_ty indexes in
-      regs.(dst) <-
-        Eval.P (Eval.mask_pointer st.m.Ir.target (Int64.add p (Int64.of_int off)));
+      set regs dst
+        (Eval.P (Eval.mask_pointer st.m.Ir.target (Int64.add p (Int64.of_int off))));
       exec st regs lf b (k + 1)
   | Alloca { count; elem; dst } ->
       let count =
@@ -668,7 +837,7 @@ and exec st regs lf (b : lblock) k =
       end
       else begin
         st.stack <- sp;
-        regs.(dst) <- Eval.P sp;
+        set regs dst (Eval.P sp);
         exec st regs lf b (k + 1)
       end
   | Cast { v; tys; dst } ->
@@ -678,7 +847,19 @@ and exec st regs lf (b : lblock) k =
         | Eval.P a -> Eval.P (Eval.mask_pointer st.m.Ir.target a)
         | r -> r
       in
-      regs.(dst) <- result;
+      set regs dst result;
+      exec st regs lf b (k + 1)
+  | Cast_int { v; ty; zero; one; dst } ->
+      set regs dst
+        (match get regs v with
+        | Eval.B c -> if c then one else zero
+        | s -> Eval.cast_to_int ty s);
+      exec st regs lf b (k + 1)
+  | Cast_ptr { v; ty; mask; dst } ->
+      set regs dst
+        (match Eval.cast_to_pointer ty (get regs v) with
+        | Eval.P a -> Eval.P (Int64.logand a mask)
+        | r -> r);
       exec st regs lf b (k + 1)
   | Raise e -> raise e
 

@@ -272,7 +272,9 @@ let decode (data : string) : Ir.modl =
       let pool_arr = Array.of_list pool in
       let args_arr = Array.of_list f.Ir.fargs in
       let lookup idx : Ir.value =
-        if idx < nargs then Ir.Varg args_arr.(idx)
+        (* a compact operand reaching back past the first argument *)
+        if idx < 0 then fail "operand index out of range"
+        else if idx < nargs then Ir.Varg args_arr.(idx)
         else if idx < nargs + ninstrs then Ir.Vreg instr_arr.(idx - nargs)
         else if idx < nargs + ninstrs + nblocks then
           Ir.Vblock block_arr.(idx - nargs - ninstrs)

@@ -27,6 +27,12 @@ type scalar =
 exception Division_by_zero
 exception Overflow (* signed INT_MIN / -1 division or remainder *)
 
+(* The two booleans. Every boolean result below is one of these shared
+   values, so comparisons, bool casts and bool loads allocate nothing. *)
+let b_true = B true
+let b_false = B false
+let of_bool b = if b then b_true else b_false
+
 let type_of = function
   | B _ -> Types.Bool
   | I (ty, _) -> ty
@@ -62,6 +68,8 @@ let to_float = function
   | P a -> Int64.to_float a
   | Undef _ -> 0.0
 
+(* The integer of type [ty] whose canonical representative is [v]
+   reduced to the type's width. *)
 let norm ty v = I (ty, Ir.normalize_int ty v)
 
 (* Unsigned 64-bit division helpers. *)
@@ -144,11 +152,11 @@ let binop op a b =
   | F (ty, x), F (_, y) -> float_binop op ty x y
   | B x, B y -> (
       match op with
-      | Ir.And -> B (x && y)
-      | Ir.Or -> B (x || y)
-      | Ir.Xor -> B (x <> y)
-      | Ir.Add -> B (x <> y)
-      | Ir.Mul -> B (x && y)
+      | Ir.And -> of_bool (x && y)
+      | Ir.Or -> of_bool (x || y)
+      | Ir.Xor -> of_bool (x <> y)
+      | Ir.Add -> of_bool (x <> y)
+      | Ir.Mul -> of_bool (x && y)
       | _ -> invalid_arg "Eval.binop: unsupported bool op")
   | P x, I (_, y) -> (
       (* pointer +/- integer arises only from lowered code; keep it exact *)
@@ -163,12 +171,24 @@ let binop op a b =
   | Undef ty, _ | _, Undef ty -> Undef ty
   | _ -> invalid_arg "Eval.binop: mixed operand kinds"
 
+(* Whether relation [cmp] holds of a three-way comparison result. *)
+let holds cmp c =
+  match cmp with
+  | Ir.Eq -> c = 0
+  | Ir.Ne -> c <> 0
+  | Ir.Lt -> c < 0
+  | Ir.Gt -> c > 0
+  | Ir.Le -> c <= 0
+  | Ir.Ge -> c >= 0
+
+(* The three-way comparison of two integers of type [ty]: signed or
+   unsigned by the type. *)
+let int_compare ty = if Types.is_signed ty then Int64.compare else Int64.unsigned_compare
+
 let compare_ordered ty cmp a b =
   let c =
     match (a, b) with
-    | I (ity, x), I (_, y) ->
-        if Types.is_signed ity then Int64.compare x y
-        else Int64.unsigned_compare x y
+    | I (ity, x), I (_, y) -> int_compare ity x y
     | F (_, x), F (_, y) -> Float.compare x y
     | B x, B y -> Bool.compare x y
     | P x, P y -> Int64.unsigned_compare x y
@@ -179,16 +199,7 @@ let compare_ordered ty cmp a b =
     | Undef _, _ | _, Undef _ -> 0
     | _ -> invalid_arg ("Eval.compare: mixed kinds at " ^ Types.to_string ty)
   in
-  let r =
-    match cmp with
-    | Ir.Eq -> c = 0
-    | Ir.Ne -> c <> 0
-    | Ir.Lt -> c < 0
-    | Ir.Gt -> c > 0
-    | Ir.Le -> c <= 0
-    | Ir.Ge -> c >= 0
-  in
-  B r
+  of_bool (holds cmp c)
 
 let compare_scalars ty cmp a b =
   match (a, b) with
@@ -196,31 +207,43 @@ let compare_scalars ty cmp a b =
       (* IEEE-754 unordered semantics: comparisons against NaN are
          false, except Ne which is true. [Float.compare]'s total order
          must not be used here — it would make NaN == NaN hold. *)
-      B (cmp = Ir.Ne)
+      of_bool (cmp = Ir.Ne)
   | _ -> compare_ordered ty cmp a b
 
 (* The paper's cast instruction: the sole conversion mechanism. Sign
    extension follows the *source* type's signedness (original LLVM 1.x
-   semantics). *)
+   semantics). [cast_to_int] and [cast_to_pointer] are its integer and
+   pointer destinations. *)
+let cast_to_int ty v =
+  match v with
+  | B b -> norm ty (if b then 1L else 0L)
+  | I (_, x) -> norm ty x
+  | P a -> norm ty a
+  | F (_, x) ->
+      (* fp -> int truncates toward zero *)
+      let x = if Float.is_nan x then 0.0 else x in
+      norm ty (Int64.of_float x)
+  | Undef _ -> norm ty 0L
+
+let cast_to_pointer dst_ty v =
+  match v with
+  | P a -> P a
+  | I (ity, x) ->
+      (* truncate/extend through the source width; addresses are
+         unsigned *)
+      let bits =
+        if Types.is_signed ity then x
+        else Ir.normalize_int (Types.unsigned_variant ity) x
+      in
+      P bits
+  | B b -> P (if b then 1L else 0L)
+  | Undef _ -> Undef dst_ty
+  | F _ -> invalid_arg "Eval.cast: float to pointer"
+
 let cast ~src_ty ~dst_ty v =
-  let to_int_bits () =
-    match v with
-    | B b -> if b then 1L else 0L
-    | I (_, x) -> x
-    | P a -> a
-    | F (_, x) ->
-        (* fp -> int truncates toward zero *)
-        if Float.is_nan x then 0L else Int64.of_float x
-    | Undef _ -> 0L
-  in
   match dst_ty with
-  | Types.Bool -> B (to_bool v)
-  | ty when Types.is_integer ty -> (
-      match v with
-      | F (_, x) ->
-          let x = if Float.is_nan x then 0.0 else x in
-          norm ty (Int64.of_float x)
-      | _ -> norm ty (to_int_bits ()))
+  | Types.Bool -> of_bool (to_bool v)
+  | ty when Types.is_integer ty -> cast_to_int ty v
   | Types.Float | Types.Double -> (
       let fty = dst_ty in
       match v with
@@ -235,29 +258,19 @@ let cast ~src_ty ~dst_ty v =
       | B b -> F (fty, if b then 1.0 else 0.0)
       | P a -> F (fty, Int64.to_float a)
       | Undef _ -> Undef fty)
-  | Types.Pointer _ -> (
-      match v with
-      | P a -> P a
-      | I (ity, x) ->
-          (* truncate/extend through the source width; addresses are
-             unsigned *)
-          let bits =
-            if Types.is_signed ity then x
-            else Ir.normalize_int (Types.unsigned_variant ity) x
-          in
-          P bits
-      | B b -> P (if b then 1L else 0L)
-      | Undef _ -> Undef dst_ty
-      | F _ -> invalid_arg "Eval.cast: float to pointer")
+  | Types.Pointer _ -> cast_to_pointer dst_ty v
   | _ ->
       invalid_arg
         (Printf.sprintf "Eval.cast: %s -> %s" (Types.to_string src_ty)
            (Types.to_string dst_ty))
 
 (* Mask a pointer value to the target's pointer width, modelling a 32-bit
-   address space on 32-bit configurations. *)
-let mask_pointer (target : Target.config) a =
-  if target.ptr_size = 4 then Int64.logand a 0xFFFFFFFFL else a
+   address space on 32-bit configurations. [pointer_mask] is the mask
+   itself, for callers that apply it many times. *)
+let pointer_mask (target : Target.config) =
+  if target.ptr_size = 4 then 0xFFFFFFFFL else -1L
+
+let mask_pointer target a = Int64.logand a (pointer_mask target)
 
 let equal a b =
   match (a, b) with

@@ -23,6 +23,17 @@ type scalar =
 exception Division_by_zero
 exception Overflow
 
+val b_true : scalar
+val b_false : scalar
+
+val of_bool : bool -> scalar
+(** [b_true] or [b_false]: every boolean this module returns is one of
+    these two shared values. *)
+
+val norm : Types.t -> int64 -> scalar
+(** [norm ty v] is the integer of type [ty] whose bits are [v] reduced to
+    the type's width (see {!Ir.normalize_int}). *)
+
 val type_of : scalar -> Types.t
 val round_float : Types.t -> float -> float
 
@@ -46,15 +57,33 @@ val binop : Ir.binop -> scalar -> scalar -> scalar
 val compare_scalars : Types.t -> Ir.cmp -> scalar -> scalar -> scalar
 (** The [setcc] instructions; signedness follows the operand type.
     Floating comparisons are IEEE-754 unordered: when either operand is
-    NaN, every relation except [Ne] is false. *)
+    NaN, every relation except [Ne] is false. On two integers it is
+    [of_bool (holds cmp (int_compare ty x y))], [ty] the first
+    operand's type. *)
+
+val holds : Ir.cmp -> int -> bool
+(** Whether a relation holds of a three-way comparison result. *)
+
+val int_compare : Types.t -> int64 -> int64 -> int
+(** Three-way comparison of two integers, signed or unsigned by the
+    type. [int_compare ty] can be computed once per type. *)
 
 val cast : src_ty:Types.t -> dst_ty:Types.t -> scalar -> scalar
 (** The paper's sole conversion mechanism; sign extension follows the
     source type's signedness. *)
 
+val cast_to_int : Types.t -> scalar -> scalar
+(** {!cast} to an integer type. *)
+
+val cast_to_pointer : Types.t -> scalar -> scalar
+(** {!cast} to a pointer type (before {!mask_pointer}). *)
+
 val mask_pointer : Target.config -> int64 -> int64
 (** Truncate an address to the target's pointer width (32-bit configs
     model a 32-bit address space). *)
+
+val pointer_mask : Target.config -> int64
+(** The mask {!mask_pointer} applies with [Int64.logand]. *)
 
 val equal : scalar -> scalar -> bool
 val to_string : scalar -> string

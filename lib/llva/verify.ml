@@ -263,6 +263,10 @@ let check_function ctx f =
   else begin
     check_names ctx f.freturn;
     List.iter (fun a -> check_names ctx a.aty) f.fargs;
+    (* phis [check_instr] rejected (e.g. an odd operand count or a
+       predecessor that is not a label): the coverage and dominance
+       passes below read them as value/label pairs, so they skip them *)
+    let bad_phis = Hashtbl.create 4 in
     (* structure: nonempty blocks, single trailing terminator, leading phis *)
     List.iter
       (fun b ->
@@ -294,7 +298,9 @@ let check_function ctx f =
             | Some p when p == b -> ()
             | _ -> err ctx "instruction with wrong parent");
             check_names ctx i.ity;
+            let before = ctx.errors in
             check_instr ctx i;
+            if i.op = Phi && ctx.errors != before then Hashtbl.replace bad_phis i.iid ();
             (* ret must match the signature *)
             if i.op = Ret then begin
               let n = Array.length i.operands in
@@ -330,7 +336,9 @@ let check_function ctx f =
                 if not (List.exists (fun p -> p == ib) preds) then
                   err ctx "phi has incoming for non-predecessor %%%s" ib.bname)
               inc_blocks)
-          (block_phis b))
+          (List.filter
+             (fun phi -> not (Hashtbl.mem bad_phis phi.iid))
+             (block_phis b)))
       f.fblocks;
     (* entry block must not have predecessors *)
     (match f.fblocks with
@@ -357,7 +365,8 @@ let check_function ctx f =
     let def_dominates_use (def : instr) (use : instr) op_idx =
       match (Hashtbl.find_opt instr_pos def.iid, Hashtbl.find_opt instr_pos use.iid) with
       | Some (db, dk), Some (ub, uk) ->
-          if use.op = Phi then
+          if use.op = Phi && Hashtbl.mem bad_phis use.iid then true
+          else if use.op = Phi then
             (* the def must dominate the incoming edge's source block *)
             let pred =
               match use.operands.(op_idx + 1) with

@@ -229,12 +229,10 @@ let write_u64 mem addr v =
 
 let read_scalar mem ty addr : Eval.scalar =
   match ty with
-  | Types.Bool -> Eval.B (read_u8 mem addr <> 0)
+  | Types.Bool -> Eval.of_bool (read_u8 mem addr <> 0)
   | Types.Ubyte | Types.Sbyte | Types.Ushort | Types.Short | Types.Uint
   | Types.Int | Types.Ulong | Types.Long ->
-      let n = Types.scalar_bytes mem.target ty in
-      let raw = read_uint mem addr n in
-      Eval.I (ty, Ir.normalize_int ty raw)
+      Eval.norm ty (read_uint mem addr (Types.scalar_bytes mem.target ty))
   | Types.Float ->
       let raw = read_uint mem addr 4 in
       Eval.F (ty, Int32.float_of_bits (Int64.to_int32 raw))

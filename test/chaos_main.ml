@@ -511,6 +511,88 @@ let run_kill9_chaos exe =
       Printf.printf "ok (torn %d, quarantined %d)\n%!" (List.length damaged)
         (List.length quarantined))
 
+(* ---- scenario 7: mutated virtual object code ----
+   200 seeded mutants of each workload's -O1 encoding, in three kinds
+   (one flipped bit, one byte set to a random value, a truncation), go
+   through [Decode.decode] and then [Verify.verify_module]. Each must end
+   as a decode error, a verifier reject or a verified module; any other
+   exception is an escape and fails the campaign. The per-class counts
+   are pinned line for line in mutants.expected. The seed is fixed and
+   independent of CHAOS_SEED, so the counts are too. *)
+
+let mutant_seed = 0x5EED
+let mutants_per_encoding = 200
+let mutant_kinds = [| "bit-flip"; "random-byte"; "truncate" |]
+
+let mutate rng kind bytes =
+  let n = String.length bytes in
+  match kind with
+  | 0 ->
+      let b = Bytes.of_string bytes and p = Random.State.int rng n in
+      Bytes.set_uint8 b p (Bytes.get_uint8 b p lxor (1 lsl Random.State.int rng 8));
+      Bytes.to_string b
+  | 1 ->
+      let b = Bytes.of_string bytes and p = Random.State.int rng n in
+      Bytes.set_uint8 b p (Random.State.int rng 256);
+      Bytes.to_string b
+  | _ -> String.sub bytes 0 (Random.State.int rng n)
+
+type mutant_class = Decode_error | Verify_reject | Verified
+
+let classify bytes =
+  match Llva.Decode.decode bytes with
+  | exception Llva.Decode.Error _ -> Ok Decode_error
+  | exception e -> Error ("decode: " ^ Printexc.to_string e)
+  | m -> (
+      match Llva.Verify.verify_module m with
+      | [] -> Ok Verified
+      | _ -> Ok Verify_reject
+      | exception e -> Error ("verify: " ^ Printexc.to_string e))
+
+let run_mutant_sweep expected_path =
+  Printf.printf "mutant-sweep       %!";
+  let rng = Random.State.make [| mutant_seed |] in
+  let lines = Buffer.create 4096 and escapes = ref 0 and total = ref 0 in
+  List.iter
+    (fun (w : Workloads.workload) ->
+      let bytes = Llva.Encode.encode (Workloads.compile_optimized ~level:1 w) in
+      let counts = Array.make_matrix (Array.length mutant_kinds) 3 0 in
+      for k = 0 to mutants_per_encoding - 1 do
+        let kind = k mod Array.length mutant_kinds in
+        let mutant = mutate rng kind bytes in
+        incr total;
+        match classify mutant with
+        | Ok c ->
+            let j = match c with Decode_error -> 0 | Verify_reject -> 1 | Verified -> 2 in
+            counts.(kind).(j) <- counts.(kind).(j) + 1
+        | Error msg ->
+            incr escapes;
+            check
+              (Printf.sprintf "%s mutant %d (%s) escaped: %s" w.Workloads.name k
+                 mutant_kinds.(kind) msg)
+              false
+      done;
+      Array.iteri
+        (fun kind c ->
+          Printf.bprintf lines
+            "%-17s %-11s decode-error %3d  verify-reject %3d  verified %3d\n"
+            w.Workloads.name mutant_kinds.(kind) c.(0) c.(1) c.(2))
+        counts)
+    Workloads.all;
+  let got = Buffer.contents lines in
+  let expected =
+    In_channel.with_open_text expected_path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+    |> List.map (fun l -> l ^ "\n")
+    |> String.concat ""
+  in
+  if got <> expected then begin
+    Printf.printf "\n%s" got;
+    check ("mutant class counts differ from " ^ expected_path) false
+  end;
+  Printf.printf "ok (%d mutants, %d escapes)\n%!" !total !escapes
+
 let () =
   Printf.printf "chaos campaign: %d workloads, fault seed %#x\n%!"
     (List.length Workloads.all) seed;
@@ -520,6 +602,8 @@ let () =
   run_tv_chaos ();
   (if Array.length Sys.argv > 1 then run_kill9_chaos Sys.argv.(1)
    else Printf.printf "kill9-chaos        skipped (no llva-run path given)\n%!");
+  (if Array.length Sys.argv > 2 then run_mutant_sweep Sys.argv.(2)
+   else Printf.printf "mutant-sweep       skipped (no mutants.expected given)\n%!");
   Printf.printf
     "campaign totals: %d damaged serves, %d quarantined, %d repaired, %d torn \
      writes, %d failed writes, %d transient faults (%d retried)\n"

@@ -238,3 +238,59 @@ let test_unknown_opcode () =
 
 let suite =
   suite @ [ Alcotest.test_case "unknown opcode" `Quick test_unknown_opcode ]
+
+(* Mutated object code must end in [Decode.Error] or a verifier
+   diagnostic, never in a raw OCaml exception. Each regression below is
+   a one-byte mutant of a compact single-incoming phi, [phi int [%x,
+   %entry]], whose operand bytes are 2 (%x, two slots back) and 128 (the
+   first block); [phi_mutant off v] sets byte [off] of that instruction
+   to [v]. *)
+let phi_mutant off v =
+  let src =
+    "int %main(int %a) {\nentry:\n  %x = add int %a, 1\n  br label %next\nnext:\n\
+    \  %p = phi int [ %x, %entry ]\n  ret int %p\n}\n"
+  in
+  let bytes = Encode.encode (Resolve.parse_module src) in
+  let phi = 0x80 lor Ir.opcode_code Ir.Phi in
+  let at =
+    List.filter
+      (fun k ->
+        Char.code bytes.[k] = phi
+        && Char.code bytes.[k + 2] = 2
+        && Char.code bytes.[k + 3] = 128)
+      (List.init (String.length bytes - 3) Fun.id)
+  in
+  check_int "one compact phi" 1 (List.length at);
+  let b = Bytes.of_string bytes in
+  Bytes.set_uint8 b (List.hd at + off) v;
+  Bytes.to_string b
+
+(* the value operand reaches back past the first argument *)
+let test_mutant_negative_operand () =
+  check_bool "decode error" true
+    (match Decode.decode (phi_mutant 2 100) with
+    | _ -> false
+    | exception Decode.Error _ -> true)
+
+let check_rejected mutant msg =
+  let errs = Verify.verify_module (Decode.decode mutant) in
+  check_bool msg true (List.exists (String.ends_with ~suffix:msg) errs)
+
+(* the predecessor operand names the br instruction, not a label *)
+let test_mutant_phi_non_label () =
+  check_rejected (phi_mutant 3 1) "phi predecessor must be a label"
+
+(* the predecessor operand is gone: one operand, an odd count *)
+let test_mutant_phi_odd_count () =
+  check_rejected (phi_mutant 3 0xFF) "phi operand count invalid"
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "mutant: negative compact operand" `Quick
+        test_mutant_negative_operand;
+      Alcotest.test_case "mutant: phi predecessor not a label" `Quick
+        test_mutant_phi_non_label;
+      Alcotest.test_case "mutant: phi odd operand count" `Quick
+        test_mutant_phi_odd_count;
+    ]

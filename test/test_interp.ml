@@ -712,8 +712,312 @@ let check_report file actual =
   check_int (file ^ ": line count") (List.length expected) (List.length actual);
   List.iter2 (fun e a -> check_string file e a) expected actual
 
+(* ---------- fuel and trap accounting ---------- *)
+
+(* The benchmark's short programs (under 10M x86lite instructions at -O1)
+   under fixed budgets, and three trapping examples unlimited and with
+   budgets that stop one step before, on and one step after the
+   trapping division (step 3 of trap_div.ll, step 4 of the other two). *)
+let fuel_short_workloads =
+  [
+    "ptrdist-anagram"; "183.equake"; "181.mcf"; "256.bzip2"; "164.gzip";
+    "197.parser"; "188.ammp"; "186.crafty"; "255.vortex";
+  ]
+
+let fuel_trap_programs =
+  [ ("trap_div.ll", [ 2; 3; 4 ]); ("handler_unwind.ll", [ 3; 4; 5 ]);
+    ("handler_unwind_invoke.ll", [ 3; 4; 5 ]) ]
+
+(* One line per run: outcome (trap kind and function included), steps,
+   calls, max depth, and the output's length and MD5. *)
+let fuel_line name fuel m =
+  let o, st = Llee.Outcome.run_main_interp ?fuel m in
+  let s = st.Interp.stats and out = Interp.output st in
+  Printf.sprintf "%s fuel=%s steps=%d calls=%d max_depth=%d out=%d:%s %s" name
+    (match fuel with Some f -> string_of_int f | None -> "none")
+    s.Interp.steps s.Interp.calls s.Interp.max_depth (String.length out)
+    (Digest.to_hex (Digest.string out))
+    (Llee.Outcome.to_string o)
+
+let fuel_report () =
+  List.concat_map
+    (fun name ->
+      let m = Workloads.compile_optimized ~level:1 (Option.get (Workloads.find name)) in
+      List.map (fun f -> fuel_line name (Some f) m) [ 0; 1; 10_000; 1_000_000 ])
+    fuel_short_workloads
+  @ List.concat_map
+      (fun (file, budgets) ->
+        let src = In_channel.with_open_text ("../examples/" ^ file) In_channel.input_all in
+        let m = Resolve.parse_module ~name:file src in
+        List.map (fun f -> fuel_line file f m) (None :: List.map Option.some budgets))
+      fuel_trap_programs
+
+(* ---------- specialized kinds agree with Eval ----------
+
+   One instruction in a function of its own, run through
+   [Interp.run_function], against the [Eval] (or [Memory]) call that
+   defines it. Operand scalars come in every shape, also ones that do not
+   match the declared type, and each operand is either an argument slot
+   or a constant; loads and stores hit page-straddling addresses on all
+   four target configurations. *)
+
+type spec_op =
+  | S_arith of Ir.binop
+  | S_setcc of Ir.cmp
+  | S_cast of Types.t
+  | S_br
+  | S_gep of Types.t * bool (* element type; a second index 1 into it *)
+  | S_load of Types.t
+  | S_store of Types.t
+
+type spec_case = {
+  target : Target.config;
+  sop : spec_op;
+  decl : Types.t; (* the declared type of the (first) operand *)
+  ops : (Eval.scalar * bool) list; (* operand scalar, as a constant? *)
+  fill : string; (* bytes around a load or store address *)
+}
+
+let int_types = Types.[ Ubyte; Sbyte; Ushort; Short; Uint; Int; Ulong; Long ]
+let scalar_types = int_types @ Types.[ Bool; Float; Double; Pointer Int; Pointer Sbyte ]
+
+(* heap addresses on both sides of a page boundary, in-page ones, the
+   null page and a negative address *)
+let gen_addr =
+  let open QCheck.Gen in
+  let page = Int64.of_int Vmem.Memory.page_size in
+  let heap k = Int64.add Vmem.Memory.heap_base k in
+  frequency
+    [
+      ( 4,
+        let* n = int_range 1 3 and* j = int_range (-9) 9 in
+        return (heap (Int64.add (Int64.mul page (Int64.of_int n)) (Int64.of_int j))) );
+      (2, map (fun o -> heap (Int64.of_int o)) (int_range 16 20000));
+      (1, oneofl [ 0L; 0x10L; -8L ]);
+    ]
+
+let gen_scalar ?addr () : Eval.scalar QCheck.Gen.t =
+  let open QCheck.Gen in
+  let bits =
+    oneof
+      [
+        map Int64.of_int (int_range (-300) 300);
+        ui64;
+        oneofl [ Int64.min_int; Int64.max_int; 0xFFFF_FFFFL; 0x8000_0000L; 0x7FL; 0x80L ];
+      ]
+  in
+  let ptr = match addr with Some a -> a | None -> bits in
+  let fp = oneof [ float; oneofl [ nan; infinity; -0.0; 1.5; -3.0 ] ] in
+  frequency
+    [
+      ( 5,
+        let* t = oneofl int_types and* v = bits in
+        return (Eval.I (t, Ir.normalize_int t v)) );
+      (2, map (fun b -> Eval.B b) bool);
+      (3, map (fun a -> Eval.P a) ptr);
+      (1, map (fun a -> Eval.I (Types.Ulong, a)) ptr);
+      ( 2,
+        let* t = oneofl [ Types.Float; Types.Double ] and* x = fp in
+        return (Eval.F (t, Eval.round_float t x)) );
+      (1, map (fun t -> Eval.Undef t) (oneofl scalar_types));
+    ]
+
+let gen_spec_case =
+  let open QCheck.Gen in
+  let operand ?addr () = pair (gen_scalar ?addr ()) bool in
+  let operands n = list_repeat n (operand ()) in
+  let aggregate = function Types.Struct _ | Types.Array _ -> true | _ -> false in
+  let* target = oneofl Target.all
+  and* decl = oneofl scalar_types
+  and* fill = string_size ~gen:char (return 32) in
+  let* sop, ops =
+    oneof
+      [
+        pair
+          (map (fun o -> S_arith o) (oneofl Ir.[ Add; Sub; Mul; And; Or; Xor; Shl; Shr ]))
+          (operands 2);
+        pair (map (fun c -> S_setcc c) (oneofl Ir.[ Eq; Ne; Lt; Gt; Le; Ge ])) (operands 2);
+        pair (map (fun t -> S_cast t) (oneofl scalar_types)) (operands 1);
+        pair (return S_br) (operands 1);
+        pair
+          (map2
+             (fun e field -> S_gep (e, field && aggregate e))
+             (oneofl Types.[ Int; Long; Sbyte; Array (4, Short); Struct [ Int; Long ] ])
+             bool)
+          (let* p = operand ~addr:gen_addr () and* i = operand () in
+           return [ p; i ]);
+        pair
+          (map (fun t -> S_load t) (oneofl scalar_types))
+          (list_repeat 1 (operand ~addr:gen_addr ()));
+        pair
+          (map (fun t -> S_store t) (oneofl scalar_types))
+          (let* v = operand () and* p = operand ~addr:gen_addr () in
+           return [ v; p ]);
+      ]
+  in
+  return { target; sop; decl; ops; fill }
+
+let spec_case_str c =
+  let op =
+    match c.sop with
+    | S_arith o -> Ir.opcode_name (Ir.Binop o)
+    | S_setcc o -> Ir.opcode_name (Ir.Setcc o)
+    | S_cast t -> "cast to " ^ Types.to_string t
+    | S_br -> "br"
+    | S_gep (e, field) ->
+        Printf.sprintf "gep %s*%s" (Types.to_string e) (if field then ", 1" else "")
+    | S_load t -> "load " ^ Types.to_string t
+    | S_store t -> "store " ^ Types.to_string t
+  in
+  let operand (s, k) = Eval.to_string s ^ if k then " (constant)" else "" in
+  Printf.sprintf "%s on %s, declared %s, operands %s" op (Target.to_string c.target)
+    (Types.to_string c.decl)
+    (String.concat ", " (List.map operand c.ops))
+
+(* An operand as a constant of its parameter's type [decl], when one
+   denotes the scalar exactly: [Interp] reads it back as the same
+   scalar. *)
+let constant decl (s : Eval.scalar) =
+  let c cty ckind = Some (Ir.Const { Ir.cty; ckind }) in
+  match s with
+  | Eval.I (t, x) -> c t (Ir.Cint x)
+  | Eval.B b -> c decl (Ir.Cbool b)
+  | Eval.F (t, x) -> c t (Ir.Cfloat x)
+  | Eval.P 0L -> c decl Ir.Cnull
+  | Eval.P _ -> None
+  | Eval.Undef t -> Some (Ir.Vundef t)
+
+(* [c]'s function %f in a fresh module, and its operand values. *)
+let spec_module c =
+  let m = Ir.mk_module ~target:c.target () in
+  let ptr t = Types.Pointer t in
+  let param_tys, ret_ty =
+    match c.sop with
+    | S_arith _ -> ([ c.decl; c.decl ], c.decl)
+    | S_setcc _ -> ([ c.decl; c.decl ], Types.Bool)
+    | S_cast t -> ([ c.decl ], t)
+    | S_br -> ([ c.decl ], Types.Int)
+    | S_gep (e, _) -> ([ ptr e; Types.Long ], ptr e)
+    | S_load t -> ([ ptr t ], t)
+    | S_store t -> ([ t; ptr t ], Types.Void)
+  in
+  let params = List.mapi (fun k t -> (Printf.sprintf "a%d" k, t)) param_tys in
+  let f = Ir.mk_func ~name:"f" ~return:ret_ty ~params () in
+  Ir.add_func m f;
+  let values =
+    List.map2
+      (fun (a : Ir.arg) (s, as_const) ->
+        match if as_const then constant a.Ir.aty s else None with
+        | Some v -> v
+        | None -> Ir.Varg a)
+      f.Ir.fargs c.ops
+  in
+  let entry = Ir.mk_block ~name:"entry" () in
+  Ir.append_block f entry;
+  let emit b op operands ty =
+    let i = Ir.mk_instr op (Array.of_list operands) ty in
+    Ir.append_instr b i;
+    i
+  in
+  let ret b v = ignore (emit b Ir.Ret (Option.to_list v) Types.Void) in
+  (match (c.sop, values) with
+  | S_br, [ cond ] ->
+      let t = Ir.mk_block ~name:"t" () and e = Ir.mk_block ~name:"e" () in
+      ignore (emit entry Ir.Br [ cond; Ir.Vblock t; Ir.Vblock e ] Types.Void);
+      List.iter
+        (fun (b, r) ->
+          Ir.append_block f b;
+          ret b (Some (Ir.const_int Types.Int r)))
+        [ (t, 1L); (e, 0L) ]
+  | S_store _, _ ->
+      ignore (emit entry Ir.Store values Types.Void);
+      ret entry None
+  | _ ->
+      let op, operands, ty =
+        match c.sop with
+        | S_arith o -> (Ir.Binop o, values, c.decl)
+        | S_setcc o -> (Ir.Setcc o, values, Types.Bool)
+        | S_cast t -> (Ir.Cast, values, t)
+        | S_gep (e, false) -> (Ir.Getelementptr, values, ptr e)
+        | S_gep (e, true) ->
+            let one = Ir.const_int Types.Ubyte 1L in
+            let elem = match e with Types.Struct [ _; t ] | Types.Array (_, t) -> t | t -> t in
+            (Ir.Getelementptr, values @ [ one ], ptr elem)
+        | S_load t -> (Ir.Load, values, t)
+        | S_br | S_store _ -> assert false
+      in
+      let i = emit entry op operands ty in
+      ret entry (Some (Ir.Vreg i)));
+  (m, values)
+
+let same_outcome a b =
+  match (a, b) with
+  | Ok x, Ok y -> Eval.equal x y
+  | Error x, Error y -> ( try x = y with _ -> Printexc.to_string x = Printexc.to_string y)
+  | _ -> false
+
+let prop_specialized_agree =
+  QCheck.Test.make ~name:"specialized kinds agree with Eval" ~count:3000
+    (QCheck.make ~print:spec_case_str gen_spec_case) (fun c ->
+      let m, values = spec_module c in
+      let ops = List.map fst c.ops in
+      let st = Interp.create m in
+      (* the static type the interpreter sees: a constant's own type *)
+      let ty_of k = Ir.type_of_value (List.nth values k) in
+      let eval f = try Ok (f ()) with e -> Error e in
+      let fault f =
+        try Ok (f ())
+        with Vmem.Memory.Fault a -> Error (Interp.Trap (Interp.Memory_fault a))
+      in
+      let masked = function Eval.P a -> Eval.P (Eval.mask_pointer c.target a) | r -> r in
+      (* the same bytes around a load or store address in the
+         interpreter's memory and in a reference memory *)
+      let reference = Vmem.Memory.create c.target in
+      let window a =
+        let in_heap = Int64.compare a 0x1010L >= 0 && Int64.compare a 0x1_0000_0000_0000L < 0 in
+        if in_heap then begin
+          let lo = Int64.sub a 16L in
+          Vmem.Memory.write_bytes st.Interp.mem lo (Bytes.of_string c.fill);
+          Vmem.Memory.write_bytes reference lo (Bytes.of_string c.fill);
+          Some lo
+        end
+        else None
+      in
+      let stored = ref None in
+      let expected =
+        match (c.sop, ops) with
+        | S_arith o, [ a; b ] -> eval (fun () -> Eval.binop o a b)
+        | S_setcc o, [ a; b ] -> eval (fun () -> Eval.compare_scalars (ty_of 0) o a b)
+        | S_cast t, [ a ] ->
+            eval (fun () -> masked (Eval.cast ~src_ty:(ty_of 0) ~dst_ty:t a))
+        | S_br, [ a ] -> Ok (Eval.I (Types.Int, if Eval.to_bool a then 1L else 0L))
+        | S_gep (_, field), [ p; i ] ->
+            let field = if field then [ (Types.Ubyte, 1L) ] else [] in
+            let idx = (ty_of 1, Eval.to_int64 i) :: field in
+            eval (fun () ->
+                let off, _ = Vmem.Layout.gep_offset st.Interp.layout (ty_of 0) idx in
+                masked (Eval.P (Int64.add (Eval.to_int64 p) (Int64.of_int off))))
+        | S_load t, [ p ] ->
+            let a = Eval.to_int64 p in
+            ignore (window a);
+            fault (fun () -> Vmem.Memory.read_scalar st.Interp.mem t a)
+        | S_store _, [ v; p ] ->
+            let a = Eval.to_int64 p in
+            stored := window a;
+            fault (fun () -> Vmem.Memory.write_scalar reference (ty_of 0) a v)
+            |> Result.map (fun () -> Eval.Undef Types.Void)
+        | _ -> assert false
+      in
+      let got = try Ok (Interp.run_function st "f" ops) with e -> Error e in
+      let same_bytes lo =
+        let bytes mem = Vmem.Memory.read_bytes mem lo 32 in
+        Bytes.equal (bytes st.Interp.mem) (bytes reference)
+      in
+      same_outcome expected got && Option.fold ~none:true ~some:same_bytes !stored)
+
 let test_exact_counts () = check_report "interp_counts.expected" (counts_report ())
 let test_profile_counts () = check_report "interp_profile.expected" (profile_report ())
+let test_fuel_counts () = check_report "interp_fuel.expected" (fuel_report ())
 
 let suite =
   [
@@ -743,4 +1047,6 @@ let suite =
     Alcotest.test_case "lowered once per state" `Quick test_lowered_once;
     Alcotest.test_case "exact workload counts" `Quick test_exact_counts;
     Alcotest.test_case "profile counts" `Quick test_profile_counts;
+    Alcotest.test_case "fuel and trap counts" `Quick test_fuel_counts;
+    QCheck_alcotest.to_alcotest prop_specialized_agree;
   ]
