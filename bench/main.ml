@@ -203,9 +203,7 @@ type llee_row = {
   l_warm_ms : float; (* warm-launch translate time (should be ~0) *)
   l_warm_hits : int;
   l_warm_reads : int; (* storage reads on a warm-after-offline launch *)
-  l_off_seq : float; (* sequential offline translation, seconds *)
-  l_off_par : float; (* parallel offline translation, seconds *)
-  l_off_same : bool; (* parallel cache contents == sequential *)
+  l_off_seq : float; (* offline translation, seconds *)
   l_cycles : int64; (* simulated cycles of the workload *)
   l_lint_cold_ms : float; (* cold launch: full llva-lint analysis *)
   l_lint_warm_ms : float; (* warm launch: read + decode the verdict entry *)
@@ -237,40 +235,11 @@ let llee_row name : llee_row =
   (* warm launch of the same object code *)
   let warm = Llee.fresh_run cold in
   ignore (Llee.run warm);
-  (* offline translation: sequential vs the Domain worker pool *)
-  let offline domains =
-    let s = Llee.Storage.in_memory () in
-    let eng = Llee.load ~storage:s ~target:Llee.X86 bytes in
-    let _, dt = time_best ~n:1 (fun () -> Llee.translate_offline ~domains eng) in
-    (s, eng, dt)
-  in
-  let s_seq, eng_seq, off_seq = offline 1 in
-  let _, _, off_par = offline (Llee.Pool.default_domains ()) in
-  (* determinism: a 4-domain translation must leave byte-identical cache
-     contents, whatever this host's core count *)
-  let s_chk, _, _ = offline 4 in
-  let entry s n =
-    Option.map
-      (fun e -> e.Llee.Storage.data)
-      (s.Llee.Storage.read
-         (Printf.sprintf "%s.%s.x86lite" eng_seq.Llee.key n))
-  in
-  let names =
-    "#module#"
-    :: List.filter_map
-         (fun (f : Llva.Ir.func) ->
-           if Llva.Ir.is_declaration f then None else Some f.Llva.Ir.fname)
-         m.Llva.Ir.funcs
-  in
-  let off_same =
-    List.for_all (fun n -> entry s_seq n = entry s_chk n) names
-    (* the lint verdict entry must be byte-identical too *)
-    && Option.map
-         (fun e -> e.Llee.Storage.data)
-         (s_seq.Llee.Storage.read (Llee.lint_entry_name eng_seq))
-       = Option.map
-           (fun e -> e.Llee.Storage.data)
-           (s_chk.Llee.Storage.read (Llee.lint_entry_name eng_seq))
+  (* offline translation into a fresh cache *)
+  let s_seq = Llee.Storage.in_memory () in
+  let eng_seq = Llee.load ~storage:s_seq ~target:Llee.X86 bytes in
+  let _, off_seq =
+    time_best ~n:1 (fun () -> Llee.translate_offline eng_seq)
   in
   (* warm-after-offline launch: the whole-module entry means O(1) reads *)
   let counted, reads = counting_storage s_seq in
@@ -335,8 +304,6 @@ let llee_row name : llee_row =
     l_warm_hits = warm.Llee.stats.Llee.cache_hits;
     l_warm_reads = !reads;
     l_off_seq = off_seq;
-    l_off_par = off_par;
-    l_off_same = off_same;
     l_cycles = cold.Llee.stats.Llee.cycles;
     l_lint_cold_ms = cold.Llee.stats.Llee.lint_time *. 1000.0;
     l_lint_warm_ms = lint_warm *. 1000.0;
@@ -358,22 +325,20 @@ let llee_row name : llee_row =
 let run_llee () =
   section "LLEE: program launch with and without the OS storage API";
   Printf.printf
-    "%-17s %10s %12s %12s %10s %10s %11s %11s %8s %7s %9s %9s %9s %6s %7s \
-     %6s %5s %4s %12s %6s %7s %7s\n"
+    "%-17s %10s %12s %12s %10s %10s %11s %9s %9s %9s %6s %7s %6s %5s %4s \
+     %12s %6s %7s %7s\n"
     "Program" "cold trans" "cold ms" "warm ms" "hits" "warm reads"
-    "offline(s)" "parallel(s)" "speedup" "same" "lint cold" "lint warm"
+    "offline(s)" "lint cold" "lint warm"
     "range ms" "sweeps" "rel ms" "facts" "quar" "rep" "peep cycles" "rewr"
     "gain" "tbl ms";
   let rows = List.map llee_row llee_workloads in
   List.iter
     (fun r ->
       Printf.printf
-        "%-17s %10d %12.3f %12.3f %10d %10d %11.4f %11.4f %7.2fx %7b %7.2fms \
-         %7.2fms %7.2fms %6d %5.2fms %6d %5d %4d %12Ld %6d %6.2f%% %7.3f\n"
+        "%-17s %10d %12.3f %12.3f %10d %10d %11.4f %7.2fms %7.2fms %7.2fms \
+         %6d %5.2fms %6d %5d %4d %12Ld %6d %6.2f%% %7.3f\n"
         r.l_name r.l_cold_n r.l_cold_ms r.l_warm_ms r.l_warm_hits r.l_warm_reads
-        r.l_off_seq r.l_off_par
-        (r.l_off_seq /. r.l_off_par)
-        r.l_off_same r.l_lint_cold_ms r.l_lint_warm_ms r.l_range_ms
+        r.l_off_seq r.l_lint_cold_ms r.l_lint_warm_ms r.l_range_ms
         r.l_range_sweeps r.l_rel_ms r.l_rel_facts r.l_quarantined
         r.l_repaired r.l_cycles_peep r.l_peep_rewrites
         (100.0
@@ -386,11 +351,10 @@ let run_llee () =
     \ cache through the storage API and translate nothing - the paper's\n\
     \ central advantage over DAISY/Crusoe, which always translate online.\n\
     \ 'warm reads' counts storage reads on a warm-after-offline launch:\n\
-    \ the whole-module cache entry makes it O(1). 'parallel(s)' is\n\
-    \ translate_offline on %d domain(s); 'same' checks the parallel cache\n\
-    \ is byte-identical to the sequential one, lint verdict entry\n\
-    \ included. 'lint cold' is the full llva-lint analysis a cold launch\n\
-    \ pays once; 'lint warm' is reading the recorded verdict instead.\n\
+    \ the whole-module cache entry makes it O(1). 'offline(s)' is one\n\
+    \ translate_offline into a fresh cache, lint included. 'lint cold'\n\
+    \ is the full llva-lint analysis a cold launch pays once; 'lint\n\
+    \ warm' is reading the recorded verdict instead.\n\
     \ 'range ms' is the interprocedural value-range analysis alone (the\n\
     \ dominant cost inside lint cold) and 'sweeps' its abstract-\n\
     \ interpretation sweep count to fixpoint. 'rel ms' is the relational\n\
@@ -402,8 +366,7 @@ let run_llee () =
     \ 'peep cycles' re-runs the workload with the superoptimized peephole\n\
     \ table enabled ('rewr' rewrite sites, 'gain' vs the plain cycles\n\
     \ column); the cold launch searched for the table once, the warm\n\
-    \ launch loaded the cached #peep# entry in 'tbl ms'.)\n"
-    (Llee.Pool.default_domains ());
+    \ launch loaded the cached #peep# entry in 'tbl ms'.)\n";
   rows
 
 (* ------------------------------------------------------------------ *)
@@ -495,9 +458,9 @@ let json_escape s =
     s;
   Buffer.contents b
 
-let write_bench_json ~path ~domains (rows : llee_row list) (mt : mem_row) =
+let write_bench_json ~path (rows : llee_row list) (mt : mem_row) =
   let oc = open_out path in
-  Printf.fprintf oc "{\n  \"domains\": %d,\n" domains;
+  Printf.fprintf oc "{\n";
   Printf.fprintf oc
     "  \"memory_throughput_mb_s\": {\"byte_write\": %.1f, \"word_write\": \
      %.1f, \"byte_read\": %.1f, \"word_read\": %.1f},\n"
@@ -509,8 +472,7 @@ let write_bench_json ~path ~domains (rows : llee_row list) (mt : mem_row) =
         "    {\"name\": \"%s\", \"cold_translations\": %d, \
          \"cold_translate_ms\": %.3f, \"warm_translate_ms\": %.3f, \
          \"warm_cache_hits\": %d, \"warm_storage_reads\": %d, \
-         \"offline_seq_s\": %.4f, \"offline_par_s\": %.4f, \
-         \"parallel_identical\": %b, \"cycles\": %Ld, \
+         \"offline_seq_s\": %.4f, \"cycles\": %Ld, \
          \"lint_cold_ms\": %.3f, \"lint_warm_ms\": %.3f, \
          \"lint_runs\": %d, \"lint_skipped\": %d, \
          \"range_ms\": %.3f, \"range_sweeps\": %d, \
@@ -519,7 +481,7 @@ let write_bench_json ~path ~domains (rows : llee_row list) (mt : mem_row) =
          \"cycles_peep\": %Ld, \"peep_rewrites\": %d, \
          \"peep_table_load_ms\": %.3f}%s\n"
         (json_escape r.l_name) r.l_cold_n r.l_cold_ms r.l_warm_ms r.l_warm_hits
-        r.l_warm_reads r.l_off_seq r.l_off_par r.l_off_same r.l_cycles
+        r.l_warm_reads r.l_off_seq r.l_cycles
         r.l_lint_cold_ms r.l_lint_warm_ms r.l_lint_runs r.l_lint_skipped
         r.l_range_ms r.l_range_sweeps r.l_rel_ms r.l_rel_facts
         r.l_quarantined r.l_repaired r.l_cycles_peep r.l_peep_rewrites
@@ -761,9 +723,7 @@ let () =
     let rows = run_llee () in
     let mt = run_memtp () in
     if json then
-      write_bench_json ~path:"BENCH_llee.json"
-        ~domains:(Llee.Pool.default_domains ())
-        rows mt
+      write_bench_json ~path:"BENCH_llee.json" rows mt
   in
   (match which with
   | "table2" -> ignore (run_table2 ())

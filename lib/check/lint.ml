@@ -115,14 +115,16 @@ let run ?checks (m : Ir.modl) : Diag.t list =
         names
   in
   let acc = ref [] in
+  (* one call graph for the whole run *)
+  let cg = Analysis.Callgraph.compute m in
   let sccs : (string, string list) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun scc ->
       let names = List.map (fun (f : Ir.func) -> f.Ir.fname) scc in
       List.iter (fun n -> Hashtbl.replace sccs n names) names)
-    (Analysis.Callgraph.sccs (Analysis.Callgraph.compute m));
-  let summaries = Summaries.compute m in
-  let ranges = Ranges.compute m in
+    (Analysis.Callgraph.sccs cg);
+  let summaries = Summaries.compute ~cg m in
+  let ranges = Ranges.compute ~cg m in
   (* publish the relational argument facts: the oob checker keys its
      symbolic-length reasoning off their presence *)
   Summaries.set_relations summaries (Ranges.export_relations ranges);

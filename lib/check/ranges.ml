@@ -35,6 +35,21 @@ open Llva
 
 type itv = Bot | Itv of int64 * int64 | Top
 
+let itv_equal a b =
+  match (a, b) with
+  | Bot, Bot | Top, Top -> true
+  | Itv (l1, h1), Itv (l2, h2) -> Int64.equal l1 l2 && Int64.equal h1 h2
+  | _ -> false
+
+(* Tables keyed by instruction or argument id, hashed without a C call;
+   the analysis never iterates them, so their order is unobservable. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
 let to_string = function
   | Bot -> "bot"
   | Top -> "top"
@@ -200,11 +215,17 @@ type fn_info = {
   fi_dom : Analysis.Dominance.t;
   fi_loopdepth : int array; (* per block index; 0 = not in a loop *)
   fi_edge_cs : (int * int, constr list) Hashtbl.t; (* (pred, succ) edge *)
-  fi_ivals : (int, itv) Hashtbl.t; (* instr id -> range *)
-  fi_args : (int, itv) Hashtbl.t; (* arg id -> range *)
+  (* ids of the registers and arguments some edge constraint names: only
+     these can be refined by [eval_at] *)
+  fi_guarded_regs : unit Itbl.t;
+  fi_guarded_args : unit Itbl.t;
+  fi_ivals : itv Itbl.t; (* instr id -> range *)
+  fi_args : itv Itbl.t; (* arg id -> range *)
   mutable fi_ret : itv;
   mutable fi_fp : bool; (* per-function fixpoint inside the budget *)
   mutable fi_sweeps : int;
+  (* argument and callee return ranges the last [analyze_fn] ran with *)
+  mutable fi_inputs : (itv option list * itv list) option;
   fi_instr_of : (int, Ir.instr) Hashtbl.t; (* instr id -> instr *)
   fi_arg_of : (int, Ir.arg) Hashtbl.t; (* arg id -> arg *)
   (* no-wrap dataflow equations, tagged with the defining block index *)
@@ -227,7 +248,13 @@ let add_edge_constr fi key c =
   let cur =
     match Hashtbl.find_opt fi.fi_edge_cs key with Some l -> l | None -> []
   in
-  Hashtbl.replace fi.fi_edge_cs key (cur @ [ c ])
+  Hashtbl.replace fi.fi_edge_cs key (cur @ [ c ]);
+  List.iter
+    (function
+      | Ir.Vreg i -> Itbl.replace fi.fi_guarded_regs i.Ir.iid ()
+      | Ir.Varg a -> Itbl.replace fi.fi_guarded_args a.Ir.aid ()
+      | _ -> ())
+    [ c.ca; c.cb ]
 
 let collect_constraints env fi =
   let cfg = fi.fi_cfg in
@@ -307,11 +334,14 @@ let mk_fn_info env (f : Ir.func) : fn_info =
       fi_dom = dom;
       fi_loopdepth = loopdepth;
       fi_edge_cs = Hashtbl.create 8;
-      fi_ivals = Hashtbl.create 64;
-      fi_args = Hashtbl.create 8;
+      fi_guarded_regs = Itbl.create 8;
+      fi_guarded_args = Itbl.create 8;
+      fi_ivals = Itbl.create 64;
+      fi_args = Itbl.create 8;
       fi_ret = Top;
       fi_fp = true;
       fi_sweeps = 0;
+      fi_inputs = None;
       fi_instr_of = Hashtbl.create 64;
       fi_arg_of = Hashtbl.create 8;
       fi_flow = [];
@@ -334,7 +364,7 @@ let mk_fn_info env (f : Ir.func) : fn_info =
         | rty -> top_of rty
         | exception Types.Unresolved _ -> Top
       in
-      Hashtbl.replace fi.fi_args a.Ir.aid top)
+      Itbl.replace fi.fi_args a.Ir.aid top)
     f.Ir.fargs;
   fi
 
@@ -344,11 +374,11 @@ let lookup_base t fi (v : Ir.value) : itv =
   match v with
   | Ir.Const _ | Ir.Vundef _ -> const_itv t.renv v
   | Ir.Vreg i -> (
-      match Hashtbl.find_opt fi.fi_ivals i.Ir.iid with
+      match Itbl.find_opt fi.fi_ivals i.Ir.iid with
       | Some x -> x
       | None -> Bot)
   | Ir.Varg a -> (
-      match Hashtbl.find_opt fi.fi_args a.Ir.aid with
+      match Itbl.find_opt fi.fi_args a.Ir.aid with
       | Some x -> x
       | None -> Top)
   | _ -> Top
@@ -435,10 +465,13 @@ let reachable_preds fi s =
    redefinition of [v] would force re-entry through the dominator. We pay
    for the join only when every reachable edge actually carries
    constraints — an unconstrained edge would contribute the unrefined
-   range and make the join a no-op. *)
+   range and make the join a no-op. A value no constraint names leaves
+   every refinement on the chain unchanged, so it skips the walk. *)
 let eval_at t fi bk (v : Ir.value) : itv =
   let base = lookup_base t fi v in
   match v with
+  | Ir.Vreg i when not (Itbl.mem fi.fi_guarded_regs i.Ir.iid) -> base
+  | Ir.Varg a when not (Itbl.mem fi.fi_guarded_args a.Ir.aid) -> base
   | Ir.Vreg _ | Ir.Varg _ ->
       let r = ref base in
       let k = ref bk in
@@ -708,7 +741,7 @@ let widen ty old cand =
 (* ---------- per-function fixpoint ---------- *)
 
 let analyze_fn t fi ~widen_delay ~max_sweeps =
-  Hashtbl.reset fi.fi_ivals;
+  Itbl.reset fi.fi_ivals;
   let cfg = fi.fi_cfg in
   let nb = Analysis.Cfg.n_blocks cfg in
   let sweep = ref 0 and changed = ref true in
@@ -723,22 +756,22 @@ let analyze_fn t fi ~widen_delay ~max_sweeps =
           | None -> ()
           | Some nv ->
               let old =
-                match Hashtbl.find_opt fi.fi_ivals i.Ir.iid with
+                match Itbl.find_opt fi.fi_ivals i.Ir.iid with
                 | Some x -> x
                 | None -> Bot
               in
               let cand = join old nv in
               let cand =
                 if
-                  i.Ir.op = Ir.Phi
+                  (match i.Ir.op with Ir.Phi -> true | _ -> false)
                   && fi.fi_loopdepth.(bk) > 0
                   && !sweep > widen_delay
-                  && cand <> old
+                  && not (itv_equal cand old)
                 then widen (Types.resolve t.renv i.Ir.ity) old cand
                 else cand
               in
-              if cand <> old then begin
-                Hashtbl.replace fi.fi_ivals i.Ir.iid cand;
+              if not (itv_equal cand old) then begin
+                Itbl.replace fi.fi_ivals i.Ir.iid cand;
                 changed := true
               end)
         b.Ir.instrs
@@ -751,7 +784,7 @@ let analyze_fn t fi ~widen_delay ~max_sweeps =
     Ir.iter_instrs
       (fun i ->
         if int_like t.renv i.Ir.ity then
-          Hashtbl.replace fi.fi_ivals i.Ir.iid
+          Itbl.replace fi.fi_ivals i.Ir.iid
             (top_of (Types.resolve t.renv i.Ir.ity)))
       fi.fi_f
   end
@@ -768,12 +801,13 @@ let analyze_fn t fi ~widen_delay ~max_sweeps =
             | None -> ()
             | Some nv ->
                 let old =
-                  match Hashtbl.find_opt fi.fi_ivals i.Ir.iid with
+                  match Itbl.find_opt fi.fi_ivals i.Ir.iid with
                   | Some x -> x
                   | None -> Bot
                 in
                 let nv = meet old nv in
-                if nv <> old then Hashtbl.replace fi.fi_ivals i.Ir.iid nv)
+                if not (itv_equal nv old) then
+                  Itbl.replace fi.fi_ivals i.Ir.iid nv)
           b.Ir.instrs
       done
     done
@@ -1371,8 +1405,10 @@ let default_max_sweeps = 40
 let default_max_rounds = 3
 let scc_iter_budget = 5
 
+(* [cg] is [m]'s call graph, computed here when the caller has none to
+   share. *)
 let compute ?(widen_delay = default_widen_delay)
-    ?(max_sweeps = default_max_sweeps) ?(max_rounds = default_max_rounds)
+    ?(max_sweeps = default_max_sweeps) ?(max_rounds = default_max_rounds) ?cg
     (m : Ir.modl) : t =
   let renv = Ir.type_env m in
   let t =
@@ -1389,11 +1425,22 @@ let compute ?(widen_delay = default_widen_delay)
       if not (Ir.is_declaration f) then
         Hashtbl.replace t.fns f.Ir.fid (mk_fn_info renv f))
     m.Ir.funcs;
-  let cg = Analysis.Callgraph.compute m in
+  let cg =
+    match cg with Some cg -> cg | None -> Analysis.Callgraph.compute m
+  in
   let sccs =
     Analysis.Callgraph.sccs cg
     |> List.map (List.filter (fun f -> not (Ir.is_declaration f)))
     |> List.filter (fun l -> l <> [])
+  in
+  let fn_inputs fi =
+    ( List.map
+        (fun (a : Ir.arg) -> Itbl.find_opt fi.fi_args a.Ir.aid)
+        fi.fi_f.Ir.fargs,
+      List.filter_map
+        (fun (g : Ir.func) ->
+          Option.map (fun gi -> gi.fi_ret) (Hashtbl.find_opt t.fns g.Ir.fid))
+        (Analysis.Callgraph.callees cg fi.fi_f) )
   in
   (* one bottom-up pass: per-SCC return-range fixpoints, callees final *)
   let run_bottom_up () =
@@ -1407,7 +1454,17 @@ let compute ?(widen_delay = default_widen_delay)
         in
         let fis = List.map (fun f -> Hashtbl.find t.fns f.Ir.fid) scc in
         if not cyclic then
-          List.iter (fun fi -> analyze_fn t fi ~widen_delay ~max_sweeps) fis
+          (* [analyze_fn] starts from an empty table and reads nothing but these
+             inputs, so rerunning it on the same ones in a later round
+             would reproduce what it left behind *)
+          List.iter
+            (fun fi ->
+              let inputs = Some (fn_inputs fi) in
+              if fi.fi_inputs <> inputs then begin
+                analyze_fn t fi ~widen_delay ~max_sweeps;
+                fi.fi_inputs <- inputs
+              end)
+            fis
         else begin
           List.iter (fun fi -> fi.fi_ret <- Bot) fis;
           let stable = ref false and iter = ref 0 in
@@ -1504,7 +1561,7 @@ let compute ?(widen_delay = default_widen_delay)
                   | Bot -> () (* never called: keep the conservative top *)
                   | jv ->
                       let old =
-                        match Hashtbl.find_opt fi.fi_args a.Ir.aid with
+                        match Itbl.find_opt fi.fi_args a.Ir.aid with
                         | Some x -> x
                         | None -> Top
                       in
@@ -1512,7 +1569,7 @@ let compute ?(widen_delay = default_widen_delay)
                         meet old (clamp (Types.resolve renv a.Ir.aty) jv)
                       in
                       if nv <> old then begin
-                        Hashtbl.replace fi.fi_args a.Ir.aid nv;
+                        Itbl.replace fi.fi_args a.Ir.aid nv;
                         changed := true
                       end)
               f.Ir.fargs)
@@ -1549,7 +1606,7 @@ let instr_range t (f : Ir.func) (i : Ir.instr) : itv =
   match fn_of t f with
   | None -> Top
   | Some fi -> (
-      match Hashtbl.find_opt fi.fi_ivals i.Ir.iid with
+      match Itbl.find_opt fi.fi_ivals i.Ir.iid with
       | Some x -> x
       | None -> if int_like t.renv i.Ir.ity then Bot else Top)
 
@@ -1557,7 +1614,7 @@ let arg_range t (f : Ir.func) (a : Ir.arg) : itv =
   match fn_of t f with
   | None -> Top
   | Some fi -> (
-      match Hashtbl.find_opt fi.fi_args a.Ir.aid with
+      match Itbl.find_opt fi.fi_args a.Ir.aid with
       | Some x -> x
       | None -> Top)
 

@@ -232,7 +232,9 @@ let set_relations (t : t) rel = t.rel <- rel
 let arg_bounds (t : t) (f : Ir.func) : (int * arg_bound) list =
   match List.assoc_opt f.Ir.fname t.rel with Some l -> l | None -> []
 
-let compute (m : Ir.modl) : t =
+(* [cg] is [m]'s call graph, computed here when the caller has none to
+   share. *)
+let compute ?cg (m : Ir.modl) : t =
   let env = Ir.type_env m in
   let t = { table = Hashtbl.create 32; env; rel = [] } in
   (* optimistic start for defined functions (greatest fixpoint for the
@@ -261,7 +263,9 @@ let compute (m : Ir.modl) : t =
     | Some s -> s
     | None -> unknown_summary g
   in
-  let cg = Analysis.Callgraph.compute m in
+  let cg =
+    match cg with Some cg -> cg | None -> Analysis.Callgraph.compute m
+  in
   (* Callgraph.sccs emits callees before callers *)
   List.iter
     (fun scc ->

@@ -7,9 +7,9 @@
    newly translated code is written back to the cache when storage is
    available. During idle time the OS may request offline translation
    ([translate_offline]) so later launches need no JIT at all; offline
-   translation fans out over a Domain worker pool ([Pool]) and also
-   writes one whole-module cache entry, so a warm launch costs a single
-   storage read + unmarshal instead of one per function.
+   translation also writes one whole-module cache entry, so a warm
+   launch costs a single storage read + unmarshal instead of one per
+   function.
 
    Profiles collected during execution drive the software trace cache
    ([reoptimize]): hot traces re-lay-out the code and the program is
@@ -605,14 +605,15 @@ let run ?fuel t : Outcome.t * string =
 
 (* Idle-time offline translation: translate every function and populate
    the cache without executing (paper: "flagging it for translation and
-   not actual execution"). Functions compile in parallel on the [Pool]
-   worker domains; entries are then written back in source order on the
-   calling domain, so the resulting cache contents are byte-identical to
-   a sequential run. Finally one whole-module entry is written so warm
-   launches need a single storage read. SMC invalidation still operates
-   per function: the redirect mechanism resolves the replacement function
-   by name, whichever entry it was loaded from. *)
-let translate_offline_unchecked ?domains ?(blocked = no_blocked) t =
+   not actual execution"). Functions compile on the calling domain and
+   are then written back in source order. A module has a handful
+   of functions and its [main] is often most of the work, so fanning
+   them out over [Pool] domains was no faster and kept a second domain's
+   heap. Finally one whole-module entry is written so warm launches need
+   a single storage read. SMC invalidation still operates per function:
+   the redirect mechanism resolves the replacement function by name,
+   whichever entry it was loaded from. *)
+let translate_offline_unchecked ?(blocked = no_blocked) t =
   let (module B) = backend t.target in
   let peep = peep_rules (module B) t in
   let fns =
@@ -622,10 +623,8 @@ let translate_offline_unchecked ?domains ?(blocked = no_blocked) t =
       t.m.Ir.funcs
   in
   let image = Vmem.Image.load t.m in
-  (* workers return peephole counts as plain data: the shared stats
-     record must only be mutated on the calling domain *)
   let compiled =
-    Pool.map ?domains
+    List.map
       (fun (f : Ir.func) ->
         let t0 = Unix.gettimeofday () in
         let ps = Codegen.Peephole.fresh_stats () in
@@ -648,7 +647,9 @@ let translate_offline_unchecked ?domains ?(blocked = no_blocked) t =
           (List.map (fun (name, cf, _, _) -> (name, cf)) compiled)
           []))
 
-let translate_offline ?domains t =
+(* [?domains] is accepted and ignored: translation runs on the calling
+   domain (see above), and existing callers still pass a domain count. *)
+let translate_offline ?domains:(_ : int option) t =
   if not t.storage.Storage.available then
     invalid_arg "Llee.translate_offline: no storage API registered";
   match lint_gate t with
@@ -657,12 +658,12 @@ let translate_offline ?domains t =
          itself is amortized across launches) but no native translations
          ever enter the cache *)
       ()
-  | Gate_clean -> translate_offline_unchecked ?domains t
+  | Gate_clean -> translate_offline_unchecked t
   | Gate_partial (_, blocked) ->
       (* the clean remainder of the module is still translated and
          cached; tainted functions are left out of both the per-function
          entries and the whole-module entry *)
-      translate_offline_unchecked ?domains ~blocked t
+      translate_offline_unchecked ~blocked t
 
 (* ---------- cache forensics (llva-run --cache-doctor) ---------- *)
 

@@ -342,8 +342,8 @@ let test_stale_module_entry () =
     (storage.Llee.Storage.read module_key = None)
 
 let test_parallel_offline_identical () =
-  (* the Domain pool must leave byte-identical cache contents in the
-     same entries as a sequential translation *)
+  (* the domain count a caller passes must not change the cache: the
+     same entries with byte-identical contents *)
   let bytes = Llva.Encode.encode (Gen.parse program) in
   let s_seq = Llee.Storage.in_memory () in
   let s_par = Llee.Storage.in_memory () in
