@@ -22,7 +22,6 @@ open Llva
 module Storage = Storage
 module Profile = Profile
 module Trace = Trace
-module Pool = Pool
 module Outcome = Outcome
 module Crc32 = Crc32
 module Tv = Tv
@@ -144,42 +143,6 @@ let of_module ?(storage = Storage.none) ?(timestamp = 0.0) ?(peephole = false)
     ~target m =
   load ~storage ~timestamp ~peephole ~target (Encode.encode m)
 
-(* Native-code entry identity includes the peephole table fingerprint:
-   code compiled under different rewrite tables (or with the pass off —
-   no suffix) never shares a cache entry. *)
-let cache_name t fname =
-  let base = Printf.sprintf "%s.%s.%s" t.key fname (target_name t.target) in
-  match t.peep_table with
-  | Some (_, fingerprint) -> base ^ ".p" ^ fingerprint
-  | None -> base
-
-(* Reserved (non-function) cache entries are framed with '#', a character
-   the LLVA identifier grammar excludes ([a-zA-Z0-9._$-] only), so no
-   function name — not even one literally called "__module__" — can ever
-   collide with them. *)
-let module_entry_name t = cache_name t "#module#"
-
-(* The llva-lint verdict entry: keyed by the module content hash and the
-   analyzer version stamp, with no target component — findings are
-   target-independent, so both back-ends share one verdict. A
-   [Check.Lint.version] bump changes the name, orphaning old verdicts. *)
-let lint_entry_name t =
-  Printf.sprintf "%s.#lint#.v%d" t.key Check.Lint.version
-
-(* The superoptimizer's rewrite-table entry: keyed by the module content
-   hash, the target (tables encode target instructions, so the back-ends
-   cannot share one) and the table format version — a
-   [Superopt.Table.version] bump orphans old tables. *)
-let peep_entry_name t =
-  Printf.sprintf "%s.#peep#.%s.v%d" t.key (target_name t.target)
-    Superopt.Table.version
-
-(* The translation-validation verdict entry: keyed by the module content
-   hash, the target (certification is of one translation) and the
-   checker version — a [Tv.version] bump orphans recorded verdicts. *)
-let tv_entry_name t =
-  Printf.sprintf "%s.#tv#.%s.v%d" t.key (target_name t.target) Tv.version
-
 (* ---------- contained storage operations ---------- *)
 
 (* The storage API may throw — injected faults, transient I/O errors that
@@ -218,16 +181,6 @@ let quarantine_entry t name =
   try t.storage.Storage.quarantine name
   with _ -> t.stats.storage_errors <- t.stats.storage_errors + 1
 
-let read_cached t name : string option =
-  match storage_read t name with
-  | Some entry when entry.Storage.timestamp >= t.program_timestamp ->
-      Some entry.Storage.data
-  | Some _ ->
-      (* stale translation: drop it *)
-      storage_delete t name;
-      None
-  | None -> None
-
 (* ---------- checksummed entry framing ---------- *)
 
 (* Cached entries are framed with a magic prefix plus a CRC-32 of the
@@ -241,48 +194,37 @@ let frame_entry payload = cache_magic ^ Crc32.hex payload ^ payload
 
 type framed = Payload of string | Bad_magic | Bad_checksum
 
-(* strict fixed-width hex: [int_of_string "0x…"] would accept OCaml
-   literal syntax like underscores *)
-let hex8 s =
-  let v = ref 0 in
-  let ok = ref (String.length s = 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '0' .. '9' -> v := (!v * 16) + (Char.code c - Char.code '0')
-      | 'a' .. 'f' -> v := (!v * 16) + (Char.code c - Char.code 'a' + 10)
-      | _ -> ok := false)
-    s;
-  if !ok then Some !v else None
-
 let unframe_entry data : framed =
   let n = String.length cache_magic in
   if String.length data < n + 8 || String.sub data 0 n <> cache_magic then
     Bad_magic
   else
     let payload = String.sub data (n + 8) (String.length data - n - 8) in
-    match hex8 (String.sub data n 8) with
-    | Some crc when crc = Crc32.string payload -> Payload payload
-    | Some _ | None ->
-        (* ours for sure (the magic matched) but damaged — in the payload
-           or in the checksum field itself *)
-        Bad_checksum
+    (* the field must be exactly the canonical lowercase hex [frame_entry]
+       writes; otherwise the entry is ours for sure (the magic matched)
+       but damaged, in the payload or in the checksum field itself *)
+    if String.sub data n 8 = Crc32.hex payload then Payload payload
+    else Bad_checksum
 
-(* Read the recorded artifact [name] and decode its payload. A failed
-   checksum quarantines the entry (it was valid once and rotted); a bad
-   magic, or a payload that passed its checksum but that [decode]
-   refuses ([None]), counts as plain corruption — a foreign or garbage
-   file that was never a valid entry. Either way the read is a miss and
-   the caller recomputes and writes the artifact back. *)
+(* Read the recorded artifact [name] and decode its payload. An entry
+   older than the program is stale and deleted. A failed checksum
+   quarantines the entry (it was valid once and rotted); a bad magic, or
+   a payload that passed its checksum but that [decode] refuses
+   ([None]), counts as plain corruption — a foreign or garbage file that
+   was never a valid entry. Either way the read is a miss and the caller
+   recomputes and writes the artifact back. *)
 let read_artifact t name ~decode =
   let corrupt () =
     t.stats.cache_corrupt <- t.stats.cache_corrupt + 1;
     None
   in
-  match read_cached t name with
+  match storage_read t name with
   | None -> None
-  | Some data -> (
-      match unframe_entry data with
+  | Some e when e.Storage.timestamp < t.program_timestamp ->
+      storage_delete t name;
+      None
+  | Some e -> (
+      match unframe_entry e.Storage.data with
       | Bad_magic -> corrupt ()
       | Bad_checksum ->
           quarantine_entry t name;
@@ -290,33 +232,181 @@ let read_artifact t name ~decode =
       | Payload payload -> (
           match decode payload with Some _ as v -> v | None -> corrupt ()))
 
-(* a marshaled payload, or [None] if it does not unmarshal *)
-let unmarshal payload =
-  try Some (Marshal.from_string payload 0)
-  with Failure _ | Invalid_argument _ -> None
+(* ---------- cached artifacts ---------- *)
 
-let timed t f =
-  let start = Unix.gettimeofday () in
-  let result = f () in
-  t.stats.translate_time <-
-    t.stats.translate_time +. (Unix.gettimeofday () -. start);
-  result
+(* The last component of an entry name. A version stamp orphans every
+   entry of its kind recorded before a format or analyzer bump. Native
+   code carries this launch's peephole-table fingerprint instead, so code
+   compiled under different rewrite tables (or with the pass off: no
+   suffix) never shares an entry. *)
+type stamp = Version of int | Table_fingerprint
+
+(* One record per kind of artifact LLEE keeps in the storage cache: how
+   its entry is named, how its payload is encoded and strictly decoded,
+   and which [stats] counters a reuse and a computation bump. A new kind
+   costs one more such record; [obtain] does the rest. *)
+type 'a kind = {
+  tag : string; (* a function name, or a reserved '#'-framed tag *)
+  per_target : bool; (* the target is part of the name *)
+  stamp : stamp;
+  encode : 'a -> string;
+  decode : t -> string -> 'a option; (* [None] rejects the payload *)
+  hit : stats -> 'a -> unit; (* a recorded entry was reused *)
+  computed : stats -> 'a -> float -> unit; (* computed afresh, in seconds *)
+}
+
+let entry_name t k =
+  String.concat "."
+    ((t.key :: k.tag :: (if k.per_target then [ target_name t.target ] else []))
+    @
+    match (k.stamp, t.peep_table) with
+    | Version v, _ -> [ "v" ^ string_of_int v ]
+    | Table_fingerprint, Some (_, fingerprint) -> [ "p" ^ fingerprint ]
+    | Table_fingerprint, None -> [])
+
+module Kind = struct
+  let marshal v = Marshal.to_string v []
+
+  (* a marshaled payload, or [None] if it does not unmarshal *)
+  let unmarshal _ payload =
+    try Some (Marshal.from_string payload 0)
+    with Failure _ | Invalid_argument _ -> None
+
+  let of_json decode payload =
+    match decode (Check.Json.parse payload) with
+    | v -> Some v
+    | exception Check.Json.Parse_error _ -> None
+
+  (* The native code of the whole module as (name, code) pairs, written
+     by offline translation so a warm launch costs one storage read. Its
+     functions count as hits one by one, when they are installed.
+     Reserved tags are framed with '#', a character the LLVA identifier
+     grammar excludes ([a-zA-Z0-9._$-] only), so no function — not even
+     one literally called "__module__" — can collide with them. *)
+  let whole_module =
+    {
+      tag = "#module#";
+      per_target = true;
+      stamp = Table_fingerprint;
+      encode = marshal;
+      decode = unmarshal;
+      hit = (fun _ _ -> ());
+      computed = (fun _ _ _ -> ());
+    }
+
+  (* One function's native code, keyed by its name. *)
+  let code fname =
+    {
+      whole_module with
+      tag = fname;
+      hit = (fun s _ -> s.cache_hits <- s.cache_hits + 1);
+      computed =
+        (fun s _ dt ->
+          s.translations <- s.translations + 1;
+          s.translate_time <- s.translate_time +. dt);
+    }
+
+  (* The llva-lint verdict. Findings are target-independent, so both
+     back-ends share one verdict. *)
+  let lint =
+    {
+      tag = "#lint#";
+      per_target = false;
+      stamp = Version Check.Lint.version;
+      encode =
+        (fun v ->
+          Check.Json.to_string ~pretty:false (Check.Lint.verdict_to_json v));
+      decode = (fun _ -> of_json Check.Lint.verdict_of_json);
+      hit = (fun s _ -> s.lint_skipped <- s.lint_skipped + 1);
+      computed =
+        (fun s _ dt ->
+          s.lint_time <- s.lint_time +. dt;
+          s.lint_runs <- s.lint_runs + 1);
+    }
+
+  (* The superoptimizer's rewrite table. Tables encode target
+     instructions, so the back-ends cannot share one. The strict reader
+     rejects a wrong magic or version, a target mismatch or a rule that
+     disagrees with the current cycle model: re-search rather than
+     apply. *)
+  let peep =
+    {
+      tag = "#peep#";
+      per_target = true;
+      stamp = Version Superopt.Table.version;
+      encode = Superopt.Table.to_string;
+      decode =
+        (fun t payload ->
+          match
+            Superopt.Table.of_string ~expect_target:(target_name t.target)
+              payload
+          with
+          | tb -> Some tb
+          | exception Superopt.Table.Invalid_table _ -> None);
+      hit = (fun s _ -> s.peep_table_loads <- s.peep_table_loads + 1);
+      computed = (fun s _ _ -> s.peep_searches <- s.peep_searches + 1);
+    }
+
+  (* The lockstep-certification verdict of one translation. Mismatching
+     verdicts are recorded too (they document the divergence), and
+     [tv_mismatches] counts the mismatching functions of whichever
+     verdict the launch ends up holding. *)
+  let tv =
+    let mismatches s v = s.tv_mismatches <- s.tv_mismatches + Tv.mismatches v in
+    {
+      tag = "#tv#";
+      per_target = true;
+      stamp = Version Tv.version;
+      encode =
+        (fun v -> Check.Json.to_string ~pretty:false (Tv.verdict_to_json v));
+      decode =
+        (fun t payload ->
+          match of_json Tv.verdict_of_json payload with
+          (* a verdict for the other target under this target's name was
+             never valid *)
+          | Some v when v.Tv.v_target = target_name t.target -> Some v
+          | _ -> None);
+      hit =
+        (fun s v ->
+          s.tv_skipped <- s.tv_skipped + 1;
+          mismatches s v);
+      computed =
+        (fun s v dt ->
+          s.tv_time <- s.tv_time +. dt;
+          s.tv_runs <- s.tv_runs + 1;
+          mismatches s v);
+    }
+end
+
+(* The one path to a cached artifact of kind [k]. Read its entry — a
+   stale one is deleted, a failed checksum quarantined, a bad magic or a
+   payload [k.decode] rejects counted as corruption — and count a valid
+   one as a hit. Otherwise [compute] the artifact, time and count that,
+   and write it back framed, which also repairs an entry quarantined just
+   now. [~read:false] skips the lookup (offline translation overwrites);
+   [~write:false] keeps the result out of the cache. *)
+let obtain ?(read = true) ?(write = true) t k ~compute =
+  let name = entry_name t k in
+  match if read then read_artifact t name ~decode:(k.decode t) else None with
+  | Some v ->
+      k.hit t.stats v;
+      v
+  | None ->
+      let t0 = Unix.gettimeofday () in
+      let v = compute () in
+      k.computed t.stats v (Unix.gettimeofday () -. t0);
+      if write then storage_write t name (frame_entry (k.encode v));
+      v
 
 (* ---------- superoptimized peephole tables ---------- *)
 
-let learn_table t = Superopt.Search.learn (backend t.target) [ t.m ]
-
-(* Acquire this launch's rewrite table, reusing a recorded one when the
-   storage cache holds a fresh, well-formed [#peep#] entry for this
-   module hash, target and table version ([peep_table_loads] counts the
-   reuse). A missing, stale, or corrupt entry runs the enumerative
-   search exactly once ([peep_searches]) and writes the winning table
-   back through the storage API — so the search cost is paid once per
-   program version and amortized across every later launch. Without
+(* Acquire this launch's rewrite table: the recorded [#peep#] table when
+   the cache holds a valid one, else one enumerative search whose table
+   is recorded, so the search is paid once per program version. Without
    storage the table is re-learned every launch. The table's
    fingerprint, which every native entry name carries, is computed here
-   once. Either way the time spent here lands in [peep_time], never in
-   [translate_time]. *)
+   once, and the whole acquisition (load or search) lands in
+   [peep_time], never in [translate_time]. *)
 let ensure_peep_table t : Superopt.Table.t option =
   if not t.peephole then None
   else
@@ -324,30 +414,9 @@ let ensure_peep_table t : Superopt.Table.t option =
     | Some (tb, _) -> Some tb
     | None ->
         let t0 = Unix.gettimeofday () in
-        let name = peep_entry_name t in
-        let recorded =
-          (* strict decode: wrong magic/version, undecodable payload,
-             target mismatch or a rule that disagrees with the current
-             cycle model all count as plain corruption — re-search rather
-             than apply *)
-          read_artifact t name ~decode:(fun payload ->
-              match
-                Superopt.Table.of_string
-                  ~expect_target:(target_name t.target) payload
-              with
-              | tb -> Some tb
-              | exception Superopt.Table.Invalid_table _ -> None)
-        in
         let tb =
-          match recorded with
-          | Some tb ->
-              t.stats.peep_table_loads <- t.stats.peep_table_loads + 1;
-              tb
-          | None ->
-              let tb = learn_table t in
-              t.stats.peep_searches <- t.stats.peep_searches + 1;
-              storage_write t name (frame_entry (Superopt.Table.to_string tb));
-              tb
+          obtain t Kind.peep ~compute:(fun () ->
+              Superopt.Search.learn (backend t.target) [ t.m ])
         in
         t.peep_table <- Some (tb, Superopt.Table.fingerprint tb);
         t.stats.peep_time <- t.stats.peep_time +. (Unix.gettimeofday () -. t0);
@@ -355,74 +424,18 @@ let ensure_peep_table t : Superopt.Table.t option =
 
 (* ---------- lint-before-cache ---------- *)
 
-(* Obtain the module's llva-lint verdict, reusing a recorded one when the
-   storage cache holds a fresh, well-formed verdict for this exact module
-   hash and analyzer version ([lint_skipped] counts the reuse). A
-   missing, stale (program timestamp or version stamp), or corrupt
-   verdict entry re-analyzes exactly once ([lint_runs]) and writes the
-   verdict back through the storage API. *)
+(* The module's llva-lint verdict: recorded once, reused by every later
+   launch of the same module hash and analyzer version. *)
 let verdict t : Check.Lint.verdict =
-  let name = lint_entry_name t in
-  let recorded =
-    read_artifact t name ~decode:(fun payload ->
-        match Check.Lint.verdict_of_json (Check.Json.parse payload) with
-        | v -> Some v
-        | exception Check.Json.Parse_error _ -> None)
-  in
-  match recorded with
-  | Some v ->
-      t.stats.lint_skipped <- t.stats.lint_skipped + 1;
-      v
-  | None ->
-      let t0 = Unix.gettimeofday () in
-      let v = Check.Lint.verdict t.m in
-      t.stats.lint_time <- t.stats.lint_time +. (Unix.gettimeofday () -. t0);
-      t.stats.lint_runs <- t.stats.lint_runs + 1;
-      storage_write t name
-        (frame_entry
-           (Check.Json.to_string ~pretty:false
-              (Check.Lint.verdict_to_json v)));
-      v
+  obtain t Kind.lint ~compute:(fun () -> Check.Lint.verdict t.m)
 
 (* ---------- translation validation (lockstep certification) ---------- *)
 
-(* Obtain the module's lockstep-certification verdict for this target,
-   reusing a recorded one when the storage cache holds a fresh,
-   well-formed [#tv#] entry for this exact module hash, target and
-   checker version ([tv_skipped] counts the reuse — a warm launch never
-   re-runs the checker). A missing, stale, or corrupt entry certifies
-   exactly once ([tv_runs]) and writes the verdict back through the
-   storage API, with the same quarantine / re-check / repair self-healing
-   as every other entry. Mismatching verdicts are recorded too — they
-   document the divergence — and [tv_mismatches] counts the mismatching
-   functions in whichever verdict this launch ends up holding. *)
+(* The module's lockstep-certification verdict for this target: a warm
+   launch reuses the recorded one and never re-runs the checker. *)
 let certify ?seed ?vectors t : Tv.verdict =
-  let name = tv_entry_name t in
-  let recorded =
-    read_artifact t name ~decode:(fun payload ->
-        match Tv.verdict_of_json (Check.Json.parse payload) with
-        (* a verdict for the other target under this target's name was
-           never valid *)
-        | v when v.Tv.v_target = target_name t.target -> Some v
-        | _ | (exception Check.Json.Parse_error _) -> None)
-  in
-  match recorded with
-  | Some v ->
-      t.stats.tv_skipped <- t.stats.tv_skipped + 1;
-      t.stats.tv_mismatches <- t.stats.tv_mismatches + Tv.mismatches v;
-      v
-  | None ->
-      let t0 = Unix.gettimeofday () in
-      let v =
-        Tv.certify_module ?seed ?vectors ~target:(target_name t.target) t.m
-      in
-      t.stats.tv_time <- t.stats.tv_time +. (Unix.gettimeofday () -. t0);
-      t.stats.tv_runs <- t.stats.tv_runs + 1;
-      t.stats.tv_mismatches <- t.stats.tv_mismatches + Tv.mismatches v;
-      storage_write t name
-        (frame_entry
-           (Check.Json.to_string ~pretty:false (Tv.verdict_to_json v)));
-      v
+  obtain t Kind.tv ~compute:(fun () ->
+      Tv.certify_module ?seed ?vectors ~target:(target_name t.target) t.m)
 
 (* The gate itself: with no storage there is nothing to protect (nothing
    is ever cached), so no lint runs — the pure-JIT path is unchanged.
@@ -508,43 +521,30 @@ let make_resolver (type cf) ?(blocked = no_blocked) t
     ~(compile : Ir.func -> cf) ~(installed : (string, cf) Hashtbl.t) :
     string -> cf option =
   let preloaded : (string, cf) Hashtbl.t = Hashtbl.create 16 in
-  (let mname = module_entry_name t in
-   match read_artifact t mname ~decode:unmarshal with
-   | Some (pairs : (string * cf) list) ->
-       List.iter (fun (n, cf) -> Hashtbl.replace preloaded n cf) pairs
-   | None -> ());
+  (* a missing or rejected module entry preloads nothing *)
+  List.iter
+    (fun (n, cf) -> Hashtbl.replace preloaded n cf)
+    (obtain t Kind.whole_module ~write:false ~compute:(fun () -> []));
   fun name ->
     match Hashtbl.find_opt installed name with
     | Some cf -> Some cf
     | None -> (
         match find_function t name with
         | None -> None (* external: the simulator dispatches by name *)
-        | Some f -> (
-            let cached =
-              if Hashtbl.mem blocked name then None
-              else
-                match Hashtbl.find_opt preloaded name with
-                | Some cf -> Some cf
-                | None ->
-                    let cname = cache_name t name in
-                    read_artifact t cname ~decode:unmarshal
+        | Some f ->
+            let kind = Kind.code name in
+            let cached = not (Hashtbl.mem blocked name) in
+            let cf =
+              match Hashtbl.find_opt preloaded name with
+              | Some cf when cached ->
+                  kind.hit t.stats cf;
+                  cf
+              | _ ->
+                  obtain t kind ~read:cached ~write:cached ~compute:(fun () ->
+                      compile f)
             in
-            match cached with
-            | Some cf ->
-                t.stats.cache_hits <- t.stats.cache_hits + 1;
-                Hashtbl.replace installed name cf;
-                Some cf
-            | None ->
-                (* JIT: translate on demand, write back to the cache —
-                   which is also the repair path for an entry the
-                   checksum just quarantined *)
-                let cf = timed t (fun () -> compile f) in
-                t.stats.translations <- t.stats.translations + 1;
-                if not (Hashtbl.mem blocked name) then
-                  storage_write t (cache_name t name)
-                    (frame_entry (Marshal.to_string cf []));
-                Hashtbl.replace installed name cf;
-                Some cf))
+            Hashtbl.replace installed name cf;
+            Some cf)
 
 (* This launch's rewrite rules for back-end [B], none with the pass off.
    Acquire them first: cache identities include the table's
@@ -554,6 +554,10 @@ let peep_rules (type i) (module B : Superopt.Backend.S with type instr = i) t
   match ensure_peep_table t with
   | Some tb -> Superopt.Table.pairs (module B) tb
   | None -> []
+
+let count_rewrites t (ps : Codegen.Peephole.stats) =
+  t.stats.peep_rewrites <- t.stats.peep_rewrites + ps.rewrites;
+  t.stats.peep_cycles_saved <- t.stats.peep_cycles_saved + ps.cycles_saved
 
 let run_native ?blocked t ?fuel () =
   let (module B) = backend t.target in
@@ -573,9 +577,7 @@ let run_native ?blocked t ?fuel () =
   t.stats.cycles <- Int64.of_int st.M.cycles;
   t.stats.native_instrs <- Int64.of_int st.M.icount;
   t.stats.invalidations <- Hashtbl.length st.M.redirects;
-  t.stats.peep_rewrites <- t.stats.peep_rewrites + ps.Codegen.Peephole.rewrites;
-  t.stats.peep_cycles_saved <-
-    t.stats.peep_cycles_saved + ps.Codegen.Peephole.cycles_saved;
+  count_rewrites t ps;
   (outcome, M.output st)
 
 (* Launch the program: JIT with transparent offline caching. When a
@@ -597,58 +599,41 @@ let run ?fuel t : Outcome.t * string =
                 t.key
           },
         lint_rejected_report t v )
-  | (Gate_clean | Gate_partial _) as g -> (
-      let blocked =
-        match g with Gate_partial (_, b) -> Some b | _ -> None
-      in
-      run_native ?blocked t ?fuel ())
+  | Gate_clean -> run_native t ?fuel ()
+  | Gate_partial (_, blocked) -> run_native ~blocked t ?fuel ()
 
 (* Idle-time offline translation: translate every function and populate
    the cache without executing (paper: "flagging it for translation and
-   not actual execution"). Functions compile on the calling domain and
-   are then written back in source order. A module has a handful
+   not actual execution"). Functions compile on the calling domain, in
+   source order, each written back as it is done: a module has a handful
    of functions and its [main] is often most of the work, so fanning
-   them out over [Pool] domains was no faster and kept a second domain's
-   heap. Finally one whole-module entry is written so warm launches need
-   a single storage read. SMC invalidation still operates per function:
+   them out over domains was no faster and kept a second domain's heap.
+   Finally one whole-module entry is written so warm launches need a
+   single storage read. SMC invalidation still operates per function:
    the redirect mechanism resolves the replacement function by name,
    whichever entry it was loaded from. *)
 let translate_offline_unchecked ?(blocked = no_blocked) t =
   let (module B) = backend t.target in
   let peep = peep_rules (module B) t in
-  let fns =
-    List.filter
-      (fun (f : Ir.func) ->
-        (not (Ir.is_declaration f)) && not (Hashtbl.mem blocked f.Ir.fname))
-      t.m.Ir.funcs
-  in
+  let ps = Codegen.Peephole.fresh_stats () in
   let image = Vmem.Image.load t.m in
   let compiled =
-    List.map
+    List.filter_map
       (fun (f : Ir.func) ->
-        let t0 = Unix.gettimeofday () in
-        let ps = Codegen.Peephole.fresh_stats () in
-        let cf = B.compile_function t.m image ~peep ~peep_stats:ps f in
-        (f.Ir.fname, cf, ps, Unix.gettimeofday () -. t0))
-      fns
+        let name = f.Ir.fname in
+        if Ir.is_declaration f || Hashtbl.mem blocked name then None
+        else
+          Some
+            ( name,
+              obtain t (Kind.code name) ~read:false ~compute:(fun () ->
+                  B.compile_function t.m image ~peep ~peep_stats:ps f) ))
+      t.m.Ir.funcs
   in
-  List.iter
-    (fun (name, cf, (ps : Codegen.Peephole.stats), dt) ->
-      t.stats.translations <- t.stats.translations + 1;
-      t.stats.translate_time <- t.stats.translate_time +. dt;
-      t.stats.peep_rewrites <- t.stats.peep_rewrites + ps.rewrites;
-      t.stats.peep_cycles_saved <- t.stats.peep_cycles_saved + ps.cycles_saved;
-      storage_write t (cache_name t name)
-        (frame_entry (Marshal.to_string cf [])))
-    compiled;
-  storage_write t (module_entry_name t)
-    (frame_entry
-       (Marshal.to_string
-          (List.map (fun (name, cf, _, _) -> (name, cf)) compiled)
-          []))
+  count_rewrites t ps;
+  ignore (obtain t Kind.whole_module ~read:false ~compute:(fun () -> compiled))
 
-(* [?domains] is accepted and ignored: translation runs on the calling
-   domain (see above), and existing callers still pass a domain count. *)
+(* [?domains] is ignored: translation runs on the calling domain (see
+   above). It stays because benchsuite/suite.ml passes a domain count. *)
 let translate_offline ?domains:(_ : int option) t =
   if not t.storage.Storage.available then
     invalid_arg "Llee.translate_offline: no storage API registered";
@@ -677,27 +662,34 @@ let classify_frame data =
   | Bad_checksum -> "checksum mismatch: payload damaged at rest"
   | Payload _ -> "frame intact (entry was readable when quarantined)"
 
-(* The recorded lockstep-certification state for this module and target,
-   read without stats side effects: the doctor reports, it never heals. *)
-let tv_doctor_line t : string =
-  match t.storage.Storage.read (tv_entry_name t) with
-  | None -> "tv verdict: none recorded for this module/target"
-  | exception _ -> "tv verdict: storage unavailable"
+(* What the cache holds for kind [k]: read and decoded as [obtain] reads
+   it, but with no side effect — no stale delete, no quarantine, no
+   counter. The doctor reports, it never heals. *)
+let inspect t k =
+  match t.storage.Storage.read (entry_name t k) with
+  | None -> Error "none recorded for this module/target"
+  | exception _ -> Error "storage unavailable"
   | Some e -> (
       match unframe_entry e.Storage.data with
       | Bad_magic | Bad_checksum ->
-          "tv verdict: recorded entry damaged (next certify quarantines it)"
+          Error "recorded entry damaged (the next read replaces it)"
       | Payload p -> (
-          match Tv.verdict_of_json (Check.Json.parse p) with
-          | v ->
-              Printf.sprintf
-                "tv verdict: %d certified, %d skipped, %d mismatched (%s, tv \
-                 v%d)"
-                (Tv.certified v)
-                (List.length v.Tv.v_results - Tv.certified v - Tv.mismatches v)
-                (Tv.mismatches v) v.Tv.v_target v.Tv.v_version
-          | exception Check.Json.Parse_error _ ->
-              "tv verdict: recorded entry undecodable (stale version?)"))
+          match k.decode t p with
+          | Some v -> Ok v
+          | None ->
+              Error
+                "recorded entry rejected: undecodable, stale version or \
+                 another target (the next read replaces it)"))
+
+let tv_doctor_line t : string =
+  match inspect t Kind.tv with
+  | Ok v ->
+      Printf.sprintf
+        "tv verdict: %d certified, %d skipped, %d mismatched (%s, tv v%d)"
+        (Tv.certified v)
+        (List.length v.Tv.v_results - Tv.certified v - Tv.mismatches v)
+        (Tv.mismatches v) v.Tv.v_target v.Tv.v_version
+  | Error why -> "tv verdict: " ^ why
 
 (* One line per quarantined file: name as stored, size, age relative to
    [now] (a parameter so reports are reproducible in tests). *)
@@ -749,7 +741,10 @@ let first_difference a b =
    damage, then retranslate the function exactly as the JIT would and
    report where the quarantined bytes diverge from a fresh entry. *)
 let diff_quarantined t fname : string list =
-  let cname = cache_name t fname in
+  let (module B) = backend t.target in
+  (* with the pass on, the entry name carries the table's fingerprint *)
+  let peep = peep_rules (module B) t in
+  let cname = entry_name t (Kind.code fname) in
   let entry =
     try t.storage.Storage.read_quarantined cname
     with _ ->
@@ -771,8 +766,6 @@ let diff_quarantined t fname : string list =
       match find_function t fname with
       | None -> [ header; "function is not defined in this module" ]
       | Some f ->
-          let (module B) = backend t.target in
-          let peep = peep_rules (module B) t in
           let payload =
             Marshal.to_string
               (B.compile_function t.m (Vmem.Image.load t.m) ~peep
@@ -804,7 +797,7 @@ let fresh_run t =
     peep_table = None (* re-acquired (cache load, normally) on next use *);
   }
 
-let reoptimize ?fuel ?(validate = true) ?domains t : t * int =
+let reoptimize ?fuel ?(validate = true) t : t * int =
   (* profile and relayout the same decoded copy so block ids line up *)
   let m = Decode.decode t.bytes in
   let prof, _, _ = Profile.collect ?fuel m in
@@ -819,20 +812,13 @@ let reoptimize ?fuel ?(validate = true) ?domains t : t * int =
     (* idle-time validation: block reordering also perturbs downstream
        register allocation, so measure both translations and keep the
        faster one (this is exactly the offline feedback loop the storage
-       API enables, §4.2). The two validation runs are independent whole
-       programs, so they run on separate domains; the shared storage is
-       serialized behind a mutex. *)
-    let vstorage = Storage.locked t.storage in
-    let baseline = { (fresh_run t) with storage = vstorage } in
-    let candidate = { (fresh_run t') with storage = vstorage } in
-    let validate_run eng () =
-      ignore (run ?fuel:(Option.map (fun f -> f * 8) fuel) eng)
-    in
-    let (), () =
-      Pool.both ?domains (validate_run baseline) (validate_run candidate)
-    in
-    if
-      Int64.compare candidate.stats.cycles baseline.stats.cycles < 0
-    then (fresh_run t', moved)
+       API enables, §4.2). The two runs go in sequence: on two domains
+       they were no faster. *)
+    let baseline = fresh_run t and candidate = fresh_run t' in
+    List.iter
+      (fun eng -> ignore (run ?fuel:(Option.map (fun f -> f * 8) fuel) eng))
+      [ baseline; candidate ];
+    if Int64.compare candidate.stats.cycles baseline.stats.cycles < 0 then
+      (fresh_run t', moved)
     else (fresh_run t, 0)
   end

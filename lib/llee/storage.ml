@@ -316,8 +316,7 @@ let on_disk ~dir =
   }
 
 (* Serialize every operation on [s] behind a mutex, making it safe to
-   share one storage between worker domains (e.g. LLEE's parallel
-   baseline-vs-candidate validation runs). *)
+   share one storage between domains. *)
 let locked s =
   let m = Mutex.create () in
   let guard f =

@@ -71,7 +71,7 @@ let run_workload (w : Workloads.workload) =
   (* ---- scenario 1: read chaos over a populated offline cache ---- *)
   let s1 = Storage.in_memory () in
   let eng1 = Llee.load ~storage:s1 ~target:Llee.X86 bytes in
-  Llee.translate_offline ~domains:1 eng1;
+  Llee.translate_offline eng1;
   let faulty_cfg =
     {
       Storage.fault_seed = seed;
@@ -92,7 +92,8 @@ let run_workload (w : Workloads.workload) =
     chaos1.Llee.stats.Llee.cache_quarantined fc1.Storage.damaged_serves;
   let module_damage =
     Option.value ~default:0
-      (Hashtbl.find_opt fc1.Storage.damaged_names (Llee.module_entry_name eng1))
+      (Hashtbl.find_opt fc1.Storage.damaged_names
+         (Llee.entry_name eng1 Llee.Kind.whole_module))
   in
   check_eq "read chaos: repaired == damaged - module entry" string_of_int
     chaos1.Llee.stats.Llee.cache_repaired
@@ -181,7 +182,7 @@ let run_peep_chaos () =
      corrupted in flight *)
   let s1 = Storage.in_memory () in
   let eng1 = Llee.load ~storage:s1 ~peephole:true ~target:Llee.X86 bytes in
-  Llee.translate_offline ~domains:1 eng1;
+  Llee.translate_offline eng1;
   let fs1, fc1 =
     Storage.faulty
       {
@@ -200,7 +201,8 @@ let run_peep_chaos () =
     chaos.Llee.stats.Llee.cache_quarantined fc1.Storage.damaged_serves;
   let module_damage =
     Option.value ~default:0
-      (Hashtbl.find_opt fc1.Storage.damaged_names (Llee.module_entry_name eng1))
+      (Hashtbl.find_opt fc1.Storage.damaged_names
+         (Llee.entry_name eng1 Llee.Kind.whole_module))
   in
   (* the run path rewrites every quarantined entry it needs — the
      re-searched #peep# table included — except the whole-module one *)
@@ -209,7 +211,8 @@ let run_peep_chaos () =
     (fc1.Storage.damaged_serves - module_damage);
   let peep_damage =
     Option.value ~default:0
-      (Hashtbl.find_opt fc1.Storage.damaged_names (Llee.peep_entry_name eng1))
+      (Hashtbl.find_opt fc1.Storage.damaged_names
+         (Llee.entry_name eng1 Llee.Kind.peep))
   in
   check "peep chaos: damaged table re-searched, intact table loaded"
     (if peep_damage > 0 then
@@ -248,11 +251,11 @@ let run_lint_chaos () =
   let bytes = Llva.Encode.encode m in
   let s = Storage.in_memory () in
   let eng = Llee.load ~storage:s ~target:Llee.X86 bytes in
-  Llee.translate_offline ~domains:1 eng;
+  Llee.translate_offline eng;
   let expected = Llee.run (with_storage eng s) in
   check "lint chaos: baseline exits normally"
     (match expected with Llee.Outcome.Exit _, _ -> true | _ -> false);
-  let lname = Llee.lint_entry_name eng in
+  let lname = Llee.entry_name eng Llee.Kind.lint in
   (match s.Storage.read lname with
   | None -> check "lint chaos: verdict entry recorded offline" false
   | Some e ->
@@ -304,7 +307,7 @@ let run_tv_chaos () =
   check "tv chaos: baseline certifies clean" (Llee.Tv.clean v0);
   check "tv chaos: baseline computed the verdict"
     (eng.Llee.stats.Llee.tv_runs = 1 && eng.Llee.stats.Llee.tv_skipped = 0);
-  let tname = Llee.tv_entry_name eng in
+  let tname = Llee.entry_name eng Llee.Kind.tv in
   (match s.Storage.read tname with
   | None -> check "tv chaos: verdict entry recorded" false
   | Some e ->

@@ -341,24 +341,24 @@ let test_stale_module_entry () =
   check_bool "stale module entry evicted" true
     (storage.Llee.Storage.read module_key = None)
 
-let test_parallel_offline_identical () =
-  (* the domain count a caller passes must not change the cache: the
-     same entries with byte-identical contents *)
+let test_offline_deterministic () =
+  (* two offline translations of the same bytes into separate caches
+     write the same entries with byte-identical contents *)
   let bytes = Llva.Encode.encode (Gen.parse program) in
-  let s_seq = Llee.Storage.in_memory () in
-  let s_par = Llee.Storage.in_memory () in
-  let e_seq = Llee.load ~storage:s_seq ~target:Llee.X86 bytes in
-  let e_par = Llee.load ~storage:s_par ~target:Llee.X86 bytes in
-  Llee.translate_offline ~domains:1 e_seq;
-  Llee.translate_offline ~domains:4 e_par;
-  check_int "same translation count" e_seq.Llee.stats.Llee.translations
-    e_par.Llee.stats.Llee.translations;
-  check_int "same cache size" (s_seq.Llee.Storage.size ())
-    (s_par.Llee.Storage.size ());
+  let s1 = Llee.Storage.in_memory () in
+  let s2 = Llee.Storage.in_memory () in
+  let e1 = Llee.load ~storage:s1 ~target:Llee.X86 bytes in
+  let e2 = Llee.load ~storage:s2 ~target:Llee.X86 bytes in
+  Llee.translate_offline e1;
+  Llee.translate_offline e2;
+  check_int "same translation count" e1.Llee.stats.Llee.translations
+    e2.Llee.stats.Llee.translations;
+  check_int "same cache size" (s1.Llee.Storage.size ())
+    (s2.Llee.Storage.size ());
   List.iter
     (fun f ->
-      let key = Printf.sprintf "%s.%s.x86lite" e_seq.Llee.key f in
-      match (s_seq.Llee.Storage.read key, s_par.Llee.Storage.read key) with
+      let key = Printf.sprintf "%s.%s.x86lite" e1.Llee.key f in
+      match (s1.Llee.Storage.read key, s2.Llee.Storage.read key) with
       | Some a, Some b ->
           check_bool ("identical entry for " ^ f) true
             (String.equal a.Llee.Storage.data b.Llee.Storage.data)
@@ -366,29 +366,29 @@ let test_parallel_offline_identical () =
     [ "main"; "hot"; "cold_helper"; "#module#" ];
   (* the lint verdict entry must be byte-identical as well *)
   (match
-     ( s_seq.Llee.Storage.read (Llee.lint_entry_name e_seq),
-       s_par.Llee.Storage.read (Llee.lint_entry_name e_par) )
+     ( s1.Llee.Storage.read (Llee.entry_name e1 Llee.Kind.lint),
+       s2.Llee.Storage.read (Llee.entry_name e2 Llee.Kind.lint) )
    with
   | Some a, Some b ->
       check_bool "identical verdict entry" true
         (String.equal a.Llee.Storage.data b.Llee.Storage.data)
   | _ -> Alcotest.fail "missing lint verdict entry");
-  (* and the parallel cache actually runs *)
-  let warm = Llee.fresh_run e_par in
+  (* and the offline cache actually runs *)
+  let warm = Llee.fresh_run e2 in
   let r = run_ok warm in
-  check_bool "parallel cache runs" true (r = expected_result);
-  check_int "parallel cache: no translations" 0
+  check_bool "offline cache runs" true (r = expected_result);
+  check_int "offline cache: no translations" 0
     warm.Llee.stats.Llee.translations
 
-let test_parallel_reoptimize () =
-  (* reoptimize validates baseline vs candidate on two domains; the
-     outcome must match semantics either way *)
+let test_reoptimize_with_storage () =
+  (* reoptimize's two validation runs share the caller's storage; the
+     layout it keeps must behave as the original *)
   let storage = Llee.Storage.in_memory () in
   let eng = Llee.of_module ~storage ~target:Llee.X86 (Gen.parse program) in
   let r1 = run_ok eng in
-  let eng2, _moved = Llee.reoptimize ~domains:2 eng in
+  let eng2, _moved = Llee.reoptimize eng in
   let r2 = run_ok eng2 in
-  check_bool "same behaviour after parallel validation" true (r1 = r2)
+  check_bool "same behaviour after validation on shared storage" true (r1 = r2)
 
 (* ---------- cache identity regressions ---------- *)
 
@@ -396,6 +396,8 @@ let contains hay needle =
   let n = String.length needle and m = String.length hay in
   let rec go i = i + n <= m && (String.sub hay i n = needle || go (i + 1)) in
   go 0
+
+let code_name eng f = Llee.entry_name eng (Llee.Kind.code f)
 
 let fresh_tmp_dir tag =
   let dir =
@@ -443,11 +445,13 @@ entry:
   let eng = Llee.of_module ~storage ~target:Llee.X86 m in
   Llee.translate_offline eng;
   check_bool "function and reserved entries are distinct" true
-    (Llee.cache_name eng "__module__" <> Llee.module_entry_name eng);
+    (code_name eng "__module__"
+    <> Llee.entry_name eng Llee.Kind.whole_module);
   check_bool "function entry present" true
-    (storage.Llee.Storage.read (Llee.cache_name eng "__module__") <> None);
+    (storage.Llee.Storage.read (code_name eng "__module__") <> None);
   check_bool "module entry present" true
-    (storage.Llee.Storage.read (Llee.module_entry_name eng) <> None);
+    (storage.Llee.Storage.read (Llee.entry_name eng Llee.Kind.whole_module)
+    <> None);
   let warm = Llee.fresh_run eng in
   let r = run_ok warm in
   check_bool "runs with a function named __module__" true (r = expected);
@@ -536,11 +540,12 @@ let test_lint_gate_blocks_poisoned_cache () =
   check_int "offline: rejected" 1 eng.Llee.stats.Llee.lint_rejected;
   check_int "offline: nothing translated" 0 eng.Llee.stats.Llee.translations;
   check_bool "no native function entry in storage" true
-    (storage.Llee.Storage.read (Llee.cache_name eng "main") = None);
+    (storage.Llee.Storage.read (code_name eng "main") = None);
   check_bool "no whole-module entry in storage" true
-    (storage.Llee.Storage.read (Llee.module_entry_name eng) = None);
+    (storage.Llee.Storage.read (Llee.entry_name eng Llee.Kind.whole_module)
+    = None);
   check_bool "verdict entry recorded" true
-    (storage.Llee.Storage.read (Llee.lint_entry_name eng) <> None);
+    (storage.Llee.Storage.read (Llee.entry_name eng Llee.Kind.lint) <> None);
   (* a launch degrades to a reported failure, not a crash *)
   let launch = Llee.fresh_run eng in
   let outcome, out = Llee.run launch in
@@ -554,7 +559,7 @@ let test_lint_gate_blocks_poisoned_cache () =
   check_int "launch: rejected" 1 launch.Llee.stats.Llee.lint_rejected;
   check_int "launch: nothing translated" 0 launch.Llee.stats.Llee.translations;
   check_bool "still no native code cached" true
-    (storage.Llee.Storage.read (Llee.cache_name eng "main") = None);
+    (storage.Llee.Storage.read (code_name eng "main") = None);
   (* without storage there is nothing to protect: the pure-JIT path does
      not lint at all (the DAISY/Crusoe situation is unchanged) *)
   let free = Llee.of_module ~target:Llee.X86 m in
@@ -581,7 +586,7 @@ let test_lint_verdict_corrupt_or_stale () =
   let storage = Llee.Storage.in_memory () in
   let cold = Llee.of_module ~storage ~target:Llee.X86 (Gen.parse program) in
   ignore (Llee.run cold);
-  let name = Llee.lint_entry_name cold in
+  let name = Llee.entry_name cold Llee.Kind.lint in
   (* corrupt verdict: exactly one re-lint, and the verdict is re-recorded *)
   storage.Llee.Storage.write name "definitely not a verdict";
   let w1 = Llee.fresh_run cold in
@@ -653,9 +658,9 @@ let test_lint_partial_install () =
   check_bool "clean functions were translated" true
     (eng.Llee.stats.Llee.translations > 0);
   check_bool "clean native entry cached" true
-    (storage.Llee.Storage.read (Llee.cache_name eng "helper") <> None);
+    (storage.Llee.Storage.read (code_name eng "helper") <> None);
   check_bool "blocked function never cached" true
-    (storage.Llee.Storage.read (Llee.cache_name eng "broken") = None);
+    (storage.Llee.Storage.read (code_name eng "broken") = None);
   (* warm launch: everything executed comes from cache, and the verdict
      itself is reused *)
   let warm = Llee.fresh_run eng in
@@ -667,19 +672,19 @@ let test_lint_partial_install () =
   check_int "warm: verdict reused" 1 warm.Llee.stats.Llee.lint_skipped;
   check_int "warm: still blocked" 1 warm.Llee.stats.Llee.lint_blocked_funcs;
   check_bool "warm: blocked entry still absent" true
-    (storage.Llee.Storage.read (Llee.cache_name eng "broken") = None);
+    (storage.Llee.Storage.read (code_name eng "broken") = None);
   (* offline translation skips the blocked function too: neither a
      per-function entry nor a slot in the whole-module entry *)
   let s2 = Llee.Storage.in_memory () in
   let off = Llee.of_module ~storage:s2 ~target:Llee.X86 m in
   Llee.translate_offline off;
   check_bool "offline: clean entries written" true
-    (s2.Llee.Storage.read (Llee.cache_name off "helper") <> None
-    && s2.Llee.Storage.read (Llee.cache_name off "main") <> None);
+    (s2.Llee.Storage.read (code_name off "helper") <> None
+    && s2.Llee.Storage.read (code_name off "main") <> None);
   check_bool "offline: blocked entry not written" true
-    (s2.Llee.Storage.read (Llee.cache_name off "broken") = None);
+    (s2.Llee.Storage.read (code_name off "broken") = None);
   check_bool "offline: module entry exists" true
-    (s2.Llee.Storage.read (Llee.module_entry_name off) <> None)
+    (s2.Llee.Storage.read (Llee.entry_name off Llee.Kind.whole_module) <> None)
 
 (* the same finding, but now call-reachable from [main] through an
    intermediate hop: the whole launch must be refused (exit 125) *)
@@ -715,7 +720,7 @@ entry:
   check_int "rejected counted" 1 eng.Llee.stats.Llee.lint_rejected;
   check_int "nothing translated" 0 eng.Llee.stats.Llee.translations;
   check_bool "nothing cached" true
-    (storage.Llee.Storage.read (Llee.cache_name eng "main") = None)
+    (storage.Llee.Storage.read (code_name eng "main") = None)
 
 (* ---------- quarantine forensics (the cache doctor) ---------- *)
 
@@ -731,7 +736,7 @@ let test_cache_doctor () =
         "tv verdict: none recorded for this module/target";
       ]);
   (* damage one native entry; the next launch quarantines and repairs *)
-  let cname = Llee.cache_name eng "hot" in
+  let cname = code_name eng "hot" in
   (match storage.Llee.Storage.read cname with
   | None -> Alcotest.fail "expected a cached entry for %hot"
   | Some e ->
@@ -772,6 +777,74 @@ let test_cache_doctor () =
   check_int "healed launch translates nothing" 0
     healed.Llee.stats.Llee.translations
 
+let test_diff_quarantined_peephole () =
+  (* with the pass on, native entry names carry the table's fingerprint:
+     the autopsy must look the quarantined entry up under that name, from
+     a fresh engine that has not acquired the table yet *)
+  let storage = Llee.Storage.in_memory () in
+  let eng =
+    Llee.of_module ~storage ~peephole:true ~target:Llee.X86
+      (Gen.parse program)
+  in
+  ignore (run_ok eng);
+  let cname = code_name eng "hot" in
+  (match storage.Llee.Storage.read cname with
+  | None -> Alcotest.fail "expected a cached entry for %hot"
+  | Some e ->
+      let d = Bytes.of_string e.Llee.Storage.data in
+      let k = Bytes.length d - 1 in
+      Bytes.set d k (Char.chr (Char.code (Bytes.get d k) lxor 0xff));
+      storage.Llee.Storage.write cname (Bytes.to_string d));
+  let warm = Llee.fresh_run eng in
+  ignore (run_ok warm);
+  check_int "damaged entry quarantined" 1
+    warm.Llee.stats.Llee.cache_quarantined;
+  let diff = Llee.diff_quarantined (Llee.fresh_run warm) "hot" in
+  check_bool "diff finds the fingerprinted entry" true
+    (List.exists (fun l -> contains l "first difference at byte") diff)
+
+(* loop-free, so cheap to certify on both targets *)
+let small_program =
+  {|
+int %twice(int %x) {
+entry:
+  %r = mul int %x, 2
+  ret int %r
+}
+
+int %main() {
+entry:
+  %a = call int %twice(int 21)
+  ret int %a
+}
+|}
+
+let test_doctor_rejects_foreign_tv () =
+  (* an x86lite verdict stored under the sparclite [#tv#] name is one
+     [certify] throws away; the doctor must not vouch for it either *)
+  let storage = Llee.Storage.in_memory () in
+  let m = Gen.parse small_program in
+  let x86 = Llee.of_module ~storage ~target:Llee.X86 m in
+  let sparc = Llee.of_module ~storage ~target:Llee.Sparc m in
+  ignore (Llee.certify x86);
+  (match storage.Llee.Storage.read (Llee.entry_name x86 Llee.Kind.tv) with
+  | Some e ->
+      storage.Llee.Storage.write
+        (Llee.entry_name sparc Llee.Kind.tv)
+        e.Llee.Storage.data
+  | None -> Alcotest.fail "missing x86lite #tv# entry");
+  let tv_line () = List.nth (Llee.cache_doctor ~now:10.0 sparc) 1 in
+  check_string "doctor rejects the foreign verdict"
+    "tv verdict: recorded entry rejected: undecodable, stale version or \
+     another target (the next read replaces it)"
+    (tv_line ());
+  let v = Llee.certify sparc in
+  check_int "certify counts it corrupt" 1 sparc.Llee.stats.Llee.cache_corrupt;
+  check_int "certify recomputes" 1 sparc.Llee.stats.Llee.tv_runs;
+  check_string "recomputed for sparclite" "sparclite" v.Llee.Tv.v_target;
+  check_bool "doctor vouches for the recomputed verdict" true
+    (contains (tv_line ()) "certified, 0 skipped, 0 mismatched (sparclite")
+
 (* ---------- superoptimized peephole tables ---------- *)
 
 let test_peep_cold_search_warm_load () =
@@ -783,7 +856,7 @@ let test_peep_cold_search_warm_load () =
   check_int "cold: exactly one search" 1 cold.Llee.stats.Llee.peep_searches;
   check_int "cold: no table loads" 0 cold.Llee.stats.Llee.peep_table_loads;
   check_bool "table entry recorded" true
-    (storage.Llee.Storage.read (Llee.peep_entry_name cold) <> None);
+    (storage.Llee.Storage.read (Llee.entry_name cold Llee.Kind.peep) <> None);
   let warm = Llee.fresh_run cold in
   let r2 = run_ok warm in
   check_bool "warm peephole run correct" true (r2 = expected_result);
@@ -816,7 +889,7 @@ let test_peep_entry_corrupt_stale_bumped () =
   let cold = Llee.load ~storage ~peephole:true ~target:Llee.X86 bytes in
   ignore (run_ok cold);
   check_int "cold: one search" 1 cold.Llee.stats.Llee.peep_searches;
-  let name = Llee.peep_entry_name cold in
+  let name = Llee.entry_name cold Llee.Kind.peep in
   (* foreign bytes under the entry name: bad magic, counted as plain
      corruption, exactly one re-search *)
   storage.Llee.Storage.write name "definitely not a rewrite table";
@@ -885,22 +958,90 @@ let test_peep_table_determinism () =
     Option.map (fun e -> e.Llee.Storage.data) (s.Llee.Storage.read name)
   in
   check_bool "identical #peep# entries" true
-    (data s1 (Llee.peep_entry_name e1) = data s2 (Llee.peep_entry_name e2)
-    && data s1 (Llee.peep_entry_name e1) <> None);
-  (* cache_name includes the table fingerprint once the table is set *)
+    (data s1 (Llee.entry_name e1 Llee.Kind.peep)
+     = data s2 (Llee.entry_name e2 Llee.Kind.peep)
+    && data s1 (Llee.entry_name e1 Llee.Kind.peep) <> None);
+  (* native entry names include the table fingerprint once it is set *)
   List.iter
     (fun f ->
       check_bool
         ("identical native entry for " ^ f)
         true
-        (data s1 (Llee.cache_name e1 f) = data s2 (Llee.cache_name e2 f)
-        && data s1 (Llee.cache_name e1 f) <> None))
+        (data s1 (code_name e1 f) = data s2 (code_name e2 f)
+        && data s1 (code_name e1 f) <> None))
     [ "main"; "hot" ];
   (* and the fingerprint-suffixed identity is disjoint from the plain
      one: a pass-off launch of the same bytes misses this cache *)
   let plain = Llee.of_module ~target:Llee.X86 (Gen.parse program) in
   check_bool "peephole code keyed separately" true
-    (Llee.cache_name e1 "main" <> Llee.cache_name plain "main")
+    (code_name e1 "main" <> code_name plain "main")
+
+(* ---------- entry names, pinned literally ---------- *)
+
+(* An in-memory storage that logs every name written to it, in order: the
+   test reads names off the medium, not from the functions that build
+   them, so renaming every entry cannot go unnoticed. *)
+let logging_storage () =
+  let s = Llee.Storage.in_memory () in
+  let names = ref [] in
+  let write name data =
+    names := name :: !names;
+    s.Llee.Storage.write name data
+  in
+  ({ s with Llee.Storage.write }, fun () -> List.rev !names)
+
+let test_entry_names_pinned () =
+  let bytes = Llva.Encode.encode (Gen.parse small_program) in
+  let key = "d1c68797db8631d0ca7cdc53e56b64ba" in
+  let written f =
+    let storage, names = logging_storage () in
+    f storage;
+    List.map
+      (fun n ->
+        (* the module hash is pinned once, here *)
+        let k = String.length key in
+        if String.length n > k && String.sub n 0 k = key then
+          "<key>" ^ String.sub n k (String.length n - k)
+        else n)
+      (names ())
+  in
+  let load ?peephole storage target =
+    let eng = Llee.load ~storage ?peephole ~target bytes in
+    check_string "module hash" key eng.Llee.key;
+    eng
+  in
+  let check_names what expected f =
+    Alcotest.(check (list string)) what expected (written f)
+  in
+  check_names "offline, pass off"
+    [
+      "<key>.#lint#.v3";
+      "<key>.twice.x86lite";
+      "<key>.main.x86lite";
+      "<key>.#module#.x86lite";
+    ]
+    (fun s -> Llee.translate_offline (load s Llee.X86));
+  check_names "x86 launch with --peephole"
+    [
+      "<key>.#lint#.v3";
+      "<key>.#peep#.x86lite.v1";
+      "<key>.main.x86lite.p37a84c22";
+      "<key>.twice.x86lite.p37a84c22";
+    ]
+    (fun s -> ignore (Llee.run (load ~peephole:true s Llee.X86)));
+  check_names "sparc launch with --peephole"
+    [
+      "<key>.#lint#.v3";
+      "<key>.#peep#.sparclite.v1";
+      "<key>.main.sparclite.pbb066cee";
+      "<key>.twice.sparclite.pbb066cee";
+    ]
+    (fun s -> ignore (Llee.run (load ~peephole:true s Llee.Sparc)));
+  check_names "certify, both targets"
+    [ "<key>.#tv#.x86lite.v1"; "<key>.#tv#.sparclite.v1" ]
+    (fun s ->
+      ignore (Llee.certify (load s Llee.X86));
+      ignore (Llee.certify (load s Llee.Sparc)))
 
 let suite =
   suite
@@ -922,6 +1063,10 @@ let suite =
       Alcotest.test_case "lint reachable bug refused" `Quick
         test_lint_reachable_bug_refused;
       Alcotest.test_case "cache doctor" `Quick test_cache_doctor;
+      Alcotest.test_case "doctor rejects a foreign tv verdict" `Quick
+        test_doctor_rejects_foreign_tv;
+      Alcotest.test_case "diff quarantined with peephole" `Quick
+        test_diff_quarantined_peephole;
       Alcotest.test_case "corrupted cache" `Quick test_corrupted_cache;
       Alcotest.test_case "truncated marshal" `Quick test_truncated_marshal;
       Alcotest.test_case "module entry fast path" `Quick
@@ -929,13 +1074,15 @@ let suite =
       Alcotest.test_case "module entry fallback" `Quick
         test_module_entry_fallback;
       Alcotest.test_case "stale module entry" `Quick test_stale_module_entry;
-      Alcotest.test_case "parallel offline identical" `Quick
-        test_parallel_offline_identical;
-      Alcotest.test_case "parallel reoptimize" `Quick test_parallel_reoptimize;
+      Alcotest.test_case "offline translation deterministic" `Quick
+        test_offline_deterministic;
+      Alcotest.test_case "reoptimize with storage" `Quick
+        test_reoptimize_with_storage;
       Alcotest.test_case "peep cold search warm load" `Quick
         test_peep_cold_search_warm_load;
       Alcotest.test_case "peep entry corrupt or stale" `Quick
         test_peep_entry_corrupt_stale_bumped;
       Alcotest.test_case "peep table determinism" `Quick
         test_peep_table_determinism;
+      Alcotest.test_case "entry names pinned" `Quick test_entry_names_pinned;
     ]

@@ -169,111 +169,6 @@ let test_exit_codes () =
   check_int "degraded matches the lint gate's code" Llee.lint_rejected_code
     (Llee.Outcome.exit_code (Llee.Outcome.Cache_degraded { reason = "" }))
 
-(* ---------- pool fault containment ---------- *)
-
-exception Boom of int
-
-let test_pool_mixed_exceptions () =
-  (* a raising task aborts only itself: its siblings all run, the pool
-     survives, and the earliest input's exception surfaces *)
-  let ran = Array.make 8 false in
-  let work i =
-    ran.(i) <- true;
-    if i mod 3 = 1 then raise (Boom i) else i * 10
-  in
-  (match Llee.Pool.map ~domains:4 work (List.init 8 Fun.id) with
-  | _ -> Alcotest.fail "expected the earliest Boom to re-raise"
-  | exception Boom i -> check_int "earliest failing input wins" 1 i);
-  check_bool "every task still ran" true (Array.for_all Fun.id ran);
-  (* same semantics sequentially: no early abort on the first raise *)
-  let ran1 = Array.make 8 false in
-  let work1 i =
-    ran1.(i) <- true;
-    if i mod 3 = 1 then raise (Boom i) else i * 10
-  in
-  (match Llee.Pool.map ~domains:1 work1 (List.init 8 Fun.id) with
-  | _ -> Alcotest.fail "expected the earliest Boom to re-raise"
-  | exception Boom i -> check_int "sequential: earliest input wins" 1 i);
-  check_bool "sequential: every task still ran" true
-    (Array.for_all Fun.id ran1);
-  (* the pool is not poisoned: the next fan-out works normally *)
-  let r = Llee.Pool.map ~domains:4 (fun i -> i + 1) (List.init 16 Fun.id) in
-  check_bool "pool survives a raising batch" true
-    (r = List.init 16 (fun i -> i + 1))
-
-let test_pool_both_exceptions () =
-  (match Llee.Pool.both ~domains:2 (fun () -> raise (Boom 1)) (fun () -> 2) with
-  | _ -> Alcotest.fail "expected Boom"
-  | exception Boom i -> check_int "first thunk's exception" 1 i);
-  let second_ran = ref false in
-  (match
-     Llee.Pool.both ~domains:2
-       (fun () -> raise (Boom 1))
-       (fun () ->
-         second_ran := true;
-         raise (Boom 2))
-   with
-  | _ -> Alcotest.fail "expected Boom"
-  | exception Boom i -> check_int "both raise: first wins" 1 i);
-  check_bool "both raise: second thunk still ran" true !second_ran;
-  let a, b = Llee.Pool.both ~domains:2 (fun () -> 1) (fun () -> 2) in
-  check_int "both survives raising batches: fst" 1 a;
-  check_int "both survives raising batches: snd" 2 b
-
-(* ---------- pool nesting, one domain ---------- *)
-
-let self_id () = (Domain.self () :> int)
-
-(* enough work per task that a helper domain starts before the caller
-   has drained the batch alone *)
-let busy i =
-  let r = ref i in
-  for k = 1 to 20_000 do
-    r := (!r * 31) + k
-  done;
-  !r
-
-let test_pool_nested () =
-  let r =
-    Llee.Pool.map ~domains:2
-      (fun i ->
-        List.fold_left ( + ) 0
-          (Llee.Pool.map ~domains:2 (fun j -> (i * 10) + j) (List.init 4 Fun.id)))
-      (List.init 6 Fun.id)
-  in
-  check_bool "nested map" true
-    (r = List.init 6 (fun i -> (i * 40) + 6));
-  let r =
-    Llee.Pool.map ~domains:2
-      (fun i ->
-        let a, b =
-          Llee.Pool.both ~domains:2 (fun () -> busy i) (fun () -> i + 1)
-        in
-        (a = busy i, b))
-      (List.init 4 Fun.id)
-  in
-  check_bool "both nested in map" true
-    (r = List.init 4 (fun i -> (true, i + 1)));
-  let a, b =
-    Llee.Pool.both ~domains:2
-      (fun () -> Llee.Pool.map ~domains:2 succ [ 1; 2; 3 ])
-      (fun () -> Llee.Pool.map ~domains:2 pred [ 1; 2; 3 ])
-  in
-  check_bool "map nested in both" true (a = [ 2; 3; 4 ] && b = [ 0; 1; 2 ])
-
-let test_pool_one_domain_is_caller () =
-  let me = self_id () in
-  let ids =
-    Llee.Pool.map ~domains:1
-      (fun i ->
-        ignore (busy i);
-        self_id ())
-      (List.init 8 Fun.id)
-  in
-  check_bool "map ran on the caller" true (List.for_all (( = ) me) ids);
-  let a, b = Llee.Pool.both ~domains:1 self_id self_id in
-  check_bool "both ran on the caller" true (a = me && b = me)
-
 let suite =
   [
     Alcotest.test_case "trap on all five engines" `Quick test_trap_all_engines;
@@ -286,9 +181,4 @@ let suite =
       test_wild_malloc_is_null;
     Alcotest.test_case "unresolved type is an outcome" `Quick
       test_unresolved_type;
-    Alcotest.test_case "pool mixed exceptions" `Quick test_pool_mixed_exceptions;
-    Alcotest.test_case "pool both exceptions" `Quick test_pool_both_exceptions;
-    Alcotest.test_case "pool nested map and both" `Quick test_pool_nested;
-    Alcotest.test_case "pool one domain runs on the caller" `Quick
-      test_pool_one_domain_is_caller;
   ]

@@ -175,7 +175,10 @@ let test_locked_concurrent_writers () =
     done;
     w
   in
-  let ids = Llee.Pool.map ~domains:writers work (List.init writers Fun.id) in
+  let ids =
+    List.map Domain.join
+      (List.init writers (fun w -> Domain.spawn (fun () -> work w)))
+  in
   check_bool "all writers finished" true (ids = List.init writers Fun.id);
   (* private entries: byte-identical to what their writer stored *)
   for w = 0 to writers - 1 do
@@ -216,7 +219,8 @@ let test_locked_concurrent_disk_writers () =
     done;
     w
   in
-  ignore (Llee.Pool.map ~domains:writers work (List.init writers Fun.id));
+  List.iter Domain.join
+    (List.init writers (fun w -> Domain.spawn (fun () -> ignore (work w))));
   for k = 0 to entries - 1 do
     match s.Storage.read (Printf.sprintf "shared.%d" k) with
     | Some e ->
