@@ -13,7 +13,10 @@
    cycle models, and admits only candidates the simulator-as-oracle
    certifies on boundary and random vectors. The resulting table is
    written via [Superopt.Table.to_string] (magic + version framed) and
-   is byte-deterministic: same suite in, same table out.
+   is byte-deterministic: same suite in, same table out. Each learned
+   table is followed by the search's deterministic counters (windows,
+   oracle sessions, candidates generated, pruned by the write-set
+   pre-screen, screened, surviving the screen, full-checked, accepted).
 
    Exit codes: 0 — success; 2 — a --check found a rule the oracle now
    refutes, or a --determinism run produced diverging bytes. *)
@@ -34,11 +37,15 @@ let table_path dir target = Filename.concat dir (target ^ ".peep")
 
 let learn_one mods target =
   let t0 = Unix.gettimeofday () in
-  let tb = Superopt.Search.learn (Superopt.Backend.of_name target) mods in
+  let stats = Superopt.Search.stats () in
+  let tb =
+    Superopt.Search.learn (Superopt.Backend.of_name target) ~stats mods
+  in
   Printf.printf "%-10s %d rules, %d static cycles saved (%.2fs search)\n"
     target (Superopt.Table.count tb)
     (Superopt.Table.total_saved tb)
     (Unix.gettimeofday () -. t0);
+  Printf.printf "%-10s %s\n" target (Superopt.Search.stats_line stats);
   tb
 
 let do_learn out targets =

@@ -447,13 +447,20 @@ let describe_diff (a : observation) (b : observation) : string =
       (String.length a.out) (String.length b.out)
   else "globals region differs after the run"
 
+(* How many times a certification ran each engine, one run per vector. *)
+type runs = { mutable interp_runs : int; mutable native_runs : int }
+
 (* Certify every defined function of [m] against its translation for
    [target] ("x86lite" | "sparclite"). [native] substitutes a different
    module for the native side — the translation being validated — which
-   the tests use to prove the checker actually catches divergence. *)
+   the tests use to prove the checker actually catches divergence. A
+   vector the interpreter cannot finish is inconclusive whatever the
+   native side does, so the native side does not run it. [runs], when
+   given, counts the engine runs. *)
 let certify_module ?(seed = default_seed) ?(vectors = default_vectors)
     ?(interp_fuel = default_interp_fuel)
-    ?(native_fuel = default_native_fuel) ?native ~target (m : Ir.modl) :
+    ?(native_fuel = default_native_fuel) ?native
+    ?(runs = { interp_runs = 0; native_runs = 0 }) ~target (m : Ir.modl) :
     verdict =
   let nm = match native with Some n -> n | None -> m in
   (* the translation, and the decoded form its vectors share *)
@@ -491,24 +498,27 @@ let certify_module ?(seed = default_seed) ?(vectors = default_vectors)
                           }
                       else Certified { vectors = conclusive }
                   | vec :: rest -> (
-                      let ref_obs =
+                      runs.interp_runs <- runs.interp_runs + 1;
+                      match
                         run_interp m env fname vec rty extent
                           ~fuel:interp_fuel
-                      in
-                      let nat_obs =
-                        run_native env fname vec rty extent ~fuel:native_fuel
-                      in
-                      match (ref_obs, nat_obs) with
-                      | Inconclusive r, _ | _, Inconclusive r ->
-                          go conclusive (Some r) rest
-                      | Conclusive a, Conclusive b ->
-                          if a = b then go (conclusive + 1) last rest
-                          else
-                            Mismatch
-                              {
-                                vector = render_vector vec;
-                                detail = describe_diff a b;
-                              })
+                      with
+                      | Inconclusive r -> go conclusive (Some r) rest
+                      | Conclusive a -> (
+                          runs.native_runs <- runs.native_runs + 1;
+                          match
+                            run_native env fname vec rty extent
+                              ~fuel:native_fuel
+                          with
+                          | Inconclusive r -> go conclusive (Some r) rest
+                          | Conclusive b ->
+                              if a = b then go (conclusive + 1) last rest
+                              else
+                                Mismatch
+                                  {
+                                    vector = render_vector vec;
+                                    detail = describe_diff a b;
+                                  }))
                 in
                 go 0 None vecs
           in

@@ -59,14 +59,20 @@ module type S = sig
 
     val make : unit -> h
     val session : h -> inputs:instr list -> instr list -> session option
-    val screen_ok : session -> instr array -> bool
-    val full_ok : session -> instr array -> bool
+    val probe : session -> (instr, instr Codegen.Machine.op) Oracle.probe
+
+    (* the pre-screen bits of what some instructions change, from given
+       harness states (see [Oracle.Make.changes]) *)
+    val changes :
+      session -> instr Codegen.Machine.op array -> int64 array list -> int
+
     val verify_rule : h -> instr list -> instr list -> bool
   end
 
-  (* the search vocabulary (see [Vocab]) *)
+  (* the search vocabulary (see [Vocab]): [forms w push] pushes each
+     form of window [w] once *)
   val admissible : instr -> bool
-  val forms : instr list -> instr list
+  val forms : instr list -> (instr -> unit) -> unit
 
   (* the table projection *)
   val rules : instr rule list -> rules

@@ -88,39 +88,62 @@ let full_vectors ~n =
 
 (* ---------- the shared harness ---------- *)
 
-(* What the harness needs from a back-end: its simulator, which
-   instructions a window may hold, a window's data inputs, and the six
-   flag variants the vectors cycle through. *)
+(* The kind of a location an instruction names: a register the harness
+   does not own (by number), the condition flags (both flag words and
+   the flag kind), or a frame slot (by displacement). *)
+type loc = Reg | Flags | Slot
+
+(* What a back-end needs from the harness: its simulator, which
+   instructions a window may hold, what each instruction names, and the
+   six flag variants the vectors cycle through. *)
 module type TARGET = sig
   type instr
 
   val machine : instr Codegen.Machine.isa
   val straightline : instr -> bool
 
-  (* data inputs: every named register the harness does not own and
-     every distinct slot displacement, in first-occurrence order *)
-  val inputs_of : instr list -> int list * int list
+  (* [operands f acc i] folds [f] over the locations [i] names, in
+     operand order: [f acc loc x def] for a location of kind [loc]
+     numbered [x] (0 for the flags), with [def] when [i] writes it. A
+     window's data inputs (the locations it names, in first-occurrence
+     order) and a candidate's write set are both read off it, so it must
+     name every location [exec] can change. *)
+  val operands : ('a -> loc -> int -> bool -> 'a) -> 'a -> instr -> 'a
 
   (* flag variant [k mod 6] runs with vector [k] *)
   val flag_variants : (instr Codegen.Machine.state -> unit) array
 end
 
-(* A straight-line window threaded into one closure: each instruction's
-   [decode_instr] continues with the next, the last with a halt. *)
-let chain decode_instr w =
-  let next = ref (fun _ -> ()) in
-  for pc = Array.length w - 1 downto 0 do
-    next := decode_instr pc w.(pc) !next
-  done;
-  !next
+(* What the search asks of a session, with the instructions decoded to
+   ['op]s it can run without decoding them again.
 
-(* A window is prepared once (straight-line checked, then decoded)
-   and then run once per test vector on a single reused simulator state.
-   An observation is the whole register file — integer registers and
-   flag operands — plus the flag kind and the slot contents; a candidate
-   is compared against it in place. *)
+   [must] and [writes] are the write-set pre-screen, in one bit per
+   location: bit [r] for register [r], bit [nregs] for the flags and
+   bit [nregs + 1 + j] for the session's slot [j]. [must] holds every
+   location whose value the left-hand side changes on some screen
+   vector; [writes i] is every location [i] can write. A candidate
+   whose writes miss a bit of [must] leaves that location as it found
+   it, so it cannot match the left-hand side on that vector and would
+   fail [screen]: the pre-screen only ever rejects what the screen
+   would. [screen ops len] runs [ops.(0 .. len - 1)] on the screen
+   vectors; [full] is the admission check, on the full set. *)
+type ('i, 'op) probe = {
+  must : int;
+  writes : 'i -> int;
+  decode : 'i -> 'op;
+  screen : 'op array -> int -> bool;
+  full : 'i array -> bool;
+}
+
+(* A window is decoded once, one closure per instruction, and then run
+   once per test vector on a single reused simulator state. An
+   observation is the whole register file — integer registers and flag
+   operands — plus the flag kind and the slot contents; a candidate is
+   compared against it in place. *)
 module Make (T : TARGET) = struct
   module M = Codegen.Machine
+
+  let nregs = T.machine.M.nregs
 
   (* Observations of one window over one vector set: for vector [k],
      the register file [oregs.(k)], the flag kind [okinds.(k)] and the
@@ -136,9 +159,11 @@ module Make (T : TARGET) = struct
   type h = {
     st : T.instr M.state;
     base : int64;
-    big : bool; (* the target's byte order, for slot words *)
+    swap : bool; (* the target's byte order is not the host's *)
     screens : (int, vectors) Hashtbl.t;
     fulls : (int, vectors) Hashtbl.t;
+    resets : Bytes.t array;
+    reset_kinds : int array;
     mutable opened : int;
     mutable full_of : int;
     mutable full_obs : obs;
@@ -154,10 +179,29 @@ module Make (T : TARGET) = struct
     (* scratch frame area: far enough below the stack top that negative
        slot displacements and the probe SP never leave mapped,
        non-null address space *)
+    let base = Int64.sub Vmem.Memory.stack_top 65536L in
+    (* the register file and flag kind a run starts from, per flag
+       variant: zero, but for the stack and frame registers pointing into
+       the scratch frame and for the variant's flags *)
+    let sp, fp = T.machine.M.stack_regs in
+    let resets =
+      Array.map
+        (fun set_flags ->
+          Bytes.fill st.M.regs 0 (Bytes.length st.M.regs) '\000';
+          Bytes.set_int64_ne st.M.regs (sp lsl 3) (Int64.sub base 8192L);
+          Bytes.set_int64_ne st.M.regs (fp lsl 3) base;
+          set_flags st;
+          (Bytes.copy st.M.regs, st.M.flag_kind))
+        T.flag_variants
+    in
     {
       st;
-      base = Int64.sub Vmem.Memory.stack_top 65536L;
-      big = st.M.mem.Vmem.Memory.target.Llva.Target.endian = Llva.Target.Big;
+      base;
+      resets = Array.map fst resets;
+      reset_kinds = Array.map snd resets;
+      swap =
+        st.M.mem.Vmem.Memory.target.Llva.Target.endian = Llva.Target.Big
+        <> Sys.big_endian;
       screens = Hashtbl.create 16;
       fulls = Hashtbl.create 16;
       opened = 0;
@@ -177,70 +221,100 @@ module Make (T : TARGET) = struct
   let screen_set h n = memo h.screens screen_vectors n
   let full_set h n = memo h.fulls full_vectors n
 
+  (* The data inputs of a window: every register and every distinct
+     slot displacement it names, in first-occurrence order. *)
+  let inputs_of (w : T.instr list) : int list * int list =
+    let add x l = if List.mem x l then l else x :: l in
+    let regs, slots =
+      List.fold_left
+        (T.operands (fun (regs, slots) loc x _ ->
+             match loc with
+             | Reg -> (add x regs, slots)
+             | Slot -> (regs, add x slots)
+             | Flags -> (regs, slots)))
+        ([], []) w
+    in
+    (List.rev regs, List.rev slots)
+
   (* Only straight-line, trap-free instructions are executable as
-     windows; anything else makes the window unverifiable. *)
-  let prepare (w : T.instr array) : T.instr M.op =
-    for k = 0 to Array.length w - 1 do
-      if not (T.straightline w.(k)) then invalid_arg "not straight-line"
-    done;
-    chain T.machine.M.decode_instr w
+     windows; anything else decodes to a closure that raises, which
+     makes the window unverifiable (or the candidate rejected). Each
+     instruction is decoded on its own and halts; [run] calls them in
+     order. The pc a closure records is read only by the machine's run
+     loop, which the harness does not use. *)
+  let halt : T.instr M.op = fun _ -> ()
+  let unfit : T.instr M.op = fun _ -> invalid_arg "not straight-line"
+
+  let decode (i : T.instr) : T.instr M.op =
+    if T.straightline i then T.machine.M.decode_instr 0 i halt else unfit
+
+  let prepare (w : T.instr array) = Array.map decode w
+
+  (* Unchecked word access, for offsets in range by construction: the
+     words of the vector a run loads, register files (all of the
+     machine's length) and slot words (checked once by [slot]). *)
+  external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+  external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+  external bswap64 : int64 -> int64 = "%bswap_int64"
 
   (* A frame slot: its backing page and the offset in it, found once per
      session. Concretized slots are 8-aligned below a page-aligned base,
-     so none straddles a page, and the harness writes and reads slot
-     words on the page directly, without boxing them. *)
+     so none straddles a page ([slot] refuses one that would), and the
+     harness writes and reads slot words on the page directly, without
+     boxing them. *)
   type slot = { page : Bytes.t; off : int }
 
   let slot h d =
     let a = Int64.add h.base (Int64.of_int d) in
-    {
-      page = Vmem.Memory.page_of h.st.M.mem a;
-      off = Int64.to_int a land (Vmem.Memory.page_size - 1);
-    }
+    let page = Vmem.Memory.page_of h.st.M.mem a
+    and off = Int64.to_int a land (Vmem.Memory.page_size - 1) in
+    if off > Bytes.length page - 8 then invalid_arg "slot straddles a page";
+    { page; off }
 
+  (* slot words in the target's byte order *)
   let[@inline] get_slot h s =
-    if h.big then Bytes.get_int64_be s.page s.off
-    else Bytes.get_int64_le s.page s.off
+    let v = get64u s.page s.off in
+    if h.swap then bswap64 v else v
 
   let[@inline] set_slot h s v =
-    if h.big then Bytes.set_int64_be s.page s.off v
-    else Bytes.set_int64_le s.page s.off v
+    set64u s.page s.off (if h.swap then bswap64 v else v)
 
   type session = {
     h : h;
     id : int;
     regs : int array;
     slots : slot array;
-    lhs : T.instr M.op;
+    writes : T.instr -> int;
+    lhs : T.instr M.op array;
     screen : vectors * obs;
+    must : int;
     mutable full_faults : bool; (* the lhs faults on some full vector *)
   }
 
-  (* Run [cf] on vector [k] of [vs]: zero the register file, point the
-     stack and frame registers at the scratch frame below [base], load
-     the vector's slot and register inputs, set its flag variant, and run
-     the window (straight-line code) once. *)
-  let run h ~regs ~slots cf vs k =
+  (* Run [ops.(0 .. len - 1)] on vector [k] of [vs]: reset the register
+     file and flags to the vector's flag variant (see [make]), load the
+     vector's slot and register inputs, and run the instructions
+     (straight-line code) once. *)
+  let run h ~regs ~slots ops len vs k =
     let st = h.st in
-    let v = 8 * k * vs.n in
+    let v = 8 * k * vs.n and nregs_in = Array.length regs in
     for j = 0 to Array.length slots - 1 do
-      set_slot h slots.(j)
-        (Bytes.get_int64_ne vs.data (v + (8 * (Array.length regs + j))))
+      set_slot h slots.(j) (get64u vs.data (v + (8 * (nregs_in + j))))
     done;
-    Bytes.fill st.M.regs 0 (Bytes.length st.M.regs) '\000';
-    let sp, fp = T.machine.M.stack_regs in
-    Bytes.set_int64_ne st.M.regs (sp lsl 3) (Int64.sub h.base 8192L);
-    Bytes.set_int64_ne st.M.regs (fp lsl 3) h.base;
-    for j = 0 to Array.length regs - 1 do
+    let f = k mod 6 in
+    Bytes.blit h.resets.(f) 0 st.M.regs 0 (Bytes.length st.M.regs);
+    st.M.flag_kind <- h.reset_kinds.(f);
+    for j = 0 to nregs_in - 1 do
       Bytes.set_int64_ne st.M.regs (regs.(j) lsl 3)
-        (Bytes.get_int64_ne vs.data (v + (8 * j)))
+        (get64u vs.data (v + (8 * j)))
     done;
-    T.flag_variants.(k mod 6) st;
-    cf st
+    for p = 0 to len - 1 do
+      ops.(p) st
+    done
 
-  (* Run [cf] over every vector of [vs] and record what it leaves, in
+  (* Run [ops] over every vector of [vs] and record what it leaves, in
      [into]'s buffers when they are big enough. *)
-  let observe ?into h ~regs ~slots cf vs =
+  let observe ?into h ~regs ~slots ops vs =
     let st = h.st in
     let rlen = Bytes.length st.M.regs and nslots = Array.length slots in
     let o =
@@ -257,7 +331,7 @@ module Make (T : TARGET) = struct
           }
     in
     for k = 0 to vs.count - 1 do
-      run h ~regs ~slots cf vs k;
+      run h ~regs ~slots ops (Array.length ops) vs k;
       Bytes.blit st.M.regs 0 o.oregs.(k) 0 rlen;
       o.okinds.(k) <- st.M.flag_kind;
       for j = 0 to nslots - 1 do
@@ -268,10 +342,13 @@ module Make (T : TARGET) = struct
     done;
     o
 
-  (* does the harness state after a run match observation [k]? *)
+  (* Does the harness state after a run match observation [k]? The
+     register files are compared with [Bytes.compare], which is a
+     [memcmp]: about 2.5 times as fast as [Bytes.equal]'s word loop on
+     sparclite's 272 bytes. *)
   let matches h ~slots o k =
     h.st.M.flag_kind = o.okinds.(k)
-    && Bytes.equal h.st.M.regs o.oregs.(k)
+    && Bytes.compare h.st.M.regs o.oregs.(k) = 0
     &&
     let nslots = Array.length slots in
     let j = ref 0 in
@@ -284,6 +361,59 @@ module Make (T : TARGET) = struct
     done;
     !j >= nslots
 
+  (* the pre-screen's bit for location number [k] (see [probe]); a
+     location past the word's bits has none, and is never pruned on *)
+  let bit k = if k < Sys.int_size - 1 then 1 lsl k else 0
+  let flags_bit = bit nregs
+
+  (* The locations observation [o] of [vs] holds different from where
+     [run] starts them, on some vector: each vector's initial state is a
+     run of no instructions. *)
+  let changed h ~regs ~slots vs o =
+    let st = h.st and nslots = Array.length slots in
+    let m = ref 0 in
+    for k = 0 to vs.count - 1 do
+      run h ~regs ~slots [||] 0 vs k;
+      let now = st.M.regs and seen = o.oregs.(k) in
+      for r = 0 to nregs - 1 do
+        if not (Int64.equal (get64u now (8 * r)) (get64u seen (8 * r))) then
+          m := !m lor bit r
+      done;
+      let fa = 8 * nregs and fb = (8 * nregs) + 8 in
+      if
+        st.M.flag_kind <> o.okinds.(k)
+        || (not (Int64.equal (get64u now fa) (get64u seen fa)))
+        || not (Int64.equal (get64u now fb) (get64u seen fb))
+      then m := !m lor flags_bit;
+      for j = 0 to nslots - 1 do
+        if
+          not
+            (Int64.equal (get_slot h slots.(j))
+               (Bytes.get_int64_ne o.oslots (8 * ((nslots * k) + j))))
+        then m := !m lor bit (nregs + 1 + j)
+      done
+    done;
+    !m
+
+  (* [writes disps]: every location an instruction can write, as
+     pre-screen bits of a session whose slots are at [disps] *)
+  let writes disps =
+    let add m loc x def =
+      if not def then m
+      else
+        match loc with
+        | Reg -> m lor bit x
+        | Flags -> m lor flags_bit
+        | Slot ->
+            let rec find j =
+              if j >= Array.length disps then m
+              else if disps.(j) = x then m lor bit (nregs + 1 + j)
+              else find (j + 1)
+            in
+            find 0
+    in
+    fun (i : T.instr) -> T.operands add 0 i
+
   (* [None] when the left-hand side itself faults or traps on some
      screen vector: such windows are not oracle-checkable and are
      skipped. [inputs] normally equals [lhs]; rule re-verification passes
@@ -291,27 +421,37 @@ module Make (T : TARGET) = struct
      names is still observed (and therefore rejected). *)
   let session h ~(inputs : T.instr list) (lhs : T.instr list) :
       session option =
-    let regs, slots = T.inputs_of inputs in
-    let regs = Array.of_list regs in
-    let slots = Array.of_list (List.map (slot h) slots) in
-    match prepare (Array.of_list lhs) with
-    | exception Invalid_argument _ -> None
-    | cf -> (
-        let vs = screen_set h (Array.length regs + Array.length slots) in
-        match observe h ~regs ~slots cf vs with
-        | o ->
-            h.opened <- h.opened + 1;
-            Some
-              {
-                h;
-                id = h.opened;
-                regs;
-                slots;
-                lhs = cf;
-                screen = (vs, o);
-                full_faults = false;
-              }
-        | exception _ -> None)
+    let regs, disps = inputs_of inputs in
+    let regs = Array.of_list regs and disps = Array.of_list disps in
+    let ops = prepare (Array.of_list lhs) in
+    let vs = screen_set h (Array.length regs + Array.length disps) in
+    match
+      let slots = Array.map (slot h) disps in
+      (slots, observe h ~regs ~slots ops vs)
+    with
+    | slots, o ->
+        h.opened <- h.opened + 1;
+        Some
+          {
+            h;
+            id = h.opened;
+            regs;
+            slots;
+            writes = writes disps;
+            lhs = ops;
+            screen = (vs, o);
+            must = changed h ~regs ~slots vs o;
+            full_faults = false;
+          }
+    | exception _ -> None
+
+  (* The locations [ops] change on some of [vectors] (each at least as
+     long as [s]'s input count), as pre-screen bits of [s]. *)
+  let changes s ops (vectors : int64 array list) =
+    let n = Array.length s.regs + Array.length s.slots in
+    let vs = pack ~n (List.map (fun v -> Array.sub v 0 n) vectors) in
+    changed s.h ~regs:s.regs ~slots:s.slots vs
+      (observe s.h ~regs:s.regs ~slots:s.slots ops vs)
 
   (* The full set and the left-hand side's observations on it, built
      the first time a candidate of [s] reaches it. Sessions are used one
@@ -333,12 +473,12 @@ module Make (T : TARGET) = struct
     end;
     (vs, h.full_obs)
 
-  (* does [cf] reproduce every observation of [vs]? *)
-  let passes s cf (vs, o) =
+  (* does [ops.(0 .. len - 1)] reproduce every observation of [vs]? *)
+  let passes s ops len (vs, o) =
     let rec go k =
       k >= vs.count
       || begin
-           run s.h ~regs:s.regs ~slots:s.slots cf vs k;
+           run s.h ~regs:s.regs ~slots:s.slots ops len vs k;
            matches s.h ~slots:s.slots o k
          end
          && go (k + 1)
@@ -348,17 +488,25 @@ module Make (T : TARGET) = struct
   (* The two stages of [candidate_ok]: the 6 screen vectors, then the
      full set (which repeats them). *)
   let screen_ok (s : session) (rhs : T.instr array) : bool =
-    match prepare rhs with
-    | exception Invalid_argument _ -> false
-    | cf -> passes s cf s.screen
+    passes s (prepare rhs) (Array.length rhs) s.screen
 
   let full_ok (s : session) (rhs : T.instr array) : bool =
-    match prepare rhs with
-    | exception Invalid_argument _ -> false
-    | _ when s.full_faults -> false
-    | cf -> ( match full s with f -> passes s cf f | exception _ -> false)
+    (not s.full_faults)
+    &&
+    match full s with
+    | f -> passes s (prepare rhs) (Array.length rhs) f
+    | exception _ -> false
 
   let candidate_ok s rhs = screen_ok s rhs && full_ok s rhs
+
+  let probe s : (T.instr, T.instr M.op) probe =
+    {
+      must = s.must;
+      writes = s.writes;
+      decode;
+      screen = (fun ops len -> passes s ops len s.screen);
+      full = full_ok s;
+    }
 
   (* Re-verify one concrete rule instantiation end to end (CI uses this
      on the shipped tables). *)
@@ -370,8 +518,8 @@ end
 
 (* ---------- per-target harnesses ---------- *)
 
-(* The two targets differ in the simulator, the flags type and which
-   registers are data; everything else is [Make]. *)
+(* The two targets differ in the simulator, the flags type and what
+   each instruction names; everything else is [Make]. *)
 
 module X86 = Make (struct
   open X86lite
@@ -385,26 +533,21 @@ module X86 = Make (struct
     | Mov _ | Alu _ | Shift _ | Ext _ | Cmp _ | Setcc _ -> true
     | _ -> false
 
-  (* BP is excluded: it is the frame base the harness owns *)
-  let inputs_of (w : instr list) : int list * int list =
-    let regs = ref [] and slots = ref [] in
-    let add_reg r = if not (List.mem r !regs) then regs := !regs @ [ r ] in
-    let add_op = function
-      | R r -> add_reg r
-      | I _ -> ()
-      | M m -> if not (List.mem m.disp !slots) then slots := !slots @ [ m.disp ]
-    in
-    List.iter
-      (fun i ->
-        match i with
-        | Mov (a, b) | Alu (_, _, _, a, b) | Shift (_, _, _, a, b)
-        | Cmp (_, _, a, b) ->
-            add_op a;
-            add_op b
-        | Ext (r, _, _) | Setcc (_, r) -> add_reg r
-        | _ -> ())
-      w;
-    (!regs, !slots)
+  (* A memory operand names its slot: its base is BP, the frame base
+     the harness owns. *)
+  let op f acc o def =
+    match o with
+    | R r -> f acc Reg r def
+    | M m -> f acc Slot m.disp def
+    | I _ -> acc
+
+  let operands f acc = function
+    | Mov (a, b) | Alu (_, _, _, a, b) | Shift (_, _, _, a, b) ->
+        op f (op f acc a true) b false
+    | Cmp (_, _, a, b) -> f (op f (op f acc a false) b false) Flags 0 true
+    | Ext (r, _, _) -> f acc Reg r true
+    | Setcc (_, r) -> f (f acc Flags 0 false) Reg r true
+    | _ -> acc
 
   let flag_variants =
     Array.map
@@ -432,35 +575,20 @@ module Sparc = Make (struct
     | Alu3 _ | Sethi _ | Ld _ | St _ | Cmp _ | Movcc _ -> true
     | _ -> false
 
-  (* r0 is architecturally zero: never a data input. *)
-  let inputs_of (w : instr list) : int list * int list =
-    let regs = ref [] and slots = ref [] in
-    let add_reg r =
-      if r <> 0 && not (List.mem r !regs) then regs := !regs @ [ r ]
-    in
-    let add_opnd = function Rs r -> add_reg r | Imm _ -> () in
-    let add_slot d = if not (List.mem d !slots) then slots := !slots @ [ d ] in
-    List.iter
-      (fun i ->
-        match i with
-        | Alu3 (_, _, _, rd, rs1, o) ->
-            add_reg rd;
-            add_reg rs1;
-            add_opnd o
-        | Sethi (rd, _) -> add_reg rd
-        | Ld (_, _, rd, _, d) ->
-            add_reg rd;
-            add_slot d
-        | St (_, rs, _, d) ->
-            add_reg rs;
-            add_slot d
-        | Cmp (_, _, r, o) ->
-            add_reg r;
-            add_opnd o
-        | Movcc (_, rd) -> add_reg rd
-        | _ -> ())
-      w;
-    (!regs, !slots)
+  (* r0 is architecturally zero: never a location. A load or store
+     names its slot: its base is FP, the frame base the harness owns. *)
+  let reg f acc r def = if r = 0 then acc else f acc Reg r def
+  let opnd f acc = function Rs r -> reg f acc r false | Imm _ -> acc
+
+  let operands f acc = function
+    | Alu3 (_, _, _, rd, rs1, o) ->
+        opnd f (reg f (reg f acc rd true) rs1 false) o
+    | Sethi (rd, _) -> reg f acc rd true
+    | Movcc (_, rd) -> reg f (f acc Flags 0 false) rd true
+    | Ld (_, _, rd, _, d) -> f (reg f acc rd true) Slot d false
+    | St (_, rs, _, d) -> f (reg f acc rs false) Slot d true
+    | Cmp (_, _, r, o) -> f (opnd f (reg f acc r false) o) Flags 0 true
+    | _ -> acc
 
   let flag_variants =
     Array.map

@@ -1,8 +1,9 @@
 (* The superoptimizer's candidate vocabulary, one module per I-ISA:
    [admissible] picks the instructions a rewritable window may contain,
-   and [forms] lists every single-instruction form expressible in a
-   window's own vocabulary (its registers, slots, immediates, widths,
-   operators and condition codes), each once. *)
+   and [forms w push] makes every single-instruction form expressible in
+   window [w]'s own vocabulary (its registers, slots, immediates, widths,
+   operators and condition codes), each once, and passes it to [push] as
+   it is made, so the search never holds them all. *)
 
 let log2_64 v =
   if Int64.compare v 0L > 0 && Int64.equal (Int64.logand v (Int64.sub v 1L)) 0L
@@ -27,8 +28,13 @@ let derive_imms imms =
       imms
   in
   let logs = List.filter_map (fun v -> Option.map Int64.of_int (log2_64 v)) imms in
-  let all = List.sort_uniq compare (imms @ folds @ logs) in
+  let all = List.sort_uniq Int64.compare (imms @ folds @ logs) in
   if List.length all > 24 then List.filteri (fun k _ -> k < 24) all else all
+
+(* Put [v] on the reversed list [l] unless [l] holds an [eq] value: each
+   vocabulary list is built newest first and reversed once, so it keeps
+   first occurrences in order. *)
+let add eq l v = if not (List.exists (eq v) !l) then l := v :: !l
 
 module X86 = struct
   open X86lite.X86
@@ -56,15 +62,26 @@ module X86 = struct
     | Ext (r, _, _) | Setcc (_, r) -> reg_ok r
     | _ -> false
 
+  let mem_equal a b = a.base = b.base && a.disp = b.disp
+
+  let op_equal a b =
+    match (a, b) with
+    | R x, R y -> x = y
+    | I x, I y -> Int64.equal x y
+    | M x, M y -> mem_equal x y
+    | _ -> false
+
+  let ws_equal ((w1 : width), s1) (w2, s2) = w1 = w2 && s1 = s2
+
   (* vocabulary of one concrete window *)
   let vocab (w : instr list) =
     let regs = ref [] and mems = ref [] and imms = ref [] in
     let wss = ref [] and aluops = ref [] and ccs = ref [] in
-    let add l v = if not (List.mem v !l) then l := !l @ [ v ] in
+    let add_reg = add Int.equal regs and add_ws = add ws_equal wss in
     let add_op = function
-      | R r -> add regs r
-      | I v -> add imms v
-      | M m -> add mems m
+      | R r -> add_reg r
+      | I v -> add Int64.equal imms v
+      | M m -> add mem_equal mems m
     in
     List.iter
       (fun i ->
@@ -73,32 +90,33 @@ module X86 = struct
             add_op a;
             add_op b
         | Alu (op, w_, s, a, b) ->
-            add aluops op;
-            add wss (w_, s);
+            add ( == ) aluops op;
+            add_ws (w_, s);
             add_op a;
             add_op b
         | Shift (_, w_, s, a, b) ->
-            add wss (w_, s);
+            add_ws (w_, s);
             add_op a;
             add_op b
         | Cmp (w_, s, a, b) ->
-            add wss (w_, s);
+            add_ws (w_, s);
             add_op a;
             add_op b
         | Ext (r, w_, s) ->
-            add regs r;
-            add wss (w_, s)
+            add_reg r;
+            add_ws (w_, s)
         | Setcc (cc, r) ->
-            add ccs cc;
-            add regs r
+            add ( == ) ccs cc;
+            add_reg r
         | _ -> ())
       w;
-    if !wss = [] then wss := [ (W64, true) ];
-    (!regs, !mems, !imms, !wss, !aluops, !ccs)
+    let wss = if !wss = [] then [ (W64, true) ] else List.rev !wss in
+    (List.rev !regs, List.rev !mems, List.rev !imms, wss, List.rev !aluops,
+     List.rev !ccs)
 
   (* every single-instruction form expressible in the window's own
      vocabulary, each once *)
-  let forms (w : instr list) : instr list =
+  let forms (w : instr list) (push : instr -> unit) =
     let regs, mems, imms, wss, aluops, ccs = vocab w in
     let imms_all = derive_imms imms in
     let dsts = List.map (fun r -> R r) regs @ List.map (fun m -> M m) mems in
@@ -106,12 +124,12 @@ module X86 = struct
     let has_shift = List.exists (function Shift _ -> true | _ -> false) w in
     let has_imul = List.mem Imul aluops in
     let has_cmp = List.exists (function Cmp _ -> true | _ -> false) w in
-    let out = ref [] in
-    let push i = out := i :: !out in
     List.iter
       (fun d ->
         List.iter
-          (fun s -> if s <> d && not (is_mem d && is_mem s) then push (Mov (d, s)))
+          (fun s ->
+            if not (op_equal s d || (is_mem d && is_mem s)) then
+              push (Mov (d, s)))
           srcs)
       dsts;
     List.iter
@@ -160,8 +178,7 @@ module X86 = struct
         wss;
     List.iter
       (fun cc -> List.iter (fun r -> push (Setcc (cc, r))) regs)
-      ccs;
-    !out
+      ccs
 end
 
 module Sparc = struct
@@ -183,43 +200,49 @@ module Sparc = struct
     | Movcc (_, rd) -> reg_ok rd
     | _ -> false
 
+  let ws_equal ((w1 : width), s1) (w2, s2) = w1 = w2 && s1 = s2
+
   let vocab (w : instr list) =
     let regs = ref [] and disps = ref [] and imms = ref [] in
     let wss = ref [] and aluops = ref [] and ccs = ref [] in
-    let add l v = if not (List.mem v !l) then l := !l @ [ v ] in
-    let add_opnd = function Rs r -> add regs r | Imm v -> add imms v in
+    let add_reg = add Int.equal regs and add_disp = add Int.equal disps in
+    let add_opnd = function
+      | Rs r -> add_reg r
+      | Imm v -> add Int.equal imms v
+    in
     List.iter
       (fun i ->
         match i with
         | Alu3 (op, w_, s, rd, rs1, o) ->
-            add aluops op;
-            add wss (w_, s);
-            add regs rd;
-            add regs rs1;
+            add ( == ) aluops op;
+            add ws_equal wss (w_, s);
+            add_reg rd;
+            add_reg rs1;
             add_opnd o
-        | Sethi (rd, _) -> add regs rd
+        | Sethi (rd, _) -> add_reg rd
         | Ld (_, _, rd, _, d) ->
-            add regs rd;
-            add disps d
+            add_reg rd;
+            add_disp d
         | St (_, rs, _, d) ->
-            add regs rs;
-            add disps d
+            add_reg rs;
+            add_disp d
         | Cmp (w_, s, r, o) ->
-            add wss (w_, s);
-            add regs r;
+            add ws_equal wss (w_, s);
+            add_reg r;
             add_opnd o
         | Movcc (cc, rd) ->
-            add ccs cc;
-            add regs rd
+            add ( == ) ccs cc;
+            add_reg rd
         | _ -> ())
       w;
-    if !wss = [] then wss := [ (W64, true) ];
-    (* Or is the move/identity idiom; always available *)
-    if not (List.mem Or !aluops) then aluops := !aluops @ [ Or ];
-    if not (List.mem 0 !imms) then imms := !imms @ [ 0 ];
-    (!regs, !disps, !imms, !wss, !aluops, !ccs)
+    let wss = if !wss = [] then [ (W64, true) ] else List.rev !wss in
+    (* Or is the move/identity idiom and 0 its operand; always available *)
+    let aluops = List.rev !aluops and imms = List.rev !imms in
+    let aluops = if List.memq Or aluops then aluops else aluops @ [ Or ] in
+    let imms = if List.mem 0 imms then imms else imms @ [ 0 ] in
+    (List.rev !regs, List.rev !disps, imms, wss, aluops, List.rev !ccs)
 
-  let forms (w : instr list) : instr list =
+  let forms (w : instr list) (push : instr -> unit) =
     let regs, disps, imms, wss, aluops, ccs = vocab w in
     let imms64 = derive_imms (List.map Int64.of_int imms) in
     let imms_all =
@@ -228,27 +251,29 @@ module Sparc = struct
           if fits_imm13 v then Some (Int64.to_int v) else None)
         imms64
     in
-    let has_mul = List.mem Mul aluops in
+    let has_mul = List.memq Mul aluops in
     let aluops = if has_mul then aluops @ [ Sll ] else aluops in
     let opnds =
       List.map (fun r -> Rs r) regs @ List.map (fun v -> Imm v) imms_all
     in
-    let out = ref [] in
-    let push i = out := i :: !out in
+    (* the bulk of the forms: loops over arrays, so that making one
+       allocates only the form *)
+    let srcs = Array.of_list (0 :: List.filter (fun r -> r <> 0) regs)
+    and opnda = Array.of_list opnds in
     List.iter
       (fun op ->
         List.iter
           (fun (w_, s_) ->
             List.iter
               (fun rd ->
-                List.iter
-                  (fun rs1 ->
-                    List.iter (fun o -> push (Alu3 (op, w_, s_, rd, rs1, o))) opnds)
-                  (0 :: List.filter (fun r -> r <> 0) regs))
+                for a = 0 to Array.length srcs - 1 do
+                  for b = 0 to Array.length opnda - 1 do
+                    push (Alu3 (op, w_, s_, rd, srcs.(a), opnda.(b)))
+                  done
+                done)
               regs)
           wss)
-      (List.sort_uniq compare aluops)
-    ;
+      (List.sort_uniq compare aluops);
     List.iter
       (fun rd ->
         List.iter (fun d -> push (Ld (W64, false, rd, fp, d))) disps;
@@ -263,6 +288,5 @@ module Sparc = struct
         wss;
     List.iter
       (fun cc -> List.iter (fun rd -> push (Movcc (cc, rd))) regs)
-      ccs;
-    !out
+      ccs
 end

@@ -53,7 +53,18 @@
       count, the native code size and the MD5 of the marshaled compiled
       functions in source order (the bytes LLEE caches) must equal the
       file named by the sixth argument (code_digests.expected) line for
-      line; without a sixth argument the lines are printed. *)
+      line; without a sixth argument the lines are printed.
+
+   9. Search counters: the search's deterministic counts (windows,
+      oracle sessions, candidates generated, pruned by the write-set
+      pre-screen, screened, surviving the screen, checked on the full
+      set, and rules accepted), per target, for the suite search of
+      section 3 and summed over the per-module searches of section 6,
+      must equal the file named by the seventh argument
+      (search_counts.expected) line for line; without a seventh argument
+      the lines are printed. The pre-screen may only move [pruned] and
+      [screened]: every other count is the search's, with or without
+      it. *)
 
 let failures = ref 0
 
@@ -194,16 +205,14 @@ entry:
   ]
 
 let () =
-  let x86_path, sparc_path, counts_path, digests_path, fuel_path, code_path =
-    match Sys.argv with
-    | [| _; a; b; c; d; e; f |] -> (a, b, Some c, Some d, Some e, Some f)
-    | [| _; a; b; c; d; e |] -> (a, b, Some c, Some d, Some e, None)
-    | [| _; a; b; c; d |] -> (a, b, Some c, Some d, None, None)
-    | [| _; a; b; c |] -> (a, b, Some c, None, None, None)
-    | [| _; a; b |] -> (a, b, None, None, None, None)
-    | _ ->
-        ("tables/x86lite.peep", "tables/sparclite.peep", None, None, None, None)
-  in
+  let arg k = if Array.length Sys.argv > k then Some Sys.argv.(k) else None in
+  let x86_path = Option.value (arg 1) ~default:"tables/x86lite.peep"
+  and sparc_path = Option.value (arg 2) ~default:"tables/sparclite.peep" in
+  let counts_path = arg 3
+  and digests_path = arg 4
+  and fuel_path = arg 5
+  and code_path = arg 6
+  and search_path = arg 7 in
   let backends = Superopt.Backend.all in
   let committed =
     List.map2
@@ -237,11 +246,20 @@ let () =
   let mods =
     List.map (fun w -> Workloads.compile_optimized ~level:1 w) Workloads.all
   in
+  let search_lines = Buffer.create 1024 in
+  let search_line what name stats =
+    Printf.bprintf search_lines "%-10s %-9s %s\n" what name
+      (Superopt.Search.stats_line stats)
+  in
   List.iter2
     (fun b tb ->
       let (module B : Superopt.Backend.S) = b in
-      let learn () = Superopt.Table.to_string (Superopt.Search.learn b mods) in
-      let fresh = learn () in
+      let learn ?stats () =
+        Superopt.Table.to_string (Superopt.Search.learn b ?stats mods)
+      in
+      let stats = Superopt.Search.stats () in
+      let fresh = learn ~stats () in
+      search_line "suite" B.name stats;
       check (B.name ^ " search deterministic") (fresh = learn ());
       check
         (Printf.sprintf
@@ -304,6 +322,7 @@ let () =
 
   (* 6. per-module table bytes *)
   let digests = Buffer.create 4096 in
+  let module_stats = List.map (fun _ -> Superopt.Search.stats ()) backends in
   let per_module =
     List.map
       (fun (w : Workloads.workload) ->
@@ -312,21 +331,27 @@ let () =
             (Llva.Encode.encode (Workloads.compile_optimized ~level:1 w))
         in
         let tables =
-          List.map
-            (fun b ->
-              let tb = Superopt.Search.learn b [ m ] in
+          List.map2
+            (fun b stats ->
+              let tb = Superopt.Search.learn b ~stats [ m ] in
               Printf.bprintf digests "%-17s %-9s rules %3d  md5 %s\n"
                 w.Workloads.name tb.Superopt.Table.target
                 (Superopt.Table.count tb)
                 (Digest.to_hex (Digest.string (Superopt.Table.to_string tb)));
               tb)
-            backends
+            backends module_stats
         in
         (w.Workloads.name, m, tables))
       Workloads.all
   in
   expect_lines ~what:"per-module table digests" digests_path
     (Buffer.contents digests);
+  List.iter2
+    (fun (module B : Superopt.Backend.S) stats ->
+      search_line "per-module" B.name stats)
+    backends module_stats;
+  expect_lines ~what:"search counters" search_path
+    (Buffer.contents search_lines);
 
   (* 7. counts at fuel exhaustion and at traps *)
   let fuel_lines = Buffer.create 4096 in

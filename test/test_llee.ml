@@ -1043,9 +1043,40 @@ let test_entry_names_pinned () =
       ignore (Llee.certify (load s Llee.X86));
       ignore (Llee.certify (load s Llee.Sparc)))
 
+(* Under a 200-step interpreter budget, large-[n] vectors of [%hot] and
+   [%main]'s one vector exhaust the interpreter: those vectors are
+   inconclusive whatever the native side does, so it must not run them.
+   The verdicts are the ones the certifier gave when it still ran them
+   (up to 300M native instructions each). *)
+let test_tv_inconclusive_skips_native () =
+  let m = Gen.parse program in
+  List.iter
+    (fun target ->
+      let runs = { Llee.Tv.interp_runs = 0; native_runs = 0 } in
+      let v = Llee.Tv.certify_module ~interp_fuel:200 ~runs ~target m in
+      check_string (target ^ " verdicts")
+        (String.concat "\n"
+           [
+             Printf.sprintf
+               "translation validation (%s, tv v1): 2 certified, 1 skipped, \
+                0 mismatched"
+               target;
+             "  %hot                      certified (16 vectors)";
+             "  %cold_helper              certified (21 vectors)";
+             "  %main                     skipped: no conclusive vector: \
+              fuel exhausted";
+           ])
+        (String.concat "\n" (Llee.Tv.report v));
+      check_int (target ^ " interpreter runs") 43 runs.Llee.Tv.interp_runs;
+      check_int (target ^ " native runs: conclusive vectors only") 37
+        runs.Llee.Tv.native_runs)
+    [ "x86lite"; "sparclite" ]
+
 let suite =
   suite
   @ [
+      Alcotest.test_case "tv inconclusive skips native" `Quick
+        test_tv_inconclusive_skips_native;
       Alcotest.test_case "module-named function" `Quick
         test_module_named_function;
       Alcotest.test_case "storage name collision" `Quick

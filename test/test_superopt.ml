@@ -93,6 +93,12 @@ let sample_candidates forms (w : 'i list) : 'i array list =
   in
   subs @ singles @ substs
 
+(* the forms of window [w], in the order the search once listed them *)
+let forms_of (type i) (module B : Backend.S with type instr = i) (w : i list) =
+  let l = ref [] in
+  B.forms w (fun f -> l := f :: !l);
+  !l
+
 (* the harvested windows of one workload, concretized on the first
    spill slots, each with a sample of its candidates *)
 let cases (type i) (module B : Backend.S with type instr = i) =
@@ -103,7 +109,7 @@ let cases (type i) (module B : Backend.S with type instr = i) =
     ~max_len:4 ~max_windows:48
   |> List.map (fun cw ->
          let lhs = B.concretize (Search.frame_vars (module B) cw) cw in
-         (lhs, sample_candidates (B.forms lhs) lhs))
+         (lhs, sample_candidates (forms_of (module B) lhs) lhs))
 
 let x86_cases () = cases (module Backend.X86)
 let sparc_cases () = cases (module Backend.Sparc)
@@ -245,10 +251,20 @@ let test_physical_winner () =
   let a = Mov (R ax, R bx) and a' = Mov (R ax, R bx) in
   check_bool "distinct copies" false (a == a');
   let accept c = c = [| a |] in
+  let probe =
+    {
+      Oracle.must = 0;
+      writes = (fun _ -> 0);
+      decode = Fun.id;
+      screen = (fun ops len -> accept (Array.sub ops 0 len));
+      full = accept;
+    }
+  in
   let winner forms =
     match
-      Search.best_rewrite ~cycles_of ~forms ~screen:accept ~full:accept
-        [ a; a' ]
+      Search.best_rewrite ~cycles_of
+        ~forms:(fun push -> List.iter push forms)
+        probe [ a; a' ]
     with
     | Some [ w ] -> w
     | _ -> Alcotest.fail "expected a one-instruction winner"
@@ -283,6 +299,168 @@ let test_physical_winner () =
   let f = Mov (R cx, R dx) in
   check_bool "first copy kept" true (winner [ f ] == a && old_kept [ f ] == a)
 
+(* ---------- the write-set pre-screen ---------- *)
+
+(* Random instructions shaped like a window's: [admissible] is asserted
+   on each, so the generators track what the search can meet. *)
+let gen_x86 : X86lite.X86.instr QCheck.Gen.t =
+  let open QCheck.Gen in
+  let open X86lite.X86 in
+  let reg = oneofl [ ax; cx; dx; bx; si; di ] in
+  let imm =
+    oneof [ oneofl [ 0L; 1L; -1L; 7L; 63L; 64L; Int64.min_int ]; ui64 ]
+  in
+  let opnd =
+    frequency
+      [
+        (3, map (fun r -> R r) reg);
+        (2, map (fun v -> I v) imm);
+        (2, map (fun d -> M { base = bp; disp = d }) (oneofl [ -8; -16; -24 ]));
+      ]
+  in
+  let width = oneofl [ W8; W16; W32; W64 ] in
+  let cc = oneofl [ Eq; Ne; Lt; Gt; Le; Ge; Ltu; Gtu; Leu; Geu ] in
+  let dst = oneof [ map (fun r -> R r) reg; opnd ] in
+  let two = pair dst opnd in
+  let instr =
+    oneof
+      [
+        map (fun (a, b) -> Mov (a, b)) two;
+        (let* op = oneofl [ Add; Sub; Imul; And; Or; Xor ] in
+         let* w = width and* s = bool and* a, b = two in
+         return (Alu (op, w, s, a, b)));
+        (let* l = bool and* w = width and* s = bool and* a, b = two in
+         return (Shift (l, w, s, a, b)));
+        map3 (fun r w s -> Ext (r, w, s)) reg width bool;
+        (let* w = width and* s = bool and* a, b = two in
+         return (Cmp (w, s, a, b)));
+        map2 (fun c r -> Setcc (c, r)) cc reg;
+      ]
+  in
+  (* no instruction has two memory operands *)
+  map
+    (function
+      | Mov (M _, M _) -> Mov (R ax, R bx)
+      | Alu (op, w, s, (M _ as a), M _) -> Alu (op, w, s, a, R cx)
+      | Shift (l, w, s, (M _ as a), M _) -> Shift (l, w, s, a, I 3L)
+      | Cmp (w, s, (M _ as a), M _) -> Cmp (w, s, a, R dx)
+      | i -> i)
+    instr
+
+let gen_sparc : Sparclite.Sparc.instr QCheck.Gen.t =
+  let open QCheck.Gen in
+  let open Sparclite.Sparc in
+  let reg = oneofl [ 0; 1; 2; 3; 8; 9; 16; 17; 31 ] in
+  let opnd =
+    frequency
+      [
+        (3, map (fun r -> Rs r) reg);
+        (2, map (fun v -> Imm v) (oneofl [ 0; 1; -1; 7; 63; 64; 4095; -4096 ]));
+      ]
+  in
+  let width = oneofl [ W8; W16; W32; W64 ] in
+  let cc = oneofl [ Eq; Ne; Lt; Gt; Le; Ge; Ltu; Gtu; Leu; Geu ] in
+  let disp = oneofl [ -8; -16; -24 ] in
+  oneof
+    [
+      (let* op = oneofl [ Add; Sub; Mul; And; Or; Xor; Sll; Srl; Sra ] in
+       let* w = width and* s = bool and* rd = reg and* rs1 = reg in
+       let* o = opnd in
+       return (Alu3 (op, w, s, rd, rs1, o)));
+      map2 (fun rd v -> Sethi (rd, v)) reg ui64;
+      (let* s = bool and* rd = reg and* d = disp in
+       return (Ld (W64, s, rd, fp, d)));
+      map2 (fun rs d -> St (W64, rs, fp, d)) reg disp;
+      (let* w = width and* s = bool and* r = reg and* o = opnd in
+       return (Cmp (w, s, r, o)));
+      map2 (fun c r -> Movcc (c, r)) cc reg;
+    ]
+
+(* six or more harness states: register, slot and flag inputs (vector
+   [k] runs flag variant [k mod 6]) *)
+let gen_vectors =
+  QCheck.Gen.(list_size (int_range 6 12) (array_repeat 8 ui64))
+
+(* Every location an instruction changes, run from random harness
+   states, is in its write set: once as the simulator's [exec], once as
+   the decoded closure the oracle runs. *)
+let write_sets_cover (type i) ~name (module B : Backend.S with type instr = i)
+    (gen : i QCheck.Gen.t) =
+  let h = B.Oracle.make () in
+  QCheck.Test.make ~count:2000 ~name
+    (QCheck.make QCheck.Gen.(pair gen gen_vectors))
+    (fun (i, vectors) ->
+      if not (B.admissible i) then
+        QCheck.Test.fail_report "generated an inadmissible instruction";
+      match B.Oracle.session h ~inputs:[ i ] [ i ] with
+      | None -> true
+      | Some s ->
+          let writes = (B.Oracle.probe s).Oracle.writes i in
+          let exec st = B.machine.Codegen.Machine.exec st i in
+          List.for_all
+            (fun ops -> B.Oracle.changes s ops vectors land lnot writes = 0)
+            [ [| exec |]; [| (B.Oracle.probe s).Oracle.decode i |] ])
+
+let test_write_sets_x86 =
+  write_sets_cover ~name:"x86lite write sets cover what exec changes"
+    (module Backend.X86) gen_x86
+
+let test_write_sets_sparc =
+  write_sets_cover ~name:"sparclite write sets cover what exec changes"
+    (module Backend.Sparc) gen_sparc
+
+(* The harvested windows of every workload, concretized, each as a
+   check of the pre-screen on it. *)
+let harvested =
+  lazy
+    (List.concat_map
+       (fun (w : Workloads.workload) ->
+         let m = workload w.Workloads.name in
+         List.concat_map
+           (fun (module B : Backend.S) ->
+             let b = (module B : Backend.S with type instr = B.instr) in
+             let cm = B.compile_module m in
+             Search.harvest ~admissible:B.admissible
+               ~jump_targets:B.jump_targets
+               ~canon:(fun w -> fst (B.canon_window w))
+               (Search.codes_by_name cm.Codegen.Native.funcs (fun cf ->
+                    cf.Codegen.Native.code))
+               ~max_len:4 ~max_windows:64
+             |> List.map (fun cw ->
+                    let lhs = B.concretize (Search.frame_vars b cw) cw in
+                    (* with the pre-screen, then without: the same
+                       marshaled result and the same counts, but for
+                       [pruned] and [screened] *)
+                    fun () ->
+                      let h = B.Oracle.make () in
+                      match B.Oracle.session h ~inputs:lhs lhs with
+                      | None -> true
+                      | Some s ->
+                          let p = B.Oracle.probe s in
+                          let run p =
+                            let stats = Search.stats () in
+                            let r =
+                              Search.best_rewrite ~stats ~cycles_of:B.cycles_of
+                                ~forms:(B.forms lhs) p lhs
+                            in
+                            (Marshal.to_string r [], stats)
+                          in
+                          let r1, s1 = run p
+                          and r2, s2 = run { p with Oracle.must = 0 } in
+                          r1 = r2 && s2.Search.pruned = 0
+                          && { s1 with Search.pruned = 0; screened = 0 }
+                             = { s2 with Search.pruned = 0; screened = 0 }))
+           Backend.all)
+       Workloads.all)
+
+let test_pruning_neutral =
+  QCheck.Test.make ~count:1000
+    ~name:"write-set pre-screen changes no search result"
+    (QCheck.make QCheck.Gen.nat)
+    (fun k ->
+      let cases = Lazy.force harvested in
+      (List.nth cases (k mod List.length cases)) ())
+
 let suite =
   [
     Alcotest.test_case "vector counts" `Quick test_vector_counts;
@@ -297,4 +475,7 @@ let suite =
       test_boundary_rejects_sparc;
     Alcotest.test_case "first of triple" `Quick test_first_of_triple;
     Alcotest.test_case "physical winner" `Quick test_physical_winner;
+    QCheck_alcotest.to_alcotest test_write_sets_x86;
+    QCheck_alcotest.to_alcotest test_write_sets_sparc;
+    QCheck_alcotest.to_alcotest test_pruning_neutral;
   ]
