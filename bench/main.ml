@@ -72,7 +72,7 @@ let table2_row (w : Workloads.workload) : row =
      like its X86 JIT (its "higher quality" refers to instruction
      selection; see EXPERIMENTS.md) *)
   let sparc =
-    Sparclite.Compile.compile_module ~spill_everything:true
+    Sparclite.Compile.compile_module ~alloc:Spill_everything
       (Workloads.compile_optimized ~level:2 w)
   in
   let x86_n = X86lite.Compile.module_instr_count x86 in
@@ -84,7 +84,7 @@ let table2_row (w : Workloads.workload) : row =
      code (gcc -O3); ours is the linear-scan X86-lite build, simulated at
      1 GHz *)
   let best_x86 =
-    X86lite.Compile.compile_module ~linear_scan:true
+    X86lite.Compile.compile_module ~alloc:Linear_scan
       (Workloads.compile_optimized ~level:2 w)
   in
   let _, st = Codegen.Machine.run_main X86lite.Sim.machine best_x86 in
@@ -560,12 +560,12 @@ let run_ablation () =
     (fun name ->
       let w = Option.get (Workloads.find name) in
       let naive =
-        X86lite.Compile.compile_module ~linear_scan:false
+        X86lite.Compile.compile_module ~alloc:Spill_everything
           (Workloads.compile_optimized ~level:2 w)
       in
       let _, nst = Codegen.Machine.run_main X86lite.Sim.machine naive in
       let ls =
-        X86lite.Compile.compile_module ~linear_scan:true
+        X86lite.Compile.compile_module ~alloc:Linear_scan
           (Workloads.compile_optimized ~level:2 w)
       in
       let _, lst = Codegen.Machine.run_main X86lite.Sim.machine ls in

@@ -1,10 +1,10 @@
-(* What the native code of every I-ISA shares: condition codes, and the
-   compiled function and module records the simulators run and LLEE
-   caches.
+(* What the native code of every I-ISA shares: condition codes, operand
+   widths, float operators, and the compiled function and module records
+   the simulators run and LLEE caches.
 
    These values are marshaled (cache entries, rule tables), so the
-   constructor order of [cc] and the field order of the records are
-   part of the cached bytes. *)
+   constructor order of [cc], [width] and [fop] and the field order of
+   the records are part of the cached bytes. *)
 
 open Llva
 
@@ -34,6 +34,20 @@ let cc_of_cmp signed (c : Ir.cmp) =
   | Ir.Gt, false -> Gtu
   | Ir.Le, false -> Leu
   | Ir.Ge, false -> Geu
+
+type width = W8 | W16 | W32 | W64
+
+let width_bytes = function W8 -> 1 | W16 -> 2 | W32 -> 4 | W64 -> 8
+
+(* the width of a scalar type's values; wider than 8 bytes is [W64] *)
+let width_of_type target ty =
+  match Types.scalar_bytes target ty with
+  | 1 -> W8
+  | 2 -> W16
+  | 4 -> W32
+  | _ -> W64
+
+type fop = Fadd | Fsub | Fmul | Fdiv | Frem
 
 type 'i cfunc = {
   cf_name : string;

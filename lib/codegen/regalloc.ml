@@ -9,6 +9,9 @@
 
 type location = Reg of int | Slot of int
 
+(* the allocator a back-end's instruction selection runs *)
+type alloc = Linear_scan | Spill_everything
+
 type assignment = {
   locs : (int, location) Hashtbl.t; (* value id -> location *)
   mutable n_slots : int;

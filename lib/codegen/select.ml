@@ -1,0 +1,306 @@
+(* What the I-ISAs' instruction selectors share, written once: the
+   allocator choice, the frame layout, the emit buffer with its label
+   fence, labels, the block walk with its phi copies, label resolution
+   and the compiled function and module records.
+
+   Frame layout, as offsets below the frame register: the frame header
+   and the value and phi transfer slots (8 bytes each, placed by the
+   ISA's [slot_disp]) end [slot_base + 8 * slots] bytes below it; then
+   come the static alloca area (each alloca rounded up to 8 bytes) and
+   one 8-byte save slot per callee-saved register the allocator used.
+
+   An I-ISA supplies the rest ([ISA]): instruction lowering (the
+   epilogue is part of lowering [ret]), the prologue with argument
+   homing, the phi copies, its emit-fusion rule (its [emit] over [push]
+   and [fused]), and the peephole hooks of [Peephole.ISA]. *)
+
+open Llva
+
+type ('i, 's) ctx = {
+  name : string; (* the I-ISA, for messages *)
+  m : Ir.modl;
+  env : Types.env;
+  lt : Vmem.Layout.t;
+  img : Vmem.Image.t;
+  assignment : Regalloc.assignment;
+  plan : Phiplan.t;
+  block_ids : (int, int) Hashtbl.t; (* block id -> dense label index *)
+  alloca_offsets : (int, int) Hashtbl.t; (* alloca instr id -> frame offset *)
+  n_value_slots : int;
+  total_frame : int;
+  saved_int : (int * 's) list; (* callee-saved registers and their slots *)
+  saved_float : (int * 's) list;
+  mutable buf : 'i list; (* reversed *)
+  mutable len : int; (* the length of [buf] *)
+  mutable fence : int; (* emit index of the latest label: fusion fence *)
+  mutable next_label : int; (* synthetic labels follow the block labels *)
+  label_pos : (int, int) Hashtbl.t; (* label -> emit index *)
+}
+
+let push ctx i =
+  ctx.buf <- i :: ctx.buf;
+  ctx.len <- ctx.len + 1
+
+(* no label lies between the newest buffered instruction and the next:
+   an emit-fusion rule may combine the two *)
+let fused ctx = ctx.len > ctx.fence
+
+let fresh_label ctx =
+  let l = ctx.next_label in
+  ctx.next_label <- l + 1;
+  l
+
+let place_label ctx l =
+  ctx.fence <- ctx.len;
+  Hashtbl.replace ctx.label_pos l ctx.len
+
+let label_of ctx (b : Ir.block) = Hashtbl.find ctx.block_ids b.Ir.blid
+
+(* where the allocator put an instruction's or an argument's value:
+   [None] for a dead one *)
+let home ctx (v : Ir.value) =
+  match v with
+  | Ir.Vreg i -> Regalloc.location_opt ctx.assignment i.Ir.iid
+  | Ir.Varg a -> Regalloc.location_opt ctx.assignment a.Ir.aid
+  | _ -> None
+
+let is_float_ty ctx ty =
+  match Types.resolve ctx.env ty with
+  | Types.Float | Types.Double -> true
+  | _ -> false
+
+let is_single ctx ty = Types.equal (Types.resolve ctx.env ty) Types.Float
+
+let width_of ctx ty =
+  Native.width_of_type ctx.m.Ir.target (Types.resolve ctx.env ty)
+
+let signed_of ctx ty =
+  match Types.resolve ctx.env ty with
+  | t when Types.is_integer t -> Types.is_signed t
+  | _ -> false
+
+let symbol_addr ctx name =
+  match Vmem.Image.symbol_address ctx.img name with
+  | Some a -> a
+  | None -> invalid_arg (ctx.name ^ ": unresolved symbol " ^ name)
+
+let scalar_const_bits ctx (c : Ir.const) : int64 =
+  match c.Ir.ckind with
+  | Ir.Cbool b -> if b then 1L else 0L
+  | Ir.Cint v -> v
+  | Ir.Cnull | Ir.Czero -> 0L
+  | Ir.Cglobal_ref name -> symbol_addr ctx name
+  | Ir.Cfloat _ -> invalid_arg (ctx.name ^ ": float const in int context")
+  | _ -> invalid_arg (ctx.name ^ ": aggregate constant operand")
+
+let fop_of ctx (op : Ir.binop) : Native.fop =
+  match op with
+  | Ir.Add -> Fadd
+  | Ir.Sub -> Fsub
+  | Ir.Mul -> Fmul
+  | Ir.Div -> Fdiv
+  | Ir.Rem -> Frem
+  | _ -> invalid_arg (ctx.name ^ ": bitwise op on float")
+
+(* A getelementptr's constant byte offset, summed over its indexes;
+   [scale op size] lowers each variable index [op] of stride [size]. *)
+let gep_offset ctx (i : Ir.instr) ~scale =
+  let elem = Types.pointee ctx.env (Ir.type_of_value i.Ir.operands.(0)) in
+  let disp = ref 0 and cur_ty = ref elem in
+  let index op size =
+    match op with
+    | Ir.Const { ckind = Ir.Cint n; _ } ->
+        disp := !disp + (Int64.to_int n * size)
+    | _ -> scale op size
+  in
+  Array.iteri
+    (fun k op ->
+      if k = 1 then index op (Vmem.Layout.size_of ctx.lt elem)
+      else if k > 1 then
+        match Types.resolve ctx.env !cur_ty with
+        | Types.Struct fields ->
+            let fk =
+              match op with
+              | Ir.Const { ckind = Ir.Cint n; _ } -> Int64.to_int n
+              | _ -> invalid_arg (ctx.name ^ ": variable struct index")
+            in
+            disp := !disp + Vmem.Layout.field_offset ctx.lt fields fk;
+            cur_ty := List.nth fields fk
+        | Types.Array (_, e) ->
+            index op (Vmem.Layout.size_of ctx.lt e);
+            cur_ty := e
+        | t -> invalid_arg (ctx.name ^ ": gep into " ^ Types.to_string t))
+    i.Ir.operands;
+  !disp
+
+module type ISA = sig
+  include Peephole.ISA
+
+  (* how the ISA's instructions name a save slot *)
+  type slot
+
+  val name : string
+  val default_alloc : Regalloc.alloc
+  val allocatable_int : int list
+  val allocatable_float : int list
+
+  (* the slots end [slot_base + 8 * slots] bytes below the frame
+     register *)
+  val slot_base : int
+
+  (* the frame displacement of spill slot [k] *)
+  val slot_disp : int -> int
+
+  (* the save slot at a frame displacement *)
+  val save_slot : int -> slot
+
+  (* an instruction that fails with the message when it runs *)
+  val trap : string -> instr
+
+  val prologue : (instr, slot) ctx -> Ir.func -> unit
+  val copy_from_transfer : (instr, slot) ctx -> int * Ir.instr -> unit
+  val copy_to_transfer : (instr, slot) ctx -> Phiplan.edge_copy -> unit
+  val lower_instr : (instr, slot) ctx -> Ir.instr -> unit
+end
+
+module type S = sig
+  include Peephole.S
+
+  val name : string
+  val slot_disp : int -> int
+
+  val compile_function :
+    Ir.modl ->
+    Vmem.Image.t ->
+    ?alloc:Regalloc.alloc ->
+    ?peep:(instr list * instr list) list ->
+    ?peep_stats:Peephole.stats ->
+    Ir.func ->
+    instr Native.cfunc
+
+  val compile_module :
+    ?alloc:Regalloc.alloc ->
+    ?peep:(instr list * instr list) list ->
+    ?peep_stats:Peephole.stats ->
+    Ir.modl ->
+    instr Native.cmodule
+end
+
+module Make (I : ISA) : S with type instr = I.instr = struct
+  include Peephole.Make (I)
+
+  let name = I.name
+  let slot_disp = I.slot_disp
+
+  (* One instruction, after the block's edge copies when it is the
+     terminator. An instruction that cannot be selected (an aggregate
+     store the verifier accepts, say) becomes a trap, so it fails only
+     if it runs, as the interpreter defers a failure to lower one. *)
+  let select ctx b (i : Ir.instr) =
+    let buf = ctx.buf and len = ctx.len and fence = ctx.fence in
+    try
+      if Ir.is_terminator i then
+        List.iter (I.copy_to_transfer ctx) (Phiplan.end_copies ctx.plan b);
+      I.lower_instr ctx i
+    with e ->
+      ctx.buf <- buf;
+      ctx.len <- len;
+      ctx.fence <- fence;
+      push ctx (I.trap (Printexc.to_string e))
+
+  let compile_function (m : Ir.modl) (img : Vmem.Image.t)
+      ?(alloc = I.default_alloc) ?(peep = []) ?peep_stats (f : Ir.func) =
+    let env = Ir.type_env m in
+    let lt = Vmem.Layout.for_module m in
+    let ivs = Intervals.build ~env f in
+    let assignment =
+      match alloc with
+      | Regalloc.Linear_scan ->
+          Regalloc.linear_scan ~int_regs:I.allocatable_int
+            ~float_regs:I.allocatable_float ivs
+      | Regalloc.Spill_everything -> Regalloc.spill_everything ivs
+    in
+    let plan = Phiplan.build f in
+    let n_value_slots = assignment.Regalloc.n_slots in
+    let bottom =
+      ref (I.slot_base + (8 * (n_value_slots + plan.Phiplan.n_transfer_slots)))
+    in
+    let alloca_offsets = Hashtbl.create 8 in
+    Ir.iter_instrs
+      (fun i ->
+        if i.Ir.op = Ir.Alloca && Array.length i.Ir.operands = 0 then begin
+          let elem = Types.pointee env i.Ir.ity in
+          bottom := !bottom + ((Vmem.Layout.size_of lt elem + 7) / 8 * 8);
+          Hashtbl.replace alloca_offsets i.Ir.iid !bottom
+        end)
+      f;
+    (* each save slot is built once: the prologue and every epilogue
+       share it, and the marshaled code records that sharing *)
+    let save_area regs =
+      List.fold_left
+        (fun saved r ->
+          bottom := !bottom + 8;
+          (r, I.save_slot (- !bottom)) :: saved)
+        [] regs
+    in
+    let saved_int = save_area assignment.Regalloc.used_regs_int in
+    let saved_float = save_area assignment.Regalloc.used_regs_float in
+    let block_ids = Hashtbl.create 16 in
+    List.iteri
+      (fun k (b : Ir.block) -> Hashtbl.replace block_ids b.Ir.blid k)
+      f.Ir.fblocks;
+    let ctx =
+      {
+        name = I.name;
+        m;
+        env;
+        lt;
+        img;
+        assignment;
+        plan;
+        block_ids;
+        alloca_offsets;
+        n_value_slots;
+        total_frame = !bottom;
+        saved_int;
+        saved_float;
+        buf = [];
+        len = 0;
+        fence = 0;
+        next_label = List.length f.Ir.fblocks;
+        label_pos = Hashtbl.create 16;
+      }
+    in
+    I.prologue ctx f;
+    List.iter
+      (fun (b : Ir.block) ->
+        place_label ctx (label_of ctx b);
+        List.iter (I.copy_from_transfer ctx) (Phiplan.start_copies plan b);
+        List.iter (select ctx b) b.Ir.instrs)
+      f.Ir.fblocks;
+    (* branch targets are label indices until here *)
+    let resolve l =
+      match Hashtbl.find_opt ctx.label_pos l with
+      | Some p -> p
+      | None -> invalid_arg (I.name ^ ": unresolved label")
+    in
+    {
+      Native.cf_name = f.Ir.fname;
+      code =
+        finish_code ~peep ?peep_stats
+          (Array.map (retarget resolve) (Array.of_list (List.rev ctx.buf)));
+      nargs = List.length f.Ir.fargs;
+      frame_slots = ctx.total_frame / 8;
+    }
+
+  let compile_module ?alloc ?peep ?peep_stats (m : Ir.modl) =
+    let image = Vmem.Image.load m in
+    let funcs = Hashtbl.create 32 in
+    List.iter
+      (fun (f : Ir.func) ->
+        if not (Ir.is_declaration f) then
+          Hashtbl.replace funcs f.Ir.fname
+            (compile_function m image ?alloc ?peep ?peep_stats f))
+      m.Ir.funcs;
+    { Native.cm = m; image; funcs }
+end

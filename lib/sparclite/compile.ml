@@ -1,9 +1,9 @@
-(* SPARC-lite instruction selection with linear-scan register allocation
-   (the paper's "higher quality" back-end). Being a load/store RISC, all
-   operations are register-register; large constants are synthesized with
-   sethi+add sequences, which together with two-instruction compare+branch
-   forms is why the LLVA -> SPARC expansion ratio exceeds the X86 one in
-   Table 2.
+(* SPARC-lite instruction selection, with linear-scan register
+   allocation by default (the paper's "higher quality" back-end). Being
+   a load/store RISC, all operations are register-register; large
+   constants are synthesized with sethi+add sequences, which together
+   with two-instruction compare+branch forms is why the LLVA -> SPARC
+   expansion ratio exceeds the X86 one in Table 2.
 
    Frame layout (FP = SP at entry):
      [FP + 8(k-6)]  incoming stack argument k (k >= 6)
@@ -12,36 +12,21 @@
      [FP - 24 - 8k] spill slot k (value slots, then phi transfer slots)
      below          static allocas, callee-saved register save area
 
-   This module is the instruction selection and frame layout. The
-   branch clean-up after selection, the learned peephole pass and the
-   code metrics are [Codegen.Peephole.Make], applied to SPARC-lite's
-   branch and frame-slot hooks below; [Superopt.Backend.Sparc] is this
-   back-end as the rest of the system sees it. *)
+   This module is SPARC-lite's half of instruction selection: lowering
+   (the epilogue is part of [ret]), the prologue with argument homing,
+   and the emit-fusion rule. [Codegen.Select.Make], applied to them and
+   to the branch and frame-slot hooks below, lays out the frame, walks
+   the blocks, resolves labels and adds the branch clean-up, learned
+   peephole pass and code metrics of [Codegen.Peephole.Make];
+   [Superopt.Backend.Sparc] is this back-end as the rest of the system
+   sees it. *)
 
 open Llva
 open Sparc
+open Codegen.Select
 
 type cfunc = instr Codegen.Native.cfunc
 type cmodule = instr Codegen.Native.cmodule
-
-type ctx = {
-  m : Ir.modl;
-  env : Types.env;
-  lt : Vmem.Layout.t;
-  img : Vmem.Image.t;
-  buf : instr list ref;
-  assignment : Codegen.Regalloc.assignment;
-  plan : Codegen.Phiplan.t;
-  block_ids : (int, int) Hashtbl.t;
-  alloca_offsets : (int, int) Hashtbl.t;
-  n_value_slots : int;
-  total_frame : int;
-  saved_int : (reg * int) list; (* reg, fp-relative disp *)
-  saved_float : (freg * int) list;
-  label_alloc : int ref;
-  extra_label_pos : (int, int) Hashtbl.t;
-  label_boundary : int ref; (* emit index of the latest label: fusion fence *)
-}
 
 (* Emit with a tiny peephole (mirroring the X86-lite emitter): a reload
    of the frame slot just stored becomes a register move (or disappears
@@ -50,52 +35,14 @@ type ctx = {
    rewrite table, giving the offline superoptimizer (lib/superopt) a
    clean baseline. *)
 let emit ctx i =
-  let fused () = List.length !(ctx.buf) > !(ctx.label_boundary) in
-  match (i, !(ctx.buf)) with
+  match (i, ctx.buf) with
   | Alu3 (Or, W64, true, rd, rs, Imm 0), _ when rd = rs -> ()
   | Ld (W64, _, rd, b, d), St (W64, rs, b', d') :: _
-    when b = b' && d = d' && fused () ->
-      if rd <> rs then ctx.buf := Alu3 (Or, W64, true, rd, rs, Imm 0) :: !(ctx.buf)
-  | _ -> ctx.buf := i :: !(ctx.buf)
-
-let fresh_label ctx =
-  let l = !(ctx.label_alloc) in
-  ctx.label_alloc := l + 1;
-  l
-
-let place_label ctx l =
-  ctx.label_boundary := List.length !(ctx.buf);
-  Hashtbl.replace ctx.extra_label_pos l (List.length !(ctx.buf))
+    when b = b' && d = d' && fused ctx ->
+      if rd <> rs then push ctx (Alu3 (Or, W64, true, rd, rs, Imm 0))
+  | _ -> push ctx i
 
 let slot_disp k = -24 - (8 * k)
-let label_of ctx (b : Ir.block) = Hashtbl.find ctx.block_ids b.Ir.blid
-
-let is_float_ty ctx ty =
-  match Types.resolve ctx.env ty with
-  | Types.Float | Types.Double -> true
-  | _ -> false
-
-let is_single ctx ty = Types.equal (Types.resolve ctx.env ty) Types.Float
-let width_of ctx ty = width_of_type ctx.m.Ir.target (Types.resolve ctx.env ty)
-
-let signed_of ctx ty =
-  match Types.resolve ctx.env ty with
-  | t when Types.is_integer t -> Types.is_signed t
-  | _ -> false
-
-let symbol_addr ctx name =
-  match Vmem.Image.symbol_address ctx.img name with
-  | Some a -> a
-  | None -> invalid_arg ("sparclite: unresolved symbol " ^ name)
-
-let scalar_const_bits ctx (c : Ir.const) : int64 =
-  match c.Ir.ckind with
-  | Ir.Cbool b -> if b then 1L else 0L
-  | Ir.Cint v -> v
-  | Ir.Cnull | Ir.Czero -> 0L
-  | Ir.Cglobal_ref name -> symbol_addr ctx name
-  | _ -> invalid_arg "sparclite: bad constant operand"
-
 (* Synthesize an arbitrary 64-bit constant into [rd] with real RISC
    sequences: 1 instruction for imm13, 2 for 32-bit, up to 6 for 64. *)
 let emit_const ctx rd (v : int64) =
@@ -153,15 +100,8 @@ let reg_of ctx (v : Ir.value) ~(scratch : reg) : reg =
   | Ir.Vfunc f ->
       emit_symbol_addr ctx scratch (symbol_addr ctx f.Ir.fname);
       scratch
-  | Ir.Vreg i -> (
-      match Codegen.Regalloc.location_opt ctx.assignment i.Ir.iid with
-      | Some (Codegen.Regalloc.Reg r) -> r
-      | Some (Codegen.Regalloc.Slot s) ->
-          emit ctx (Ld (W64, false, scratch, fp, slot_disp s));
-          scratch
-      | None -> zero)
-  | Ir.Varg a -> (
-      match Codegen.Regalloc.location_opt ctx.assignment a.Ir.aid with
+  | Ir.Vreg _ | Ir.Varg _ -> (
+      match home ctx v with
       | Some (Codegen.Regalloc.Reg r) -> r
       | Some (Codegen.Regalloc.Slot s) ->
           emit ctx (Ld (W64, false, scratch, fp, slot_disp s));
@@ -179,9 +119,10 @@ let operand_of ctx (v : Ir.value) ~(scratch : reg) : operand =
   | Ir.Vundef _ -> Imm 0
   | _ -> Rs (reg_of ctx v ~scratch)
 
-(* Destination register for a value: its home register, or a scratch that
-   the caller must then [finish] to spill. *)
-let dst_of ctx vid ~(scratch : reg) =
+(* Destination register for a value of either class: its home register,
+   or a scratch that the caller must then [finish] (or [ffinish]) to
+   spill. *)
+let dst_of ctx vid ~scratch =
   match Codegen.Regalloc.location_opt ctx.assignment vid with
   | Some (Codegen.Regalloc.Reg r) -> (r, None)
   | Some (Codegen.Regalloc.Slot s) -> (scratch, Some s)
@@ -201,17 +142,8 @@ let freg_of ctx (v : Ir.value) ~(scratch : freg) : freg =
   | Ir.Const { ckind = Ir.Czero; _ } | Ir.Vundef _ ->
       emit ctx (Fconst (scratch, 0.0));
       scratch
-  | Ir.Vreg i -> (
-      match Codegen.Regalloc.location_opt ctx.assignment i.Ir.iid with
-      | Some (Codegen.Regalloc.Reg r) -> r
-      | Some (Codegen.Regalloc.Slot s) ->
-          emit ctx (Fld (false, scratch, fp, slot_disp s));
-          scratch
-      | None ->
-          emit ctx (Fconst (scratch, 0.0));
-          scratch)
-  | Ir.Varg a -> (
-      match Codegen.Regalloc.location_opt ctx.assignment a.Ir.aid with
+  | Ir.Vreg _ | Ir.Varg _ -> (
+      match home ctx v with
       | Some (Codegen.Regalloc.Reg r) -> r
       | Some (Codegen.Regalloc.Slot s) ->
           emit ctx (Fld (false, scratch, fp, slot_disp s));
@@ -220,12 +152,6 @@ let freg_of ctx (v : Ir.value) ~(scratch : freg) : freg =
           emit ctx (Fconst (scratch, 0.0));
           scratch)
   | _ -> invalid_arg "sparclite: bad float operand"
-
-let fdst_of ctx vid ~(scratch : freg) =
-  match Codegen.Regalloc.location_opt ctx.assignment vid with
-  | Some (Codegen.Regalloc.Reg r) -> (r, None)
-  | Some (Codegen.Regalloc.Slot s) -> (scratch, Some s)
-  | None -> (scratch, None)
 
 let ffinish ctx (fd, spill) =
   match spill with
@@ -247,7 +173,7 @@ let copy_to_transfer ctx (c : Codegen.Phiplan.edge_copy) =
 
 let copy_from_transfer ctx (slot_idx, (phi : Ir.instr)) =
   if is_float_ty ctx phi.Ir.ity then begin
-    let fd, spill = fdst_of ctx phi.Ir.iid ~scratch:0 in
+    let fd, spill = dst_of ctx phi.Ir.iid ~scratch:0 in
     emit ctx (Fld (false, fd, fp, transfer_disp ctx slot_idx));
     ffinish ctx (fd, spill)
   end
@@ -307,7 +233,7 @@ let lower_call ctx (i : Ir.instr) ~except =
   if extra > 0 then emit ctx (AddSp (8 * extra));
   if not (Types.equal i.Ir.ity Types.Void) then
     if is_float_ty ctx i.Ir.ity then begin
-      let fd, spill = fdst_of ctx i.Ir.iid ~scratch:0 in
+      let fd, spill = dst_of ctx i.Ir.iid ~scratch:0 in
       if fd <> 0 then emit ctx (Fmovs (fd, 0));
       ffinish ctx (fd, spill)
     end
@@ -325,18 +251,10 @@ let lower_instr ctx (i : Ir.instr) =
   | Ir.Binop op ->
       let ty = i.Ir.ity in
       if is_float_ty ctx ty then begin
-        let fop =
-          match op with
-          | Ir.Add -> Fadd
-          | Ir.Sub -> Fsub
-          | Ir.Mul -> Fmul
-          | Ir.Div -> Fdiv
-          | Ir.Rem -> Frem
-          | _ -> invalid_arg "sparclite: bitwise op on float"
-        in
+        let fop = fop_of ctx op in
         let fa = freg_of ctx i.Ir.operands.(0) ~scratch:0 in
         let fb = freg_of ctx i.Ir.operands.(1) ~scratch:1 in
-        let fd, spill = fdst_of ctx i.Ir.iid ~scratch:2 in
+        let fd, spill = dst_of ctx i.Ir.iid ~scratch:2 in
         emit ctx (Falu (fop, is_single ctx ty, fd, fa, fb));
         ffinish ctx (fd, spill)
       end
@@ -408,7 +326,7 @@ let lower_instr ctx (i : Ir.instr) =
         end
       in
       if Types.is_fp elem then begin
-        let fd, spill = fdst_of ctx i.Ir.iid ~scratch:0 in
+        let fd, spill = dst_of ctx i.Ir.iid ~scratch:0 in
         emit ctx (Fld (is_single ctx elem, fd, base, 0));
         (match guard with
         | Some (skip, done_) ->
@@ -456,64 +374,36 @@ let lower_instr ctx (i : Ir.instr) =
       let base = reg_of ctx i.Ir.operands.(0) ~scratch:t1 in
       (* accumulate into t1 *)
       if base <> t1 then emit ctx (Alu3 (Or, W64, true, t1, base, Imm 0));
-      let elem = Types.pointee ctx.env (Ir.type_of_value i.Ir.operands.(0)) in
-      let disp = ref 0 in
-      let cur_ty = ref elem in
-      Array.iteri
-        (fun k op ->
-          if k >= 1 then begin
-            let scale_var sz =
-              let idx = reg_of ctx op ~scratch:t2 in
-              if sz = 1 then emit ctx (Alu3 (Add, W64, true, t1, t1, Rs idx))
-              else begin
-                let rec log2 v k = if v = 1 then Some k else if v land 1 = 1 then None else log2 (v / 2) (k + 1) in
-                (match log2 sz 0 with
-                | Some sh ->
-                    emit ctx (Alu3 (Sll, W64, false, t3, idx, Imm sh))
-                | None ->
-                    emit_const ctx t4 (Int64.of_int sz);
-                    emit ctx (Alu3 (Mul, W64, true, t3, idx, Rs t4)));
-                emit ctx (Alu3 (Add, W64, true, t1, t1, Rs t3))
-              end
-            in
-            if k = 1 then begin
-              let sz = Vmem.Layout.size_of ctx.lt elem in
-              match op with
-              | Ir.Const { ckind = Ir.Cint n; _ } ->
-                  disp := !disp + (Int64.to_int n * sz)
-              | _ -> scale_var sz
-            end
-            else
-              match Types.resolve ctx.env !cur_ty with
-              | Types.Struct fields ->
-                  let fk =
-                    match op with
-                    | Ir.Const { ckind = Ir.Cint n; _ } -> Int64.to_int n
-                    | _ -> invalid_arg "sparclite: variable struct index"
-                  in
-                  disp := !disp + Vmem.Layout.field_offset ctx.lt fields fk;
-                  cur_ty := List.nth fields fk
-              | Types.Array (_, e) ->
-                  (match op with
-                  | Ir.Const { ckind = Ir.Cint n; _ } ->
-                      disp := !disp + (Int64.to_int n * Vmem.Layout.size_of ctx.lt e)
-                  | _ -> scale_var (Vmem.Layout.size_of ctx.lt e));
-                  cur_ty := e
-              | t -> invalid_arg ("sparclite: gep into " ^ Types.to_string t)
-          end)
-        i.Ir.operands;
-      if !disp <> 0 then
-        if fits_imm13 (Int64.of_int !disp) then
-          emit ctx (Alu3 (Add, W64, true, t1, t1, Imm !disp))
+      let scale op sz =
+        let idx = reg_of ctx op ~scratch:t2 in
+        if sz = 1 then emit ctx (Alu3 (Add, W64, true, t1, t1, Rs idx))
         else begin
-          emit_const ctx t4 (Int64.of_int !disp);
+          let rec log2 v k =
+            if v = 1 then Some k
+            else if v land 1 = 1 then None
+            else log2 (v / 2) (k + 1)
+          in
+          (match log2 sz 0 with
+          | Some sh -> emit ctx (Alu3 (Sll, W64, false, t3, idx, Imm sh))
+          | None ->
+              emit_const ctx t4 (Int64.of_int sz);
+              emit ctx (Alu3 (Mul, W64, true, t3, idx, Rs t4)));
+          emit ctx (Alu3 (Add, W64, true, t1, t1, Rs t3))
+        end
+      in
+      let disp = gep_offset ctx i ~scale in
+      if disp <> 0 then
+        if fits_imm13 (Int64.of_int disp) then
+          emit ctx (Alu3 (Add, W64, true, t1, t1, Imm disp))
+        else begin
+          emit_const ctx t4 (Int64.of_int disp);
           emit ctx (Alu3 (Add, W64, true, t1, t1, Rs t4))
         end;
       if ctx.m.Ir.target.Target.ptr_size = 4 then
         emit ctx (Alu3 (Add, W32, false, t1, t1, Imm 0));
       let rd, spill = dst_of ctx i.Ir.iid ~scratch:t1 in
       if rd <> t1 then emit ctx (Alu3 (Or, W64, true, rd, t1, Imm 0));
-      finish ctx ((if rd <> t1 then rd else t1), spill)
+      finish ctx (rd, spill)
   | Ir.Alloca -> (
       match Hashtbl.find_opt ctx.alloca_offsets i.Ir.iid with
       | Some off ->
@@ -540,14 +430,14 @@ let lower_instr ctx (i : Ir.instr) =
       if Types.is_fp dst_ty then
         if Types.is_fp src_ty then begin
           let fs = freg_of ctx i.Ir.operands.(0) ~scratch:0 in
-          let fd, spill = fdst_of ctx i.Ir.iid ~scratch:1 in
+          let fd, spill = dst_of ctx i.Ir.iid ~scratch:1 in
           if fd <> fs then emit ctx (Fmovs (fd, fs));
           if is_single ctx dst_ty then emit ctx (Fround fd);
           ffinish ctx (fd, spill)
         end
         else begin
           let r = reg_of ctx i.Ir.operands.(0) ~scratch:t1 in
-          let fd, spill = fdst_of ctx i.Ir.iid ~scratch:0 in
+          let fd, spill = dst_of ctx i.Ir.iid ~scratch:0 in
           emit ctx (Cvtif (fd, r, Types.is_signed src_ty));
           if is_single ctx dst_ty then emit ctx (Fround fd);
           ffinish ctx (fd, spill)
@@ -619,28 +509,71 @@ let lower_instr ctx (i : Ir.instr) =
       let w = width_of ctx (Ir.type_of_value i.Ir.operands.(0)) in
       let s = signed_of ctx (Ir.type_of_value i.Ir.operands.(0)) in
       let sel = reg_of ctx i.Ir.operands.(0) ~scratch:t1 in
-      let rec cases k =
-        if k + 1 < Array.length i.Ir.operands then begin
-          (match i.Ir.operands.(k) with
-          | Ir.Const { ckind = Ir.Cint c; _ } ->
-              (if fits_imm13 c then emit ctx (Cmp (w, s, sel, Imm (Int64.to_int c)))
-               else begin
-                 emit_const ctx t4 c;
-                 emit ctx (Cmp (w, s, sel, Rs t4))
-               end);
-              emit ctx
-                (Bcc (Eq, label_of ctx (Ir.block_of_value i.Ir.operands.(k + 1))))
-          | _ -> ());
-          cases (k + 2)
-        end
-      in
-      cases 2;
+      List.iter
+        (fun (c, b) ->
+          if fits_imm13 c then emit ctx (Cmp (w, s, sel, Imm (Int64.to_int c)))
+          else begin
+            emit_const ctx t4 c;
+            emit ctx (Cmp (w, s, sel, Rs t4))
+          end;
+          emit ctx (Bcc (Eq, label_of ctx b)))
+        (Ir.mbr_cases i);
       emit ctx (Ba (label_of ctx (Ir.block_of_value i.Ir.operands.(1))))
 
-(* ---------- branch clean-up and the learned peephole pass ---------- *)
+(* ---------- prologue ---------- *)
 
-include Codegen.Peephole.Make (struct
+(* save fp and lr relative to the entry sp, establish the frame, then
+   move incoming arguments to their homes *)
+let prologue ctx (f : Ir.func) =
+  emit ctx (St (W64, fp, sp, -8));
+  emit ctx (St (W64, lr, sp, -16));
+  emit ctx (Alu3 (Or, W64, true, fp, sp, Imm 0));
+  emit ctx (AddSp (-ctx.total_frame));
+  List.iter (fun (r, d) -> emit ctx (St (W64, r, fp, d))) ctx.saved_int;
+  List.iter (fun (fr, d) -> emit ctx (Fst (false, fr, fp, d))) ctx.saved_float;
+  List.iteri
+    (fun k (a : Ir.arg) ->
+      let fetch_int rd =
+        if k < n_arg_regs then
+          (if rd <> arg_reg k then
+             emit ctx (Alu3 (Or, W64, true, rd, arg_reg k, Imm 0)))
+        else emit ctx (Ld (W64, false, rd, fp, 8 * (k - n_arg_regs)))
+      in
+      if is_float_ty ctx a.Ir.aty then begin
+        if k < n_arg_regs then emit ctx (Mvif (0, arg_reg k))
+        else begin
+          emit ctx (Ld (W64, false, t1, fp, 8 * (k - n_arg_regs)));
+          emit ctx (Mvif (0, t1))
+        end;
+        let fd, spill = dst_of ctx a.Ir.aid ~scratch:0 in
+        if fd <> 0 then emit ctx (Fmovs (fd, 0));
+        ffinish ctx (fd, spill)
+      end
+      else begin
+        let rd, spill = dst_of ctx a.Ir.aid ~scratch:t1 in
+        fetch_int rd;
+        finish ctx (rd, spill)
+      end)
+    f.Ir.fargs
+
+(* ---------- the shared frame, branch clean-up and peephole pass ---------- *)
+
+include Codegen.Select.Make (struct
   type nonrec instr = instr
+  type slot = int
+
+  let name = "sparclite"
+  let default_alloc = Codegen.Regalloc.Linear_scan
+  let allocatable_int = allocatable_int
+  let allocatable_float = allocatable_float
+  let slot_base = 24
+  let slot_disp = slot_disp
+  let save_slot disp = disp
+  let trap msg = TrapS msg
+  let prologue = prologue
+  let copy_from_transfer = copy_from_transfer
+  let copy_to_transfer = copy_to_transfer
+  let lower_instr = lower_instr
 
   let cycles_of = cycles_of
   let size_of = size_of
@@ -687,141 +620,3 @@ include Codegen.Peephole.Make (struct
     | St (w, rs, b, d) -> St (w, rs, b, f d)
     | i -> i
 end)
-
-(* ---------- function compilation ---------- *)
-
-let compile_function (m : Ir.modl) (img : Vmem.Image.t)
-    ?(spill_everything = false) ?(peep = []) ?peep_stats (f : Ir.func) : cfunc =
-  let env = Ir.type_env m in
-  let lt = Vmem.Layout.for_module m in
-  let ivs = Codegen.Intervals.build ~env f in
-  let assignment =
-    if spill_everything then Codegen.Regalloc.spill_everything ivs
-    else
-      Codegen.Regalloc.linear_scan ~int_regs:allocatable_int
-        ~float_regs:allocatable_float ivs
-  in
-  let plan = Codegen.Phiplan.build f in
-  let alloca_offsets = Hashtbl.create 8 in
-  let n_value_slots = assignment.Codegen.Regalloc.n_slots in
-  let base = 24 + (8 * (n_value_slots + plan.Codegen.Phiplan.n_transfer_slots)) in
-  let alloca_area = ref 0 in
-  Ir.iter_instrs
-    (fun i ->
-      if i.Ir.op = Ir.Alloca && Array.length i.Ir.operands = 0 then begin
-        let elem = Types.pointee env i.Ir.ity in
-        let sz = (Vmem.Layout.size_of lt elem + 7) / 8 * 8 in
-        alloca_area := !alloca_area + sz;
-        Hashtbl.replace alloca_offsets i.Ir.iid (base + !alloca_area)
-      end)
-    f;
-  let saved_int = ref [] and saved_float = ref [] in
-  let save_area = ref 0 in
-  List.iter
-    (fun r ->
-      save_area := !save_area + 8;
-      saved_int := (r, -(base + !alloca_area + !save_area)) :: !saved_int)
-    assignment.Codegen.Regalloc.used_regs_int;
-  List.iter
-    (fun fr ->
-      save_area := !save_area + 8;
-      saved_float := (fr, -(base + !alloca_area + !save_area)) :: !saved_float)
-    assignment.Codegen.Regalloc.used_regs_float;
-  let total_frame = base + !alloca_area + !save_area in
-  let block_ids = Hashtbl.create 16 in
-  List.iteri (fun k (b : Ir.block) -> Hashtbl.replace block_ids b.Ir.blid k) f.Ir.fblocks;
-  let ctx =
-    {
-      m;
-      env;
-      lt;
-      img;
-      buf = ref [];
-      assignment;
-      plan;
-      block_ids;
-      alloca_offsets;
-      n_value_slots;
-      total_frame;
-      saved_int = !saved_int;
-      saved_float = !saved_float;
-      label_alloc = ref (List.length f.Ir.fblocks);
-      extra_label_pos = Hashtbl.create 8;
-      label_boundary = ref 0;
-    }
-  in
-  (* prologue: save fp and lr relative to the entry sp, establish frame *)
-  emit ctx (St (W64, fp, sp, -8));
-  emit ctx (St (W64, lr, sp, -16));
-  emit ctx (Alu3 (Or, W64, true, fp, sp, Imm 0));
-  emit ctx (AddSp (-total_frame));
-  List.iter (fun (r, d) -> emit ctx (St (W64, r, fp, d))) ctx.saved_int;
-  List.iter (fun (fr, d) -> emit ctx (Fst (false, fr, fp, d))) ctx.saved_float;
-  (* move incoming arguments to their homes *)
-  List.iteri
-    (fun k (a : Ir.arg) ->
-      let fetch_int rd =
-        if k < n_arg_regs then
-          (if rd <> arg_reg k then
-             emit ctx (Alu3 (Or, W64, true, rd, arg_reg k, Imm 0)))
-        else emit ctx (Ld (W64, false, rd, fp, 8 * (k - n_arg_regs)))
-      in
-      if is_float_ty ctx a.Ir.aty then begin
-        if k < n_arg_regs then emit ctx (Mvif (0, arg_reg k))
-        else begin
-          emit ctx (Ld (W64, false, t1, fp, 8 * (k - n_arg_regs)));
-          emit ctx (Mvif (0, t1))
-        end;
-        let fd, spill = fdst_of ctx a.Ir.aid ~scratch:0 in
-        if fd <> 0 then emit ctx (Fmovs (fd, 0));
-        ffinish ctx (fd, spill)
-      end
-      else begin
-        let rd, spill = dst_of ctx a.Ir.aid ~scratch:t1 in
-        fetch_int rd;
-        finish ctx (rd, spill)
-      end)
-    f.Ir.fargs;
-  (* body *)
-  let label_pos = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Ir.block) ->
-      ctx.label_boundary := List.length !(ctx.buf);
-      Hashtbl.replace label_pos (label_of ctx b) (List.length !(ctx.buf));
-      List.iter (fun c -> copy_from_transfer ctx c)
-        (Codegen.Phiplan.start_copies plan b);
-      List.iter
-        (fun (i : Ir.instr) ->
-          if Ir.is_terminator i then
-            List.iter (fun c -> copy_to_transfer ctx c)
-              (Codegen.Phiplan.end_copies plan b);
-          lower_instr ctx i)
-        b.Ir.instrs)
-    f.Ir.fblocks;
-  let code = Array.of_list (List.rev !(ctx.buf)) in
-  let resolve l =
-    match Hashtbl.find_opt label_pos l with
-    | Some p -> p
-    | None -> (
-        match Hashtbl.find_opt ctx.extra_label_pos l with
-        | Some p -> p
-        | None -> invalid_arg "sparclite: unresolved label")
-  in
-  {
-    Codegen.Native.cf_name = f.Ir.fname;
-    code = finish_code ~peep ?peep_stats (Array.map (retarget resolve) code);
-    nargs = List.length f.Ir.fargs;
-    frame_slots = total_frame / 8;
-  }
-
-let compile_module ?(spill_everything = false) ?(peep = []) ?peep_stats
-    (m : Ir.modl) : cmodule =
-  let image = Vmem.Image.load m in
-  let funcs = Hashtbl.create 32 in
-  List.iter
-    (fun (f : Ir.func) ->
-      if not (Ir.is_declaration f) then
-        Hashtbl.replace funcs f.Ir.fname
-          (compile_function m image ~spill_everything ~peep ?peep_stats f))
-    m.Ir.funcs;
-  { Codegen.Native.cm = m; image; funcs }

@@ -34,9 +34,7 @@ let reg_name r =
   | 30 -> "%fp"
   | r -> Printf.sprintf "%%r%d" r
 
-type width = W8 | W16 | W32 | W64
-
-let width_bytes = function W8 -> 1 | W16 -> 2 | W32 -> 4 | W64 -> 8
+type width = Codegen.Native.width = W8 | W16 | W32 | W64
 
 type operand = Rs of reg | Imm of int (* fits 13 signed bits *)
 
@@ -48,7 +46,7 @@ type alu = Add | Sub | Mul | Div | Rem | And | Or | Xor | Sll | Srl | Sra
 type cc = Codegen.Native.cc =
   | Eq | Ne | Lt | Gt | Le | Ge | Ltu | Gtu | Leu | Geu
 
-type fop = Fadd | Fsub | Fmul | Fdiv | Frem
+type fop = Codegen.Native.fop = Fadd | Fsub | Fmul | Fdiv | Frem
 
 type instr =
   | Alu3 of alu * width * bool * reg * reg * operand
@@ -189,11 +187,3 @@ let to_string = function
   | Mvfi (rd, f) -> Printf.sprintf "movdtox %%f%d, %s" f (reg_name rd)
   | Mvif (fd, r) -> Printf.sprintf "movxtod %s, %%f%d" (reg_name r) fd
   | TrapS s -> "trap " ^ s
-
-let width_of_type target ty =
-  match Llva.Types.scalar_bytes target ty with
-  | 1 -> W8
-  | 2 -> W16
-  | 4 -> W32
-  | 8 -> W64
-  | _ -> W64

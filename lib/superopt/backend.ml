@@ -9,8 +9,6 @@
    Named [Backend] because [Llva.Target] already names the data layout
    a module is compiled for. *)
 
-open Llva
-
 (* A rewrite rule over canonical windows. *)
 type 'i rule = { lhs : 'i list; rhs : 'i list; saved : int }
 
@@ -20,35 +18,12 @@ type rules =
   | X86_rules of X86lite.X86.instr rule list
   | Sparc_rules of Sparclite.Sparc.instr rule list
 
-type 'i cfunc = 'i Codegen.Native.cfunc
-type 'i cmodule = 'i Codegen.Native.cmodule
-
 module type S = sig
-  (* "x86lite" or "sparclite": part of cache entry names, table files
+  (* instruction selection, its spill-slot layout, the code metrics,
+     branch clean-up and peephole pass ([Codegen.Select.S]); [name] is
+     "x86lite" or "sparclite", part of cache entry names, table files
      and certification verdicts *)
-  val name : string
-
-  (* the code metrics, branch clean-up and peephole pass of
-     [Codegen.Peephole] *)
-  include Codegen.Peephole.S
-
-  (* instruction selection with the back-end's default allocator *)
-  val compile_module :
-    ?peep:(instr list * instr list) list ->
-    ?peep_stats:Codegen.Peephole.stats ->
-    Ir.modl ->
-    instr cmodule
-
-  val compile_function :
-    Ir.modl ->
-    Vmem.Image.t ->
-    peep:(instr list * instr list) list ->
-    peep_stats:Codegen.Peephole.stats ->
-    Ir.func ->
-    instr cfunc
-
-  (* the frame displacement of spill slot [k] *)
-  val slot_disp : int -> int
+  include Codegen.Select.S
 
   (* the simulator's half of [Codegen.Machine] *)
   val machine : instr Codegen.Machine.isa
@@ -82,17 +57,7 @@ end
 module X86 = struct
   open X86lite
 
-  let name = "x86lite"
-
-  include (Compile : Codegen.Peephole.S with type instr = X86.instr)
-
-  let compile_module ?peep ?peep_stats m =
-    Compile.compile_module ?peep ?peep_stats m
-
-  let compile_function m image ~peep ~peep_stats f =
-    Compile.compile_function m image ~peep ~peep_stats f
-
-  let slot_disp = Compile.slot_disp
+  include (Compile : Codegen.Select.S with type instr = X86.instr)
 
   let machine = Sim.machine
 
@@ -107,17 +72,7 @@ end
 module Sparc = struct
   open Sparclite
 
-  let name = "sparclite"
-
-  include (Compile : Codegen.Peephole.S with type instr = Sparc.instr)
-
-  let compile_module ?peep ?peep_stats m =
-    Compile.compile_module ?peep ?peep_stats m
-
-  let compile_function m image ~peep ~peep_stats f =
-    Compile.compile_function m image ~peep ~peep_stats f
-
-  let slot_disp = Compile.slot_disp
+  include (Compile : Codegen.Select.S with type instr = Sparc.instr)
 
   let machine = Sim.machine
 

@@ -3,97 +3,51 @@
    One LLVA instruction expands to a handful of machine instructions; per
    the paper the X86 back-end "performs virtually no optimization and very
    simple register allocation resulting in significant spill code", which
-   here is the [spill_everything] allocator (every SSA value lives in a
-   stack slot; AX/CX/DX are scratch). An optional linear-scan mode keeps
-   hot values in BX/SI/DI for the ablation benchmarks.
+   here is the default [Spill_everything] allocator (every SSA value
+   lives in a stack slot; AX/CX/DX are scratch). [~alloc:Linear_scan]
+   keeps hot values in BX/SI/DI for the ablation benchmarks.
 
    Frame layout (BP-based):
      [BP+16+8k]  argument k (pushed by the caller, 8 bytes each)
      [BP+8]      return address
      [BP]        saved BP
      [BP-8(k+1)] spill slot k (value slots, then phi transfer slots)
-     below       static alloca area, then dynamic allocas (SP)
+     below       static alloca area, callee-saved save area, then
+                 dynamic allocas (SP)
 
-   This module is the instruction selection and frame layout. The
-   branch clean-up after selection, the learned peephole pass and the
-   code metrics are [Codegen.Peephole.Make], applied to X86-lite's
-   branch and frame-slot hooks below; [Superopt.Backend.X86] is this
-   back-end as the rest of the system sees it. *)
+   This module is X86-lite's half of instruction selection: lowering
+   (the epilogue is part of [ret]), the prologue with argument homing,
+   and the emit-fusion rule. [Codegen.Select.Make], applied to them and
+   to the branch and frame-slot hooks below, lays out the frame, walks
+   the blocks, resolves labels and adds the branch clean-up, learned
+   peephole pass and code metrics of [Codegen.Peephole.Make];
+   [Superopt.Backend.X86] is this back-end as the rest of the system
+   sees it. *)
 
 open Llva
 open X86
+open Codegen.Select
 
 type cfunc = instr Codegen.Native.cfunc
 type cmodule = instr Codegen.Native.cmodule
 
-type ctx = {
-  m : Ir.modl;
-  env : Types.env;
-  lt : Vmem.Layout.t;
-  img : Vmem.Image.t;
-  buf : instr list ref; (* reversed *)
-  assignment : Codegen.Regalloc.assignment;
-  plan : Codegen.Phiplan.t;
-  block_ids : (int, int) Hashtbl.t; (* block id -> dense label index *)
-  alloca_offsets : (int, int) Hashtbl.t; (* alloca instr id -> BP offset *)
-  n_value_slots : int;
-  total_frame : int;
-  saved_int : (reg * mem) list; (* callee-saved registers and their slots *)
-  saved_float : (freg * mem) list;
-  label_alloc : int ref; (* synthetic labels beyond block labels *)
-  extra_label_pos : (int, int) Hashtbl.t; (* synthetic label -> emit index *)
-  label_boundary : int ref; (* emit index of the latest label: fusion fence *)
-}
-
-let fresh_label ctx =
-  let l = !(ctx.label_alloc) in
-  ctx.label_alloc := l + 1;
-  l
-
-let place_label ctx l =
-  ctx.label_boundary := List.length !(ctx.buf);
-  Hashtbl.replace ctx.extra_label_pos l (List.length !(ctx.buf))
-
 (* Emit with a tiny peephole over the instruction being appended and the
-   newest buffered one (no label may intervene; [label_boundary] is the
-   fence):
+   newest buffered one (no label may intervene):
      mov [slot], r  ;  mov r, [slot]    drop the reload
      mov [slot], r  ;  mov r2, [slot]   forward the register: mov r2, r
      mov r, r                           drop the self-move
    These fire even with an empty learned rewrite table, giving the
    offline superoptimizer ([lib/superopt]) a clean baseline. *)
 let emit ctx i =
-  let fused () = List.length !(ctx.buf) > !(ctx.label_boundary) in
-  match (i, !(ctx.buf)) with
+  match (i, ctx.buf) with
   | Mov (R r, R r'), _ when r = r' -> ()
-  | Mov (R r, M m), Mov (M m', R r') :: _ when r = r' && m = m' && fused () ->
-      ()
-  | Mov (R r, M m), Mov (M m', R r') :: _ when m = m' && fused () ->
-      ctx.buf := Mov (R r, R r') :: !(ctx.buf)
-  | _ -> ctx.buf := i :: !(ctx.buf)
+  | Mov (R r, M m), Mov (M m', R r') :: _ when m = m' && fused ctx ->
+      if r <> r' then push ctx (Mov (R r, R r'))
+  | _ -> push ctx i
 
 let slot_disp k = -8 * (k + 1)
 let slot_mem _ctx k = { base = bp; disp = slot_disp k }
 let transfer_mem ctx t = slot_mem ctx (ctx.n_value_slots + t)
-
-let label_of ctx (b : Ir.block) = Hashtbl.find ctx.block_ids b.Ir.blid
-
-let is_float_ty ctx ty =
-  match Types.resolve ctx.env ty with
-  | Types.Float | Types.Double -> true
-  | _ -> false
-
-let is_single ctx ty = Types.equal (Types.resolve ctx.env ty) Types.Float
-
-let width_of ctx ty =
-  width_of_type ctx.m.Ir.target (Types.resolve ctx.env ty)
-
-let signed_of ctx ty =
-  match Types.resolve ctx.env ty with
-  | t when Types.is_integer t -> Types.is_signed t
-  | Types.Bool -> false
-  | Types.Pointer _ -> false
-  | _ -> false
 
 (* location of an SSA value id *)
 let loc_of ctx vid =
@@ -102,31 +56,14 @@ let loc_of ctx vid =
   | Some (Codegen.Regalloc.Slot s) -> M (slot_mem ctx s)
   | None -> I 0L (* dead value: never read *)
 
-let symbol_addr ctx name =
-  match Vmem.Image.symbol_address ctx.img name with
-  | Some a -> a
-  | None -> invalid_arg ("x86lite: unresolved symbol " ^ name)
-
-let scalar_const_bits ctx (c : Ir.const) : int64 =
+(* [Codegen.Select.scalar_const_bits] with this module's boxed 0 and 1:
+   the marshaled code shares them with the immediates below ([I 0L]),
+   and the cached bytes record that sharing *)
+let scalar_const_bits ctx (c : Ir.const) =
   match c.Ir.ckind with
-  | Ir.Cbool b -> if b then 1L else 0L
-  | Ir.Cint v -> v
-  | Ir.Cnull -> 0L
-  | Ir.Czero -> 0L
-  | Ir.Cglobal_ref name -> symbol_addr ctx name
-  | Ir.Cfloat _ -> invalid_arg "x86lite: float const in int context"
-  | _ -> invalid_arg "x86lite: aggregate constant operand"
-
-(* Bring an integer-class value into the given scratch register. *)
-let load_int ctx (v : Ir.value) (r : reg) =
-  match v with
-  | Ir.Const c -> emit ctx (Mov (R r, I (scalar_const_bits ctx c)))
-  | Ir.Vundef _ -> emit ctx (Mov (R r, I 0L))
-  | Ir.Vglobal g -> emit ctx (Mov (R r, I (symbol_addr ctx g.Ir.gname)))
-  | Ir.Vfunc f -> emit ctx (Mov (R r, I (symbol_addr ctx f.Ir.fname)))
-  | Ir.Vreg i -> emit ctx (Mov (R r, loc_of ctx i.Ir.iid))
-  | Ir.Varg a -> emit ctx (Mov (R r, loc_of ctx a.Ir.aid))
-  | Ir.Vblock _ -> invalid_arg "x86lite: label operand in value context"
+  | Ir.Cbool true -> 1L
+  | Ir.Cbool false | Ir.Cnull | Ir.Czero -> 0L
+  | _ -> scalar_const_bits ctx c
 
 (* A source operand usable directly in a register-memory instruction:
    constants become immediates, allocated values their home location. *)
@@ -140,21 +77,17 @@ let src_operand ctx (v : Ir.value) : operand =
   | Ir.Varg a -> loc_of ctx a.Ir.aid
   | Ir.Vblock _ -> invalid_arg "x86lite: label operand in value context"
 
+(* Bring an integer-class value into the given scratch register. *)
+let load_int ctx (v : Ir.value) (r : reg) = emit ctx (Mov (R r, src_operand ctx v))
+
 (* Bring a float-class value into the given float scratch register. *)
 let load_float ctx (v : Ir.value) (f : freg) =
   match v with
   | Ir.Const { ckind = Ir.Cfloat x; Ir.cty } ->
       emit ctx (Fconst (f, Eval.round_float cty x))
-  | Ir.Const { ckind = Ir.Czero; _ } -> emit ctx (Fconst (f, 0.0))
-  | Ir.Vundef _ -> emit ctx (Fconst (f, 0.0))
-  | Ir.Vreg i -> (
-      match Codegen.Regalloc.location_opt ctx.assignment i.Ir.iid with
-      | Some (Codegen.Regalloc.Reg r) -> emit ctx (Fmov (f, r))
-      | Some (Codegen.Regalloc.Slot s) ->
-          emit ctx (Fload (f, slot_mem ctx s, false))
-      | None -> emit ctx (Fconst (f, 0.0)))
-  | Ir.Varg a -> (
-      match Codegen.Regalloc.location_opt ctx.assignment a.Ir.aid with
+  | Ir.Const { ckind = Ir.Czero; _ } | Ir.Vundef _ -> emit ctx (Fconst (f, 0.0))
+  | Ir.Vreg _ | Ir.Varg _ -> (
+      match home ctx v with
       | Some (Codegen.Regalloc.Reg r) -> emit ctx (Fmov (f, r))
       | Some (Codegen.Regalloc.Slot s) ->
           emit ctx (Fload (f, slot_mem ctx s, false))
@@ -239,15 +172,7 @@ let lower_instr ctx (i : Ir.instr) =
   | Ir.Binop op -> (
       let ty = i.Ir.ity in
       if is_float_ty ctx ty then begin
-        let fop =
-          match op with
-          | Ir.Add -> Fadd
-          | Ir.Sub -> Fsub
-          | Ir.Mul -> Fmul
-          | Ir.Div -> Fdiv
-          | Ir.Rem -> Frem
-          | _ -> invalid_arg "x86lite: bitwise op on float"
-        in
+        let fop = fop_of ctx op in
         load_float ctx i.Ir.operands.(0) 0;
         load_float ctx i.Ir.operands.(1) 1;
         emit ctx (Falu (fop, is_single ctx ty, 0, 1));
@@ -371,50 +296,14 @@ let lower_instr ctx (i : Ir.instr) =
       | None -> ())
   | Ir.Getelementptr ->
       load_int ctx i.Ir.operands.(0) ax;
-      let ptr_ty = Ir.type_of_value i.Ir.operands.(0) in
-      let elem = Types.pointee ctx.env ptr_ty in
-      (* walk the indexes, folding constants into a displacement *)
-      let disp = ref 0 in
-      let cur_ty = ref elem in
-      Array.iteri
-        (fun k op ->
-          if k >= 1 then begin
-            let stride_ty = if k = 1 then elem else !cur_ty in
-            match (k, Types.resolve ctx.env (if k = 1 then Types.Pointer elem else stride_ty)) with
-            | 1, _ -> (
-                (* first index scales by sizeof(elem) *)
-                let sz = Vmem.Layout.size_of ctx.lt elem in
-                match op with
-                | Ir.Const { ckind = Ir.Cint n; _ } ->
-                    disp := !disp + (Int64.to_int n * sz)
-                | _ ->
-                    load_int ctx op dx;
-                    if sz <> 1 then emit ctx (Alu (Imul, W64, true, R dx, I (Int64.of_int sz)));
-                    emit ctx (Alu (Add, W64, true, R ax, R dx)))
-            | _, Types.Struct fields ->
-                let fk =
-                  match op with
-                  | Ir.Const { ckind = Ir.Cint n; _ } -> Int64.to_int n
-                  | _ -> invalid_arg "x86lite: variable struct index"
-                in
-                disp := !disp + Vmem.Layout.field_offset ctx.lt fields fk;
-                cur_ty := List.nth fields fk
-            | _, Types.Array (_, e) -> (
-                let sz = Vmem.Layout.size_of ctx.lt e in
-                (match op with
-                | Ir.Const { ckind = Ir.Cint n; _ } ->
-                    disp := !disp + (Int64.to_int n * sz)
-                | _ ->
-                    load_int ctx op dx;
-                    if sz <> 1 then
-                      emit ctx (Alu (Imul, W64, true, R dx, I (Int64.of_int sz)));
-                    emit ctx (Alu (Add, W64, true, R ax, R dx)));
-                cur_ty := e)
-            | _, t ->
-                invalid_arg ("x86lite: gep into " ^ Types.to_string t)
-          end)
-        i.Ir.operands;
-      if !disp <> 0 then emit ctx (Alu (Add, W64, true, R ax, I (Int64.of_int !disp)));
+      let disp =
+        gep_offset ctx i ~scale:(fun op sz ->
+            load_int ctx op dx;
+            if sz <> 1 then
+              emit ctx (Alu (Imul, W64, true, R dx, I (Int64.of_int sz)));
+            emit ctx (Alu (Add, W64, true, R ax, R dx)))
+      in
+      if disp <> 0 then emit ctx (Alu (Add, W64, true, R ax, I (Int64.of_int disp)));
       if ctx.m.Ir.target.Target.ptr_size = 4 then emit ctx (Ext (ax, W32, false));
       store_int ctx i.Ir.iid ax
   | Ir.Alloca -> (
@@ -501,24 +390,53 @@ let lower_instr ctx (i : Ir.instr) =
       let w = width_of ctx (Ir.type_of_value i.Ir.operands.(0)) in
       let s = signed_of ctx (Ir.type_of_value i.Ir.operands.(0)) in
       load_int ctx i.Ir.operands.(0) ax;
-      let rec cases k =
-        if k + 1 < Array.length i.Ir.operands then begin
-          (match i.Ir.operands.(k) with
-          | Ir.Const { ckind = Ir.Cint c; _ } ->
-              emit ctx (Cmp (w, s, R ax, I c));
-              emit ctx
-                (Jcc (Eq, label_of ctx (Ir.block_of_value i.Ir.operands.(k + 1))))
-          | _ -> ());
-          cases (k + 2)
-        end
-      in
-      cases 2;
+      List.iter
+        (fun (c, b) ->
+          emit ctx (Cmp (w, s, R ax, I c));
+          emit ctx (Jcc (Eq, label_of ctx b)))
+        (Ir.mbr_cases i);
       emit ctx (Jmp (label_of ctx (Ir.block_of_value i.Ir.operands.(1))))
 
-(* ---------- branch clean-up and the learned peephole pass ---------- *)
+(* ---------- prologue ---------- *)
 
-include Codegen.Peephole.Make (struct
+let prologue ctx (f : Ir.func) =
+  emit ctx (Push (R bp));
+  emit ctx (Mov (R bp, R sp));
+  if ctx.total_frame > 0 then emit ctx (AddSp (-ctx.total_frame));
+  List.iter (fun (r, m) -> emit ctx (Mov (M m, R r))) ctx.saved_int;
+  List.iter (fun (fr, m) -> emit ctx (Fstore (m, fr, false))) ctx.saved_float;
+  (* spill incoming arguments to their home locations *)
+  List.iteri
+    (fun k (a : Ir.arg) ->
+      let src = { base = bp; disp = 16 + (8 * k) } in
+      if is_float_ty ctx a.Ir.aty then begin
+        emit ctx (Fload (0, src, false));
+        store_float ctx a.Ir.aid 0
+      end
+      else begin
+        emit ctx (Mov (R ax, M src));
+        store_int ctx a.Ir.aid ax
+      end)
+    f.Ir.fargs
+
+(* ---------- the shared frame, branch clean-up and peephole pass ---------- *)
+
+include Codegen.Select.Make (struct
   type nonrec instr = instr
+  type slot = mem
+
+  let name = "x86lite"
+  let default_alloc = Codegen.Regalloc.Spill_everything
+  let allocatable_int = allocatable_int
+  let allocatable_float = allocatable_float
+  let slot_base = 0
+  let slot_disp = slot_disp
+  let save_slot disp = { base = bp; disp }
+  let trap msg = Trap msg
+  let prologue = prologue
+  let copy_from_transfer = copy_from_transfer
+  let copy_to_transfer = copy_to_transfer
+  let lower_instr = lower_instr
 
   let cycles_of = cycles_of
   let size_of = size_of
@@ -569,137 +487,3 @@ include Codegen.Peephole.Make (struct
     | Cmp (w, s, a, b) -> Cmp (w, s, op a, op b)
     | i -> i
 end)
-
-(* ---------- per-function ---------- *)
-
-let compile_function (m : Ir.modl) (img : Vmem.Image.t)
-    ?(linear_scan = false) ?(peep = []) ?peep_stats (f : Ir.func) : cfunc =
-  let env = Ir.type_env m in
-  let lt = Vmem.Layout.for_module m in
-  let ivs = Codegen.Intervals.build ~env f in
-  let assignment =
-    if linear_scan then
-      Codegen.Regalloc.linear_scan ~int_regs:allocatable_int
-        ~float_regs:allocatable_float ivs
-    else Codegen.Regalloc.spill_everything ivs
-  in
-  let plan = Codegen.Phiplan.build f in
-  (* static alloca area *)
-  let alloca_offsets = Hashtbl.create 8 in
-  let n_value_slots = assignment.Codegen.Regalloc.n_slots in
-  let base = 8 * (n_value_slots + plan.Codegen.Phiplan.n_transfer_slots) in
-  let alloca_area = ref 0 in
-  Ir.iter_instrs
-    (fun i ->
-      if i.Ir.op = Ir.Alloca && Array.length i.Ir.operands = 0 then begin
-        let elem = Types.pointee env i.Ir.ity in
-        let sz = (Vmem.Layout.size_of lt elem + 7) / 8 * 8 in
-        alloca_area := !alloca_area + sz;
-        Hashtbl.replace alloca_offsets i.Ir.iid (base + !alloca_area)
-      end)
-    f;
-  (* callee-saved register save area (linear-scan mode only) *)
-  let saved_int = ref [] and saved_float = ref [] in
-  let save_area = ref 0 in
-  List.iter
-    (fun r ->
-      save_area := !save_area + 8;
-      saved_int :=
-        (r, { base = bp; disp = -(base + !alloca_area + !save_area) }) :: !saved_int)
-    assignment.Codegen.Regalloc.used_regs_int;
-  List.iter
-    (fun fr ->
-      save_area := !save_area + 8;
-      saved_float :=
-        (fr, { base = bp; disp = -(base + !alloca_area + !save_area) })
-        :: !saved_float)
-    assignment.Codegen.Regalloc.used_regs_float;
-  let total_frame = base + !alloca_area + !save_area in
-  let block_ids = Hashtbl.create 16 in
-  List.iteri
-    (fun k (b : Ir.block) -> Hashtbl.replace block_ids b.Ir.blid k)
-    f.Ir.fblocks;
-  let ctx =
-    {
-      m;
-      env;
-      lt;
-      img;
-      buf = ref [];
-      assignment;
-      plan;
-      block_ids;
-      alloca_offsets;
-      n_value_slots;
-      total_frame;
-      saved_int = !saved_int;
-      saved_float = !saved_float;
-      label_alloc = ref (List.length f.Ir.fblocks);
-      extra_label_pos = Hashtbl.create 8;
-      label_boundary = ref 0;
-    }
-  in
-  (* prologue *)
-  emit ctx (Push (R bp));
-  emit ctx (Mov (R bp, R sp));
-  if total_frame > 0 then emit ctx (AddSp (-total_frame));
-  List.iter (fun (r, m) -> emit ctx (Mov (M m, R r))) ctx.saved_int;
-  List.iter (fun (fr, m) -> emit ctx (Fstore (m, fr, false))) ctx.saved_float;
-  (* spill incoming arguments to their home locations *)
-  List.iteri
-    (fun k (a : Ir.arg) ->
-      let src = { base = bp; disp = 16 + (8 * k) } in
-      if is_float_ty ctx a.Ir.aty then begin
-        emit ctx (Fload (0, src, false));
-        store_float ctx a.Ir.aid 0
-      end
-      else begin
-        emit ctx (Mov (R ax, M src));
-        store_int ctx a.Ir.aid ax
-      end)
-    f.Ir.fargs;
-  (* body: per block, marking label positions *)
-  let label_pos = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Ir.block) ->
-      ctx.label_boundary := List.length !(ctx.buf);
-      Hashtbl.replace label_pos (label_of ctx b) (List.length !(ctx.buf));
-      List.iter (fun c -> copy_from_transfer ctx c) (Codegen.Phiplan.start_copies plan b);
-      List.iter
-        (fun (i : Ir.instr) ->
-          if Ir.is_terminator i then
-            (* phi edge copies happen before the terminator *)
-            List.iter (fun c -> copy_to_transfer ctx c)
-              (Codegen.Phiplan.end_copies plan b);
-          lower_instr ctx i)
-        b.Ir.instrs)
-    f.Ir.fblocks;
-  (* resolve labels: Jmp/Jcc targets are label indices; rewrite to code
-     positions *)
-  let code = Array.of_list (List.rev !(ctx.buf)) in
-  let resolve l =
-    match Hashtbl.find_opt label_pos l with
-    | Some p -> p
-    | None -> (
-        match Hashtbl.find_opt ctx.extra_label_pos l with
-        | Some p -> p
-        | None -> invalid_arg "x86lite: unresolved label")
-  in
-  {
-    Codegen.Native.cf_name = f.Ir.fname;
-    code = finish_code ~peep ?peep_stats (Array.map (retarget resolve) code);
-    nargs = List.length f.Ir.fargs;
-    frame_slots = total_frame / 8;
-  }
-
-let compile_module ?(linear_scan = false) ?(peep = []) ?peep_stats
-    (m : Ir.modl) : cmodule =
-  let image = Vmem.Image.load m in
-  let funcs = Hashtbl.create 32 in
-  List.iter
-    (fun (f : Ir.func) ->
-      if not (Ir.is_declaration f) then
-        Hashtbl.replace funcs f.Ir.fname
-          (compile_function m image ~linear_scan ~peep ?peep_stats f))
-    m.Ir.funcs;
-  { Codegen.Native.cm = m; image; funcs }

@@ -37,9 +37,7 @@ let reg_name = function
 let allocatable_int = [ 3; 6; 7 ]
 let allocatable_float = [ 4; 5; 6; 7 ] (* F4..F7; F0..F3 scratch *)
 
-type width = W8 | W16 | W32 | W64
-
-let width_bytes = function W8 -> 1 | W16 -> 2 | W32 -> 4 | W64 -> 8
+type width = Codegen.Native.width = W8 | W16 | W32 | W64
 
 type mem = { base : reg; disp : int }
 
@@ -50,7 +48,7 @@ type alu = Add | Sub | Imul | And | Or | Xor
 type cc = Codegen.Native.cc =
   | Eq | Ne | Lt | Gt | Le | Ge | Ltu | Gtu | Leu | Geu
 
-type fop = Fadd | Fsub | Fmul | Fdiv | Frem
+type fop = Codegen.Native.fop = Fadd | Fsub | Fmul | Fdiv | Frem
 
 type instr =
   | Mov of operand * operand (* dst <- src; not mem,mem *)
@@ -285,11 +283,3 @@ let to_string = function
   | Fround f -> Printf.sprintf "frnds %%f%d" f
   | Fpushret f -> Printf.sprintf "fret %%f%d" f
   | Trap s -> "trap " ^ s
-
-let width_of_type target ty =
-  match Llva.Types.scalar_bytes target ty with
-  | 1 -> W8
-  | 2 -> W16
-  | 4 -> W32
-  | 8 -> W64
-  | _ -> W64

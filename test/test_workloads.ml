@@ -83,7 +83,7 @@ let test_native_subset () =
         Alcotest.failf "%s sparc disagrees" name;
       (* optimized native *)
       let xo =
-        X86lite.Compile.compile_module ~linear_scan:true
+        X86lite.Compile.compile_module ~alloc:Linear_scan
           (Workloads.compile_optimized w)
       in
       let oc, ost = Codegen.Machine.run_main X86lite.Sim.machine xo in
