@@ -8,7 +8,7 @@ open Llva
 type t = {
   func : Ir.func;
   blocks : Ir.block array; (* reverse postorder; entry first *)
-  index : (int, int) Hashtbl.t; (* block id -> index *)
+  index : Idtbl.t; (* block id -> index *)
   succs : int list array;
   preds : int list array;
 }
@@ -17,23 +17,24 @@ type t = {
    excluded entirely (passes should run [Transform.Simplifycfg] to drop
    them from the function). *)
 let build (f : Ir.func) : t =
-  let visited = Hashtbl.create 32 in
+  (* visited blocks; their indices once the order is known *)
+  let index = Idtbl.create (List.length f.Ir.fblocks) in
   let postorder = ref [] in
   let rec dfs (b : Ir.block) =
-    if not (Hashtbl.mem visited b.Ir.blid) then begin
-      Hashtbl.replace visited b.Ir.blid ();
+    if not (Idtbl.mem index b.Ir.blid) then begin
+      Idtbl.replace index b.Ir.blid 0;
       List.iter dfs (Ir.successors b);
       postorder := b :: !postorder
     end
   in
   (match f.Ir.fblocks with [] -> () | entry :: _ -> dfs entry);
   let blocks = Array.of_list !postorder in
-  let index = Hashtbl.create (Array.length blocks) in
-  Array.iteri (fun k b -> Hashtbl.replace index b.Ir.blid k) blocks;
+  Array.iteri (fun k b -> Idtbl.replace index b.Ir.blid k) blocks;
+  (* every successor of a reachable block is reachable *)
   let succs =
     Array.map
       (fun b ->
-        List.filter_map (fun s -> Hashtbl.find_opt index s.Ir.blid) (Ir.successors b))
+        List.map (fun s -> Idtbl.find index s.Ir.blid) (Ir.successors b))
       blocks
   in
   let preds = Array.make (Array.length blocks) [] in
@@ -45,12 +46,15 @@ let build (f : Ir.func) : t =
 let n_blocks cfg = Array.length cfg.blocks
 let block cfg k = cfg.blocks.(k)
 
-let index_of cfg (b : Ir.block) =
-  match Hashtbl.find_opt cfg.index b.Ir.blid with
-  | Some k -> k
-  | None -> invalid_arg ("Cfg.index_of: unreachable block %" ^ b.Ir.bname)
+(* the index of a reachable block; -1 for an unreachable one *)
+let find_index cfg (b : Ir.block) = Idtbl.find cfg.index b.Ir.blid
 
-let is_reachable cfg (b : Ir.block) = Hashtbl.mem cfg.index b.Ir.blid
+let index_of cfg (b : Ir.block) =
+  match find_index cfg b with
+  | -1 -> invalid_arg ("Cfg.index_of: unreachable block %" ^ b.Ir.bname)
+  | k -> k
+
+let is_reachable cfg (b : Ir.block) = find_index cfg b >= 0
 
 let unreachable_blocks (f : Ir.func) =
   let cfg = build f in

@@ -1,5 +1,7 @@
 (* Dominator tree and dominance frontiers using the Cooper–Harvey–Kennedy
-   "engineered" algorithm, operating on the [Cfg] reverse postorder. *)
+   "engineered" algorithm, operating on the [Cfg] reverse postorder. The
+   frontiers are built the first time one is asked for: only SSA
+   construction ([Transform.Mem2reg]) reads them. *)
 
 open Llva
 
@@ -7,7 +9,7 @@ type t = {
   cfg : Cfg.t;
   idom : int array; (* immediate dominator index; entry maps to itself *)
   children : int list array; (* dominator-tree children *)
-  frontier : int list array; (* dominance frontier, as block indices *)
+  frontier : int list array Lazy.t; (* dominance frontier, as block indices *)
   level : int array; (* depth in the dominator tree *)
 }
 
@@ -33,16 +35,19 @@ let compute (cfg : Cfg.t) : t =
   while !changed do
     changed := false;
     for b = 1 to n - 1 do
-      let preds = cfg.Cfg.preds.(b) in
-      let processed = List.filter (fun p -> idom.(p) >= 0) preds in
-      match processed with
-      | [] -> ()
-      | first :: rest ->
-          let new_idom = List.fold_left (fun acc p -> intersect acc p) first rest in
-          if idom.(b) <> new_idom then begin
-            idom.(b) <- new_idom;
-            changed := true
-          end
+      (* the first processed predecessor, intersected with the others *)
+      let new_idom =
+        List.fold_left
+          (fun acc p ->
+            if idom.(p) < 0 then acc
+            else if acc < 0 then p
+            else intersect acc p)
+          (-1) cfg.Cfg.preds.(b)
+      in
+      if new_idom >= 0 && idom.(b) <> new_idom then begin
+        idom.(b) <- new_idom;
+        changed := true
+      end
     done
   done;
   let children = Array.make n [] in
@@ -50,20 +55,24 @@ let compute (cfg : Cfg.t) : t =
     if idom.(b) >= 0 then children.(idom.(b)) <- b :: children.(idom.(b))
   done;
   (* dominance frontier (Cooper et al. fig. 5) *)
-  let frontier = Array.make n [] in
-  for b = 0 to n - 1 do
-    let preds = cfg.Cfg.preds.(b) in
-    if List.length preds >= 2 then
-      List.iter
-        (fun p ->
-          let runner = ref p in
-          while !runner <> idom.(b) && !runner >= 0 do
-            if not (List.mem b frontier.(!runner)) then
-              frontier.(!runner) <- b :: frontier.(!runner);
-            runner := idom.(!runner)
-          done)
-        preds
-  done;
+  let frontier =
+    lazy
+      (let frontier = Array.make n [] in
+       for b = 0 to n - 1 do
+         let preds = cfg.Cfg.preds.(b) in
+         if List.length preds >= 2 then
+           List.iter
+             (fun p ->
+               let runner = ref p in
+               while !runner <> idom.(b) && !runner >= 0 do
+                 if not (List.mem b frontier.(!runner)) then
+                   frontier.(!runner) <- b :: frontier.(!runner);
+                 runner := idom.(!runner)
+               done)
+             preds
+       done;
+       frontier)
+  in
   let level = Array.make n 0 in
   let rec set_levels b =
     List.iter
@@ -92,7 +101,7 @@ let idom_block t (b : Ir.block) : Ir.block option =
   if k = 0 then None else Some (Cfg.block t.cfg t.idom.(k))
 
 let frontier_blocks t (b : Ir.block) =
-  List.map (Cfg.block t.cfg) t.frontier.(Cfg.index_of t.cfg b)
+  List.map (Cfg.block t.cfg) (Lazy.force t.frontier).(Cfg.index_of t.cfg b)
 
 let children_blocks t (b : Ir.block) =
   List.map (Cfg.block t.cfg) t.children.(Cfg.index_of t.cfg b)

@@ -91,6 +91,39 @@ let of_function f =
   let cfg = Cfg.build f in
   compute cfg (Dominance.compute cfg)
 
+(* The nesting depth of every block, by [Cfg] index, as [loop_depth]
+   counts it (one natural loop per header, all of its back edges
+   together), without building the loop records: the code generators
+   and the range analysis need only this. *)
+let depths (cfg : Cfg.t) (dom : Dominance.t) : int array =
+  let n = Cfg.n_blocks cfg in
+  let latches = Array.make n [] in
+  for src = 0 to n - 1 do
+    List.iter
+      (fun dst ->
+        if Dominance.dominates_idx dom dst src then
+          latches.(dst) <- src :: latches.(dst))
+      cfg.Cfg.succs.(src)
+  done;
+  let depth = Array.make n 0 and in_body = Array.make n (-1) in
+  for header = 0 to n - 1 do
+    if latches.(header) <> [] then begin
+      (* the body: the header and every block that reaches a latch
+         without passing through it *)
+      let rec pull k =
+        if in_body.(k) <> header then begin
+          in_body.(k) <- header;
+          depth.(k) <- depth.(k) + 1;
+          List.iter pull cfg.Cfg.preds.(k)
+        end
+      in
+      in_body.(header) <- header;
+      depth.(header) <- depth.(header) + 1;
+      List.iter pull latches.(header)
+    end
+  done;
+  depth
+
 let loop_depth t (b : Ir.block) =
   match Hashtbl.find_opt t.depth_of b.Ir.blid with Some d -> d | None -> 0
 

@@ -41,15 +41,6 @@ let itv_equal a b =
   | Itv (l1, h1), Itv (l2, h2) -> Int64.equal l1 l2 && Int64.equal h1 h2
   | _ -> false
 
-(* Tables keyed by instruction or argument id, hashed without a C call;
-   the analysis never iterates them, so their order is unobservable. *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash x = x land max_int
-end)
-
 let to_string = function
   | Bot -> "bot"
   | Top -> "top"
@@ -58,19 +49,26 @@ let to_string = function
 
 (* ---------- lattice ---------- *)
 
+(* Both return an operand itself when the result equals it, so the
+   fixpoint allocates only for a range that really changes. *)
 let join a b =
   match (a, b) with
   | Bot, x | x, Bot -> x
   | Top, _ | _, Top -> Top
-  | Itv (l1, h1), Itv (l2, h2) -> Itv (min l1 l2, max h1 h2)
+  | Itv (l1, h1), Itv (l2, h2) ->
+      let l = if l1 <= l2 then l1 else l2 and h = if h1 >= h2 then h1 else h2 in
+      if l = l1 && h = h1 then a else if l = l2 && h = h2 then b else Itv (l, h)
 
 let meet a b =
   match (a, b) with
   | Bot, _ | _, Bot -> Bot
   | Top, x | x, Top -> x
   | Itv (l1, h1), Itv (l2, h2) ->
-      let l = max l1 l2 and h = min h1 h2 in
-      if l > h then Bot else Itv (l, h)
+      let l = if l1 >= l2 then l1 else l2 and h = if h1 <= h2 then h1 else h2 in
+      if l > h then Bot
+      else if l = l1 && h = h1 then a
+      else if l = l2 && h = h2 then b
+      else Itv (l, h)
 
 (* ---------- overflow-checked int64 helpers ---------- *)
 
@@ -111,7 +109,17 @@ let bounds = function
   | Types.Long -> Some (Int64.min_int, Int64.max_int)
   | _ -> None (* Ulong, or a type we never track *)
 
-let top_of ty = match bounds ty with Some (l, h) -> Itv (l, h) | None -> Top
+(* the same as [bounds], as a range; constant, so never allocated *)
+let top_of = function
+  | Types.Bool -> Itv (0L, 1L)
+  | Types.Ubyte -> Itv (0L, 255L)
+  | Types.Sbyte -> Itv (-128L, 127L)
+  | Types.Ushort -> Itv (0L, 65535L)
+  | Types.Short -> Itv (-32768L, 32767L)
+  | Types.Uint -> Itv (0L, 4294967295L)
+  | Types.Int -> Itv (-2147483648L, 2147483647L)
+  | Types.Long -> Itv (Int64.min_int, Int64.max_int)
+  | _ -> Top
 
 (* Is this range as good as knowing nothing about a value of [ty]? *)
 let is_top ty itv = itv = Top || itv = top_of ty
@@ -182,12 +190,59 @@ let const_itv env (v : Ir.value) : itv =
 
 (* ---------- analysis state ---------- *)
 
+let negate_cmp = function
+  | Ir.Eq -> Ir.Ne
+  | Ir.Ne -> Ir.Eq
+  | Ir.Lt -> Ir.Ge
+  | Ir.Ge -> Ir.Lt
+  | Ir.Gt -> Ir.Le
+  | Ir.Le -> Ir.Gt
+
+let swap_cmp = function
+  | Ir.Lt -> Ir.Gt
+  | Ir.Gt -> Ir.Lt
+  | Ir.Le -> Ir.Ge
+  | Ir.Ge -> Ir.Le
+  | (Ir.Eq | Ir.Ne) as c -> c
+
+(* A value as the fixpoint reads it: a register or argument by its
+   number in the function's [Analysis.Numbering], or a value whose range
+   is fixed for the whole analysis (a constant, or anything the domain
+   cannot see into). *)
+type opnd = Onum of int | Ofixed of itv
+
 type constr = {
   ccmp : Ir.cmp;
   ctaken : bool; (* the branch direction this edge represents *)
   ca : Ir.value;
   cb : Ir.value;
+  ceff : Ir.cmp; (* [ccmp], negated on the not-taken edge: what holds *)
+  coa : opnd; (* [ca] and [cb] as the fixpoint reads them *)
+  cob : opnd;
 }
+
+(* What the dominator walk of [eval_at] learns at a block: nothing, the
+   constraints of its single incoming edge, or, when every incoming edge
+   carries constraints, those of each edge (in predecessor order). *)
+type guard = Gnone | Gone of constr list | Gall of constr list list
+
+(* One int-like instruction of a reachable block, resolved once per
+   function: its number, resolved type and that type's top, and its
+   transfer with the operands read as [opnd]s. *)
+type step = { s_num : int; s_ty : Types.t; s_top : itv; s_op : sop }
+
+and sop =
+  | Sbinop of Ir.binop * opnd * opnd
+  | Ssetcc of Ir.cmp * opnd * opnd
+  | Scast of opnd
+  | Sphi of arm array (* the arms from reachable predecessors *)
+  | Scall of int (* a defined callee's function id *)
+  | Sfixed of itv (* a result no operand range moves *)
+
+(* a phi arm: the value, the predecessor's block index, and the
+   refinements its incoming edge applies to it, as (comparison, other
+   side) *)
+and arm = { a_val : opnd; a_pred : int; a_refine : (Ir.cmp * opnd) list }
 
 (* ---------- relational layer: symbols and difference bounds ---------- *)
 
@@ -213,21 +268,25 @@ type fn_info = {
   fi_f : Ir.func;
   fi_cfg : Analysis.Cfg.t;
   fi_dom : Analysis.Dominance.t;
+  fi_num : Analysis.Numbering.t;
   fi_loopdepth : int array; (* per block index; 0 = not in a loop *)
-  fi_edge_cs : (int * int, constr list) Hashtbl.t; (* (pred, succ) edge *)
-  (* ids of the registers and arguments some edge constraint names: only
-     these can be refined by [eval_at] *)
-  fi_guarded_regs : unit Itbl.t;
-  fi_guarded_args : unit Itbl.t;
-  fi_ivals : itv Itbl.t; (* instr id -> range *)
-  fi_args : itv Itbl.t; (* arg id -> range *)
+  (* per successor block index: (predecessor index, constraints) for
+     every constrained incoming edge *)
+  fi_edge_cs : (int * constr list) list array;
+  fi_guard : guard array; (* per block index *)
+  (* per value number: some edge constraint names it, so [eval_at] may
+     refine it *)
+  fi_guarded : bool array;
+  (* per value number: the argument ranges (interprocedural inputs),
+     then the instruction ranges [analyze_fn] computes *)
+  fi_vals : itv array;
+  fi_steps : step array array; (* per block index *)
+  fi_rets : (int * opnd) list; (* (block index, value) of each return *)
   mutable fi_ret : itv;
   mutable fi_fp : bool; (* per-function fixpoint inside the budget *)
   mutable fi_sweeps : int;
   (* argument and callee return ranges the last [analyze_fn] ran with *)
   mutable fi_inputs : (itv option list * itv list) option;
-  fi_instr_of : (int, Ir.instr) Hashtbl.t; (* instr id -> instr *)
-  fi_arg_of : (int, Ir.arg) Hashtbl.t; (* arg id -> arg *)
   (* no-wrap dataflow equations, tagged with the defining block index *)
   mutable fi_flow : (int * sym * sym * int64) list;
   fi_rel_args : (int * int, int64) Hashtbl.t; (* (a, b): arg a - arg b <= c *)
@@ -244,21 +303,39 @@ type t = {
   mutable rounds : int; (* interprocedural descending rounds run *)
 }
 
-let add_edge_constr fi key c =
-  let cur =
-    match Hashtbl.find_opt fi.fi_edge_cs key with Some l -> l | None -> []
-  in
-  Hashtbl.replace fi.fi_edge_cs key (cur @ [ c ]);
-  List.iter
-    (function
-      | Ir.Vreg i -> Itbl.replace fi.fi_guarded_regs i.Ir.iid ()
-      | Ir.Varg a -> Itbl.replace fi.fi_guarded_args a.Ir.aid ()
-      | _ -> ())
-    [ c.ca; c.cb ]
+(* Another function's register reads as bottom and its argument as top;
+   only the function's own arguments have numbers below [nargs]. *)
+let opnd_of env num (v : Ir.value) : opnd =
+  match v with
+  | Ir.Vreg _ -> (
+      match Analysis.Numbering.of_value num v with
+      | -1 -> Ofixed Bot
+      | k -> Onum k)
+  | Ir.Varg _ -> (
+      match Analysis.Numbering.of_value num v with
+      | k when k >= 0 && k < Analysis.Numbering.nargs num -> Onum k
+      | _ -> Ofixed Top)
+  | Ir.Const _ | Ir.Vundef _ -> Ofixed (const_itv env v)
+  | _ -> Ofixed Top
 
-let collect_constraints env fi =
-  let cfg = fi.fi_cfg in
+(* Edge constraints from [Setcc]-guarded [Br] edges and single-target
+   [Mbr] cases, per successor block, plus the value numbers they name. *)
+let collect_constraints env cfg num =
+  let edge_cs = Array.make (Analysis.Cfg.n_blocks cfg) [] in
+  let guarded = Array.make (Analysis.Numbering.size num) false in
   let idx b = Analysis.Cfg.index_of cfg b in
+  let add kb ks ccmp ctaken ca cb =
+    let c =
+      { ccmp; ctaken; ca; cb;
+        ceff = (if ctaken then ccmp else negate_cmp ccmp);
+        coa = opnd_of env num ca; cob = opnd_of env num cb }
+    in
+    let cur = Option.value (List.assoc_opt kb edge_cs.(ks)) ~default:[] in
+    edge_cs.(ks) <- (kb, cur @ [ c ]) :: List.remove_assoc kb edge_cs.(ks);
+    List.iter
+      (function Onum k -> guarded.(k) <- true | Ofixed _ -> ())
+      [ c.coa; c.cob ]
+  in
   Analysis.Cfg.iter_rpo
     (fun (b : Ir.block) ->
       match Ir.terminator b with
@@ -273,16 +350,9 @@ let collect_constraints env fi =
           | Ir.Vreg ({ Ir.op = Ir.Setcc cmp; _ } as s)
             when int_like env (Ir.type_of_value s.Ir.operands.(0)) ->
               let kb = idx b in
-              let c taken =
-                {
-                  ccmp = cmp;
-                  ctaken = taken;
-                  ca = s.Ir.operands.(0);
-                  cb = s.Ir.operands.(1);
-                }
-              in
-              add_edge_constr fi (kb, idx tb) (c true);
-              add_edge_constr fi (kb, idx fb) (c false)
+              let a = s.Ir.operands.(0) and b = s.Ir.operands.(1) in
+              add kb (idx tb) cmp true a b;
+              add kb (idx fb) cmp false a b
           | _ -> ())
       | Some ({ Ir.op = Ir.Mbr; _ } as mbr)
         when int_like env (Ir.type_of_value mbr.Ir.operands.(0)) -> (
@@ -307,96 +377,16 @@ let collect_constraints env fi =
                 match default with Some d -> d == target | None -> true
               in
               if hits = 1 && not is_default then
-                add_edge_constr fi
-                  (kb, idx target)
-                  {
-                    ccmp = Ir.Eq;
-                    ctaken = true;
-                    ca = v;
-                    cb = Ir.const_int vty n;
-                  })
+                add kb (idx target) Ir.Eq true v (Ir.const_int vty n))
             cases)
       | _ -> ())
-    cfg
-
-let mk_fn_info env (f : Ir.func) : fn_info =
-  let cfg = Analysis.Cfg.build f in
-  let dom = Analysis.Dominance.compute cfg in
-  let loops = Analysis.Loops.compute cfg dom in
-  let loopdepth =
-    Array.init (Analysis.Cfg.n_blocks cfg) (fun k ->
-        Analysis.Loops.loop_depth loops (Analysis.Cfg.block cfg k))
-  in
-  let fi =
-    {
-      fi_f = f;
-      fi_cfg = cfg;
-      fi_dom = dom;
-      fi_loopdepth = loopdepth;
-      fi_edge_cs = Hashtbl.create 8;
-      fi_guarded_regs = Itbl.create 8;
-      fi_guarded_args = Itbl.create 8;
-      fi_ivals = Itbl.create 64;
-      fi_args = Itbl.create 8;
-      fi_ret = Top;
-      fi_fp = true;
-      fi_sweeps = 0;
-      fi_inputs = None;
-      fi_instr_of = Hashtbl.create 64;
-      fi_arg_of = Hashtbl.create 8;
-      fi_flow = [];
-      fi_rel_args = Hashtbl.create 8;
-      fi_rel_len = Hashtbl.create 8;
-      fi_dbms = Hashtbl.create 8;
-      fi_rel_dropped = 0;
-    }
-  in
-  Ir.iter_instrs (fun i -> Hashtbl.replace fi.fi_instr_of i.Ir.iid i) f;
-  List.iter
-    (fun (a : Ir.arg) -> Hashtbl.replace fi.fi_arg_of a.Ir.aid a)
-    f.Ir.fargs;
-  collect_constraints env fi;
-  (* arguments start at the type's top; interprocedural rounds tighten *)
-  List.iter
-    (fun (a : Ir.arg) ->
-      let top =
-        match Types.resolve env a.Ir.aty with
-        | rty -> top_of rty
-        | exception Types.Unresolved _ -> Top
-      in
-      Itbl.replace fi.fi_args a.Ir.aid top)
-    f.Ir.fargs;
-  fi
+    cfg;
+  (edge_cs, guarded)
 
 (* ---------- reading values, with branch refinement ---------- *)
 
-let lookup_base t fi (v : Ir.value) : itv =
-  match v with
-  | Ir.Const _ | Ir.Vundef _ -> const_itv t.renv v
-  | Ir.Vreg i -> (
-      match Itbl.find_opt fi.fi_ivals i.Ir.iid with
-      | Some x -> x
-      | None -> Bot)
-  | Ir.Varg a -> (
-      match Itbl.find_opt fi.fi_args a.Ir.aid with
-      | Some x -> x
-      | None -> Top)
-  | _ -> Top
-
-let negate_cmp = function
-  | Ir.Eq -> Ir.Ne
-  | Ir.Ne -> Ir.Eq
-  | Ir.Lt -> Ir.Ge
-  | Ir.Ge -> Ir.Lt
-  | Ir.Gt -> Ir.Le
-  | Ir.Le -> Ir.Gt
-
-let swap_cmp = function
-  | Ir.Lt -> Ir.Gt
-  | Ir.Gt -> Ir.Lt
-  | Ir.Le -> Ir.Ge
-  | Ir.Ge -> Ir.Le
-  | (Ir.Eq | Ir.Ne) as c -> c
+let base fi = function Onum k -> fi.fi_vals.(k) | Ofixed x -> x
+let lookup_base t fi (v : Ir.value) : itv = base fi (opnd_of t.renv fi.fi_num v)
 
 (* [cur] further constrained by [v CMP other]. Comparisons on canonical
    representatives agree with the run-time comparison for every tracked
@@ -406,13 +396,15 @@ let swap_cmp = function
 let refine_lhs cmp cur (other : itv) =
   let at_most k = function
     | Bot -> Bot
-    | Itv (l, h) -> if l > k then Bot else Itv (l, min h k)
+    | Itv (l, h) as itv ->
+        if l > k then Bot else if h <= k then itv else Itv (l, k)
     | Top -> if k < 0L then Bot else Itv (0L, k)
     (* Top is ulong-only: values are >= 0 *)
   in
   let at_least k = function
     | Bot -> Bot
-    | Itv (l, h) -> if h < k then Bot else Itv (max l k, h)
+    | Itv (l, h) as itv ->
+        if h < k then Bot else if l >= k then itv else Itv (k, h)
     | Top -> Top (* no representable upper bound for ulong *)
   in
   match cmp with
@@ -438,67 +430,55 @@ let refine_lhs cmp cur (other : itv) =
       | _ -> cur)
   | Ir.Ge -> ( match other with Itv (bl, _) -> at_least bl cur | _ -> cur)
 
-let apply_constr t fi (c : constr) (v : Ir.value) (cur : itv) : itv =
-  let cmp = if c.ctaken then c.ccmp else negate_cmp c.ccmp in
-  if Ir.value_equal c.ca v then refine_lhs cmp cur (lookup_base t fi c.cb)
-  else if Ir.value_equal c.cb v then
-    refine_lhs (swap_cmp cmp) cur (lookup_base t fi c.ca)
-  else cur
+(* [cur], the range of value number [k], refined by each constraint in
+   turn that names it *)
+let rec refine_num fi k cur = function
+  | [] -> cur
+  | c :: cs ->
+      let cur =
+        match (c.coa, c.cob) with
+        | Onum a, _ when a = k -> refine_lhs c.ceff cur (base fi c.cob)
+        | _, Onum b when b = k ->
+            refine_lhs (swap_cmp c.ceff) cur (base fi c.coa)
+        | _ -> cur
+      in
+      refine_num fi k cur cs
 
-let edge_refine t fi (pk, sk) v cur =
-  match Hashtbl.find_opt fi.fi_edge_cs (pk, sk) with
-  | Some cs -> List.fold_left (fun r c -> apply_constr t fi c v r) cur cs
-  | None -> cur
+(* Value of number [k] as observed inside block [bk]: the
+   flow-insensitive range, sharpened by every constraint guarding a
+   dominating single-predecessor edge (the only way into that dominator,
+   hence into [bk]). At a dominating *merge* point the join of the
+   per-edge refinements is sound too: the last entry into the dominator
+   came along one of its reachable incoming edges, so that edge's
+   constraint held there, and any later redefinition of the value would
+   force re-entry through the dominator. We pay for the join only when
+   every reachable edge actually carries constraints — an unconstrained
+   edge would contribute the unrefined range and make the join a no-op.
+   A value no constraint names leaves every refinement on the chain
+   unchanged, so it skips the walk. *)
+let eval_num fi bk k : itv =
+  let base = fi.fi_vals.(k) in
+  if not fi.fi_guarded.(k) then base
+  else begin
+    let r = ref base and s = ref bk in
+    while !s <> 0 do
+      (match fi.fi_guard.(!s) with
+      | Gnone -> ()
+      | Gone cs -> r := refine_num fi k !r cs
+      | Gall css ->
+          let cur = !r in
+          r :=
+            List.fold_left
+              (fun acc cs -> join acc (refine_num fi k cur cs))
+              Bot css);
+      s := fi.fi_dom.Analysis.Dominance.idom.(!s)
+    done;
+    !r
+  end
 
-let reachable_preds fi s =
-  List.filter
-    (fun p ->
-      Analysis.Cfg.is_reachable fi.fi_cfg (Analysis.Cfg.block fi.fi_cfg p))
-    fi.fi_cfg.Analysis.Cfg.preds.(s)
-
-(* Value of [v] as observed inside block [bk]: the flow-insensitive range,
-   sharpened by every constraint guarding a dominating single-predecessor
-   edge (the only way into that dominator, hence into [bk]). At a
-   dominating *merge* point the join of the per-edge refinements is sound
-   too: the last entry into the dominator came along one of its reachable
-   incoming edges, so that edge's constraint held there, and any later
-   redefinition of [v] would force re-entry through the dominator. We pay
-   for the join only when every reachable edge actually carries
-   constraints — an unconstrained edge would contribute the unrefined
-   range and make the join a no-op. A value no constraint names leaves
-   every refinement on the chain unchanged, so it skips the walk. *)
+let eval_opnd fi bk = function Onum k -> eval_num fi bk k | Ofixed x -> x
 let eval_at t fi bk (v : Ir.value) : itv =
-  let base = lookup_base t fi v in
-  match v with
-  | Ir.Vreg i when not (Itbl.mem fi.fi_guarded_regs i.Ir.iid) -> base
-  | Ir.Varg a when not (Itbl.mem fi.fi_guarded_args a.Ir.aid) -> base
-  | Ir.Vreg _ | Ir.Varg _ ->
-      let r = ref base in
-      let k = ref bk in
-      let continue_ = ref true in
-      while !continue_ do
-        let s = !k in
-        (if s <> 0 then
-           match fi.fi_cfg.Analysis.Cfg.preds.(s) with
-           | [ p ] -> r := edge_refine t fi (p, s) v !r
-           | _ -> (
-               match reachable_preds fi s with
-               | [] -> ()
-               | ps
-                 when List.for_all
-                        (fun p -> Hashtbl.mem fi.fi_edge_cs (p, s))
-                        ps ->
-                   let cur = !r in
-                   r :=
-                     List.fold_left
-                       (fun acc p -> join acc (edge_refine t fi (p, s) v cur))
-                       Bot ps
-               | _ -> ()));
-        if s = 0 then continue_ := false
-        else k := fi.fi_dom.Analysis.Dominance.idom.(s)
-      done;
-      !r
-  | _ -> base
+  eval_opnd fi bk (opnd_of t.renv fi.fi_num v)
 
 (* ---------- transfer functions ---------- *)
 
@@ -633,29 +613,25 @@ let binop_itv ty op (a : itv) (b : itv) : itv =
       | exception Eval.Overflow -> Bot)
   | _ -> binop_ranges ty op a b
 
-let setcc_itv t fi bk cmp (a : Ir.value) (b : Ir.value) : itv =
-  let aty = Ir.type_of_value a in
-  if not (int_like t.renv aty) then Itv (0L, 1L)
-  else
-    let ra = eval_at t fi bk a and rb = eval_at t fi bk b in
-    match (ra, rb) with
-    | Bot, _ | _, Bot -> Bot
-    | Itv (al, ah), Itv (bl, bh) -> (
-        let yes = Itv (1L, 1L) and no = Itv (0L, 0L) and maybe = Itv (0L, 1L) in
-        match cmp with
-        | Ir.Eq ->
-            if al = ah && bl = bh && al = bl then yes
-            else if ah < bl || bh < al then no
-            else maybe
-        | Ir.Ne ->
-            if al = ah && bl = bh && al = bl then no
-            else if ah < bl || bh < al then yes
-            else maybe
-        | Ir.Lt -> if ah < bl then yes else if al >= bh then no else maybe
-        | Ir.Le -> if ah <= bl then yes else if al > bh then no else maybe
-        | Ir.Gt -> if al > bh then yes else if ah <= bl then no else maybe
-        | Ir.Ge -> if al >= bh then yes else if ah < bl then no else maybe)
-    | _ -> Itv (0L, 1L)
+let setcc_itv cmp (ra : itv) (rb : itv) : itv =
+  match (ra, rb) with
+  | Bot, _ | _, Bot -> Bot
+  | Itv (al, ah), Itv (bl, bh) -> (
+      let yes = Itv (1L, 1L) and no = Itv (0L, 0L) and maybe = Itv (0L, 1L) in
+      match cmp with
+      | Ir.Eq ->
+          if al = ah && bl = bh && al = bl then yes
+          else if ah < bl || bh < al then no
+          else maybe
+      | Ir.Ne ->
+          if al = ah && bl = bh && al = bl then no
+          else if ah < bl || bh < al then yes
+          else maybe
+      | Ir.Lt -> if ah < bl then yes else if al >= bh then no else maybe
+      | Ir.Le -> if ah <= bl then yes else if al > bh then no else maybe
+      | Ir.Gt -> if al > bh then yes else if ah <= bl then no else maybe
+      | Ir.Ge -> if al >= bh then yes else if ah < bl then no else maybe)
+  | _ -> Itv (0L, 1L)
 
 let cast_itv dst_ty (a : itv) : itv =
   match dst_ty with
@@ -677,44 +653,172 @@ let cast_itv dst_ty (a : itv) : itv =
           | None -> if l >= 0L then itv else Top)
       | Top -> top_of dst_ty)
 
-let transfer t fi bk (i : Ir.instr) : itv option =
-  if not (int_like t.renv i.Ir.ity) then None
-  else
-    let ty = Types.resolve t.renv i.Ir.ity in
-    let result =
-      match i.Ir.op with
-      | Ir.Binop op ->
-          binop_itv ty op
-            (eval_at t fi bk i.Ir.operands.(0))
-            (eval_at t fi bk i.Ir.operands.(1))
-      | Ir.Setcc cmp -> setcc_itv t fi bk cmp i.Ir.operands.(0) i.Ir.operands.(1)
-      | Ir.Cast ->
-          let src = i.Ir.operands.(0) in
-          let src_range =
-            if int_like t.renv (Ir.type_of_value src) then eval_at t fi bk src
-            else Top
-          in
-          cast_itv ty src_range
-      | Ir.Phi ->
-          List.fold_left
-            (fun acc (av, (pred : Ir.block)) ->
-              if not (Analysis.Cfg.is_reachable fi.fi_cfg pred) then acc
-              else
-                let pk = Analysis.Cfg.index_of fi.fi_cfg pred in
-                let arm = eval_at t fi pk av in
-                let arm = edge_refine t fi (pk, bk) av arm in
-                join acc arm)
-            Bot (Ir.phi_incoming i)
-      | Ir.Call | Ir.Invoke -> (
-          match Ir.call_callee i with
-          | Ir.Vfunc g when not (Ir.is_declaration g) -> (
-              match Hashtbl.find_opt t.fns g.Ir.fid with
-              | Some gi -> gi.fi_ret
-              | None -> top_of ty)
-          | _ -> top_of ty)
-      | _ -> top_of ty (* loads and anything else we do not model *)
-    in
-    Some (clamp ty result)
+(* The int-like instructions of block [bk], ready for [transfer]. *)
+let plan_block env cfg num edge_cs bk : step array =
+  let steps = ref [] in
+  List.iter
+    (fun (i : Ir.instr) ->
+      if int_like env i.Ir.ity then begin
+        let ty = Types.resolve env i.Ir.ity in
+        let top = top_of ty in
+        let op k = opnd_of env num i.Ir.operands.(k) in
+        let int_operand k = int_like env (Ir.type_of_value i.Ir.operands.(k)) in
+        let s_op =
+          match i.Ir.op with
+          | Ir.Binop b -> Sbinop (b, op 0, op 1)
+          | Ir.Setcc cmp ->
+              if int_operand 0 then Ssetcc (cmp, op 0, op 1)
+              else Sfixed (Itv (0L, 1L))
+          | Ir.Cast ->
+              if int_operand 0 then Scast (op 0) else Sfixed (cast_itv ty Top)
+          | Ir.Phi ->
+              let arms = ref [] in
+              for a = (Array.length i.Ir.operands / 2) - 1 downto 0 do
+                let av = i.Ir.operands.(2 * a) in
+                let pred = Ir.block_of_value i.Ir.operands.((2 * a) + 1) in
+                let pk = Analysis.Cfg.find_index cfg pred in
+                if pk >= 0 then begin
+                  let cs =
+                    Option.value (List.assoc_opt pk edge_cs.(bk)) ~default:[]
+                  in
+                  let a_refine =
+                    List.filter_map
+                      (fun c ->
+                        if Ir.value_equal c.ca av then Some (c.ceff, c.cob)
+                        else if Ir.value_equal c.cb av then
+                          Some (swap_cmp c.ceff, c.coa)
+                        else None)
+                      cs
+                  in
+                  arms :=
+                    { a_val = opnd_of env num av; a_pred = pk; a_refine }
+                    :: !arms
+                end
+              done;
+              Sphi (Array.of_list !arms)
+          | Ir.Call | Ir.Invoke -> (
+              match Ir.call_callee i with
+              | Ir.Vfunc g when not (Ir.is_declaration g) -> Scall g.Ir.fid
+              | _ -> Sfixed top)
+          | _ -> Sfixed top (* loads and anything else we do not model *)
+        in
+        steps :=
+          { s_num = Analysis.Numbering.find num i.Ir.iid; s_ty = ty;
+            s_top = top; s_op }
+          :: !steps
+      end)
+    (Analysis.Cfg.block cfg bk).Ir.instrs;
+  Array.of_list (List.rev !steps)
+
+let mk_fn_info env (f : Ir.func) : fn_info =
+  let cfg = Analysis.Cfg.build f in
+  let dom = Analysis.Dominance.compute cfg in
+  let num = Analysis.Numbering.build f in
+  let nb = Analysis.Cfg.n_blocks cfg in
+  let edge_cs, guarded = collect_constraints env cfg num in
+  let guard =
+    Array.init nb (fun s ->
+        if s = 0 then Gnone
+        else
+          let cs p = List.assoc_opt p edge_cs.(s) in
+          match cfg.Analysis.Cfg.preds.(s) with
+          | [ p ] -> (match cs p with Some l -> Gone l | None -> Gnone)
+          | [] -> Gnone
+          | ps ->
+              (* every predecessor in the [Cfg] is reachable *)
+              if List.for_all (fun p -> cs p <> None) ps then
+                Gall (List.map (fun p -> Option.get (cs p)) ps)
+              else Gnone)
+  in
+  let rets = ref [] in
+  for bk = 0 to nb - 1 do
+    List.iter
+      (fun (i : Ir.instr) ->
+        match i.Ir.op with
+        | Ir.Ret when Array.length i.Ir.operands = 1 ->
+            rets := (bk, opnd_of env num i.Ir.operands.(0)) :: !rets
+        | _ -> ())
+      (Analysis.Cfg.block cfg bk).Ir.instrs
+  done;
+  (* arguments start at the type's top; interprocedural rounds tighten *)
+  let vals = Array.make (Analysis.Numbering.size num) Bot in
+  List.iteri
+    (fun j (a : Ir.arg) ->
+      vals.(j) <-
+        (match Types.resolve env a.Ir.aty with
+        | rty -> top_of rty
+        | exception Types.Unresolved _ -> Top))
+    f.Ir.fargs;
+  {
+    fi_f = f;
+    fi_cfg = cfg;
+    fi_dom = dom;
+    fi_num = num;
+    fi_loopdepth = Analysis.Loops.depths cfg dom;
+    fi_edge_cs = edge_cs;
+    fi_guard = guard;
+    fi_guarded = guarded;
+    fi_vals = vals;
+    fi_steps = Array.init nb (plan_block env cfg num edge_cs);
+    fi_rets = List.rev !rets;
+    fi_ret = Top;
+    fi_fp = true;
+    fi_sweeps = 0;
+    fi_inputs = None;
+    fi_flow = [];
+    fi_rel_args = Hashtbl.create 8;
+    fi_rel_len = Hashtbl.create 8;
+    fi_dbms = Hashtbl.create 8;
+    fi_rel_dropped = 0;
+  }
+
+(* the instruction or argument behind an id, when it is this function's *)
+let instr_of fi iid =
+  match Analysis.Numbering.find fi.fi_num iid with
+  | -1 -> None
+  | k -> (
+      match Analysis.Numbering.value fi.fi_num k with
+      | Ir.Vreg i -> Some i
+      | _ -> None)
+
+(* the number of one of the function's own arguments; -1 for any other *)
+let arg_num fi aid =
+  match Analysis.Numbering.find fi.fi_num aid with
+  | k when k < Analysis.Numbering.nargs fi.fi_num -> k
+  | _ -> -1
+
+let arg_of fi aid =
+  match arg_num fi aid with
+  | -1 -> None
+  | k -> (
+      match Analysis.Numbering.value fi.fi_num k with
+      | Ir.Varg a -> Some a
+      | _ -> None)
+
+let transfer t fi bk (st : step) : itv =
+  let result =
+    match st.s_op with
+    | Sbinop (op, a, b) ->
+        binop_itv st.s_ty op (eval_opnd fi bk a) (eval_opnd fi bk b)
+    | Ssetcc (cmp, a, b) ->
+        setcc_itv cmp (eval_opnd fi bk a) (eval_opnd fi bk b)
+    | Scast a -> cast_itv st.s_ty (eval_opnd fi bk a)
+    | Sphi arms ->
+        Array.fold_left
+          (fun acc arm ->
+            let v = eval_opnd fi arm.a_pred arm.a_val in
+            join acc
+              (List.fold_left
+                 (fun cur (cmp, other) -> refine_lhs cmp cur (base fi other))
+                 v arm.a_refine))
+          Bot arms
+    | Scall fid -> (
+        match Hashtbl.find_opt t.fns fid with
+        | Some gi -> gi.fi_ret
+        | None -> st.s_top)
+    | Sfixed x -> x
+  in
+  meet result st.s_top
 
 (* ---------- widening ---------- *)
 
@@ -741,40 +845,34 @@ let widen ty old cand =
 (* ---------- per-function fixpoint ---------- *)
 
 let analyze_fn t fi ~widen_delay ~max_sweeps =
-  Itbl.reset fi.fi_ivals;
-  let cfg = fi.fi_cfg in
-  let nb = Analysis.Cfg.n_blocks cfg in
+  let vals = fi.fi_vals and nargs = Analysis.Numbering.nargs fi.fi_num in
+  (* every instruction starts at bottom; the arguments are inputs *)
+  Array.fill vals nargs (Array.length vals - nargs) Bot;
+  let nb = Array.length fi.fi_steps in
   let sweep = ref 0 and changed = ref true in
   while !changed && !sweep < max_sweeps do
     incr sweep;
     changed := false;
     for bk = 0 to nb - 1 do
-      let b = Analysis.Cfg.block cfg bk in
-      List.iter
-        (fun (i : Ir.instr) ->
-          match transfer t fi bk i with
-          | None -> ()
-          | Some nv ->
-              let old =
-                match Itbl.find_opt fi.fi_ivals i.Ir.iid with
-                | Some x -> x
-                | None -> Bot
-              in
-              let cand = join old nv in
-              let cand =
-                if
-                  (match i.Ir.op with Ir.Phi -> true | _ -> false)
-                  && fi.fi_loopdepth.(bk) > 0
-                  && !sweep > widen_delay
-                  && not (itv_equal cand old)
-                then widen (Types.resolve t.renv i.Ir.ity) old cand
-                else cand
-              in
-              if not (itv_equal cand old) then begin
-                Itbl.replace fi.fi_ivals i.Ir.iid cand;
-                changed := true
-              end)
-        b.Ir.instrs
+      Array.iter
+        (fun st ->
+          let nv = transfer t fi bk st in
+          let old = vals.(st.s_num) in
+          let cand = join old nv in
+          let cand =
+            if
+              (match st.s_op with Sphi _ -> true | _ -> false)
+              && fi.fi_loopdepth.(bk) > 0
+              && !sweep > widen_delay
+              && not (itv_equal cand old)
+            then widen st.s_ty old cand
+            else cand
+          in
+          if not (itv_equal cand old) then begin
+            vals.(st.s_num) <- cand;
+            changed := true
+          end)
+        fi.fi_steps.(bk)
     done
   done;
   fi.fi_sweeps <- !sweep;
@@ -784,8 +882,8 @@ let analyze_fn t fi ~widen_delay ~max_sweeps =
     Ir.iter_instrs
       (fun i ->
         if int_like t.renv i.Ir.ity then
-          Itbl.replace fi.fi_ivals i.Ir.iid
-            (top_of (Types.resolve t.renv i.Ir.ity)))
+          vals.(Analysis.Numbering.find fi.fi_num i.Ir.iid) <-
+            top_of (Types.resolve t.renv i.Ir.ity))
       fi.fi_f
   end
   else begin
@@ -794,41 +892,24 @@ let analyze_fn t fi ~widen_delay ~max_sweeps =
        accepting [meet old new] keeps every step sound *)
     for _ = 1 to 2 do
       for bk = 0 to nb - 1 do
-        let b = Analysis.Cfg.block cfg bk in
-        List.iter
-          (fun (i : Ir.instr) ->
-            match transfer t fi bk i with
-            | None -> ()
-            | Some nv ->
-                let old =
-                  match Itbl.find_opt fi.fi_ivals i.Ir.iid with
-                  | Some x -> x
-                  | None -> Bot
-                in
-                let nv = meet old nv in
-                if not (itv_equal nv old) then
-                  Itbl.replace fi.fi_ivals i.Ir.iid nv)
-          b.Ir.instrs
+        Array.iter
+          (fun st ->
+            let old = vals.(st.s_num) in
+            let nv = meet old (transfer t fi bk st) in
+            if not (itv_equal nv old) then vals.(st.s_num) <- nv)
+          fi.fi_steps.(bk)
       done
     done
   end;
   (* return range over the reachable return sites *)
   let fr = fi.fi_f.Ir.freturn in
   if not (int_like t.renv fr) then fi.fi_ret <- Top
-  else begin
-    let ret = ref Bot in
-    for bk = 0 to nb - 1 do
-      let b = Analysis.Cfg.block cfg bk in
-      List.iter
-        (fun (i : Ir.instr) ->
-          match i.Ir.op with
-          | Ir.Ret when Array.length i.Ir.operands = 1 ->
-              ret := join !ret (eval_at t fi bk i.Ir.operands.(0))
-          | _ -> ())
-        b.Ir.instrs
-    done;
-    fi.fi_ret <- clamp (Types.resolve t.renv fr) !ret
-  end
+  else
+    fi.fi_ret <-
+      clamp (Types.resolve t.renv fr)
+        (List.fold_left
+           (fun acc (bk, v) -> join acc (eval_opnd fi bk v))
+           Bot fi.fi_rets)
 
 (* ---------- relational facts: harvesting and closure ---------- *)
 
@@ -867,7 +948,7 @@ let in_rel_cap c = c >= Int64.neg rel_max_const && c <= rel_max_const
 
 (* Difference facts [sa - sb <= c] carried by one edge constraint. *)
 let constr_facts t (c : constr) : (sym * sym * int64) list =
-  let cmp = if c.ctaken then c.ccmp else negate_cmp c.ccmp in
+  let cmp = c.ceff in
   match (symify t c.ca, symify t c.cb) with
   | Some (sa, ka), Some (sb, kb) when sa <> sb -> (
       let keep = function
@@ -896,37 +977,15 @@ let constr_eq a b =
    constraints, and a dominating merge contributes the constraints present
    on *every* reachable incoming edge (same argument as [eval_at]). *)
 let guard_constrs_at fi bk : constr list =
-  let acc = ref [] in
-  let k = ref bk in
-  let continue_ = ref true in
-  while !continue_ do
-    let s = !k in
-    (if s <> 0 then
-       match fi.fi_cfg.Analysis.Cfg.preds.(s) with
-       | [ p ] -> (
-           match Hashtbl.find_opt fi.fi_edge_cs (p, s) with
-           | Some cs -> acc := !acc @ cs
-           | None -> ())
-       | _ -> (
-           match reachable_preds fi s with
-           | [] -> ()
-           | p0 :: rest ->
-               let cs0 =
-                 match Hashtbl.find_opt fi.fi_edge_cs (p0, s) with
-                 | Some cs -> cs
-                 | None -> []
-               in
-               let on_every_edge c =
-                 List.for_all
-                   (fun p ->
-                     match Hashtbl.find_opt fi.fi_edge_cs (p, s) with
-                     | Some cs -> List.exists (constr_eq c) cs
-                     | None -> false)
-                   rest
-               in
-               acc := !acc @ List.filter on_every_edge cs0));
-    if s = 0 then continue_ := false
-    else k := fi.fi_dom.Analysis.Dominance.idom.(s)
+  let acc = ref [] and s = ref bk in
+  while !s <> 0 do
+    (match fi.fi_guard.(!s) with
+    | Gnone | Gall [] -> ()
+    | Gone cs -> acc := !acc @ cs
+    | Gall (cs0 :: rest) ->
+        let on_every_edge c = List.for_all (List.exists (constr_eq c)) rest in
+        acc := !acc @ List.filter on_every_edge cs0);
+    s := fi.fi_dom.Analysis.Dominance.idom.(!s)
   done;
   !acc
 
@@ -1130,7 +1189,7 @@ let dbm_at t fi bk : dbm =
           in
           match s with
           | Sreg iid -> (
-              match Hashtbl.find_opt fi.fi_instr_of iid with
+              match instr_of fi iid with
               | Some i -> (
                   match i.Ir.iparent with
                   | Some b
@@ -1142,7 +1201,7 @@ let dbm_at t fi bk : dbm =
                   | _ -> ())
               | None -> ())
           | Sarg aid -> (
-              match Hashtbl.find_opt fi.fi_arg_of aid with
+              match arg_of fi aid with
               | Some a -> seed (Ir.Varg a)
               | None -> ())
           | Szero | Slen _ -> ())
@@ -1434,9 +1493,7 @@ let compute ?(widen_delay = default_widen_delay)
     |> List.filter (fun l -> l <> [])
   in
   let fn_inputs fi =
-    ( List.map
-        (fun (a : Ir.arg) -> Itbl.find_opt fi.fi_args a.Ir.aid)
-        fi.fi_f.Ir.fargs,
+    ( List.mapi (fun j _ -> Some fi.fi_vals.(j)) fi.fi_f.Ir.fargs,
       List.filter_map
         (fun (g : Ir.func) ->
           Option.map (fun gi -> gi.fi_ret) (Hashtbl.find_opt t.fns g.Ir.fid))
@@ -1560,16 +1617,12 @@ let compute ?(widen_delay = default_widen_delay)
                   match arr.(j) with
                   | Bot -> () (* never called: keep the conservative top *)
                   | jv ->
-                      let old =
-                        match Itbl.find_opt fi.fi_args a.Ir.aid with
-                        | Some x -> x
-                        | None -> Top
-                      in
+                      let old = fi.fi_vals.(j) in
                       let nv =
                         meet old (clamp (Types.resolve renv a.Ir.aty) jv)
                       in
                       if nv <> old then begin
-                        Itbl.replace fi.fi_args a.Ir.aid nv;
+                        fi.fi_vals.(j) <- nv;
                         changed := true
                       end)
               f.Ir.fargs)
@@ -1606,17 +1659,17 @@ let instr_range t (f : Ir.func) (i : Ir.instr) : itv =
   match fn_of t f with
   | None -> Top
   | Some fi -> (
-      match Itbl.find_opt fi.fi_ivals i.Ir.iid with
-      | Some x -> x
-      | None -> if int_like t.renv i.Ir.ity then Bot else Top)
+      if not (int_like t.renv i.Ir.ity) then Top
+      else
+        match Analysis.Numbering.find fi.fi_num i.Ir.iid with
+        | -1 -> Bot
+        | k -> fi.fi_vals.(k))
 
 let arg_range t (f : Ir.func) (a : Ir.arg) : itv =
   match fn_of t f with
   | None -> Top
   | Some fi -> (
-      match Itbl.find_opt fi.fi_args a.Ir.aid with
-      | Some x -> x
-      | None -> Top)
+      match arg_num fi a.Ir.aid with -1 -> Top | k -> fi.fi_vals.(k))
 
 let ret_range t (f : Ir.func) : itv =
   match fn_of t f with None -> Top | Some fi -> fi.fi_ret
@@ -1711,10 +1764,10 @@ let rel_fact_count t =
       | None -> acc
       | Some fi ->
           let guards =
-            Hashtbl.fold
-              (fun _ cs acc ->
-                acc + List.length (List.concat_map (constr_facts t) cs))
-              fi.fi_edge_cs 0
+            Array.fold_left
+              (List.fold_left (fun acc (_, cs) ->
+                   acc + List.length (List.concat_map (constr_facts t) cs)))
+              0 fi.fi_edge_cs
           in
           acc + List.length fi.fi_flow + Hashtbl.length fi.fi_rel_args
           + Hashtbl.length fi.fi_rel_len + guards)
@@ -1773,15 +1826,15 @@ let render t : string list =
 let sym_name fi = function
   | Szero -> "0"
   | Sreg iid -> (
-      match Hashtbl.find_opt fi.fi_instr_of iid with
+      match instr_of fi iid with
       | Some i when i.Ir.iname <> "" -> "%" ^ i.Ir.iname
       | _ -> Printf.sprintf "#%d" iid)
   | Sarg aid -> (
-      match Hashtbl.find_opt fi.fi_arg_of aid with
+      match arg_of fi aid with
       | Some a when a.Ir.aname <> "" -> "%" ^ a.Ir.aname
       | _ -> Printf.sprintf "arg#%d" aid)
   | Slen aid -> (
-      match Hashtbl.find_opt fi.fi_arg_of aid with
+      match arg_of fi aid with
       | Some a when a.Ir.aname <> "" -> Printf.sprintf "len(%%%s)" a.Ir.aname
       | _ -> Printf.sprintf "len(arg#%d)" aid)
 
@@ -1807,7 +1860,10 @@ let render_relations t : string list =
             |> List.sort compare |> List.map snd
           in
           let edges =
-            Hashtbl.fold (fun k cs acc -> (k, cs) :: acc) fi.fi_edge_cs []
+            List.concat
+              (List.mapi
+                 (fun sk l -> List.map (fun (pk, cs) -> ((pk, sk), cs)) l)
+                 (Array.to_list fi.fi_edge_cs))
             |> List.sort compare
           in
           let guard =

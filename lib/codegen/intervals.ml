@@ -20,23 +20,8 @@ type interval = {
   mutable weight : int; (* use count, loop-depth scaled: spill priority *)
 }
 
-type t = {
-  intervals : (int, interval) Hashtbl.t;
-  order : Ir.block list; (* linearization used for positions *)
-  positions : (int, int) Hashtbl.t; (* instr id -> position *)
-  block_range : (int, int * int) Hashtbl.t; (* block id -> (first, last) *)
-}
-
-let get_or_make t env ~vid ~ty pos =
-  match Hashtbl.find_opt t.intervals vid with
-  | Some iv -> iv
-  | None ->
-      let iv =
-        { vid; klass = klass_of_type env ty; start_pos = pos; end_pos = pos;
-          weight = 0 }
-      in
-      Hashtbl.replace t.intervals vid iv;
-      iv
+(* by the function's value number ([Analysis.Numbering]) *)
+type t = { intervals : interval option array }
 
 let extend iv pos =
   if pos < iv.start_pos then iv.start_pos <- pos;
@@ -45,96 +30,78 @@ let extend iv pos =
 let build ?(env = Types.empty_env ()) (f : Ir.func) : t =
   let cfg = Analysis.Cfg.build f in
   let live = Analysis.Liveness.compute cfg in
-  let loops = Analysis.Loops.compute cfg (Analysis.Dominance.compute cfg) in
-  let order = f.Ir.fblocks in
-  let t =
-    {
-      intervals = Hashtbl.create 64;
-      order;
-      positions = Hashtbl.create 256;
-      block_range = Hashtbl.create 16;
-    }
+  let num = Analysis.Liveness.numbering live in
+  let depth = Analysis.Loops.depths cfg (Analysis.Dominance.compute cfg) in
+  let intervals = Array.make (Analysis.Numbering.size num) None in
+  (* a def or use of value number [x] at [pos], adding [weight] *)
+  let note x ty pos weight =
+    match intervals.(x) with
+    | Some iv ->
+        extend iv pos;
+        iv.weight <- iv.weight + weight
+    | None ->
+        intervals.(x) <-
+          Some
+            { vid = Analysis.Numbering.id num x; klass = klass_of_type env ty;
+              start_pos = pos; end_pos = pos; weight }
   in
-  (* assign positions; leave gaps of 2 for copies inserted later *)
+  (* arguments are defined at position -1 *)
+  List.iteri (fun x (a : Ir.arg) -> note x a.Ir.aty (-1) 0) f.Ir.fargs;
+  (* defs and uses, at positions with gaps of 2 for copies inserted
+     later; each reachable block's first and last position *)
+  let nb = Analysis.Cfg.n_blocks cfg in
+  let first = Array.make nb 0 and last = Array.make nb (-1) in
   let pos = ref 0 in
   List.iter
     (fun (b : Ir.block) ->
-      let first = !pos in
+      let k = Analysis.Cfg.find_index cfg b in
+      let w = 1 + (4 * if k >= 0 then depth.(k) else 0) in
+      let start = !pos in
       List.iter
         (fun (i : Ir.instr) ->
-          Hashtbl.replace t.positions i.Ir.iid !pos;
-          pos := !pos + 2)
-        b.Ir.instrs;
-      Hashtbl.replace t.block_range b.Ir.blid (first, max first (!pos - 1)))
-    order;
-  (* arguments are defined at position -1 *)
-  List.iter
-    (fun (a : Ir.arg) ->
-      let iv = get_or_make t env ~vid:a.Ir.aid ~ty:a.Ir.aty (-1) in
-      extend iv (-1))
-    f.Ir.fargs;
-  (* defs and uses *)
-  let use_weight (b : Ir.block) =
-    1 + (4 * Analysis.Loops.loop_depth loops b)
-  in
-  List.iter
-    (fun (b : Ir.block) ->
-      List.iter
-        (fun (i : Ir.instr) ->
-          let p = Hashtbl.find t.positions i.Ir.iid in
-          if not (Types.equal i.Ir.ity Types.Void) then begin
-            let iv = get_or_make t env ~vid:i.Ir.iid ~ty:i.Ir.ity p in
-            extend iv p;
-            iv.weight <- iv.weight + use_weight b
-          end;
+          let p = !pos in
+          if not (Types.equal i.Ir.ity Types.Void) then
+            note (Analysis.Numbering.find num i.Ir.iid) i.Ir.ity p w;
           Array.iter
             (fun v ->
               match v with
               | Ir.Vreg d ->
-                  if not (Types.equal d.Ir.ity Types.Void) then begin
-                    let iv = get_or_make t env ~vid:d.Ir.iid ~ty:d.Ir.ity p in
-                    extend iv p;
-                    iv.weight <- iv.weight + use_weight b
-                  end
+                  if not (Types.equal d.Ir.ity Types.Void) then
+                    note (Analysis.Numbering.of_value num v) d.Ir.ity p w
               | Ir.Varg a ->
-                  let iv = get_or_make t env ~vid:a.Ir.aid ~ty:a.Ir.aty p in
-                  extend iv p;
-                  iv.weight <- iv.weight + use_weight b
+                  note (Analysis.Numbering.of_value num v) a.Ir.aty p w
               | _ -> ())
-            i.Ir.operands)
-        b.Ir.instrs)
-    order;
-  (* extend across blocks where the value is live-in/out *)
-  List.iter
-    (fun (b : Ir.block) ->
-      if Analysis.Cfg.is_reachable cfg b then begin
-        let first, last = Hashtbl.find t.block_range b.Ir.blid in
-        List.iter
-          (fun vid ->
-            match Hashtbl.find_opt t.intervals vid with
-            | Some iv -> extend iv first
-            | None -> ())
-          (Analysis.Liveness.live_in live b);
-        List.iter
-          (fun vid ->
-            match Hashtbl.find_opt t.intervals vid with
-            | Some iv -> extend iv last
-            | None -> ())
-          (Analysis.Liveness.live_out live b)
+            i.Ir.operands;
+          pos := p + 2)
+        b.Ir.instrs;
+      if k >= 0 then begin
+        first.(k) <- start;
+        last.(k) <- max start (!pos - 1)
       end)
-    order;
-  t
+    f.Ir.fblocks;
+  (* extend across blocks where the value is live-in/out; only now that
+     every def is recorded, since a value can be live into a block laid
+     out before its definition *)
+  let extend_to pos x =
+    match intervals.(x) with Some iv -> extend iv pos | None -> ()
+  in
+  for k = 0 to nb - 1 do
+    if last.(k) >= 0 then begin
+      Analysis.Liveness.iter_live_in live k (extend_to first.(k));
+      Analysis.Liveness.iter_live_out live k (extend_to last.(k))
+    end
+  done;
+  { intervals }
 
-(* Sorted by start position, with value id as tie-break: hash-table
-   iteration order depends on absolute ids (a global counter), so without
-   the tie-break two decodes of the same module could allocate equal-start
-   intervals differently, breaking reproducible translation. *)
+(* Sorted by start position, with value id as tie-break: the order must
+   not depend on how the function's values happen to be numbered, so two
+   decodes of the same module allocate equal-start intervals alike and
+   translation stays reproducible. *)
 let all t =
-  Hashtbl.fold (fun _ iv acc -> iv :: acc) t.intervals []
+  Array.fold_left
+    (fun acc iv -> match iv with Some iv -> iv :: acc | None -> acc)
+    [] t.intervals
   |> List.sort (fun a b ->
-         match compare a.start_pos b.start_pos with
-         | 0 -> compare a.vid b.vid
+         match Int.compare a.start_pos b.start_pos with
+         | 0 -> Int.compare a.vid b.vid
          | c -> c)
-
-let position_of t (i : Ir.instr) =
-  match Hashtbl.find_opt t.positions i.Ir.iid with Some p -> p | None -> 0

@@ -37,8 +37,6 @@ let cc_of_cmp signed (c : Ir.cmp) =
 
 type width = W8 | W16 | W32 | W64
 
-let width_bytes = function W8 -> 1 | W16 -> 2 | W32 -> 4 | W64 -> 8
-
 (* the width of a scalar type's values; wider than 8 bytes is [W64] *)
 let width_of_type target ty =
   match Types.scalar_bytes target ty with

@@ -42,6 +42,16 @@ let spill_everything (ivs : Intervals.t) : assignment =
     (Intervals.all ivs);
   a
 
+(* an interval holding a register, in the active list *)
+type active = { a_end : int; a_reg : int; a_iv : Intervals.interval }
+
+(* the active list's order: by end position, then register *)
+let before x y = x.a_end < y.a_end || (x.a_end = y.a_end && x.a_reg < y.a_reg)
+
+let rec insert e = function
+  | x :: rest when before x e -> x :: insert e rest
+  | l -> e :: l
+
 (* [int_regs] and [float_regs] are the allocatable physical register
    indices for each class (scratch registers must be excluded by the
    caller). *)
@@ -51,10 +61,10 @@ let linear_scan ~(int_regs : int list) ~(float_regs : int list)
     { locs = Hashtbl.create 64; n_slots = 0; used_regs_int = [];
       used_regs_float = [] }
   in
+  let all = Intervals.all ivs in
   let run klass regs =
     let free = ref regs in
-    (* active: (end_pos, reg, interval) sorted by end_pos *)
-    let active : (int * int * Intervals.interval) list ref = ref [] in
+    let active = ref [] in
     let note_used r =
       match klass with
       | Intervals.Kint ->
@@ -64,52 +74,49 @@ let linear_scan ~(int_regs : int list) ~(float_regs : int list)
           if not (List.mem r a.used_regs_float) then
             a.used_regs_float <- r :: a.used_regs_float
     in
-    let expire pos =
-      let expired, still =
-        List.partition (fun (e, _, _) -> e < pos) !active
-      in
-      List.iter (fun (_, r, _) -> free := r :: !free) expired;
-      active := still
+    (* the intervals ending before [pos] are a prefix of the list *)
+    let rec expire pos = function
+      | e :: rest when e.a_end < pos ->
+          free := e.a_reg :: !free;
+          expire pos rest
+      | still -> still
+    in
+    let assign (iv : Intervals.interval) r =
+      Hashtbl.replace a.locs iv.Intervals.vid (Reg r);
+      note_used r;
+      active :=
+        insert { a_end = iv.Intervals.end_pos; a_reg = r; a_iv = iv } !active
     in
     List.iter
       (fun (iv : Intervals.interval) ->
         if iv.Intervals.klass = klass then begin
-          expire iv.Intervals.start_pos;
+          active := expire iv.Intervals.start_pos !active;
           match !free with
           | r :: rest ->
               free := rest;
-              Hashtbl.replace a.locs iv.Intervals.vid (Reg r);
-              note_used r;
-              active :=
-                List.sort compare ((iv.Intervals.end_pos, r, iv) :: !active)
+              assign iv r
           | [] -> (
               (* spill the interval with the lowest weight among active +
-                 current *)
+                 current: the first such in the active list *)
               let worst =
                 List.fold_left
-                  (fun (acc : (int * int * Intervals.interval) option) entry ->
-                    let _, _, cand = entry in
+                  (fun acc e ->
                     match acc with
-                    | None -> Some entry
-                    | Some (_, _, best) ->
-                        if cand.Intervals.weight < best.Intervals.weight then
-                          Some entry
-                        else acc)
+                    | Some w
+                      when w.a_iv.Intervals.weight <= e.a_iv.Intervals.weight ->
+                        acc
+                    | _ -> Some e)
                   None !active
               in
               match worst with
-              | Some ((_, r, spilled) as entry)
-                when spilled.Intervals.weight < iv.Intervals.weight ->
+              | Some w when w.a_iv.Intervals.weight < iv.Intervals.weight ->
                   (* steal the register *)
-                  Hashtbl.replace a.locs spilled.Intervals.vid (fresh_slot a);
-                  active := List.filter (fun e -> e <> entry) !active;
-                  Hashtbl.replace a.locs iv.Intervals.vid (Reg r);
-                  note_used r;
-                  active :=
-                    List.sort compare ((iv.Intervals.end_pos, r, iv) :: !active)
+                  Hashtbl.replace a.locs w.a_iv.Intervals.vid (fresh_slot a);
+                  active := List.filter (fun e -> e != w) !active;
+                  assign iv w.a_reg
               | _ -> Hashtbl.replace a.locs iv.Intervals.vid (fresh_slot a))
         end)
-      (Intervals.all ivs)
+      all
   in
   run Intervals.Kint int_regs;
   run Intervals.Kfloat float_regs;

@@ -210,8 +210,8 @@ module Make (I : ISA) : S with type instr = I.instr = struct
 
   let compile_function (m : Ir.modl) (img : Vmem.Image.t)
       ?(alloc = I.default_alloc) ?(peep = []) ?peep_stats (f : Ir.func) =
-    let env = Ir.type_env m in
-    let lt = Vmem.Layout.for_module m in
+    let lt = img.Vmem.Image.layout in
+    let env = lt.Vmem.Layout.env in
     let ivs = Intervals.build ~env f in
     let assignment =
       match alloc with

@@ -238,6 +238,53 @@ let test_liveness () =
   (* nothing is live out of exit *)
   check_int "exit live out" 0 (List.length (Analysis.Liveness.live_out live (b "exit")))
 
+(* The dense analyses against the ones they replaced, on every defined
+   function of a module: live-in and live-out bitsets against the
+   set-based [Liveness_ref] on every reachable block, and [Loops.depths]
+   against [Loops.loop_depth] of the full loop records on every block. *)
+let dense_analyses_agree (m : Ir.modl) =
+  List.for_all
+    (fun (f : Ir.func) ->
+      Ir.is_declaration f
+      ||
+      let cfg = Analysis.Cfg.build f in
+      let live = Analysis.Liveness.compute cfg in
+      let reference = Liveness_ref.compute cfg in
+      let dom = Analysis.Dominance.compute cfg in
+      let depths = Analysis.Loops.depths cfg dom in
+      let loops = Analysis.Loops.compute cfg dom in
+      List.for_all
+        (fun k ->
+          let b = Analysis.Cfg.block cfg k in
+          let sorted l = List.sort compare l in
+          sorted (Analysis.Liveness.live_in live b)
+          = Liveness_ref.live_in reference k
+          && sorted (Analysis.Liveness.live_out live b)
+             = Liveness_ref.live_out reference k
+          && depths.(k) = Analysis.Loops.loop_depth loops b)
+        (List.init (Analysis.Cfg.n_blocks cfg) Fun.id))
+    m.Ir.funcs
+
+let prop_dense_analyses level =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "dense liveness and loop depths agree at -O%d" level)
+    ~count:100 Gen.gen_program (fun m ->
+      let m = Gen.clone m in
+      if level > 0 then ignore (Transform.Passmgr.optimize ~level m);
+      dense_analyses_agree m)
+
+let test_dense_analyses_workloads () =
+  List.iter
+    (fun level ->
+      List.iter
+        (fun (w : Workloads.workload) ->
+          check_bool
+            (Printf.sprintf "%s -O%d" w.Workloads.name level)
+            true
+            (dense_analyses_agree (Workloads.compile_optimized ~level w)))
+        Workloads.all)
+    [ 0; 2 ]
+
 let test_alias () =
   let src =
     {|
@@ -368,6 +415,10 @@ let suite =
     Alcotest.test_case "loops" `Quick test_loops;
     Alcotest.test_case "nested loops" `Quick test_nested_loops;
     Alcotest.test_case "liveness" `Quick test_liveness;
+    QCheck_alcotest.to_alcotest (prop_dense_analyses 0);
+    QCheck_alcotest.to_alcotest (prop_dense_analyses 2);
+    Alcotest.test_case "dense analyses on the workloads" `Quick
+      test_dense_analyses_workloads;
     Alcotest.test_case "alias" `Quick test_alias;
     Alcotest.test_case "escape" `Quick test_escape;
     Alcotest.test_case "callgraph" `Quick test_callgraph;

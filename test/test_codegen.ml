@@ -138,6 +138,136 @@ let prop_linear_scan_sound =
             assigned)
         assigned)
 
+(* Where [linear_scan] puts each value of a function whose intervals
+   end together (two operands of one instruction die at once) and whose
+   registers run out, so the order of the active list, of expiry and of
+   the free list all show. The expected strings here and in the late-def
+   test were recorded from the hash-table intervals and the allocator
+   that sorted its active list with [List.sort compare]. *)
+let equal_ends_func () =
+  let m =
+    Resolve.parse_module
+      {|
+double %g(int %a, int %b, double %d) {
+entry:
+  %x1 = add int %a, 1
+  %x2 = add int %a, 2
+  %x3 = add int %b, 3
+  %x4 = add int %b, 4
+  %s1 = add int %x1, %x2
+  %s2 = add int %x3, %x4
+  %s3 = add int %s1, %s2
+  %f1 = mul double %d, %d
+  %f2 = add double %d, %d
+  %f3 = mul double %f1, %f2
+  %c = cast int %s3 to double
+  %r = add double %f3, %c
+  br label %loop
+loop:
+  %i = phi int [ 0, %entry ], [ %inext, %loop ]
+  %acc = phi double [ %r, %entry ], [ %acc2, %loop ]
+  %ci = cast int %i to double
+  %acc2 = add double %acc, %ci
+  %inext = add int %i, %x1
+  %done = setge int %inext, %b
+  br bool %done, label %exit, label %loop
+exit:
+  %out = add double %acc2, %d
+  ret double %out
+}
+|}
+  in
+  Option.get (Ir.find_func m "g")
+
+(* Blocks laid out out of execution order: %y is defined in %a but
+   live through %b, which comes first in the layout, so its interval
+   must grow backwards over %b once every def has been seen. *)
+let late_def_func () =
+  let m =
+    Resolve.parse_module
+      {|
+int %h(int %n, int %k) {
+entry:
+  %w = add int %k, 5
+  br label %a
+b:
+  %u = add int %x, %w
+  %v = mul int %u, %k
+  br label %c
+a:
+  %x = mul int %n, 3
+  %y = add int %n, 7
+  br label %b
+c:
+  %z = add int %v, %y
+  %r = add int %z, %w
+  ret int %r
+}
+|}
+  in
+  Option.get (Ir.find_func m "h")
+
+let assignment_string f a =
+  let loc vid =
+    match Codegen.Regalloc.location_opt a vid with
+    | Some (Codegen.Regalloc.Reg r) -> Printf.sprintf "r%d" r
+    | Some (Codegen.Regalloc.Slot s) -> Printf.sprintf "s%d" s
+    | None -> "-"
+  in
+  let args =
+    List.map (fun (x : Ir.arg) -> x.Ir.aname ^ "=" ^ loc x.Ir.aid) f.Ir.fargs
+  in
+  let instrs =
+    Ir.fold_instrs
+      (fun acc i ->
+        if i.Ir.iname = "" then acc else (i.Ir.iname ^ "=" ^ loc i.Ir.iid) :: acc)
+      [] f
+  in
+  String.concat " " (args @ List.rev instrs)
+
+let test_linear_scan_equal_ends () =
+  let f = equal_ends_func () in
+  let ivs = Codegen.Intervals.build f in
+  List.iter
+    (fun (int_regs, float_regs, expected) ->
+      let a = Codegen.Regalloc.linear_scan ~int_regs ~float_regs ivs in
+      Alcotest.(check string)
+        (Printf.sprintf "%d int, %d float registers" (List.length int_regs)
+           (List.length float_regs))
+        expected (assignment_string f a))
+    [
+      ( [ 4; 5; 6 ],
+        [ 2; 3 ],
+        "a=r4 b=s4 d=s8 x1=r6 x2=s0 x3=r4 x4=s1 s1=s2 s2=s3 s3=r4 f1=r3 \
+         f2=s5 f3=s6 c=s7 r=s9 i=r4 acc=r2 ci=s10 acc2=r3 inext=r5 done=r4 \
+         out=r2" );
+      ( [ 7; 8 ],
+        [ 1 ],
+        "a=s0 b=s8 d=s13 x1=s7 x2=s1 x3=s2 x4=s3 s1=s4 s2=s5 s3=s6 f1=s9 \
+         f2=s10 f3=s11 c=s12 r=s14 i=r7 acc=s15 ci=s16 acc2=r1 inext=r8 \
+         done=r7 out=s17" );
+      ( [ 1; 2; 3; 4; 5; 6 ],
+        [ 1; 2; 3 ],
+        "a=r1 b=r2 d=s1 x1=r3 x2=r4 x3=r1 x4=r5 s1=r6 s2=r4 s3=r5 f1=r2 \
+         f2=r3 f3=s0 c=r3 r=r2 i=r5 acc=r3 ci=r2 acc2=r1 inext=r6 done=r5 \
+         out=r3" );
+    ]
+
+let test_linear_scan_late_def () =
+  let f = late_def_func () in
+  let ivs = Codegen.Intervals.build f in
+  List.iter
+    (fun (int_regs, expected) ->
+      let a = Codegen.Regalloc.linear_scan ~int_regs ~float_regs:[] ivs in
+      Alcotest.(check string)
+        (Printf.sprintf "%d registers" (List.length int_regs))
+        expected (assignment_string f a))
+    [
+      ([ 1; 2 ], "n=s0 k=r2 w=r1 u=s1 v=s4 x=s2 y=s3 z=r2 r=s5");
+      ([ 1; 2; 3 ], "n=r1 k=r2 w=r3 u=s0 v=s3 x=s1 y=s2 z=r2 r=r1");
+      ([ 4; 5; 6; 7 ], "n=r4 k=r5 w=r6 u=r7 v=s2 x=s0 y=s1 z=r5 r=r4");
+    ]
+
 let test_phi_plan () =
   let f = loop_func () in
   let plan = Codegen.Phiplan.build f in
@@ -251,6 +381,9 @@ let suite =
     Alcotest.test_case "spill everything" `Quick test_spill_everything;
     Alcotest.test_case "linear scan conflicts" `Quick
       test_linear_scan_no_conflicts;
+    Alcotest.test_case "linear scan equal ends" `Quick
+      test_linear_scan_equal_ends;
+    Alcotest.test_case "linear scan late def" `Quick test_linear_scan_late_def;
     QCheck_alcotest.to_alcotest prop_linear_scan_sound;
     Alcotest.test_case "phi plan" `Quick test_phi_plan;
     Alcotest.test_case "phi swap problem" `Quick test_phi_swap_problem;
