@@ -8,7 +8,6 @@ type t = {
   m : Ir.modl;
   callees : (int, Ir.func list) Hashtbl.t; (* func id -> direct callees *)
   callers : (int, Ir.func list) Hashtbl.t;
-  has_indirect_calls : (int, bool) Hashtbl.t; (* func makes indirect calls *)
   address_taken : (int, bool) Hashtbl.t; (* func whose address escapes *)
 }
 
@@ -25,7 +24,6 @@ let compute (m : Ir.modl) : t
       m;
       callees = Hashtbl.create 32;
       callers = Hashtbl.create 32;
-      has_indirect_calls = Hashtbl.create 32;
       address_taken = Hashtbl.create 32;
     }
   in
@@ -38,14 +36,11 @@ let compute (m : Ir.modl) : t
     (fun (f : Ir.func) ->
       Ir.iter_instrs
         (fun i ->
-          (match i.Ir.op with
-          | Ir.Call | Ir.Invoke -> (
-              match direct_callee i with
-              | Some callee ->
-                  add t.callees f.Ir.fid callee;
-                  add t.callers callee.Ir.fid f
-              | None -> Hashtbl.replace t.has_indirect_calls f.Ir.fid true)
-          | _ -> ());
+          (match direct_callee i with
+          | Some callee ->
+              add t.callees f.Ir.fid callee;
+              add t.callers callee.Ir.fid f
+          | None -> ());
           (* any non-callee operand mentioning a function takes its
              address *)
           Array.iteri
@@ -81,9 +76,6 @@ let callees t (f : Ir.func) =
 
 let callers t (f : Ir.func) =
   match Hashtbl.find_opt t.callers f.Ir.fid with Some l -> l | None -> []
-
-let makes_indirect_calls t (f : Ir.func) =
-  Hashtbl.mem t.has_indirect_calls f.Ir.fid
 
 let is_address_taken t (f : Ir.func) = Hashtbl.mem t.address_taken f.Ir.fid
 

@@ -94,8 +94,6 @@ let dominates_idx t a b =
 let dominates t (a : Ir.block) (b : Ir.block) =
   dominates_idx t (Cfg.index_of t.cfg a) (Cfg.index_of t.cfg b)
 
-let strictly_dominates t a b = (not (a == b)) && dominates t a b
-
 let idom_block t (b : Ir.block) : Ir.block option =
   let k = Cfg.index_of t.cfg b in
   if k = 0 then None else Some (Cfg.block t.cfg t.idom.(k))

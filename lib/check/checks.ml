@@ -16,6 +16,7 @@ type ctx = {
   lt : Vmem.Layout.t;
   summaries : Summaries.t;
   ranges : Ranges.t;
+  facts : Facts.t;
   sccs : (string, string list) Hashtbl.t;
       (* function name -> names of every function in its call-graph SCC
          (singleton for non-recursive functions); interprocedural findings
@@ -1062,7 +1063,7 @@ let check_unused_result ctx ~k_func (f : Ir.func) =
 
 let run_function ctx ~k_func (f : Ir.func) =
   if not (Ir.is_declaration f) then begin
-    let cfg = Analysis.Cfg.build f in
+    let cfg = (Facts.get ctx.facts f).Facts.cfg in
     let allocas =
       Ir.fold_instrs
         (fun acc i ->

@@ -23,8 +23,6 @@ let severity_of_name = function
   | "error" -> Some Error
   | _ -> None
 
-let severity_rank = function Note -> 0 | Warning -> 1 | Error -> 2
-
 type t = {
   check : string; (* check id, e.g. "uninit-load" *)
   sev : severity;

@@ -123,8 +123,10 @@ let run ?checks (m : Ir.modl) : Diag.t list =
       let names = List.map (fun (f : Ir.func) -> f.Ir.fname) scc in
       List.iter (fun n -> Hashtbl.replace sccs n names) names)
     (Analysis.Callgraph.sccs cg);
-  let summaries = Summaries.compute ~cg m in
-  let ranges = Ranges.compute ~cg m in
+  (* each function's CFG, dominators and numbering, once for the run *)
+  let facts = Facts.create () in
+  let summaries = Summaries.compute ~cg ~facts m in
+  let ranges = Ranges.compute ~cg ~facts m in
   (* publish the relational argument facts: the oob checker keys its
      symbolic-length reasoning off their presence *)
   Summaries.set_relations summaries (Ranges.export_relations ranges);
@@ -135,6 +137,7 @@ let run ?checks (m : Ir.modl) : Diag.t list =
       lt = Vmem.Layout.for_module m;
       summaries;
       ranges;
+      facts;
       sccs;
       emit = (fun d -> acc := d :: !acc);
     }

@@ -710,10 +710,7 @@ let plan_block env cfg num edge_cs bk : step array =
     (Analysis.Cfg.block cfg bk).Ir.instrs;
   Array.of_list (List.rev !steps)
 
-let mk_fn_info env (f : Ir.func) : fn_info =
-  let cfg = Analysis.Cfg.build f in
-  let dom = Analysis.Dominance.compute cfg in
-  let num = Analysis.Numbering.build f in
+let mk_fn_info env (f : Ir.func) { Facts.cfg; dom; num } : fn_info =
   let nb = Analysis.Cfg.n_blocks cfg in
   let edge_cs, guarded = collect_constraints env cfg num in
   let guard =
@@ -1468,7 +1465,7 @@ let scc_iter_budget = 5
    share. *)
 let compute ?(widen_delay = default_widen_delay)
     ?(max_sweeps = default_max_sweeps) ?(max_rounds = default_max_rounds) ?cg
-    (m : Ir.modl) : t =
+    ?(facts = Facts.create ()) (m : Ir.modl) : t =
   let renv = Ir.type_env m in
   let t =
     {
@@ -1482,7 +1479,7 @@ let compute ?(widen_delay = default_widen_delay)
   List.iter
     (fun (f : Ir.func) ->
       if not (Ir.is_declaration f) then
-        Hashtbl.replace t.fns f.Ir.fid (mk_fn_info renv f))
+        Hashtbl.replace t.fns f.Ir.fid (mk_fn_info renv f (Facts.get facts f)))
     m.Ir.funcs;
   let cg =
     match cg with Some cg -> cg | None -> Analysis.Callgraph.compute m
@@ -1676,9 +1673,6 @@ let ret_range t (f : Ir.func) : itv =
 
 let fixpoint_reached t =
   Hashtbl.fold (fun _ fi acc -> acc && fi.fi_fp) t.fns true
-
-let func_fixpoint t (f : Ir.func) =
-  match fn_of t f with None -> true | Some fi -> fi.fi_fp
 
 let total_sweeps t = Hashtbl.fold (fun _ fi acc -> acc + fi.fi_sweeps) t.fns 0
 let rounds t = t.rounds

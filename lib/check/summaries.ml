@@ -211,10 +211,10 @@ let analyze_pure lookup (f : Ir.func) : bool =
     f;
   !pure
 
-let analyze_function env lookup (f : Ir.func) : func_summary =
+let analyze_function env lookup facts (f : Ir.func) : func_summary =
   if Ir.is_declaration f then unknown_summary f
   else
-    let cfg = Analysis.Cfg.build f in
+    let cfg = (Facts.get facts f).Facts.cfg in
     {
       args =
         Array.of_list
@@ -234,7 +234,7 @@ let arg_bounds (t : t) (f : Ir.func) : (int * arg_bound) list =
 
 (* [cg] is [m]'s call graph, computed here when the caller has none to
    share. *)
-let compute ?cg (m : Ir.modl) : t =
+let compute ?cg ?(facts = Facts.create ()) (m : Ir.modl) : t =
   let env = Ir.type_env m in
   let t = { table = Hashtbl.create 32; env; rel = [] } in
   (* optimistic start for defined functions (greatest fixpoint for the
@@ -274,7 +274,7 @@ let compute ?cg (m : Ir.modl) : t =
         changed := false;
         List.iter
           (fun f ->
-            let next = analyze_function env lookup f in
+            let next = analyze_function env lookup facts f in
             if not (summary_equal next (lookup f)) then begin
               Hashtbl.replace t.table f.Ir.fid next;
               changed := true

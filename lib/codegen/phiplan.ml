@@ -20,49 +20,51 @@ type edge_copy = {
 }
 
 type t = {
+  index : Idtbl.t; (* block id -> the block's place in the function *)
   (* copies to emit at the end of each predecessor block *)
-  at_block_end : (int, edge_copy list) Hashtbl.t; (* block id -> copies *)
+  at_block_end : edge_copy list array;
   (* copies to emit at the start of each block: (slot, phi) *)
-  at_block_start : (int, (int * Ir.instr) list) Hashtbl.t;
+  at_block_start : (int * Ir.instr) list array;
   n_transfer_slots : int;
 }
 
 let build (f : Ir.func) : t =
-  let at_block_end = Hashtbl.create 16 in
-  let at_block_start = Hashtbl.create 16 in
+  let n = List.length f.Ir.fblocks in
+  let index = Idtbl.create n in
+  List.iteri (fun k (b : Ir.block) -> Idtbl.replace index b.Ir.blid k) f.Ir.fblocks;
+  (* built newest first, reversed at the end *)
+  let at_block_end = Array.make n [] in
+  let at_block_start = Array.make n [] in
   let slot_counter = ref 0 in
-  List.iter
-    (fun (b : Ir.block) ->
-      let phis = Ir.block_phis b in
-      let entry_copies =
-        List.map
-          (fun (phi : Ir.instr) ->
+  List.iteri
+    (fun k (b : Ir.block) ->
+      List.iter
+        (fun (phi : Ir.instr) ->
+          if phi.Ir.op = Ir.Phi then begin
             let slot = !slot_counter in
             incr slot_counter;
             List.iter
-              (fun (src, pred) ->
-                let existing =
-                  match Hashtbl.find_opt at_block_end pred.Ir.blid with
-                  | Some l -> l
-                  | None -> []
-                in
-                Hashtbl.replace at_block_end pred.Ir.blid
-                  (existing @ [ { transfer_slot = slot; src; phi } ]))
+              (fun (src, (pred : Ir.block)) ->
+                (* an edge from outside the function is never walked *)
+                let p = Idtbl.find index pred.Ir.blid in
+                if p >= 0 then
+                  at_block_end.(p) <-
+                    { transfer_slot = slot; src; phi } :: at_block_end.(p))
               (Ir.phi_incoming phi);
-            (slot, phi))
-          phis
-      in
-      if entry_copies <> [] then
-        Hashtbl.replace at_block_start b.Ir.blid entry_copies)
+            at_block_start.(k) <- (slot, phi) :: at_block_start.(k)
+          end)
+        b.Ir.instrs)
     f.Ir.fblocks;
-  { at_block_end; at_block_start; n_transfer_slots = !slot_counter }
+  {
+    index;
+    at_block_end = Array.map List.rev at_block_end;
+    at_block_start = Array.map List.rev at_block_start;
+    n_transfer_slots = !slot_counter;
+  }
 
-let end_copies t (b : Ir.block) =
-  match Hashtbl.find_opt t.at_block_end b.Ir.blid with
-  | Some l -> l
-  | None -> []
+let copies table t (b : Ir.block) =
+  let k = Idtbl.find t.index b.Ir.blid in
+  if k < 0 then [] else table.(k)
 
-let start_copies t (b : Ir.block) =
-  match Hashtbl.find_opt t.at_block_start b.Ir.blid with
-  | Some l -> l
-  | None -> []
+let end_copies t b = copies t.at_block_end t b
+let start_copies t b = copies t.at_block_start t b

@@ -13,18 +13,31 @@ type location = Reg of int | Slot of int
 type alloc = Linear_scan | Spill_everything
 
 type assignment = {
-  locs : (int, location) Hashtbl.t; (* value id -> location *)
+  index : Llva.Idtbl.t; (* value id -> place in [locs] *)
+  locs : location option array; (* kept as options: a lookup allocates nothing *)
   mutable n_slots : int;
   mutable used_regs_int : int list; (* physical indices actually used *)
   mutable used_regs_float : int list;
 }
 
+(* an assignment of none of the values of [all] yet *)
+let create (all : Intervals.interval list) =
+  let index = Llva.Idtbl.create (List.length all) in
+  List.iteri (fun k (iv : Intervals.interval) -> Llva.Idtbl.replace index iv.Intervals.vid k) all;
+  { index; locs = Array.make (List.length all) None; n_slots = 0;
+    used_regs_int = []; used_regs_float = [] }
+
+let location_opt a vid =
+  let k = Llva.Idtbl.find a.index vid in
+  if k < 0 then None else a.locs.(k)
+
 let location a vid =
-  match Hashtbl.find_opt a.locs vid with
+  match location_opt a vid with
   | Some l -> l
   | None -> invalid_arg (Printf.sprintf "Regalloc.location: unknown value %d" vid)
 
-let location_opt a vid = Hashtbl.find_opt a.locs vid
+(* [vid] is the value of one of the intervals the assignment was made for *)
+let set a vid l = a.locs.(Llva.Idtbl.find a.index vid) <- Some l
 
 let fresh_slot a =
   let s = a.n_slots in
@@ -32,14 +45,11 @@ let fresh_slot a =
   Slot s
 
 let spill_everything (ivs : Intervals.t) : assignment =
-  let a =
-    { locs = Hashtbl.create 64; n_slots = 0; used_regs_int = [];
-      used_regs_float = [] }
-  in
+  let all = Intervals.all ivs in
+  let a = create all in
   List.iter
-    (fun (iv : Intervals.interval) ->
-      Hashtbl.replace a.locs iv.Intervals.vid (fresh_slot a))
-    (Intervals.all ivs);
+    (fun (iv : Intervals.interval) -> set a iv.Intervals.vid (fresh_slot a))
+    all;
   a
 
 (* an interval holding a register, in the active list *)
@@ -57,11 +67,8 @@ let rec insert e = function
    caller). *)
 let linear_scan ~(int_regs : int list) ~(float_regs : int list)
     (ivs : Intervals.t) : assignment =
-  let a =
-    { locs = Hashtbl.create 64; n_slots = 0; used_regs_int = [];
-      used_regs_float = [] }
-  in
   let all = Intervals.all ivs in
+  let a = create all in
   let run klass regs =
     let free = ref regs in
     let active = ref [] in
@@ -82,7 +89,7 @@ let linear_scan ~(int_regs : int list) ~(float_regs : int list)
       | still -> still
     in
     let assign (iv : Intervals.interval) r =
-      Hashtbl.replace a.locs iv.Intervals.vid (Reg r);
+      set a iv.Intervals.vid (Reg r);
       note_used r;
       active :=
         insert { a_end = iv.Intervals.end_pos; a_reg = r; a_iv = iv } !active
@@ -111,10 +118,10 @@ let linear_scan ~(int_regs : int list) ~(float_regs : int list)
               match worst with
               | Some w when w.a_iv.Intervals.weight < iv.Intervals.weight ->
                   (* steal the register *)
-                  Hashtbl.replace a.locs w.a_iv.Intervals.vid (fresh_slot a);
+                  set a w.a_iv.Intervals.vid (fresh_slot a);
                   active := List.filter (fun e -> e != w) !active;
                   assign iv w.a_reg
-              | _ -> Hashtbl.replace a.locs iv.Intervals.vid (fresh_slot a))
+              | _ -> set a iv.Intervals.vid (fresh_slot a))
         end)
       all
   in

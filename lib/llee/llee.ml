@@ -190,7 +190,7 @@ let quarantine_entry t name =
    retranslate, write back. *)
 let cache_magic = "LLEE2\x00"
 
-let frame_entry payload = cache_magic ^ Crc32.hex payload ^ payload
+let frame_entry payload = String.concat "" [ cache_magic; Crc32.hex payload; payload ]
 
 type framed = Payload of string | Bad_magic | Bad_checksum
 
@@ -199,11 +199,14 @@ let unframe_entry data : framed =
   if String.length data < n + 8 || String.sub data 0 n <> cache_magic then
     Bad_magic
   else
-    let payload = String.sub data (n + 8) (String.length data - n - 8) in
+    let off = n + 8 in
+    let len = String.length data - off in
     (* the field must be exactly the canonical lowercase hex [frame_entry]
        writes; otherwise the entry is ours for sure (the magic matched)
-       but damaged, in the payload or in the checksum field itself *)
-    if String.sub data n 8 = Crc32.hex payload then Payload payload
+       but damaged, in the payload or in the checksum field itself. The
+       payload is checked in place and copied out only when it passes. *)
+    if String.sub data n 8 = Crc32.to_hex (Crc32.sub data ~off ~len) then
+      Payload (String.sub data off len)
     else Bad_checksum
 
 (* Read the recorded artifact [name] and decode its payload. An entry

@@ -183,93 +183,99 @@ let decode (data : string) : Ir.modl =
   let mname = str r in
   let tyat = read_type_pool r in
   let m = Ir.mk_module ~name:mname ~target () in
-  (* typedefs *)
+  (* every list below is built in one pass, never appended to *)
   let ntypedefs = uleb r in
-  for _ = 1 to ntypedefs do
-    let name = str r in
-    let ty = tyat (uleb r) in
-    Ir.add_typedef m name ty
-  done;
-  (* globals *)
+  m.Ir.typedefs <-
+    List.init ntypedefs (fun _ ->
+        let name = str r in
+        (name, tyat (uleb r)));
   let nglobals = uleb r in
-  for _ = 1 to nglobals do
-    let name = str r in
-    let gty = tyat (uleb r) in
-    let flags = u8 r in
-    let constant = flags land 1 <> 0 in
-    let external_ = flags land 2 <> 0 in
-    let init = if external_ then None else Some (read_const tyat r) in
-    let g = Ir.mk_global ~name ~ty:gty ?init ~constant () in
-    Ir.add_global m g
-  done;
+  m.Ir.globals <-
+    List.init nglobals (fun _ ->
+        let name = str r in
+        let gty = tyat (uleb r) in
+        let flags = u8 r in
+        let constant = flags land 1 <> 0 in
+        let external_ = flags land 2 <> 0 in
+        let init = if external_ then None else Some (read_const tyat r) in
+        let g = Ir.mk_global ~name ~ty:gty ?init ~constant () in
+        g.Ir.gparent <- Some m;
+        g);
   (* function headers + raw bodies; resolve cross-references afterwards *)
   let nfuncs = uleb r in
-  let raw_bodies = ref [] in
-  for _ = 1 to nfuncs do
-    let name = str r in
-    let return = tyat (uleb r) in
-    let nargs = uleb r in
-    let params =
-      List.init nargs (fun k -> (Printf.sprintf "arg%d" k, tyat (uleb r)))
-    in
-    let flags = u8 r in
-    let varargs = flags land 1 <> 0 in
-    let declaration = flags land 2 <> 0 in
-    let f = Ir.mk_func ~name ~return ~params ~varargs () in
-    Ir.add_func m f;
-    if not declaration then begin
-      let npool = uleb r in
-      let pool =
-        List.init npool (fun _ ->
-            match u8 r with
-            | 0 -> Rconst (read_const tyat r)
-            | 1 -> Rsymbol (str r)
-            | 2 -> Rundef (tyat (uleb r))
-            | t -> fail (Printf.sprintf "bad pool tag %d" t))
-      in
-      let nblocks = uleb r in
-      let blocks =
-        List.init nblocks (fun k ->
-            let ninstrs = uleb r in
-            (k, List.init ninstrs (fun _ -> read_instr tyat r)))
-      in
-      raw_bodies := (f, pool, blocks) :: !raw_bodies
-    end
-  done;
+  let headers =
+    List.init nfuncs (fun _ ->
+        let name = str r in
+        let return = tyat (uleb r) in
+        let nargs = uleb r in
+        let params = List.init nargs (fun k -> ("arg" ^ string_of_int k, tyat (uleb r))) in
+        let flags = u8 r in
+        let varargs = flags land 1 <> 0 in
+        let declaration = flags land 2 <> 0 in
+        let f = Ir.mk_func ~name ~return ~params ~varargs () in
+        f.Ir.fparent <- Some m;
+        if declaration then (f, None)
+        else begin
+          let npool = uleb r in
+          let pool =
+            Array.init npool (fun _ ->
+                match u8 r with
+                | 0 -> Rconst (read_const tyat r)
+                | 1 -> Rsymbol (str r)
+                | 2 -> Rundef (tyat (uleb r))
+                | t -> fail (Printf.sprintf "bad pool tag %d" t))
+          in
+          let nblocks = uleb r in
+          let blocks =
+            Array.init nblocks (fun _ ->
+                let ninstrs = uleb r in
+                Array.init ninstrs (fun _ -> read_instr tyat r))
+          in
+          (f, Some (pool, blocks))
+        end)
+  in
+  m.Ir.funcs <- List.map fst headers;
+  (* symbols by name, as [Ir.find_func] and then [Ir.find_global] would
+     find them: the first function of a name, else the first global *)
+  let symbols = Hashtbl.create 64 in
+  let add name v = if not (Hashtbl.mem symbols name) then Hashtbl.add symbols name v in
+  List.iter (fun (f : Ir.func) -> add f.Ir.fname (Ir.Vfunc f)) m.Ir.funcs;
+  List.iter (fun (g : Ir.global) -> add g.Ir.gname (Ir.Vglobal g)) m.Ir.globals;
   (* materialize bodies *)
   List.iter
-    (fun ((f : Ir.func), pool, blocks) ->
+    (function
+      | _, None -> ()
+      | (f : Ir.func), Some (pool, blocks) ->
       let nargs = List.length f.Ir.fargs in
-      let shells =
-        List.map
-          (fun (k, raws) ->
-            let b = Ir.mk_block ~name:(Printf.sprintf "bb%d" k) () in
-            Ir.append_block f b;
-            (b, raws))
+      let block_arr =
+        Array.mapi
+          (fun k _ ->
+            let b = Ir.mk_block ~name:("bb" ^ string_of_int k) () in
+            b.Ir.bparent <- Some f;
+            b)
           blocks
       in
+      f.Ir.fblocks <- Array.to_list block_arr;
       (* value table: args, instrs, blocks, pool *)
-      let instr_shells =
-        List.concat_map
-          (fun (b, raws) ->
-            List.mapi
-              (fun k (raw : raw_instr) ->
-                let i = Ir.mk_instr raw.rop [||] raw.rty in
-                i.Ir.exceptions_enabled <- raw.ree;
-                i.Ir.iname <-
-                  (if Types.equal raw.rty Types.Void then ""
-                   else Printf.sprintf "v%d" i.Ir.iid);
-                Ir.append_instr b i;
-                ignore k;
-                (i, raw))
-              raws)
-          shells
+      let block_instrs =
+        Array.map
+          (Array.map (fun (raw : raw_instr) ->
+               let i = Ir.mk_instr raw.rop [||] raw.rty in
+               i.Ir.exceptions_enabled <- raw.ree;
+               if not (Types.equal raw.rty Types.Void) then
+                 i.Ir.iname <- "v" ^ string_of_int i.Ir.iid;
+               i))
+          blocks
       in
-      let ninstrs = List.length instr_shells in
-      let nblocks = List.length shells in
-      let instr_arr = Array.of_list (List.map fst instr_shells) in
-      let block_arr = Array.of_list (List.map fst shells) in
-      let pool_arr = Array.of_list pool in
+      Array.iteri
+        (fun k (b : Ir.block) ->
+          b.Ir.instrs <- Array.to_list block_instrs.(k);
+          List.iter (fun (i : Ir.instr) -> i.Ir.iparent <- Some b) b.Ir.instrs)
+        block_arr;
+      let raws = Array.concat (Array.to_list blocks) in
+      let instr_arr = Array.concat (Array.to_list block_instrs) in
+      let ninstrs = Array.length instr_arr in
+      let nblocks = Array.length block_arr in
       let args_arr = Array.of_list f.Ir.fargs in
       let lookup idx : Ir.value =
         (* a compact operand reaching back past the first argument *)
@@ -280,22 +286,19 @@ let decode (data : string) : Ir.modl =
           Ir.Vblock block_arr.(idx - nargs - ninstrs)
         else
           let pidx = idx - nargs - ninstrs - nblocks in
-          if pidx >= Array.length pool_arr then fail "operand index out of range"
+          if pidx >= Array.length pool then fail "operand index out of range"
           else
-            match pool_arr.(pidx) with
+            match pool.(pidx) with
             | Rconst c -> Ir.Const c
             | Rundef ty -> Ir.Vundef ty
             | Rsymbol s -> (
-                match Ir.find_func m s with
-                | Some fn -> Ir.Vfunc fn
-                | None -> (
-                    match Ir.find_global m s with
-                    | Some g -> Ir.Vglobal g
-                    | None -> fail ("unresolved symbol " ^ s)))
+                match Hashtbl.find_opt symbols s with
+                | Some v -> v
+                | None -> fail ("unresolved symbol " ^ s))
       in
       let locals_end = nargs + ninstrs in
-      List.iteri
-        (fun pos ((i : Ir.instr), (raw : raw_instr)) ->
+      Array.iteri
+        (fun pos (i : Ir.instr) ->
           let cur = nargs + pos in
           let resolve = function
             | Oabs idx -> lookup idx
@@ -303,8 +306,8 @@ let decode (data : string) : Ir.modl =
                 if c < 128 then lookup (cur - c)
                 else lookup (locals_end + (c - 128))
           in
-          i.Ir.operands <- Array.map resolve raw.rops;
+          i.Ir.operands <- Array.map resolve raws.(pos).rops;
           Ir.register_operand_uses i)
-        instr_shells)
-    (List.rev !raw_bodies);
+        instr_arr)
+    headers;
   m

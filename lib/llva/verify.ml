@@ -6,15 +6,25 @@
 
 open Ir
 
+(* where the checks are; spelled out only when one of them fails *)
+type where = At of string | In_function of func | In_block of func * block
+
+let where_string = function
+  | At s -> s
+  | In_function f -> "function %" ^ f.fname
+  | In_block (f, b) -> "function %" ^ f.fname ^ " block %" ^ b.bname
+
 type ctx = {
   env : Types.env;
   mutable errors : string list;
-  mutable where : string;
+  mutable where : where;
   named : (string, unit) Hashtbl.t; (* names [check_names] has visited *)
 }
 
 let err ctx fmt =
-  Printf.ksprintf (fun s -> ctx.errors <- (ctx.where ^ ": " ^ s) :: ctx.errors) fmt
+  Printf.ksprintf
+    (fun s -> ctx.errors <- (where_string ctx.where ^ ": " ^ s) :: ctx.errors)
+    fmt
 
 let resolve ctx ty =
   try Types.resolve ctx.env ty
@@ -220,57 +230,106 @@ let check_instr ctx i =
         in
         go 0
 
-(* ---------- dominance (local, bitset-based iterative solver) ---------- *)
+(* ---------- dominance over block indices ---------- *)
 
-let compute_dominators f =
-  let blocks = Array.of_list f.fblocks in
-  let n = Array.length blocks in
-  let index = Hashtbl.create n in
-  Array.iteri (fun k b -> Hashtbl.replace index b.blid k) blocks;
-  let preds =
-    Array.map
-      (fun b ->
-        List.filter_map (fun p -> Hashtbl.find_opt index p.blid) (predecessors b))
-      blocks
-  in
-  let full = Array.make n true in
-  let dom = Array.init n (fun k -> if k = 0 then Array.init n (fun j -> j = 0) else Array.copy full) in
+(* Block [k]'s dominators as row [k] of a bitset matrix, [words] words
+   a row in one flat array: the maximal fixpoint of dom(0) = {0} and
+   dom(k) = {k} ∪ ⋂ dom(p) over [k]'s predecessors [p] ({k} alone when
+   it has none). Unreachable blocks keep what these equations give
+   them: a block no edge reaches is dominated by itself alone, a block
+   on an unreachable cycle by every block. *)
+type dom = { words : int; rows : int array }
+
+let bits = Sys.int_size
+
+let compute_dominators (preds : int array array) =
+  let n = Array.length preds in
+  let words = (n + bits - 1) / bits in
+  let rows = Array.make (n * words) (-1) in
+  Array.fill rows 0 words 0;
+  rows.(0) <- 1;
+  let row = Array.make words 0 in
   let changed = ref true in
   while !changed do
     changed := false;
     for k = 1 to n - 1 do
-      let nd = Array.make n false in
-      nd.(k) <- true;
-      (match preds.(k) with
-      | [] -> ()
-      | first :: rest ->
-          let inter = Array.copy dom.(first) in
-          List.iter (fun p -> Array.iteri (fun j v -> inter.(j) <- v && inter.(j)) dom.(p)) rest;
-          Array.iteri (fun j v -> if v then nd.(j) <- true) inter);
-      if nd <> dom.(k) then begin
-        dom.(k) <- nd;
-        changed := true
-      end
+      let ps = preds.(k) in
+      if Array.length ps = 0 then Array.fill row 0 words 0
+      else begin
+        Array.blit rows (ps.(0) * words) row 0 words;
+        for j = 1 to Array.length ps - 1 do
+          let base = ps.(j) * words in
+          for w = 0 to words - 1 do
+            row.(w) <- row.(w) land rows.(base + w)
+          done
+        done
+      end;
+      row.(k / bits) <- row.(k / bits) lor (1 lsl (k mod bits));
+      let base = k * words in
+      for w = 0 to words - 1 do
+        if row.(w) <> rows.(base + w) then begin
+          rows.(base + w) <- row.(w);
+          changed := true
+        end
+      done
     done
   done;
-  (blocks, index, dom)
+  { words; rows }
+
+(* whether block [d] dominates block [u] *)
+let dominates dom d u =
+  dom.rows.((u * dom.words) + (d / bits)) land (1 lsl (d mod bits)) <> 0
+
+(* [f]'s blocks in order, each block id's index among them, each
+   block's predecessors (computed once: as blocks for the phi coverage
+   check, as indices for dominance) and the dominator rows; [f] has a
+   body *)
+let dominators f =
+  let blocks = Array.of_list f.fblocks in
+  let index = Idtbl.create (Array.length blocks) in
+  Array.iteri (fun k b -> Idtbl.replace index b.blid k) blocks;
+  let preds = Array.map predecessors blocks in
+  let pred_index =
+    Array.map
+      (fun ps ->
+        Array.of_list
+          (List.filter_map
+             (fun p ->
+               let k = Idtbl.find index p.blid in
+               if k >= 0 then Some k else None)
+             ps))
+      preds
+  in
+  (blocks, index, preds, compute_dominators pred_index)
+
+let dominance f =
+  let _, _, _, dom = dominators f in
+  dominates dom
 
 (* ---------- per-function checks ---------- *)
 
+(* An instruction's position: its block's index and its place in the
+   block, packed in one int. *)
+let pack_pos bi k = (bi lsl 32) lor k
+let pos_block p = p lsr 32
+let pos_index p = p land 0xFFFF_FFFF
+
 let check_function ctx f =
-  ctx.where <- Printf.sprintf "function %%%s" f.fname;
+  ctx.where <- In_function f;
   if is_declaration f then ()
   else begin
     check_names ctx f.freturn;
     List.iter (fun a -> check_names ctx a.aty) f.fargs;
+    let blocks, index, preds, dom = dominators f in
     (* phis [check_instr] rejected (e.g. an odd operand count or a
        predecessor that is not a label): the coverage and dominance
        passes below read them as value/label pairs, so they skip them *)
-    let bad_phis = Hashtbl.create 4 in
+    let bad_phis = Idtbl.create 4 in
+    let pos = Idtbl.create 64 in
     (* structure: nonempty blocks, single trailing terminator, leading phis *)
-    List.iter
-      (fun b ->
-        ctx.where <- Printf.sprintf "function %%%s block %%%s" f.fname b.bname;
+    Array.iteri
+      (fun bi b ->
+        ctx.where <- In_block (f, b);
         (match b.instrs with
         | [] -> err ctx "empty basic block"
         | instrs -> (
@@ -289,18 +348,19 @@ let check_function ctx f =
             in
             split false instrs;
             match instrs with
-            | first :: _ when first.op = Phi && b == entry_block f ->
+            | first :: _ when first.op = Phi && b == blocks.(0) ->
                 err ctx "phi in entry block"
             | _ -> ()));
-        List.iter
-          (fun i ->
+        List.iteri
+          (fun k i ->
+            Idtbl.replace pos i.iid (pack_pos bi k);
             (match i.iparent with
             | Some p when p == b -> ()
             | _ -> err ctx "instruction with wrong parent");
             check_names ctx i.ity;
             let before = ctx.errors in
             check_instr ctx i;
-            if i.op = Phi && ctx.errors != before then Hashtbl.replace bad_phis i.iid ();
+            if i.op = Phi && ctx.errors != before then Idtbl.replace bad_phis i.iid 0;
             (* ret must match the signature *)
             if i.op = Ret then begin
               let n = Array.length i.operands in
@@ -316,71 +376,51 @@ let check_function ctx f =
               then err ctx "ret type does not match function return type"
             end)
           b.instrs)
-      f.fblocks;
+      blocks;
     (* phi incoming lists must exactly cover the predecessors *)
-    List.iter
-      (fun b ->
-        ctx.where <- Printf.sprintf "function %%%s block %%%s" f.fname b.bname;
-        let preds = predecessors b in
+    Array.iteri
+      (fun bi b ->
+        ctx.where <- In_block (f, b);
+        let preds = preds.(bi) in
         List.iter
           (fun phi ->
-            let incoming = phi_incoming phi in
-            let inc_blocks = List.map snd incoming in
-            List.iter
-              (fun p ->
-                if not (List.exists (fun ib -> ib == p) inc_blocks) then
-                  err ctx "phi missing incoming for predecessor %%%s" p.bname)
-              preds;
-            List.iter
-              (fun ib ->
-                if not (List.exists (fun p -> p == ib) preds) then
-                  err ctx "phi has incoming for non-predecessor %%%s" ib.bname)
-              inc_blocks)
-          (List.filter
-             (fun phi -> not (Hashtbl.mem bad_phis phi.iid))
-             (block_phis b)))
-      f.fblocks;
+            if phi.op = Phi && not (Idtbl.mem bad_phis phi.iid) then begin
+              let inc_blocks = List.map snd (phi_incoming phi) in
+              List.iter
+                (fun p ->
+                  if not (List.exists (fun ib -> ib == p) inc_blocks) then
+                    err ctx "phi missing incoming for predecessor %%%s" p.bname)
+                preds;
+              List.iter
+                (fun ib ->
+                  if not (List.exists (fun p -> p == ib) preds) then
+                    err ctx "phi has incoming for non-predecessor %%%s" ib.bname)
+                inc_blocks
+            end)
+          b.instrs)
+      blocks;
     (* entry block must not have predecessors *)
-    (match f.fblocks with
-    | entry :: _ ->
-        if predecessors entry <> [] then begin
-          ctx.where <- Printf.sprintf "function %%%s" f.fname;
-          err ctx "entry block has predecessors"
-        end
-    | [] -> ());
+    if preds.(0) <> [] then begin
+      ctx.where <- In_function f;
+      err ctx "entry block has predecessors"
+    end;
     (* SSA dominance *)
-    let blocks, index, dom = compute_dominators f in
-    ignore blocks;
-    let block_index b = Hashtbl.find_opt index b.blid in
-    let dominates def_b use_b =
-      match (block_index def_b, block_index use_b) with
-      | Some d, Some u -> dom.(u).(d)
-      | _ -> true (* unreachable block: skip *)
-    in
-    let instr_pos = Hashtbl.create 64 in
-    List.iter
-      (fun b ->
-        List.iteri (fun k i -> Hashtbl.replace instr_pos i.iid (b, k)) b.instrs)
-      f.fblocks;
     let def_dominates_use (def : instr) (use : instr) op_idx =
-      match (Hashtbl.find_opt instr_pos def.iid, Hashtbl.find_opt instr_pos use.iid) with
-      | Some (db, dk), Some (ub, uk) ->
-          if use.op = Phi && Hashtbl.mem bad_phis use.iid then true
-          else if use.op = Phi then
-            (* the def must dominate the incoming edge's source block *)
-            let pred =
-              match use.operands.(op_idx + 1) with
-              | Vblock p -> Some p
-              | _ -> None
-            in
-            (match pred with
-            | Some p -> dominates db p
-            | None -> true)
-          else if db == ub then dk < uk
-          else dominates db ub
-      | _ -> true
+      let dp = Idtbl.find pos def.iid and up = Idtbl.find pos use.iid in
+      if dp < 0 || up < 0 then true
+      else if use.op = Phi then
+        Idtbl.mem bad_phis use.iid
+        ||
+        (* the def must dominate the incoming edge's source block *)
+        match use.operands.(op_idx + 1) with
+        | Vblock p ->
+            let pi = Idtbl.find index p.blid in
+            pi < 0 || dominates dom (pos_block dp) pi
+        | _ -> true
+      else if pos_block dp = pos_block up then pos_index dp < pos_index up
+      else dominates dom (pos_block dp) (pos_block up)
     in
-    List.iter
+    Array.iter
       (fun b ->
         List.iter
           (fun i ->
@@ -389,15 +429,14 @@ let check_function ctx f =
                 match v with
                 | Vreg def ->
                     if not (def_dominates_use def i op_idx) then begin
-                      ctx.where <-
-                        Printf.sprintf "function %%%s block %%%s" f.fname b.bname;
+                      ctx.where <- In_block (f, b);
                       err ctx "use of %%%s (id %d) not dominated by its definition"
                         def.iname def.iid
                     end
                 | _ -> ())
               i.operands)
           b.instrs)
-      f.fblocks
+      blocks
   end
 
 let verify_module (m : modl) : string list =
@@ -405,7 +444,7 @@ let verify_module (m : modl) : string list =
     {
       env = Ir.type_env m;
       errors = [];
-      where = "module";
+      where = At "module";
       named = Hashtbl.create 16;
     }
   in
@@ -433,7 +472,7 @@ let verify_function f =
         | Some m -> Ir.type_env m
         | None -> Types.empty_env ());
       errors = [];
-      where = "function";
+      where = At "function";
       named = Hashtbl.create 16;
     }
   in

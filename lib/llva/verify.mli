@@ -10,6 +10,13 @@ val verify_module : Ir.modl -> string list
 val verify_function : Ir.func -> string list
 (** Check one function (named types resolve through its parent module). *)
 
+val dominance : Ir.func -> int -> int -> bool
+(** [dominance f d u]: whether block [d] dominates block [u] of [f], a
+    function with a body, blocks numbered in [f.fblocks] order, as the
+    SSA dominance check decides it. Unreachable blocks are included: one that no edge reaches is
+    dominated by itself alone, one on an unreachable cycle by every
+    block. *)
+
 exception Invalid of string list
 
 val assert_valid : Ir.modl -> unit

@@ -405,7 +405,7 @@ let lower_instr ctx (i : Ir.instr) =
       if rd <> t1 then emit ctx (Alu3 (Or, W64, true, rd, t1, Imm 0));
       finish ctx (rd, spill)
   | Ir.Alloca -> (
-      match Hashtbl.find_opt ctx.alloca_offsets i.Ir.iid with
+      match alloca_offset ctx i with
       | Some off ->
           let rd, spill = dst_of ctx i.Ir.iid ~scratch:t1 in
           emit ctx (Alu3 (Add, W64, true, rd, fp, Imm (-off)));

@@ -114,5 +114,3 @@ let load (m : Ir.modl) : t =
       | None -> ())
     m.Ir.globals;
   img
-
-let globals_size cursor_next = Int64.sub cursor_next Memory.globals_base

@@ -307,7 +307,7 @@ let lower_instr ctx (i : Ir.instr) =
       if ctx.m.Ir.target.Target.ptr_size = 4 then emit ctx (Ext (ax, W32, false));
       store_int ctx i.Ir.iid ax
   | Ir.Alloca -> (
-      match Hashtbl.find_opt ctx.alloca_offsets i.Ir.iid with
+      match alloca_offset ctx i with
       | Some off ->
           emit ctx (Lea (ax, { base = bp; disp = -off }));
           store_int ctx i.Ir.iid ax

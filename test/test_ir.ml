@@ -193,6 +193,67 @@ let test_verifier_unresolved_names () =
        (fun e -> e = "function %main block %entry: unresolved type name %gone")
        (Verify.verify_module m))
 
+(* Unreachable blocks keep what the dominance equations give them: one
+   that no edge reaches is dominated by itself alone, so a use there of
+   a value defined elsewhere is rejected; one on an unreachable cycle
+   is dominated by every block, so the same use is accepted. *)
+let test_verifier_unreachable_blocks () =
+  let errors body =
+    Verify.verify_module
+      (Resolve.parse_module ~name:"t"
+         ("int %main() {\nentry:\n  %x = add int 1, 2\n  ret int %x\n" ^ body
+        ^ "}\n"))
+  in
+  (match errors "dead:\n  %y = add int %x, 1\n  ret int %y\n" with
+  | [ e ] ->
+      check_bool "predecessor-less block: use not dominated" true
+        (String.starts_with ~prefix:"function %main block %dead: use of %x (id " e
+        && String.ends_with ~suffix:") not dominated by its definition" e)
+  | errs ->
+      Alcotest.failf "predecessor-less block: expected one error, got [%s]"
+        (String.concat "; " errs));
+  Alcotest.(check (list string))
+    "unreachable self-loop accepted" []
+    (errors "loop:\n  %y = add int %x, 1\n  br label %loop\n")
+
+(* [f] plus up to four blocks no edge from the entry reaches, each
+   ending in an unwind or a branch to random blocks, old or new *)
+let add_unreachable_blocks rand f =
+  let fresh = List.init (Random.State.int rand 5) (fun _ -> Ir.mk_block ()) in
+  List.iter (Ir.append_block f) fresh;
+  let all = Array.of_list f.Ir.fblocks in
+  let pick () = Ir.Vblock all.(Random.State.int rand (Array.length all)) in
+  List.iter
+    (fun b ->
+      let term =
+        match Random.State.int rand 3 with
+        | 0 -> Ir.mk_instr Ir.Unwind [||] Types.Void
+        | 1 -> Ir.mk_instr Ir.Br [| pick () |] Types.Void
+        | _ -> Ir.mk_instr Ir.Br [| Ir.const_int Types.Bool 1L; pick (); pick () |] Types.Void
+      in
+      Ir.append_instr b term)
+    fresh
+
+let prop_verifier_dominance level =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "verifier dominance equals the matrix reference at -O%d" level)
+    ~count:100 (QCheck.pair Gen.gen_program QCheck.small_nat) (fun (m, seed) ->
+      let m = Gen.clone m in
+      if level > 0 then ignore (Transform.Passmgr.optimize ~level m);
+      let rand = Random.State.make [| seed |] in
+      List.for_all
+        (fun f ->
+          Ir.is_declaration f
+          ||
+          (add_unreachable_blocks rand f;
+           let reference = Verify_ref.compute_dominators f in
+           let dominates = Verify.dominance f in
+           let n = Array.length reference in
+           List.for_all
+             (fun u -> List.for_all (fun d -> reference.(u).(d) = dominates d u) (List.init n Fun.id))
+             (List.init n Fun.id)))
+        m.Ir.funcs)
+
 let suite =
   [
     Alcotest.test_case "diamond structure" `Quick test_diamond_structure;
@@ -204,6 +265,10 @@ let suite =
     Alcotest.test_case "verifier rejects" `Quick test_verifier_rejects;
     Alcotest.test_case "verifier unresolved names" `Quick
       test_verifier_unresolved_names;
+    Alcotest.test_case "verifier unreachable blocks" `Quick
+      test_verifier_unreachable_blocks;
+    QCheck_alcotest.to_alcotest (prop_verifier_dominance 0);
+    QCheck_alcotest.to_alcotest (prop_verifier_dominance 2);
   ]
 
 (* each §3.1 type rule rejects ill-typed IR built directly (bypassing the
