@@ -348,9 +348,12 @@ let snapshot_globals mem extent =
 
 (* ---------- engine runners (fresh state and memory per vector) ------ *)
 
-let run_interp (m : Ir.modl) env fname (args : Eval.scalar list) rty extent
+(* Fresh image per vector: the decoded functions ([forms], one per
+   certification) embed only the module's deterministic addresses, so
+   they are shared while memory starts from scratch. *)
+let run_interp ~forms (m : Ir.modl) env fname (args : Eval.scalar list) rty extent
     ~fuel : obs =
-  let st = Interp.create ~fuel m in
+  let st = Interp.create ~fuel ~forms m in
   let ret = ref "" and normal = ref false in
   let o =
     Outcome.protect ~engine:"interp"
@@ -469,6 +472,7 @@ let certify_module ?(seed = default_seed) ?(vectors = default_vectors)
     run_native ~cache:(Codegen.Machine.new_cache ()) B.machine
       (B.compile_module nm)
   in
+  let forms = Interp.new_forms m in
   let env = Ir.type_env m in
   let extent = globals_extent m (Vmem.Image.load m) in
   let results =
@@ -500,7 +504,7 @@ let certify_module ?(seed = default_seed) ?(vectors = default_vectors)
                   | vec :: rest -> (
                       runs.interp_runs <- runs.interp_runs + 1;
                       match
-                        run_interp m env fname vec rty extent
+                        run_interp ~forms m env fname vec rty extent
                           ~fuel:interp_fuel
                       with
                       | Inconclusive r -> go conclusive (Some r) rest

@@ -68,13 +68,38 @@ let to_float = function
   | P a -> Int64.to_float a
   | Undef _ -> 0.0
 
-(* The integer of type [ty] whose canonical representative is [v]
-   reduced to the type's width. *)
-let norm ty v = I (ty, Ir.normalize_int ty v)
+(* ---------- staged integer operations ----------
 
-(* Unsigned 64-bit division helpers. *)
-let udiv64 a b = Int64.unsigned_div a b
-let urem64 a b = Int64.unsigned_rem a b
+   [Ir.normalize_int ty] in one of three shapes, chosen once per type:
+   the identity at 64 bits, a sign extension (shift left, then
+   arithmetic shift right) for narrower signed types, a mask for
+   narrower unsigned ones and [Bool]. The [*_for] functions examine
+   their type and operator once and return a function of the operands;
+   the unstaged functions below are those applied at once. *)
+
+type width = Full | Sext of int (* shift *) | Zext of int64 (* mask *)
+
+let width_of ty =
+  let w = Types.bitwidth ty in
+  if w = 64 then Full
+  else if Types.is_signed ty then Sext (64 - w)
+  else Zext (Int64.sub (Int64.shift_left 1L w) 1L)
+
+let[@inline] normalize w v =
+  match w with
+  | Full -> v
+  | Sext s -> Int64.shift_right (Int64.shift_left v s) s
+  | Zext m -> Int64.logand v m
+
+(* The integer of type [ty] whose canonical representative is [v]
+   reduced to the type's width. A type that is not an integer type
+   raises when the function is applied, as [Ir.normalize_int] does. *)
+let norm_for ty : int64 -> scalar =
+  match width_of ty with
+  | w -> fun v -> I (ty, normalize w v)
+  | exception Invalid_argument _ -> fun v -> I (ty, Ir.normalize_int ty v)
+
+let norm ty v = norm_for ty v
 
 (* Smallest signed value at the type's width, as a canonical
    (sign-extended) representative. *)
@@ -82,57 +107,54 @@ let min_signed ty = Int64.neg (Int64.shift_left 1L (Types.bitwidth ty - 1))
 
 (* Shift amounts are unsigned counts reduced modulo the declared bit
    width — NOT masked to the 6 bits of the int64 representative. *)
-let shift_amount ty b =
-  Int64.to_int (Int64.unsigned_rem b (Int64.of_int (Types.bitwidth ty)))
+let shift_amount bits b = Int64.to_int (Int64.unsigned_rem b bits)
 
-let int_binop op ty a b =
-  let open Int64 in
-  match op with
-  | Ir.Add -> norm ty (add a b)
-  | Ir.Sub -> norm ty (sub a b)
-  | Ir.Mul -> norm ty (mul a b)
-  | Ir.Div ->
-      if equal b 0L then raise Division_by_zero
-      else if Types.is_signed ty then begin
-        (* INT_MIN / -1 overflows the quotient at every width *)
-        if equal b minus_one && equal a (min_signed ty) then raise Overflow;
-        norm ty (div a b)
-      end
-      else
-        (* operate on the unsigned canonical bits within the width *)
-        let mask v =
-          if Types.bitwidth ty = 64 then v
-          else logand v (sub (shift_left 1L (Types.bitwidth ty)) 1L)
-        in
-        norm ty (udiv64 (mask a) (mask b))
-  | Ir.Rem ->
-      if equal b 0L then raise Division_by_zero
-      else if Types.is_signed ty then begin
-        (* x86 idiv faults on INT_MIN rem -1 too (same #DE delivery) *)
-        if equal b minus_one && equal a (min_signed ty) then raise Overflow;
-        norm ty (rem a b)
-      end
-      else
-        let mask v =
-          if Types.bitwidth ty = 64 then v
-          else logand v (sub (shift_left 1L (Types.bitwidth ty)) 1L)
-        in
-        norm ty (urem64 (mask a) (mask b))
-  | Ir.And -> norm ty (logand a b)
-  | Ir.Or -> norm ty (logor a b)
-  | Ir.Xor -> norm ty (logxor a b)
-  | Ir.Shl ->
-      let sh = shift_amount ty b in
-      norm ty (shift_left a sh)
-  | Ir.Shr ->
-      let sh = shift_amount ty b in
-      if Types.is_signed ty then norm ty (shift_right a sh)
-      else
-        let w = Types.bitwidth ty in
-        let mask v =
-          if w = 64 then v else logand v (sub (shift_left 1L w) 1L)
-        in
-        norm ty (shift_right_logical (mask a) sh)
+let int_binop_for op ty : int64 -> int64 -> scalar =
+  match width_of ty with
+  | exception (Invalid_argument _ as e) -> fun _ _ -> raise e
+  | w -> (
+      let open Int64 in
+      let signed = Types.is_signed ty in
+      (* unsigned division and right shifts operate on the canonical
+         bits within the width, which [normalize w] keeps *)
+      let bits = of_int (Types.bitwidth ty) in
+      match op with
+      | Ir.Add -> fun a b -> I (ty, normalize w (add a b))
+      | Ir.Sub -> fun a b -> I (ty, normalize w (sub a b))
+      | Ir.Mul -> fun a b -> I (ty, normalize w (mul a b))
+      | Ir.Div when signed ->
+          let min = min_signed ty in
+          fun a b ->
+            if equal b 0L then raise Division_by_zero
+              (* INT_MIN / -1 overflows the quotient at every width *)
+            else if equal b minus_one && equal a min then raise Overflow
+            else I (ty, normalize w (div a b))
+      | Ir.Div ->
+          fun a b ->
+            if equal b 0L then raise Division_by_zero
+            else I (ty, normalize w (unsigned_div (normalize w a) (normalize w b)))
+      | Ir.Rem when signed ->
+          let min = min_signed ty in
+          fun a b ->
+            if equal b 0L then raise Division_by_zero
+              (* x86 idiv faults on INT_MIN rem -1 too (same #DE delivery) *)
+            else if equal b minus_one && equal a min then raise Overflow
+            else I (ty, normalize w (rem a b))
+      | Ir.Rem ->
+          fun a b ->
+            if equal b 0L then raise Division_by_zero
+            else I (ty, normalize w (unsigned_rem (normalize w a) (normalize w b)))
+      | Ir.And -> fun a b -> I (ty, normalize w (logand a b))
+      | Ir.Or -> fun a b -> I (ty, normalize w (logor a b))
+      | Ir.Xor -> fun a b -> I (ty, normalize w (logxor a b))
+      | Ir.Shl -> fun a b -> I (ty, normalize w (shift_left a (shift_amount bits b)))
+      | Ir.Shr when signed ->
+          fun a b -> I (ty, normalize w (shift_right a (shift_amount bits b)))
+      | Ir.Shr ->
+          fun a b ->
+            I (ty, normalize w (shift_right_logical (normalize w a) (shift_amount bits b))))
+
+let int_binop op ty a b = int_binop_for op ty a b
 
 let float_binop op ty a b =
   let r =
@@ -181,25 +203,35 @@ let holds cmp c =
   | Ir.Le -> c <= 0
   | Ir.Ge -> c >= 0
 
-(* The three-way comparison of two integers of type [ty]: signed or
-   unsigned by the type. *)
-let int_compare ty = if Types.is_signed ty then Int64.compare else Int64.unsigned_compare
+(* [of_bool (holds cmp c)] for [c] the comparison of two integers of
+   type [ty], signed or unsigned by the type, with [cmp] and [ty]
+   examined once. Flipping the sign bit turns the unsigned order into
+   the signed one. *)
+let int_setcc_for cmp ty : int64 -> int64 -> scalar =
+  let f = if Types.is_signed ty then 0L else Int64.min_int in
+  let open Int64 in
+  match cmp with
+  | Ir.Eq -> fun a b -> of_bool ((a : int64) = b)
+  | Ir.Ne -> fun a b -> of_bool ((a : int64) <> b)
+  | Ir.Lt -> fun a b -> of_bool ((logxor a f : int64) < logxor b f)
+  | Ir.Gt -> fun a b -> of_bool ((logxor a f : int64) > logxor b f)
+  | Ir.Le -> fun a b -> of_bool ((logxor a f : int64) <= logxor b f)
+  | Ir.Ge -> fun a b -> of_bool ((logxor a f : int64) >= logxor b f)
 
 let compare_ordered ty cmp a b =
-  let c =
-    match (a, b) with
-    | I (ity, x), I (_, y) -> int_compare ity x y
-    | F (_, x), F (_, y) -> Float.compare x y
-    | B x, B y -> Bool.compare x y
-    | P x, P y -> Int64.unsigned_compare x y
-    | P x, I (_, y) | I (_, y), P x ->
-        ignore x;
-        ignore y;
-        invalid_arg "Eval.compare: pointer vs int"
-    | Undef _, _ | _, Undef _ -> 0
-    | _ -> invalid_arg ("Eval.compare: mixed kinds at " ^ Types.to_string ty)
-  in
-  of_bool (holds cmp c)
+  match (a, b) with
+  | I (ity, x), I (_, y) -> int_setcc_for cmp ity x y
+  | _ ->
+      let c =
+        match (a, b) with
+        | F (_, x), F (_, y) -> Float.compare x y
+        | B x, B y -> Bool.compare x y
+        | P x, P y -> Int64.unsigned_compare x y
+        | P _, I _ | I _, P _ -> invalid_arg "Eval.compare: pointer vs int"
+        | Undef _, _ | _, Undef _ -> 0
+        | _ -> invalid_arg ("Eval.compare: mixed kinds at " ^ Types.to_string ty)
+      in
+      of_bool (holds cmp c)
 
 let compare_scalars ty cmp a b =
   match (a, b) with
@@ -214,16 +246,28 @@ let compare_scalars ty cmp a b =
    extension follows the *source* type's signedness (original LLVM 1.x
    semantics). [cast_to_int] and [cast_to_pointer] are its integer and
    pointer destinations. *)
-let cast_to_int ty v =
-  match v with
-  | B b -> norm ty (if b then 1L else 0L)
-  | I (_, x) -> norm ty x
-  | P a -> norm ty a
-  | F (_, x) ->
-      (* fp -> int truncates toward zero *)
-      let x = if Float.is_nan x then 0.0 else x in
-      norm ty (Int64.of_float x)
-  | Undef _ -> norm ty 0L
+let cast_to_int_for ty : scalar -> scalar =
+  (* the bits a value of each other shape starts from *)
+  let bits = function
+    | B b -> if b then 1L else 0L
+    | I (_, x) -> x
+    | P a -> a
+    | F (_, x) ->
+        (* fp -> int truncates toward zero *)
+        Int64.of_float (if Float.is_nan x then 0.0 else x)
+    | Undef _ -> 0L
+  in
+  match width_of ty with
+  | exception Invalid_argument _ -> fun v -> norm ty (bits v)
+  | w ->
+      let zero = I (ty, normalize w 0L) and one = I (ty, normalize w 1L) in
+      fun v ->
+        match v with
+        | I (_, x) -> I (ty, normalize w x)
+        | B b -> if b then one else zero
+        | v -> I (ty, normalize w (bits v))
+
+let cast_to_int ty v = cast_to_int_for ty v
 
 let cast_to_pointer dst_ty v =
   match v with

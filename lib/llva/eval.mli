@@ -34,6 +34,21 @@ val norm : Types.t -> int64 -> scalar
 (** [norm ty v] is the integer of type [ty] whose bits are [v] reduced to
     the type's width (see {!Ir.normalize_int}). *)
 
+(** {1 Staged forms}
+
+    Each [*_for] function examines its operator and type once and
+    returns a function of the operands, which needs no match on them;
+    [f_for x y a b] is [f x y a b]. The unstaged functions are written
+    as the staged ones applied at once, so both are one definition. *)
+
+val norm_for : Types.t -> int64 -> scalar
+val int_binop_for : Ir.binop -> Types.t -> int64 -> int64 -> scalar
+val cast_to_int_for : Types.t -> scalar -> scalar
+
+val int_setcc_for : Ir.cmp -> Types.t -> int64 -> int64 -> scalar
+(** The integer case of {!compare_scalars}: [int_setcc_for cmp ty x y]
+    is [compare_scalars ty cmp (I (ty, x)) (I (ty, y))]. *)
+
 val type_of : scalar -> Types.t
 val round_float : Types.t -> float -> float
 
@@ -58,15 +73,7 @@ val compare_scalars : Types.t -> Ir.cmp -> scalar -> scalar -> scalar
 (** The [setcc] instructions; signedness follows the operand type.
     Floating comparisons are IEEE-754 unordered: when either operand is
     NaN, every relation except [Ne] is false. On two integers it is
-    [of_bool (holds cmp (int_compare ty x y))], [ty] the first
-    operand's type. *)
-
-val holds : Ir.cmp -> int -> bool
-(** Whether a relation holds of a three-way comparison result. *)
-
-val int_compare : Types.t -> int64 -> int64 -> int
-(** Three-way comparison of two integers, signed or unsigned by the
-    type. [int_compare ty] can be computed once per type. *)
+    {!int_setcc_for} at the first operand's type. *)
 
 val cast : src_ty:Types.t -> dst_ty:Types.t -> scalar -> scalar
 (** The paper's sole conversion mechanism; sign extension follows the

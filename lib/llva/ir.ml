@@ -585,5 +585,7 @@ let opcode_of_code = function
   | 28 -> Phi
   | n -> invalid_arg (Printf.sprintf "Ir.opcode_of_code: %d" n)
 
-let all_opcodes =
-  List.init 28 (fun i -> opcode_of_code (i + 1))
+(* The number of opcodes: codes run from 1 to [opcode_count]. *)
+let opcode_count = 28
+
+let all_opcodes = List.init opcode_count (fun i -> opcode_of_code (i + 1))

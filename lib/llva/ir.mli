@@ -260,7 +260,11 @@ val cmp_name : cmp -> string
 val opcode_name : opcode -> string
 
 val opcode_code : opcode -> int
-(** Fixed 1..28 numbering used by the object-code encoding. *)
+(** Fixed 1..{!opcode_count} numbering used by the object-code encoding. *)
+
+val opcode_count : int
+(** The number of opcodes, 28. An array indexed by {!opcode_code} needs
+    [opcode_count + 1] entries. *)
 
 val opcode_of_code : int -> opcode
 val all_opcodes : opcode list
