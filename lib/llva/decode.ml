@@ -130,11 +130,10 @@ type raw_instr = {
   ree : bool;
 }
 
-(* the 6-bit opcode field of both forms; only codes 1-28 exist *)
-let n_opcodes = List.length Ir.all_opcodes
-
+(* the 6-bit opcode field of both forms; only codes 1 to
+   [Ir.opcode_count] exist *)
 let opcode code =
-  if code >= 1 && code <= n_opcodes then Ir.opcode_of_code code
+  if code >= 1 && code <= Ir.opcode_count then Ir.opcode_of_code code
   else fail (Printf.sprintf "unknown opcode %d" code)
 
 let read_instr tyat r : raw_instr =
