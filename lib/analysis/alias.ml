@@ -78,38 +78,43 @@ and same_base a b =
 let base_object (v : Ir.value) : base =
   match base_object_among [] v with Some b -> b | None -> Bunknown
 
+(* Fold [gep] over the getelementptr chain behind pointer [v], from the
+   value that starts it outwards: gep operand 0 and pointer-to-pointer
+   casts lead back to that value, which [base] maps to the initial
+   accumulator. [None] when [base] or a [gep] gives up. *)
+let fold_chain ~base ~gep (v : Ir.value) =
+  let rec go (v : Ir.value) =
+    match v with
+    | Ir.Vreg ({ Ir.op = Ir.Getelementptr; _ } as i) ->
+        Option.bind (go i.Ir.operands.(0)) (fun acc -> gep acc i)
+    | Ir.Vreg ({ Ir.op = Ir.Cast; _ } as i) -> (
+        match Ir.type_of_value i.Ir.operands.(0) with
+        | Types.Pointer _ -> go i.Ir.operands.(0)
+        | _ -> None)
+    | v -> base v
+  in
+  go v
+
 (* Constant byte offset of [v] from its base object, or None if any gep
    index on the way is non-constant. Pointer-to-pointer casts keep the
    offset. *)
-let rec const_offset (lt : Vmem.Layout.t) (v : Ir.value) : int option =
-  match v with
-  | Ir.Vreg ({ Ir.op = Ir.Getelementptr; _ } as i) -> (
-      match const_offset lt i.Ir.operands.(0) with
-      | None -> None
-      | Some base_off -> (
-          let rec collect k acc =
-            if k >= Array.length i.Ir.operands then Some (List.rev acc)
-            else
-              match i.Ir.operands.(k) with
-              | Ir.Const { cty; ckind = Ir.Cint n } -> collect (k + 1) ((cty, n) :: acc)
-              | _ -> None
-          in
-          match collect 1 [] with
-          | None -> None
-          | Some indexes -> (
-              match
-                Vmem.Layout.gep_offset lt
-                  (Ir.type_of_value i.Ir.operands.(0))
-                  indexes
-              with
-              | off, _ -> Some (base_off + off)
-              | exception (Invalid_argument _ | Types.Unresolved _) -> None)))
-  | Ir.Vreg ({ Ir.op = Ir.Cast; _ } as i) -> (
-      match Ir.type_of_value i.Ir.operands.(0) with
-      | Types.Pointer _ -> const_offset lt i.Ir.operands.(0)
-      | _ -> None)
-  | Ir.Vreg { Ir.op = Ir.Alloca; _ } | Ir.Vglobal _ -> Some 0
-  | _ -> None
+let const_offset (lt : Vmem.Layout.t) (v : Ir.value) : int option =
+  let gep off i =
+    match Vmem.Layout.gep_strides lt i with
+    | Ok (strides, _) ->
+        List.fold_left
+          (fun off s ->
+            match (off, s) with
+            | Some off, Vmem.Layout.Scaled (Ir.Const { ckind = Ir.Cint n; _ }, size) ->
+                Some (off + (Int64.to_int n * size))
+            | Some off, Vmem.Layout.Offset o -> Some (off + o)
+            | _ -> None)
+          (Some off) strides
+    | Error _ | (exception Types.Unresolved _) -> None
+  in
+  fold_chain v ~gep ~base:(function
+    | Ir.Vreg { Ir.op = Ir.Alloca; _ } | Ir.Vglobal _ -> Some 0
+    | _ -> None)
 
 type result = No_alias | May_alias | Must_alias
 

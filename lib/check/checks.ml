@@ -325,78 +325,35 @@ let informative ctx ty (r : Ranges.itv) =
    (the gate for straddle warnings; a provably-bad range is reported
    regardless). *)
 let offset_range ctx (f : Ir.func) (v : Ir.value) : Ranges.itv * bool =
-  let rec walk (v : Ir.value) : Ranges.itv * bool =
-    match v with
-    | Ir.Vreg ({ Ir.op = Ir.Getelementptr; _ } as i) -> (
-        let base_itv, base_prec = walk i.Ir.operands.(0) in
-        try
-          let idx_range k =
-            match i.Ir.operands.(k) with
-            | Ir.Const { ckind = Ir.Cint n; _ } -> (Ranges.Itv (n, n), true)
-            | Ir.Const { ckind = Ir.Czero; _ } -> (Ranges.Itv (0L, 0L), true)
-            | idx ->
-                let r = Ranges.range_at ctx.ranges f i idx in
-                (r, informative ctx (Ir.type_of_value idx) r)
-          in
-          let elem =
-            Types.pointee ctx.env (Ir.type_of_value i.Ir.operands.(0))
-          in
-          let acc = ref base_itv
-          and prec = ref base_prec
-          and ty = ref elem in
-          let nops = Array.length i.Ir.operands in
-          if nops >= 2 then begin
-            let r, p = idx_range 1 in
-            prec := !prec && p;
-            acc :=
-              Ranges.itv_add !acc
-                (Ranges.itv_scale
-                   (Int64.of_int (Vmem.Layout.size_of ctx.lt elem))
-                   r)
-          end;
-          for k = 2 to nops - 1 do
-            match Types.resolve ctx.env !ty with
-            | Types.Array (_, e) ->
-                let r, p = idx_range k in
-                prec := !prec && p;
-                acc :=
-                  Ranges.itv_add !acc
-                    (Ranges.itv_scale
-                       (Int64.of_int (Vmem.Layout.size_of ctx.lt e))
-                       r);
-                ty := e
-            | Types.Struct fields -> (
-                match i.Ir.operands.(k) with
-                | Ir.Const { ckind = Ir.Cint n; _ } ->
-                    let fk = Int64.to_int n in
-                    let fty =
-                      match List.nth_opt fields fk with
-                      | Some fty -> fty
-                      | None -> raise Exit
-                    in
-                    acc :=
-                      Ranges.itv_add !acc
-                        (Ranges.Itv
-                           ( Int64.of_int
-                               (Vmem.Layout.field_offset ctx.lt fields fk),
-                             Int64.of_int
-                               (Vmem.Layout.field_offset ctx.lt fields fk) ));
-                    ty := fty
-                | _ -> raise Exit (* verifier rules this out *))
-            | _ -> raise Exit
-          done;
-          (!acc, !prec)
-        with Invalid_argument _ | Types.Unresolved _ | Exit ->
-          (Ranges.Top, false))
-    | Ir.Vreg ({ Ir.op = Ir.Cast; _ } as i) -> (
-        match Ir.type_of_value i.Ir.operands.(0) with
-        | Types.Pointer _ -> walk i.Ir.operands.(0)
-        | _ -> (Ranges.Top, false))
-    | Ir.Vreg { Ir.op = Ir.Alloca; _ } | Ir.Vglobal _ ->
-        (Ranges.Itv (0L, 0L), true)
-    | _ -> (Ranges.Top, false)
+  let idx_range i (idx : Ir.value) =
+    match idx with
+    | Ir.Const { ckind = Ir.Cint n; _ } -> (Ranges.Itv (n, n), true)
+    | Ir.Const { ckind = Ir.Czero; _ } -> (Ranges.Itv (0L, 0L), true)
+    | idx ->
+        let r = Ranges.range_at ctx.ranges f i idx in
+        (r, informative ctx (Ir.type_of_value idx) r)
   in
-  walk v
+  let gep acc i =
+    try
+      match Vmem.Layout.gep_strides ctx.lt i with
+      | Error _ -> None
+      | Ok (strides, _) ->
+          Some
+            (List.fold_left
+               (fun (acc, prec) -> function
+                 | Vmem.Layout.Scaled (idx, size) ->
+                     let r, p = idx_range i idx in
+                     (Ranges.itv_add acc (Ranges.itv_scale (Int64.of_int size) r), prec && p)
+                 | Vmem.Layout.Offset off ->
+                     let off = Int64.of_int off in
+                     (Ranges.itv_add acc (Ranges.Itv (off, off)), prec))
+               acc strides)
+    with Invalid_argument _ | Types.Unresolved _ -> None
+  in
+  Analysis.Alias.fold_chain v ~gep ~base:(function
+    | Ir.Vreg { Ir.op = Ir.Alloca; _ } | Ir.Vglobal _ -> Some (Ranges.Itv (0L, 0L), true)
+    | _ -> None)
+  |> Option.value ~default:(Ranges.Top, false)
 
 (* ---------- symbolic object lengths (relational layer) ---------- *)
 
@@ -457,70 +414,32 @@ let sym_offset ctx (v : Ir.value) : (Ir.value * int64 * int64) option =
     | Some p -> ( match Ranges.add64 cb p with Some c -> c | None -> raise Exit)
     | None -> raise Exit
   in
-  let rec walk (v : Ir.value) : (Ir.value option * int64 * int64) option =
-    match v with
-    | Ir.Vreg ({ Ir.op = Ir.Getelementptr; _ } as i) -> (
-        match walk i.Ir.operands.(0) with
-        | None -> None
-        | Some (var0, scale0, cb0) -> (
-            try
-              let elem =
-                Types.pointee ctx.env (Ir.type_of_value i.Ir.operands.(0))
-              in
-              let es = Int64.of_int (Vmem.Layout.size_of ctx.lt elem) in
-              let var = ref var0 and scale = ref scale0 and cb = ref cb0 in
-              let nops = Array.length i.Ir.operands in
-              if nops >= 2 then begin
-                match i.Ir.operands.(1) with
-                | Ir.Const { ckind = Ir.Cint n; _ } -> cb := bump !cb n es
-                | Ir.Const { ckind = Ir.Czero; _ } -> ()
-                | idx ->
-                    if !var <> None then raise Exit;
-                    var := Some idx;
-                    scale := es
-              end;
-              let ty = ref elem in
-              for k = 2 to nops - 1 do
-                match Types.resolve ctx.env !ty with
-                | Types.Array (_, e) ->
-                    let esk = Int64.of_int (Vmem.Layout.size_of ctx.lt e) in
-                    (match i.Ir.operands.(k) with
-                    | Ir.Const { ckind = Ir.Cint n; _ } -> cb := bump !cb n esk
-                    | Ir.Const { ckind = Ir.Czero; _ } -> ()
-                    | idx ->
-                        (* the single variable may equally be an array
-                           index (gep [N x t]* %g, 0, %i) *)
-                        if !var <> None then raise Exit;
-                        var := Some idx;
-                        scale := esk);
-                    ty := e
-                | Types.Struct fields -> (
-                    match i.Ir.operands.(k) with
-                    | Ir.Const { ckind = Ir.Cint n; _ } ->
-                        let fk = Int64.to_int n in
-                        (match List.nth_opt fields fk with
-                        | Some fty ->
-                            cb :=
-                              bump !cb
-                                (Int64.of_int
-                                   (Vmem.Layout.field_offset ctx.lt fields fk))
-                                1L;
-                            ty := fty
-                        | None -> raise Exit)
-                    | _ -> raise Exit)
-                | _ -> raise Exit
-              done;
-              Some (!var, !scale, !cb)
-            with Invalid_argument _ | Types.Unresolved _ | Exit -> None))
-    | Ir.Vreg ({ Ir.op = Ir.Cast; _ } as i) -> (
-        match Ir.type_of_value i.Ir.operands.(0) with
-        | Types.Pointer _ -> walk i.Ir.operands.(0)
-        | _ -> None)
-    | Ir.Vreg { Ir.op = Ir.Alloca; _ } | Ir.Vglobal _ | Ir.Varg _ ->
-        Some (None, 0L, 0L)
-    | _ -> None
+  let gep acc i =
+    try
+      match Vmem.Layout.gep_strides ctx.lt i with
+      | Error _ -> None
+      | Ok (strides, _) ->
+          Some
+            (List.fold_left
+               (fun (var, scale, cb) -> function
+                 | Vmem.Layout.Scaled (Ir.Const { ckind = Ir.Cint n; _ }, size) ->
+                     (var, scale, bump cb n (Int64.of_int size))
+                 | Vmem.Layout.Scaled (Ir.Const { ckind = Ir.Czero; _ }, _) ->
+                     (var, scale, cb)
+                 | Vmem.Layout.Scaled (idx, size) ->
+                     (* the single variable may equally be an array index
+                        (gep [N x t]* %g, 0, %i) *)
+                     if Option.is_some var then raise Exit;
+                     (Some idx, Int64.of_int size, cb)
+                 | Vmem.Layout.Offset off -> (var, scale, bump cb (Int64.of_int off) 1L))
+               acc strides)
+    with Invalid_argument _ | Types.Unresolved _ | Exit -> None
   in
-  match walk v with
+  match
+    Analysis.Alias.fold_chain v ~gep ~base:(function
+      | Ir.Vreg { Ir.op = Ir.Alloca; _ } | Ir.Vglobal _ | Ir.Varg _ -> Some (None, 0L, 0L)
+      | _ -> None)
+  with
   | Some (Some var, scale, cb) when scale > 0L -> Some (var, scale, cb)
   | _ -> None
 

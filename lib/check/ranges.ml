@@ -841,13 +841,17 @@ let widen ty old cand =
 
 (* ---------- per-function fixpoint ---------- *)
 
-let analyze_fn t fi ~widen_delay ~max_sweeps =
+let default_widen_delay = 3
+let default_max_sweeps = 40
+let default_max_rounds = 3
+
+let analyze_fn t fi =
   let vals = fi.fi_vals and nargs = Analysis.Numbering.nargs fi.fi_num in
   (* every instruction starts at bottom; the arguments are inputs *)
   Array.fill vals nargs (Array.length vals - nargs) Bot;
   let nb = Array.length fi.fi_steps in
   let sweep = ref 0 and changed = ref true in
-  while !changed && !sweep < max_sweeps do
+  while !changed && !sweep < default_max_sweeps do
     incr sweep;
     changed := false;
     for bk = 0 to nb - 1 do
@@ -860,7 +864,7 @@ let analyze_fn t fi ~widen_delay ~max_sweeps =
             if
               (match st.s_op with Sphi _ -> true | _ -> false)
               && fi.fi_loopdepth.(bk) > 0
-              && !sweep > widen_delay
+              && !sweep > default_widen_delay
               && not (itv_equal cand old)
             then widen st.s_ty old cand
             else cand
@@ -1456,16 +1460,11 @@ let compute_relations t cg =
 
 (* ---------- interprocedural driver ---------- *)
 
-let default_widen_delay = 3
-let default_max_sweeps = 40
-let default_max_rounds = 3
 let scc_iter_budget = 5
 
 (* [cg] is [m]'s call graph, computed here when the caller has none to
    share. *)
-let compute ?(widen_delay = default_widen_delay)
-    ?(max_sweeps = default_max_sweeps) ?(max_rounds = default_max_rounds) ?cg
-    ?(facts = Facts.create ()) (m : Ir.modl) : t =
+let compute ?cg ?(facts = Facts.create ()) (m : Ir.modl) : t =
   let renv = Ir.type_env m in
   let t =
     {
@@ -1515,7 +1514,7 @@ let compute ?(widen_delay = default_widen_delay)
             (fun fi ->
               let inputs = Some (fn_inputs fi) in
               if fi.fi_inputs <> inputs then begin
-                analyze_fn t fi ~widen_delay ~max_sweeps;
+                analyze_fn t fi;
                 fi.fi_inputs <- inputs
               end)
             fis
@@ -1528,7 +1527,7 @@ let compute ?(widen_delay = default_widen_delay)
             List.iter
               (fun fi ->
                 let old = fi.fi_ret in
-                analyze_fn t fi ~widen_delay ~max_sweeps;
+                analyze_fn t fi;
                 if fi.fi_ret <> old then stable := false)
               fis
           done;
@@ -1547,7 +1546,7 @@ let compute ?(widen_delay = default_widen_delay)
             List.iter
               (fun fi ->
                 let keep = fi.fi_ret in
-                analyze_fn t fi ~widen_delay ~max_sweeps;
+                analyze_fn t fi;
                 fi.fi_ret <- keep;
                 fi.fi_fp <- false)
               fis
@@ -1566,7 +1565,7 @@ let compute ?(widen_delay = default_widen_delay)
     && not (Analysis.Callgraph.is_address_taken cg f)
   in
   let continue_ = ref true in
-  while !continue_ && t.rounds < max_rounds do
+  while !continue_ && t.rounds < default_max_rounds do
     let joins : (int, itv array) Hashtbl.t = Hashtbl.create 16 in
     List.iter
       (fun (f : Ir.func) ->

@@ -119,33 +119,18 @@ let fop_of ctx (op : Ir.binop) : Native.fop =
 (* A getelementptr's constant byte offset, summed over its indexes;
    [scale op size] lowers each variable index [op] of stride [size]. *)
 let gep_offset ctx (i : Ir.instr) ~scale =
-  let elem = Types.pointee ctx.env (Ir.type_of_value i.Ir.operands.(0)) in
-  let disp = ref 0 and cur_ty = ref elem in
-  let index op size =
-    match op with
-    | Ir.Const { ckind = Ir.Cint n; _ } ->
-        disp := !disp + (Int64.to_int n * size)
-    | _ -> scale op size
-  in
-  Array.iteri
-    (fun k op ->
-      if k = 1 then index op (Vmem.Layout.size_of ctx.lt elem)
-      else if k > 1 then
-        match Types.resolve ctx.env !cur_ty with
-        | Types.Struct fields ->
-            let fk =
-              match op with
-              | Ir.Const { ckind = Ir.Cint n; _ } -> Int64.to_int n
-              | _ -> invalid_arg (ctx.name ^ ": variable struct index")
-            in
-            disp := !disp + Vmem.Layout.field_offset ctx.lt fields fk;
-            cur_ty := List.nth fields fk
-        | Types.Array (_, e) ->
-            index op (Vmem.Layout.size_of ctx.lt e);
-            cur_ty := e
-        | t -> invalid_arg (ctx.name ^ ": gep into " ^ Types.to_string t))
-    i.Ir.operands;
-  !disp
+  match Vmem.Layout.gep_strides ctx.lt i with
+  | Error e -> invalid_arg (ctx.name ^ ": " ^ Gep.message e)
+  | Ok (strides, _) ->
+      List.fold_left
+        (fun disp -> function
+          | Vmem.Layout.Scaled (Ir.Const { ckind = Ir.Cint n; _ }, size) ->
+              disp + (Int64.to_int n * size)
+          | Vmem.Layout.Scaled (op, size) ->
+              scale op size;
+              disp
+          | Vmem.Layout.Offset off -> disp + off)
+        0 strides
 
 module type ISA = sig
   include Peephole.ISA

@@ -40,7 +40,9 @@ type stats = {
    constants (constants, global and function addresses). So every operand
    is a slot, decided at decoding. Types and layout facts are computed
    ahead, branch targets are positions carrying their phi moves, and
-   getelementptr is folded to a constant offset plus scaled terms.
+   getelementptr is folded over [Vmem.Layout.strides] to a constant
+   offset plus scaled terms; no layout is walked at run time, so a gep
+   the type walk refuses is one that cannot be resolved.
    Anything that cannot be resolved becomes an instruction that raises
    the exception when it executes, never at decoding; with several, the
    first operand's.
@@ -575,34 +577,30 @@ and decode st (f : Ir.func) : form =
     let idx = Array.sub i.Ir.operands 1 (Array.length i.Ir.operands - 1) in
     let ops = Array.map operand idx in
     let d = dst i in
-    let fold () =
-      let lt = st.layout in
-      let const = ref 0 and terms = ref [] in
-      let add k v scale =
-        match reg v with
-        | Some _ -> terms := (ops.(k), scale) :: !terms
-        | None -> const := !const + (Int64.to_int (Eval.to_int64 (constant_value st v)) * scale)
-      in
-      let elem = Types.pointee lt.Vmem.Layout.env ptr_ty in
-      let ty = ref elem in
-      Array.iteri
-        (fun k v ->
-          if k = 0 then add k v (Vmem.Layout.size_of lt elem)
-          else
-            match (Types.resolve lt.Vmem.Layout.env !ty, reg v) with
-            | Types.Array (_, e), _ ->
-                add k v (Vmem.Layout.size_of lt e);
-                ty := e
-            | Types.Struct fields, None ->
-                let n = Int64.to_int (Eval.to_int64 (constant_value st v)) in
-                let fty = Option.get (List.nth_opt fields n) in
-                const := !const + Vmem.Layout.field_offset lt fields n;
-                ty := fty
-            | _ -> raise Exit)
-        idx;
-      (!const, List.rev !terms)
+    (* the byte offset: a constant plus (slot, scale) terms *)
+    let strides =
+      match
+        Vmem.Layout.strides st.layout
+          ~const:(fun (v, _) -> Gep.int_const v)
+          ptr_ty
+          (List.combine (Array.to_list idx) (Array.to_list ops))
+      with
+      | Ok (strides, _) -> strides
+      | Error e -> invalid_arg ("Interp: " ^ Gep.message e)
     in
-    match fold () with
+    let const, terms =
+      List.fold_left
+        (fun (const, terms) -> function
+          | Vmem.Layout.Scaled ((v, k), scale) -> (
+              match reg v with
+              | Some _ -> (const, (k, scale) :: terms)
+              | None ->
+                  let c = Int64.to_int (Eval.to_int64 (constant_value st v)) in
+                  (const + (c * scale), terms))
+          | Vmem.Layout.Offset off -> (const + off, terms))
+        (0, []) strides
+    in
+    match (const, List.rev terms) with
     | const, [] ->
         let const = Int64.of_int const in
         fun fr ->
@@ -631,20 +629,6 @@ and decode st (f : Ir.func) : form =
             off := !off + (Int64.to_int (Eval.to_int64 (Array.unsafe_get r idx)) * scale)
           done;
           Array.unsafe_set r d (Eval.P (Int64.logand (Int64.add p (Int64.of_int !off)) mask));
-          proceed fr pos next
-    | exception _ ->
-        (* geps the decoder could not fold go through Layout.gep_offset *)
-        let indexes = Array.map2 (fun v k -> (Ir.type_of_value v, k)) idx ops in
-        fun fr ->
-          fr.pc <- pos;
-          let r = fr.regs in
-          let p = Eval.to_int64 (Array.unsafe_get r ptr) in
-          let indexes =
-            Array.to_list
-              (Array.map (fun (ty, k) -> (ty, Eval.to_int64 (Array.unsafe_get r k))) indexes)
-          in
-          let off, _ = Vmem.Layout.gep_offset fr.st.layout ptr_ty indexes in
-          Array.unsafe_set r d (Eval.P (Int64.logand (Int64.add p (Int64.of_int off)) mask));
           proceed fr pos next
   in
   let decode_instr (b : Ir.block) (i : Ir.instr) ~after pos next : op =

@@ -800,7 +800,7 @@ let fresh_run t =
     peep_table = None (* re-acquired (cache load, normally) on next use *);
   }
 
-let reoptimize ?fuel ?(validate = true) t : t * int =
+let reoptimize ?fuel t : t * int =
   (* profile and relayout the same decoded copy so block ids line up *)
   let m = Decode.decode t.bytes in
   let prof, _, _ = Profile.collect ?fuel m in
@@ -810,7 +810,6 @@ let reoptimize ?fuel ?(validate = true) t : t * int =
       ~peephole:t.peephole ~target:t.target m
   in
   if moved = 0 then (t', 0)
-  else if not validate then (t', moved)
   else begin
     (* idle-time validation: block reordering also perturbs downstream
        register allocation, so measure both translations and keep the

@@ -9,13 +9,13 @@ open Llva
 type trace = { entry : Ir.block; blocks : Ir.block list }
 
 (* Grow a trace from [start], repeatedly following the hottest successor
-   edge, stopping at cold edges, repeats, or trace length limits. *)
-let grow_trace (prof : Profile.t) ?(max_len = 16) ?(min_ratio = 0.6)
-    (start : Ir.block) : trace =
+   edge, stopping at an edge with under 60% of its block's outgoing
+   count, at a repeat, or at 16 blocks. *)
+let grow_trace (prof : Profile.t) (start : Ir.block) : trace =
   let in_trace = Hashtbl.create 8 in
   Hashtbl.replace in_trace start.Ir.blid ();
   let rec go acc cur len =
-    if len >= max_len then List.rev acc
+    if len >= 16 then List.rev acc
     else
       let succs = Ir.successors cur in
       let total =
@@ -34,7 +34,7 @@ let grow_trace (prof : Profile.t) ?(max_len = 16) ?(min_ratio = 0.6)
         in
         match best with
         | Some (s, c)
-          when float_of_int c >= min_ratio *. float_of_int total
+          when float_of_int c >= 0.6 *. float_of_int total
                && not (Hashtbl.mem in_trace s.Ir.blid) ->
             Hashtbl.replace in_trace s.Ir.blid ();
             go (s :: acc) s (len + 1)
@@ -42,13 +42,13 @@ let grow_trace (prof : Profile.t) ?(max_len = 16) ?(min_ratio = 0.6)
   in
   { entry = start; blocks = start :: go [] start 1 }
 
-(* Pick trace seeds: the hottest blocks (typically loop headers), hottest
-   first, skipping blocks already covered by an earlier trace. *)
-let form_traces (prof : Profile.t) ?(max_traces = 8) ?(min_count = 16)
-    (f : Ir.func) : trace list =
+(* Pick trace seeds: the hottest blocks (typically loop headers) run at
+   least 16 times, hottest first, skipping blocks already covered by an
+   earlier trace; at most 8 traces. *)
+let form_traces (prof : Profile.t) (f : Ir.func) : trace list =
   let candidates =
     List.filter
-      (fun b -> Profile.block_count prof b >= min_count)
+      (fun b -> Profile.block_count prof b >= 16)
       f.Ir.fblocks
     |> List.sort
          (fun a b ->
@@ -59,7 +59,7 @@ let form_traces (prof : Profile.t) ?(max_traces = 8) ?(min_count = 16)
   List.iter
     (fun b ->
       if
-        List.length !traces < max_traces
+        List.length !traces < 8
         && not (Hashtbl.mem covered b.Ir.blid)
       then begin
         let t = grow_trace prof b in

@@ -85,31 +85,12 @@ let alloca ?name ?count builder elem_ty =
   let operands = match count with None -> [] | Some c -> [ c ] in
   emit ?name builder Alloca operands (Types.Pointer elem_ty)
 
-(* Compute the result type of a getelementptr given the pointer type and
-   index list. First index steps over the pointer; subsequent indexes walk
-   into arrays (any integer index) and structures (constant uint field
-   numbers). *)
+(* The result type of a getelementptr on a pointer of type [ptr_ty]
+   ({!Gep.walk}). *)
 let gep_result_type env ptr_ty indexes =
-  let elem = Types.pointee env ptr_ty in
-  let rec walk ty = function
-    | [] -> ty
-    | idx :: rest -> (
-        match Types.resolve env ty with
-        | Types.Array (_, elem) -> walk elem rest
-        | Types.Struct fields -> (
-            match idx with
-            | Const { ckind = Cint n; _ } -> (
-                match List.nth_opt fields (Int64.to_int n) with
-                | Some fty -> walk fty rest
-                | None -> invalid_arg "gep: struct field index out of range")
-            | _ -> invalid_arg "gep: struct index must be a constant")
-        | t ->
-            invalid_arg
-              ("gep: cannot index into " ^ Types.to_string t))
-  in
-  match indexes with
-  | [] -> Types.Pointer elem
-  | _first :: rest -> Types.Pointer (walk elem rest)
+  match Gep.walk env ~const:Gep.int_const ptr_ty indexes with
+  | Ok (_, ty) -> Types.Pointer ty
+  | Error e -> invalid_arg ("gep: " ^ Gep.message e)
 
 let getelementptr ?name builder ptr indexes =
   let ty = gep_result_type builder.env (type_of_value ptr) indexes in

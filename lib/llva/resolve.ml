@@ -76,31 +76,16 @@ let pointee ctx ty =
   | Types.Pointer t -> t
   | t -> fail "expected a pointer, got %s" (Types.to_string t)
 
-(* Result type of a GEP from the AST: struct indexes must be integer
-   literals. *)
+(* Result type of a GEP from the AST: a struct index is a constant
+   when it resolves to an integer constant, as in object code. *)
 let gep_type ctx parts =
+  let const (ty, v) = Gep.int_const (Ir.Const (resolve_const ty v)) in
   match parts with
   | [] -> fail "getelementptr needs a pointer operand"
-  | (pty, _) :: indexes ->
-      let elem = pointee ctx pty in
-      let rec walk ty = function
-        | [] -> Types.Pointer ty
-        | (_, idx) :: rest -> (
-            match Types.resolve ctx.env ty with
-            | Types.Array (_, e) -> walk e rest
-            | Types.Struct fields -> (
-                match idx with
-                | Parser.Vconst (Parser.Aint n) -> (
-                    match List.nth_opt fields (Int64.to_int n) with
-                    | Some fty -> walk fty rest
-                    | None -> fail "struct field index out of range")
-                | _ -> fail "struct index must be a constant integer")
-            | t -> fail "cannot index into %s" (Types.to_string t))
-      in
-      (* the first index steps over the pointer itself *)
-      (match indexes with
-      | [] -> Types.Pointer elem
-      | _ :: rest -> walk elem rest)
+  | (pty, _) :: indexes -> (
+      match Gep.walk ctx.env ~const pty indexes with
+      | Ok (_, ty) -> Types.Pointer ty
+      | Error e -> fail "%s" (Gep.message e))
 
 let call_result_type ctx ty =
   match Types.resolve ctx.env ty with

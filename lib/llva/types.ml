@@ -34,14 +34,18 @@ let env_of_typedefs defs : env =
 
 exception Unresolved of string
 
-(* Resolve one level of naming: the result is never [Named _]. *)
-let rec resolve env ty =
+(* Resolve one level of naming: the result is never [Named _]. A chain
+   of more names than [env] defines has come round to one of them again:
+   [Unresolved] names the name it is at. *)
+let rec resolve_after env hops ty =
   match ty with
   | Named n -> (
       match Hashtbl.find_opt env n with
-      | Some ty' -> resolve env ty'
-      | None -> raise (Unresolved n))
+      | Some ty' when hops < Hashtbl.length env -> resolve_after env (hops + 1) ty'
+      | _ -> raise (Unresolved n))
   | _ -> ty
+
+let resolve env ty = resolve_after env 0 ty
 
 let is_integer = function
   | Ubyte | Sbyte | Ushort | Short | Uint | Int | Ulong | Long -> true
@@ -121,13 +125,17 @@ let rec equal a b =
       false
 
 (* Equality up to named-type resolution (one level at a time, with a fuel
-   bound so mutually recursive names cannot loop forever). *)
+   bound so mutually recursive names cannot loop forever); a name that
+   does not resolve equals only itself. *)
 let equal_resolved env a b =
   let rec go fuel a b =
     if fuel = 0 then equal a b
     else
       match (a, b) with
-      | Named _, _ | _, Named _ -> go (fuel - 1) (resolve env a) (resolve env b)
+      | Named _, _ | _, Named _ -> (
+          match (resolve env a, resolve env b) with
+          | a', b' -> go (fuel - 1) a' b'
+          | exception Unresolved _ -> equal a b)
       | _ -> equal a b
   in
   go 64 a b

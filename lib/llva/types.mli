@@ -35,7 +35,8 @@ exception Unresolved of string
 
 val resolve : env -> t -> t
 (** Resolve [Named] references until a structural type is reached.
-    @raise Unresolved on an unknown name. *)
+    @raise Unresolved on an unknown name or on names that lead back to
+    themselves. *)
 
 (** {1 Classification} *)
 
@@ -70,7 +71,8 @@ val equal : t -> t -> bool
 (** Structural equality; [Named] compares by name. *)
 
 val equal_resolved : env -> t -> t -> bool
-(** Equality up to named-type resolution. *)
+(** Equality up to named-type resolution; a name that does not resolve
+    equals only itself. *)
 
 val to_string : t -> string
 (** The assembly syntax, e.g. ["{ double, [4 x %QT*] }"]. *)

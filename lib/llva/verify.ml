@@ -49,6 +49,27 @@ let rec check_names ctx (ty : Types.t) =
   | Func (r, ps, _) -> List.iter (check_names ctx) (r :: ps)
   | _ -> ()
 
+(* A named type that contains itself by value, through struct fields,
+   array elements or names but not through a pointer, has no size. *)
+let check_by_value ctx (m : modl) =
+  List.iter
+    (fun (n, ty) ->
+      let seen = Hashtbl.create 8 in
+      let rec reaches (ty : Types.t) =
+        match ty with
+        | Named n' when String.equal n' n -> true
+        | Named n' when not (Hashtbl.mem seen n') -> (
+            Hashtbl.replace seen n' ();
+            match Hashtbl.find_opt ctx.env n' with
+            | Some ty' -> reaches ty'
+            | None -> false)
+        | Array (_, t) -> reaches t
+        | Struct ts -> List.exists reaches ts
+        | _ -> false
+      in
+      if reaches ty then err ctx "type %%%s contains itself" n)
+    m.typedefs
+
 (* ---------- per-instruction type rules ---------- *)
 
 let check_instr ctx i =
@@ -187,13 +208,27 @@ let check_instr ctx i =
   | Getelementptr ->
       if nops < 1 then err ctx "getelementptr missing pointer"
       else begin
-        (match rty 0 with
-        | Types.Pointer _ -> ()
-        | t -> err ctx "getelementptr on non-pointer %s" (Types.to_string t));
+        let pointer =
+          match rty 0 with
+          | Types.Pointer _ -> true
+          | t ->
+              err ctx "getelementptr on non-pointer %s" (Types.to_string t);
+              false
+        in
         for k = 1 to nops - 1 do
           if not (Types.is_integer (rty k)) then
             err ctx "getelementptr index %d not an integer" k
-        done
+        done;
+        if pointer then
+          match Gep.of_instr ctx.env i with
+          | Ok (_, ty) ->
+              if not (Types.equal_resolved ctx.env i.ity (Types.Pointer ty)) then
+                err ctx "getelementptr result type %s, expected %s*"
+                  (Types.to_string i.ity) (Types.to_string ty)
+          | Error e -> err ctx "getelementptr: %s" (Gep.message e)
+          | exception Types.Unresolved _ ->
+              (* reported once, like every other undefined name *)
+              check_names ctx (ty 0)
       end
   | Alloca -> (
       if nops > 1 then err ctx "alloca expects at most one operand";
@@ -448,6 +483,7 @@ let verify_module (m : modl) : string list =
       named = Hashtbl.create 16;
     }
   in
+  check_by_value ctx m;
   (* symbol uniqueness *)
   let seen = Hashtbl.create 64 in
   List.iter

@@ -4,9 +4,9 @@
 
 open Llva
 
-let run_module ?(roots = [ "main" ]) (m : Ir.modl) : int =
+let run_module (m : Ir.modl) : int =
   let cg = Analysis.Callgraph.compute m in
-  let root_funcs = List.filter_map (Ir.find_func m) roots in
+  let root_funcs = Option.to_list (Ir.find_func m "main") in
   let root_funcs = if root_funcs = [] then m.Ir.funcs else root_funcs in
   let reachable = Analysis.Callgraph.reachable_from cg root_funcs in
   let removed = ref 0 in

@@ -9,7 +9,8 @@
 
 open Llva
 
-let default_threshold = 60
+(* callees of at most this many instructions are inlined *)
+let threshold = 60
 
 (* ---------- cloning ---------- *)
 
@@ -183,7 +184,7 @@ let inline_call (call : Ir.instr) (callee : Ir.func) : bool =
 
 let function_size (f : Ir.func) = Ir.instr_count f
 
-let run_module ?(threshold = default_threshold) (m : Ir.modl) : int =
+let run_module (m : Ir.modl) : int =
   let cg = Analysis.Callgraph.compute m in
   let inlined = ref 0 in
   List.iter

@@ -55,31 +55,34 @@ let field_offset lt fields k =
   in
   go 0 0 fields
 
+(* The byte-stride view of a getelementptr: each step of {!Gep.walk} as
+   "index × element size" or "+ field offset", in index order. *)
+type 'a stride = Scaled of 'a * int | Offset of int
+
+let view lt =
+  Result.map (fun (steps, ty) ->
+      ( List.map
+          (function
+            | Gep.Elem (e, idx) -> Scaled (idx, size_of lt e)
+            | Gep.Field (fields, k) -> Offset (field_offset lt fields k))
+          steps,
+        ty ))
+
+let strides lt ~const ptr_ty indexes = view lt (Gep.walk lt.env ~const ptr_ty indexes)
+
+(* the strides of a getelementptr instruction ({!Gep.of_instr}) *)
+let gep_strides lt i = view lt (Gep.of_instr lt.env i)
+
 (* The byte offset a getelementptr adds, given the pointer operand type and
    the index list as (type, int64) pairs. Returns the offset and the
    pointee type of the result. *)
 let gep_offset lt ptr_ty indexes =
-  let elem = Types.pointee lt.env ptr_ty in
-  match indexes with
-  | [] -> (0, elem)
-  | (_, first) :: rest ->
-      let off0 = Int64.to_int first * size_of lt elem in
-      let rec walk off ty = function
-        | [] -> (off, ty)
-        | (_, idx) :: rest -> (
-            match Types.resolve lt.env ty with
-            | Types.Array (_, e) ->
-                walk (off + (Int64.to_int idx * size_of lt e)) e rest
-            | Types.Struct fields ->
-                let k = Int64.to_int idx in
-                let fty =
-                  match List.nth_opt fields k with
-                  | Some f -> f
-                  | None -> invalid_arg "Layout.gep_offset: bad field index"
-                in
-                walk (off + field_offset lt fields k) fty rest
-            | t ->
-                invalid_arg
-                  ("Layout.gep_offset: cannot index into " ^ Types.to_string t))
-      in
-      walk off0 elem rest
+  match strides lt ~const:(fun (_, n) -> Some n) ptr_ty indexes with
+  | Ok (strides, ty) ->
+      ( List.fold_left
+          (fun off -> function
+            | Scaled ((_, n), size) -> off + (Int64.to_int n * size)
+            | Offset o -> off + o)
+          0 strides,
+        ty )
+  | Error e -> invalid_arg ("Layout.gep_offset: " ^ Gep.message e)

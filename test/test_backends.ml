@@ -1051,10 +1051,11 @@ caught:
 }
 |}
 
-(* [src] ends the same way on all five engines as on the interpreter:
-   exit code, output and, for a trap, its kind and the function it names.
-   Unlike [check_agreement], this sees programs that end in a trap. *)
-let check_like_interp ?(expect = "") src =
+(* [results], the runs [Gen.engine_results] made, end the same way on
+   all five engines as on the interpreter: exit code, output and, for a
+   trap, its kind and the function it names. Unlike [check_agreement],
+   this sees programs that end in a trap. *)
+let agree_with_interp ~expect results =
   let summary (o : Llee.Outcome.t) out =
     let trap =
       match o with
@@ -1067,7 +1068,7 @@ let check_like_interp ?(expect = "") src =
     in
     Printf.sprintf "%d%s, output %S" (Llee.Outcome.exit_code o) trap out
   in
-  match five_engines src with
+  match results with
   | [] -> ()
   | (_, o, out) :: rest ->
       let reference = summary o out in
@@ -1077,6 +1078,9 @@ let check_like_interp ?(expect = "") src =
           check_string (engine ^ " agrees with interp") reference
             (summary o out))
         rest
+
+(* the same for the program [src] *)
+let check_like_interp ?(expect = "") src = agree_with_interp ~expect (five_engines src)
 
 (* the handler programs below trap in %f, on a zero divisor loaded from
    a global so that nothing folds it *)
@@ -1217,6 +1221,43 @@ let test_live_aggregate_store () =
   check_like_interp ~expect:"134 invalid operation in %main, output \"\""
     (aggregate_store ~live:true)
 
+(* A struct index that is not a constant is refused by the verifier
+   and, in object code that was never verified, by all five engines
+   alike: the interpreter no longer selects the field at run time. *)
+let test_register_struct_index () =
+  let m = Ir.mk_module ~name:"regidx" () in
+  let pair = Types.Struct [ Types.Int; Types.Int ] in
+  let int k = { Ir.cty = Types.Int; ckind = Ir.Cint k } in
+  let g =
+    Ir.mk_global ~name:"g" ~ty:pair
+      ~init:{ Ir.cty = pair; ckind = Ir.Cstruct [ int 20L; int 22L ] }
+      ()
+  in
+  Ir.add_global m g;
+  let f = Ir.mk_func ~name:"main" ~return:Types.Int ~params:[] () in
+  Ir.add_func m f;
+  let b = Ir.mk_block ~name:"entry" () in
+  Ir.append_block f b;
+  let emit op ops ty =
+    let i = Ir.mk_instr op ops ty in
+    Ir.append_instr b i;
+    Ir.Vreg i
+  in
+  let uint k = Ir.const_int Types.Uint k in
+  let k = emit (Ir.Binop Ir.Add) [| uint 0L; uint 1L |] Types.Uint in
+  let p =
+    emit Ir.Getelementptr [| Ir.Vglobal g; Ir.const_int Types.Long 0L; k |]
+      (Types.Pointer Types.Int)
+  in
+  ignore (emit Ir.Ret [| emit Ir.Load [| p |] Types.Int |] Types.Void);
+  let m = Decode.decode (Encode.encode m) in
+  Alcotest.(check (list string))
+    "verifier refuses the register struct index"
+    [ "function %main block %bb0: getelementptr: struct index must be a constant integer" ]
+    (Verify.verify_module m);
+  agree_with_interp ~expect:"134 invalid operation in %main, output \"\""
+    (Gen.engine_results m)
+
 (* The flags round-trip through their unboxed form. *)
 let test_flags_roundtrip () =
   let cm = X86lite.Compile.compile_module (Gen.parse "int %main() {\nentry:\n  ret int 0\n}") in
@@ -1328,6 +1369,8 @@ let suite =
       test_handler_unwind_uncaught;
     Alcotest.test_case "dead aggregate store" `Quick test_dead_aggregate_store;
     Alcotest.test_case "live aggregate store" `Quick test_live_aggregate_store;
+    Alcotest.test_case "register struct index (five engines)" `Quick
+      test_register_struct_index;
     Alcotest.test_case "flags roundtrip" `Quick test_flags_roundtrip;
     Alcotest.test_case "step loop allocation-free" `Quick
       test_step_allocation_free;

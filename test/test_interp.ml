@@ -1093,7 +1093,7 @@ let prop_specialized_agree =
             let field = if field then [ (Types.Ubyte, 1L) ] else [] in
             let idx = (ty_of 1, Eval.to_int64 i) :: field in
             eval (fun () ->
-                let off, _ = Vmem.Layout.gep_offset st.Interp.layout (ty_of 0) idx in
+                let off, _ = Gep_ref.gep_offset st.Interp.layout (ty_of 0) idx in
                 masked (Eval.P (Int64.add (Eval.to_int64 p) (Int64.of_int off))))
         | S_load t, [ p ] ->
             let a = Eval.to_int64 p in
@@ -1107,6 +1107,13 @@ let prop_specialized_agree =
         | _ -> assert false
       in
       let got = try Ok (Interp.run_function st "f" ops) with e -> Error e in
+      (* a gep the reference walk refuses, the interpreter refuses when it
+         runs, each in its own words *)
+      let expected =
+        match (c.sop, expected, got) with
+        | S_gep _, Error (Invalid_argument _), Error (Invalid_argument _) -> got
+        | _ -> expected
+      in
       let same_bytes lo =
         let bytes mem = Vmem.Memory.read_bytes mem lo 32 in
         Bytes.equal (bytes st.Interp.mem) (bytes reference)
