@@ -225,13 +225,16 @@ module Make (I : ISA) : S with type instr = I.instr = struct
       ref (I.slot_base + (8 * (n_value_slots + plan.Phiplan.n_transfer_slots)))
     in
     let alloca_offsets = Idtbl.create 8 in
+    (* a static alloca of a type with no size gets no offset: lowered as
+       a dynamic one, it raises the same error and becomes a trap *)
     Ir.iter_instrs
       (fun i ->
-        if i.Ir.op = Ir.Alloca && Array.length i.Ir.operands = 0 then begin
-          let elem = Types.pointee env i.Ir.ity in
-          bottom := !bottom + ((Vmem.Layout.size_of lt elem + 7) / 8 * 8);
-          Idtbl.replace alloca_offsets i.Ir.iid !bottom
-        end)
+        if i.Ir.op = Ir.Alloca && Array.length i.Ir.operands = 0 then
+          match Vmem.Layout.size_of lt (Types.pointee env i.Ir.ity) with
+          | size ->
+              bottom := !bottom + ((size + 7) / 8 * 8);
+              Idtbl.replace alloca_offsets i.Ir.iid !bottom
+          | exception Vmem.Layout.Self_containing _ -> ())
       f;
     (* each save slot is built once: the prologue and every epilogue
        share it, and the marshaled code records that sharing *)

@@ -61,6 +61,9 @@ let protect ~engine ?(current = fun () -> "main") (f : unit -> int) : t =
   | exception Types.Unresolved n ->
       (* a reference to a named type the module never defines *)
       trapped (Invalid_operation ("unresolved type %" ^ n))
+  | exception Vmem.Layout.Self_containing n ->
+      (* a type with no size, which the verifier refuses *)
+      trapped (Invalid_operation ("type %" ^ n ^ " contains itself"))
   | exception Invalid_argument msg ->
       (* e.g. Eval.cast float → pointer on an ill-typed module; must be
          contained as an outcome, never escape as an OCaml exception *)

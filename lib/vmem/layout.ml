@@ -10,40 +10,63 @@ type t = { target : Target.config; env : Types.env }
 let create ?(env = Types.empty_env ()) target = { target; env }
 let for_module (m : Ir.modl) = { target = m.Ir.target; env = Ir.type_env m }
 
-let rec align_of lt ty =
-  match Types.resolve lt.env ty with
-  | Types.Void | Types.Label -> 1
-  | Types.Bool | Types.Ubyte | Types.Sbyte -> 1
-  | Types.Ushort | Types.Short -> 2
-  | Types.Uint | Types.Int | Types.Float -> 4
-  | Types.Ulong | Types.Long | Types.Double -> 8
-  | Types.Pointer _ -> lt.target.Target.ptr_size
-  | Types.Array (_, elem) -> align_of lt elem
-  | Types.Struct fields ->
-      List.fold_left (fun a f -> max a (align_of lt f)) 1 fields
-  | Types.Func _ -> lt.target.Target.ptr_size
-  | Types.Named _ -> assert false
+(* A type that contains itself by value has no size. One path down a
+   type's fields and elements that expands more names than the env
+   defines has expanded one of them twice, so the walks below stop
+   there and raise [Self_containing] with that name, where the
+   recursion would otherwise run until the stack overflows. *)
+exception Self_containing of string
 
+let () =
+  Printexc.register_printer (function
+    | Self_containing n -> Some ("type %" ^ n ^ " contains itself")
+    | _ -> None)
+
+(* [ty] resolved, and the names expanded on the path down to it *)
+let expand lt hops ty =
+  let r = Types.resolve lt.env ty in
+  match ty with
+  | Types.Named n when hops >= Hashtbl.length lt.env -> raise (Self_containing n)
+  | Types.Named _ -> (r, hops + 1)
+  | _ -> (r, hops)
+
+let rec align_at lt hops ty =
+  match expand lt hops ty with
+  | (Types.Void | Types.Label), _ -> 1
+  | (Types.Bool | Types.Ubyte | Types.Sbyte), _ -> 1
+  | (Types.Ushort | Types.Short), _ -> 2
+  | (Types.Uint | Types.Int | Types.Float), _ -> 4
+  | (Types.Ulong | Types.Long | Types.Double), _ -> 8
+  | Types.Pointer _, _ -> lt.target.Target.ptr_size
+  | Types.Array (_, elem), hops -> align_at lt hops elem
+  | Types.Struct fields, hops ->
+      List.fold_left (fun a f -> max a (align_at lt hops f)) 1 fields
+  | Types.Func _, _ -> lt.target.Target.ptr_size
+  | Types.Named _, _ -> assert false
+
+let align_of lt ty = align_at lt 0 ty
 let round_up v a = (v + a - 1) / a * a
 
-let rec size_of lt ty =
-  match Types.resolve lt.env ty with
-  | Types.Void | Types.Label -> 0
-  | Types.Bool | Types.Ubyte | Types.Sbyte -> 1
-  | Types.Ushort | Types.Short -> 2
-  | Types.Uint | Types.Int | Types.Float -> 4
-  | Types.Ulong | Types.Long | Types.Double -> 8
-  | Types.Pointer _ -> lt.target.Target.ptr_size
-  | Types.Array (n, elem) -> n * size_of lt elem
-  | Types.Struct fields ->
+let rec size_at lt hops ty =
+  match expand lt hops ty with
+  | (Types.Void | Types.Label), _ -> 0
+  | (Types.Bool | Types.Ubyte | Types.Sbyte), _ -> 1
+  | (Types.Ushort | Types.Short), _ -> 2
+  | (Types.Uint | Types.Int | Types.Float), _ -> 4
+  | (Types.Ulong | Types.Long | Types.Double), _ -> 8
+  | Types.Pointer _, _ -> lt.target.Target.ptr_size
+  | Types.Array (n, elem), hops -> n * size_at lt hops elem
+  | Types.Struct fields, hops ->
       let off =
         List.fold_left
-          (fun off f -> round_up off (align_of lt f) + size_of lt f)
+          (fun off f -> round_up off (align_at lt hops f) + size_at lt hops f)
           0 fields
       in
-      round_up off (align_of lt (Types.Struct fields))
-  | Types.Func _ -> lt.target.Target.ptr_size
-  | Types.Named _ -> assert false
+      round_up off (List.fold_left (fun a f -> max a (align_at lt hops f)) 1 fields)
+  | Types.Func _, _ -> lt.target.Target.ptr_size
+  | Types.Named _, _ -> assert false
+
+let size_of lt ty = size_at lt 0 ty
 
 (* Byte offset of field [k] within a struct type. *)
 let field_offset lt fields k =

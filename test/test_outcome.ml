@@ -152,6 +152,43 @@ entry:
   | o, _ -> Alcotest.failf "expected an invalid operation, got %s"
               (Llee.Outcome.to_string o)
 
+(* A type that contains itself by value has no size. The verifier
+   rejects the module; run without verifying, the interpreter and a
+   native engine each end in an outcome at once, where the layout walk
+   used to recurse until the stack overflowed. *)
+let test_self_containing_type () =
+  let src =
+    {|
+%t = type { int, %t }
+
+int %main() {
+entry:
+  %p = alloca %t
+  ret int 0
+}
+|}
+  in
+  let m () = Llva.Resolve.parse_module src in
+  check_bool "the verifier rejects it" true (Llva.Verify.verify_module (m ()) <> []);
+  let (module B) = Llee.backend Llee.X86 in
+  List.iter
+    (fun (tag, launch) ->
+      let t0 = Unix.gettimeofday () in
+      let o = launch () in
+      let secs = Unix.gettimeofday () -. t0 in
+      check_bool (Printf.sprintf "%s: an outcome in under 1 s (%.2f s)" tag secs) true (secs < 1.0);
+      match o with
+      | Llee.Outcome.Trapped { kind = Llee.Outcome.Invalid_operation msg; _ } as o ->
+          let says = "type %t contains itself" in
+          check_bool (tag ^ ": names the type: " ^ msg) true
+            (String.ends_with ~suffix:says msg);
+          check_int (tag ^ ": trap exit code") 134 (Llee.Outcome.exit_code o)
+      | o -> Alcotest.failf "%s: expected an invalid operation, got %s" tag (Llee.Outcome.to_string o))
+    [
+      ("interp", fun () -> fst (Llee.Outcome.run_main_interp (m ())));
+      ("x86", fun () -> fst (Llee.Outcome.run_main B.machine (B.compile_module (m ()))));
+    ]
+
 let test_exit_codes () =
   check_int "exit passthrough" 3 (Llee.Outcome.exit_code (Llee.Outcome.Exit 3));
   check_int "trap is 134" 134
@@ -181,4 +218,6 @@ let suite =
       test_wild_malloc_is_null;
     Alcotest.test_case "unresolved type is an outcome" `Quick
       test_unresolved_type;
+    Alcotest.test_case "self-containing type is an outcome" `Quick
+      test_self_containing_type;
   ]
