@@ -138,22 +138,43 @@ let access_size lt (p : Ir.value) =
   | _ -> None
   | exception Types.Unresolved _ -> None
 
+(* A pointer with what [alias] asks of it: its base object, and its
+   constant offset and access size, each computed the first time a query
+   needs it. A pass that asks about one pointer many times keeps it. *)
+type pointer = {
+  value : Ir.value;
+  base : base;
+  offset : int option Lazy.t;
+  size : int option Lazy.t;
+}
+
+let pointer lt (v : Ir.value) =
+  {
+    value = v;
+    base = base_object v;
+    offset = lazy (const_offset lt v);
+    size = lazy (access_size lt v);
+  }
+
+let alias_pointers (p : pointer) (q : pointer) : result =
+  if Ir.value_equal p.value q.value then Must_alias
+  else if distinct_identified p.base q.base then No_alias
+  else if same_base p.base q.base then
+    let oq = Lazy.force q.offset in
+    match (Lazy.force p.offset, oq) with
+    | Some op_, Some oq -> (
+        let sq = Lazy.force q.size in
+        match (Lazy.force p.size, sq) with
+        | Some sp, Some sq ->
+            if op_ = oq && sp = sq then Must_alias
+            else if op_ + sp <= oq || oq + sq <= op_ then No_alias
+            else May_alias
+        | _ -> May_alias)
+    | _ -> May_alias
+  else May_alias
+
 let alias lt (p : Ir.value) (q : Ir.value) : result =
-  if Ir.value_equal p q then Must_alias
-  else
-    let bp = base_object p and bq = base_object q in
-    if distinct_identified bp bq then No_alias
-    else if same_base bp bq then
-      match (const_offset lt p, const_offset lt q) with
-      | Some op_, Some oq -> (
-          match (access_size lt p, access_size lt q) with
-          | Some sp, Some sq ->
-              if op_ = oq && sp = sq then Must_alias
-              else if op_ + sp <= oq || oq + sq <= op_ then No_alias
-              else May_alias
-          | _ -> if op_ = oq then May_alias else May_alias)
-      | _ -> May_alias
-    else May_alias
+  alias_pointers (pointer lt p) (pointer lt q)
 
 (* Does an alloca escape (its address stored, passed to a call, returned,
    or cast to a non-pointer)? Non-escaping allocas cannot be modified by
@@ -185,12 +206,15 @@ let alloca_escapes (alloca : Ir.instr) : bool =
   in
   value_escapes (Ir.Vreg alloca) []
 
+(* May a call modify memory of this base object? *)
+let call_may_modify_base = function
+  | Balloca a -> alloca_escapes a
+  | _ -> true
+
 (* May a call modify memory reachable through [p]? *)
 let call_may_modify (call : Ir.instr) (p : Ir.value) =
   ignore call;
-  match base_object p with
-  | Balloca a -> alloca_escapes a
-  | _ -> true
+  call_may_modify_base (base_object p)
 
 let instr_may_write_to lt (i : Ir.instr) (p : Ir.value) =
   match i.Ir.op with

@@ -56,9 +56,15 @@ let index_of cfg (b : Ir.block) =
 
 let is_reachable cfg (b : Ir.block) = find_index cfg b >= 0
 
+(* the blocks no path from the entry reaches, in function order; the
+   search alone, without the rest of a [t] *)
 let unreachable_blocks (f : Ir.func) =
-  let cfg = build f in
-  List.filter (fun b -> not (is_reachable cfg b)) f.Ir.fblocks
+  let seen = Idtbl.create (List.length f.Ir.fblocks) in
+  let rec dfs (b : Ir.block) =
+    if Idtbl.add_absent seen b.Ir.blid 0 then List.iter dfs (Ir.successors b)
+  in
+  (match f.Ir.fblocks with [] -> () | entry :: _ -> dfs entry);
+  List.filter (fun (b : Ir.block) -> not (Idtbl.mem seen b.Ir.blid)) f.Ir.fblocks
 
 (* blocks in reverse postorder *)
 let rpo cfg = Array.to_list cfg.blocks

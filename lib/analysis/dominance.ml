@@ -98,6 +98,11 @@ let idom_block t (b : Ir.block) : Ir.block option =
   let k = Cfg.index_of t.cfg b in
   if k = 0 then None else Some (Cfg.block t.cfg t.idom.(k))
 
+(* the dominance frontier and the dominator-tree children of block index
+   [k], as block indices *)
+let frontier t k = (Lazy.force t.frontier).(k)
+let children t k = t.children.(k)
+
 let frontier_blocks t (b : Ir.block) =
   List.map (Cfg.block t.cfg) (Lazy.force t.frontier).(Cfg.index_of t.cfg b)
 

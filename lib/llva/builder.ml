@@ -25,7 +25,7 @@ let insertion_block builder =
 
 let fresh_name builder prefix =
   builder.name_counter <- builder.name_counter + 1;
-  Printf.sprintf "%s.%d" prefix builder.name_counter
+  String.concat "." [ prefix; string_of_int builder.name_counter ]
 
 let insert builder i =
   append_instr (insertion_block builder) i;

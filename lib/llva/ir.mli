@@ -203,6 +203,10 @@ val remove_instr : instr -> unit
 (** Detach from its block and drop its operand uses; uses {e of} the
     instruction are the caller's responsibility (see {!erase_instr}). *)
 
+val remove_instrs : block -> (instr -> bool) -> unit
+(** {!remove_instr} of every instruction of the block that the predicate
+    holds, in block order, with one pass over the block. *)
+
 val erase_instr : instr -> unit
 (** {!remove_instr} after RAUW'ing remaining uses to [undef]. *)
 

@@ -102,6 +102,43 @@ let rec const_body c =
 
 and typed_const c = Types.to_string c.cty ^ " " ^ const_body c
 
+(* Whether two constants print alike ([typed_const a = typed_const b]),
+   decided without printing; types and strings print injectively. Floats
+   compare as [float_repr] prints them: bit for bit, except that a NaN
+   prints as "nan" or "-nan" by its sign alone. *)
+let same_float x y =
+  if Float.is_nan x then Float.is_nan y && Float.sign_bit x = Float.sign_bit y
+  else Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let rec same_const a b =
+  Types.equal a.cty b.cty
+  &&
+  match (a.ckind, b.ckind) with
+  | Cbool x, Cbool y -> x = y
+  | Cint x, Cint y -> Int64.equal x y
+  | Cfloat x, Cfloat y -> same_float x y
+  | Cnull, Cnull | Czero, Czero -> true
+  | Carray xs, Carray ys | Cstruct xs, Cstruct ys -> List.equal same_const xs ys
+  | Cstring x, Cstring y | Cglobal_ref x, Cglobal_ref y -> String.equal x y
+  | _ -> false
+
+(* a hash that agrees with [same_const] *)
+let rec hash_const c =
+  let kind =
+    match c.ckind with
+    | Cbool b -> Bool.to_int b
+    | Cint v -> Hashtbl.hash v
+    | Cfloat v ->
+        if Float.is_nan v then 2 + Bool.to_int (Float.sign_bit v)
+        else Hashtbl.hash (Int64.bits_of_float v)
+    | Cnull -> 4
+    | Czero -> 5
+    | Carray cs | Cstruct cs ->
+        List.fold_left (fun h c -> (h * 31) + hash_const c) 6 cs
+    | Cstring s | Cglobal_ref s -> Hashtbl.hash s
+  in
+  (Hashtbl.hash c.cty * 65599) + kind
+
 (* ---------- values ---------- *)
 
 let value_body namer v =

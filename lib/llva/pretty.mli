@@ -7,6 +7,14 @@
 val typed_const : Ir.const -> string
 (** ["int 42"], ["[ int 1, int 2 ]"], ... *)
 
+val same_const : Ir.const -> Ir.const -> bool
+(** Whether two constants print alike under {!typed_const}, decided
+    without printing: equal types, and floats bit for bit except that
+    NaNs of one sign are all alike. *)
+
+val hash_const : Ir.const -> int
+(** A hash that agrees with {!same_const}. *)
+
 val func_to_string : Ir.func -> string
 (** A whole function definition (or a [declare] line). *)
 

@@ -476,6 +476,131 @@ int main() { return gcd(252, 105); }
   let st = Interp.create m in
   check_int "gcd" 21 (Interp.run_main st)
 
+(* ---------- the lexer against its reference ---------- *)
+
+(* A workload source, cut short or with three bytes overwritten by
+   printable characters, chosen by [rand]. *)
+let mutate rand src =
+  let n = String.length src in
+  if n = 0 || Random.State.bool rand then String.sub src 0 (Random.State.int rand (n + 1))
+  else begin
+    let b = Bytes.of_string src in
+    for _ = 1 to 3 do
+      Bytes.set b (Random.State.int rand n) (Char.chr (32 + Random.State.int rand 95))
+    done;
+    Bytes.to_string b
+  end
+
+let gen_mutant : (string * string) QCheck.arbitrary =
+  let open QCheck.Gen in
+  let gen =
+    let* k = int_bound (List.length Workloads.all - 1) in
+    let* seed = int_range 0 10_000_000 in
+    let w = List.nth Workloads.all k in
+    return (w.Workloads.name, mutate (Random.State.make [| seed |]) w.Workloads.source)
+  in
+  QCheck.make gen ~print:(fun (name, src) -> Printf.sprintf "%s:\n%s" name src)
+
+type lexed = Tok of Minic.Mlexer.token * int | Err of string * int
+
+(* every token with the line after it, up to the end or the first error *)
+let lex_all src =
+  let lx = Minic.Mlexer.create src in
+  let rec go acc =
+    match Minic.Mlexer.next lx with
+    | Minic.Mlexer.Teof -> List.rev (Tok (Minic.Mlexer.Teof, Minic.Mlexer.line lx) :: acc)
+    | t -> go (Tok (t, Minic.Mlexer.line lx) :: acc)
+    | exception Minic.Mlexer.Error (msg, line) -> List.rev (Err (msg, line) :: acc)
+  in
+  go []
+
+(* the same from the reference; its raw [Invalid_argument] on a char
+   literal cut off by the end is what [Mlexer] now reports as an error *)
+let lex_all_ref src =
+  let lx = Lexer_ref.create src in
+  let rec go acc =
+    match Lexer_ref.next lx with
+    | Minic.Mlexer.Teof -> List.rev (Tok (Minic.Mlexer.Teof, Lexer_ref.line lx) :: acc)
+    | t -> go (Tok (t, Lexer_ref.line lx) :: acc)
+    | exception Lexer_ref.Error (msg, line) -> List.rev (Err (msg, line) :: acc)
+    | exception Invalid_argument _ ->
+        List.rev (Err ("unterminated char literal", Lexer_ref.line lx) :: acc)
+  in
+  go []
+
+let test_lexer_workloads () =
+  List.iter
+    (fun (w : Workloads.workload) ->
+      check_bool w.Workloads.name true (lex_all w.source = lex_all_ref w.source))
+    Workloads.all
+
+let prop_lexer_mutants =
+  QCheck.Test.make ~name:"lexer agrees with its reference on mutants" ~count:500
+    gen_mutant (fun (_, src) -> lex_all src = lex_all_ref src)
+
+let test_char_literal_at_end () =
+  List.iter
+    (fun src ->
+      match Minic.Mcodegen.compile src with
+      | exception Minic.Mlexer.Error (msg, _) ->
+          check_string src "unterminated char literal" msg
+      | exception e -> Alcotest.failf "%S raised %s" src (Printexc.to_string e)
+      | _ -> Alcotest.failf "%S compiled" src)
+    [ "int main() { return '"; "int main() { return '\\"; "int main() { return 'a" ]
+
+(* Seeded truncations and three-byte printable mutations of every
+   workload source, 1,000 per workload at seed 7: each compiles to a
+   module that verifies, or the front end refuses it with a lexer, parser
+   or code generation error. No other exception may escape. *)
+let test_front_end_robust () =
+  List.iter
+    (fun (w : Workloads.workload) ->
+      let rand = Random.State.make [| 7 |] in
+      for k = 1 to 1000 do
+        let src = mutate rand w.Workloads.source in
+        match Minic.Mcodegen.compile ~name:w.name src with
+        | m -> (
+            match Llva.Verify.verify_module m with
+            | [] -> ()
+            | e :: _ -> Alcotest.failf "%s mutant %d: invalid code: %s" w.name k e)
+        | exception (Minic.Mlexer.Error _ | Minic.Mparser.Error _ | Minic.Mcodegen.Error _)
+          ->
+            ()
+        | exception e ->
+            Alcotest.failf "%s mutant %d raised %s" w.name k (Printexc.to_string e)
+      done)
+    Workloads.all
+
+(* Unary - and ~ promote a char or short operand to int, as C does, and
+   every engine computes the same result. *)
+let test_unary_promotion () =
+  let src =
+    {|
+int main() {
+  char c = 1; short s = 300; unsigned char uc = 200; unsigned short us = 65000;
+  c = ~c; print_int(c); print_char(' ');
+  c = -c; print_int(c); print_char(' ');
+  s = -s; print_int(s); print_char(' ');
+  s = ~s; print_int(s); print_char(' ');
+  print_int(-uc); print_char(' ');
+  print_int(~us); print_char(' ');
+  print_int(-(char)-128);
+  return ~c & 255;
+}
+|}
+  in
+  List.iter
+    (fun level ->
+      let m = Minic.Mcodegen.compile_and_verify ~optimize:level src in
+      List.iter
+        (fun (engine, o, out) ->
+          check_string
+            (Printf.sprintf "%s at -O%d" engine level)
+            "exit 253: -2 2 -300 299 -200 -65001 128"
+            (Printf.sprintf "exit %d: %s" (Llee.Outcome.exit_code o) out))
+        (Gen.engine_results m))
+    [ 0; 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "hello" `Quick test_hello;
@@ -499,4 +624,13 @@ let suite =
       test_do_while_break_continue;
     Alcotest.test_case "compile errors" `Quick test_compile_errors;
     Alcotest.test_case "mem2reg on minic" `Quick test_mem2reg_on_minic;
+    Alcotest.test_case "lexer agrees with its reference" `Quick
+      test_lexer_workloads;
+    QCheck_alcotest.to_alcotest prop_lexer_mutants;
+    Alcotest.test_case "char literal cut off by the end" `Quick
+      test_char_literal_at_end;
+    Alcotest.test_case "unary - and ~ promote char and short (five engines)"
+      `Quick test_unary_promotion;
+    Alcotest.test_case "front end refuses mutated sources cleanly" `Quick
+      test_front_end_robust;
   ]
