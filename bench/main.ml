@@ -445,51 +445,56 @@ let run_memtp () =
 (* Machine-readable output (--json)                                    *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
+(* BENCH_llee.json: each value rounded to the decimals the tables print *)
 let write_bench_json ~path (rows : llee_row list) (mt : mem_row) =
+  let open Benchsuite.Jsonf in
+  let dec d x =
+    let p = 10.0 ** float_of_int d in
+    Num (Float.round (x *. p) /. p)
+  in
+  let int n = Num (float_of_int n) and int64 n = Num (Int64.to_float n) in
+  let row r =
+    Obj
+      [
+        ("name", Str r.l_name);
+        ("cold_translations", int r.l_cold_n);
+        ("cold_translate_ms", dec 3 r.l_cold_ms);
+        ("warm_translate_ms", dec 3 r.l_warm_ms);
+        ("warm_cache_hits", int r.l_warm_hits);
+        ("warm_storage_reads", int r.l_warm_reads);
+        ("offline_seq_s", dec 4 r.l_off_seq);
+        ("cycles", int64 r.l_cycles);
+        ("lint_cold_ms", dec 3 r.l_lint_cold_ms);
+        ("lint_warm_ms", dec 3 r.l_lint_warm_ms);
+        ("lint_runs", int r.l_lint_runs);
+        ("lint_skipped", int r.l_lint_skipped);
+        ("range_ms", dec 3 r.l_range_ms);
+        ("range_sweeps", int r.l_range_sweeps);
+        ("rel_ms", dec 3 r.l_rel_ms);
+        ("rel_facts", int r.l_rel_facts);
+        ("quarantined", int r.l_quarantined);
+        ("repaired", int r.l_repaired);
+        ("cycles_peep", int64 r.l_cycles_peep);
+        ("peep_rewrites", int r.l_peep_rewrites);
+        ("peep_table_load_ms", dec 3 r.l_peep_table_load_ms);
+      ]
+  in
+  let doc =
+    Obj
+      [
+        ( "memory_throughput_mb_s",
+          Obj
+            [
+              ("byte_write", dec 1 mt.mt_byte_write);
+              ("word_write", dec 1 mt.mt_word_write);
+              ("byte_read", dec 1 mt.mt_byte_read);
+              ("word_read", dec 1 mt.mt_word_read);
+            ] );
+        ("workloads", List (List.map row rows));
+      ]
+  in
   let oc = open_out path in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc
-    "  \"memory_throughput_mb_s\": {\"byte_write\": %.1f, \"word_write\": \
-     %.1f, \"byte_read\": %.1f, \"word_read\": %.1f},\n"
-    mt.mt_byte_write mt.mt_word_write mt.mt_byte_read mt.mt_word_read;
-  Printf.fprintf oc "  \"workloads\": [\n";
-  List.iteri
-    (fun k r ->
-      Printf.fprintf oc
-        "    {\"name\": \"%s\", \"cold_translations\": %d, \
-         \"cold_translate_ms\": %.3f, \"warm_translate_ms\": %.3f, \
-         \"warm_cache_hits\": %d, \"warm_storage_reads\": %d, \
-         \"offline_seq_s\": %.4f, \"cycles\": %Ld, \
-         \"lint_cold_ms\": %.3f, \"lint_warm_ms\": %.3f, \
-         \"lint_runs\": %d, \"lint_skipped\": %d, \
-         \"range_ms\": %.3f, \"range_sweeps\": %d, \
-         \"rel_ms\": %.3f, \"rel_facts\": %d, \
-         \"quarantined\": %d, \"repaired\": %d, \
-         \"cycles_peep\": %Ld, \"peep_rewrites\": %d, \
-         \"peep_table_load_ms\": %.3f}%s\n"
-        (json_escape r.l_name) r.l_cold_n r.l_cold_ms r.l_warm_ms r.l_warm_hits
-        r.l_warm_reads r.l_off_seq r.l_cycles
-        r.l_lint_cold_ms r.l_lint_warm_ms r.l_lint_runs r.l_lint_skipped
-        r.l_range_ms r.l_range_sweeps r.l_rel_ms r.l_rel_facts
-        r.l_quarantined r.l_repaired r.l_cycles_peep r.l_peep_rewrites
-        r.l_peep_table_load_ms
-        (if k = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
+  output_string oc (to_string doc ^ "\n");
   close_out oc;
   Printf.printf "\nwrote %s\n" path
 

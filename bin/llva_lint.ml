@@ -52,7 +52,7 @@ let lint_module ?checks ~json ~werror m =
    performs zero recomputation. The cache status goes to stderr so stdout
    stays the plain report. *)
 let lint_via_cache ~dir ~json ~werror m =
-  let storage = Llee.Storage.on_disk ~dir in
+  let storage = Tool_common.open_cache dir in
   let eng = Llee.of_module ~storage ~target:Llee.X86 m in
   let v = Llee.verdict eng in
   Printf.eprintf "lint verdict for module %s: %s (analysis v%d)\n"

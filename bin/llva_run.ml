@@ -32,7 +32,7 @@ let run input engine stats opt fuel cache_dir peephole doctor purge diff
     in
     let storage =
       match cache_dir with
-      | Some dir -> Llee.Storage.on_disk ~dir
+      | Some dir -> Tool_common.open_cache dir
       | None -> Llee.Storage.none
     in
     let eng = Llee.of_module ~storage ~peephole ~target m in
@@ -65,7 +65,7 @@ let run input engine stats opt fuel cache_dir peephole doctor purge diff
           Printf.eprintf "--cache-doctor requires an llee engine (got %s)\n" e;
           exit 2
     in
-    let storage = Llee.Storage.on_disk ~dir:(Option.get cache_dir) in
+    let storage = Tool_common.open_cache (Option.get cache_dir) in
     let eng = Llee.of_module ~storage ~peephole ~target m in
     List.iter print_endline (Llee.cache_doctor eng);
     (match diff with
@@ -118,7 +118,7 @@ let run input engine stats opt fuel cache_dir peephole doctor purge diff
       let target = if engine = "llee-x86" then Llee.X86 else Llee.Sparc in
       let storage =
         match cache_dir with
-        | Some dir -> Llee.Storage.on_disk ~dir
+        | Some dir -> Tool_common.open_cache dir
         | None -> Llee.Storage.none
       in
       let eng = Llee.of_module ~storage ~peephole ~target m in

@@ -22,6 +22,14 @@ let load_module path =
   if is_object_code data then Llva.Decode.decode data
   else Llva.Resolve.parse_module ~name:(Filename.remove_extension (Filename.basename path)) data
 
+(* The on-disk LLEE cache in [dir], made if missing. A directory that
+   cannot be made or opened ends the tool with exit code 2. *)
+let open_cache dir =
+  try Llee.Storage.on_disk ~dir
+  with Unix.Unix_error (e, _, _) ->
+    Printf.eprintf "cannot open cache directory %s: %s\n" dir (Unix.error_message e);
+    exit 2
+
 let check_verify m =
   match Llva.Verify.verify_module m with
   | [] -> ()

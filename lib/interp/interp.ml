@@ -63,9 +63,10 @@ type stats = {
 
    Each instruction becomes one closure of the frame, [op]. The V-ISA is
    typed, so decoding picks the closure from the instruction's static
-   types. Integer arithmetic, [setcc], casts between integers, bools and
-   pointers, geps, integer and pointer loads and stores, and phi moves
-   between slots of one type work on the payloads inline: formulas,
+   types. Integer and float arithmetic, [setcc], casts to integers and
+   pointers, geps with at most one scaled term, loads and stores, and
+   phi moves between slots of one type work on the payloads inline:
+   the ones an instruction count showed to pay (DESIGN.md); formulas,
    width normalization and the page lookup are written below, allocate
    nothing and call nothing out of line (see "What -opaque costs here"
    in DESIGN.md). Such a closure runs only when its operands have the
@@ -284,14 +285,14 @@ let[@inline] put fr k v =
   set64u fr.regs (k lsl 3) v;
   Bytes.unsafe_set fr.shapes k value
 
-(* Encode [v] into slot [k] of [regs]/[shapes], whose static type is
-   [ty] of kind [kind]; false when [v] is [boxed], which the caller
-   keeps. *)
 let[@inline] write regs shapes k shape x =
   set64u regs (k lsl 3) x;
   Bytes.unsafe_set shapes k shape;
   true
 
+(* Encode [v] into slot [k] of [regs]/[shapes], whose static type is
+   [ty] of kind [kind]; false when [v] is [boxed], which the caller
+   keeps. *)
 let encode regs shapes kind ty k (v : Eval.scalar) =
   match (v, kind) with
   | Eval.I (t, x), K_int when t == ty || Types.equal t ty -> write regs shapes k value x
@@ -1219,19 +1220,7 @@ and decode st (f : Ir.func) index : form =
               put fr d (Int64.logand (Int64.add (payload fr ptr) (Int64.of_int off)) mask)
             else g fr;
             proceed fr pos next
-      | terms ->
-          fun fr ->
-            fr.pc <- pos;
-            if is_value fr ptr && Array.for_all (fun (k, _) -> is_value fr k) terms then begin
-              let off = ref const in
-              for j = 0 to Array.length terms - 1 do
-                let idx, scale = Array.unsafe_get terms j in
-                off := !off + (Int64.to_int (payload fr idx) * scale)
-              done;
-              put fr d (Int64.logand (Int64.add (payload fr ptr) (Int64.of_int !off)) mask)
-            end
-            else g fr;
-            proceed fr pos next
+      | _ -> plain pos next g
   in
   let decode_instr (b : Ir.block) (i : Ir.instr) ~after pos next : op =
     let ops = i.Ir.operands in
@@ -1486,12 +1475,6 @@ and decode st (f : Ir.func) index : form =
             fun fr ->
               fr.pc <- pos;
               if is_value fr v then put fr d (norm sh signed (payload fr v)) else g fr;
-              proceed fr pos next
-        | Ok _, K_bool ->
-            fun fr ->
-              fr.pc <- pos;
-              if is_value fr v then put fr d (if Int64.equal (payload fr v) 0L then 0L else 1L)
-              else g fr;
               proceed fr pos next
         | Ok _, K_ptr ->
             (* an unsigned integer is first zero-extended from its width *)

@@ -425,10 +425,6 @@ let decode_instr pc (i : instr) (next : instr op) : instr op =
           fun st ->
             uwreg st rd (norm w s (Int64.add (urreg st rs1) (urreg st r)));
             next st
-      | Sub ->
-          fun st ->
-            uwreg st rd (norm w s (Int64.sub (urreg st rs1) (urreg st r)));
-            next st
       | Mul ->
           fun st ->
             uwreg st rd (norm w s (Int64.mul (urreg st rs1) (urreg st r)));
@@ -453,11 +449,7 @@ let decode_instr pc (i : instr) (next : instr op) : instr op =
           fun st ->
             uwreg st rd (shift false w false (urreg st rs1) (urreg st r));
             next st
-      | Sra ->
-          fun st ->
-            uwreg st rd (shift false w s (urreg st rs1) (urreg st r));
-            next st
-      | Div | Rem -> via_exec succ i next)
+      | Sub | Sra | Div | Rem -> via_exec succ i next)
   | Alu3 (op, w, s, rd, rs1, Imm v) -> (
       let v = Int64.of_int v in
       match op with
@@ -468,10 +460,6 @@ let decode_instr pc (i : instr) (next : instr op) : instr op =
       | Sub ->
           fun st ->
             uwreg st rd (norm w s (Int64.sub (urreg st rs1) v));
-            next st
-      | Mul ->
-          fun st ->
-            uwreg st rd (norm w s (Int64.mul (urreg st rs1) v));
             next st
       | And ->
           fun st ->
@@ -493,11 +481,7 @@ let decode_instr pc (i : instr) (next : instr op) : instr op =
           fun st ->
             uwreg st rd (shift false w false (urreg st rs1) v);
             next st
-      | Sra ->
-          fun st ->
-            uwreg st rd (shift false w s (urreg st rs1) v);
-            next st
-      | Div | Rem -> via_exec succ i next)
+      | Mul | Sra | Div | Rem -> via_exec succ i next)
   | Sethi (rd, v) -> fun st -> uwreg st rd v; next st
   | Ld (w, s, rd, rs, d) ->
       fun st ->
@@ -550,10 +534,6 @@ let decode_instr pc (i : instr) (next : instr op) : instr op =
       fun st ->
         uwreg st sp (Int64.add (urreg st sp) (Int64.of_int n));
         next st
-  | CallSym name ->
-      fun st ->
-        st.pc <- succ;
-        do_call st name ~except:(-1) ~ret_pc:succ
   | _ -> via_exec succ i next
 
 let machine : instr isa =

@@ -300,7 +300,7 @@ let regs_ok i =
   | Mov (a, b) | Alu (_, _, _, a, b) | Cmp (_, _, a, b) ->
       opnd_ok a && opnd_ok b
   | Ext (r, _, _) | Setcc (_, r) -> ok r
-  | Mload (r, m, _, _) | Mstore (m, r, _) | Lea (r, m) -> ok r && ok m.base
+  | Mload (r, m, _, _) | Mstore (m, r, _) -> ok r && ok m.base
   | _ -> true
 
 (* The calling convention: arguments in 8-byte slots above the return
@@ -480,32 +480,10 @@ let decode_instr pc (i : instr) (next : instr op) : instr op =
         st.pc <- succ;
         store st (umem_addr st m) W64 v;
         next st
-  | Alu (op, w, s, R d, R r) -> (
-      match op with
-      | Add ->
-          fun st ->
-            set_ureg st d (norm w s (Int64.add (ureg st d) (ureg st r)));
-            next st
-      | Sub ->
-          fun st ->
-            set_ureg st d (norm w s (Int64.sub (ureg st d) (ureg st r)));
-            next st
-      | Imul ->
-          fun st ->
-            set_ureg st d (norm w s (Int64.mul (ureg st d) (ureg st r)));
-            next st
-      | And ->
-          fun st ->
-            set_ureg st d (norm w s (Int64.logand (ureg st d) (ureg st r)));
-            next st
-      | Or ->
-          fun st ->
-            set_ureg st d (norm w s (Int64.logor (ureg st d) (ureg st r)));
-            next st
-      | Xor ->
-          fun st ->
-            set_ureg st d (norm w s (Int64.logxor (ureg st d) (ureg st r)));
-            next st)
+  | Alu (Add, w, s, R d, R r) ->
+      fun st ->
+        set_ureg st d (norm w s (Int64.add (ureg st d) (ureg st r)));
+        next st
   | Alu (op, w, s, R d, I v) -> (
       match op with
       | Add ->
@@ -524,14 +502,11 @@ let decode_instr pc (i : instr) (next : instr op) : instr op =
           fun st ->
             set_ureg st d (norm w s (Int64.logand (ureg st d) v));
             next st
-      | Or ->
-          fun st ->
-            set_ureg st d (norm w s (Int64.logor (ureg st d) v));
-            next st
       | Xor ->
           fun st ->
             set_ureg st d (norm w s (Int64.logxor (ureg st d) v));
-            next st)
+            next st
+      | Or -> via_exec succ i next)
   | Alu (op, w, s, R d, M m) -> (
       match op with
       | Add ->
@@ -539,18 +514,6 @@ let decode_instr pc (i : instr) (next : instr op) : instr op =
             st.pc <- succ;
             let b = load st (umem_addr st m) W64 in
             set_ureg st d (norm w s (Int64.add (ureg st d) b));
-            next st
-      | Sub ->
-          fun st ->
-            st.pc <- succ;
-            let b = load st (umem_addr st m) W64 in
-            set_ureg st d (norm w s (Int64.sub (ureg st d) b));
-            next st
-      | Imul ->
-          fun st ->
-            st.pc <- succ;
-            let b = load st (umem_addr st m) W64 in
-            set_ureg st d (norm w s (Int64.mul (ureg st d) b));
             next st
       | And ->
           fun st ->
@@ -569,7 +532,8 @@ let decode_instr pc (i : instr) (next : instr op) : instr op =
             st.pc <- succ;
             let b = load st (umem_addr st m) W64 in
             set_ureg st d (norm w s (Int64.logxor (ureg st d) b));
-            next st)
+            next st
+      | Sub | Imul -> via_exec succ i next)
   | Ext (r, w, s) -> fun st -> set_ureg st r (norm w s (ureg st r)); next st
   | Mload (r, m, w, s) ->
       fun st ->
@@ -600,12 +564,6 @@ let decode_instr pc (i : instr) (next : instr op) : instr op =
         set_flag_words st (norm w s (load st (umem_addr st m) W64)) y;
         st.flag_kind <- kind;
         next st
-  | Cmp (w, s, R a, R b) ->
-      let kind = if s then kind_signed else kind_unsigned in
-      fun st ->
-        set_flag_words st (norm w s (ureg st a)) (norm w s (ureg st b));
-        st.flag_kind <- kind;
-        next st
   | Setcc (cc, r) ->
       let flip, lt, eq, gt = cc_parts cc in
       fun st ->
@@ -626,15 +584,10 @@ let decode_instr pc (i : instr) (next : instr op) : instr op =
           if cc_holds st cc then st.pc <- l
         end
   | Jmp l -> fun st -> st.pc <- l
-  | Lea (r, m) -> fun st -> set_ureg st r (umem_addr st m); next st
   | AddSp n ->
       fun st ->
         set_ureg st sp (Int64.add (ureg st sp) (Int64.of_int n));
         next st
-  | CallSym name ->
-      fun st ->
-        st.pc <- succ;
-        do_call st name ~except:(-1) ~ret_pc:succ
   | _ -> via_exec succ i next
 
 let machine : instr isa =

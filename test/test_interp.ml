@@ -1310,22 +1310,29 @@ entry:
 
    Registers hold unboxed payloads, so a step on integers and pointers
    allocates nothing; what is left is per call (the frame, boxed
-   arguments and the result). ptrdist-ks at -O1 allocated 2.92 minor
-   words per step with boxed registers and 0.33 without; the bound
+   arguments and the result). At -O1, ptrdist-ks allocated 2.92 minor
+   words per step with boxed registers and 0.31 without; its bound
    leaves room for call-path changes and fails if registers are boxed
-   again. *)
-let max_words_per_step = 1.0
+   again. 255.vortex (2.806) and 197.parser (1.504) make 21,990 and
+   52,704 calls and run every integer family; their bounds sit just
+   above those values, so an instruction moved from an inline closure
+   onto the generic path, which boxes its operands and result, fails
+   them. *)
+let max_words_per_step = [ ("ptrdist-ks", 1.0); ("255.vortex", 2.85); ("197.parser", 1.55) ]
 
 let test_allocation () =
-  let m = Workloads.compile_optimized ~level:1 (Option.get (Workloads.find "ptrdist-ks")) in
-  let st = Interp.create m in
-  let before = Gc.minor_words () in
-  ignore (Interp.run_main st);
-  let words = Gc.minor_words () -. before in
-  let per_step = words /. float_of_int st.Interp.stats.Interp.steps in
-  check_bool
-    (Printf.sprintf "%.3f minor words per step, under %.2f" per_step max_words_per_step)
-    true (per_step < max_words_per_step)
+  List.iter
+    (fun (name, bound) ->
+      let m = Workloads.compile_optimized ~level:1 (Option.get (Workloads.find name)) in
+      let st = Interp.create m in
+      let before = Gc.minor_words () in
+      ignore (Interp.run_main st);
+      let words = Gc.minor_words () -. before in
+      let per_step = words /. float_of_int st.Interp.stats.Interp.steps in
+      check_bool
+        (Printf.sprintf "%s: %.3f minor words per step, under %.2f" name per_step bound)
+        true (per_step < bound))
+    max_words_per_step
 
 let test_exact_counts () = check_report "interp_counts.expected" (counts_report ())
 let test_profile_counts () = check_report "interp_profile.expected" (profile_report ())
